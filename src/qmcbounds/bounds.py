@@ -30,10 +30,8 @@ import numpy as np
 from .operators import (
     GKLSGenerator,
     KrausChannel,
-    Superoperator,
     as_complex_matrix,
     dagger,
-    kms_adjoint,
     kms_norm,
     kms_operator_norm,
     observation_vector,
@@ -44,6 +42,7 @@ from .operators import (
 )
 from .spectral import (
     HypothesisError,
+    _kms_real_part,
     additive_gap_report,
     gkls_steady_state,
     invariant_state,
@@ -152,6 +151,47 @@ def _invalid(flavor: str, gamma: float, horizon: float, constants: BoundConstant
                        horizon=horizon, two_sided=two_sided, reason=reason)
 
 
+def _exact_zero(flavor: str, gamma: float, horizon: float, constants: BoundConstants,
+                reason: str, two_sided: bool) -> BoundResult:
+    """A deviation that cannot occur: probability 0, exponent -inf."""
+    return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
+                       constants=constants, flavor=flavor, gamma=gamma,
+                       horizon=horizon, two_sided=two_sided, reason=reason)
+
+
+def _bernstein_result(flavor: str, constants: BoundConstants, b2: float, gamma: float,
+                      n: int, two_sided: bool) -> BoundResult:
+    """N exp(-n gamma^2 eps / (6 b^2) h(10 c gamma / (3 b^2))) from the constants.
+
+    ``b2`` is passed apart from ``constants.b`` because the time-dependent
+    flavor knows b_n^2 before the square root stored in the constants.
+    """
+    exponent = -n * (gamma**2 * constants.epsilon / (6.0 * b2)) * h_function(
+        10.0 * constants.c * gamma / (3.0 * b2))
+    pref = (2.0 if two_sided else 1.0) * float(constants.n_rho or 1.0)
+    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
+                       valid=True, constants=constants, flavor=flavor,
+                       gamma=gamma, horizon=n, two_sided=two_sided)
+
+
+def _hoeffding_result(flavor: str, constants: BoundConstants, gamma: float, n: int,
+                      two_sided: bool, single_reason: str) -> BoundResult:
+    """exp(-(n gamma - 2G)^2 / (2 (n-1) G^2)) in the regime n gamma >= 2G.
+
+    At n = 1 the regime forces gamma >= 2G >= 2c, beyond the range of a
+    single centered payoff, so the bound is the exact zero (``single_reason``).
+    """
+    g = constants.g
+    if n * gamma < 2.0 * g:
+        return _invalid(flavor, gamma, n, constants, "outside regime", two_sided)
+    if n == 1:
+        return _exact_zero(flavor, gamma, n, constants, single_reason, two_sided)
+    exponent = -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2)
+    return BoundResult(probability_bound=_clip_bound(2.0 if two_sided else 1.0, exponent),
+                       exponent=exponent, valid=True, constants=constants, flavor=flavor,
+                       gamma=gamma, horizon=n, two_sided=two_sided)
+
+
 def bernstein_constants(channel: KrausChannel, f, rho=None, sigma=None) -> BoundConstants:
     """Gap of the multiplicative symmetrization plus centered moments of f."""
     sig = invariant_state(channel) if sigma is None else sigma
@@ -176,21 +216,14 @@ def bernstein_bound(constants: BoundConstants, gamma: float, n: int,
         raise ValueError("gamma must be positive")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    pref = (2.0 if two_sided else 1.0) * float(constants.n_rho or 1.0)
     if constants.b == 0.0:
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="bernstein", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="deterministic average (b = 0): deviation has probability 0")
+        return _exact_zero("bernstein", gamma, n, constants,
+                           "deterministic average (b = 0): deviation has probability 0",
+                           two_sided)
     if not constants.hypothesis_ok or not constants.epsilon or constants.epsilon <= 0.0:
         return _invalid("bernstein", gamma, n, constants,
                         "multiplicative symmetrization reducible (epsilon <= 0)", two_sided)
-    b2 = constants.b**2
-    exponent = -n * (gamma**2 * constants.epsilon / (6.0 * b2)) * h_function(
-        10.0 * constants.c * gamma / (3.0 * b2))
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="bernstein",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _bernstein_result("bernstein", constants, constants.b**2, gamma, n, two_sided)
 
 
 def hoeffding_constants(channel: KrausChannel, f, rho=None, sigma=None) -> BoundConstants:
@@ -217,33 +250,15 @@ def hoeffding_bound(constants: BoundConstants, gamma: float, n: int,
     if not constants.hypothesis_ok:
         return _invalid("hoeffding", gamma, n, constants,
                         "channel reducible: Hoeffding constant undefined", two_sided)
-    g = constants.g
-    if g is None or g <= 0.0:
+    if constants.g is None or constants.g <= 0.0:
         raise ValueError("degenerate Hoeffding constant (c = 0)")
-    pref = 2.0 if two_sided else 1.0
-    if n * gamma < 2.0 * g:
-        return _invalid("hoeffding", gamma, n, constants, "outside regime", two_sided)
-    if n == 1:
-        # in regime, gamma >= 2G >= 2c strictly exceeds the range of f
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="hoeffding", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="n = 1 and gamma >= 2c: single outcome cannot deviate")
-    exponent = -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2)
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="hoeffding",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _hoeffding_result("hoeffding", constants, gamma, n, two_sided,
+                             "n = 1 and gamma >= 2c: single outcome cannot deviate")
 
 
 # ---------------------------------------------------------------------------
 # continuous-time counting bound
 # ---------------------------------------------------------------------------
-
-def _real_part_superop(mapping, sigma, dim: int) -> Superoperator:
-    m = superoperator_matrix(mapping, dim).matrix
-    m_dag = kms_adjoint(Superoperator(dim, m), state_matrix(sigma)).matrix
-    return Superoperator(dim, (m + m_dag) / 2)
-
 
 def counting_constants(gen: GKLSGenerator, label, rho=None, sigma=None) -> BoundConstants:
     """m, b, alpha and the additive-symmetrization gap for one detector."""
@@ -252,7 +267,7 @@ def counting_constants(gen: GKLSGenerator, label, rho=None, sigma=None) -> Bound
     l = gen.jumps[gen.index(label)]
     m_intensity = float(np.trace(dagger(l) @ l @ s).real)
     jump_super = superoperator_matrix(lambda x: gen.jump(label, x), gen.dim)
-    b_op = _real_part_superop(jump_super, s, gen.dim)
+    b_op = _kms_real_part(jump_super, s)
     b_val = kms_norm(b_op.apply(np.eye(gen.dim)), s)
     alpha = kms_operator_norm(b_op, s)
     report = additive_gap_report(gen, s)
@@ -402,20 +417,12 @@ def time_dependent_bernstein(channel: KrausChannel, steps: Sequence[TimeStep],
                                epsilon=report.epsilon if report.irreducible else 0.0,
                                n_rho=nr, hypothesis_ok=report.irreducible)
     if b_n2 == 0.0:
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="tdm-bernstein", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="deterministic payoffs (b_n = 0)")
+        return _exact_zero("tdm-bernstein", gamma, n, constants,
+                           "deterministic payoffs (b_n = 0)", two_sided)
     if not report.irreducible:
         return _invalid("tdm-bernstein", gamma, n, constants,
                         "multiplicative symmetrization reducible", two_sided)
-    eps = report.epsilon
-    exponent = -n * (gamma**2 * eps / (6.0 * b_n2)) * h_function(
-        10.0 * c_n * gamma / (3.0 * b_n2))
-    pref = (2.0 if two_sided else 1.0) * nr
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="tdm-bernstein",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _bernstein_result("tdm-bernstein", constants, b_n2, gamma, n, two_sided)
 
 
 def time_dependent_hoeffding(channel: KrausChannel, steps: Sequence[TimeStep],
@@ -433,29 +440,24 @@ def time_dependent_hoeffding(channel: KrausChannel, steps: Sequence[TimeStep],
     n = len(steps)
     _, c_n, b_n2 = _step_stats(steps, sigma)
     if c_n == 0.0:
-        constants = BoundConstants(b=0.0, c=0.0, n_rho=1.0)
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="tdm-hoeffding", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="deterministic payoffs (c_n = 0)")
+        return _exact_zero("tdm-hoeffding", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
+                           "deterministic payoffs (c_n = 0)", two_sided)
     powers = phi_power_norms(channel, sigma, max(n - 2, 0))
     g_n = (1.0 + sum(powers[:max(n - 1, 0)])) * c_n
     constants = BoundConstants(b=math.sqrt(b_n2), c=c_n, g=g_n, n_rho=1.0)
-    pref = 2.0 if two_sided else 1.0
     if n == 1:
         # G_1 = c_1; a single centered payoff can attain its range, so the
         # zero bound is only claimed strictly beyond it
         if gamma > c_n + 1e-12:
-            return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                               constants=constants, flavor="tdm-hoeffding", gamma=gamma,
-                               horizon=n, two_sided=two_sided,
-                               reason="n = 1 and gamma > c_1: outside the payoff range")
+            return _exact_zero("tdm-hoeffding", gamma, n, constants,
+                               "n = 1 and gamma > c_1: outside the payoff range", two_sided)
         return _invalid("tdm-hoeffding", gamma, n, constants,
                         "n = 1 at the regime boundary", two_sided)
     if n * gamma < g_n:
         return _invalid("tdm-hoeffding", gamma, n, constants, "outside regime", two_sided)
     exponent = -((n * gamma - g_n)**2) / ((n - 1) * g_n**2)
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
+    return BoundResult(probability_bound=_clip_bound(2.0 if two_sided else 1.0, exponent),
+                       exponent=exponent,
                        valid=True, constants=constants, flavor="tdm-hoeffding",
                        gamma=gamma, horizon=n, two_sided=two_sided)
 
@@ -507,22 +509,15 @@ def multitime_hoeffding(channel: KrausChannel, sigma, f: Mapping, gamma: float, 
     mean = sum(law[k] * float(f[k]) for k in law)
     centered = {k: float(f[k]) - mean for k in law}
     c = max(abs(v) for v in centered.values())
-    s = state_matrix(sigma)
     if c == 0.0:
-        constants = BoundConstants(b=0.0, c=0.0, n_rho=1.0)
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="multitime", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="deterministic window payoff (c = 0)")
+        return _exact_zero("multitime", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
+                           "deterministic window payoff (c = 0)", two_sided)
 
     # right-hand side of the window Poisson equation: the full m-step
     # conditional expectation operator of the centered payoff
-    f_m = np.zeros((channel.dim, channel.dim), dtype=complex)
-
     def accumulate(prefix, product):
         if len(prefix) == m:
-            f_m_local = centered[prefix] * (dagger(product) @ product)
-            return f_m_local
+            return centered[prefix] * (dagger(product) @ product)
         out = np.zeros((channel.dim, channel.dim), dtype=complex)
         for lab, v in zip(channel.labels, channel.kraus):
             out += accumulate(prefix + (lab,), v @ product)
@@ -532,19 +527,9 @@ def multitime_hoeffding(channel: KrausChannel, sigma, f: Mapping, gamma: float, 
     norm = pseudoresolvent_norm(channel, sigma)
     poisson_solve(channel, f_m, sigma, certified_upper=norm.certified_upper)
     g = (m + norm.certified_upper) * c
-    constants = BoundConstants(b=None, c=c, g=g, n_rho=1.0)
-    pref = 2.0 if two_sided else 1.0
-    if n * gamma < 2.0 * g:
-        return _invalid("multitime", gamma, n, constants, "outside regime", two_sided)
-    if n == 1:
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="multitime", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="n = 1 and gamma >= 2c: single window cannot deviate")
-    exponent = -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2)
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="multitime",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _hoeffding_result("multitime", BoundConstants(b=None, c=c, g=g, n_rho=1.0),
+                             gamma, n, two_sided,
+                             "n = 1 and gamma >= 2c: single window cannot deviate")
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ classical computation to its quantum counterpart for cross-validation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
-from .bounds import BoundConstants, BoundResult, h_function, _clip_bound, _invalid
+from .bounds import (BoundConstants, BoundResult, _bernstein_result, _exact_zero,
+                     _hoeffding_result, _invalid)
 from .operators import KrausChannel
-from .spectral import HypothesisError
+from .spectral import HypothesisError, _certified_sup_norm_chain
+from .trajectory import _score_lattice
 
 
 class MarkovChain:
@@ -155,20 +156,13 @@ def flux_bernstein(chain: MarkovChain, nu, f, gamma: float, n: int,
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
     constants = BoundConstants(b=b, c=c, epsilon=epsilon if q_irreducible else 0.0,
                                n_rho=n_nu, hypothesis_ok=q_irreducible)
-    pref = (2.0 if two_sided else 1.0) * n_nu
     if b == 0.0:
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="flux-bernstein", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="deterministic flux (b = 0)")
+        return _exact_zero("flux-bernstein", gamma, n, constants,
+                           "deterministic flux (b = 0)", two_sided)
     if not q_irreducible or epsilon <= 0.0:
         return _invalid("flux-bernstein", gamma, n, constants,
                         "multiplicative symmetrization of P is reducible", two_sided)
-    b2 = b * b
-    exponent = -n * (gamma**2 * epsilon / (6.0 * b2)) * h_function(10.0 * c * gamma / (3.0 * b2))
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="flux-bernstein",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _bernstein_result("flux-bernstein", constants, b * b, gamma, n, two_sided)
 
 
 def _centered_subspace_vertices(sigma: np.ndarray) -> np.ndarray:
@@ -207,20 +201,11 @@ def chain_pseudoresolvent_norm(chain: MarkovChain, sigma: np.ndarray | None = No
         inv_f = np.linalg.solve(np.eye(e - 1) - p_f, np.eye(e - 1))
     except np.linalg.LinAlgError as exc:
         raise HypothesisError("Id - P singular on the centered subspace") from exc
-    m_full = q_basis @ inv_f @ q_basis.T
     if e <= exact_limit:
-        vertices = _centered_subspace_vertices(s)
-        images = vertices @ m_full.T
+        m_full = q_basis @ inv_f @ q_basis.T
+        images = _centered_subspace_vertices(s) @ m_full.T
         return float(np.max(np.abs(images)))
-    root_e = math.sqrt(e)
-    best = root_e * float(np.linalg.norm(inv_f, 2))
-    partial, power = 0.0, np.eye(e - 1)
-    for j in range(32):
-        term = 1.0 if j == 0 else min(1.0, root_e * float(np.linalg.norm(power, 2)))
-        partial += term
-        power = p_f @ power
-        best = min(best, partial + root_e * float(np.linalg.norm(power @ inv_f, 2)))
-    return best
+    return _certified_sup_norm_chain(p_f, inv_f, e)
 
 
 def flux_hoeffding(chain: MarkovChain, f, gamma: float, n: int,
@@ -231,26 +216,12 @@ def flux_hoeffding(chain: MarkovChain, f, gamma: float, n: int,
     sigma = stationary_distribution(chain)
     _, _, b, c = _centered_flux(chain, f, sigma)
     if c == 0.0:
-        constants = BoundConstants(b=0.0, c=0.0, n_rho=1.0)
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="flux-hoeffding", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="deterministic flux (c = 0)")
-    norm = chain_pseudoresolvent_norm(chain, sigma)
-    g = (1.0 + norm) * c
-    constants = BoundConstants(b=b, c=c, g=g, n_rho=1.0)
-    pref = 2.0 if two_sided else 1.0
-    if n * gamma < 2.0 * g:
-        return _invalid("flux-hoeffding", gamma, n, constants, "outside regime", two_sided)
-    if n == 1:
-        return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                           constants=constants, flavor="flux-hoeffding", gamma=gamma,
-                           horizon=n, two_sided=two_sided,
-                           reason="n = 1 and gamma >= 2c: single jump cannot deviate")
-    exponent = -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2)
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="flux-hoeffding",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+        return _exact_zero("flux-hoeffding", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
+                           "deterministic flux (c = 0)", two_sided)
+    g = (1.0 + chain_pseudoresolvent_norm(chain, sigma)) * c
+    return _hoeffding_result("flux-hoeffding", BoundConstants(b=b, c=c, g=g, n_rho=1.0),
+                             gamma, n, two_sided,
+                             "n = 1 and gamma >= 2c: single jump cannot deviate")
 
 
 def doubled_chain(chain: MarkovChain) -> MarkovChain:
@@ -308,16 +279,8 @@ def exact_flux_tail(chain: MarkovChain, nu, f, n: int, gamma: float,
     """Exact P((1/n) sum_k f(X_k, X_{k+1}) >= gamma) by (state, score) DP."""
     fm = flux_matrix(f, chain)
     mask = chain.transition > 0.0
-    vals = fm[mask]
-    fracs = [Fraction(float(v)).limit_denominator(max_denominator) for v in vals]
-    for v, fr in zip(vals, fracs):
-        if abs(float(fr) - float(v)) > 1e-12 * max(1.0, abs(float(v))):
-            raise ValueError("flux values do not fit the rational score lattice")
-    denom = 1
-    for fr in fracs:
-        denom = denom * fr.denominator // math.gcd(denom, fr.denominator)
     nums = np.zeros_like(fm, dtype=np.int64)
-    nums[mask] = [int(fr * denom) for fr in fracs]
+    nums[mask], denom = _score_lattice(fm[mask], max_denominator)
 
     table: dict[tuple[int, int], float] = {}
     for x, w in enumerate(np.asarray(nu, dtype=float)):

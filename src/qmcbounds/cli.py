@@ -48,9 +48,11 @@ from .bounds import (
 )
 from .classical import (
     chain_pseudoresolvent_norm,
+    edge_stationary_law,
     exact_flux_tail,
     flux_bernstein,
     flux_hoeffding,
+    flux_matrix,
     is_chain_irreducible,
     stationary_distribution,
 )
@@ -71,6 +73,7 @@ from .spectral import (
     pseudoresolvent_norm,
 )
 from .trajectory import (
+    EmpiricalTail,
     FilterCollapseError,
     LatticeError,
     SurvivalMonotonicityError,
@@ -80,6 +83,7 @@ from .trajectory import (
     sample_discrete,
     score_distribution_dp,
     counting_counts,
+    _empirical_tail,
 )
 
 EXIT_OK = 0
@@ -127,13 +131,15 @@ def _parse_tolerances(pairs: list[str]) -> dict:
     return out
 
 
-def _resolve_rho0(spec: str, model: Model):
+def _resolve_rho0(spec: str, model: Model, sigma: DensityMatrix | None = None):
+    """Initial state named by --rho0; ``sigma`` is the invariant state if already solved."""
     if spec == "stationary":
-        if model.kind == "kraus":
-            return invariant_state(model.channel).matrix
-        if model.kind == "gkls":
-            return gkls_steady_state(model.generator).matrix
-        return stationary_distribution(model.chain)
+        if model.kind == "classical":
+            return stationary_distribution(model.chain)
+        if sigma is None:
+            sigma = (invariant_state(model.channel) if model.kind == "kraus"
+                     else gkls_steady_state(model.generator))
+        return sigma.matrix
     if spec == "maximally-mixed":
         if model.kind == "classical":
             return np.full(model.chain.size, 1.0 / model.chain.size)
@@ -160,22 +166,40 @@ def _constants_dict(c: BoundConstants) -> dict:
     return out
 
 
-def _result_row(res: BoundResult, tail=None, tail_kind="", ci=(None, None),
-                verdict=None) -> dict:
+def _row(flavor: str, horizon, gamma: float, bound: float | None = None,
+         exponent: float | None = None, valid: bool = True, reason: str = "",
+         tail=None, verdict: bool | None = None) -> dict:
+    """One report row; ``tail`` is an exact tail, an :class:`EmpiricalTail` or None."""
+    mc = isinstance(tail, EmpiricalTail)
     return {
-        "flavor": res.flavor,
-        "horizon": res.horizon,
-        "gamma": res.gamma,
-        "bound": res.probability_bound,
-        "exponent": res.exponent if np.isfinite(res.exponent) else None,
-        "valid": res.valid,
-        "reason": res.reason,
-        "tail": tail,
-        "tail_kind": tail_kind,
-        "ci_low": ci[0],
-        "ci_high": ci[1],
+        "flavor": flavor,
+        "horizon": horizon,
+        "gamma": gamma,
+        "bound": bound,
+        "exponent": exponent,
+        "valid": valid,
+        "reason": reason,
+        "tail": tail.estimate if mc else tail,
+        "tail_kind": "mc" if mc else ("" if tail is None else "dp"),
+        "ci_low": tail.ci_low if mc else None,
+        "ci_high": tail.ci_high if mc else None,
         "verdict": verdict,
     }
+
+
+def _verdict(bound: float, tail) -> bool:
+    """Whether a bound dominates its tail: an exact tail up to rounding, a
+    Monte Carlo tail through the upper end of its Wilson interval."""
+    if isinstance(tail, EmpiricalTail):
+        return bool(bound >= tail.ci_high)
+    return bool(bound >= tail - 1e-12)
+
+
+def _result_row(res: BoundResult, tail=None) -> dict:
+    """Row of a bound; given a tail, the row also carries the verdict."""
+    return _row(res.flavor, res.horizon, res.gamma, res.probability_bound,
+                res.exponent if np.isfinite(res.exponent) else None, res.valid, res.reason,
+                tail, None if tail is None else _verdict(res.probability_bound, tail))
 
 
 def _emit(report: dict, fmt: str, output: str | None) -> None:
@@ -314,6 +338,37 @@ def _need(value, what: str):
     return value
 
 
+def _stationary_flavor(args, model: Model):
+    """Constants, evaluator, horizon grid and rho0 of bernstein, hoeffding or counting.
+
+    The invariant state is solved once and serves both the constants and
+    ``--rho0 stationary``; ``--override-epsilon`` applies to the gap-based
+    flavors only.
+    """
+    if args.flavor == "counting":
+        gen = _need(model.generator, "a gkls model")
+        horizons = _float_grid(_need(args.t, "--t"))
+        sigma = gkls_steady_state(gen)
+        rho0 = _resolve_rho0(args.rho0, model, sigma)
+        constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
+        evaluate = counting_bound
+    else:
+        channel = _need(model.channel, "a kraus model")
+        f = _need(model.observation, "an observation section")
+        horizons = _int_grid(_need(args.n, "--n"))
+        sigma = invariant_state(channel)
+        rho0 = _resolve_rho0(args.rho0, model, sigma)
+        if args.flavor == "bernstein":
+            constants = bernstein_constants(channel, f, rho=rho0, sigma=sigma)
+            evaluate = bernstein_bound
+        else:
+            constants = hoeffding_constants(channel, f, rho=rho0, sigma=sigma)
+            evaluate = hoeffding_bound
+    if args.override_epsilon is not None and args.flavor != "hoeffding":
+        constants = _override_epsilon(constants, args.override_epsilon)
+    return constants, evaluate, horizons, rho0
+
+
 def cmd_bound(args) -> int:
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
     gammas = _float_grid(_need(args.gamma, "--gamma"))
@@ -322,36 +377,12 @@ def cmd_bound(args) -> int:
     flavor = args.flavor
     two_sided = args.two_sided
 
-    if flavor in ("bernstein", "hoeffding"):
-        _need(model.channel, "a kraus model")
-        f = _need(model.observation, "an observation section")
-        ns = _int_grid(_need(args.n, "--n"))
-        sigma = invariant_state(model.channel)
-        rho0 = _resolve_rho0(args.rho0, model)
-        if flavor == "bernstein":
-            constants = bernstein_constants(model.channel, f, rho=rho0, sigma=sigma)
-            if args.override_epsilon is not None:
-                constants = _override_epsilon(constants, args.override_epsilon)
-            evaluate = bernstein_bound
-        else:
-            constants = hoeffding_constants(model.channel, f, rho=rho0, sigma=sigma)
-            evaluate = hoeffding_bound
+    if flavor in ("bernstein", "hoeffding", "counting"):
+        constants, evaluate, horizons, _ = _stationary_flavor(args, model)
         report["constants"] = _constants_dict(constants)
-        for n in ns:
+        for h in horizons:
             for gamma in gammas:
-                rows.append(_result_row(evaluate(constants, gamma, n, two_sided)))
-    elif flavor == "counting":
-        gen = _need(model.generator, "a gkls model")
-        ts = _float_grid(_need(args.t, "--t"))
-        sigma = gkls_steady_state(gen)
-        rho0 = _resolve_rho0(args.rho0, model)
-        constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
-        if args.override_epsilon is not None:
-            constants = _override_epsilon(constants, args.override_epsilon)
-        report["constants"] = _constants_dict(constants)
-        for t in ts:
-            for gamma in gammas:
-                rows.append(_result_row(counting_bound(constants, gamma, t, two_sided)))
+                rows.append(_result_row(evaluate(constants, gamma, h, two_sided)))
     elif flavor == "flux":
         chain = _need(model.chain, "a classical model")
         f = _need(model.flux, "a flux section")
@@ -367,7 +398,7 @@ def cmd_bound(args) -> int:
             raise UsageError("this flavor requires a schedule section in the model")
         ns = _int_grid(_need(args.n, "--n"))
         sigma = invariant_state(model.channel)
-        rho0 = _resolve_rho0(args.rho0, model)
+        rho0 = _resolve_rho0(args.rho0, model, sigma)
         for n in ns:
             steps = [model.schedule[k % len(model.schedule)] for k in range(n)]
             for gamma in gammas:
@@ -399,16 +430,10 @@ def cmd_bound(args) -> int:
             for gamma in gammas:
                 for sub in ("bernstein", "hoeffding"):
                     mix = reducible_bound(decomposition, rho0, f, gamma, n, flavor=sub)
-                    rows.append({
-                        "flavor": f"reducible-{sub}",
-                        "horizon": n, "gamma": gamma,
-                        "bound": mix.mixture_bound,
-                        "exponent": None, "valid": True,
-                        "reason": f"mixture of {decomposition.blocks} blocks, "
-                                  f"weights {np.round(mix.weights, 6).tolist()}",
-                        "tail": None, "tail_kind": "", "ci_low": None,
-                        "ci_high": None, "verdict": None,
-                    })
+                    rows.append(_row(
+                        f"reducible-{sub}", n, gamma, mix.mixture_bound,
+                        reason=f"mixture of {decomposition.blocks} blocks, "
+                               f"weights {np.round(mix.weights, 6).tolist()}"))
     elif flavor == "ci":
         _need(model.channel, "a kraus model")
         ns = _int_grid(_need(args.n, "--n"))
@@ -427,14 +452,8 @@ def cmd_bound(args) -> int:
                 for gamma in gammas:
                     ber = bernstein_bound(berc, gamma, n)
                     hoe = hoeffding_bound(hoec, gamma, n)
-                    coverage = confidence_lower_bound(n, gamma, ber, hoe)
-                    rows.append({
-                        "flavor": "ci", "horizon": n, "gamma": gamma,
-                        "bound": coverage, "exponent": None, "valid": True,
-                        "reason": ("" if theta is None else f"theta={theta}"),
-                        "tail": None, "tail_kind": "", "ci_low": None,
-                        "ci_high": None, "verdict": None,
-                    })
+                    rows.append(_row("ci", n, gamma, confidence_lower_bound(n, gamma, ber, hoe),
+                                     reason="" if theta is None else f"theta={theta}"))
     else:
         raise UsageError(f"unknown flavor {flavor!r}")
     _emit(report, args.format, args.output)
@@ -469,12 +488,7 @@ def cmd_simulate(args) -> int:
         for gamma in gammas:
             tail = mc_tail(model.channel, rho0, _need(f, "an observation section"),
                            n, gamma, trials, seed)
-            rows.append({
-                "flavor": "simulate", "horizon": n, "gamma": gamma,
-                "bound": None, "exponent": None, "valid": True, "reason": "",
-                "tail": tail.estimate, "tail_kind": "mc",
-                "ci_low": tail.ci_low, "ci_high": tail.ci_high, "verdict": None,
-            })
+            rows.append(_row("simulate", n, gamma, tail=tail))
         if args.dump:
             with open(args.dump, "w", encoding="utf-8") as fh:
                 for idx in range(trials):
@@ -495,14 +509,7 @@ def cmd_simulate(args) -> int:
         report["stationary_intensity"] = constants.m
         for gamma in gammas:
             hits = int(np.sum(rate - constants.m >= gamma - 1e-12))
-            from .trajectory import wilson_interval
-            low, high = wilson_interval(hits, trials)
-            rows.append({
-                "flavor": "simulate-counting", "horizon": t, "gamma": gamma,
-                "bound": None, "exponent": None, "valid": True, "reason": "",
-                "tail": hits / trials, "tail_kind": "mc",
-                "ci_low": low, "ci_high": high, "verdict": None,
-            })
+            rows.append(_row("simulate-counting", t, gamma, tail=_empirical_tail(hits, trials)))
         if args.dump:
             with open(args.dump, "w", encoding="utf-8") as fh:
                 for idx in range(trials):
@@ -532,86 +539,51 @@ def _dp_feasible(channel, f, n: int) -> bool:
         return False
 
 
+def _tail_oracle(args, model: Model, constants: BoundConstants, rho0, horizon):
+    """gamma -> tail at one horizon: exact DP where feasible, else Monte Carlo."""
+    if args.flavor == "counting":
+        return lambda gamma: mc_counting_tail(
+            model.generator, model.count_label, rho0, horizon, gamma, args.trials,
+            args.seed, m=constants.m)
+    channel, f = model.channel, model.observation
+    if _dp_feasible(channel, f, horizon):
+        return score_distribution_dp(channel, rho0, f, horizon).tail
+    if not args.mc:
+        raise InfeasibleError(
+            f"exact tail at n={horizon} is infeasible and --mc was not given")
+    return lambda gamma: mc_tail(channel, rho0, f, horizon, gamma, args.trials, args.seed)
+
+
 def cmd_verify(args) -> int:
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
     gammas = _float_grid(_need(args.gamma, "--gamma"))
-    seed = args.seed
-    report = _base_report(args, {"seed": seed})
+    report = _base_report(args, {"seed": args.seed})
     rows = report["rows"]
-    failures = 0
     flavor = args.flavor
 
-    if flavor in ("bernstein", "hoeffding"):
-        channel = _need(model.channel, "a kraus model")
-        f = _need(model.observation, "an observation section")
-        ns = _int_grid(_need(args.n, "--n"))
-        sigma = invariant_state(channel)
-        rho0 = _resolve_rho0(args.rho0, model)
-        if flavor == "bernstein":
-            constants = bernstein_constants(channel, f, rho=rho0, sigma=sigma)
-            if args.override_epsilon is not None:
-                constants = _override_epsilon(constants, args.override_epsilon)
-            evaluate = bernstein_bound
-        else:
-            constants = hoeffding_constants(channel, f, rho=rho0, sigma=sigma)
-            evaluate = hoeffding_bound
+    if flavor in ("bernstein", "hoeffding", "counting"):
+        constants, evaluate, horizons, rho0 = _stationary_flavor(args, model)
         report["constants"] = _constants_dict(constants)
-        for n in ns:
-            use_dp = _dp_feasible(channel, f, n)
-            if not use_dp and not args.mc:
-                raise InfeasibleError(
-                    f"exact tail at n={n} is infeasible and --mc was not given")
-            if use_dp:
-                dist = score_distribution_dp(channel, rho0, f, n)
+        for h in horizons:
+            tail_at = _tail_oracle(args, model, constants, rho0, h)
             for gamma in gammas:
-                res = evaluate(constants, gamma, n, args.two_sided)
-                if use_dp:
-                    tail = dist.tail(gamma)
-                    verdict = bool(res.probability_bound >= tail - 1e-12)
-                    rows.append(_result_row(res, tail=tail, tail_kind="dp",
-                                            verdict=verdict))
-                else:
-                    mc = mc_tail(channel, rho0, f, n, gamma, args.trials, seed)
-                    verdict = bool(res.probability_bound >= mc.ci_high)
-                    rows.append(_result_row(res, tail=mc.estimate, tail_kind="mc",
-                                            ci=(mc.ci_low, mc.ci_high), verdict=verdict))
-                failures += not rows[-1]["verdict"]
-    elif flavor == "counting":
-        gen = _need(model.generator, "a gkls model")
-        ts = _float_grid(_need(args.t, "--t"))
-        sigma = gkls_steady_state(gen)
-        rho0 = _resolve_rho0(args.rho0, model)
-        constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
-        if args.override_epsilon is not None:
-            constants = _override_epsilon(constants, args.override_epsilon)
-        report["constants"] = _constants_dict(constants)
-        for t in ts:
-            for gamma in gammas:
-                res = counting_bound(constants, gamma, t, args.two_sided)
-                mc = mc_counting_tail(gen, model.count_label, rho0, t, gamma,
-                                      args.trials, seed, m=constants.m)
-                verdict = bool(res.probability_bound >= mc.ci_high)
-                rows.append(_result_row(res, tail=mc.estimate, tail_kind="mc",
-                                        ci=(mc.ci_low, mc.ci_high), verdict=verdict))
-                failures += not verdict
+                rows.append(_result_row(evaluate(constants, gamma, h, args.two_sided),
+                                        tail_at(gamma)))
     elif flavor == "flux":
         chain = _need(model.chain, "a classical model")
         f = _need(model.flux, "a flux section")
         ns = _int_grid(_need(args.n, "--n"))
         nu = model.initial if model.initial is not None else stationary_distribution(chain)
-        from .classical import edge_stationary_law, flux_matrix
         mean = float(np.sum(edge_stationary_law(chain) * flux_matrix(f, chain)))
         for n in ns:
             for gamma in gammas:
                 tail = exact_flux_tail(chain, nu, f, n, mean + gamma)
                 for res in (flux_bernstein(chain, nu, f, gamma, n, args.two_sided),
                             flux_hoeffding(chain, f, gamma, n, args.two_sided)):
-                    verdict = bool(res.probability_bound >= tail - 1e-12)
-                    rows.append(_result_row(res, tail=tail, tail_kind="dp",
-                                            verdict=verdict))
-                    failures += not verdict
+                    rows.append(_result_row(res, tail))
     else:
         raise UsageError(f"verify does not support flavor {flavor!r}")
+    failures = sum(not row["verdict"] for row in rows)
     report["summary"] = {"checked": len(rows), "violations": failures,
                          "overall": "pass" if failures == 0 else "fail"}
     _emit(report, args.format, args.output)

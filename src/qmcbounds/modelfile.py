@@ -221,7 +221,3 @@ def load_model(path: str, tol_channel: float = 1e-9) -> Model:
     if kind == "classical":
         return _parse_classical(doc)
     _fail("$.kind", f"unknown model kind {kind!r}")
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]

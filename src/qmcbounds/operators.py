@@ -24,7 +24,7 @@ shared state, so values can be freely shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -80,13 +80,6 @@ def is_selfadjoint(x, tol: float = TAU_IDENTITY) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
-def is_positive_semidefinite(x, tol: float = TAU_PSD) -> bool:
-    a = np.asarray(x)
-    if not is_selfadjoint(a, max(tol, 1e4 * TAU_IDENTITY)):
-        return False
-    return bool(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2)) >= -tol)
-
-
 def uniform_norm(x) -> float:
     """Largest singular value (operator norm on vectors)."""
     return float(np.linalg.norm(np.asarray(x, dtype=complex), 2))
@@ -104,16 +97,6 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
-
-
-def hermitian_function(x: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
-                       tol: float = TAU_IDENTITY) -> np.ndarray:
-    """Apply ``fn`` to the eigenvalues of a selfadjoint matrix."""
-    a = as_complex_matrix(x)
-    if not is_selfadjoint(a, max(tol, 1e-9)):
-        raise NotSelfadjointError("matrix function of a non-selfadjoint input")
-    w, u = np.linalg.eigh((a + a.conj().T) / 2)
-    return (u * fn(w)) @ u.conj().T
 
 
 def state_power(sigma: np.ndarray, power: float, tol: float = TAU_PSD) -> np.ndarray:
@@ -484,22 +467,6 @@ def superoperator_matrix(mapping, dim: int | None = None,
                 cols.append(vec(as_complex_matrix(mapping(unit), dim)))
         return Superoperator(dim, np.column_stack(cols))
     raise TypeError(f"cannot build a superoperator from {type(mapping)!r}")
-
-
-# ---------------------------------------------------------------------------
-# GKLS convenience wrappers
-# ---------------------------------------------------------------------------
-
-def gkls_apply(gen: GKLSGenerator, x) -> np.ndarray:
-    return gen.apply(x)
-
-
-def no_jump_semigroup(gen: GKLSGenerator, t: float, x) -> np.ndarray:
-    return gen.no_jump(t, x)
-
-
-def jump_map(gen: GKLSGenerator, label, x) -> np.ndarray:
-    return gen.jump(label, x)
 
 
 # ---------------------------------------------------------------------------

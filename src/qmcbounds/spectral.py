@@ -19,6 +19,7 @@ which is surfaced as an error instead of silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.linalg as sla
@@ -136,6 +137,21 @@ def _reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray,
     return basis.shape[1]
 
 
+def _fixed_point_min_eigenvalue(basis: np.ndarray, dim: int) -> float:
+    """Smallest eigenvalue of the trace-normalized fixed point spanned by ``basis``.
+
+    -inf when the fixed space is not one-dimensional or its trace vanishes,
+    so the point is never judged faithful.
+    """
+    if basis.shape[1] != 1:
+        return -np.inf
+    candidate = _hermitize(unvec(basis[:, 0], dim))
+    tr = float(np.trace(candidate).real)
+    if abs(tr) <= 1e-12:
+        return -np.inf
+    return float(np.min(np.linalg.eigvalsh(candidate / tr)))
+
+
 @dataclass(frozen=True)
 class IrreducibilityEvidence:
     irreducible: bool
@@ -187,15 +203,8 @@ def is_irreducible(channel: KrausChannel, tol: float = TAU_EIG,
 
     m_s = m_h.conj().T
     dual_basis = _null_space(m_s - radius * np.eye(m_s.shape[0]))
-    faithful = False
-    min_eig = -np.inf
-    if dual_basis.shape[1] == 1:
-        candidate = _hermitize(unvec(dual_basis[:, 0], channel.dim))
-        tr = float(np.trace(candidate).real)
-        if abs(tr) > 1e-12:
-            candidate = candidate / tr
-            min_eig = float(np.min(np.linalg.eigvalsh(candidate)))
-            faithful = min_eig > faithful_tol
+    min_eig = _fixed_point_min_eigenvalue(dual_basis, channel.dim)
+    faithful = min_eig > faithful_tol
     eig_verdict = multiplicity == 1 and faithful
 
     dims = tuple(_reachable_dimension(channel._stack, np.asarray(v, dtype=complex))
@@ -340,26 +349,25 @@ class AdditiveGap:
     note: str = ""
 
 
+def _kms_real_part(mapping, sigma) -> Superoperator:
+    """(M + M_dagger) / 2 with the adjoint taken in the KMS product of sigma."""
+    sup = superoperator_matrix(mapping)
+    m_dag = kms_adjoint(sup, state_matrix(sigma)).matrix
+    return Superoperator(sup.dim, (sup.matrix + m_dag) / 2)
+
+
 def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
     """Spectral gap of the additive symmetrization (L + L_dagger)/2."""
     s = state_matrix(sigma)
-    m = superoperator_matrix(gen).matrix
-    sup = Superoperator(gen.dim, m)
-    m_dag = kms_adjoint(sup, s).matrix
-    a = Superoperator(gen.dim, (m + m_dag) / 2)
+    a = _kms_real_part(gen, s)
     iso = kms_isometrized_matrix(a, s)
     eigs = np.sort(np.linalg.eigvalsh(_hermitize(iso)))  # real, <= 0 up to rounding
     top = eigs[-1]
     second = eigs[-2] if eigs.size >= 2 else -np.inf
     multiplicity = int(np.sum(np.abs(eigs - top) <= TAU_EIG))
     # dual fixed point of the symmetrized semigroup at eigenvalue 0
-    basis = _null_space(a.matrix.conj().T - top * np.eye(m.shape[0]))
-    faithful = False
-    if basis.shape[1] == 1:
-        candidate = _hermitize(unvec(basis[:, 0], gen.dim))
-        tr = float(np.trace(candidate).real)
-        if abs(tr) > 1e-12:
-            faithful = float(np.min(np.linalg.eigvalsh(candidate / tr))) > TAU_PSD
+    basis = _null_space(a.matrix.conj().T - top * np.eye(a.matrix.shape[0]))
+    faithful = _fixed_point_min_eigenvalue(basis, gen.dim) > TAU_PSD
     irreducible = multiplicity == 1 and faithful
     commutes = float(np.max(np.abs(gen.hamiltonian @ s - s @ gen.hamiltonian))) <= 1e-10
     note = "[H, sigma] = 0: irreducibility of the symmetrization is automatic" if commutes else ""
@@ -387,11 +395,10 @@ def centered_basis(sigma) -> np.ndarray:
     return sla.null_space(row)
 
 
-def restricted_matrix(mapping, sigma, dim: int | None = None) -> np.ndarray:
-    """Matrix of a centered-subspace-preserving map on the basis of F."""
-    sup = superoperator_matrix(mapping, dim)
+def _centered_restriction(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Basis q of F and the matrix phi_F = q^* M q of the channel on it."""
     q = centered_basis(sigma)
-    return q.conj().T @ sup.matrix @ q
+    return q, q.conj().T @ superoperator_matrix(channel).matrix @ q
 
 
 @dataclass(frozen=True)
@@ -402,6 +409,21 @@ class PseudoresolventNorm:
     certified_upper: float
 
 
+def _power_terms(phi_f: np.ndarray, root_d: float):
+    """Yield (bound on ||phi^j|F||, phi_F^(j+1)) for j = 0, 1, 2, ...
+
+    ||phi^j|F|| <= min(1, sqrt(d) ||phi^j|F||_HS); the identity term is exact.
+    The powers start from an identity of ``phi_f.dtype``, so a real matrix
+    (a classical chain) is multiplied in real arithmetic.
+    """
+    power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
+    term = 1.0
+    while True:
+        power = phi_f @ power
+        yield term, power
+        term = min(1.0, root_d * float(np.linalg.norm(power, 2)))
+
+
 def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int,
                               max_terms: int = 32) -> float:
     """Certified upper bound on the sup-operator norm of (Id - phi)^(-1)|F.
@@ -410,19 +432,14 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int,
     resolvent identity (Id - phi)^(-1) = sum_{j<J} phi^j + phi^J (Id - phi)^(-1):
     the minimum over J of (certified partial sums + sqrt(d) * HS tail) is a
     rigorous upper bound, and degenerates gracefully to 1 when phi vanishes
-    on F.
+    on F.  Shared by channels (d = dim) and classical chains (d = states).
     """
     root_d = float(np.sqrt(dim))
     best = root_d * float(np.linalg.norm(inv_f, 2))
     partial = 0.0
-    power = np.eye(phi_f.shape[0], dtype=complex)
-    for j in range(max_terms):
-        # ||phi^j|F|| <= min(1, sqrt(d) ||phi^j|F||_HS); the identity term is exact
-        term = 1.0 if j == 0 else min(1.0, root_d * float(np.linalg.norm(power, 2)))
+    for term, power in islice(_power_terms(phi_f, root_d), max_terms):
         partial += term
-        power = phi_f @ power
-        tail = root_d * float(np.linalg.norm(power @ inv_f, 2))
-        best = min(best, partial + tail)
+        best = min(best, partial + root_d * float(np.linalg.norm(power @ inv_f, 2)))
     return best
 
 
@@ -445,9 +462,7 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
     """
     s = state_matrix(sigma)
     d = channel.dim
-    q = centered_basis(s)
-    m = superoperator_matrix(channel).matrix
-    phi_f = q.conj().T @ m @ q
+    q, phi_f = _centered_restriction(channel, s)
     eye_f = np.eye(phi_f.shape[0])
     try:
         inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
@@ -494,17 +509,9 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
 
 def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
     """Certified upper bounds on || phi^j |F ||_inf for j = 0..j_max."""
-    s = state_matrix(sigma)
-    q = centered_basis(s)
-    m = superoperator_matrix(channel).matrix
-    phi_f = q.conj().T @ m @ q
-    root_d = float(np.sqrt(channel.dim))
-    out = [1.0]
-    power = np.eye(phi_f.shape[0], dtype=complex)
-    for _ in range(j_max):
-        power = phi_f @ power
-        out.append(min(1.0, root_d * float(np.linalg.norm(power, 2))))
-    return out
+    _, phi_f = _centered_restriction(channel, sigma)
+    terms = _power_terms(phi_f, float(np.sqrt(channel.dim)))
+    return [term for term, _ in islice(terms, j_max + 1)]
 
 
 def poisson_solve(channel: KrausChannel, f_target, sigma,
@@ -523,9 +530,7 @@ def poisson_solve(channel: KrausChannel, f_target, sigma,
     if centering > center_tol * scale:
         raise ValueError(
             f"right-hand side is not centered: |tr(sigma F)| = {centering:.3e}")
-    q = centered_basis(s)
-    m = superoperator_matrix(channel).matrix
-    phi_f = q.conj().T @ m @ q
+    q, phi_f = _centered_restriction(channel, s)
     system = np.eye(phi_f.shape[0]) - phi_f
     singular_values = np.linalg.svd(system, compute_uv=False)
     if singular_values[-1] <= 1e-10 * max(singular_values[0], 1.0):

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .bounds import _step_stats
 from .operators import (
     GKLSGenerator,
     KrausChannel,
@@ -249,16 +250,8 @@ def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int,
     """Tail of (1/n) sum_k (f_k(X_k) - pi_k(f_k)) >= gamma under per-step unravellings."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    s = state_matrix(sigma)
     n = len(steps)
-    centered = []
-    for step in steps:
-        pi = np.asarray([float(np.trace(step.unravelling.apply_outcome_dual(i, s)).real)
-                         for i in range(len(step.unravelling.maps))])
-        pi = np.clip(pi, 0.0, None)
-        pi = pi / pi.sum()
-        fv = observation_vector(step.f, step.unravelling.labels)
-        centered.append(fv - float(pi @ fv))
+    centered, _, _ = _step_stats(steps, sigma)
     threshold = n * gamma - 1e-12
     hits = 0
     for start in range(0, trials, chunk_size):
