@@ -250,8 +250,13 @@ def hoeffding_bound(constants: BoundConstants, gamma: float, n: int,
     if not constants.hypothesis_ok:
         return _invalid("hoeffding", gamma, n, constants,
                         "channel reducible: Hoeffding constant undefined", two_sided)
-    if constants.g is None or constants.g <= 0.0:
-        raise ValueError("degenerate Hoeffding constant (c = 0)")
+    if constants.g is None or constants.g < 0.0:
+        raise ValueError(f"Hoeffding constant G = {constants.g!r} is missing or negative")
+    if constants.g == 0.0:
+        # G = (1 + ||(Id - phi)^(-1)|F||) c vanishes only for a constant payoff
+        return _exact_zero("hoeffding", gamma, n, constants,
+                           "deterministic average (c = 0): deviation has probability 0",
+                           two_sided)
     return _hoeffding_result("hoeffding", constants, gamma, n, two_sided,
                              "n = 1 and gamma >= 2c: single outcome cannot deviate")
 

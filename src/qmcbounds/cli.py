@@ -7,7 +7,13 @@ analyze   -- validation residuals, invariant state, irreducibility and gap
 bound     -- evaluate a bound flavor over an (n or t) x gamma grid.
 simulate  -- Monte Carlo tails / counting records, optional trajectory dump.
 verify    -- bounds against exact DP or Monte Carlo tails, with dominance
-             verdicts per grid point.
+             verdicts per grid point.  An exact tail gives true or false.  A
+             Monte Carlo tail gives false (violation) only for a bound below
+             the Wilson interval's ci_low, null (inconclusive) for a bound
+             inside [ci_low, ci_high), and true otherwise.  The summary's
+             "overall" is "fail" if any row is false, "inconclusive" if some
+             row is null, and "pass" otherwise; "violations" counts the false
+             rows.
 
 Reports are emitted as a single JSON document (``--format structured``,
 default) or as CSV rows with the fixed header
@@ -145,11 +151,22 @@ def _resolve_rho0(spec: str, model: Model, sigma: DensityMatrix | None = None):
             return np.full(model.chain.size, 1.0 / model.chain.size)
         dim = model.channel.dim if model.kind == "kraus" else model.generator.dim
         return np.eye(dim) / dim
-    with open(spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if model.kind == "classical":
-        return np.asarray(doc, dtype=float)
-    return DensityMatrix(parse_complex_matrix(doc, "$")).matrix
+    try:
+        fh = open(spec, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read --rho0 {spec}: {exc}") from exc
+    try:
+        with fh:
+            doc = json.load(fh)
+        if model.kind == "classical":
+            return np.asarray(doc, dtype=float)
+        rho = DensityMatrix(parse_complex_matrix(doc, "$")).matrix
+        dim = model.channel.dim if model.kind == "kraus" else model.generator.dim
+        if rho.shape[0] != dim:
+            raise ValueError(f"{rho.shape[0]}x{rho.shape[0]} state for a {dim}-level model")
+    except (TypeError, ValueError) as exc:  # not JSON, not a matrix, not a state
+        raise ModelParseError(f"--rho0 {spec}: {exc}") from exc
+    return rho
 
 
 def _constants_dict(c: BoundConstants) -> dict:
@@ -187,11 +204,18 @@ def _row(flavor: str, horizon, gamma: float, bound: float | None = None,
     }
 
 
-def _verdict(bound: float, tail) -> bool:
-    """Whether a bound dominates its tail: an exact tail up to rounding, a
-    Monte Carlo tail through the upper end of its Wilson interval."""
+def _verdict(bound: float, tail) -> bool | None:
+    """Whether a bound dominates its tail.
+
+    An exact tail is compared up to rounding.  A Monte Carlo tail is known
+    only to lie in its Wilson interval: a bound below ``ci_low`` is a
+    violation (False), one inside the interval is inconclusive (None), and
+    one at or above ``ci_high`` passes (True).
+    """
     if isinstance(tail, EmpiricalTail):
-        return bool(bound >= tail.ci_high)
+        if bound < tail.ci_low:
+            return False
+        return None if bound < tail.ci_high else True
     return bool(bound >= tail - 1e-12)
 
 
@@ -583,9 +607,10 @@ def cmd_verify(args) -> int:
                     rows.append(_result_row(res, tail))
     else:
         raise UsageError(f"verify does not support flavor {flavor!r}")
-    failures = sum(not row["verdict"] for row in rows)
-    report["summary"] = {"checked": len(rows), "violations": failures,
-                         "overall": "pass" if failures == 0 else "fail"}
+    verdicts = [row["verdict"] for row in rows]
+    failures = verdicts.count(False)
+    overall = "fail" if failures else ("inconclusive" if None in verdicts else "pass")
+    report["summary"] = {"checked": len(rows), "violations": failures, "overall": overall}
     _emit(report, args.format, args.output)
     return EXIT_OK
 

@@ -92,7 +92,11 @@ class EmpiricalTail:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
                     ) -> tuple[float, float]:
-    """95% Wilson score interval; well defined down to trials = 1."""
+    """95% Wilson score interval; well defined down to trials = 1.
+
+    The interval ends exactly at 0 with no successes and exactly at 1 with
+    no failures, where ``center -+ half`` would otherwise round off the end.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
@@ -100,7 +104,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 def _empirical_tail(successes: int, trials: int) -> EmpiricalTail:

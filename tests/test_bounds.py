@@ -166,9 +166,12 @@ class TestHoeffding:
         res = hoeffding_bound(constants, 3.1, 1)  # gamma >= 2G >= 2c
         assert res.valid and res.probability_bound == 0.0
 
-    def test_degenerate_constant_rejected(self):
+    def test_degenerate_constant_exact_zero(self):
+        # a constant payoff (c = 0, hence G = 0) cannot deviate, as in Bernstein
+        res = hoeffding_bound(BoundConstants(c=0.0, g=0.0, n_rho=1.0), 0.5, 10)
+        assert res.valid and res.probability_bound == 0.0 and res.exponent == -np.inf
         with pytest.raises(ValueError):
-            hoeffding_bound(BoundConstants(c=0.0, g=0.0, n_rho=1.0), 0.5, 10)
+            hoeffding_bound(BoundConstants(c=1.0, g=None, n_rho=1.0), 0.5, 10)
 
     def test_qubit_constants_certified(self, qubit):
         channel, payoff = qubit

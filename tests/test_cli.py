@@ -136,6 +136,29 @@ class TestBound:
         assert len(rows) == 3  # one per parameter in the grid
         assert all(0.0 <= row["bound"] <= 1.0 for row in rows)
 
+    def test_constant_payoff_hoeffding_exact_zero(self, tmp_path):
+        doc = json.loads(open(model("ring.json")).read())
+        doc["observation"] = {label: 1.0 for label in doc["labels"]}
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(doc))
+        proc = run_cli("bound", "--model", str(flat), "--flavor", "hoeffding",
+                       "--n", "1,10", "--gamma", "0.1")
+        rows = json.loads(proc.stdout)["rows"]
+        assert all(row["valid"] and row["bound"] == 0.0 for row in rows)
+
+    def test_unreadable_rho0_exit_1(self):
+        proc = run_cli("bound", "--model", model("ring.json"), "--flavor", "bernstein",
+                       "--n", "10", "--gamma", "0.1", "--rho0", "/missing.json", expect=1)
+        assert "usage error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_rho0_not_a_state_exit_2(self, tmp_path):
+        rho0 = tmp_path / "rho0.json"
+        rho0.write_text(json.dumps([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                    [[0, 0], [0, 0], [-1, 0]]]))  # eigenvalue -1
+        proc = run_cli("bound", "--model", model("ring.json"), "--flavor", "bernstein",
+                       "--n", "10", "--gamma", "0.1", "--rho0", str(rho0), expect=2)
+        assert "model error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_usage_error_exit_1(self):
         run_cli("bound", "--model", model("ring.json"), "--flavor", "bernstein",
                 "--gamma", "0.1", expect=1)  # missing --n
@@ -205,6 +228,27 @@ class TestVerify:
         report = json.loads(proc.stdout)
         assert report["summary"]["overall"] == "pass"
         assert all(row["ci_high"] is not None for row in report["rows"])
+
+    def test_mc_sound_bound_is_not_a_violation(self):
+        # bound 1.6e-4 with 0 hits in 500 trials lies inside the Wilson
+        # interval [0, 7.6e-3]: inconclusive, never a violation
+        proc = run_cli("verify", "--mc", "--model", model("driven_qubit.json"),
+                       "--flavor", "counting", "--t", "400", "--gamma", "0.3",
+                       "--trials", "500", "--seed", "0")
+        report = json.loads(proc.stdout)
+        assert all(row["verdict"] is not False for row in report["rows"])
+        assert report["summary"]["violations"] == 0
+        assert report["summary"]["overall"] in ("pass", "inconclusive")
+
+    def test_mc_corrupted_epsilon_detected(self):
+        # negative control: bounds 0.098 and 9.5e-7 lie below ci_low
+        proc = run_cli("verify", "--mc", "--model", model("ring.json"), "--flavor",
+                       "bernstein", "--n", "1200", "--gamma", "0.02,0.05",
+                       "--trials", "500", "--override-epsilon", "60")
+        report = json.loads(proc.stdout)
+        assert all(row["tail_kind"] == "mc" for row in report["rows"])
+        assert all(row["verdict"] is False for row in report["rows"])
+        assert report["summary"] == {"checked": 2, "violations": 2, "overall": "fail"}
 
     def test_infeasible_without_mc(self, tmp_path):
         # an observation value that defeats the rational lattice makes the

@@ -217,6 +217,13 @@ class TestMCTail:
         low1, high1 = wilson_interval(10, 10)
         assert high1 == pytest.approx(1.0) and 0.6 < low1 < 1.0
 
+    def test_wilson_exact_endpoints(self):
+        # an exact-zero bound must not fall below ci_low at zero successes
+        low, high = wilson_interval(0, 500)
+        assert low == 0.0 and 0.0 < high < 0.01
+        low, high = wilson_interval(500, 500)
+        assert high == 1.0 and 0.99 < low < 1.0
+
 
 class TestLaplace:
     def test_u_zero(self, ring):
