@@ -33,6 +33,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -85,10 +86,9 @@ from .trajectory import (
     SurvivalMonotonicityError,
     mc_counting_tail,
     mc_tail,
-    sample_counting,
-    sample_discrete,
     score_distribution_dp,
-    counting_counts,
+    _counting_chunks,
+    _discrete_tails,
     _empirical_tail,
 )
 
@@ -496,6 +496,7 @@ def _override_epsilon(constants: BoundConstants, value: float) -> BoundConstants
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    """Monte Carlo tails at every gamma, and the ``--dump`` records, from one sample."""
     if args.trials is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
@@ -508,24 +509,27 @@ def cmd_simulate(args) -> int:
 
     if model.kind == "kraus":
         n = _int_grid(_need(args.n, "--n"))[0]
-        f = model.observation
-        for gamma in gammas:
-            tail = mc_tail(model.channel, rho0, _need(f, "an observation section"),
-                           n, gamma, trials, seed)
-            rows.append(_row("simulate", n, gamma, tail=tail))
-        if args.dump:
-            with open(args.dump, "w", encoding="utf-8") as fh:
-                for idx in range(trials):
-                    rec = sample_discrete(model.channel, rho0, n, seed, index=idx)
-                    fh.write(json.dumps({"seed": seed, "index": idx,
-                                         "outcomes": list(rec.outcomes)},
-                                        sort_keys=True) + "\n")
+        channel = model.channel
+        f = _need(model.observation, "an observation section") if gammas else None
+        if gammas or args.dump:
+            dump = open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext()
+            with dump as fh:
+                def write(indices, picks):
+                    for idx, row in zip(indices, picks):
+                        fh.write(json.dumps({"seed": seed, "index": idx,
+                                             "outcomes": [channel.labels[p] for p in row]},
+                                            sort_keys=True) + "\n")
+                tails = _discrete_tails(channel, rho0, f, n, gammas, trials, seed,
+                                        on_chunk=write if args.dump else None)
+            rows.extend(_row("simulate", n, gamma, tail=tail)
+                        for gamma, tail in zip(gammas, tails))
     elif model.kind == "gkls":
         t = _float_grid(_need(args.t, "--t"))[0]
         gen = model.generator
         sigma = gkls_steady_state(gen)
         constants = counting_constants(gen, model.count_label, sigma=sigma)
-        counts = counting_counts(gen, rho0, t, trials, seed)
+        counts, events = _counting_chunks(gen, rho0, t, trials, seed,
+                                          collect_events=bool(args.dump))
         col = gen.index(model.count_label)
         rate = counts[:, col] / t
         report["empirical_rate"] = float(rate.mean())
@@ -536,12 +540,10 @@ def cmd_simulate(args) -> int:
             rows.append(_row("simulate-counting", t, gamma, tail=_empirical_tail(hits, trials)))
         if args.dump:
             with open(args.dump, "w", encoding="utf-8") as fh:
-                for idx in range(trials):
-                    rec = sample_counting(gen, rho0, t, seed, index=idx)
-                    fh.write(json.dumps({
-                        "seed": seed, "index": idx,
-                        "events": [[time, str(lab)] for time, lab in rec.events]},
-                        sort_keys=True) + "\n")
+                for idx, record in enumerate(events):
+                    fh.write(json.dumps({"seed": seed, "index": idx,
+                                         "events": [[time, str(lab)] for time, lab in record]},
+                                        sort_keys=True) + "\n")
     else:
         raise UsageError("simulate supports kraus and gkls models")
     _emit(report, args.format, args.output)

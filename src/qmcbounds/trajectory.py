@@ -152,30 +152,75 @@ class _Tape:
 # discrete-time sampling
 # ---------------------------------------------------------------------------
 
+def _categorical(probs: np.ndarray, u: np.ndarray, collapse: str) -> np.ndarray:
+    """Per row, the index drawn by uniform u[b] with weights probs[b] floored at _PROB_FLOOR."""
+    probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
+    totals = probs.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise FilterCollapseError(collapse)
+    cum = np.cumsum(probs, axis=1)
+    pick = (cum < (u * totals)[:, None]).sum(axis=1)
+    return np.minimum(pick, probs.shape[1] - 1)
+
+
+def _filter_batch(stacks: Sequence[np.ndarray], rho0, seed: int,
+                  indices: Sequence[int]) -> np.ndarray:
+    """Outcome index matrix (len(indices), n); row i uses stream (seed, i).
+
+    Step k has the (slots, outcomes, d, d) stack ``stacks[k]`` (see
+    ``Unravelling._slots``), summed one operator slot at a time.
+    """
+    batch = len(indices)
+    dim = stacks[0].shape[-1]
+    rho = np.broadcast_to(state_matrix(rho0), (batch, dim, dim)).copy()
+    u = _uniform_rows(seed, indices, len(stacks))
+    picks = np.empty((batch, len(stacks)), dtype=np.int64)
+    for k, stack in enumerate(stacks):
+        probs = sum(np.einsum("ipq,bqr,ipr->bi", w, rho, w.conj()).real for w in stack)
+        pick = _categorical(probs, u[:, k], f"filter collapse at step {k}")
+        picks[:, k] = pick
+        rho = sum(np.einsum("bpq,bqr,bsr->bps", v, rho, v.conj()) for v in stack[:, pick])
+        rho /= np.einsum("bpp->b", rho).real[:, None, None]
+    return picks
+
+
 def _discrete_outcomes_batch(channel: KrausChannel, rho0, n: int, seed: int,
                              indices: Sequence[int]) -> np.ndarray:
-    """Outcome index matrix (len(indices), n); row i uses stream (seed, i)."""
-    stack = channel._stack
-    batch = len(indices)
-    rho = np.broadcast_to(state_matrix(rho0), (batch, channel.dim, channel.dim)).copy()
-    u = _uniform_rows(seed, indices, n)
-    picks = np.empty((batch, n), dtype=np.int64)
-    for k in range(n):
-        probs = np.einsum("ipq,bqr,ipr->bi", stack, rho, stack.conj()).real
-        probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
-        totals = probs.sum(axis=1)
-        if np.any(totals <= 0.0):
-            raise FilterCollapseError(f"filter collapse at step {k}")
-        cum = np.cumsum(probs, axis=1)
-        target = u[:, k] * totals
-        pick = (cum < target[:, None]).sum(axis=1)
-        pick = np.minimum(pick, len(channel.kraus) - 1)
-        picks[:, k] = pick
-        v = stack[pick]
-        rho = np.einsum("bpq,bqr,bsr->bps", v, rho, v.conj())
-        tr = np.einsum("bpp->b", rho).real
-        rho /= tr[:, None, None]
-    return picks
+    """Outcome index matrix of n steps of ``channel``, its standard unravelling."""
+    return _filter_batch([channel._stack[None]] * n, rho0, seed, indices)
+
+
+def _chunks(trials: int, chunk_size: int) -> list[range]:
+    """Index ranges of at most ``chunk_size`` trajectories covering 0..trials-1."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [range(start, min(start + chunk_size, trials))
+            for start in range(0, trials, chunk_size)]
+
+
+def _filter_tails(stacks: Sequence[np.ndarray], rho0, score, n: int, gammas: Sequence[float],
+                  trials: int, seed: int, chunk_size: int, on_chunk=None) -> list[EmpiricalTail]:
+    """P(score(picks) / n >= gamma) per gamma; on_chunk(indices, picks) sees each chunk."""
+    thresholds = [n * gamma - 1e-12 for gamma in gammas]
+    hits = [0] * len(thresholds)
+    for indices in _chunks(trials, chunk_size):
+        picks = _filter_batch(stacks, rho0, seed, indices)
+        if thresholds:
+            sums = score(picks)
+            for j, threshold in enumerate(thresholds):
+                hits[j] += int(np.sum(sums >= threshold))
+        if on_chunk is not None:
+            on_chunk(indices, picks)
+    return [_empirical_tail(h, trials) for h in hits]
+
+
+def _discrete_tails(channel: KrausChannel, rho0, f, n: int, gammas: Sequence[float],
+                    trials: int, seed: int, chunk_size: int = 4096,
+                    on_chunk=None) -> list[EmpiricalTail]:
+    """``mc_tail`` at every gamma from one sample; ``f`` is read only if there are gammas."""
+    fv = observation_vector(f, channel.labels) if gammas else None
+    return _filter_tails([channel._stack[None]] * n, rho0, lambda picks: fv[picks].sum(axis=1),
+                         n, gammas, trials, seed, chunk_size, on_chunk)
 
 
 def sample_discrete(channel: KrausChannel, rho0, n: int, seed: int, index: int = 0,
@@ -204,68 +249,17 @@ def mc_tail(channel: KrausChannel, rho0, f, n: int, gamma: float, trials: int,
     Deterministic given the seed and independent of ``chunk_size``: each
     trajectory consumes only its own Philox stream.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    fv = observation_vector(f, channel.labels)
-    threshold = n * gamma - 1e-12
-    hits = 0
-    for start in range(0, trials, chunk_size):
-        idx = range(start, min(start + chunk_size, trials))
-        picks = _discrete_outcomes_batch(channel, rho0, n, seed, list(idx))
-        sums = fv[picks].sum(axis=1)
-        hits += int(np.sum(sums >= threshold))
-    return _empirical_tail(hits, trials)
-
-
-def sample_unravelled_batch(steps, rho0, seed: int, indices: Sequence[int]) -> np.ndarray:
-    """Outcome indices for per-step unravellings (time-dependent measurements)."""
-    n = len(steps)
-    batch = len(indices)
-    dim = steps[0].unravelling.dim
-    rho = np.broadcast_to(state_matrix(rho0), (batch, dim, dim)).copy()
-    u = _uniform_rows(seed, indices, n)
-    picks = np.empty((batch, n), dtype=np.int64)
-    for k, step in enumerate(steps):
-        unr = step.unravelling
-        probs = np.stack([
-            sum(np.einsum("pq,bqr,pr->b", w, rho, w.conj()).real for w in ops)
-            for ops in unr.maps], axis=1)
-        probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
-        totals = probs.sum(axis=1)
-        if np.any(totals <= 0.0):
-            raise FilterCollapseError(f"filter collapse at step {k}")
-        cum = np.cumsum(probs, axis=1)
-        pick = (cum < (u[:, k] * totals)[:, None]).sum(axis=1)
-        pick = np.minimum(pick, len(unr.maps) - 1)
-        picks[:, k] = pick
-        new_rho = np.zeros_like(rho)
-        for i, ops in enumerate(unr.maps):
-            rows = pick == i
-            if not np.any(rows):
-                continue
-            sub = rho[rows]
-            out = sum(np.einsum("pq,bqr,sr->bps", w, sub, w.conj()) for w in ops)
-            new_rho[rows] = out
-        tr = np.einsum("bpp->b", new_rho).real
-        rho = new_rho / tr[:, None, None]
-    return picks
+    return _discrete_tails(channel, rho0, f, n, [gamma], trials, seed, chunk_size)[0]
 
 
 def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int,
                        chunk_size: int = 4096) -> EmpiricalTail:
     """Tail of (1/n) sum_k (f_k(X_k) - pi_k(f_k)) >= gamma under per-step unravellings."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = len(steps)
     centered, _, _ = _step_stats(steps, sigma)
-    threshold = n * gamma - 1e-12
-    hits = 0
-    for start in range(0, trials, chunk_size):
-        idx = range(start, min(start + chunk_size, trials))
-        picks = sample_unravelled_batch(steps, rho0, seed, list(idx))
-        sums = sum(centered[k][picks[:, k]] for k in range(n))
-        hits += int(np.sum(sums >= threshold))
-    return _empirical_tail(hits, trials)
+    return _filter_tails([step.unravelling._slots for step in steps], rho0,
+                         lambda picks: sum(centered[k][picks[:, k]] for k in range(n)),
+                         n, [gamma], trials, seed, chunk_size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +436,10 @@ def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: flo
     lookup = np.zeros((len(channel.labels),) * m)
     for k, v in f.items():
         lookup[tuple(label_index[lab] for lab in k)] = float(v)
-    steps = n + m - 1
-    threshold = n * gamma - 1e-12
-    hits = 0
-    for start in range(0, trials, chunk_size):
-        idx = range(start, min(start + chunk_size, trials))
-        picks = _discrete_outcomes_batch(channel, rho0, steps, seed, list(idx))
-        windows = [picks[:, k:k + m] for k in range(n)]
-        sums = sum(lookup[tuple(w[:, j] for j in range(m))] for w in windows)
-        hits += int(np.sum(sums >= threshold))
-    return _empirical_tail(hits, trials)
+    return _filter_tails([channel._stack[None]] * (n + m - 1), rho0,
+                         lambda picks: sum(lookup[tuple(picks[:, k + j] for j in range(m))]
+                                           for k in range(n)),
+                         n, [gamma], trials, seed, chunk_size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +614,8 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
 
         jump_rows = active[jumped]
         if jump_rows.size:
-            probs = sampler.jump_probabilities(rho[jump_rows])
-            probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
-            totals = probs.sum(axis=1)
-            if np.any(totals <= 0.0):
-                raise FilterCollapseError("vanishing jump intensities at a jump time")
-            u_label = tape.take(jump_rows)
-            cum = np.cumsum(probs, axis=1)
-            pick = (cum < (u_label * totals)[:, None]).sum(axis=1)
-            pick = np.minimum(pick, len(gen.jumps) - 1)
+            pick = _categorical(sampler.jump_probabilities(rho[jump_rows]),
+                                tape.take(jump_rows), "vanishing jump intensities at a jump time")
             l = sampler.jump_stack[pick]
             updated = np.einsum("bpq,bqr,bsr->bps", l, rho[jump_rows], l.conj())
             tr_j = np.einsum("bpp->b", updated).real
@@ -658,6 +639,15 @@ def sample_counting(gen: GKLSGenerator, rho0, t: float, seed: int,
     return CountingRecord(horizon=t, events=tuple(events[0]), seed=seed, index=index)
 
 
+def _counting_chunks(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
+                     chunk_size: int = 2048, collect_events: bool = False):
+    """Counts (and event lists) of trajectories 0..trials-1, ``chunk_size`` at a time."""
+    batches = [_counting_batch(gen, rho0, t, seed, indices, collect_events)
+               for indices in _chunks(trials, chunk_size)]
+    return (np.vstack([counts for counts, _ in batches]),
+            [events for _, chunk in batches for events in chunk])
+
+
 def counting_counts(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
                     chunk_size: int = 2048) -> np.ndarray:
     """Matrix of per-label click counts, one row per trajectory."""
@@ -665,12 +655,7 @@ def counting_counts(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if t == 0.0:
         return np.zeros((trials, len(gen.jumps)), dtype=np.int64)
-    rows = []
-    for start in range(0, trials, chunk_size):
-        idx = list(range(start, min(start + chunk_size, trials)))
-        counts, _ = _counting_batch(gen, rho0, t, seed, idx, collect_events=False)
-        rows.append(counts)
-    return np.vstack(rows)
+    return _counting_chunks(gen, rho0, t, trials, seed, chunk_size)[0]
 
 
 def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,

@@ -6,6 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+import qmcbounds.trajectory as trajectory
+from qmcbounds import cli
+from qmcbounds.modelfile import load_model
+from qmcbounds.spectral import gkls_steady_state
+
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
@@ -18,6 +23,16 @@ def run_cli(*argv, expect: int = 0):
 
 def model(name: str) -> str:
     return os.path.join(MODELS, name)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def main_report(capsys, *argv) -> dict:
+    """Run the CLI in-process, expect exit 0 and return the report (NaN rejected)."""
+    assert cli.main(list(argv)) == 0, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out, parse_constant=_no_constant)
 
 
 class TestAnalyze:
@@ -185,6 +200,47 @@ class TestSimulate:
         assert len(lines) == 10
         first = json.loads(lines[0])
         assert first["seed"] == 3 and len(first["outcomes"]) == 6
+
+    def test_dump_records_reproduce_the_tails(self, tmp_path, capsys):
+        dump = tmp_path / "ring.jsonl"
+        report = main_report(capsys, "simulate", "--model", model("ring.json"), "--n", "16",
+                             "--trials", "300", "--gamma", "0.1,0.25,0.5", "--seed", "4",
+                             "--dump", str(dump))
+        records = [json.loads(line) for line in dump.read_text().splitlines()]
+        assert [r["index"] for r in records] == list(range(300))
+        payoff = load_model(model("ring.json")).observation
+        sums = np.asarray([sum(payoff[lab] for lab in r["outcomes"]) for r in records])
+        for row in report["rows"]:
+            tail = trajectory._empirical_tail(int(np.sum(sums >= 16 * row["gamma"] - 1e-12)),
+                                              300)
+            assert (row["tail"], row["ci_low"], row["ci_high"]) == (
+                tail.estimate, tail.ci_low, tail.ci_high)
+
+    def test_dump_with_two_gammas_samples_each_trajectory_once(self, tmp_path, capsys,
+                                                              monkeypatch):
+        sampled = []
+        uniform_rows = trajectory._uniform_rows
+
+        def counted(seed, indices, count):
+            sampled.append(len(indices))
+            return uniform_rows(seed, indices, count)
+        monkeypatch.setattr(trajectory, "_uniform_rows", counted)
+        main_report(capsys, "simulate", "--model", model("ring.json"), "--n", "8",
+                    "--trials", "200", "--gamma", "0.1,0.25", "--seed", "1",
+                    "--dump", str(tmp_path / "d.jsonl"))
+        assert sum(sampled) == 200
+
+    def test_counting_dump_matches_single_records(self, tmp_path, capsys):
+        dump = tmp_path / "driven.jsonl"
+        main_report(capsys, "simulate", "--model", model("driven_qubit.json"), "--t", "20",
+                    "--trials", "40", "--gamma", "0.1", "--seed", "6", "--dump", str(dump))
+        gen = load_model(model("driven_qubit.json")).generator
+        rho0 = gkls_steady_state(gen).matrix
+        for idx, line in enumerate(dump.read_text().splitlines()):
+            record = json.loads(line)
+            single = trajectory.sample_counting(gen, rho0, 20.0, 6, index=idx)
+            assert record["index"] == idx
+            assert record["events"] == [[time, str(lab)] for time, lab in single.events]
 
     def test_counting_rate_report(self):
         proc = run_cli("simulate", "--model", model("driven_qubit.json"),

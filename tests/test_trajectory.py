@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qmcbounds.bounds import TimeStep, Unravelling
 from qmcbounds.operators import GKLSGenerator, KrausChannel
 from qmcbounds.spectral import gkls_steady_state, invariant_state
 from qmcbounds.trajectory import (
@@ -13,6 +14,7 @@ from qmcbounds.trajectory import (
     laplace_transform_exact,
     mc_counting_tail,
     mc_tail,
+    mc_tail_unravelled,
     mc_tail_windowed,
     sample_counting,
     sample_discrete,
@@ -21,6 +23,7 @@ from qmcbounds.trajectory import (
     wilson_interval,
     windowed_sums,
     _discrete_outcomes_batch,
+    _filter_batch,
 )
 
 from conftest import random_state
@@ -85,6 +88,14 @@ class TestSampleDiscrete:
             counts = np.bincount(picks[:, k], minlength=6)
             _, pval = stats.chisquare(counts)
             assert pval > 1e-3
+
+    def test_channel_is_its_standard_unravelling(self, ring):
+        channel, _ = ring
+        rho0 = random_state(3, np.random.default_rng(4))
+        indices = list(range(50, 650))
+        picks = _discrete_outcomes_batch(channel, rho0, 20, 31, indices)
+        standard = [Unravelling.standard(channel)._slots] * 20
+        assert np.array_equal(picks, _filter_batch(standard, rho0, 31, indices))
 
     def test_two_point_correlations_match_process_law(self, ring):
         # P(X_n = i, X_m = j) = tr( phi^(m-n-1)(V_j^* V_j) V_i rho' V_i^* )
@@ -209,6 +220,19 @@ class TestMCTail:
         kw = dict(n=8, gamma=0.25, trials=3000, seed=11)
         a = mc_tail(channel, np.eye(3) / 3, payoff, chunk_size=100, **kw)
         b = mc_tail(channel, np.eye(3) / 3, payoff, chunk_size=1024, **kw)
+        assert a == b
+        pair = {(x, y): float(x.endswith("+")) - float(y.endswith("-"))
+                for x in channel.labels for y in channel.labels}
+        a = mc_tail_windowed(channel, np.eye(3) / 3, pair, chunk_size=100, **kw)
+        b = mc_tail_windowed(channel, np.eye(3) / 3, pair, chunk_size=1024, **kw)
+        assert a == b
+        # a coarse step has two operators per outcome
+        coarse = Unravelling([channel.kraus[0::2], channel.kraus[1::2]], ["up", "down"])
+        steps = [TimeStep(coarse, {"up": 1.0, "down": -1.0}) if k % 2
+                 else TimeStep(Unravelling.standard(channel), payoff) for k in range(8)]
+        sigma = invariant_state(channel).matrix
+        a = mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 3000, 11, chunk_size=100)
+        b = mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 3000, 11, chunk_size=1024)
         assert a == b
 
     def test_wilson_basics(self):
