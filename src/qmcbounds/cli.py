@@ -32,6 +32,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from contextlib import nullcontext
 
@@ -116,15 +117,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_grid(text: str) -> list[float]:
+def _float_grid(text: str, name: str, low: float = -math.inf,
+                closed: bool = False) -> list[float]:
+    """Non-empty comma grid of finite values above ``low`` (or at it, if ``closed``)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from exc
+    if not values:
+        raise UsageError(f"bad grid {text!r}: no values")
+    for v in values:
+        if not math.isfinite(v):
+            raise UsageError(f"{name} values must be finite, got {v!r}")
+        if v < low or (v == low and not closed):
+            raise UsageError(f"{name} values must be {'>=' if closed else '>'} {low:g}, got {v!r}")
+    return values
 
 
-def _int_grid(text: str) -> list[int]:
-    return [int(round(v)) for v in _float_grid(text)]
+def _int_grid(text: str, name: str) -> list[int]:
+    """Non-empty comma grid of step counts, each rounded and >= 1."""
+    values = [int(round(v)) for v in _float_grid(text, name)]
+    if min(values) < 1:
+        raise UsageError(f"{name} values must be >= 1, got {min(values)}")
+    return values
 
 
 def _parse_tolerances(pairs: list[str]) -> dict:
@@ -371,7 +386,7 @@ def _stationary_flavor(args, model: Model):
     """
     if args.flavor == "counting":
         gen = _need(model.generator, "a gkls model")
-        horizons = _float_grid(_need(args.t, "--t"))
+        horizons = _float_grid(_need(args.t, "--t"), "--t", 0.0, closed=True)
         sigma = gkls_steady_state(gen)
         rho0 = _resolve_rho0(args.rho0, model, sigma)
         constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
@@ -379,7 +394,7 @@ def _stationary_flavor(args, model: Model):
     else:
         channel = _need(model.channel, "a kraus model")
         f = _need(model.observation, "an observation section")
-        horizons = _int_grid(_need(args.n, "--n"))
+        horizons = _int_grid(_need(args.n, "--n"), "--n")
         sigma = invariant_state(channel)
         rho0 = _resolve_rho0(args.rho0, model, sigma)
         if args.flavor == "bernstein":
@@ -395,7 +410,7 @@ def _stationary_flavor(args, model: Model):
 
 def cmd_bound(args) -> int:
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
-    gammas = _float_grid(_need(args.gamma, "--gamma"))
+    gammas = _float_grid(_need(args.gamma, "--gamma"), "--gamma", 0.0)
     report = _base_report(args)
     rows = report["rows"]
     flavor = args.flavor
@@ -410,7 +425,7 @@ def cmd_bound(args) -> int:
     elif flavor == "flux":
         chain = _need(model.chain, "a classical model")
         f = _need(model.flux, "a flux section")
-        ns = _int_grid(_need(args.n, "--n"))
+        ns = _int_grid(_need(args.n, "--n"), "--n")
         nu = model.initial if model.initial is not None else stationary_distribution(chain)
         for n in ns:
             for gamma in gammas:
@@ -420,7 +435,7 @@ def cmd_bound(args) -> int:
         _need(model.channel, "a kraus model")
         if not model.schedule:
             raise UsageError("this flavor requires a schedule section in the model")
-        ns = _int_grid(_need(args.n, "--n"))
+        ns = _int_grid(_need(args.n, "--n"), "--n")
         sigma = invariant_state(model.channel)
         rho0 = _resolve_rho0(args.rho0, model, sigma)
         for n in ns:
@@ -436,7 +451,7 @@ def cmd_bound(args) -> int:
     elif flavor == "multitime":
         _need(model.channel, "a kraus model")
         windows = _need(model.observation_windows, "an observation_windows section")
-        ns = _int_grid(_need(args.n, "--n"))
+        ns = _int_grid(_need(args.n, "--n"), "--n")
         sigma = invariant_state(model.channel)
         for n in ns:
             for gamma in gammas:
@@ -445,7 +460,7 @@ def cmd_bound(args) -> int:
     elif flavor == "reducible":
         _need(model.channel, "a kraus model")
         f = _need(model.observation, "an observation section")
-        ns = _int_grid(_need(args.n, "--n"))
+        ns = _int_grid(_need(args.n, "--n"), "--n")
         rho0 = _resolve_rho0(args.rho0 if args.rho0 != "stationary" else "maximally-mixed",
                              model)
         decomposition = decompose_invariant_subspaces(model.channel)
@@ -460,7 +475,7 @@ def cmd_bound(args) -> int:
                                f"weights {np.round(mix.weights, 6).tolist()}"))
     elif flavor == "ci":
         _need(model.channel, "a kraus model")
-        ns = _int_grid(_need(args.n, "--n"))
+        ns = _int_grid(_need(args.n, "--n"), "--n")
         thetas = model.parameter_grid if model.parameter_grid else [None]
         for theta in thetas:
             if theta is None:
@@ -504,11 +519,11 @@ def cmd_simulate(args) -> int:
     seed = args.seed
     report = _base_report(args, {"seed": seed})
     rows = report["rows"]
-    gammas = _float_grid(args.gamma) if args.gamma else []
+    gammas = _float_grid(args.gamma, "--gamma", 0.0) if args.gamma else []
     rho0 = _resolve_rho0(args.rho0, model)
 
     if model.kind == "kraus":
-        n = _int_grid(_need(args.n, "--n"))[0]
+        n = _int_grid(_need(args.n, "--n"), "--n")[0]
         channel = model.channel
         f = _need(model.observation, "an observation section") if gammas else None
         if gammas or args.dump:
@@ -524,7 +539,7 @@ def cmd_simulate(args) -> int:
             rows.extend(_row("simulate", n, gamma, tail=tail)
                         for gamma, tail in zip(gammas, tails))
     elif model.kind == "gkls":
-        t = _float_grid(_need(args.t, "--t"))[0]
+        t = _float_grid(_need(args.t, "--t"), "--t", 0.0)[0]
         gen = model.generator
         sigma = gkls_steady_state(gen)
         constants = counting_constants(gen, model.count_label, sigma=sigma)
@@ -533,7 +548,8 @@ def cmd_simulate(args) -> int:
         col = gen.index(model.count_label)
         rate = counts[:, col] / t
         report["empirical_rate"] = float(rate.mean())
-        report["empirical_rate_stderr"] = float(rate.std(ddof=1) / np.sqrt(trials))
+        report["empirical_rate_stderr"] = (float(rate.std(ddof=1) / np.sqrt(trials))
+                                           if trials > 1 else None)
         report["stationary_intensity"] = constants.m
         for gamma in gammas:
             hits = int(np.sum(rate - constants.m >= gamma - 1e-12))
@@ -581,8 +597,10 @@ def _tail_oracle(args, model: Model, constants: BoundConstants, rho0, horizon):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
-    gammas = _float_grid(_need(args.gamma, "--gamma"))
+    gammas = _float_grid(_need(args.gamma, "--gamma"), "--gamma", 0.0)
     report = _base_report(args, {"seed": args.seed})
     rows = report["rows"]
     flavor = args.flavor
@@ -598,7 +616,7 @@ def cmd_verify(args) -> int:
     elif flavor == "flux":
         chain = _need(model.chain, "a classical model")
         f = _need(model.flux, "a flux section")
-        ns = _int_grid(_need(args.n, "--n"))
+        ns = _int_grid(_need(args.n, "--n"), "--n")
         nu = model.initial if model.initial is not None else stationary_distribution(chain)
         mean = float(np.sum(edge_stationary_law(chain) * flux_matrix(f, chain)))
         for n in ns:

@@ -35,6 +35,7 @@ Parse failures raise :class:`ModelParseError` with a field-precise path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -101,6 +102,26 @@ class Model:
     raw: dict = field(default_factory=dict)
 
 
+def _observation(obs, labels, path: str) -> dict:
+    """Label -> finite value; keys may be the labels or their string forms."""
+    if not isinstance(obs, dict):
+        _fail(path, "expected a label -> value mapping")
+    missing = [l for l in labels if str(l) not in obs and l not in obs]
+    if missing:
+        _fail(path, f"missing values for labels {missing}")
+    values = {}
+    for l in labels:
+        raw = obs.get(l, obs.get(str(l)))
+        try:
+            value = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            _fail(f"{path}.{l}", f"expected a finite number, got {raw!r}")
+        values[l] = value
+    return values
+
+
 def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     labels = _get(doc, "labels", "$")
     matrices = _get(doc, "kraus", "$")
@@ -116,12 +137,7 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     model = Model(kind="kraus", channel=channel, raw=doc)
     obs = _get(doc, "observation", "$", required=False)
     if obs is not None:
-        if not isinstance(obs, dict):
-            _fail("$.observation", "expected a label -> value mapping")
-        missing = [l for l in labels if str(l) not in obs and l not in obs]
-        if missing:
-            _fail("$.observation", f"missing values for labels {missing}")
-        model.observation = {l: float(obs.get(l, obs.get(str(l)))) for l in labels}
+        model.observation = _observation(obs, labels, "$.observation")
     unravellings = _get(doc, "unravellings", "$", required=False) or {}
     for name, outcomes in unravellings.items():
         maps, ulabels = [], []
@@ -141,9 +157,8 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
         name = _get(entry, "unravelling", path)
         if name not in model.unravellings:
             _fail(f"{path}.unravelling", f"unknown unravelling {name!r}")
-        obs_k = _get(entry, "observation", path)
         unr = model.unravellings[name]
-        fk = {l: float(obs_k.get(l, obs_k.get(str(l)))) for l in unr.labels}
+        fk = _observation(_get(entry, "observation", path), unr.labels, f"{path}.observation")
         model.schedule.append(TimeStep(unravelling=unr, f=fk))
     windows = _get(doc, "observation_windows", "$", required=False)
     if windows is not None:

@@ -2,11 +2,17 @@
 
 Discrete-time trajectories are sampled by drawing outcome i with probability
 tr(V_i rho V_i^*) and updating the conditional state through the filter
-rho -> V_i rho V_i^* / tr(...).  Continuous-time counting records use
-jump / no-jump sampling: the waiting time solves tr(exp(tau G) rho exp(tau G)^*)
-= u by bracketed bisection, the jump label is drawn proportionally to the
-detector intensities tr(L_i rho L_i^*), and the state is reset through the
-jump map.
+rho -> V_i rho V_i^* / tr(...).  One batched filter kernel serves Kraus
+channels and per-step unravellings alike: a channel is its standard
+unravelling (one operator per outcome) at every step, and an outcome with
+several operators is summed one operator slot at a time.  Tails at several
+deviations come from one pass over the trajectories, and the CLI's dump
+records are the very trajectories behind the tails it reports.
+
+Continuous-time counting records use jump / no-jump sampling: the waiting
+time solves tr(exp(tau G) rho exp(tau G)^*) = u by bracketed bisection, the
+jump label is drawn proportionally to the detector intensities
+tr(L_i rho L_i^*), and the state is reset through the jump map.
 
 Randomness comes from counter-based Philox streams keyed as
 ``(master_seed, trajectory_index)``: every trajectory owns its stream, so
@@ -366,6 +372,21 @@ def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float,
     return total
 
 
+def _window_length(f: Mapping) -> int:
+    """Window length m of a payoff on m-tuples of outcome labels."""
+    keys = list(f.keys())
+    m = len(keys[0])
+    if m < 1 or any(len(k) != m for k in keys):
+        raise ValueError("windowed payoff needs constant-length tuple keys")
+    return m
+
+
+def _window_value(f: Mapping, window: tuple):
+    if window not in f:
+        raise KeyError(f"windowed payoff undefined on {window}")
+    return f[window]
+
+
 def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
                                 max_denominator: int = 10**6,
                                 mass_tol: float = 1e-11) -> ScoreDistribution:
@@ -374,10 +395,8 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
     The DP state is (last m-1 outcomes, lattice score); n windows involve
     n + m - 1 outcomes in total.
     """
+    m = _window_length(f)
     keys = list(f.keys())
-    m = len(keys[0])
-    if m < 1 or any(len(k) != m for k in keys):
-        raise ValueError("windowed payoff needs constant-length tuple keys")
     vals = np.asarray([float(f[k]) for k in keys])
     nums_list, denom = _score_lattice(vals, max_denominator)
     nums = {k: int(v) for k, v in zip(keys, nums_list)}
@@ -399,9 +418,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
         for (hist, s), t in table.items():
             for lab, v in zip(labels, channel.kraus):
                 window = hist + (lab,)
-                if window not in nums:
-                    raise KeyError(f"windowed payoff undefined on {window}")
-                key = (window[1:], s + nums[window])
+                key = (window[1:], s + _window_value(nums, window))
                 upd = v @ t @ dagger(v)
                 acc = new.get(key)
                 new[key] = upd if acc is None else acc + upd
@@ -429,13 +446,16 @@ def windowed_sums(record: TrajectoryRecord, f: Mapping) -> np.ndarray:
 
 def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: float,
                      trials: int, seed: int, chunk_size: int = 4096) -> EmpiricalTail:
-    """Monte Carlo tail of the sliding-window mean over n windows."""
-    keys = list(f.keys())
-    m = len(keys[0])
-    label_index = {lab: i for i, lab in enumerate(channel.labels)}
-    lookup = np.zeros((len(channel.labels),) * m)
-    for k, v in f.items():
-        lookup[tuple(label_index[lab] for lab in k)] = float(v)
+    """Monte Carlo tail of the sliding-window mean over n windows.
+
+    Like :func:`score_distribution_windowed`, raises ``KeyError`` if the
+    payoff is undefined on some window of outcome labels.
+    """
+    m = _window_length(f)
+    labels = channel.labels
+    lookup = np.empty((len(labels),) * m)
+    for idx in np.ndindex(lookup.shape):
+        lookup[idx] = float(_window_value(f, tuple(labels[i] for i in idx)))
     return _filter_tails([channel._stack[None]] * (n + m - 1), rho0,
                          lambda picks: sum(lookup[tuple(picks[:, k + j] for j in range(m))]
                                            for k in range(n)),

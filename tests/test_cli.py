@@ -178,6 +178,51 @@ class TestBound:
         run_cli("bound", "--model", model("ring.json"), "--flavor", "bernstein",
                 "--gamma", "0.1", expect=1)  # missing --n
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "10", "--gamma", "nan"],
+        ["bound", "--model", "ring.json", "--flavor", "hoeffding", "--n", "10", "--gamma", "-0.1"],
+        ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "10", "--gamma", "0"],
+        ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "10", "--gamma", ","],
+        ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "inf", "--gamma", "0.1"],
+        ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "nan", "--gamma", "0.1"],
+        ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "5,0", "--gamma", "0.1"],
+        ["bound", "--model", "driven_qubit.json", "--flavor", "counting", "--t", "-5",
+         "--gamma", "0.1"],
+        ["verify", "--model", "ring.json", "--flavor", "bernstein", "--n", "4", "--gamma=-inf"],
+        ["verify", "--model", "driven_qubit.json", "--flavor", "counting", "--t", "-5",
+         "--gamma", "0.1", "--trials", "10"],
+        ["verify", "--mc", "--model", "driven_qubit.json", "--flavor", "counting", "--t", "10",
+         "--gamma", "0.1", "--trials", "0"],
+        ["simulate", "--model", "ring.json", "--n", "0", "--gamma", "0.1", "--trials", "5"],
+        ["simulate", "--model", "ring.json", "--n", "5", "--gamma", "nan", "--trials", "5"],
+        ["simulate", "--model", "driven_qubit.json", "--t", "0", "--trials", "5"],
+        ["simulate", "--model", "driven_qubit.json", "--t", "-5", "--trials", "5"],
+    ])
+    def test_bad_grid_is_a_usage_error(self, argv, capsys):
+        argv = [model(a) if a.endswith(".json") else a for a in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_zero_horizon_bound_allowed(self, capsys):
+        report = main_report(capsys, "bound", "--model", model("driven_qubit.json"),
+                             "--flavor", "counting", "--t", "0,10", "--gamma", "0.1")
+        assert [row["horizon"] for row in report["rows"]] == [0.0, 10.0]
+
+    @pytest.mark.parametrize("value", ["missing", None, "high"])
+    def test_schedule_observation_without_a_label_value_exit_2(self, value, tmp_path, capsys):
+        doc = json.loads(open(model("ring_tdm.json")).read())
+        if value == "missing":
+            del doc["schedule"][1]["observation"]["2d"]
+        else:
+            doc["schedule"][1]["observation"]["2d"] = value
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["analyze", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: $.schedule[1].observation")
+        assert "2d" in err
+
 
 class TestSimulate:
     def test_zero_trials_usage_error(self):
@@ -241,6 +286,11 @@ class TestSimulate:
             single = trajectory.sample_counting(gen, rho0, 20.0, 6, index=idx)
             assert record["index"] == idx
             assert record["events"] == [[time, str(lab)] for time, lab in single.events]
+
+    def test_counting_single_trial_stderr_null(self, capsys):
+        report = main_report(capsys, "simulate", "--model", model("driven_qubit.json"),
+                             "--t", "10", "--trials", "1", "--seed", "2")
+        assert report["empirical_rate_stderr"] is None
 
     def test_counting_rate_report(self):
         proc = run_cli("simulate", "--model", model("driven_qubit.json"),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qmcbounds.bounds import TimeStep, Unravelling
+import qmcbounds.trajectory as trajectory
+from qmcbounds.bounds import TimeStep, Unravelling, multitime_hoeffding
 from qmcbounds.operators import GKLSGenerator, KrausChannel
 from qmcbounds.spectral import gkls_steady_state, invariant_state
 from qmcbounds.trajectory import (
@@ -354,6 +355,22 @@ class TestWindowed:
         with pytest.raises(ValueError, match="shorter"):
             windowed_sums(rec, {(a, b, c): 0.0 for a in channel.labels
                                 for b in channel.labels for c in channel.labels})
+
+    def test_missing_window_is_a_key_error_for_every_oracle(self, ring, monkeypatch):
+        channel, _ = ring
+        rho0 = np.eye(3) / 3
+        plus_first = {(a, b): 1.0 for a in channel.labels if a.endswith("+")
+                      for b in channel.labels}
+        with pytest.raises(KeyError, match="undefined"):
+            score_distribution_windowed(channel, rho0, plus_first, 8)
+        with pytest.raises(KeyError, match="undefined"):
+            multitime_hoeffding(channel, rho0, plus_first, 0.3, 8)
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the payoff")
+        monkeypatch.setattr(trajectory, "_uniform_rows", no_sampling)
+        with pytest.raises(KeyError, match="undefined"):
+            mc_tail_windowed(channel, rho0, plus_first, 8, 0.3, trials=100, seed=1)
 
     def test_windowed_dp_mass_and_mc_agreement(self, ring):
         channel, _ = ring
