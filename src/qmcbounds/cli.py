@@ -117,11 +117,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _need(value, what: str):
+    if value is None:
+        raise UsageError(f"this flavor requires {what}")
+    return value
+
+
 def _float_grid(text: str, name: str, low: float = -math.inf,
                 closed: bool = False) -> list[float]:
     """Non-empty comma grid of finite values above ``low`` (or at it, if ``closed``)."""
+    tokens = _need(text, name).split(",")
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in tokens if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from exc
     if not values:
@@ -371,12 +378,6 @@ def cmd_analyze(args) -> int:
 # bound
 # ---------------------------------------------------------------------------
 
-def _need(value, what: str):
-    if value is None:
-        raise UsageError(f"this flavor requires {what}")
-    return value
-
-
 def _stationary_flavor(args, model: Model):
     """Constants, evaluator, horizon grid and rho0 of bernstein, hoeffding or counting.
 
@@ -386,7 +387,7 @@ def _stationary_flavor(args, model: Model):
     """
     if args.flavor == "counting":
         gen = _need(model.generator, "a gkls model")
-        horizons = _float_grid(_need(args.t, "--t"), "--t", 0.0, closed=True)
+        horizons = _float_grid(args.t, "--t", 0.0, closed=True)
         sigma = gkls_steady_state(gen)
         rho0 = _resolve_rho0(args.rho0, model, sigma)
         constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
@@ -394,7 +395,7 @@ def _stationary_flavor(args, model: Model):
     else:
         channel = _need(model.channel, "a kraus model")
         f = _need(model.observation, "an observation section")
-        horizons = _int_grid(_need(args.n, "--n"), "--n")
+        horizons = _int_grid(args.n, "--n")
         sigma = invariant_state(channel)
         rho0 = _resolve_rho0(args.rho0, model, sigma)
         if args.flavor == "bernstein":
@@ -410,7 +411,7 @@ def _stationary_flavor(args, model: Model):
 
 def cmd_bound(args) -> int:
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
-    gammas = _float_grid(_need(args.gamma, "--gamma"), "--gamma", 0.0)
+    gammas = _float_grid(args.gamma, "--gamma", 0.0)
     report = _base_report(args)
     rows = report["rows"]
     flavor = args.flavor
@@ -425,7 +426,7 @@ def cmd_bound(args) -> int:
     elif flavor == "flux":
         chain = _need(model.chain, "a classical model")
         f = _need(model.flux, "a flux section")
-        ns = _int_grid(_need(args.n, "--n"), "--n")
+        ns = _int_grid(args.n, "--n")
         nu = model.initial if model.initial is not None else stationary_distribution(chain)
         for n in ns:
             for gamma in gammas:
@@ -435,7 +436,7 @@ def cmd_bound(args) -> int:
         _need(model.channel, "a kraus model")
         if not model.schedule:
             raise UsageError("this flavor requires a schedule section in the model")
-        ns = _int_grid(_need(args.n, "--n"), "--n")
+        ns = _int_grid(args.n, "--n")
         sigma = invariant_state(model.channel)
         rho0 = _resolve_rho0(args.rho0, model, sigma)
         for n in ns:
@@ -451,7 +452,7 @@ def cmd_bound(args) -> int:
     elif flavor == "multitime":
         _need(model.channel, "a kraus model")
         windows = _need(model.observation_windows, "an observation_windows section")
-        ns = _int_grid(_need(args.n, "--n"), "--n")
+        ns = _int_grid(args.n, "--n")
         sigma = invariant_state(model.channel)
         for n in ns:
             for gamma in gammas:
@@ -460,7 +461,7 @@ def cmd_bound(args) -> int:
     elif flavor == "reducible":
         _need(model.channel, "a kraus model")
         f = _need(model.observation, "an observation section")
-        ns = _int_grid(_need(args.n, "--n"), "--n")
+        ns = _int_grid(args.n, "--n")
         rho0 = _resolve_rho0(args.rho0 if args.rho0 != "stationary" else "maximally-mixed",
                              model)
         decomposition = decompose_invariant_subspaces(model.channel)
@@ -475,7 +476,7 @@ def cmd_bound(args) -> int:
                                f"weights {np.round(mix.weights, 6).tolist()}"))
     elif flavor == "ci":
         _need(model.channel, "a kraus model")
-        ns = _int_grid(_need(args.n, "--n"), "--n")
+        ns = _int_grid(args.n, "--n")
         thetas = model.parameter_grid if model.parameter_grid else [None]
         for theta in thetas:
             if theta is None:
@@ -523,7 +524,7 @@ def cmd_simulate(args) -> int:
     rho0 = _resolve_rho0(args.rho0, model)
 
     if model.kind == "kraus":
-        n = _int_grid(_need(args.n, "--n"), "--n")[0]
+        n = _int_grid(args.n, "--n")[0]
         channel = model.channel
         f = _need(model.observation, "an observation section") if gammas else None
         if gammas or args.dump:
@@ -539,7 +540,7 @@ def cmd_simulate(args) -> int:
             rows.extend(_row("simulate", n, gamma, tail=tail)
                         for gamma, tail in zip(gammas, tails))
     elif model.kind == "gkls":
-        t = _float_grid(_need(args.t, "--t"), "--t", 0.0)[0]
+        t = _float_grid(args.t, "--t", 0.0)[0]
         gen = model.generator
         sigma = gkls_steady_state(gen)
         constants = counting_constants(gen, model.count_label, sigma=sigma)
@@ -600,7 +601,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
-    gammas = _float_grid(_need(args.gamma, "--gamma"), "--gamma", 0.0)
+    gammas = _float_grid(args.gamma, "--gamma", 0.0)
     report = _base_report(args, {"seed": args.seed})
     rows = report["rows"]
     flavor = args.flavor
@@ -616,7 +617,7 @@ def cmd_verify(args) -> int:
     elif flavor == "flux":
         chain = _need(model.chain, "a classical model")
         f = _need(model.flux, "a flux section")
-        ns = _int_grid(_need(args.n, "--n"), "--n")
+        ns = _int_grid(args.n, "--n")
         nu = model.initial if model.initial is not None else stationary_distribution(chain)
         mean = float(np.sum(edge_stationary_law(chain) * flux_matrix(f, chain)))
         for n in ns:

@@ -61,4 +61,9 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-__all__ = ["random_channel", "random_state", "random_hermitian"]
+def reject_constant(name):
+    """``parse_constant`` for ``json.loads`` that rejects NaN and infinities."""
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+__all__ = ["random_channel", "random_state", "random_hermitian", "reject_constant"]

@@ -11,6 +11,8 @@ from qmcbounds import cli
 from qmcbounds.modelfile import load_model
 from qmcbounds.spectral import gkls_steady_state
 
+from conftest import reject_constant
+
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
@@ -25,14 +27,10 @@ def model(name: str) -> str:
     return os.path.join(MODELS, name)
 
 
-def _no_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
-
-
 def main_report(capsys, *argv) -> dict:
     """Run the CLI in-process, expect exit 0 and return the report (NaN rejected)."""
     assert cli.main(list(argv)) == 0, capsys.readouterr().err
-    return json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    return json.loads(capsys.readouterr().out, parse_constant=reject_constant)
 
 
 class TestAnalyze:

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qmcbounds import cli
 
+from conftest import reject_constant
+
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 SPECIAL = st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", ""])
 
@@ -45,10 +47,6 @@ def commands(draw):
     return argv
 
 
-def _no_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(commands())
 def test_fuzzed_grids_end_in_a_documented_exit_code(argv):
@@ -57,4 +55,4 @@ def test_fuzzed_grids_end_in_a_documented_exit_code(argv):
         code = cli.main(argv)
     assert code in range(6), (argv, code, err.getvalue())
     if out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_no_constant)
+        json.loads(out.getvalue(), parse_constant=reject_constant)
