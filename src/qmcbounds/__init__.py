@@ -28,6 +28,7 @@ from .operators import (
 from .spectral import (
     InvariantDecomposition,
     SpectralReport,
+    certified_pseudoresolvent_norm,
     decompose_invariant_subspaces,
     deformed_channel,
     gkls_steady_state,

@@ -44,13 +44,13 @@ from .spectral import (
     HypothesisError,
     _kms_real_part,
     additive_gap_report,
+    certified_pseudoresolvent_norm,
     gkls_steady_state,
     invariant_state,
     is_irreducible,
     multiplicative_gap_report,
     phi_power_norms,
     poisson_solve,
-    pseudoresolvent_norm,
 )
 
 
@@ -234,8 +234,7 @@ def hoeffding_constants(channel: KrausChannel, f, rho=None, sigma=None) -> Bound
     if not evidence.irreducible:
         return BoundConstants(b=stats.b, c=stats.c, n_rho=1.0, hypothesis_ok=False,
                               note="channel reducible: pseudoresolvent undefined")
-    norm = pseudoresolvent_norm(channel, sig)
-    g = (1.0 + norm.certified_upper) * stats.c
+    g = (1.0 + certified_pseudoresolvent_norm(channel, sig)) * stats.c
     nr = 1.0 if rho is None else n_rho(rho, sig)
     return BoundConstants(b=stats.b, c=stats.c, n_rho=nr, g=g, hypothesis_ok=True)
 
@@ -534,9 +533,9 @@ def multitime_hoeffding(channel: KrausChannel, sigma, f: Mapping, gamma: float, 
         return out
 
     f_m = accumulate((), np.eye(channel.dim, dtype=complex))
-    norm = pseudoresolvent_norm(channel, sigma)
-    poisson_solve(channel, f_m, sigma, certified_upper=norm.certified_upper)
-    g = (m + norm.certified_upper) * c
+    certified = certified_pseudoresolvent_norm(channel, sigma)
+    poisson_solve(channel, f_m, sigma, certified_upper=certified)
+    g = (m + certified) * c
     return _hoeffding_result("multitime", BoundConstants(b=None, c=c, g=g, n_rho=1.0),
                              gamma, n, two_sided,
                              "n = 1 and gamma >= 2c: single window cannot deviate")

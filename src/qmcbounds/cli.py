@@ -76,9 +76,9 @@ from .spectral import (
     gkls_steady_state,
     invariant_state,
     is_irreducible,
-    is_primitive,
     multiplicative_gap_report,
     pseudoresolvent_norm,
+    _peripheral_is_one,
 )
 from .trajectory import (
     EmpiricalTail,
@@ -147,6 +147,17 @@ def _int_grid(text: str, name: str) -> list[int]:
     if min(values) < 1:
         raise UsageError(f"{name} values must be >= 1, got {min(values)}")
     return values
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite value > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite value > 0, got {text!r}")
+    return value
 
 
 def _parse_tolerances(pairs: list[str]) -> dict:
@@ -310,7 +321,7 @@ def _analyze_kraus(model: Model, diagnostics: dict) -> None:
         diagnostics["irreducible"] = evidence.irreducible
         diagnostics["radius_multiplicity"] = evidence.radius_multiplicity
         if evidence.irreducible:
-            diagnostics["primitive"] = is_primitive(channel)
+            diagnostics["primitive"] = _peripheral_is_one(evidence.eigenvalues)
             gap = multiplicative_gap_report(channel, sigma)
             diagnostics["psi_irreducible"] = gap.irreducible
             diagnostics["epsilon_multiplicative"] = gap.epsilon
@@ -456,8 +467,12 @@ def cmd_bound(args) -> int:
         sigma = invariant_state(model.channel)
         for n in ns:
             for gamma in gammas:
-                rows.append(_result_row(multitime_hoeffding(
-                    model.channel, sigma.matrix, windows, gamma, n, two_sided)))
+                try:
+                    res = multitime_hoeffding(model.channel, sigma.matrix, windows,
+                                              gamma, n, two_sided)
+                except KeyError as exc:  # a window the payoff leaves undefined
+                    raise ModelParseError(f"observation_windows: {exc.args[0]}") from exc
+                rows.append(_result_row(res))
     elif flavor == "reducible":
         _need(model.channel, "a kraus model")
         f = _need(model.observation, "an observation section")
@@ -511,6 +526,16 @@ def _override_epsilon(constants: BoundConstants, value: float) -> BoundConstants
 # simulate
 # ---------------------------------------------------------------------------
 
+def _open_dump(path: str | None):
+    """The --dump file opened for writing, or a null context without --dump."""
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --dump {path}: {exc}") from exc
+
+
 def cmd_simulate(args) -> int:
     """Monte Carlo tails at every gamma, and the ``--dump`` records, from one sample."""
     if args.trials is not None and args.trials < 1:
@@ -528,8 +553,7 @@ def cmd_simulate(args) -> int:
         channel = model.channel
         f = _need(model.observation, "an observation section") if gammas else None
         if gammas or args.dump:
-            dump = open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext()
-            with dump as fh:
+            with _open_dump(args.dump) as fh:
                 def write(indices, picks):
                     for idx, row in zip(indices, picks):
                         fh.write(json.dumps({"seed": seed, "index": idx,
@@ -544,8 +568,13 @@ def cmd_simulate(args) -> int:
         gen = model.generator
         sigma = gkls_steady_state(gen)
         constants = counting_constants(gen, model.count_label, sigma=sigma)
-        counts, events = _counting_chunks(gen, rho0, t, trials, seed,
-                                          collect_events=bool(args.dump))
+        with _open_dump(args.dump) as fh:
+            counts, events = _counting_chunks(gen, rho0, t, trials, seed,
+                                              collect_events=bool(args.dump))
+            for idx, record in enumerate(events):
+                fh.write(json.dumps({"seed": seed, "index": idx,
+                                     "events": [[time, str(lab)] for time, lab in record]},
+                                    sort_keys=True) + "\n")
         col = gen.index(model.count_label)
         rate = counts[:, col] / t
         report["empirical_rate"] = float(rate.mean())
@@ -555,12 +584,6 @@ def cmd_simulate(args) -> int:
         for gamma in gammas:
             hits = int(np.sum(rate - constants.m >= gamma - 1e-12))
             rows.append(_row("simulate-counting", t, gamma, tail=_empirical_tail(hits, trials)))
-        if args.dump:
-            with open(args.dump, "w", encoding="utf-8") as fh:
-                for idx, record in enumerate(events):
-                    fh.write(json.dumps({"seed": seed, "index": idx,
-                                         "events": [[time, str(lab)] for time, lab in record]},
-                                        sort_keys=True) + "\n")
     else:
         raise UsageError("simulate supports kraus and gkls models")
     _emit(report, args.format, args.output)
@@ -672,7 +695,7 @@ def build_parser() -> _Parser:
     p_bound.add_argument("--rho0", default="stationary",
                          help="PATH | maximally-mixed | stationary")
     p_bound.add_argument("--two-sided", action="store_true", dest="two_sided")
-    p_bound.add_argument("--override-epsilon", type=float, default=None,
+    p_bound.add_argument("--override-epsilon", type=_positive_float, default=None,
                          dest="override_epsilon",
                          help="negative-control override of the spectral gap")
     p_bound.set_defaults(func=cmd_bound)
@@ -701,7 +724,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--two-sided", action="store_true", dest="two_sided")
     p_verify.add_argument("--mc", action="store_true",
                           help="fall back to Monte Carlo when exact DP is infeasible")
-    p_verify.add_argument("--override-epsilon", type=float, default=None,
+    p_verify.add_argument("--override-epsilon", type=_positive_float, default=None,
                           dest="override_epsilon")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -18,7 +18,7 @@ which is surfaced as an error instead of silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -161,6 +161,8 @@ class IrreducibilityEvidence:
     min_fixed_eigenvalue: float
     reachability_full: bool
     reachability_dims: tuple[int, ...]
+    # spectrum of the Heisenberg matrix the vote computed, for primitivity
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
 def _witness_vectors(kraus: tuple[np.ndarray, ...], dual_fixed_basis: np.ndarray,
@@ -224,7 +226,14 @@ def is_irreducible(channel: KrausChannel, tol: float = TAU_EIG,
         min_fixed_eigenvalue=min_eig,
         reachability_full=reach_verdict,
         reachability_dims=dims,
+        eigenvalues=eigs,
     )
+
+
+def _peripheral_is_one(eigs: np.ndarray, tol: float = TAU_PER) -> bool:
+    """Whether every eigenvalue of modulus >= 1 - tol lies within tol of 1."""
+    peripheral = eigs[np.abs(eigs) >= 1.0 - tol]
+    return bool(np.all(np.abs(peripheral - 1.0) <= tol))
 
 
 def is_primitive(channel: KrausChannel, tol: float = TAU_PER) -> bool:
@@ -232,9 +241,7 @@ def is_primitive(channel: KrausChannel, tol: float = TAU_PER) -> bool:
     evidence = is_irreducible(channel)
     if not evidence.irreducible:
         raise HypothesisError("primitivity is undefined for a reducible channel")
-    eigs = np.linalg.eigvals(superoperator_matrix(channel).matrix)
-    peripheral = eigs[np.abs(eigs) >= 1.0 - tol]
-    return bool(np.all(np.abs(peripheral - 1.0) <= tol))
+    return _peripheral_is_one(evidence.eigenvalues, tol)
 
 
 @dataclass(frozen=True)
@@ -433,12 +440,20 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int,
     the minimum over J of (certified partial sums + sqrt(d) * HS tail) is a
     rigorous upper bound, and degenerates gracefully to 1 when phi vanishes
     on F.  Shared by channels (d = dim) and classical chains (d = states).
+
+    The loop stops, before that term's tail SVD, once the partial sum reaches
+    the running minimum.  This is exact: every term and every tail is >= 0,
+    and a floating-point sum of non-negative numbers never decreases, so from
+    then on every candidate partial + tail is >= the minimum, and the result
+    is bit-identical to running all ``max_terms`` terms.
     """
     root_d = float(np.sqrt(dim))
     best = root_d * float(np.linalg.norm(inv_f, 2))
     partial = 0.0
     for term, power in islice(_power_terms(phi_f, root_d), max_terms):
         partial += term
+        if partial >= best:
+            break
         best = min(best, partial + root_d * float(np.linalg.norm(power @ inv_f, 2)))
     return best
 
@@ -449,29 +464,36 @@ def _sign_matrix(g: np.ndarray) -> np.ndarray:
     return (u * signs) @ u.conj().T
 
 
-def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
-                         iterations: int = 8, seed: int = 0,
-                         max_terms: int = 32) -> PseudoresolventNorm:
-    """Sup-norm of (Id - phi)^(-1) restricted to F = {tr(sigma x) = 0}.
-
-    ``lower_estimate`` is a heuristic maximizer (projected ascent over
-    sign matrices of the linearized objective, ``restarts`` seeded random
-    restarts); every evaluated ratio is a true lower bound.
-    ``certified_upper`` is rigorous, and everything downstream that needs
-    validity (Hoeffding-type constants) consumes the certified value only.
-    """
-    s = state_matrix(sigma)
-    d = channel.dim
+def _certified_resolvent(channel: KrausChannel, s: np.ndarray,
+                         max_terms: int = 32) -> tuple[np.ndarray, np.ndarray, float]:
+    """Basis q of F, (Id - phi_F)^(-1) and the certified bound on its sup-norm."""
     q, phi_f = _centered_restriction(channel, s)
     eye_f = np.eye(phi_f.shape[0])
     try:
         inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
     except np.linalg.LinAlgError as exc:
         raise HypothesisError("Id - phi is singular on the centered subspace") from exc
+    return q, inv_f, _certified_sup_norm_chain(phi_f, inv_f, channel.dim, max_terms)
 
-    certified = _certified_sup_norm_chain(phi_f, inv_f, d, max_terms)
 
-    n_full = q @ inv_f @ q.conj().T  # acts as (Id-phi)^(-1) P_F in vectorized form
+def certified_pseudoresolvent_norm(channel: KrausChannel, sigma) -> float:
+    """Certified upper bound on ||(Id - phi)^(-1)|F||_inf, F = {tr(sigma x) = 0}.
+
+    The value of ``pseudoresolvent_norm(channel, sigma).certified_upper``
+    without the heuristic lower estimate.
+    """
+    return _certified_resolvent(channel, state_matrix(sigma))[2]
+
+
+def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
+                    iterations: int, seed: int) -> float:
+    """Heuristic maximizer of ||n_full(x)|| / ||x|| over selfadjoint centered x.
+
+    Projected ascent over sign matrices of the linearized objective from
+    ``restarts`` seeded random starts; every evaluated ratio is a true lower
+    bound on the sup-norm of the map ``n_full`` (vectorized form).
+    """
+    d = s.shape[0]
     eye_d = np.eye(d)
 
     def center(x: np.ndarray) -> np.ndarray:
@@ -501,10 +523,27 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
                 break
             x = x_new
         best = max(best, ratio(x))
+    return best
+
+
+def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
+                         iterations: int = 8, seed: int = 0,
+                         max_terms: int = 32) -> PseudoresolventNorm:
+    """Sup-norm of (Id - phi)^(-1) restricted to F = {tr(sigma x) = 0}.
+
+    ``lower_estimate`` is a heuristic maximizer (projected ascent over
+    sign matrices of the linearized objective, ``restarts`` seeded random
+    restarts); every evaluated ratio is a true lower bound.
+    ``certified_upper`` is rigorous; the bounds consume it alone, through
+    :func:`certified_pseudoresolvent_norm`, which skips the heuristic.
+    """
+    s = state_matrix(sigma)
+    q, inv_f, certified = _certified_resolvent(channel, s, max_terms)
+    n_full = q @ inv_f @ q.conj().T  # acts as (Id-phi)^(-1) P_F in vectorized form
+    best = _lower_estimate(s, n_full, restarts, iterations, seed)
     # both bracket the same quantity; rounding can make them cross at the
     # fully degenerate point where the norm is exactly 1
-    lower = min(best, certified)
-    return PseudoresolventNorm(lower_estimate=lower, certified_upper=certified)
+    return PseudoresolventNorm(lower_estimate=min(best, certified), certified_upper=certified)
 
 
 def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
@@ -656,24 +695,34 @@ def _group_eigenvalues(w: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
+_SPLIT_ATTEMPTS = 32  # random fixed points drawn before the split gives up
+
+
 def _split_once(channel: KrausChannel, seed: int, tol: float) -> list[np.ndarray]:
-    """Isometries of the invariant blocks found from one random fixed point."""
+    """Isometries of the invariant blocks found from one random fixed point.
+
+    When the eigenvalues of the drawn fixed point collide into one group, the
+    draw is retried with seeds ``seed + 1, seed + 2, ...``, at most
+    ``_SPLIT_ATTEMPTS`` draws in all.
+    """
     m_h = superoperator_matrix(channel).matrix
     basis = _null_space(m_h - np.eye(m_h.shape[0]))
     if basis.shape[1] <= 1:
         return [np.eye(channel.dim, dtype=complex)]
-    rng = np.random.default_rng(seed)
-    y = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for col in range(basis.shape[1]):
-        b = unvec(basis[:, col], channel.dim)
-        y += rng.standard_normal() * _hermitize(b) + rng.standard_normal() * _hermitize(1j * b)
-    w, u = np.linalg.eigh(y)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    groups = _group_eigenvalues(w, tol * scale)
-    if len(groups) == 1:
-        # collided eigenvalues: retry deterministically with the next seed
-        return _split_once(channel, seed + 1, tol)
-    return [u[:, g] for g in groups]
+    for attempt in range(seed, seed + _SPLIT_ATTEMPTS):
+        rng = np.random.default_rng(attempt)
+        y = np.zeros((channel.dim, channel.dim), dtype=complex)
+        for col in range(basis.shape[1]):
+            b = unvec(basis[:, col], channel.dim)
+            y += rng.standard_normal() * _hermitize(b) + rng.standard_normal() * _hermitize(1j * b)
+        w, u = np.linalg.eigh(y)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        groups = _group_eigenvalues(w, tol * scale)
+        if len(groups) > 1:
+            return [u[:, g] for g in groups]
+    raise HypothesisError(
+        f"block decomposition: {_SPLIT_ATTEMPTS} random fixed points of a "
+        f"{basis.shape[1]}-dimensional fixed space each had a single eigenvalue group")
 
 
 def _restrict(channel: KrausChannel, isometry: np.ndarray) -> KrausChannel:

@@ -25,11 +25,13 @@ from qmcbounds.bounds import (
     time_dependent_bernstein,
     time_dependent_hoeffding,
 )
+import qmcbounds.spectral as spectral
 from qmcbounds.operators import GKLSGenerator
 from qmcbounds.spectral import (
     decompose_invariant_subspaces,
     gkls_steady_state,
     invariant_state,
+    pseudoresolvent_norm,
 )
 
 from conftest import random_state
@@ -182,6 +184,23 @@ class TestHoeffding:
         res = hoeffding_bound(constants, 0.9, 16)
         if res.valid:
             assert 0.0 <= res.probability_bound <= 1.0
+
+
+    def test_constants_never_run_the_heuristic(self, ring, ring_sigma, monkeypatch):
+        channel, payoff = ring
+        windows = {(a, b): (1.0 if a.endswith("+") else 0.0)
+                   for a in channel.labels for b in channel.labels}
+        certified = pseudoresolvent_norm(channel, ring_sigma).certified_upper
+        constants = hoeffding_constants(channel, payoff, rho=np.eye(3) / 3)
+        window_bound = multitime_hoeffding(channel, ring_sigma.matrix, windows, 0.45, 32)
+
+        def heuristic(*args, **kwargs):
+            raise AssertionError("heuristic lower estimate ran on the bound path")
+
+        monkeypatch.setattr(spectral, "_lower_estimate", heuristic)
+        assert constants.g == (1.0 + certified) * constants.c
+        assert hoeffding_constants(channel, payoff, rho=np.eye(3) / 3) == constants
+        assert multitime_hoeffding(channel, ring_sigma.matrix, windows, 0.45, 32) == window_bound
 
 
 class TestCounting:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qmcbounds.spectral as spectral
 import qmcbounds.trajectory as trajectory
 from qmcbounds import cli
 from qmcbounds.modelfile import load_model
@@ -56,6 +57,21 @@ class TestAnalyze:
         diag = json.loads(proc.stdout)["diagnostics"]
         assert diag["counting_constants"]["m"] == pytest.approx(2 / 9, abs=1e-10)
         assert diag["additive_irreducible"] is True
+
+    def test_ring_runs_one_irreducibility_vote(self, capsys, monkeypatch):
+        votes = []
+        original = spectral.is_irreducible
+
+        def counted(channel, *args, **kwargs):
+            if not isinstance(channel.labels[0], tuple):  # psi is labelled by pairs
+                votes.append(channel)
+            return original(channel, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "is_irreducible", counted)
+        monkeypatch.setattr(spectral, "is_irreducible", counted)
+        diag = main_report(capsys, "analyze", "--model", model("ring.json"))["diagnostics"]
+        assert diag["irreducible"] is True and "primitive" in diag
+        assert len(votes) == 1
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -159,6 +175,38 @@ class TestBound:
         rows = json.loads(proc.stdout)["rows"]
         assert all(row["valid"] and row["bound"] == 0.0 for row in rows)
 
+    def test_hoeffding_and_ci_never_run_the_heuristic(self, capsys, monkeypatch):
+        runs = [["bound", "--model", model("ring.json"), "--flavor", "hoeffding",
+                 "--n", "100,1000", "--gamma", "0.5"],
+                ["bound", "--model", model("ring_tdm.json"), "--flavor", "ci",
+                 "--n", "1000", "--gamma", "0.1"]]
+        expected = [main_report(capsys, *argv) for argv in runs]
+
+        def heuristic(*args, **kwargs):
+            raise AssertionError("heuristic lower estimate ran on the bound path")
+
+        monkeypatch.setattr(spectral, "_lower_estimate", heuristic)
+        assert [main_report(capsys, *argv) for argv in runs] == expected
+
+    def test_multitime_undefined_window_exit_2(self, tmp_path, capsys):
+        doc = json.loads(open(model("ring_tdm.json")).read())
+        doc["observation_windows"] = doc["observation_windows"][:3]
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc))
+        assert cli.main(["bound", "--model", str(short), "--flavor", "multitime",
+                         "--n", "20", "--gamma", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: observation_windows: payoff undefined")
+        assert "('" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "abc"])
+    def test_override_epsilon_finite_positive(self, command, value, capsys):
+        assert cli.main([command, "--model", model("ring.json"), "--flavor", "bernstein",
+                         "--n", "10", "--gamma", "0.1", "--override-epsilon", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --override-epsilon")
+
     def test_unreadable_rho0_exit_1(self):
         proc = run_cli("bound", "--model", model("ring.json"), "--flavor", "bernstein",
                        "--n", "10", "--gamma", "0.1", "--rho0", "/missing.json", expect=1)
@@ -226,6 +274,22 @@ class TestSimulate:
     def test_zero_trials_usage_error(self):
         run_cli("simulate", "--model", model("ring.json"), "--n", "5",
                 "--trials", "0", "--seed", "1", expect=1)
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ring.json", "--n", "5", "--gamma", "0.1"],
+        ["--model", "driven_qubit.json", "--t", "5", "--gamma", "0.1"],
+    ])
+    def test_unopenable_dump_is_a_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        def sampler(*args, **kwargs):
+            raise AssertionError("sampled before opening --dump")
+
+        monkeypatch.setattr(cli, "_discrete_tails", sampler)
+        monkeypatch.setattr(cli, "_counting_chunks", sampler)
+        argv = [model(a) if a.endswith(".json") else a for a in argv]
+        dump = str(tmp_path / "missing" / "d.jsonl")
+        assert cli.main(["simulate", *argv, "--trials", "10", "--dump", dump]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write --dump {dump}")
 
     def test_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

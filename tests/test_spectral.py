@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import qmcbounds.spectral as spectral
+from qmcbounds.classical import (
+    MarkovChain,
+    chain_pseudoresolvent_norm,
+    stationary_distribution,
+)
 from qmcbounds.fixtures import (
     PAULI_Z,
     SIGMA_MINUS,
@@ -17,7 +24,10 @@ from qmcbounds.operators import (
 from qmcbounds.spectral import (
     FixedSpaceError,
     HypothesisError,
+    _centered_restriction,
+    _certified_sup_norm_chain,
     additive_gap_report,
+    certified_pseudoresolvent_norm,
     decompose_invariant_subspaces,
     deformed_channel,
     faithful_fixed_point,
@@ -245,6 +255,64 @@ class TestPseudoresolvent:
         assert norm.lower_estimate <= norm.certified_upper + 1e-9
 
 
+def full_chain(phi_f, inv_f, dim, max_terms=32):
+    """The certified norm chain run over all ``max_terms`` terms, no early exit."""
+    root_d = float(np.sqrt(dim))
+    best = root_d * float(np.linalg.norm(inv_f, 2))
+    partial = 0.0
+    power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
+    term = 1.0
+    for _ in range(max_terms):
+        power = phi_f @ power
+        partial += term
+        best = min(best, partial + root_d * float(np.linalg.norm(power @ inv_f, 2)))
+        term = min(1.0, root_d * float(np.linalg.norm(power, 2)))
+    return best
+
+
+def resolvent_on_f(phi_f):
+    eye_f = np.eye(phi_f.shape[0])
+    return np.linalg.solve(eye_f - phi_f, eye_f)
+
+
+class TestCertifiedChain:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_early_exit_is_bit_identical(self, seed):
+        dim, n_kraus = 2 + seed % 5, 2 + seed % 3
+        channel = random_channel(dim, n_kraus, seed=seed)
+        sigma = invariant_state(channel)
+        _, phi_f = _centered_restriction(channel, sigma)
+        expected = full_chain(phi_f, resolvent_on_f(phi_f), dim)
+        assert _certified_sup_norm_chain(phi_f, resolvent_on_f(phi_f), dim) == expected
+        assert certified_pseudoresolvent_norm(channel, sigma) == expected
+        assert pseudoresolvent_norm(channel, sigma, restarts=1).certified_upper == expected
+
+    @pytest.mark.parametrize("size", [3, 5, 8])
+    def test_classical_chain_bit_identical(self, size):
+        rng = np.random.default_rng(size)
+        p = rng.random((size, size)) ** 3
+        chain = MarkovChain(p / p.sum(axis=1, keepdims=True))
+        sigma = stationary_distribution(chain)
+        q = sla.null_space(sigma[None, :])
+        p_f = q.T @ chain.transition @ q
+        expected = full_chain(p_f, resolvent_on_f(p_f), size)
+        assert chain_pseudoresolvent_norm(chain, exact_limit=0) == expected
+
+    def test_ring_stops_early(self, ring, ring_sigma, monkeypatch):
+        channel, _ = ring
+        terms = []
+        original = spectral._power_terms
+
+        def counted(phi_f, root_d):
+            for item in original(phi_f, root_d):
+                terms.append(item[0])
+                yield item
+
+        monkeypatch.setattr(spectral, "_power_terms", counted)
+        certified_pseudoresolvent_norm(channel, ring_sigma)
+        assert 1 <= len(terms) <= 4
+
+
 class TestPoisson:
     def test_zero_rhs(self, ring, ring_sigma):
         channel, _ = ring
@@ -368,6 +436,14 @@ class TestDecomposition:
         v1 = np.array([[0, np.sqrt(p)], [0, 0]], dtype=complex)
         with pytest.raises(HypothesisError, match="positive recurrence"):
             decompose_invariant_subspaces(KrausChannel([v0, v1]))
+
+    def test_collided_split_gives_up(self, two_block, monkeypatch):
+        # every draw collides: the bounded retry raises instead of recursing
+        monkeypatch.setattr(spectral, "_group_eigenvalues",
+                            lambda w, tol: [np.arange(w.size)])
+        channel, _ = two_block
+        with pytest.raises(HypothesisError, match="block decomposition"):
+            decompose_invariant_subspaces(channel)
 
     def test_mixture_law_short_sequences(self, two_block):
         channel, _ = two_block
