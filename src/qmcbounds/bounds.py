@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .operators import (
 )
 from .spectral import (
     HypothesisError,
+    MultiplicativeGap,
     _kms_real_part,
     additive_gap_report,
     certified_pseudoresolvent_norm,
@@ -381,130 +383,171 @@ class TimeStep:
 
 def _validate_steps(channel: KrausChannel, steps: Sequence[TimeStep],
                     tol: float = 1e-9) -> None:
+    """Each distinct unravelling, at its first step, must sum to the channel."""
     ref = superoperator_matrix(channel).matrix
+    seen = set()
     for k, step in enumerate(steps):
+        if id(step.unravelling) in seen:
+            continue
+        seen.add(id(step.unravelling))
         dev = float(np.max(np.abs(step.unravelling.total_matrix() - ref)))
         if dev > tol:
             raise ValueError(
                 f"step {k}: unravelling does not sum to the channel (deviation {dev:.3e})")
 
 
-def _step_stats(steps: Sequence[TimeStep], sigma) -> tuple[list[np.ndarray], float, float]:
-    """Per-step centered payoffs, c_n = max_k range, b_n^2 = mean variance."""
+def _step_stats(steps: Sequence[TimeStep], sigma) -> tuple[list[np.ndarray], tuple, tuple]:
+    """Per-step centered payoffs, then c_n (worst range) and variance sums of n-step prefixes.
+
+    Each distinct step is centered once; the prefixes accumulate in step
+    order, so ``var_sums[n-1] / n`` is b_n^2 for every horizon n.
+    """
     s = state_matrix(sigma)
-    centered, c_n, var_sum = [], 0.0, 0.0
+    moments: dict[int, tuple[np.ndarray, float, float]] = {}
     for step in steps:
+        if id(step) in moments:
+            continue
         pi = np.asarray([float(np.trace(step.unravelling.apply_outcome_dual(i, s)).real)
                          for i in range(len(step.unravelling.maps))])
         pi = np.clip(pi, 0.0, None)
         pi = pi / pi.sum()
         fv = observation_vector(step.f, step.unravelling.labels)
         fc = fv - float(pi @ fv)
-        centered.append(fc)
-        c_n = max(c_n, float(np.max(np.abs(fc))))
-        var_sum += float(pi @ fc**2)
-    return centered, c_n, var_sum / len(steps)
+        moments[id(step)] = (fc, float(np.max(np.abs(fc))), float(pi @ fc**2))
+    rows = [moments[id(step)] for step in steps]
+    centered, ranges, variances = zip(*rows) if rows else ((), (), ())
+    return (list(centered), tuple(accumulate(ranges, max, initial=0.0))[1:],
+            tuple(accumulate(variances, initial=0.0))[1:])
+
+
+@dataclass(frozen=True)
+class TimeDependentConstants:
+    """Constants of a time-dependent flavor at every horizon n <= len(steps).
+
+    ``c[n-1]`` is c_n and ``var_sums[n-1] / n`` is b_n^2.  The Bernstein
+    flavor adds the gap of the multiplicative symmetrization and N_rho, the
+    Hoeffding flavor the certified power norms ||phi^j|F||, j <= len(steps) - 2.
+    """
+
+    flavor: str
+    c: tuple[float, ...]
+    var_sums: tuple[float, ...]
+    gap: MultiplicativeGap | None = None
+    n_rho: float = 1.0
+    powers: tuple[float, ...] = ()
+
+
+def time_dependent_constants(channel: KrausChannel, steps: Sequence[TimeStep], sigma,
+                             rho=None, flavor: str = "bernstein") -> TimeDependentConstants:
+    """Validate the steps and build the constants of ``flavor`` for every prefix."""
+    if flavor not in ("bernstein", "hoeffding"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    _validate_steps(channel, steps)
+    _, c, var_sums = _step_stats(steps, sigma)
+    if flavor == "bernstein":
+        return TimeDependentConstants(
+            "bernstein", c, var_sums, gap=multiplicative_gap_report(channel, sigma),
+            n_rho=n_rho(rho, sigma) if rho is not None else 1.0)
+    powers = phi_power_norms(channel, sigma, max(len(steps) - 2, 0)) if c and c[-1] else []
+    return TimeDependentConstants("hoeffding", c, var_sums, powers=tuple(powers))
+
+
+def time_dependent_bound(constants: TimeDependentConstants, gamma: float, n: int,
+                         two_sided: bool = False) -> BoundResult:
+    """The bound of ``constants.flavor`` over the first n steps.
+
+    Bernstein keeps the gap of the time-homogeneous multiplicative
+    symmetrization; only the moments b_n^2 (average stationary variance) and
+    c_n (worst centered range) change.  Hoeffding uses
+    G_n = (1 + sum_{j<=n-2} ||phi^j|F||) c_n; the power norms are certified
+    upper bounds, so G_n (and with it the emitted bound) stays rigorous.  In
+    the regime n gamma >= G_n its exponent is -(n gamma - G_n)^2 / ((n-1) G_n^2).
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if not 1 <= n <= len(constants.c):
+        raise ValueError(f"n must lie in 1..{len(constants.c)}, got {n}")
+    c_n, b_n2 = constants.c[n - 1], constants.var_sums[n - 1] / n
+    if constants.flavor == "bernstein":
+        gap = constants.gap
+        bc = BoundConstants(b=math.sqrt(b_n2), c=c_n,
+                            epsilon=gap.epsilon if gap.irreducible else 0.0,
+                            n_rho=constants.n_rho, hypothesis_ok=gap.irreducible)
+        if b_n2 == 0.0:
+            return _exact_zero("tdm-bernstein", gamma, n, bc,
+                               "deterministic payoffs (b_n = 0)", two_sided)
+        if not gap.irreducible:
+            return _invalid("tdm-bernstein", gamma, n, bc,
+                            "multiplicative symmetrization reducible", two_sided)
+        return _bernstein_result("tdm-bernstein", bc, b_n2, gamma, n, two_sided)
+    if c_n == 0.0:
+        return _exact_zero("tdm-hoeffding", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
+                           "deterministic payoffs (c_n = 0)", two_sided)
+    g_n = (1.0 + sum(constants.powers[:max(n - 1, 0)])) * c_n
+    bc = BoundConstants(b=math.sqrt(b_n2), c=c_n, g=g_n, n_rho=1.0)
+    if n == 1:
+        # G_1 = c_1; a single centered payoff can attain its range, so the
+        # zero bound is only claimed strictly beyond it
+        if gamma > c_n + 1e-12:
+            return _exact_zero("tdm-hoeffding", gamma, n, bc,
+                               "n = 1 and gamma > c_1: outside the payoff range", two_sided)
+        return _invalid("tdm-hoeffding", gamma, n, bc, "n = 1 at the regime boundary", two_sided)
+    if n * gamma < g_n:
+        return _invalid("tdm-hoeffding", gamma, n, bc, "outside regime", two_sided)
+    exponent = -((n * gamma - g_n)**2) / ((n - 1) * g_n**2)
+    return BoundResult(probability_bound=_clip_bound(2.0 if two_sided else 1.0, exponent),
+                       exponent=exponent, valid=True, constants=bc, flavor="tdm-hoeffding",
+                       gamma=gamma, horizon=n, two_sided=two_sided)
 
 
 def time_dependent_bernstein(channel: KrausChannel, steps: Sequence[TimeStep],
                              sigma, rho, gamma: float,
                              two_sided: bool = False) -> BoundResult:
-    """Bernstein bound with step-dependent unravellings and payoffs.
-
-    The gap is still the one of the time-homogeneous multiplicative
-    symmetrization; only the moments b_n^2 (average stationary variance) and
-    c_n (worst centered range) change.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    _validate_steps(channel, steps)
-    n = len(steps)
-    _, c_n, b_n2 = _step_stats(steps, sigma)
-    report = multiplicative_gap_report(channel, sigma)
-    nr = n_rho(rho, sigma) if rho is not None else 1.0
-    constants = BoundConstants(b=math.sqrt(b_n2), c=c_n,
-                               epsilon=report.epsilon if report.irreducible else 0.0,
-                               n_rho=nr, hypothesis_ok=report.irreducible)
-    if b_n2 == 0.0:
-        return _exact_zero("tdm-bernstein", gamma, n, constants,
-                           "deterministic payoffs (b_n = 0)", two_sided)
-    if not report.irreducible:
-        return _invalid("tdm-bernstein", gamma, n, constants,
-                        "multiplicative symmetrization reducible", two_sided)
-    return _bernstein_result("tdm-bernstein", constants, b_n2, gamma, n, two_sided)
+    """Bernstein bound with step-dependent unravellings and payoffs."""
+    constants = time_dependent_constants(channel, steps, sigma, rho, "bernstein")
+    return time_dependent_bound(constants, gamma, len(steps), two_sided)
 
 
 def time_dependent_hoeffding(channel: KrausChannel, steps: Sequence[TimeStep],
                              sigma, rho, gamma: float,
                              two_sided: bool = False) -> BoundResult:
-    """Hoeffding bound with G_n = (1 + sum_{j<=n-2} ||phi^j|F||) c_n.
-
-    The power norms are certified upper bounds, so G_n (and with it the
-    emitted probability bound) stays rigorous.  In the regime n gamma >= G_n
-    the exponent is -(n gamma - G_n)^2 / ((n-1) G_n^2).
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    _validate_steps(channel, steps)
-    n = len(steps)
-    _, c_n, b_n2 = _step_stats(steps, sigma)
-    if c_n == 0.0:
-        return _exact_zero("tdm-hoeffding", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
-                           "deterministic payoffs (c_n = 0)", two_sided)
-    powers = phi_power_norms(channel, sigma, max(n - 2, 0))
-    g_n = (1.0 + sum(powers[:max(n - 1, 0)])) * c_n
-    constants = BoundConstants(b=math.sqrt(b_n2), c=c_n, g=g_n, n_rho=1.0)
-    if n == 1:
-        # G_1 = c_1; a single centered payoff can attain its range, so the
-        # zero bound is only claimed strictly beyond it
-        if gamma > c_n + 1e-12:
-            return _exact_zero("tdm-hoeffding", gamma, n, constants,
-                               "n = 1 and gamma > c_1: outside the payoff range", two_sided)
-        return _invalid("tdm-hoeffding", gamma, n, constants,
-                        "n = 1 at the regime boundary", two_sided)
-    if n * gamma < g_n:
-        return _invalid("tdm-hoeffding", gamma, n, constants, "outside regime", two_sided)
-    exponent = -((n * gamma - g_n)**2) / ((n - 1) * g_n**2)
-    return BoundResult(probability_bound=_clip_bound(2.0 if two_sided else 1.0, exponent),
-                       exponent=exponent,
-                       valid=True, constants=constants, flavor="tdm-hoeffding",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    """Hoeffding bound with G_n = (1 + sum_{j<=n-2} ||phi^j|F||) c_n."""
+    constants = time_dependent_constants(channel, steps, sigma, rho, "hoeffding")
+    return time_dependent_bound(constants, gamma, len(steps), two_sided)
 
 
 # ---------------------------------------------------------------------------
 # multi-time statistics
 # ---------------------------------------------------------------------------
 
-def multitime_stationary_law(channel: KrausChannel, sigma, m: int) -> dict:
-    """Stationary law of m consecutive outcomes: tuple -> probability."""
-    s = state_matrix(sigma)
-    law: dict = {}
+def _window_effects(channel: KrausChannel, m: int) -> dict:
+    """m-tuple of labels -> effect W^* W of its product W = V_{i_m} ... V_{i_1}."""
+    effects: dict = {}
 
     def recurse(prefix, product):
         if len(prefix) == m:
-            op = dagger(product) @ product
-            law[prefix] = float(np.trace(s @ op).real)
+            effects[prefix] = dagger(product) @ product
             return
         for lab, v in zip(channel.labels, channel.kraus):
             recurse(prefix + (lab,), v @ product)
 
     recurse((), np.eye(channel.dim, dtype=complex))
-    return law
+    return effects
 
 
-def multitime_hoeffding(channel: KrausChannel, sigma, f: Mapping, gamma: float, n: int,
-                        two_sided: bool = False) -> BoundResult:
-    """Hoeffding bound for sliding-window payoffs f on m consecutive outcomes.
+def multitime_stationary_law(channel: KrausChannel, sigma, m: int) -> dict:
+    """Stationary law of m consecutive outcomes: tuple -> probability."""
+    s = state_matrix(sigma)
+    return {k: float(np.trace(s @ op).real) for k, op in _window_effects(channel, m).items()}
 
-    f is a mapping from m-tuples of outcome labels to reals; it is centered
-    against the m-step stationary law, the window Poisson equation is solved
-    (which checks solvability), and G = (m + ||(Id-phi)^(-1)|F||) c feeds the
-    usual exponent in the regime n gamma >= 2G.
+
+def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConstants:
+    """c and G = (m + ||(Id-phi)^(-1)|F||) c of a sliding-window payoff f.
+
+    f maps m-tuples of outcome labels to reals; it is centered against the
+    m-step stationary law and the window Poisson equation is solved, which
+    checks solvability.  A window the payoff leaves undefined is a KeyError.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     keys = list(f.keys())
     if not keys:
         raise ValueError("empty multi-time payoff")
@@ -519,26 +562,38 @@ def multitime_hoeffding(channel: KrausChannel, sigma, f: Mapping, gamma: float, 
     centered = {k: float(f[k]) - mean for k in law}
     c = max(abs(v) for v in centered.values())
     if c == 0.0:
-        return _exact_zero("multitime", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
-                           "deterministic window payoff (c = 0)", two_sided)
+        return BoundConstants(b=0.0, c=0.0, n_rho=1.0)
 
     # right-hand side of the window Poisson equation: the full m-step
     # conditional expectation operator of the centered payoff
-    def accumulate(prefix, product):
-        if len(prefix) == m:
-            return centered[prefix] * (dagger(product) @ product)
-        out = np.zeros((channel.dim, channel.dim), dtype=complex)
-        for lab, v in zip(channel.labels, channel.kraus):
-            out += accumulate(prefix + (lab,), v @ product)
-        return out
-
-    f_m = accumulate((), np.eye(channel.dim, dtype=complex))
+    f_m = sum(centered[k] * op for k, op in _window_effects(channel, m).items())
     certified = certified_pseudoresolvent_norm(channel, sigma)
     poisson_solve(channel, f_m, sigma, certified_upper=certified)
-    g = (m + certified) * c
-    return _hoeffding_result("multitime", BoundConstants(b=None, c=c, g=g, n_rho=1.0),
-                             gamma, n, two_sided,
+    return BoundConstants(b=None, c=c, g=(m + certified) * c, n_rho=1.0)
+
+
+def multitime_bound(constants: BoundConstants, gamma: float, n: int,
+                    two_sided: bool = False) -> BoundResult:
+    """exp(-(n gamma - 2G)^2 / (2 (n-1) G^2)) from :func:`multitime_constants`."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if constants.c == 0.0:
+        return _exact_zero("multitime", gamma, n, constants,
+                           "deterministic window payoff (c = 0)", two_sided)
+    return _hoeffding_result("multitime", constants, gamma, n, two_sided,
                              "n = 1 and gamma >= 2c: single window cannot deviate")
+
+
+def multitime_hoeffding(channel: KrausChannel, sigma, f: Mapping, gamma: float, n: int,
+                        two_sided: bool = False) -> BoundResult:
+    """Hoeffding bound for sliding-window payoffs f on m consecutive outcomes.
+
+    G = (m + ||(Id-phi)^(-1)|F||) c feeds the usual exponent in the regime
+    n gamma >= 2G; see :func:`multitime_constants`.
+    """
+    return multitime_bound(multitime_constants(channel, sigma, f), gamma, n, two_sided)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +610,50 @@ class ReducibleBound:
     block_means: tuple[float, ...]
 
 
+@dataclass(frozen=True)
+class ReducibleConstants:
+    """Per-block constants of one flavor; None for a block ``rho`` does not weigh."""
+
+    flavor: str
+    weights: np.ndarray
+    block_constants: tuple[BoundConstants | None, ...]
+    block_means: tuple[float, ...]
+
+
+def reducible_constants(decomposition, rho, f, flavor: str = "bernstein") -> ReducibleConstants:
+    """Block weights lambda_j(rho), stationary means and block constants of ``flavor``."""
+    if flavor not in ("bernstein", "hoeffding"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    weights = decomposition.weights(rho)
+    constants: list[BoundConstants | None] = []
+    means: list[float] = []
+    for j, (channel_j, sigma_j) in enumerate(
+            zip(decomposition.restricted_channels, decomposition.block_states)):
+        means.append(stationary_stats(channel_j, sigma_j, f).mean)
+        if weights[j] <= 1e-15:
+            constants.append(None)
+            continue
+        build = bernstein_constants if flavor == "bernstein" else hoeffding_constants
+        constants.append(build(channel_j, f, rho=decomposition.block_state(rho, j),
+                               sigma=sigma_j))
+    return ReducibleConstants(flavor=flavor, weights=weights, block_constants=tuple(constants),
+                              block_means=tuple(means))
+
+
+def reducible_mixture(constants: ReducibleConstants, gamma: float, n: int) -> ReducibleBound:
+    """Mixture sum_j lambda_j * (two-sided block bound) at one grid point."""
+    evaluate = bernstein_bound if constants.flavor == "bernstein" else hoeffding_bound
+    results: list[BoundResult | None] = []
+    mixture = 0.0
+    for weight, block in zip(constants.weights, constants.block_constants):
+        res = None if block is None else evaluate(block, gamma, n, two_sided=True)
+        results.append(res)
+        if res is not None:
+            mixture += weight * res.probability_bound
+    return ReducibleBound(mixture_bound=float(min(1.0, mixture)), weights=constants.weights,
+                          block_results=tuple(results), block_means=constants.block_means)
+
+
 def reducible_bound(decomposition, rho, f, gamma: float, n: int,
                     flavor: str = "bernstein") -> ReducibleBound:
     """Mixture bound sum_j lambda_j(rho) * (two-sided block bound).
@@ -564,30 +663,7 @@ def reducible_bound(decomposition, rho, f, gamma: float, n: int,
     hypotheses fail contribute their full weight, which keeps the mixture a
     valid upper bound.
     """
-    if flavor not in ("bernstein", "hoeffding"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    weights = decomposition.weights(rho)
-    results: list[BoundResult | None] = []
-    means: list[float] = []
-    mixture = 0.0
-    for j, (channel_j, sigma_j) in enumerate(
-            zip(decomposition.restricted_channels, decomposition.block_states)):
-        stats = stationary_stats(channel_j, sigma_j, f)
-        means.append(stats.mean)
-        if weights[j] <= 1e-15:
-            results.append(None)
-            continue
-        rho_j = decomposition.block_state(rho, j)
-        if flavor == "bernstein":
-            constants = bernstein_constants(channel_j, f, rho=rho_j, sigma=sigma_j)
-            res = bernstein_bound(constants, gamma, n, two_sided=True)
-        else:
-            constants = hoeffding_constants(channel_j, f, rho=rho_j, sigma=sigma_j)
-            res = hoeffding_bound(constants, gamma, n, two_sided=True)
-        results.append(res)
-        mixture += weights[j] * res.probability_bound
-    return ReducibleBound(mixture_bound=float(min(1.0, mixture)), weights=weights,
-                          block_results=tuple(results), block_means=tuple(means))
+    return reducible_mixture(reducible_constants(decomposition, rho, f, flavor), gamma, n)
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,10 @@ def _centered_flux(chain: MarkovChain, f, sigma: np.ndarray) -> tuple[np.ndarray
     return centered, mean, b, c
 
 
-def flux_bernstein(chain: MarkovChain, nu, f, gamma: float, n: int,
-                   two_sided: bool = False) -> BoundResult:
-    """Bernstein-type flux bound via the gap of Q = P_dagger P in l2(sigma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    sigma = stationary_distribution(chain)
+def flux_bernstein_constants(chain: MarkovChain, nu, f,
+                             sigma: np.ndarray | None = None) -> BoundConstants:
+    """b, c, N_nu and the gap of Q = P_dagger P in l2(sigma) for a flux f."""
+    sigma = stationary_distribution(chain) if sigma is None else sigma
     nu = np.asarray(nu, dtype=float)
     _, _, b, c = _centered_flux(chain, f, sigma)
     n_nu = math.sqrt(float(np.sum(nu**2 / sigma)))
@@ -154,15 +152,29 @@ def flux_bernstein(chain: MarkovChain, nu, f, gamma: float, n: int,
     sym = (root[:, None] * q) / root[None, :]
     eigs = np.sort(np.linalg.eigvalsh((sym + sym.T) / 2))
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
-    constants = BoundConstants(b=b, c=c, epsilon=epsilon if q_irreducible else 0.0,
-                               n_rho=n_nu, hypothesis_ok=q_irreducible)
+    return BoundConstants(b=b, c=c, epsilon=epsilon if q_irreducible else 0.0,
+                          n_rho=n_nu, hypothesis_ok=q_irreducible)
+
+
+def flux_bernstein_bound(constants: BoundConstants, gamma: float, n: int,
+                         two_sided: bool = False) -> BoundResult:
+    """Bernstein-type flux bound from :func:`flux_bernstein_constants`."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    b = constants.b
     if b == 0.0:
         return _exact_zero("flux-bernstein", gamma, n, constants,
                            "deterministic flux (b = 0)", two_sided)
-    if not q_irreducible or epsilon <= 0.0:
+    if not constants.hypothesis_ok or constants.epsilon <= 0.0:
         return _invalid("flux-bernstein", gamma, n, constants,
                         "multiplicative symmetrization of P is reducible", two_sided)
     return _bernstein_result("flux-bernstein", constants, b * b, gamma, n, two_sided)
+
+
+def flux_bernstein(chain: MarkovChain, nu, f, gamma: float, n: int,
+                   two_sided: bool = False) -> BoundResult:
+    """Bernstein-type flux bound via the gap of Q = P_dagger P in l2(sigma)."""
+    return flux_bernstein_bound(flux_bernstein_constants(chain, nu, f), gamma, n, two_sided)
 
 
 def _centered_subspace_vertices(sigma: np.ndarray) -> np.ndarray:
@@ -208,20 +220,33 @@ def chain_pseudoresolvent_norm(chain: MarkovChain, sigma: np.ndarray | None = No
     return _certified_sup_norm_chain(p_f, inv_f, e)
 
 
+def flux_hoeffding_constants(chain: MarkovChain, f,
+                             sigma: np.ndarray | None = None) -> BoundConstants:
+    """b, c and G = (1 + ||(Id-P)^(-1)|F||_inf) c for a flux f."""
+    sigma = stationary_distribution(chain) if sigma is None else sigma
+    _, _, b, c = _centered_flux(chain, f, sigma)
+    if c == 0.0:
+        return BoundConstants(b=0.0, c=0.0, n_rho=1.0)
+    return BoundConstants(b=b, c=c, g=(1.0 + chain_pseudoresolvent_norm(chain, sigma)) * c,
+                          n_rho=1.0)
+
+
+def flux_hoeffding_bound(constants: BoundConstants, gamma: float, n: int,
+                         two_sided: bool = False) -> BoundResult:
+    """Hoeffding-type flux bound from :func:`flux_hoeffding_constants`."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if constants.c == 0.0:
+        return _exact_zero("flux-hoeffding", gamma, n, constants,
+                           "deterministic flux (c = 0)", two_sided)
+    return _hoeffding_result("flux-hoeffding", constants, gamma, n, two_sided,
+                             "n = 1 and gamma >= 2c: single jump cannot deviate")
+
+
 def flux_hoeffding(chain: MarkovChain, f, gamma: float, n: int,
                    two_sided: bool = False) -> BoundResult:
     """Hoeffding-type flux bound with G = (1 + ||(Id-P)^(-1)|F||_inf) c."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    sigma = stationary_distribution(chain)
-    _, _, b, c = _centered_flux(chain, f, sigma)
-    if c == 0.0:
-        return _exact_zero("flux-hoeffding", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
-                           "deterministic flux (c = 0)", two_sided)
-    g = (1.0 + chain_pseudoresolvent_norm(chain, sigma)) * c
-    return _hoeffding_result("flux-hoeffding", BoundConstants(b=b, c=c, g=g, n_rho=1.0),
-                             gamma, n, two_sided,
-                             "n = 1 and gamma >= 2c: single jump cannot deviate")
+    return flux_hoeffding_bound(flux_hoeffding_constants(chain, f), gamma, n, two_sided)
 
 
 def doubled_chain(chain: MarkovChain) -> MarkovChain:

@@ -15,6 +15,25 @@ verify    -- bounds against exact DP or Monte Carlo tails, with dominance
              row is null, and "pass" otherwise; "violations" counts the false
              rows.
 
+Flavors come from one table, ``FLAVORS``.  Each builds its model constants
+once per command; the grid loop then evaluates the closed form at every
+(horizon, gamma).  Besides --model, --gamma, --format, --output and
+--tolerance, a flavor reads (x = reads, c = checks but leaves out of the bound):
+
+    flavor          --n --t --rho0 --two-sided --override-epsilon  verify
+    bernstein        x        x        x            x              DP / --mc
+    hoeffding        x        x        x                           DP / --mc
+    counting             x    x        x            x              MC
+    flux             x                 x                           exact DP
+    tdm-bernstein    x        x        x
+    tdm-hoeffding    x        c        x
+    multitime        x                 x
+    reducible        x        x
+    ci               x
+
+--override-epsilon on a flavor without a gap is a usage error.  verify
+reads --trials and --seed for Monte Carlo tails.
+
 Reports are emitted as a single JSON document (``--format structured``,
 default) or as CSV rows with the fixed header
 
@@ -35,6 +54,9 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,17 +71,21 @@ from .bounds import (
     counting_constants,
     hoeffding_bound,
     hoeffding_constants,
-    multitime_hoeffding,
-    reducible_bound,
-    time_dependent_bernstein,
-    time_dependent_hoeffding,
+    multitime_bound,
+    multitime_constants,
+    reducible_constants,
+    reducible_mixture,
+    time_dependent_bound,
+    time_dependent_constants,
 )
 from .classical import (
     chain_pseudoresolvent_norm,
     edge_stationary_law,
     exact_flux_tail,
-    flux_bernstein,
-    flux_hoeffding,
+    flux_bernstein_bound,
+    flux_bernstein_constants,
+    flux_hoeffding_bound,
+    flux_hoeffding_constants,
     flux_matrix,
     is_chain_irreducible,
     stationary_distribution,
@@ -161,13 +187,24 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_tolerances(pairs: list[str]) -> dict:
+    """``name=value`` pairs; the only name is ``channel``, its value finite and > 0."""
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise UsageError(f"--tolerance expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
-        out[name.strip()] = float(value)
+        if name.strip() != "channel":
+            raise UsageError(f"--tolerance: unknown name {name.strip()!r}; the only one is "
+                             "'channel'")
+        try:
+            out["channel"] = _positive_float(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--tolerance channel: {exc}") from exc
     return out
+
+
+def _load_model(args) -> Model:
+    return load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
 
 
 def _resolve_rho0(spec: str, model: Model, sigma: DensityMatrix | None = None):
@@ -361,7 +398,7 @@ def _analyze_classical(model: Model, diagnostics: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
+    model = _load_model(args)
     diagnostics: dict = {"kind": model.kind}
     failure = None
     try:
@@ -386,140 +423,181 @@ def cmd_analyze(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bound
+# bound and verify: one table of flavors
 # ---------------------------------------------------------------------------
 
-def _stationary_flavor(args, model: Model):
-    """Constants, evaluator, horizon grid and rho0 of bernstein, hoeffding or counting.
+class _Plan(NamedTuple):
+    """A flavor's constants, built once per command, as row makers over the grid.
 
-    The invariant state is solved once and serves both the constants and
-    ``--rho0 stationary``; ``--override-epsilon`` applies to the gap-based
-    flavors only.
+    Each maker in a ``series`` group maps (horizon, gamma, tail) to a row;
+    ``tail`` maps a horizon to its gamma -> tail oracle; ``report`` adds keys.
     """
-    if args.flavor == "counting":
-        gen = _need(model.generator, "a gkls model")
-        horizons = _float_grid(args.t, "--t", 0.0, closed=True)
-        sigma = gkls_steady_state(gen)
-        rho0 = _resolve_rho0(args.rho0, model, sigma)
-        constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
-        evaluate = counting_bound
-    else:
-        channel = _need(model.channel, "a kraus model")
-        f = _need(model.observation, "an observation section")
-        horizons = _int_grid(args.n, "--n")
-        sigma = invariant_state(channel)
-        rho0 = _resolve_rho0(args.rho0, model, sigma)
-        if args.flavor == "bernstein":
-            constants = bernstein_constants(channel, f, rho=rho0, sigma=sigma)
-            evaluate = bernstein_bound
+
+    horizons: list
+    series: list
+    tail: Callable | None = None
+    report: dict = {}
+
+
+def _rows(evaluate, constants, two_sided: bool):
+    """Row maker of a closed form ``evaluate(constants, gamma, horizon, two_sided)``."""
+    return lambda h, gamma, tail: _result_row(evaluate(constants, gamma, h, two_sided), tail)
+
+
+def _echoed(args, constants: BoundConstants, evaluate, horizons, tail) -> _Plan:
+    """One closed form whose constants the report echoes, after any --override-epsilon."""
+    if args.override_epsilon is not None:
+        value = args.override_epsilon
+        constants = replace(constants, epsilon=value, note=(
+            constants.note + "; " if constants.note else "")
+            + f"epsilon overridden to {value} (negative control)")
+    return _Plan(horizons, [[_rows(evaluate, constants, args.two_sided)]], tail,
+                 {"constants": _constants_dict(constants)})
+
+
+def _discrete(args, model: Model, constants_of, evaluate) -> _Plan:
+    channel = _need(model.channel, "a kraus model")
+    f = _need(model.observation, "an observation section")
+    horizons = _int_grid(args.n, "--n")
+    sigma = invariant_state(channel)  # serves the constants and --rho0 stationary
+    rho0 = _resolve_rho0(args.rho0, model, sigma)
+    return _echoed(args, constants_of(channel, f, rho=rho0, sigma=sigma), evaluate, horizons,
+                   lambda n: _discrete_tail(args, channel, f, rho0, n))
+
+
+def _counting(args, model: Model) -> _Plan:
+    gen = _need(model.generator, "a gkls model")
+    horizons = _float_grid(args.t, "--t", 0.0, closed=True)
+    sigma = gkls_steady_state(gen)
+    rho0 = _resolve_rho0(args.rho0, model, sigma)
+    constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
+    return _echoed(args, constants, counting_bound, horizons, lambda t: lambda gamma: (
+        mc_counting_tail(gen, model.count_label, rho0, t, gamma, args.trials, args.seed,
+                         m=constants.m)))
+
+
+def _flux(args, model: Model) -> _Plan:
+    chain = _need(model.chain, "a classical model")
+    f = _need(model.flux, "a flux section")
+    ns = _int_grid(args.n, "--n")
+    sigma = stationary_distribution(chain)
+    nu = model.initial if model.initial is not None else sigma
+    ber = flux_bernstein_constants(chain, nu, f, sigma)
+    hoe = flux_hoeffding_constants(chain, f, sigma)
+    mean = float(np.sum(edge_stationary_law(chain, sigma) * flux_matrix(f, chain)))
+    return _Plan(ns, [[_rows(flux_bernstein_bound, ber, args.two_sided),
+                       _rows(flux_hoeffding_bound, hoe, args.two_sided)]],
+                 lambda n: lambda gamma: exact_flux_tail(chain, nu, f, n, mean + gamma))
+
+
+def _time_dependent(args, model: Model, flavor: str) -> _Plan:
+    channel = _need(model.channel, "a kraus model")
+    _need(model.schedule or None, "a schedule section in the model")
+    ns = _int_grid(args.n, "--n")
+    sigma = invariant_state(channel)
+    rho0 = _resolve_rho0(args.rho0, model, sigma)
+    steps = [model.schedule[k % len(model.schedule)] for k in range(max(ns))]
+    constants = time_dependent_constants(channel, steps, sigma.matrix, rho0, flavor)
+    return _Plan(ns, [[_rows(time_dependent_bound, constants, args.two_sided)]])
+
+
+def _multitime(args, model: Model) -> _Plan:
+    channel = _need(model.channel, "a kraus model")
+    windows = _need(model.observation_windows, "an observation_windows section")
+    ns = _int_grid(args.n, "--n")
+    try:
+        constants = multitime_constants(channel, invariant_state(channel).matrix, windows)
+    except KeyError as exc:  # a window the payoff leaves undefined
+        raise ModelParseError(f"observation_windows: {exc.args[0]}") from exc
+    return _Plan(ns, [[_rows(multitime_bound, constants, args.two_sided)]])
+
+
+def _reducible(args, model: Model) -> _Plan:
+    channel = _need(model.channel, "a kraus model")
+    f = _need(model.observation, "an observation section")
+    ns = _int_grid(args.n, "--n")
+    rho0 = _resolve_rho0(args.rho0 if args.rho0 != "stationary" else "maximally-mixed", model)
+    decomposition = decompose_invariant_subspaces(channel)
+
+    def rows(sub: str):
+        constants = reducible_constants(decomposition, rho0, f, sub)
+        reason = (f"mixture of {decomposition.blocks} blocks, "
+                  f"weights {np.round(constants.weights, 6).tolist()}")
+        return lambda n, gamma, tail: _row(f"reducible-{sub}", n, gamma, reducible_mixture(
+            constants, gamma, n).mixture_bound, reason=reason)
+
+    return _Plan(ns, [[rows("bernstein"), rows("hoeffding")]],
+                 report={"blocks": decomposition.blocks})
+
+
+def _ci(args, model: Model) -> _Plan:
+    _need(model.channel, "a kraus model")
+    ns = _int_grid(args.n, "--n")
+
+    def rows(theta):
+        if theta is None:
+            channel, f = model.channel, _need(model.observation, "an observation section")
+        elif model.family == "ring-asymmetry":
+            channel, f = ring_channel(float(theta))
         else:
-            constants = hoeffding_constants(channel, f, rho=rho0, sigma=sigma)
-            evaluate = hoeffding_bound
-    if args.override_epsilon is not None and args.flavor != "hoeffding":
-        constants = _override_epsilon(constants, args.override_epsilon)
-    return constants, evaluate, horizons, rho0
+            raise UsageError(f"unknown parameter family {model.family!r}")
+        sigma = invariant_state(channel)
+        berc = bernstein_constants(channel, f, sigma=sigma)
+        hoec = hoeffding_constants(channel, f, sigma=sigma)
+        return lambda n, gamma, tail: _row("ci", n, gamma, confidence_lower_bound(
+            n, gamma, bernstein_bound(berc, gamma, n), hoeffding_bound(hoec, gamma, n)),
+            reason="" if theta is None else f"theta={theta}")
+
+    # one row group per parameter, so the report lists the grid theta by theta
+    return _Plan(ns, [[rows(theta)] for theta in model.parameter_grid or [None]])
+
+
+class _Flavor(NamedTuple):
+    build: Callable            # (args, model) -> _Plan
+    gap: bool = False          # --override-epsilon replaces its spectral gap
+    verifiable: bool = False   # its plan has a tail oracle, so verify offers it
+
+
+# library functions are looked up when a plan is built, so wrappers that
+# trace them by rebinding module names see every call
+FLAVORS = {
+    "bernstein": _Flavor(lambda args, model: _discrete(
+        args, model, bernstein_constants, bernstein_bound), gap=True, verifiable=True),
+    "hoeffding": _Flavor(lambda args, model: _discrete(
+        args, model, hoeffding_constants, hoeffding_bound), verifiable=True),
+    "counting": _Flavor(_counting, gap=True, verifiable=True),
+    "flux": _Flavor(_flux, verifiable=True),
+    "tdm-bernstein": _Flavor(partial(_time_dependent, flavor="bernstein")),
+    "tdm-hoeffding": _Flavor(partial(_time_dependent, flavor="hoeffding")),
+    "multitime": _Flavor(_multitime),
+    "reducible": _Flavor(_reducible),
+    "ci": _Flavor(_ci),
+}
+
+
+def _grid_report(args, verify: bool) -> dict:
+    """The flavor's plan evaluated group by group, horizon by horizon, gamma by gamma."""
+    flavor = FLAVORS[args.flavor]
+    if args.override_epsilon is not None and not flavor.gap:
+        gapped = ", ".join(name for name, entry in FLAVORS.items() if entry.gap)
+        raise UsageError(f"--override-epsilon applies to the flavors with a spectral gap "
+                         f"({gapped}), not to {args.flavor!r}")
+    model = _load_model(args)
+    gammas = _float_grid(args.gamma, "--gamma", 0.0)
+    plan = flavor.build(args, model)
+    report = _base_report(args, plan.report)
+    for group in plan.series:
+        for h in plan.horizons:
+            tail_at = plan.tail(h) if verify else None
+            for gamma in gammas:
+                tail = tail_at(gamma) if verify else None
+                report["rows"].extend(row(h, gamma, tail) for row in group)
+    return report
 
 
 def cmd_bound(args) -> int:
-    model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
-    gammas = _float_grid(args.gamma, "--gamma", 0.0)
-    report = _base_report(args)
-    rows = report["rows"]
-    flavor = args.flavor
-    two_sided = args.two_sided
-
-    if flavor in ("bernstein", "hoeffding", "counting"):
-        constants, evaluate, horizons, _ = _stationary_flavor(args, model)
-        report["constants"] = _constants_dict(constants)
-        for h in horizons:
-            for gamma in gammas:
-                rows.append(_result_row(evaluate(constants, gamma, h, two_sided)))
-    elif flavor == "flux":
-        chain = _need(model.chain, "a classical model")
-        f = _need(model.flux, "a flux section")
-        ns = _int_grid(args.n, "--n")
-        nu = model.initial if model.initial is not None else stationary_distribution(chain)
-        for n in ns:
-            for gamma in gammas:
-                rows.append(_result_row(flux_bernstein(chain, nu, f, gamma, n, two_sided)))
-                rows.append(_result_row(flux_hoeffding(chain, f, gamma, n, two_sided)))
-    elif flavor in ("tdm-bernstein", "tdm-hoeffding"):
-        _need(model.channel, "a kraus model")
-        if not model.schedule:
-            raise UsageError("this flavor requires a schedule section in the model")
-        ns = _int_grid(args.n, "--n")
-        sigma = invariant_state(model.channel)
-        rho0 = _resolve_rho0(args.rho0, model, sigma)
-        for n in ns:
-            steps = [model.schedule[k % len(model.schedule)] for k in range(n)]
-            for gamma in gammas:
-                if flavor == "tdm-bernstein":
-                    res = time_dependent_bernstein(model.channel, steps, sigma.matrix,
-                                                   rho0, gamma, two_sided)
-                else:
-                    res = time_dependent_hoeffding(model.channel, steps, sigma.matrix,
-                                                   rho0, gamma, two_sided)
-                rows.append(_result_row(res))
-    elif flavor == "multitime":
-        _need(model.channel, "a kraus model")
-        windows = _need(model.observation_windows, "an observation_windows section")
-        ns = _int_grid(args.n, "--n")
-        sigma = invariant_state(model.channel)
-        for n in ns:
-            for gamma in gammas:
-                try:
-                    res = multitime_hoeffding(model.channel, sigma.matrix, windows,
-                                              gamma, n, two_sided)
-                except KeyError as exc:  # a window the payoff leaves undefined
-                    raise ModelParseError(f"observation_windows: {exc.args[0]}") from exc
-                rows.append(_result_row(res))
-    elif flavor == "reducible":
-        _need(model.channel, "a kraus model")
-        f = _need(model.observation, "an observation section")
-        ns = _int_grid(args.n, "--n")
-        rho0 = _resolve_rho0(args.rho0 if args.rho0 != "stationary" else "maximally-mixed",
-                             model)
-        decomposition = decompose_invariant_subspaces(model.channel)
-        report["blocks"] = decomposition.blocks
-        for n in ns:
-            for gamma in gammas:
-                for sub in ("bernstein", "hoeffding"):
-                    mix = reducible_bound(decomposition, rho0, f, gamma, n, flavor=sub)
-                    rows.append(_row(
-                        f"reducible-{sub}", n, gamma, mix.mixture_bound,
-                        reason=f"mixture of {decomposition.blocks} blocks, "
-                               f"weights {np.round(mix.weights, 6).tolist()}"))
-    elif flavor == "ci":
-        _need(model.channel, "a kraus model")
-        ns = _int_grid(args.n, "--n")
-        thetas = model.parameter_grid if model.parameter_grid else [None]
-        for theta in thetas:
-            if theta is None:
-                channel, f = model.channel, _need(model.observation, "an observation section")
-            elif model.family == "ring-asymmetry":
-                channel, f = ring_channel(float(theta))
-            else:
-                raise UsageError(f"unknown parameter family {model.family!r}")
-            sigma = invariant_state(channel)
-            berc = bernstein_constants(channel, f, sigma=sigma)
-            hoec = hoeffding_constants(channel, f, sigma=sigma)
-            for n in ns:
-                for gamma in gammas:
-                    ber = bernstein_bound(berc, gamma, n)
-                    hoe = hoeffding_bound(hoec, gamma, n)
-                    rows.append(_row("ci", n, gamma, confidence_lower_bound(n, gamma, ber, hoe),
-                                     reason="" if theta is None else f"theta={theta}"))
-    else:
-        raise UsageError(f"unknown flavor {flavor!r}")
-    _emit(report, args.format, args.output)
+    _emit(_grid_report(args, verify=False), args.format, args.output)
     return EXIT_OK
-
-
-def _override_epsilon(constants: BoundConstants, value: float) -> BoundConstants:
-    from dataclasses import replace
-    return replace(constants, epsilon=value,
-                   note=(constants.note + "; " if constants.note else "")
-                   + f"epsilon overridden to {value} (negative control)")
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +618,7 @@ def cmd_simulate(args) -> int:
     """Monte Carlo tails at every gamma, and the ``--dump`` records, from one sample."""
     if args.trials is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
+    model = _load_model(args)
     trials = args.trials or 1000
     seed = args.seed
     report = _base_report(args, {"seed": seed})
@@ -605,56 +683,24 @@ def _dp_feasible(channel, f, n: int) -> bool:
         return False
 
 
-def _tail_oracle(args, model: Model, constants: BoundConstants, rho0, horizon):
+def _discrete_tail(args, channel, f, rho0, n: int):
     """gamma -> tail at one horizon: exact DP where feasible, else Monte Carlo."""
-    if args.flavor == "counting":
-        return lambda gamma: mc_counting_tail(
-            model.generator, model.count_label, rho0, horizon, gamma, args.trials,
-            args.seed, m=constants.m)
-    channel, f = model.channel, model.observation
-    if _dp_feasible(channel, f, horizon):
-        return score_distribution_dp(channel, rho0, f, horizon).tail
+    if _dp_feasible(channel, f, n):
+        return score_distribution_dp(channel, rho0, f, n).tail
     if not args.mc:
-        raise InfeasibleError(
-            f"exact tail at n={horizon} is infeasible and --mc was not given")
-    return lambda gamma: mc_tail(channel, rho0, f, horizon, gamma, args.trials, args.seed)
+        raise InfeasibleError(f"exact tail at n={n} is infeasible and --mc was not given")
+    return lambda gamma: mc_tail(channel, rho0, f, n, gamma, args.trials, args.seed)
 
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    model = load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
-    gammas = _float_grid(args.gamma, "--gamma", 0.0)
-    report = _base_report(args, {"seed": args.seed})
-    rows = report["rows"]
-    flavor = args.flavor
-
-    if flavor in ("bernstein", "hoeffding", "counting"):
-        constants, evaluate, horizons, rho0 = _stationary_flavor(args, model)
-        report["constants"] = _constants_dict(constants)
-        for h in horizons:
-            tail_at = _tail_oracle(args, model, constants, rho0, h)
-            for gamma in gammas:
-                rows.append(_result_row(evaluate(constants, gamma, h, args.two_sided),
-                                        tail_at(gamma)))
-    elif flavor == "flux":
-        chain = _need(model.chain, "a classical model")
-        f = _need(model.flux, "a flux section")
-        ns = _int_grid(args.n, "--n")
-        nu = model.initial if model.initial is not None else stationary_distribution(chain)
-        mean = float(np.sum(edge_stationary_law(chain) * flux_matrix(f, chain)))
-        for n in ns:
-            for gamma in gammas:
-                tail = exact_flux_tail(chain, nu, f, n, mean + gamma)
-                for res in (flux_bernstein(chain, nu, f, gamma, n, args.two_sided),
-                            flux_hoeffding(chain, f, gamma, n, args.two_sided)):
-                    rows.append(_result_row(res, tail))
-    else:
-        raise UsageError(f"verify does not support flavor {flavor!r}")
-    verdicts = [row["verdict"] for row in rows]
+    report = _grid_report(args, verify=True)
+    verdicts = [row["verdict"] for row in report["rows"]]
     failures = verdicts.count(False)
     overall = "fail" if failures else ("inconclusive" if None in verdicts else "pass")
-    report["summary"] = {"checked": len(rows), "violations": failures, "overall": overall}
+    report["seed"] = args.seed
+    report["summary"] = {"checked": len(verdicts), "violations": failures, "overall": overall}
     _emit(report, args.format, args.output)
     return EXIT_OK
 
@@ -671,6 +717,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override a named tolerance (e.g. channel=1e-8)")
 
 
+def _add_grid(sub: argparse.ArgumentParser, flavors) -> None:
+    """--flavor and the grid flags that bound and verify share."""
+    sub.add_argument("--flavor", required=True, choices=tuple(flavors))
+    sub.add_argument("--n", default=None, help="comma grid of step counts")
+    sub.add_argument("--t", default=None, help="comma grid of horizons")
+    sub.add_argument("--gamma", default=None, help="comma grid of deviations")
+    sub.add_argument("--rho0", default="stationary", help="PATH | maximally-mixed | stationary")
+    sub.add_argument("--two-sided", action="store_true", dest="two_sided")
+    sub.add_argument("--override-epsilon", type=_positive_float, default=None,
+                     dest="override_epsilon",
+                     help="negative-control override of the spectral gap")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qmcbounds",
                      description="Concentration bounds for quantum Markov chain "
@@ -685,19 +744,7 @@ def build_parser() -> _Parser:
 
     p_bound = subs.add_parser("bound", help="evaluate bounds over a grid")
     _add_common(p_bound)
-    p_bound.add_argument("--flavor", required=True,
-                         choices=("bernstein", "hoeffding", "counting", "flux",
-                                  "tdm-bernstein", "tdm-hoeffding", "multitime",
-                                  "reducible", "ci"))
-    p_bound.add_argument("--n", default=None, help="comma grid of step counts")
-    p_bound.add_argument("--t", default=None, help="comma grid of horizons")
-    p_bound.add_argument("--gamma", default=None, help="comma grid of deviations")
-    p_bound.add_argument("--rho0", default="stationary",
-                         help="PATH | maximally-mixed | stationary")
-    p_bound.add_argument("--two-sided", action="store_true", dest="two_sided")
-    p_bound.add_argument("--override-epsilon", type=_positive_float, default=None,
-                         dest="override_epsilon",
-                         help="negative-control override of the spectral gap")
+    _add_grid(p_bound, FLAVORS)
     p_bound.set_defaults(func=cmd_bound)
 
     p_sim = subs.add_parser("simulate", help="Monte Carlo tails and dumps")
@@ -713,19 +760,11 @@ def build_parser() -> _Parser:
 
     p_verify = subs.add_parser("verify", help="dominance verdicts against tails")
     _add_common(p_verify)
-    p_verify.add_argument("--flavor", required=True,
-                          choices=("bernstein", "hoeffding", "counting", "flux"))
-    p_verify.add_argument("--n", default=None)
-    p_verify.add_argument("--t", default=None)
-    p_verify.add_argument("--gamma", default=None)
+    _add_grid(p_verify, [name for name, entry in FLAVORS.items() if entry.verifiable])
     p_verify.add_argument("--trials", type=int, default=2000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--rho0", default="stationary")
-    p_verify.add_argument("--two-sided", action="store_true", dest="two_sided")
     p_verify.add_argument("--mc", action="store_true",
                           help="fall back to Monte Carlo when exact DP is infeasible")
-    p_verify.add_argument("--override-epsilon", type=_positive_float, default=None,
-                          dest="override_epsilon")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+import qmcbounds.bounds as bounds
+import qmcbounds.classical as classical
 import qmcbounds.spectral as spectral
 import qmcbounds.trajectory as trajectory
 from qmcbounds import cli
+from qmcbounds.bounds import Unravelling
 from qmcbounds.modelfile import load_model
 from qmcbounds.spectral import gkls_steady_state
 
@@ -436,3 +439,138 @@ class TestVerify:
         run_cli(*args, "--output", str(out1))
         run_cli(*args, "--output", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# flavor -> (its model in models/, its horizon flag, a 2-point horizon grid)
+FLAVOR_MODELS = {
+    "bernstein": ("ring.json", "--n", "4,9"),
+    "hoeffding": ("ring.json", "--n", "4,9"),
+    "counting": ("driven_qubit.json", "--t", "5,20"),
+    "flux": ("two_state_chain.json", "--n", "4,9"),
+    "tdm-bernstein": ("ring_tdm.json", "--n", "20,80"),
+    "tdm-hoeffding": ("ring_tdm.json", "--n", "20,80"),
+    "multitime": ("ring_tdm.json", "--n", "20,80"),
+    "reducible": ("two_block_ring.json", "--n", "10,40"),
+    "ci": ("ring_tdm.json", "--n", "100,1000"),
+}
+VERIFIABLE = ["bernstein", "hoeffding", "counting", "flux"]
+
+
+def flavor_argv(command: str, flavor: str, horizons: str, gammas: str) -> list:
+    name, flag, _ = FLAVOR_MODELS[flavor]
+    argv = [command, "--flavor", flavor, "--model", model(name), flag, horizons,
+            "--gamma", gammas]
+    return argv + (["--trials", "100", "--seed", "2"] if command == "verify" else [])
+
+
+def counted(monkeypatch, owner, name: str) -> list:
+    """Patch ``owner.name`` with a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestFlavorTable:
+    def test_parsers_offer_the_table(self):
+        parser = cli.build_parser()
+        subs = parser._subparsers._group_actions[0].choices
+        flavor = {cmd: next(a for a in subs[cmd]._actions if a.dest == "flavor").choices
+                  for cmd in ("bound", "verify")}
+        assert list(flavor["bound"]) == list(FLAVOR_MODELS) == list(cli.FLAVORS)
+        assert list(flavor["verify"]) == VERIFIABLE
+        assert [name for name, entry in cli.FLAVORS.items() if entry.gap] == [
+            "bernstein", "counting"]
+
+    @pytest.mark.parametrize("command, flavor", [("bound", f) for f in FLAVOR_MODELS]
+                             + [("verify", f) for f in VERIFIABLE])
+    def test_grid_rows_are_the_single_point_rows(self, command, flavor, capsys):
+        horizons = FLAVOR_MODELS[flavor][2]
+        grid = main_report(capsys, *flavor_argv(command, flavor, horizons, "0.3,0.8"))
+        points = [(float(h), g) for h in horizons.split(",") for g in (0.3, 0.8)]
+        singles = []
+        for h, g in points:
+            single = main_report(capsys, *flavor_argv(command, flavor, f"{h:g}", str(g)))
+            assert {k: v for k, v in single.items() if k not in ("command", "rows", "summary")} \
+                == {k: v for k, v in grid.items() if k not in ("command", "rows", "summary")}
+            singles += single["rows"]
+        # grouped by grid point in report order (ci lists the grid theta by theta)
+        grouped = [row for point in points for row in grid["rows"]
+                   if (float(row["horizon"]), row["gamma"]) == point]
+        assert len(grouped) == len(grid["rows"]) and grouped == singles
+
+    @pytest.mark.parametrize("flavor, owner, name, expected", [
+        ("multitime", bounds, "poisson_solve", 1),
+        ("multitime", spectral, "_certified_sup_norm_chain", 1),
+        ("reducible", bounds, "bernstein_constants", 2),  # one per block
+        ("reducible", bounds, "hoeffding_constants", 2),
+        ("tdm-bernstein", bounds, "multiplicative_gap_report", 1),
+        ("tdm-bernstein", Unravelling, "total_matrix", 2),  # one per schedule entry
+        ("tdm-hoeffding", bounds, "phi_power_norms", 1),
+        ("tdm-hoeffding", Unravelling, "total_matrix", 2),
+        ("flux", classical, "chain_pseudoresolvent_norm", 1),
+        ("flux", cli, "stationary_distribution", 1),
+    ])
+    def test_constants_built_once_per_command(self, flavor, owner, name, expected, capsys,
+                                              monkeypatch):
+        calls = counted(monkeypatch, owner, name)
+        name_, flag, _ = FLAVOR_MODELS[flavor]
+        report = main_report(capsys, "bound", "--flavor", flavor, "--model", model(name_),
+                             flag, "20,80,320", "--gamma", "0.5,0.8")
+        assert len(report["rows"]) >= 6
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("command, flavor", [
+        ("bound", "hoeffding"), ("bound", "flux"), ("bound", "tdm-bernstein"),
+        ("bound", "tdm-hoeffding"), ("bound", "multitime"), ("bound", "reducible"),
+        ("bound", "ci"), ("verify", "hoeffding"), ("verify", "flux"),
+    ])
+    def test_override_epsilon_needs_a_gap(self, command, flavor, capsys):
+        argv = flavor_argv(command, flavor, "5", "0.3") + ["--override-epsilon", "60"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --override-epsilon applies to the "
+                                       "flavors with a spectral gap (bernstein, counting)")
+        assert repr(flavor) in captured.err
+
+    @pytest.mark.parametrize("flavor", ["bernstein", "counting"])
+    def test_override_epsilon_on_a_gap_flavor(self, flavor, capsys):
+        report = main_report(capsys, *flavor_argv("bound", flavor, "5", "0.3"),
+                             "--override-epsilon", "60")
+        assert report["constants"]["epsilon"] == 60.0
+        assert "negative control" in report["constants"]["note"]
+
+    @pytest.mark.parametrize("command", ["analyze", "bound", "verify", "simulate"])
+    @pytest.mark.parametrize("token", ["channel=abc", "channel=nan", "channel=-1",
+                                       "channel=0", "channel=inf", "foo=1"])
+    def test_bad_tolerance_is_a_usage_error(self, command, token, capsys):
+        argv = [command, "--model", model("ring.json"), "--tolerance", token]
+        if command != "analyze":
+            argv += ["--n", "5", "--gamma", "0.3"]
+        if command in ("bound", "verify"):
+            argv += ["--flavor", "bernstein"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --tolerance")
+        assert ("unknown name 'foo'" if token == "foo=1" else token.split("=")[1]) \
+            in captured.err
+
+    def test_tolerance_reaches_the_model(self, capsys, monkeypatch):
+        seen = []
+        original = cli.load_model
+
+        def spy(path, tol_channel):
+            seen.append(tol_channel)
+            return original(path, tol_channel=tol_channel)
+
+        monkeypatch.setattr(cli, "load_model", spy)
+        report = main_report(capsys, "analyze", "--model", model("ring.json"),
+                             "--tolerance", " channel = 1e-8")
+        assert seen == [1e-8] and report["command"]["tolerances"] == {"channel": 1e-8}
