@@ -24,7 +24,7 @@ from .bounds import (BoundConstants, BoundResult, _bernstein_result, _exact_zero
                      _hoeffding_result, _invalid)
 from .operators import KrausChannel
 from .spectral import HypothesisError, _certified_sup_norm_chain
-from .trajectory import _score_lattice
+from .trajectory import ScoreDistribution, _collapse, _lattice_dp, _score_lattice
 
 
 class MarkovChain:
@@ -299,24 +299,29 @@ def flux_mgf(chain: MarkovChain, nu, f, n: int, u: float) -> float:
     return float(np.asarray(nu, dtype=float) @ vec_)
 
 
-def exact_flux_tail(chain: MarkovChain, nu, f, n: int, gamma: float,
-                    max_denominator: int = 10**6) -> float:
-    """Exact P((1/n) sum_k f(X_k, X_{k+1}) >= gamma) by (state, score) DP."""
+def _flux_laws(chain: MarkovChain, nu, f, horizons, max_denominator: int = 10**6) -> dict:
+    """{n: exact law of sum_{k<n} f(X_k, X_{k+1})} at every horizon from one DP pass.
+
+    The DP runs over (state, score) with one tag per state after a start tag
+    whose move to y weighs nu_y; a move x -> y weighs p_xy.
+    """
     fm = flux_matrix(f, chain)
     mask = chain.transition > 0.0
     nums = np.zeros_like(fm, dtype=np.int64)
     nums[mask], denom = _score_lattice(fm[mask], max_denominator)
+    weights = np.vstack([np.asarray(nu, dtype=float), chain.transition])
+    next_tag = np.where(weights > 0.0, np.arange(1, chain.size + 1), -1)
+    shift = np.vstack([np.zeros(chain.size, dtype=np.int64), nums])
+    rows = _lattice_dp(weights[:, :, None, None], next_tag, shift, np.ones(1),
+                       [n + 1 for n in horizons])
+    laws = {}
+    for n in horizons:
+        scores, masses = _collapse(rows[n + 1][0], rows[n + 1][1][:, 0])
+        laws[n] = ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
+    return laws
 
-    table: dict[tuple[int, int], float] = {}
-    for x, w in enumerate(np.asarray(nu, dtype=float)):
-        if w > 0.0:
-            table[(x, 0)] = table.get((x, 0), 0.0) + float(w)
-    for _ in range(n):
-        new: dict[tuple[int, int], float] = {}
-        for (x, s), w in table.items():
-            for y in np.nonzero(mask[x])[0]:
-                key = (int(y), s + int(nums[x, y]))
-                new[key] = new.get(key, 0.0) + w * chain.transition[x, y]
-        table = new
-    threshold = gamma * n * denom - 1e-9
-    return float(sum(w for (x, s), w in table.items() if s >= threshold))
+
+def exact_flux_tail(chain: MarkovChain, nu, f, n: int, gamma: float,
+                    max_denominator: int = 10**6) -> float:
+    """Exact P((1/n) sum_k f(X_k, X_{k+1}) >= gamma) by (state, score) DP."""
+    return _flux_laws(chain, nu, f, [n], max_denominator)[n].tail(gamma)

@@ -55,7 +55,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,7 +81,6 @@ from .bounds import (
 from .classical import (
     chain_pseudoresolvent_norm,
     edge_stationary_law,
-    exact_flux_tail,
     flux_bernstein_bound,
     flux_bernstein_constants,
     flux_hoeffding_bound,
@@ -89,10 +88,11 @@ from .classical import (
     flux_matrix,
     is_chain_irreducible,
     stationary_distribution,
+    _flux_laws,
 )
 from .fixtures import ring_channel
 from .modelfile import Model, ModelParseError, load_model, parse_complex_matrix
-from .operators import DensityMatrix, validate_channel
+from .operators import DensityMatrix, observation_vector, validate_channel
 from .spectral import (
     FixedSpaceError,
     HypothesisError,
@@ -113,10 +113,11 @@ from .trajectory import (
     SurvivalMonotonicityError,
     mc_counting_tail,
     mc_tail,
-    score_distribution_dp,
     _counting_chunks,
     _discrete_tails,
     _empirical_tail,
+    _score_lattice,
+    _score_laws,
 )
 
 EXIT_OK = 0
@@ -462,7 +463,7 @@ def _discrete(args, model: Model, constants_of, evaluate) -> _Plan:
     sigma = invariant_state(channel)  # serves the constants and --rho0 stationary
     rho0 = _resolve_rho0(args.rho0, model, sigma)
     return _echoed(args, constants_of(channel, f, rho=rho0, sigma=sigma), evaluate, horizons,
-                   lambda n: _discrete_tail(args, channel, f, rho0, n))
+                   _discrete_tail(args, channel, f, rho0, horizons))
 
 
 def _counting(args, model: Model) -> _Plan:
@@ -485,9 +486,10 @@ def _flux(args, model: Model) -> _Plan:
     ber = flux_bernstein_constants(chain, nu, f, sigma)
     hoe = flux_hoeffding_constants(chain, f, sigma)
     mean = float(np.sum(edge_stationary_law(chain, sigma) * flux_matrix(f, chain)))
+    laws = cache(lambda: _flux_laws(chain, nu, f, ns))  # one DP pass, at the first tail
     return _Plan(ns, [[_rows(flux_bernstein_bound, ber, args.two_sided),
                        _rows(flux_hoeffding_bound, hoe, args.two_sided)]],
-                 lambda n: lambda gamma: exact_flux_tail(chain, nu, f, n, mean + gamma))
+                 lambda n: lambda gamma: laws()[n].tail(mean + gamma))
 
 
 def _time_dependent(args, model: Model, flavor: str) -> _Plan:
@@ -672,24 +674,29 @@ def cmd_simulate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _dp_feasible(channel, f, n: int) -> bool:
-    try:
-        from .trajectory import _score_lattice
-        from .operators import observation_vector
-        nums, _ = _score_lattice(observation_vector(f, channel.labels))
-        span = int(nums.max() - nums.min()) if len(nums) else 0
-        return n * (span * n + 1) * len(channel.kraus) <= 4_000_000
-    except LatticeError:
-        return False
+def _discrete_tail(args, channel, f, rho0, horizons):
+    """horizon -> (gamma -> tail); one DP pass serves every horizon the DP can afford.
 
+    The DP affords n when n (span n + 1) k <= 4e6.  Other horizons get
+    Monte Carlo tails under --mc and are infeasible requests otherwise.
+    """
+    @cache
+    def laws():  # run at the first tail asked for, so `bound` never runs it
+        try:
+            nums, denom = _score_lattice(observation_vector(f, channel.labels))
+        except LatticeError:
+            return {}
+        span = int(nums.max() - nums.min())
+        return _score_laws(channel, rho0, nums, denom, [
+            n for n in horizons if n * (span * n + 1) * len(channel.kraus) <= 4_000_000])
 
-def _discrete_tail(args, channel, f, rho0, n: int):
-    """gamma -> tail at one horizon: exact DP where feasible, else Monte Carlo."""
-    if _dp_feasible(channel, f, n):
-        return score_distribution_dp(channel, rho0, f, n).tail
-    if not args.mc:
-        raise InfeasibleError(f"exact tail at n={n} is infeasible and --mc was not given")
-    return lambda gamma: mc_tail(channel, rho0, f, n, gamma, args.trials, args.seed)
+    def tail(n: int):
+        if n in laws():
+            return laws()[n].tail
+        if not args.mc:
+            raise InfeasibleError(f"exact tail at n={n} is infeasible and --mc was not given")
+        return lambda gamma: mc_tail(channel, rho0, f, n, gamma, args.trials, args.seed)
+    return tail
 
 
 def cmd_verify(args) -> int:

@@ -29,7 +29,10 @@ kind "classical"::
      "transition": [[0.7, 0.3], [0.4, 0.6]],
      "flux": [["a", "b", 1.0], ...], "initial": [0.5, 0.5]}
 
-Parse failures raise :class:`ModelParseError` with a field-precise path.
+Sections are checked against each other when parsed: every unravelling
+must sum to the channel, a flux needs a value on every edge of the chain,
+and observation windows form a non-empty list.  Parse failures raise
+:class:`ModelParseError` with a field-precise path.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Any
 import numpy as np
 
 from .bounds import TimeStep, Unravelling
-from .classical import MarkovChain
+from .classical import FluxFunction, MarkovChain
 from .operators import GKLSGenerator, KrausChannel
 
 
@@ -122,6 +125,12 @@ def _observation(obs, labels, path: str) -> dict:
     return values
 
 
+def _choi(ops) -> np.ndarray:
+    """sum_w vec(w) vec(w)^*, whose entries are those of the superoperator, rearranged."""
+    flat = np.stack([w.reshape(-1) for w in ops])
+    return flat.T @ flat.conj()
+
+
 def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     labels = _get(doc, "labels", "$")
     matrices = _get(doc, "kraus", "$")
@@ -139,6 +148,7 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     if obs is not None:
         model.observation = _observation(obs, labels, "$.observation")
     unravellings = _get(doc, "unravellings", "$", required=False) or {}
+    choi = _choi(channel.kraus)
     for name, outcomes in unravellings.items():
         maps, ulabels = [], []
         for i, entry in enumerate(outcomes):
@@ -151,6 +161,12 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
             model.unravellings[name] = Unravelling(maps, ulabels)
         except Exception as exc:
             _fail(f"$.unravellings.{name}", str(exc))
+        ops = [w for outcome in maps for w in outcome]
+        dev = (float(np.max(np.abs(_choi(ops) - choi)))
+               if ops[0].shape == (channel.dim,) * 2 else math.inf)
+        if dev > 1e-9:
+            _fail(f"$.unravellings.{name}",
+                  f"unravelling does not sum to the channel (deviation {dev:.3e})")
     schedule = _get(doc, "schedule", "$", required=False) or []
     for i, entry in enumerate(schedule):
         path = f"$.schedule[{i}]"
@@ -162,6 +178,8 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
         model.schedule.append(TimeStep(unravelling=unr, f=fk))
     windows = _get(doc, "observation_windows", "$", required=False)
     if windows is not None:
+        if not isinstance(windows, list) or not windows:
+            _fail("$.observation_windows", "expected a non-empty list of windows")
         parsed = {}
         for i, pair in enumerate(windows):
             path = f"$.observation_windows[{i}]"
@@ -203,12 +221,15 @@ def _parse_classical(doc: dict) -> Model:
     model = Model(kind="classical", chain=chain, raw=doc)
     flux_doc = _get(doc, "flux", "$", required=False)
     if flux_doc is not None:
-        flux = {}
         for i, entry in enumerate(flux_doc):
             if not (isinstance(entry, list) and len(entry) == 3):
                 _fail(f"$.flux[{i}]", "expected [from, to, value]")
-            flux[(entry[0], entry[1])] = float(entry[2])
-        model.flux = flux
+        try:
+            flux = FluxFunction({(a, b): value for a, b, value in flux_doc})
+            flux.matrix(chain)
+        except (KeyError, TypeError, ValueError) as exc:  # a bad value, or an edge without one
+            _fail("$.flux", exc.args[0])
+        model.flux = flux.values
     initial = _get(doc, "initial", "$", required=False)
     if initial is not None:
         arr = np.asarray(initial, dtype=float)

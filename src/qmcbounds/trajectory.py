@@ -21,11 +21,18 @@ trajectories are batched or parallelized.  Uniform variates are consumed
 from fixed-size per-trajectory tapes (block size ``_TAPE_BLOCK``), which
 keeps the consumption order a function of the trajectory alone.
 
-Exact tails on small instances come from dynamic programming over a
-rational score lattice, carrying unnormalized conditioned operators
-``T[s]`` updated as ``T'[s + f(i)] += V_i T[s] V_i^*``; total mass is
-conserved, and a brute-force enumeration over outcome sequences is
-available as an independent cross-check.
+Exact tails on small instances come from one lattice DP kernel.  Its
+state is a sorted int64 array of the reached keys ``score * T + tag``, one
+row of weights per key: the real coordinates of the conditioned operator
+``T[s]`` in a Hermitian basis for a channel, one probability for a chain.
+The tag holds the rest of the state: none for the plain score sum, the
+last outcomes for sliding windows, the current state for chain fluxes.
+Label i sends tag t to ``next_tag[t, i]``, adds ``shift[t, i]`` to the
+score and multiplies the weights by a block: the matrix of
+``T -> V_i T V_i^*``, or ``p_xy``.  For a fixed (tag, label) the key map is
+injective, so each block's GEMM result is scattered with a plain indexed
+add.  One pass serves every horizon asked for; a batched enumeration over
+outcome sequences, sharing no code with it, is the independent check.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,6 +58,7 @@ from .operators import (
 
 _TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
+_DP_BLOCK = 256           # rows per GEMM block of the lattice DP
 
 
 class FilterCollapseError(RuntimeError):
@@ -313,6 +322,95 @@ def _score_lattice(fv: np.ndarray, max_denominator: int = 10**6,
     return nums, denom
 
 
+def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
+                init: np.ndarray, steps: Sequence[int]) -> dict:
+    """Rows of the tagged score-lattice DP after each step count in ``steps``.
+
+    The DP starts from the single row (tag 0, score 0) holding ``init``.
+    Label i moves a row of tag t to tag ``next_tag[t, i]`` (nowhere if
+    negative), adds ``shift[t, i]`` to its score and right-multiplies its
+    weights by ``maps[t, i]``.  Returns {step: (scores, weights)}, the rows
+    sorted by (score, tag), so scores ascend and repeat once per tag.
+    """
+    n_tags, k = next_tag.shape
+    last = max(steps, default=0)
+    if (int(np.abs(shift).max(initial=0)) * last + 1) * n_tags >= 2**62:
+        raise LatticeError(f"a {last}-step score lattice this wide overflows 64-bit keys")
+    keys = np.zeros(1, dtype=np.int64)
+    vecs = np.asarray(init)[None, :].astype(np.result_type(init, maps))
+    out = {0: (keys, vecs)} if 0 in steps else {}
+    for step in range(1, last + 1):
+        scores, tags = np.divmod(keys, n_tags)
+        targets = next_tag[tags]
+        cand = (scores[:, None] + shift[tags]) * n_tags + targets
+        new_keys = np.unique(cand[targets >= 0])
+        pos = np.searchsorted(new_keys, cand)
+        new = np.zeros((new_keys.size, vecs.shape[1]), dtype=vecs.dtype)
+        order = np.argsort(tags, kind="stable")
+        cuts = np.searchsorted(tags[order], np.arange(n_tags + 1))
+        for t in range(n_tags):
+            rows_t = order[cuts[t]:cuts[t + 1]]
+            for i in np.flatnonzero(next_tag[t] >= 0):
+                for lo in range(0, rows_t.size, _DP_BLOCK):
+                    rows = rows_t[lo:lo + _DP_BLOCK]
+                    # distinct rows of one tag have distinct scores, so
+                    # their targets under label i are distinct too
+                    new[pos[rows, i]] += vecs[rows] @ maps[t, i]
+        keys, vecs = new_keys, new
+        if step in steps:
+            out[step] = (keys // n_tags, vecs)
+    return out
+
+
+def _collapse(scores: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ascending scores and the masses of their rows summed."""
+    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+    return scores[starts], np.add.reduceat(masses, starts)
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first."""
+    e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    return np.stack([e[p, p] for p in range(d)]
+                    + [(e[p, q] + e[q, p]) * math.sqrt(0.5) for p, q in pairs]
+                    + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
+
+
+def _channel_lattice_dp(channel: KrausChannel, rho0, next_tag: np.ndarray,
+                        shift: np.ndarray, steps: Sequence[int]) -> dict:
+    """{step: (scores, masses)} of the kernel run on the operators of ``channel``.
+
+    Rows hold the real coordinates r_b = tr(B_b T) of the Hermitian T[s] in
+    an orthonormal Hermitian basis, so V T V^* is the real block
+    K[b, c] = tr(B_c V B_b V^*) and the mass tr T sums the d diagonal ones.
+    """
+    d = channel.dim
+    basis = _hermitian_basis(d)
+    images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis, channel._stack.conj())
+    blocks = np.einsum("cqp,ibpq->ibc", basis, images).real
+    maps = np.broadcast_to(blocks, (next_tag.shape[0],) + blocks.shape)
+    init = np.einsum("bqp,pq->b", basis, state_matrix(rho0)).real
+    return {step: _collapse(scores, vecs[:, :d].sum(axis=1))
+            for step, (scores, vecs) in _lattice_dp(maps, next_tag, shift, init, steps).items()}
+
+
+def _score_laws(channel: KrausChannel, rho0, nums: np.ndarray, denom: int,
+                horizons: Sequence[int], mass_tol: float = 1e-11) -> dict:
+    """{n: law of sum_k f(X_k)} at every horizon from one DP pass; f is on the lattice."""
+    rows = _channel_lattice_dp(channel, rho0, np.zeros((1, len(nums)), dtype=np.int64),
+                               np.asarray(nums, dtype=np.int64)[None, :], horizons)
+    laws = {}
+    for n in horizons:
+        scores, masses = rows[n]
+        masses = np.clip(masses, 0.0, None)
+        total = float(masses.sum())
+        if abs(total - 1.0) > mass_tol:
+            raise RuntimeError(f"DP mass {total!r} deviates from 1 beyond {mass_tol:g}")
+        laws[n] = ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
+    return laws
+
+
 def score_distribution_dp(channel: KrausChannel, rho0, f, n: int,
                           max_denominator: int = 10**6,
                           mass_tol: float = 1e-11) -> ScoreDistribution:
@@ -322,31 +420,42 @@ def score_distribution_dp(channel: KrausChannel, rho0, f, n: int,
     updated as T'[s + f(i)] += V_i T[s] V_i^*.  Mass conservation
     sum_s tr(T_n[s]) = 1 is checked at ``mass_tol``.
     """
-    fv = observation_vector(f, channel.labels)
-    nums, denom = _score_lattice(fv, max_denominator)
-    table: dict[int, np.ndarray] = {0: state_matrix(rho0).astype(complex)}
-    for _ in range(n):
-        new: dict[int, np.ndarray] = {}
-        for s, t in table.items():
-            for num, v in zip(nums, channel.kraus):
-                key = s + int(num)
-                acc = new.get(key)
-                upd = v @ t @ dagger(v)
-                new[key] = upd if acc is None else acc + upd
-        table = new
-    scores = np.asarray(sorted(table.keys()), dtype=np.int64)
-    masses = np.asarray([float(np.trace(table[s]).real) for s in scores])
-    masses = np.clip(masses, 0.0, None)
-    total = float(masses.sum())
-    if abs(total - 1.0) > mass_tol:
-        raise RuntimeError(f"DP mass {total!r} deviates from 1 beyond {mass_tol:g}")
-    return ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
+    nums, denom = _score_lattice(observation_vector(f, channel.labels), max_denominator)
+    return _score_laws(channel, rho0, nums, denom, [n], mass_tol)[n]
 
 
 def exact_tail_dp(channel: KrausChannel, rho0, f, n: int, gamma: float,
                   max_denominator: int = 10**6) -> float:
     """Exact P((1/n) sum_k f(X_k) >= gamma) on a desk-scale instance."""
     return score_distribution_dp(channel, rho0, f, n, max_denominator).tail(gamma)
+
+
+def _enumeration_batches(channel: KrausChannel, rho0, nums: np.ndarray, n: int,
+                         budget: int = 2**18):
+    """(scores, masses) of all |I|^n outcome sequences, one batch per prefix.
+
+    Prefixes are walked depth first; the last L levels are one batched
+    stack of the k^L products V_{i_L} ... V_{i_1}, with k^L d^2 <= ``budget``.
+    """
+    stack = channel._stack
+    k, d = stack.shape[0], channel.dim
+    levels = 0
+    while levels < n and k ** (levels + 1) * d * d <= budget:
+        levels += 1
+    words = np.eye(d, dtype=complex)[None]
+    word_scores = np.zeros(1, dtype=np.int64)
+    for _ in range(levels):
+        words = np.matmul(stack[:, None], words[None]).reshape(-1, d, d)
+        word_scores = (nums[:, None] + word_scores[None, :]).reshape(-1)
+
+    def walk(depth: int, score: int, op: np.ndarray):
+        if depth == n - levels:
+            yield score + word_scores, np.einsum("wpq,wpq->w", words @ op, words.conj()).real
+            return
+        for num, v in zip(nums, channel.kraus):
+            yield from walk(depth + 1, score + int(num), v @ op @ dagger(v))
+
+    yield from walk(0, 0, state_matrix(rho0).astype(complex))
 
 
 def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float,
@@ -357,19 +466,8 @@ def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float,
     fv = observation_vector(f, channel.labels)
     nums, denom = _score_lattice(fv, max_denominator)
     threshold = gamma * n * denom - 1e-9
-    total = 0.0
-
-    def recurse(depth: int, score: int, op: np.ndarray):
-        nonlocal total
-        if depth == n:
-            if score >= threshold:
-                total += float(np.trace(op).real)
-            return
-        for num, v in zip(nums, channel.kraus):
-            recurse(depth + 1, score + int(num), v @ op @ dagger(v))
-
-    recurse(0, 0, state_matrix(rho0).astype(complex))
-    return total
+    return float(sum(masses[scores >= threshold].sum()
+                     for scores, masses in _enumeration_batches(channel, rho0, nums, n)))
 
 
 def _window_length(f: Mapping) -> int:
@@ -393,7 +491,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
     """Exact law of sum_k f(X_k, ..., X_{k+m-1}) over n sliding windows.
 
     The DP state is (last m-1 outcomes, lattice score); n windows involve
-    n + m - 1 outcomes in total.
+    n + m - 1 outcomes in total, the first m-1 of them unscored.
     """
     m = _window_length(f)
     keys = list(f.keys())
@@ -401,33 +499,21 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
     nums_list, denom = _score_lattice(vals, max_denominator)
     nums = {k: int(v) for k, v in zip(keys, nums_list)}
     labels = channel.labels
-
-    # roll out the first m-1 outcomes without scoring
-    table: dict[tuple, np.ndarray] = {((), 0): state_matrix(rho0).astype(complex)}
-    for _ in range(m - 1):
-        new: dict[tuple, np.ndarray] = {}
-        for (hist, s), t in table.items():
-            for lab, v in zip(labels, channel.kraus):
-                key = (hist + (lab,), s)
-                upd = v @ t @ dagger(v)
-                acc = new.get(key)
-                new[key] = upd if acc is None else acc + upd
-        table = new
-    for _ in range(n):
-        new = {}
-        for (hist, s), t in table.items():
-            for lab, v in zip(labels, channel.kraus):
-                window = hist + (lab,)
-                key = (window[1:], s + _window_value(nums, window))
-                upd = v @ t @ dagger(v)
-                acc = new.get(key)
-                new[key] = upd if acc is None else acc + upd
-        table = new
-    collapsed: dict[int, float] = {}
-    for (_, s), t in table.items():
-        collapsed[s] = collapsed.get(s, 0.0) + float(np.trace(t).real)
-    scores = np.asarray(sorted(collapsed.keys()), dtype=np.int64)
-    masses = np.clip(np.asarray([collapsed[s] for s in scores]), 0.0, None)
+    # one tag per history of fewer than m outcomes, the empty one first
+    histories = [h for size in range(m) for h in product(range(len(labels)), repeat=size)]
+    tag = {h: t for t, h in enumerate(histories)}
+    next_tag = np.zeros((len(histories), len(labels)), dtype=np.int64)
+    shift = np.zeros_like(next_tag)
+    for h, t in tag.items():
+        for i in range(len(labels)):
+            window = h + (i,)
+            if len(window) < m:
+                next_tag[t, i] = tag[window]
+            else:
+                next_tag[t, i] = tag[window[1:]]
+                shift[t, i] = _window_value(nums, tuple(labels[j] for j in window))
+    scores, masses = _channel_lattice_dp(channel, rho0, next_tag, shift, [n + m - 1])[n + m - 1]
+    masses = np.clip(masses, 0.0, None)
     if abs(float(masses.sum()) - 1.0) > mass_tol:
         raise RuntimeError("windowed DP lost probability mass")
     return ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)

@@ -17,6 +17,7 @@ from qmcbounds.classical import (
     flux_mgf,
     stationary_distribution,
     stationary_l2_adjoint,
+    _flux_laws,
 )
 from qmcbounds.spectral import HypothesisError
 from qmcbounds.trajectory import exact_tail_dp
@@ -205,6 +206,27 @@ class TestMGF:
                     brute += w * np.exp(u * score)
                 assert flux_mgf(chain2, sigma, f, n, u) == pytest.approx(brute,
                                                                          rel=1e-12)
+
+
+class TestFluxLaw:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_laplace_matches_mgf(self, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.random((3, 3)) * (rng.random((3, 3)) < 0.7)  # some edges missing
+        p[np.arange(3), rng.integers(0, 3, 3)] += 0.1
+        chain = MarkovChain(p / p.sum(axis=1, keepdims=True))
+        f = {e: float(rng.integers(-3, 4)) / 2 for e in chain.edges()}
+        nu = rng.random(3)
+        nu[seed % 3] = 0.0
+        nu /= nu.sum()
+        laws = _flux_laws(chain, nu, f, [20, 1, 7])
+        for n, law in laws.items():
+            assert law.masses.sum() == pytest.approx(1.0, abs=1e-14)
+            for u in (-0.7, 0.3, 1.1):
+                assert law.log_laplace(u) == pytest.approx(
+                    np.log(flux_mgf(chain, nu, f, n, u)), abs=1e-12)
+            single = _flux_laws(chain, nu, f, [n])[n]
+            assert np.array_equal(law.masses, single.masses)
 
 
 class TestFluxFunction:

@@ -37,6 +37,14 @@ def main_report(capsys, *argv) -> dict:
     return json.loads(capsys.readouterr().out, parse_constant=reject_constant)
 
 
+def halve_an_outcome(doc):
+    """Halve the first outcome of the model's last unravelling."""
+    name = list(doc["unravellings"])[-1]
+    entry = doc["unravellings"][name][0]
+    entry["kraus"] = [[[[0.5 * re, 0.5 * im] for re, im in row] for row in m]
+                      for m in entry["kraus"]]
+
+
 class TestAnalyze:
     def test_ring_diagnostics(self):
         proc = run_cli("analyze", "--model", model("ring.json"))
@@ -201,6 +209,32 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith("model error: observation_windows: payoff undefined")
         assert "('" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, flavor, edit, message", [
+        ("two_state_chain.json", "flux", lambda doc: doc["flux"].pop(),
+         "$.flux: flux undefined on edge ('b', 'b')"),
+        ("ring_tdm.json", "tdm-bernstein", halve_an_outcome,
+         "$.unravellings.rotated: unravelling does not sum to the channel"),
+        ("ring_tdm.json", "multitime", lambda doc: doc.update(observation_windows=[]),
+         "$.observation_windows: expected a non-empty list of windows"),
+        ("two_state_chain.json", "flux", lambda doc: doc["flux"][0].__setitem__(2, "abc"),
+         "$.flux: could not convert string to float"),
+        ("ring_tdm.json", "tdm-hoeffding", lambda doc: doc["unravellings"].update(
+            edges=[{"label": "x", "kraus": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]),
+         "$.unravellings.edges: unravelling does not sum to the channel (deviation inf)"),
+    ])
+    def test_inconsistent_sections_are_model_errors(self, name, flavor, edit, message,
+                                                    tmp_path, capsys):
+        doc = json.loads(open(model(name)).read())
+        edit(doc)
+        path = str(tmp_path / name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["analyze"], ["bound", "--flavor", flavor, "--n", "10", "--gamma", "0.1"]):
+            assert cli.main([*argv, "--model", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"model error: {message}")
 
     @pytest.mark.parametrize("command", ["bound", "verify"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "abc"])
@@ -430,6 +464,31 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         run_cli("verify", "--model", str(bad), "--flavor", "bernstein",
                 "--n", "40", "--gamma", "0.2", expect=5)
+
+    @pytest.mark.parametrize("argv, owner", [
+        (["--flavor", "bernstein", "--model", model("ring.json"), "--n", "16,64,256"],
+         trajectory),
+        (["--flavor", "hoeffding", "--model", model("ring.json"), "--n", "256,16,64,16"],
+         trajectory),
+        (["--flavor", "flux", "--model", model("two_state_chain.json"), "--n", "6,12,24"],
+         classical),
+    ])
+    def test_one_dp_pass_per_command(self, argv, owner, capsys, monkeypatch):
+        calls = counted(monkeypatch, owner, "_lattice_dp")
+        report = main_report(capsys, "verify", *argv, "--gamma", "0.1,0.5")
+        last = max(int(n) for n in argv[-1].split(","))
+        assert len(calls) == 1 and max(calls[0][-1]) == last + (owner is classical)
+        assert len(report["rows"]) >= 6
+        assert all(row["tail_kind"] == "dp" for row in report["rows"])
+
+    def test_dp_and_mc_rows_share_a_grid(self, capsys, monkeypatch):
+        # the DP serves the horizons within its budget; the others are sampled
+        calls = counted(monkeypatch, trajectory, "_lattice_dp")
+        report = main_report(capsys, "verify", "--mc", "--flavor", "bernstein", "--model",
+                             model("ring.json"), "--n", "16,2000,64", "--gamma", "0.3",
+                             "--trials", "50")
+        assert [row["tail_kind"] for row in report["rows"]] == ["dp", "mc", "dp"]
+        assert len(calls) == 1 and list(calls[0][-1]) == [16, 64]
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

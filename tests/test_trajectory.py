@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import qmcbounds.trajectory as trajectory
 from qmcbounds.bounds import TimeStep, Unravelling, multitime_hoeffding
-from qmcbounds.operators import GKLSGenerator, KrausChannel
+from qmcbounds.fixtures import random_channel
+from qmcbounds.operators import GKLSGenerator, KrausChannel, observation_vector
 from qmcbounds.spectral import gkls_steady_state, invariant_state
 from qmcbounds.trajectory import (
     FilterCollapseError,
@@ -180,6 +183,75 @@ class TestExactTailDP:
         channel, payoff = ring
         with pytest.raises(ValueError, match="2\\^24"):
             exact_tail_enumeration(channel, np.eye(3) / 3, payoff, 12, 0.5)
+
+
+def enumeration_law(channel, rho0, f, n: int, budget: int) -> dict:
+    """Lattice score -> probability over all |I|^n outcome sequences, from the enumeration."""
+    nums, _ = trajectory._score_lattice(observation_vector(f, channel.labels))
+    law: dict = {}
+    for scores, masses in trajectory._enumeration_batches(channel, rho0, nums, n, budget):
+        for s, m in zip(scores.tolist(), masses.tolist()):
+            law[s] = law.get(s, 0.0) + m
+    return law
+
+
+class TestLatticeKernel:
+    """The lattice DP against oracles that share no code with it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("values", [(1.0, 0.0, -1.0), (0.0, 1.0, 1000.0)])
+    def test_masses_match_enumeration(self, seed, values):
+        rng = np.random.default_rng(seed)
+        dim, k = (int(x) for x in rng.integers(2, 5, size=2))
+        channel = random_channel(dim, k, seed)
+        payoff = {lab: values[i % 3] for i, lab in enumerate(channel.labels)}
+        rho0 = random_state(dim, rng)
+        dist = score_distribution_dp(channel, rho0, payoff, 6)
+        # a small budget makes the enumeration walk prefixes as well as batch words
+        law = enumeration_law(channel, rho0, payoff, 6, budget=2**7)
+        assert dist.numerators.tolist() == sorted(law)
+        assert np.max(np.abs(dist.masses - [law[s] for s in sorted(law)])) < 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_windowed_law_matches_brute_force(self, m):
+        channel = random_channel(2, 3, 7 + m)
+        labels = channel.labels
+        rng = np.random.default_rng(m)
+        f = {w: float(rng.integers(-2, 3)) for w in itertools.product(labels, repeat=m)}
+        rho0 = random_state(2, rng)
+        n = 4
+        law: dict = {}
+        for seq in itertools.product(range(len(labels)), repeat=n + m - 1):
+            op = rho0
+            for i in seq:
+                op = channel.kraus[i] @ op @ channel.kraus[i].conj().T
+            score = int(sum(f[tuple(labels[j] for j in seq[t:t + m])] for t in range(n)))
+            law[score] = law.get(score, 0.0) + float(np.trace(op).real)
+        dist = score_distribution_windowed(channel, rho0, f, n)
+        assert dist.denominator == 1
+        assert dist.numerators.tolist() == sorted(law)
+        assert np.max(np.abs(dist.masses - [law[s] for s in sorted(law)])) < 1e-14
+
+    def test_blocks_cover_wide_lattices(self):
+        # the wide sparse payoff reaches (n+1)(n+2)/2 scores, more than one GEMM block
+        channel = random_channel(3, 3, 11)
+        payoff = dict(zip(channel.labels, (0.0, 1.0, 1000.0)))
+        rho0 = np.eye(3) / 3
+        dist = score_distribution_dp(channel, rho0, payoff, 30)
+        assert dist.numerators.size == 31 * 32 // 2 > trajectory._DP_BLOCK
+        for u in (-1e-3, 1e-3):  # the tilted-operator route shares no code with the DP
+            assert dist.log_laplace(u) == pytest.approx(
+                np.log(laplace_transform_exact(channel, rho0, payoff, 30, u)), abs=1e-12)
+
+    def test_one_pass_serves_every_horizon(self, ring):
+        channel, payoff = ring
+        rho0 = random_state(3, np.random.default_rng(5))
+        nums, denom = trajectory._score_lattice(observation_vector(payoff, channel.labels))
+        laws = trajectory._score_laws(channel, rho0, nums, denom, [9, 1, 4])
+        for n, law in laws.items():
+            single = score_distribution_dp(channel, rho0, payoff, n)
+            assert np.array_equal(law.numerators, single.numerators)
+            assert np.array_equal(law.masses, single.masses) and law.n == n
 
 
 class TestMCTail:
