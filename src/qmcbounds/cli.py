@@ -677,8 +677,12 @@ def cmd_simulate(args) -> int:
 def _discrete_tail(args, channel, f, rho0, horizons):
     """horizon -> (gamma -> tail); one DP pass serves every horizon the DP can afford.
 
-    The DP affords n when n (span n + 1) k <= 4e6.  Other horizons get
-    Monte Carlo tails under --mc and are infeasible requests otherwise.
+    The DP affords n when n * support * k <= 4e6, where support is the number
+    of scores it can reach at step n: min(span n + 1, C(n + v - 1, v - 1)) for
+    v distinct lattice values, since a sum of n of them lies in a span of
+    span n + 1 lattice points and is fixed by how often each value occurs.
+    Other horizons get Monte Carlo tails under --mc and are infeasible
+    requests otherwise.
     """
     @cache
     def laws():  # run at the first tail asked for, so `bound` never runs it
@@ -686,9 +690,11 @@ def _discrete_tail(args, channel, f, rho0, horizons):
             nums, denom = _score_lattice(observation_vector(f, channel.labels))
         except LatticeError:
             return {}
-        span = int(nums.max() - nums.min())
+        span, v = int(nums.max() - nums.min()), len(np.unique(nums))
         return _score_laws(channel, rho0, nums, denom, [
-            n for n in horizons if n * (span * n + 1) * len(channel.kraus) <= 4_000_000])
+            n for n in horizons
+            if n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * len(channel.kraus)
+            <= 4_000_000])
 
     def tail(n: int):
         if n in laws():

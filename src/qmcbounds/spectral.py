@@ -78,7 +78,8 @@ def _null_space(m: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2
+    """(x + x^*) / 2 of a matrix or of each matrix of a stack."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
 def invariant_state(channel: KrausChannel, tol: float = 1e-11) -> DensityMatrix:
@@ -198,7 +199,17 @@ def is_irreducible(channel: KrausChannel, tol: float = TAU_EIG,
     raises :class:`InconclusiveIrreducibilityError`.
     """
     m_h = superoperator_matrix(channel).matrix
-    eigs = np.linalg.eigvals(m_h)
+    return _irreducibility_vote(channel, m_h, np.linalg.eigvals(m_h), tol, faithful_tol, seed)
+
+
+def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray, eigs: np.ndarray,
+                         tol: float = TAU_EIG, faithful_tol: float = TAU_PSD,
+                         seed: int = 7) -> IrreducibilityEvidence:
+    """The vote of :func:`is_irreducible` on the spectrum ``eigs`` of ``m_h``.
+
+    ``m_h`` is the Heisenberg matrix of ``channel``; ``eigs`` may be the
+    spectrum of any matrix similar to it, in any order.
+    """
     radius = float(np.max(np.abs(eigs)))
     cluster = tol * max(1.0, radius)
     multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
@@ -257,7 +268,8 @@ class SpectralReport:
 
 
 def spectral_report(channel: KrausChannel, sigma=None, tol: float = TAU_PER) -> SpectralReport:
-    eigs = np.linalg.eigvals(superoperator_matrix(channel).matrix)
+    sup = superoperator_matrix(channel)
+    eigs = np.linalg.eigvals(sup.matrix)
     order = np.argsort(-np.abs(eigs))
     eigs = eigs[order]
     radius = float(np.abs(eigs[0]))
@@ -265,8 +277,7 @@ def spectral_report(channel: KrausChannel, sigma=None, tol: float = TAU_PER) -> 
     interior = np.abs(eigs)[np.abs(eigs) < radius - tol]
     gap = float(radius - interior.max()) if interior.size else radius
     try:
-        evidence = is_irreducible(channel)
-        irreducible = evidence.irreducible
+        irreducible = _irreducibility_vote(channel, sup.matrix, eigs).irreducible
     except InconclusiveIrreducibilityError:
         irreducible = False
     primitive = None
@@ -274,7 +285,7 @@ def spectral_report(channel: KrausChannel, sigma=None, tol: float = TAU_PER) -> 
         primitive = bool(np.all(np.abs(peripheral - radius) <= tol))
     kms_flag = None
     if sigma is not None:
-        iso = kms_isometrized_matrix(channel, sigma)
+        iso = kms_isometrized_matrix(sup, sigma)
         kms_flag = bool(np.max(np.abs(iso - iso.conj().T)) <= 1e-9)
     return SpectralReport(eigenvalues=eigs, gap=gap, peripheral=peripheral,
                           irreducible=irreducible, primitive=primitive,
@@ -320,7 +331,8 @@ class MultiplicativeGap:
 def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap:
     """Spectral gap of psi = phi_dagger phi, without raising on a reducible psi."""
     psi = multiplicative_symmetrization(channel, sigma)
-    iso = kms_isometrized_matrix(psi, sigma)
+    sup = superoperator_matrix(psi)
+    iso = kms_isometrized_matrix(sup, sigma)
     eigs = np.sort(np.linalg.eigvalsh(_hermitize(iso)))
     # psi is a positive KMS-selfadjoint contraction: clamp rounding noise
     eigs = np.clip(eigs, 0.0, None)
@@ -328,9 +340,8 @@ def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap
     if eigs[0] < -1e-10:
         note = f"negative eigenvalue {eigs[0]:.3e} clamped to 0"
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
-    try:
-        evidence = is_irreducible(psi)
-        irreducible = evidence.irreducible
+    try:  # iso is similar to psi's Heisenberg matrix, so eigs is psi's spectrum
+        irreducible = _irreducibility_vote(psi, sup.matrix, eigs).irreducible
     except InconclusiveIrreducibilityError:
         irreducible = False
         note = (note + "; " if note else "") + "irreducibility vote inconclusive"
@@ -461,7 +472,7 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int,
 def _sign_matrix(g: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(_hermitize(g))
     signs = np.where(w >= 0.0, 1.0, -1.0)
-    return (u * signs) @ u.conj().T
+    return (u * signs[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def _certified_resolvent(channel: KrausChannel, s: np.ndarray,
@@ -492,38 +503,54 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
     Projected ascent over sign matrices of the linearized objective from
     ``restarts`` seeded random starts; every evaluated ratio is a true lower
     bound on the sup-norm of the map ``n_full`` (vectorized form).
+
+    The restarts advance in lock-step as one (restarts, d, d) stack, and the
+    result equals running them one after another: numpy's stacked matmul,
+    ``svd`` and ``eigh`` make the same BLAS/LAPACK call on each matrix, so a
+    restart's arithmetic touches only its own slice; a restart whose step
+    falls below 1e-12 is frozen where a lone run would stop, so it only
+    repeats ratios already taken; and ``best`` is a max, exact in any order.
     """
+    if restarts == 0:
+        return 0.0
     d = s.shape[0]
     eye_d = np.eye(d)
+    n_adjoint = n_full.conj().T
 
     def center(x: np.ndarray) -> np.ndarray:
-        return x - (np.trace(s @ x) / np.trace(s)) * eye_d
+        trace = np.trace(s @ x, axis1=1, axis2=2) / np.trace(s)
+        return x - trace[:, None, None] * eye_d
 
-    def ratio(x: np.ndarray) -> float:
-        nx = uniform_norm(x)
-        if nx < 1e-14:
-            return 0.0
-        y = unvec(n_full @ vec(x), d)
-        return uniform_norm(y) / nx
+    def apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # unvec(m @ vec(x)) of each slice, one matrix-vector product per slice
+        v = x.swapaxes(1, 2).reshape(restarts, d * d, 1)
+        return np.matmul(m, v).reshape(restarts, d, d).swapaxes(1, 2)
+
+    def sup_norms(x: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(x, compute_uv=False)[:, 0]
+
+    def ratio(x: np.ndarray, image: np.ndarray) -> float:
+        nx = sup_norms(x)
+        return float(np.max(np.where(nx < 1e-14, 0.0, sup_norms(image) / np.maximum(nx, 1e-14))))
 
     rng = np.random.default_rng(seed)
+    z = rng.standard_normal((restarts, 2, d, d))  # per restart: real, then imaginary
+    x = center(_hermitize(z[:, 0] + 1j * z[:, 1]))
+    active, rows = np.ones(restarts, dtype=bool), np.arange(restarts)
     best = 0.0
-    for _ in range(restarts):
-        x = _hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        x = center(x)
-        for _ in range(iterations):
-            best = max(best, ratio(x))
-            y = _hermitize(unvec(n_full @ vec(x), d))
-            w, u = np.linalg.eigh(y)
-            k = int(np.argmax(np.abs(w)))
-            lead = np.outer(u[:, k], u[:, k].conj()) * np.sign(w[k])
-            g = _hermitize(unvec(n_full.conj().T @ vec(lead), d))
-            x_new = center(_sign_matrix(g))
-            if uniform_norm(x_new - x) < 1e-12:
-                break
-            x = x_new
-        best = max(best, ratio(x))
-    return best
+    for _ in range(iterations):
+        image = apply(n_full, x)
+        best = max(best, ratio(x, image))
+        w, u = np.linalg.eigh(_hermitize(image))
+        k = np.argmax(np.abs(w), axis=1)
+        top = u[rows, :, k]
+        lead = top[:, :, None] * top.conj()[:, None, :] * np.sign(w[rows, k])[:, None, None]
+        x_new = center(_sign_matrix(_hermitize(apply(n_adjoint, lead))))
+        active &= ~(sup_norms(x_new - x) < 1e-12)
+        if not active.any():
+            break
+        x = np.where(active[:, None, None], x_new, x)
+    return max(best, ratio(x, apply(n_full, x)))
 
 
 def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
@@ -533,7 +560,8 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
 
     ``lower_estimate`` is a heuristic maximizer (projected ascent over
     sign matrices of the linearized objective, ``restarts`` seeded random
-    restarts); every evaluated ratio is a true lower bound.
+    restarts run in lock-step, with the value of running them one after
+    another); every evaluated ratio is a true lower bound.
     ``certified_upper`` is rigorous; the bounds consume it alone, through
     :func:`certified_pseudoresolvent_norm`, which skips the heuristic.
     """

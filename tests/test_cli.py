@@ -12,8 +12,10 @@ import qmcbounds.spectral as spectral
 import qmcbounds.trajectory as trajectory
 from qmcbounds import cli
 from qmcbounds.bounds import Unravelling
+from qmcbounds.fixtures import random_channel
 from qmcbounds.modelfile import load_model
-from qmcbounds.spectral import gkls_steady_state
+from qmcbounds.spectral import gkls_steady_state, invariant_state
+from qmcbounds.trajectory import score_distribution_dp
 
 from conftest import reject_constant
 
@@ -489,6 +491,23 @@ class TestVerify:
                              "--trials", "50")
         assert [row["tail_kind"] for row in report["rows"]] == ["dp", "mc", "dp"]
         assert len(calls) == 1 and list(calls[0][-1]) == [16, 64]
+
+    def test_dp_budget_counts_the_reachable_support(self, tmp_path, capsys):
+        # payoff {0, 1, 1000}: 100 outcomes reach at most C(102, 2) = 5151 of
+        # the 100001 lattice points in the span, well within the DP budget
+        channel = random_channel(6, 3, seed=1)
+        labels = ["a", "b", "c"]
+        payoff = {"a": 0.0, "b": 1.0, "c": 1000.0}
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({
+            "kind": "kraus", "labels": labels, "observation": payoff,
+            "kraus": [[[[z.real, z.imag] for z in row] for row in v] for v in channel.kraus]}))
+        report = main_report(capsys, "verify", "--flavor", "bernstein", "--model", str(path),
+                             "--n", "100", "--gamma", "0.1")
+        loaded = load_model(str(path)).channel
+        law = score_distribution_dp(loaded, invariant_state(loaded).matrix, payoff, 100)
+        assert [(row["tail_kind"], row["tail"]) for row in report["rows"]] == [
+            ("dp", law.tail(0.1))]
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

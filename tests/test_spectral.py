@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import qmcbounds.spectral as spectral
+from qmcbounds import cli
+from qmcbounds.bounds import bernstein_constants
 from qmcbounds.classical import (
     MarkovChain,
     chain_pseudoresolvent_norm,
@@ -20,6 +24,9 @@ from qmcbounds.operators import (
     KrausChannel,
     kms_isometrized_matrix,
     superoperator_matrix,
+    uniform_norm,
+    unvec,
+    vec,
 )
 from qmcbounds.spectral import (
     FixedSpaceError,
@@ -311,6 +318,110 @@ class TestCertifiedChain:
         monkeypatch.setattr(spectral, "_power_terms", counted)
         certified_pseudoresolvent_norm(channel, ring_sigma)
         assert 1 <= len(terms) <= 4
+
+
+def sequential_lower_estimate(s, n_full, restarts, iterations, seed):
+    """The heuristic lower estimate run one restart after another.
+
+    Returns the estimate and, per restart, the iteration at which it stopped
+    (None if it ran all ``iterations``).
+    """
+    d = s.shape[0]
+
+    def center(x):
+        return x - (np.trace(s @ x) / np.trace(s)) * np.eye(d)
+
+    def ratio(x):
+        nx = uniform_norm(x)
+        return 0.0 if nx < 1e-14 else uniform_norm(unvec(n_full @ vec(x), d)) / nx
+
+    def hermitize(x):
+        return (x + x.conj().T) / 2
+
+    rng = np.random.default_rng(seed)
+    best, stops = 0.0, []
+    for _ in range(restarts):
+        stops.append(None)
+        x = center(hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+        for it in range(iterations):
+            best = max(best, ratio(x))
+            w, u = np.linalg.eigh(hermitize(unvec(n_full @ vec(x), d)))
+            k = int(np.argmax(np.abs(w)))
+            lead = np.outer(u[:, k], u[:, k].conj()) * np.sign(w[k])
+            g = hermitize(unvec(n_full.conj().T @ vec(lead), d))
+            w, u = np.linalg.eigh(hermitize(g))
+            x_new = center((u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T)
+            if uniform_norm(x_new - x) < 1e-12:
+                stops[-1] = it
+                break
+            x = x_new
+        best = max(best, ratio(x))
+    return best, stops
+
+
+def seeded_channel(seed):
+    return random_channel(2 + seed % 5, 2 + seed % 3, seed=seed)
+
+
+# 20 seeded channels, the rank-one channel and a channel whose restarts stop early
+LOCK_STEP_CASES = [f"seed{seed}" for seed in range(20)] + ["rank-one", "early-stop"]
+
+
+def lock_step_case(name):
+    if name == "rank-one":
+        return rank_one_channel(seed=2)
+    channel = random_channel(2, 2, 1) if name == "early-stop" else seeded_channel(int(name[4:]))
+    return channel, invariant_state(channel).matrix
+
+
+class TestLowerEstimate:
+    @pytest.mark.parametrize("restarts", [0, 1, 8])
+    @pytest.mark.parametrize("name", LOCK_STEP_CASES)
+    def test_lock_step_equals_sequential(self, name, restarts):
+        channel, sigma = lock_step_case(name)
+        q, inv_f, _ = spectral._certified_resolvent(channel, sigma)
+        n_full = q @ inv_f @ q.conj().T
+        expected, stops = sequential_lower_estimate(sigma, n_full, restarts, 8, 0)
+        assert spectral._lower_estimate(sigma, n_full, restarts, 8, 0) == expected
+        if name == "early-stop" and restarts == 8:
+            # restarts stop at different iterations: frozen and running rows mix
+            assert None not in stops and len(set(stops)) > 1
+
+
+class TestPsiVote:
+    @pytest.mark.parametrize("name", LOCK_STEP_CASES + ["two-unitary"])
+    def test_vote_on_the_gap_spectrum_matches_is_irreducible(self, name, qubit):
+        if name == "two-unitary":  # psi is reducible
+            channel = qubit[0]
+            sigma = invariant_state(channel).matrix
+        else:
+            channel, sigma = lock_step_case(name)
+        report = multiplicative_gap_report(channel, sigma)
+        direct = is_irreducible(report.psi)
+        shared = spectral._irreducibility_vote(
+            report.psi, superoperator_matrix(report.psi).matrix, report.eigenvalues)
+        fields = ("irreducible", "radius_multiplicity", "fixed_point_faithful",
+                  "reachability_dims")
+        assert [getattr(shared, f) for f in fields] == [getattr(direct, f) for f in fields]
+        assert report.irreducible == direct.irreducible
+        assert report.irreducible == (name != "two-unitary")
+
+    def test_one_general_eigensolve_per_analysis(self, ring, capsys, monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        channel, payoff = ring
+        bernstein_constants(channel, payoff)
+        assert calls == []
+        ring_json = os.path.join(os.path.dirname(__file__), "..", "models", "ring.json")
+        assert cli.main(["analyze", "--model", ring_json]) == 0
+        capsys.readouterr()
+        assert calls == [(9, 9)]
 
 
 class TestPoisson:
