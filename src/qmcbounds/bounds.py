@@ -35,6 +35,7 @@ from .operators import (
     dagger,
     kms_norm,
     kms_operator_norm,
+    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     state_power,
@@ -266,12 +267,17 @@ def hoeffding_bound(constants: BoundConstants, gamma: float, n: int,
 # continuous-time counting bound
 # ---------------------------------------------------------------------------
 
+def _stationary_intensity(gen: GKLSGenerator, label, sigma) -> float:
+    """m = tr(L^* L sigma) of the detector ``label``."""
+    l = gen.jumps[gen.index(label)]
+    return float(np.trace(dagger(l) @ l @ state_matrix(sigma)).real)
+
+
 def counting_constants(gen: GKLSGenerator, label, rho=None, sigma=None) -> BoundConstants:
     """m, b, alpha and the additive-symmetrization gap for one detector."""
     sig = gkls_steady_state(gen) if sigma is None else sigma
     s = state_matrix(sig)
-    l = gen.jumps[gen.index(label)]
-    m_intensity = float(np.trace(dagger(l) @ l @ s).real)
+    m_intensity = _stationary_intensity(gen, label, s)
     jump_super = superoperator_matrix(lambda x: gen.jump(label, x), gen.dim)
     b_op = _kms_real_part(jump_super, s)
     b_val = kms_norm(b_op.apply(np.eye(gen.dim)), s)
@@ -312,7 +318,7 @@ def counting_aux_bounds(gen: GKLSGenerator, label, sigma) -> dict:
     """
     s = state_matrix(sigma)
     l = gen.jumps[gen.index(label)]
-    m_intensity = float(np.trace(dagger(l) @ l @ s).real)
+    m_intensity = _stationary_intensity(gen, label, s)
     half = state_power(s, 0.5)
     half_inv = state_power(s, -0.5)
     tilted = half @ dagger(l) @ half_inv
@@ -354,23 +360,12 @@ class Unravelling:
     def standard(cls, channel: KrausChannel) -> "Unravelling":
         return cls([(v,) for v in channel.kraus], channel.labels)
 
-    def outcome_probabilities(self, rho) -> np.ndarray:
-        r = state_matrix(rho)
-        probs = [sum(float(np.trace(w @ r @ dagger(w)).real) for w in ops)
-                 for ops in self.maps]
-        return np.clip(np.asarray(probs), 0.0, None)
-
     def apply_outcome_dual(self, i: int, rho) -> np.ndarray:
         r = state_matrix(rho)
         return sum(w @ r @ dagger(w) for w in self.maps[i])
 
     def total_matrix(self) -> np.ndarray:
-        d2 = self.dim * self.dim
-        total = np.zeros((d2, d2), dtype=complex)
-        for ops in self.maps:
-            for w in ops:
-                total += np.kron(w.T, w.conj().T)
-        return total
+        return kraus_superoperator_matrix([w for ops in self.maps for w in ops])
 
 
 @dataclass(frozen=True)

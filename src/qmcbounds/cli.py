@@ -7,7 +7,9 @@ analyze   -- validation residuals, invariant state, irreducibility and gap
 bound     -- evaluate a bound flavor over an (n or t) x gamma grid.
 simulate  -- Monte Carlo tails / counting records, optional trajectory dump.
 verify    -- bounds against exact DP or Monte Carlo tails, with dominance
-             verdicts per grid point.  An exact tail gives true or false.  A
+             verdicts per grid point.  A tail is that of the centered mean
+             (1/n) sum f - pi(f) (flux: of the edge flux mean minus its
+             stationary value).  An exact tail gives true or false.  A
              Monte Carlo tail gives false (violation) only for a bound below
              the Wilson interval's ci_low, null (inconclusive) for a bound
              inside [ci_low, ci_high), and true otherwise.  The summary's
@@ -75,6 +77,7 @@ from .bounds import (
     multitime_constants,
     reducible_constants,
     reducible_mixture,
+    stationary_stats,
     time_dependent_bound,
     time_dependent_constants,
 )
@@ -462,8 +465,9 @@ def _discrete(args, model: Model, constants_of, evaluate) -> _Plan:
     horizons = _int_grid(args.n, "--n")
     sigma = invariant_state(channel)  # serves the constants and --rho0 stationary
     rho0 = _resolve_rho0(args.rho0, model, sigma)
+    mean = stationary_stats(channel, sigma, f).mean
     return _echoed(args, constants_of(channel, f, rho=rho0, sigma=sigma), evaluate, horizons,
-                   _discrete_tail(args, channel, f, rho0, horizons))
+                   _discrete_tail(args, channel, f, rho0, horizons, mean))
 
 
 def _counting(args, model: Model) -> _Plan:
@@ -674,9 +678,10 @@ def cmd_simulate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _discrete_tail(args, channel, f, rho0, horizons):
+def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
     """horizon -> (gamma -> tail); one DP pass serves every horizon the DP can afford.
 
+    A tail is P((1/n) sum_k f(X_k) - mean >= gamma), ``mean`` being pi(f).
     The DP affords n when n * support * k <= 4e6, where support is the number
     of scores it can reach at step n: min(span n + 1, C(n + v - 1, v - 1)) for
     v distinct lattice values, since a sum of n of them lies in a span of
@@ -698,10 +703,10 @@ def _discrete_tail(args, channel, f, rho0, horizons):
 
     def tail(n: int):
         if n in laws():
-            return laws()[n].tail
+            return lambda gamma: laws()[n].tail(mean + gamma)
         if not args.mc:
             raise InfeasibleError(f"exact tail at n={n} is infeasible and --mc was not given")
-        return lambda gamma: mc_tail(channel, rho0, f, n, gamma, args.trials, args.seed)
+        return lambda gamma: mc_tail(channel, rho0, f, n, mean + gamma, args.trials, args.seed)
     return tail
 
 

@@ -9,11 +9,12 @@ concentration bounds are built on.
 
 Conventions
 -----------
-* Channels act in the Heisenberg picture, ``phi(x) = sum_i V_i^* x V_i``;
+* Channels act in the Heisenberg form, ``phi(x) = sum_i V_i^* x V_i``;
   the predual (Schroedinger) action is ``phi_*(rho) = sum_i V_i rho V_i^*``.
-* Superoperators are stored as ``d^2 x d^2`` matrices in the column-stacking
-  vectorization ``vec(a @ x @ b) = kron(b.T, a) @ vec(x)``; the convention is
-  recorded on every :class:`Superoperator` so it can never silently flip.
+* This module is the one place that knows how a map becomes a matrix: the
+  column-stacking vectorization ``vec(a @ x @ b) = kron(b.T, a) @ vec(x)``.
+  Superoperator matrices are ``d^2 x d^2`` and always Heisenberg; the
+  predual's matrix is their conjugate transpose.
 * Matrix functions of selfadjoint inputs go through an eigendecomposition;
   exponentials of (generally non-normal) matrices use ``scipy.linalg.expm``.
 
@@ -35,8 +36,6 @@ TAU_PSD = 1e-10       # eigenvalue floor: faithfulness / positivity checks
 TAU_TRACE = 1e-10     # |tr(rho) - 1| allowed for states
 TAU_CHANNEL = 1e-9    # || sum V_i^* V_i - 1 || allowed for channels
 TAU_IDENTITY = 1e-12  # generic identity residual
-
-VEC_CONVENTION = "column-stacking"
 
 
 class DimensionMismatchError(ValueError):
@@ -91,12 +90,15 @@ def trace_norm(x) -> float:
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(x, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
+    a = np.asarray(x, dtype=complex)
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
+    """Inverse of :func:`vec`; leading axes of ``v`` index a stack."""
+    a = np.asarray(v, dtype=complex)
+    return a.reshape(a.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
 def state_power(sigma: np.ndarray, power: float, tol: float = TAU_PSD) -> np.ndarray:
@@ -209,9 +211,6 @@ class KrausChannel:
                 f"sum V_i^* V_i deviates from identity by {report.max_deviation:.3e} "
                 f"(tolerance {tol:g})")
 
-    def __len__(self) -> int:
-        return len(self.kraus)
-
     def index(self, label) -> int:
         return self.labels.index(label)
 
@@ -301,9 +300,6 @@ class GKLSGenerator:
             out = out + l @ a @ dagger(l) - 0.5 * (ll @ a + a @ ll)
         return out
 
-    def _exp_g(self, t: float) -> np.ndarray:
-        return sla.expm(t * self.no_jump_generator_matrix)
-
     def no_jump(self, t: float, x) -> np.ndarray:
         """Heisenberg no-jump semigroup exp(tG)^* x exp(tG); t >= 0.
 
@@ -313,26 +309,13 @@ class GKLSGenerator:
         if t < 0:
             raise ValueError("no-jump semigroup needs t >= 0")
         a = as_complex_matrix(x, self.dim)
-        e = self._exp_g(t)
+        e = sla.expm(t * self.no_jump_generator_matrix)
         return dagger(e) @ a @ e
-
-    def no_jump_dual(self, t: float, rho) -> np.ndarray:
-        """Predual no-jump semigroup exp(tG) rho exp(tG)^*; t >= 0."""
-        if t < 0:
-            raise ValueError("no-jump semigroup needs t >= 0")
-        a = as_complex_matrix(state_matrix(rho), self.dim)
-        e = self._exp_g(t)
-        return e @ a @ dagger(e)
 
     def jump(self, label, x) -> np.ndarray:
         """J_i(x) = L_i^* x L_i."""
         l = self.jumps[self.index(label)]
         return dagger(l) @ as_complex_matrix(x, self.dim) @ l
-
-    def jump_dual(self, label, rho) -> np.ndarray:
-        """J_i^*(rho) = L_i rho L_i^*."""
-        l = self.jumps[self.index(label)]
-        return l @ as_complex_matrix(state_matrix(rho), self.dim) @ dagger(l)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GKLSGenerator(dim={self.dim}, jumps={len(self.jumps)})"
@@ -340,19 +323,16 @@ class GKLSGenerator:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense matrix of a linear map on d x d matrices, with its vectorization tag."""
+    """Dense column-stacking matrix of a linear map on d x d matrices."""
 
     dim: int
     matrix: np.ndarray
-    convention: str = VEC_CONVENTION
 
     def __post_init__(self):
         d2 = self.dim * self.dim
         if self.matrix.shape != (d2, d2):
             raise DimensionMismatchError(
                 f"superoperator matrix must be {d2}x{d2}, got {self.matrix.shape}")
-        if self.convention != VEC_CONVENTION:
-            raise ValueError(f"unsupported vectorization convention {self.convention!r}")
 
     def apply(self, x) -> np.ndarray:
         return unvec(self.matrix @ vec(as_complex_matrix(x, self.dim)), self.dim)
@@ -413,17 +393,13 @@ def apply_schrodinger(channel: KrausChannel, rho) -> np.ndarray:
 # superoperator matrices
 # ---------------------------------------------------------------------------
 
-def kraus_superoperator_matrix(ops: Sequence[np.ndarray], picture: str = "heisenberg") -> np.ndarray:
-    """Column-stacking matrix of a Kraus family in either picture."""
-    if picture == "heisenberg":
-        # vec(V^* x V) = kron(V.T, V^*) vec(x)
-        return sum(np.kron(v.T, v.conj().T) for v in ops)
-    if picture == "schrodinger":
-        return sum(np.kron(v.conj(), v) for v in ops)
-    raise ValueError(f"unknown picture {picture!r}")
+def kraus_superoperator_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Heisenberg matrix of a Kraus family: vec(V^* x V) = kron(V.T, V^*) vec(x)."""
+    return sum(np.kron(v.T, v.conj().T) for v in ops)
 
 
-def gkls_superoperator_matrix(gen: GKLSGenerator, picture: str = "heisenberg") -> np.ndarray:
+def gkls_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
+    """Heisenberg matrix of a GKLS generator."""
     d = gen.dim
     eye = np.eye(d)
     h = gen.hamiltonian
@@ -431,16 +407,11 @@ def gkls_superoperator_matrix(gen: GKLSGenerator, picture: str = "heisenberg") -
     for l in gen.jumps:
         ll = dagger(l) @ l
         m = m + np.kron(l.T, l.conj().T) - 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
-    if picture == "heisenberg":
-        return m
-    if picture == "schrodinger":
-        return m.conj().T
-    raise ValueError(f"unknown picture {picture!r}")
+    return m
 
 
-def superoperator_matrix(mapping, dim: int | None = None,
-                         picture: str = "heisenberg") -> Superoperator:
-    """Dense matrix representation of a map on d x d matrices.
+def superoperator_matrix(mapping, dim: int | None = None) -> Superoperator:
+    """Dense Heisenberg matrix of a map on d x d matrices.
 
     Accepts a :class:`KrausChannel`, a :class:`GKLSGenerator`, an existing
     :class:`Superoperator` (returned unchanged) or a callable together with
@@ -450,12 +421,9 @@ def superoperator_matrix(mapping, dim: int | None = None,
     if isinstance(mapping, Superoperator):
         return mapping
     if isinstance(mapping, KrausChannel):
-        if picture == "heisenberg":
-            return Superoperator(mapping.dim, kraus_superoperator_matrix(mapping.kraus))
-        return Superoperator(mapping.dim,
-                             kraus_superoperator_matrix(mapping.kraus, "schrodinger"))
+        return Superoperator(mapping.dim, kraus_superoperator_matrix(mapping.kraus))
     if isinstance(mapping, GKLSGenerator):
-        return Superoperator(mapping.dim, gkls_superoperator_matrix(mapping, picture))
+        return Superoperator(mapping.dim, gkls_superoperator_matrix(mapping))
     if callable(mapping):
         if dim is None:
             raise ValueError("dim is required for a callable map")
@@ -501,12 +469,7 @@ def kms_weight_matrix(sigma, power: float = 1.0, tol: float = TAU_PSD) -> np.nda
 def kms_isometrized_matrix(mapping, sigma, dim: int | None = None) -> np.ndarray:
     """W^(1/2) M W^(-1/2): Hermitian iff the map is KMS-selfadjoint."""
     sup = superoperator_matrix(mapping, dim)
-    s = state_matrix(sigma)
-    quarter = state_power(s, 0.25)
-    quarter_inv = state_power(s, -0.25)
-    w_half = np.kron(quarter.conj(), quarter)
-    w_half_inv = np.kron(quarter_inv.conj(), quarter_inv)
-    return w_half @ sup.matrix @ w_half_inv
+    return kms_weight_matrix(sigma, 0.5) @ sup.matrix @ kms_weight_matrix(sigma, -0.5)
 
 
 def kms_operator_norm(mapping, sigma, dim: int | None = None) -> float:

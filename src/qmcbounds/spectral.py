@@ -47,6 +47,9 @@ from .operators import (
 TAU_EIG = 1e-8   # eigenvalue-cluster resolution for simplicity checks
 TAU_PER = 1e-8   # peripheral-spectrum resolution
 TAU_DEC = 1e-8   # invariant-subspace commutation / eigenvalue grouping
+_RANK_TOL = 1e-10        # relative singular-value cut of the reachability probe
+_MAX_TERMS = 32          # terms of the certified pseudoresolvent chain
+_ASCENT_ITERATIONS = 8   # projected-ascent steps of the heuristic lower estimate
 
 
 class HypothesisError(RuntimeError):
@@ -82,6 +85,13 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
+def _trace_normalized(v: np.ndarray, dim: int) -> np.ndarray | None:
+    """The Hermitian part of unvec(v) at unit trace; None when |trace| < 1e-12."""
+    x = _hermitize(unvec(v, dim))
+    tr = float(np.trace(x).real)
+    return None if abs(tr) < 1e-12 else x / tr
+
+
 def invariant_state(channel: KrausChannel, tol: float = 1e-11) -> DensityMatrix:
     """Unique fixed state of the predual action, phi_*(sigma) = sigma.
 
@@ -89,15 +99,13 @@ def invariant_state(channel: KrausChannel, tol: float = 1e-11) -> DensityMatrix:
     dimension != 1.  Faithfulness is *not* enforced here; check it with
     ``DensityMatrix.is_faithful``.
     """
-    m_s = superoperator_matrix(channel, picture="schrodinger").matrix
+    m_s = superoperator_matrix(channel).matrix.conj().T
     basis = _null_space(m_s - np.eye(m_s.shape[0]))
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
-    sigma = _hermitize(unvec(basis[:, 0], channel.dim))
-    tr = float(np.trace(sigma).real)
-    if abs(tr) < 1e-12:
+    sigma = _trace_normalized(basis[:, 0], channel.dim)
+    if sigma is None:
         raise FixedSpaceError(1, "fixed point has vanishing trace; eigenproblem defective")
-    sigma = sigma / tr
     residual = float(np.max(np.abs(channel.schrodinger(sigma) - sigma)))
     if residual > tol:
         raise FixedSpaceError(1, f"fixed-point residual {residual:.3e} exceeds {tol:g}")
@@ -106,30 +114,27 @@ def invariant_state(channel: KrausChannel, tol: float = 1e-11) -> DensityMatrix:
 
 def gkls_steady_state(gen: GKLSGenerator, tol: float = 1e-10) -> DensityMatrix:
     """Unique stationary state of the semigroup, ker of the predual generator."""
-    m_s = superoperator_matrix(gen, picture="schrodinger").matrix
+    m_s = superoperator_matrix(gen).matrix.conj().T
     basis = _null_space(m_s)
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
-    sigma = _hermitize(unvec(basis[:, 0], gen.dim))
-    tr = float(np.trace(sigma).real)
-    if abs(tr) < 1e-12:
+    sigma = _trace_normalized(basis[:, 0], gen.dim)
+    if sigma is None:
         raise FixedSpaceError(1, "stationary solve returned a traceless matrix")
-    sigma = sigma / tr
     residual = float(np.max(np.abs(gen.apply_dual(sigma))))
     if residual > max(tol, 1e-9 * uniform_norm(m_s)):
         raise FixedSpaceError(1, f"stationary residual {residual:.3e}")
     return DensityMatrix(sigma)
 
 
-def _reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray,
-                         rank_tol: float = 1e-10) -> int:
+def _reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray) -> int:
     """Dimension of span{ V_in ... V_i1 v } grown until stable."""
     d = v.shape[0]
     basis = v[:, None] / np.linalg.norm(v)
     for _ in range(d):
         stacked = np.hstack([basis] + [k @ basis for k in kraus])
         u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        grown = u[:, s > rank_tol * max(float(s[0]), 1.0)]
+        grown = u[:, s > _RANK_TOL * max(float(s[0]), 1.0)]
         if grown.shape[1] == basis.shape[1]:
             break
         basis = grown
@@ -144,13 +149,8 @@ def _fixed_point_min_eigenvalue(basis: np.ndarray, dim: int) -> float:
     -inf when the fixed space is not one-dimensional or its trace vanishes,
     so the point is never judged faithful.
     """
-    if basis.shape[1] != 1:
-        return -np.inf
-    candidate = _hermitize(unvec(basis[:, 0], dim))
-    tr = float(np.trace(candidate).real)
-    if abs(tr) <= 1e-12:
-        return -np.inf
-    return float(np.min(np.linalg.eigvalsh(candidate / tr)))
+    candidate = _trace_normalized(basis[:, 0], dim) if basis.shape[1] == 1 else None
+    return -np.inf if candidate is None else float(np.min(np.linalg.eigvalsh(candidate)))
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,12 @@ class IrreducibilityEvidence:
     eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
+def _hermitian_parts(basis: np.ndarray, dim: int) -> np.ndarray:
+    """(h(b), h(i b)) per basis column b, h the Hermitian part: a (cols, 2, d, d) stack."""
+    b = unvec(basis.T, dim)
+    return np.stack([_hermitize(b), _hermitize(1j * b)], axis=1)
+
+
 def _witness_vectors(kraus: tuple[np.ndarray, ...], dual_fixed_basis: np.ndarray,
                      dim: int, seed: int) -> list[np.ndarray]:
     """Starting vectors for the reachability probe.
@@ -178,13 +184,11 @@ def _witness_vectors(kraus: tuple[np.ndarray, ...], dual_fixed_basis: np.ndarray
     rng = np.random.default_rng(seed)
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
     vectors.extend(np.eye(dim, dtype=complex)[:, k] for k in range(dim))
-    for col in range(dual_fixed_basis.shape[1]):
-        b = unvec(dual_fixed_basis[:, col], dim)
-        for h in (_hermitize(b), _hermitize(1j * b)):
-            if np.max(np.abs(h)) < 1e-14:
-                continue
-            _, eigvecs = np.linalg.eigh(h)
-            vectors.extend(eigvecs[:, k] for k in range(dim))
+    for h in _hermitian_parts(dual_fixed_basis, dim).reshape(-1, dim, dim):
+        if np.max(np.abs(h)) < 1e-14:
+            continue
+        _, eigvecs = np.linalg.eigh(h)
+        vectors.extend(eigvecs[:, k] for k in range(dim))
     return vectors
 
 
@@ -442,8 +446,7 @@ def _power_terms(phi_f: np.ndarray, root_d: float):
         term = min(1.0, root_d * float(np.linalg.norm(power, 2)))
 
 
-def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int,
-                              max_terms: int = 32) -> float:
+def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int) -> float:
     """Certified upper bound on the sup-operator norm of (Id - phi)^(-1)|F.
 
     Uses the norm equivalence ||x||_HS <= sqrt(d) ||x|| together with the
@@ -456,12 +459,12 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int,
     the running minimum.  This is exact: every term and every tail is >= 0,
     and a floating-point sum of non-negative numbers never decreases, so from
     then on every candidate partial + tail is >= the minimum, and the result
-    is bit-identical to running all ``max_terms`` terms.
+    is bit-identical to running all ``_MAX_TERMS`` terms.
     """
     root_d = float(np.sqrt(dim))
     best = root_d * float(np.linalg.norm(inv_f, 2))
     partial = 0.0
-    for term, power in islice(_power_terms(phi_f, root_d), max_terms):
+    for term, power in islice(_power_terms(phi_f, root_d), _MAX_TERMS):
         partial += term
         if partial >= best:
             break
@@ -475,8 +478,8 @@ def _sign_matrix(g: np.ndarray) -> np.ndarray:
     return (u * signs[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def _certified_resolvent(channel: KrausChannel, s: np.ndarray,
-                         max_terms: int = 32) -> tuple[np.ndarray, np.ndarray, float]:
+def _certified_resolvent(channel: KrausChannel,
+                         s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Basis q of F, (Id - phi_F)^(-1) and the certified bound on its sup-norm."""
     q, phi_f = _centered_restriction(channel, s)
     eye_f = np.eye(phi_f.shape[0])
@@ -484,7 +487,7 @@ def _certified_resolvent(channel: KrausChannel, s: np.ndarray,
         inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
     except np.linalg.LinAlgError as exc:
         raise HypothesisError("Id - phi is singular on the centered subspace") from exc
-    return q, inv_f, _certified_sup_norm_chain(phi_f, inv_f, channel.dim, max_terms)
+    return q, inv_f, _certified_sup_norm_chain(phi_f, inv_f, channel.dim)
 
 
 def certified_pseudoresolvent_norm(channel: KrausChannel, sigma) -> float:
@@ -523,8 +526,7 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
 
     def apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
         # unvec(m @ vec(x)) of each slice, one matrix-vector product per slice
-        v = x.swapaxes(1, 2).reshape(restarts, d * d, 1)
-        return np.matmul(m, v).reshape(restarts, d, d).swapaxes(1, 2)
+        return unvec(np.matmul(m, vec(x)[..., None])[..., 0], d)
 
     def sup_norms(x: np.ndarray) -> np.ndarray:
         return np.linalg.svd(x, compute_uv=False)[:, 0]
@@ -554,8 +556,7 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
 
 
 def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
-                         iterations: int = 8, seed: int = 0,
-                         max_terms: int = 32) -> PseudoresolventNorm:
+                         seed: int = 0) -> PseudoresolventNorm:
     """Sup-norm of (Id - phi)^(-1) restricted to F = {tr(sigma x) = 0}.
 
     ``lower_estimate`` is a heuristic maximizer (projected ascent over
@@ -566,9 +567,9 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
     :func:`certified_pseudoresolvent_norm`, which skips the heuristic.
     """
     s = state_matrix(sigma)
-    q, inv_f, certified = _certified_resolvent(channel, s, max_terms)
+    q, inv_f, certified = _certified_resolvent(channel, s)
     n_full = q @ inv_f @ q.conj().T  # acts as (Id-phi)^(-1) P_F in vectorized form
-    best = _lower_estimate(s, n_full, restarts, iterations, seed)
+    best = _lower_estimate(s, n_full, restarts, _ASCENT_ITERATIONS, seed)
     # both bracket the same quantity; rounding can make them cross at the
     # fully degenerate point where the norm is exactly 1
     return PseudoresolventNorm(lower_estimate=min(best, certified), certified_upper=certified)
@@ -698,14 +699,10 @@ def faithful_fixed_point(channel: KrausChannel, tol: float = TAU_PSD) -> np.ndar
     Raises :class:`HypothesisError` ("positive recurrence fails") when no
     faithful invariant state exists.
     """
-    m_s = superoperator_matrix(channel, picture="schrodinger").matrix
+    m_s = superoperator_matrix(channel).matrix.conj().T
     p1 = _spectral_projector_at_one(m_s)
-    candidate = _hermitize(unvec(p1 @ vec(np.eye(channel.dim) / channel.dim), channel.dim))
-    tr = float(np.trace(candidate).real)
-    if abs(tr) < 1e-12:
-        raise HypothesisError("positive recurrence fails")
-    candidate = candidate / tr
-    if float(np.min(np.linalg.eigvalsh(candidate))) <= tol:
+    candidate = _trace_normalized(p1 @ vec(np.eye(channel.dim) / channel.dim), channel.dim)
+    if candidate is None or float(np.min(np.linalg.eigvalsh(candidate))) <= tol:
         raise HypothesisError("positive recurrence fails")
     return candidate
 
@@ -737,12 +734,12 @@ def _split_once(channel: KrausChannel, seed: int, tol: float) -> list[np.ndarray
     basis = _null_space(m_h - np.eye(m_h.shape[0]))
     if basis.shape[1] <= 1:
         return [np.eye(channel.dim, dtype=complex)]
+    parts = _hermitian_parts(basis, channel.dim)
     for attempt in range(seed, seed + _SPLIT_ATTEMPTS):
         rng = np.random.default_rng(attempt)
         y = np.zeros((channel.dim, channel.dim), dtype=complex)
-        for col in range(basis.shape[1]):
-            b = unvec(basis[:, col], channel.dim)
-            y += rng.standard_normal() * _hermitize(b) + rng.standard_normal() * _hermitize(1j * b)
+        for re_part, im_part in parts:
+            y += rng.standard_normal() * re_part + rng.standard_normal() * im_part
         w, u = np.linalg.eigh(y)
         scale = max(1.0, float(np.max(np.abs(w))))
         groups = _group_eigenvalues(w, tol * scale)

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _step_stats
+from .bounds import _stationary_intensity, _step_stats
 from .operators import (
     GKLSGenerator,
     KrausChannel,
@@ -53,12 +53,14 @@ from .operators import (
     observation_vector,
     state_matrix,
     uniform_norm,
+    unvec,
     vec,
 )
 
 _TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
+_BISECT_REL_TOL = 1e-10   # relative bracket width at which a waiting time is solved
 
 
 class FilterCollapseError(RuntimeError):
@@ -591,21 +593,10 @@ def laplace_transform_exact(channel: KrausChannel, rho0, f, n: int, u: float,
 # continuous-time counting processes
 # ---------------------------------------------------------------------------
 
-def _vec_rows(rho_batch: np.ndarray) -> np.ndarray:
-    """Column-stacking vec per batch row."""
-    b, d, _ = rho_batch.shape
-    return np.swapaxes(rho_batch, 1, 2).reshape(b, d * d)
-
-
-def _unvec_rows(vecs: np.ndarray, d: int) -> np.ndarray:
-    b = vecs.shape[0]
-    return np.swapaxes(vecs.reshape(b, d, d), 1, 2)
-
-
 class _CountingSampler:
     """Batched jump / no-jump unravelling of a GKLS generator."""
 
-    def __init__(self, gen: GKLSGenerator, bisect_rel_tol: float = 1e-10):
+    def __init__(self, gen: GKLSGenerator):
         self.gen = gen
         self.dim = gen.dim
         g = gen.no_jump_generator_matrix
@@ -618,21 +609,20 @@ class _CountingSampler:
         self.right_inv_t = np.linalg.inv(r).T.copy()
         self.trace_row = vec(np.eye(self.dim)).conj() @ r
         self.t0 = 1.0 / max(uniform_norm(g), 1e-30)
-        self.rel_tol = bisect_rel_tol
         self.jump_stack = np.stack(gen.jumps)
 
     def _coefficients(self, rho_batch: np.ndarray) -> np.ndarray:
         """survival(tau) = Re sum_k a_k exp(w_k tau), one row per trajectory."""
-        return (_vec_rows(rho_batch) @ self.right_inv_t) * self.trace_row[None, :]
+        return (vec(rho_batch) @ self.right_inv_t) * self.trace_row[None, :]
 
     @staticmethod
     def _survival(coeff: np.ndarray, eigenvalues: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return np.einsum("bk,bk->b", coeff, np.exp(np.outer(taus, eigenvalues))).real
 
     def propagate(self, rho_batch: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        coeff = _vec_rows(rho_batch) @ self.right_inv_t
+        coeff = vec(rho_batch) @ self.right_inv_t
         out = (coeff * np.exp(np.outer(taus, self.eigenvalues))) @ self.right_t
-        return _unvec_rows(out, self.dim)
+        return unvec(out, self.dim)
 
     def waiting_times(self, rho_batch: np.ndarray, targets: np.ndarray,
                       remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -677,7 +667,7 @@ class _CountingSampler:
         # masked bisection: converged rows freeze, so each result is a
         # function of its own trajectory data only
         for _ in range(100):
-            active = (hi - lo) > self.rel_tol * np.maximum(hi, 1e-300)
+            active = (hi - lo) > _BISECT_REL_TOL * np.maximum(hi, 1e-300)
             if not np.any(active):
                 break
             mid = np.where(active, 0.5 * (lo + hi), hi)
@@ -774,9 +764,7 @@ def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,
     """
     if m is None:
         from .spectral import gkls_steady_state
-        sigma = gkls_steady_state(gen)
-        l = gen.jumps[gen.index(label)]
-        m = float(np.trace(dagger(l) @ l @ sigma.matrix).real)
+        m = _stationary_intensity(gen, label, gkls_steady_state(gen))
     col = gen.index(label)
     if t == 0.0:
         hit = 1 if -m >= gamma - 1e-12 else 0

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qmcbounds.bounds import (
     time_dependent_hoeffding,
 )
 import qmcbounds.spectral as spectral
+from qmcbounds.modelfile import load_model
 from qmcbounds.operators import GKLSGenerator
 from qmcbounds.spectral import (
     decompose_invariant_subspaces,
@@ -329,6 +331,20 @@ class TestTimeDependent:
         assert res.valid and 0.0 < res.probability_bound <= 1.0
         res_h = time_dependent_hoeffding(channel, steps, ring_sigma.matrix, None, 0.4)
         assert res_h.flavor == "tdm-hoeffding"
+
+    def test_total_matrix_is_the_kron_loop(self, ring):
+        """Every operator of every outcome, summed in order from zero."""
+        channel, _ = ring
+        model = load_model(os.path.join(os.path.dirname(__file__), "..", "models",
+                                        "ring_tdm.json"))
+        paired = Unravelling([channel.kraus[2 * k:2 * k + 2] for k in range(3)])
+        for unravelling in [*model.unravellings.values(), paired]:
+            d2 = unravelling.dim ** 2
+            expected = np.zeros((d2, d2), dtype=complex)
+            for ops in unravelling.maps:
+                for w in ops:
+                    expected += np.kron(w.T, w.conj().T)
+            assert np.array_equal(unravelling.total_matrix(), expected)
 
 
 class TestMultitime:

@@ -11,7 +11,7 @@ import qmcbounds.classical as classical
 import qmcbounds.spectral as spectral
 import qmcbounds.trajectory as trajectory
 from qmcbounds import cli
-from qmcbounds.bounds import Unravelling
+from qmcbounds.bounds import Unravelling, stationary_stats
 from qmcbounds.fixtures import random_channel
 from qmcbounds.modelfile import load_model
 from qmcbounds.spectral import gkls_steady_state, invariant_state
@@ -505,9 +505,31 @@ class TestVerify:
         report = main_report(capsys, "verify", "--flavor", "bernstein", "--model", str(path),
                              "--n", "100", "--gamma", "0.1")
         loaded = load_model(str(path)).channel
-        law = score_distribution_dp(loaded, invariant_state(loaded).matrix, payoff, 100)
+        sigma = invariant_state(loaded).matrix
+        law = score_distribution_dp(loaded, sigma, payoff, 100)
+        mean = stationary_stats(loaded, sigma, payoff).mean
         assert [(row["tail_kind"], row["tail"]) for row in report["rows"]] == [
-            ("dp", law.tail(0.1))]
+            ("dp", law.tail(mean + 0.1))]
+
+    def test_tail_is_of_the_centered_mean(self, capsys):
+        # pi(f) = 0.4: the bound on P(mean - 0.4 >= 0.3) meets the tail at 0.7
+        report = main_report(capsys, "verify", "--flavor", "hoeffding", "--model",
+                             model("qubit_two_unitary.json"), "--n", "800", "--gamma", "0.3")
+        loaded = load_model(model("qubit_two_unitary.json"))
+        sigma = invariant_state(loaded.channel).matrix
+        assert stationary_stats(loaded.channel, sigma, loaded.observation).mean == (
+            pytest.approx(0.4, abs=1e-12))
+        law = score_distribution_dp(loaded.channel, sigma, loaded.observation, 800)
+        assert [row["tail"] for row in report["rows"]] == [law.tail(0.4 + 0.3)]
+        assert report["summary"]["overall"] == "pass"
+
+    def test_mc_tail_is_of_the_centered_mean(self, capsys):
+        # n = 2000 is beyond the DP budget, so the tail is sampled
+        report = main_report(capsys, "verify", "--mc", "--flavor", "hoeffding", "--model",
+                             model("qubit_two_unitary.json"), "--n", "2000", "--gamma", "0.3",
+                             "--trials", "40")
+        assert [row["tail_kind"] for row in report["rows"]] == ["mc"]
+        assert all(row["verdict"] is not False for row in report["rows"])
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

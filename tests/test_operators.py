@@ -21,6 +21,7 @@ from qmcbounds.operators import (
     superoperator_matrix,
     trace_norm,
     uniform_norm,
+    unvec,
     validate_channel,
     vec,
 )
@@ -216,9 +217,21 @@ class TestSuperoperator:
         sup = superoperator_matrix(qubit_gen)
         assert np.max(np.abs(sup.matrix @ vec(np.eye(2)))) < 1e-13
 
-    def test_convention_guard(self):
-        with pytest.raises(ValueError, match="convention"):
-            Superoperator(2, np.eye(4), convention="row-stacking")
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_stacked_vec_is_the_per_matrix_loop(self, d, lead):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+        flat = x.reshape((-1, d, d))
+        v = vec(x)
+        assert v.shape == lead + (d * d,)
+        assert np.array_equal(v.reshape((-1, d * d)),
+                              np.stack([m.reshape(-1, order="F") for m in flat]))
+        back = unvec(v, d)
+        assert np.array_equal(back.reshape((-1, d, d)),
+                              np.stack([w.reshape((d, d), order="F")
+                                        for w in v.reshape((-1, d * d))]))
+        assert np.array_equal(back, x)
 
 
 class TestGKLS:

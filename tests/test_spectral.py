@@ -15,11 +15,15 @@ from qmcbounds.classical import (
 from qmcbounds.fixtures import (
     PAULI_Z,
     SIGMA_MINUS,
+    driven_qubit,
     nondemolition_channel,
+    poisson_counting_qubit,
     random_channel,
     ring_channel,
+    two_block_ring,
 )
 from qmcbounds.operators import (
+    DensityMatrix,
     GKLSGenerator,
     KrausChannel,
     kms_isometrized_matrix,
@@ -83,6 +87,56 @@ class TestInvariantState:
         ch = random_channel(4, 3, seed=1)
         sigma = invariant_state(ch)
         assert np.max(np.abs(ch.schrodinger(sigma.matrix) - sigma.matrix)) < 1e-11
+
+
+def schrodinger_matrix(mapping) -> np.ndarray:
+    """The predual's matrix, built apart from the Heisenberg one."""
+    if isinstance(mapping, KrausChannel):
+        return sum(np.kron(v.conj(), v) for v in mapping.kraus)
+    h, eye = mapping.hamiltonian, np.eye(mapping.dim)
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for l in mapping.jumps:
+        ll = l.conj().T @ l
+        m = m + np.kron(l.T, l.conj().T) - 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
+    return m.conj().T
+
+
+def normalized_fixed_point(v, dim):
+    x = np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
+    x = (x + x.conj().T) / 2
+    return x / float(np.trace(x).real)
+
+
+FIXED_POINT_CASES = [f"seed{seed}" for seed in range(24)] + ["two-block"]
+
+
+class TestFixedPointsFromTheHeisenbergMatrix:
+    """The fixed points read off the conjugate transpose of the Heisenberg
+    matrix equal, bit for bit, those read off a Schroedinger matrix built apart."""
+
+    @pytest.mark.parametrize("name", FIXED_POINT_CASES)
+    def test_channel_fixed_points(self, name):
+        channel = two_block_ring()[0] if name == "two-block" else seeded_channel(int(name[4:]))
+        m_s = schrodinger_matrix(channel)
+        assert np.array_equal(superoperator_matrix(channel).matrix.conj().T, m_s)
+        basis = spectral._null_space(m_s - np.eye(m_s.shape[0]))
+        if basis.shape[1] == 1:
+            expected = DensityMatrix(normalized_fixed_point(basis[:, 0], channel.dim)).matrix
+            assert np.array_equal(invariant_state(channel).matrix, expected)
+        else:
+            with pytest.raises(FixedSpaceError):
+                invariant_state(channel)
+        p1 = spectral._spectral_projector_at_one(m_s)
+        start = vec(np.eye(channel.dim) / channel.dim)
+        assert np.array_equal(faithful_fixed_point(channel),
+                              normalized_fixed_point(p1 @ start, channel.dim))
+
+    @pytest.mark.parametrize("make", [driven_qubit, poisson_counting_qubit])
+    def test_gkls_steady_state(self, make):
+        gen = make()
+        basis = spectral._null_space(schrodinger_matrix(gen))
+        expected = DensityMatrix(normalized_fixed_point(basis[:, 0], gen.dim)).matrix
+        assert np.array_equal(gkls_steady_state(gen).matrix, expected)
 
 
 class TestIrreducibility:
