@@ -124,7 +124,6 @@ class BoundConstants:
     m: float | None = None
     alpha: float | None = None
     hypothesis_ok: bool = True
-    g_provenance: str = "certified-upper"
     note: str = ""
 
 
@@ -376,8 +375,7 @@ class TimeStep:
     f: Mapping
 
 
-def _validate_steps(channel: KrausChannel, steps: Sequence[TimeStep],
-                    tol: float = 1e-9) -> None:
+def _validate_steps(channel: KrausChannel, steps: Sequence[TimeStep]) -> None:
     """Each distinct unravelling, at its first step, must sum to the channel."""
     ref = superoperator_matrix(channel).matrix
     seen = set()
@@ -386,7 +384,7 @@ def _validate_steps(channel: KrausChannel, steps: Sequence[TimeStep],
             continue
         seen.add(id(step.unravelling))
         dev = float(np.max(np.abs(step.unravelling.total_matrix() - ref)))
-        if dev > tol:
+        if dev > 1e-9:
             raise ValueError(
                 f"step {k}: unravelling does not sum to the channel (deviation {dev:.3e})")
 

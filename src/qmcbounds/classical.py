@@ -30,15 +30,14 @@ from .trajectory import ScoreDistribution, _collapse, _lattice_dp, _score_lattic
 class MarkovChain:
     """Finite chain given by a row-stochastic transition matrix."""
 
-    def __init__(self, transition, states: Sequence[Hashable] | None = None,
-                 tol: float = 1e-12):
+    def __init__(self, transition, states: Sequence[Hashable] | None = None):
         p = np.asarray(transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"transition matrix must be square, got {p.shape}")
-        if np.any(p < -tol):
+        if np.any(p < -1e-12):
             raise ValueError("transition probabilities must be nonnegative")
         rows = p.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > max(tol, 1e-12):
+        if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError(f"rows must sum to 1, worst deviation {np.max(np.abs(rows-1)):.3e}")
         self.transition = np.clip(p, 0.0, None)
         self.states = tuple(states) if states is not None else tuple(range(p.shape[0]))
@@ -100,7 +99,7 @@ def is_chain_irreducible(chain: MarkovChain) -> bool:
     return _strongly_connected(chain.transition > 0.0)
 
 
-def stationary_distribution(chain: MarkovChain, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(chain: MarkovChain) -> np.ndarray:
     """Unique invariant law sigma P = sigma; errors on a reducible chain."""
     if not is_chain_irreducible(chain):
         raise HypothesisError("chain is reducible: no unique invariant law")
@@ -111,8 +110,8 @@ def stationary_distribution(chain: MarkovChain, tol: float = 1e-12) -> np.ndarra
     sigma = np.clip(sigma, 0.0, None)
     sigma = sigma / sigma.sum()
     residual = float(np.max(np.abs(sigma @ p - sigma)))
-    if residual > tol:
-        raise HypothesisError(f"stationary solve residual {residual:.3e} exceeds {tol:g}")
+    if residual > 1e-12:
+        raise HypothesisError(f"stationary solve residual {residual:.3e} exceeds 1e-12")
     return sigma
 
 
@@ -299,7 +298,7 @@ def flux_mgf(chain: MarkovChain, nu, f, n: int, u: float) -> float:
     return float(np.asarray(nu, dtype=float) @ vec_)
 
 
-def _flux_laws(chain: MarkovChain, nu, f, horizons, max_denominator: int = 10**6) -> dict:
+def _flux_laws(chain: MarkovChain, nu, f, horizons) -> dict:
     """{n: exact law of sum_{k<n} f(X_k, X_{k+1})} at every horizon from one DP pass.
 
     The DP runs over (state, score) with one tag per state after a start tag
@@ -308,7 +307,7 @@ def _flux_laws(chain: MarkovChain, nu, f, horizons, max_denominator: int = 10**6
     fm = flux_matrix(f, chain)
     mask = chain.transition > 0.0
     nums = np.zeros_like(fm, dtype=np.int64)
-    nums[mask], denom = _score_lattice(fm[mask], max_denominator)
+    nums[mask], denom = _score_lattice(fm[mask])
     weights = np.vstack([np.asarray(nu, dtype=float), chain.transition])
     next_tag = np.where(weights > 0.0, np.arange(1, chain.size + 1), -1)
     shift = np.vstack([np.zeros(chain.size, dtype=np.int64), nums])
@@ -321,7 +320,6 @@ def _flux_laws(chain: MarkovChain, nu, f, horizons, max_denominator: int = 10**6
     return laws
 
 
-def exact_flux_tail(chain: MarkovChain, nu, f, n: int, gamma: float,
-                    max_denominator: int = 10**6) -> float:
+def exact_flux_tail(chain: MarkovChain, nu, f, n: int, gamma: float) -> float:
     """Exact P((1/n) sum_k f(X_k, X_{k+1}) >= gamma) by (state, score) DP."""
-    return _flux_laws(chain, nu, f, [n], max_denominator)[n].tail(gamma)
+    return _flux_laws(chain, nu, f, [n])[n].tail(gamma)

@@ -102,7 +102,6 @@ class Model:
     observation_windows: dict | None = None
     parameter_grid: list | None = None
     family: str | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def _observation(obs, labels, path: str) -> dict:
@@ -143,7 +142,7 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
         channel = KrausChannel(ops, labels, tol=tol_channel)
     except Exception as exc:
         _fail("$.kraus", str(exc))
-    model = Model(kind="kraus", channel=channel, raw=doc)
+    model = Model(kind="kraus", channel=channel)
     obs = _get(doc, "observation", "$", required=False)
     if obs is not None:
         model.observation = _observation(obs, labels, "$.observation")
@@ -207,8 +206,7 @@ def _parse_gkls(doc: dict) -> Model:
     if count_label is not None and count_label not in gen.labels:
         _fail("$.count_label", f"{count_label!r} is not a jump label")
     return Model(kind="gkls", generator=gen,
-                 count_label=count_label if count_label is not None else gen.labels[0],
-                 raw=doc)
+                 count_label=count_label if count_label is not None else gen.labels[0])
 
 
 def _parse_classical(doc: dict) -> Model:
@@ -218,7 +216,7 @@ def _parse_classical(doc: dict) -> Model:
         chain = MarkovChain(np.asarray(rows, dtype=float), states=states)
     except Exception as exc:
         _fail("$.transition", str(exc))
-    model = Model(kind="classical", chain=chain, raw=doc)
+    model = Model(kind="classical", chain=chain)
     flux_doc = _get(doc, "flux", "$", required=False)
     if flux_doc is not None:
         for i, entry in enumerate(flux_doc):

@@ -30,8 +30,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-# Default tolerances for double-precision work at dimensions d <= ~32.
-# All of them can be overridden per call.
+# Tolerances for double-precision work at dimensions d <= ~32.  Only the
+# channel tolerance is settable, per KrausChannel (``--tolerance channel=``).
 TAU_PSD = 1e-10       # eigenvalue floor: faithfulness / positivity checks
 TAU_TRACE = 1e-10     # |tr(rho) - 1| allowed for states
 TAU_CHANNEL = 1e-9    # || sum V_i^* V_i - 1 || allowed for channels
@@ -101,13 +101,13 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return a.reshape(a.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
-def state_power(sigma: np.ndarray, power: float, tol: float = TAU_PSD) -> np.ndarray:
-    """``sigma**power`` for a faithful state; negative powers need min eig > tol."""
+def state_power(sigma: np.ndarray, power: float) -> np.ndarray:
+    """``sigma**power`` for a faithful state; negative powers need min eig > TAU_PSD."""
     a = as_complex_matrix(sigma)
     w, u = np.linalg.eigh((a + a.conj().T) / 2)
-    if power < 0 and np.min(w) <= tol:
+    if power < 0 and np.min(w) <= TAU_PSD:
         raise NotFaithfulError("state not faithful")
-    w = np.clip(w, tol if power < 0 else 0.0, None)
+    w = np.clip(w, TAU_PSD if power < 0 else 0.0, None)
     return (u * np.power(w, power)) @ u.conj().T
 
 
@@ -135,17 +135,17 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol_psd: float = TAU_PSD, tol_trace: float = TAU_TRACE):
+    def __init__(self, matrix):
         m = as_complex_matrix(matrix)
         m = (m + m.conj().T) / 2 if is_selfadjoint(m, 1e-9) else m
         if not is_selfadjoint(m, 1e-9):
             raise NotSelfadjointError("density matrix must be selfadjoint")
         eigmin = float(np.min(np.linalg.eigvalsh(m)))
-        if eigmin < -tol_psd:
-            raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} below -{tol_psd:g}")
+        if eigmin < -TAU_PSD:
+            raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} below -{TAU_PSD:g}")
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > tol_trace:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {tol_trace:g}")
+        if abs(tr - 1.0) > TAU_TRACE:
+            raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {TAU_TRACE:g}")
         self.matrix = m
 
     @property
@@ -155,8 +155,8 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
-    def is_faithful(self, tol: float = TAU_PSD) -> bool:
-        return self.min_eigenvalue() > tol
+    def is_faithful(self) -> bool:
+        return self.min_eigenvalue() > TAU_PSD
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(dim={self.dim})"
@@ -242,9 +242,9 @@ def validate_kraus(ops: Sequence[np.ndarray], labels: Sequence, tol: float) -> C
                              zero_kraus_labels=zeros)
 
 
-def validate_channel(channel: KrausChannel, tol: float = TAU_CHANNEL) -> ChannelValidation:
-    """Report-style normalization check of an existing Kraus family."""
-    return validate_kraus(channel.kraus, channel.labels, tol)
+def validate_channel(channel: KrausChannel) -> ChannelValidation:
+    """Report-style normalization check of an existing Kraus family at TAU_CHANNEL."""
+    return validate_kraus(channel.kraus, channel.labels, TAU_CHANNEL)
 
 
 class GKLSGenerator:
@@ -255,10 +255,9 @@ class GKLSGenerator:
     ``G = iH - sum_i L_i^* L_i / 2`` and jump maps ``J_i(x) = L_i^* x L_i``.
     """
 
-    def __init__(self, hamiltonian, jumps: Iterable, labels: Sequence[Hashable] | None = None,
-                 tol: float = 1e-9):
+    def __init__(self, hamiltonian, jumps: Iterable, labels: Sequence[Hashable] | None = None):
         h = as_complex_matrix(hamiltonian)
-        if not is_selfadjoint(h, tol):
+        if not is_selfadjoint(h, 1e-9):
             raise NotSelfadjointError("Hamiltonian must be selfadjoint")
         ops = tuple(as_complex_matrix(l, h.shape[0]) for l in jumps)
         if labels is None:
@@ -441,40 +440,40 @@ def superoperator_matrix(mapping, dim: int | None = None) -> Superoperator:
 # KMS inner product machinery
 # ---------------------------------------------------------------------------
 
-def kms_inner(x, y, sigma, tol: float = TAU_PSD) -> complex:
+def kms_inner(x, y, sigma) -> complex:
     """KMS inner product tr(sigma^(1/2) x^* sigma^(1/2) y) for faithful sigma."""
     s = state_matrix(sigma)
     x = as_complex_matrix(x, s.shape[0])
     y = as_complex_matrix(y, s.shape[0])
-    if float(np.min(np.linalg.eigvalsh(s))) <= tol:
+    if float(np.min(np.linalg.eigvalsh(s))) <= TAU_PSD:
         raise NotFaithfulError("state not faithful")
-    root = state_power(s, 0.5, tol)
+    root = state_power(s, 0.5)
     return complex(np.trace(root @ dagger(x) @ root @ y))
 
 
-def kms_norm(x, sigma, tol: float = TAU_PSD) -> float:
-    v = kms_inner(x, x, sigma, tol)
+def kms_norm(x, sigma) -> float:
+    v = kms_inner(x, x, sigma)
     return float(np.sqrt(max(v.real, 0.0)))
 
 
-def kms_weight_matrix(sigma, power: float = 1.0, tol: float = TAU_PSD) -> np.ndarray:
+def kms_weight_matrix(sigma, power: float = 1.0) -> np.ndarray:
     """Vectorized Gram matrix of the KMS product: kron(conj(sigma^p/2), sigma^p/2)."""
     s = state_matrix(sigma)
-    if float(np.min(np.linalg.eigvalsh(s))) <= tol:
+    if float(np.min(np.linalg.eigvalsh(s))) <= TAU_PSD:
         raise NotFaithfulError("state not faithful")
-    half = state_power(s, power / 2.0, tol)
+    half = state_power(s, power / 2.0)
     return np.kron(half.conj(), half)
 
 
-def kms_isometrized_matrix(mapping, sigma, dim: int | None = None) -> np.ndarray:
+def kms_isometrized_matrix(mapping, sigma) -> np.ndarray:
     """W^(1/2) M W^(-1/2): Hermitian iff the map is KMS-selfadjoint."""
-    sup = superoperator_matrix(mapping, dim)
+    sup = superoperator_matrix(mapping)
     return kms_weight_matrix(sigma, 0.5) @ sup.matrix @ kms_weight_matrix(sigma, -0.5)
 
 
-def kms_operator_norm(mapping, sigma, dim: int | None = None) -> float:
+def kms_operator_norm(mapping, sigma) -> float:
     """Operator norm induced by the KMS norm (largest singular value)."""
-    return float(np.linalg.norm(kms_isometrized_matrix(mapping, sigma, dim), 2))
+    return float(np.linalg.norm(kms_isometrized_matrix(mapping, sigma), 2))
 
 
 def kms_adjoint(mapping, sigma):
@@ -497,7 +496,7 @@ def kms_adjoint(mapping, sigma):
     raise TypeError(f"cannot take the KMS adjoint of {type(mapping)!r}")
 
 
-def kms_positive_parts(x, sigma, tol: float = TAU_IDENTITY) -> tuple[np.ndarray, np.ndarray]:
+def kms_positive_parts(x, sigma) -> tuple[np.ndarray, np.ndarray]:
     """Split a selfadjoint x into KMS-orthogonal positive semidefinite parts.
 
     Returns ``(x_plus, x_minus)`` with ``x = x_plus - x_minus``, both parts
@@ -506,7 +505,7 @@ def kms_positive_parts(x, sigma, tol: float = TAU_IDENTITY) -> tuple[np.ndarray,
     """
     s = state_matrix(sigma)
     a = as_complex_matrix(x, s.shape[0])
-    if not is_selfadjoint(a, max(tol, 1e-9)):
+    if not is_selfadjoint(a, 1e-9):
         raise NotSelfadjointError("positive-part split needs a selfadjoint input")
     quarter = state_power(s, 0.25)
     quarter_inv = state_power(s, -0.25)

@@ -72,10 +72,10 @@ class InconclusiveIrreducibilityError(RuntimeError):
 # invariant states and irreducibility
 # ---------------------------------------------------------------------------
 
-def _null_space(m: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of ker(m), singular values below rcond * s_max."""
+def _null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(m), singular values below 1e-10 * max(s_max, 1)."""
     u, s, vh = np.linalg.svd(m)
-    cut = rcond * max(s[0], 1.0) if s.size else 0.0
+    cut = 1e-10 * max(s[0], 1.0) if s.size else 0.0
     rank = int(np.sum(s > cut))
     return vh[rank:].conj().T
 
@@ -92,7 +92,7 @@ def _trace_normalized(v: np.ndarray, dim: int) -> np.ndarray | None:
     return None if abs(tr) < 1e-12 else x / tr
 
 
-def invariant_state(channel: KrausChannel, tol: float = 1e-11) -> DensityMatrix:
+def invariant_state(channel: KrausChannel) -> DensityMatrix:
     """Unique fixed state of the predual action, phi_*(sigma) = sigma.
 
     Raises :class:`FixedSpaceError` when the fixed space of the predual has
@@ -107,12 +107,12 @@ def invariant_state(channel: KrausChannel, tol: float = 1e-11) -> DensityMatrix:
     if sigma is None:
         raise FixedSpaceError(1, "fixed point has vanishing trace; eigenproblem defective")
     residual = float(np.max(np.abs(channel.schrodinger(sigma) - sigma)))
-    if residual > tol:
-        raise FixedSpaceError(1, f"fixed-point residual {residual:.3e} exceeds {tol:g}")
+    if residual > 1e-11:
+        raise FixedSpaceError(1, f"fixed-point residual {residual:.3e} exceeds 1e-11")
     return DensityMatrix(sigma)
 
 
-def gkls_steady_state(gen: GKLSGenerator, tol: float = 1e-10) -> DensityMatrix:
+def gkls_steady_state(gen: GKLSGenerator) -> DensityMatrix:
     """Unique stationary state of the semigroup, ker of the predual generator."""
     m_s = superoperator_matrix(gen).matrix.conj().T
     basis = _null_space(m_s)
@@ -122,7 +122,7 @@ def gkls_steady_state(gen: GKLSGenerator, tol: float = 1e-10) -> DensityMatrix:
     if sigma is None:
         raise FixedSpaceError(1, "stationary solve returned a traceless matrix")
     residual = float(np.max(np.abs(gen.apply_dual(sigma))))
-    if residual > max(tol, 1e-9 * uniform_norm(m_s)):
+    if residual > max(1e-10, 1e-9 * uniform_norm(m_s)):
         raise FixedSpaceError(1, f"stationary residual {residual:.3e}")
     return DensityMatrix(sigma)
 
@@ -172,16 +172,15 @@ def _hermitian_parts(basis: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([_hermitize(b), _hermitize(1j * b)], axis=1)
 
 
-def _witness_vectors(kraus: tuple[np.ndarray, ...], dual_fixed_basis: np.ndarray,
-                     dim: int, seed: int) -> list[np.ndarray]:
+def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> list[np.ndarray]:
     """Starting vectors for the reachability probe.
 
-    Besides random vectors and the standard basis, eigenvectors of Hermitian
-    elements of the dual fixed space are included: the support of any fixed
-    state is invariant under the Kraus operators, so a deficient block always
-    leaves a witness here.
+    Besides two seeded random vectors and the standard basis, eigenvectors of
+    Hermitian elements of the dual fixed space are included: the support of
+    any fixed state is invariant under the Kraus operators, so a deficient
+    block always leaves a witness here.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
     vectors.extend(np.eye(dim, dtype=complex)[:, k] for k in range(dim))
     for h in _hermitian_parts(dual_fixed_basis, dim).reshape(-1, dim, dim):
@@ -192,40 +191,38 @@ def _witness_vectors(kraus: tuple[np.ndarray, ...], dual_fixed_basis: np.ndarray
     return vectors
 
 
-def is_irreducible(channel: KrausChannel, tol: float = TAU_EIG,
-                   faithful_tol: float = TAU_PSD, seed: int = 7) -> IrreducibilityEvidence:
+def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     """Two-method irreducibility vote for a completely positive Kraus family.
 
     Eigenstructure check: the eigenvalue at the spectral radius is
-    algebraically simple within ``tol`` and the corresponding fixed point of
-    the predual is positive definite.  Reachability check: Kraus products
-    span the full space from every probed starting vector.  A disagreement
-    raises :class:`InconclusiveIrreducibilityError`.
+    algebraically simple within ``TAU_EIG`` and the corresponding fixed point
+    of the predual has least eigenvalue above ``TAU_PSD``.  Reachability
+    check: Kraus products span the full space from every probed starting
+    vector.  A disagreement raises :class:`InconclusiveIrreducibilityError`.
     """
     m_h = superoperator_matrix(channel).matrix
-    return _irreducibility_vote(channel, m_h, np.linalg.eigvals(m_h), tol, faithful_tol, seed)
+    return _irreducibility_vote(channel, m_h, np.linalg.eigvals(m_h))
 
 
-def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray, eigs: np.ndarray,
-                         tol: float = TAU_EIG, faithful_tol: float = TAU_PSD,
-                         seed: int = 7) -> IrreducibilityEvidence:
+def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray,
+                         eigs: np.ndarray) -> IrreducibilityEvidence:
     """The vote of :func:`is_irreducible` on the spectrum ``eigs`` of ``m_h``.
 
     ``m_h`` is the Heisenberg matrix of ``channel``; ``eigs`` may be the
     spectrum of any matrix similar to it, in any order.
     """
     radius = float(np.max(np.abs(eigs)))
-    cluster = tol * max(1.0, radius)
+    cluster = TAU_EIG * max(1.0, radius)
     multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
 
     m_s = m_h.conj().T
     dual_basis = _null_space(m_s - radius * np.eye(m_s.shape[0]))
     min_eig = _fixed_point_min_eigenvalue(dual_basis, channel.dim)
-    faithful = min_eig > faithful_tol
+    faithful = min_eig > TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
 
     dims = tuple(_reachable_dimension(channel._stack, np.asarray(v, dtype=complex))
-                 for v in _witness_vectors(channel.kraus, dual_basis, channel.dim, seed))
+                 for v in _witness_vectors(dual_basis, channel.dim))
     reach_verdict = all(d == channel.dim for d in dims)
 
     if eig_verdict != reach_verdict:
@@ -245,18 +242,18 @@ def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray, eigs: np.ndarra
     )
 
 
-def _peripheral_is_one(eigs: np.ndarray, tol: float = TAU_PER) -> bool:
-    """Whether every eigenvalue of modulus >= 1 - tol lies within tol of 1."""
-    peripheral = eigs[np.abs(eigs) >= 1.0 - tol]
-    return bool(np.all(np.abs(peripheral - 1.0) <= tol))
+def _peripheral_is_one(eigs: np.ndarray) -> bool:
+    """Whether every eigenvalue of modulus >= 1 - TAU_PER lies within TAU_PER of 1."""
+    peripheral = eigs[np.abs(eigs) >= 1.0 - TAU_PER]
+    return bool(np.all(np.abs(peripheral - 1.0) <= TAU_PER))
 
 
-def is_primitive(channel: KrausChannel, tol: float = TAU_PER) -> bool:
+def is_primitive(channel: KrausChannel) -> bool:
     """Irreducible with peripheral spectrum {1}; errors on reducible input."""
     evidence = is_irreducible(channel)
     if not evidence.irreducible:
         raise HypothesisError("primitivity is undefined for a reducible channel")
-    return _peripheral_is_one(evidence.eigenvalues, tol)
+    return _peripheral_is_one(evidence.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -271,14 +268,14 @@ class SpectralReport:
     kms_selfadjoint: bool | None
 
 
-def spectral_report(channel: KrausChannel, sigma=None, tol: float = TAU_PER) -> SpectralReport:
+def spectral_report(channel: KrausChannel, sigma=None) -> SpectralReport:
     sup = superoperator_matrix(channel)
     eigs = np.linalg.eigvals(sup.matrix)
     order = np.argsort(-np.abs(eigs))
     eigs = eigs[order]
     radius = float(np.abs(eigs[0]))
-    peripheral = eigs[np.abs(eigs) >= radius - tol]
-    interior = np.abs(eigs)[np.abs(eigs) < radius - tol]
+    peripheral = eigs[np.abs(eigs) >= radius - TAU_PER]
+    interior = np.abs(eigs)[np.abs(eigs) < radius - TAU_PER]
     gap = float(radius - interior.max()) if interior.size else radius
     try:
         irreducible = _irreducibility_vote(channel, sup.matrix, eigs).irreducible
@@ -286,7 +283,7 @@ def spectral_report(channel: KrausChannel, sigma=None, tol: float = TAU_PER) -> 
         irreducible = False
     primitive = None
     if irreducible:
-        primitive = bool(np.all(np.abs(peripheral - radius) <= tol))
+        primitive = bool(np.all(np.abs(peripheral - radius) <= TAU_PER))
     kms_flag = None
     if sigma is not None:
         iso = kms_isometrized_matrix(sup, sigma)
@@ -300,8 +297,7 @@ def spectral_report(channel: KrausChannel, sigma=None, tol: float = TAU_PER) -> 
 # multiplicative and additive symmetrizations
 # ---------------------------------------------------------------------------
 
-def multiplicative_symmetrization(channel: KrausChannel, sigma,
-                                  tol: float = 1e-9) -> KrausChannel:
+def multiplicative_symmetrization(channel: KrausChannel, sigma) -> KrausChannel:
     """psi = phi_dagger phi with Kraus operators V_i sigma^(1/2) V_j^* sigma^(-1/2).
 
     ``sigma`` must be the invariant state of the channel; the returned family
@@ -309,7 +305,7 @@ def multiplicative_symmetrization(channel: KrausChannel, sigma,
     """
     s = state_matrix(sigma)
     residual = float(np.max(np.abs(channel.schrodinger(s) - s)))
-    if residual > tol:
+    if residual > 1e-9:
         raise HypothesisError(
             f"state is not invariant (residual {residual:.3e}); "
             "multiplicative symmetrization undefined")
@@ -555,21 +551,20 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
     return max(best, ratio(x, apply(n_full, x)))
 
 
-def pseudoresolvent_norm(channel: KrausChannel, sigma, restarts: int = 64,
-                         seed: int = 0) -> PseudoresolventNorm:
+def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
     """Sup-norm of (Id - phi)^(-1) restricted to F = {tr(sigma x) = 0}.
 
     ``lower_estimate`` is a heuristic maximizer (projected ascent over
-    sign matrices of the linearized objective, ``restarts`` seeded random
-    restarts run in lock-step, with the value of running them one after
-    another); every evaluated ratio is a true lower bound.
+    sign matrices of the linearized objective, 64 random restarts from seed
+    0 run in lock-step, with the value of running them one after another);
+    every evaluated ratio is a true lower bound.
     ``certified_upper`` is rigorous; the bounds consume it alone, through
     :func:`certified_pseudoresolvent_norm`, which skips the heuristic.
     """
     s = state_matrix(sigma)
     q, inv_f, certified = _certified_resolvent(channel, s)
     n_full = q @ inv_f @ q.conj().T  # acts as (Id-phi)^(-1) P_F in vectorized form
-    best = _lower_estimate(s, n_full, restarts, _ASCENT_ITERATIONS, seed)
+    best = _lower_estimate(s, n_full, 64, _ASCENT_ITERATIONS, 0)
     # both bracket the same quantity; rounding can make them cross at the
     # fully degenerate point where the norm is exactly 1
     return PseudoresolventNorm(lower_estimate=min(best, certified), certified_upper=certified)
@@ -583,7 +578,6 @@ def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
 
 
 def poisson_solve(channel: KrausChannel, f_target, sigma,
-                  center_tol: float = 1e-9, residual_tol: float = 1e-10,
                   certified_upper: float | None = None) -> np.ndarray:
     """Centered solution of (Id - phi)(A) = F on F = {tr(sigma x) = 0}.
 
@@ -595,7 +589,7 @@ def poisson_solve(channel: KrausChannel, f_target, sigma,
     f = as_complex_matrix(f_target, channel.dim)
     scale = max(1.0, float(np.max(np.abs(f))))
     centering = abs(complex(np.trace(s @ f)))
-    if centering > center_tol * scale:
+    if centering > 1e-9 * scale:
         raise ValueError(
             f"right-hand side is not centered: |tr(sigma F)| = {centering:.3e}")
     q, phi_f = _centered_restriction(channel, s)
@@ -609,7 +603,7 @@ def poisson_solve(channel: KrausChannel, f_target, sigma,
     if is_selfadjoint(f, 1e-10):
         a = _hermitize(a)
     residual = float(np.max(np.abs((a - channel.heisenberg(a)) - f)))
-    if residual > residual_tol * scale:
+    if residual > 1e-10 * scale:
         raise HypothesisError(
             f"Poisson residual {residual:.3e} exceeds tolerance; channel near-reducible")
     if certified_upper is not None:
@@ -678,9 +672,9 @@ class InvariantDecomposition:
         return comp / tr
 
 
-def _spectral_projector_at_one(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Spectral projector onto the eigenvalue-1 group, along the complement."""
-    t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: abs(lam - 1.0) < tol)
+def _spectral_projector_at_one(m: np.ndarray) -> np.ndarray:
+    """Spectral projector onto the eigenvalues within 1e-8 of 1, along the complement."""
+    t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: abs(lam - 1.0) < 1e-8)
     if sdim == 0:
         raise HypothesisError("no eigenvalue 1: map is not trace preserving")
     if sdim == m.shape[0]:
@@ -693,7 +687,7 @@ def _spectral_projector_at_one(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return z @ p_t @ z.conj().T
 
 
-def faithful_fixed_point(channel: KrausChannel, tol: float = TAU_PSD) -> np.ndarray:
+def faithful_fixed_point(channel: KrausChannel) -> np.ndarray:
     """A full-rank fixed state of the predual, via the Cesaro limit of 1/d.
 
     Raises :class:`HypothesisError` ("positive recurrence fails") when no
@@ -702,7 +696,7 @@ def faithful_fixed_point(channel: KrausChannel, tol: float = TAU_PSD) -> np.ndar
     m_s = superoperator_matrix(channel).matrix.conj().T
     p1 = _spectral_projector_at_one(m_s)
     candidate = _trace_normalized(p1 @ vec(np.eye(channel.dim) / channel.dim), channel.dim)
-    if candidate is None or float(np.min(np.linalg.eigvalsh(candidate))) <= tol:
+    if candidate is None or float(np.min(np.linalg.eigvalsh(candidate))) <= TAU_PSD:
         raise HypothesisError("positive recurrence fails")
     return candidate
 
@@ -723,7 +717,7 @@ def _group_eigenvalues(w: np.ndarray, tol: float) -> list[np.ndarray]:
 _SPLIT_ATTEMPTS = 32  # random fixed points drawn before the split gives up
 
 
-def _split_once(channel: KrausChannel, seed: int, tol: float) -> list[np.ndarray]:
+def _split_once(channel: KrausChannel, seed: int) -> list[np.ndarray]:
     """Isometries of the invariant blocks found from one random fixed point.
 
     When the eigenvalues of the drawn fixed point collide into one group, the
@@ -742,7 +736,7 @@ def _split_once(channel: KrausChannel, seed: int, tol: float) -> list[np.ndarray
             y += rng.standard_normal() * re_part + rng.standard_normal() * im_part
         w, u = np.linalg.eigh(y)
         scale = max(1.0, float(np.max(np.abs(w))))
-        groups = _group_eigenvalues(w, tol * scale)
+        groups = _group_eigenvalues(w, TAU_DEC * scale)
         if len(groups) > 1:
             return [u[:, g] for g in groups]
     raise HypothesisError(
@@ -755,23 +749,22 @@ def _restrict(channel: KrausChannel, isometry: np.ndarray) -> KrausChannel:
     return KrausChannel(ops, channel.labels, expect_channel=False)
 
 
-def decompose_invariant_subspaces(channel: KrausChannel, tol: float = TAU_DEC,
-                                  seed: int = 11) -> InvariantDecomposition:
+def decompose_invariant_subspaces(channel: KrausChannel) -> InvariantDecomposition:
     """Decompose a positive-recurrent channel into irreducible invariant blocks.
 
     Fixed points of the Heisenberg action span the invariant projections when
     a faithful invariant state exists; a random selfadjoint fixed point is
-    spectrally split at resolution ``tol`` and the blocks are refined
+    spectrally split at resolution ``TAU_DEC`` and the blocks are refined
     recursively until each restricted channel is irreducible.
     """
-    faithful_fixed_point(channel, TAU_PSD)  # raises if positive recurrence fails
+    faithful_fixed_point(channel)  # raises if positive recurrence fails
 
     blocks: list[np.ndarray] = []
 
     def refine(isometry: np.ndarray, sub: KrausChannel, depth: int):
         if depth > channel.dim:
             raise HypothesisError("invariant-subspace refinement failed to terminate")
-        parts = _split_once(sub, seed + depth, tol)
+        parts = _split_once(sub, 11 + depth)
         if len(parts) == 1:
             blocks.append(isometry)
             return
@@ -797,9 +790,9 @@ def decompose_invariant_subspaces(channel: KrausChannel, tol: float = TAU_DEC,
     total = sum(projections)
     if float(np.max(np.abs(total - np.eye(channel.dim)))) > 1e-8:
         raise HypothesisError("block projections do not resolve the identity")
-    if residual > tol:
+    if residual > TAU_DEC:
         raise HypothesisError(
-            f"commutation residual {residual:.3e} exceeds {tol:g}; blocks not invariant")
+            f"commutation residual {residual:.3e} exceeds {TAU_DEC:g}; blocks not invariant")
     return InvariantDecomposition(projections=tuple(projections),
                                   isometries=tuple(blocks),
                                   restricted_channels=tuple(restricted),

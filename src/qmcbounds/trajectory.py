@@ -61,6 +61,8 @@ _TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
 _BISECT_REL_TOL = 1e-10   # relative bracket width at which a waiting time is solved
+_MAX_DENOMINATOR = 10**6  # largest denominator of a score lattice
+_MASS_TOL = 1e-11         # |total DP mass - 1| allowed
 
 
 class FilterCollapseError(RuntimeError):
@@ -107,8 +109,7 @@ class EmpiricalTail:
     trials: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well defined down to trials = 1.
 
     The interval ends exactly at 0 with no successes and exactly at 1 with
@@ -117,6 +118,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
+    z = 1.959963984540054  # the normal 97.5% quantile
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
@@ -309,14 +311,13 @@ class ScoreDistribution:
             self.masses[keep] * np.exp(log_terms[keep] - shift))))
 
 
-def _score_lattice(fv: np.ndarray, max_denominator: int = 10**6,
-                   rel_tol: float = 1e-12) -> tuple[np.ndarray, int]:
-    fracs = [Fraction(float(x)).limit_denominator(max_denominator) for x in fv]
+def _score_lattice(fv: np.ndarray) -> tuple[np.ndarray, int]:
+    fracs = [Fraction(float(x)).limit_denominator(_MAX_DENOMINATOR) for x in fv]
     for x, fr in zip(fv, fracs):
-        if abs(float(fr) - float(x)) > rel_tol * max(1.0, abs(float(x))):
+        if abs(float(fr) - float(x)) > 1e-12 * max(1.0, abs(float(x))):
             raise LatticeError(
                 f"observation value {x!r} has no rational approximation with "
-                f"denominator <= {max_denominator}; use the enumeration fallback")
+                f"denominator <= {_MAX_DENOMINATOR}; use the enumeration fallback")
     denom = 1
     for fr in fracs:
         denom = denom * fr.denominator // math.gcd(denom, fr.denominator)
@@ -398,7 +399,7 @@ def _channel_lattice_dp(channel: KrausChannel, rho0, next_tag: np.ndarray,
 
 
 def _score_laws(channel: KrausChannel, rho0, nums: np.ndarray, denom: int,
-                horizons: Sequence[int], mass_tol: float = 1e-11) -> dict:
+                horizons: Sequence[int]) -> dict:
     """{n: law of sum_k f(X_k)} at every horizon from one DP pass; f is on the lattice."""
     rows = _channel_lattice_dp(channel, rho0, np.zeros((1, len(nums)), dtype=np.int64),
                                np.asarray(nums, dtype=np.int64)[None, :], horizons)
@@ -407,37 +408,35 @@ def _score_laws(channel: KrausChannel, rho0, nums: np.ndarray, denom: int,
         scores, masses = rows[n]
         masses = np.clip(masses, 0.0, None)
         total = float(masses.sum())
-        if abs(total - 1.0) > mass_tol:
-            raise RuntimeError(f"DP mass {total!r} deviates from 1 beyond {mass_tol:g}")
+        if abs(total - 1.0) > _MASS_TOL:
+            raise RuntimeError(f"DP mass {total!r} deviates from 1 beyond {_MASS_TOL:g}")
         laws[n] = ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
     return laws
 
 
-def score_distribution_dp(channel: KrausChannel, rho0, f, n: int,
-                          max_denominator: int = 10**6,
-                          mass_tol: float = 1e-11) -> ScoreDistribution:
+def score_distribution_dp(channel: KrausChannel, rho0, f, n: int) -> ScoreDistribution:
     """Exact distribution of sum_k f(X_k) by operator-valued DP.
 
     State: unnormalized conditioned operators T[s] per lattice score s,
     updated as T'[s + f(i)] += V_i T[s] V_i^*.  Mass conservation
-    sum_s tr(T_n[s]) = 1 is checked at ``mass_tol``.
+    sum_s tr(T_n[s]) = 1 is checked at ``_MASS_TOL``.
     """
-    nums, denom = _score_lattice(observation_vector(f, channel.labels), max_denominator)
-    return _score_laws(channel, rho0, nums, denom, [n], mass_tol)[n]
+    nums, denom = _score_lattice(observation_vector(f, channel.labels))
+    return _score_laws(channel, rho0, nums, denom, [n])[n]
 
 
-def exact_tail_dp(channel: KrausChannel, rho0, f, n: int, gamma: float,
-                  max_denominator: int = 10**6) -> float:
+def exact_tail_dp(channel: KrausChannel, rho0, f, n: int, gamma: float) -> float:
     """Exact P((1/n) sum_k f(X_k) >= gamma) on a desk-scale instance."""
-    return score_distribution_dp(channel, rho0, f, n, max_denominator).tail(gamma)
+    return score_distribution_dp(channel, rho0, f, n).tail(gamma)
 
 
 def _enumeration_batches(channel: KrausChannel, rho0, nums: np.ndarray, n: int,
                          budget: int = 2**18):
     """(scores, masses) of all |I|^n outcome sequences, one batch per prefix.
 
-    Prefixes are walked depth first; the last L levels are one batched
-    stack of the k^L products V_{i_L} ... V_{i_1}, with k^L d^2 <= ``budget``.
+    ``nums`` holds each label's score, integer or real.  Prefixes are
+    walked depth first; the last L levels are one batched stack of the k^L
+    products V_{i_L} ... V_{i_1}, with k^L d^2 <= ``budget``.
     """
     stack = channel._stack
     k, d = stack.shape[0], channel.dim
@@ -445,31 +444,32 @@ def _enumeration_batches(channel: KrausChannel, rho0, nums: np.ndarray, n: int,
     while levels < n and k ** (levels + 1) * d * d <= budget:
         levels += 1
     words = np.eye(d, dtype=complex)[None]
-    word_scores = np.zeros(1, dtype=np.int64)
+    word_scores = np.zeros(1, dtype=nums.dtype)
     for _ in range(levels):
         words = np.matmul(stack[:, None], words[None]).reshape(-1, d, d)
         word_scores = (nums[:, None] + word_scores[None, :]).reshape(-1)
 
-    def walk(depth: int, score: int, op: np.ndarray):
+    def walk(depth: int, score, op: np.ndarray):
         if depth == n - levels:
             yield score + word_scores, np.einsum("wpq,wpq->w", words @ op, words.conj()).real
             return
         for num, v in zip(nums, channel.kraus):
-            yield from walk(depth + 1, score + int(num), v @ op @ dagger(v))
+            yield from walk(depth + 1, score + num, v @ op @ dagger(v))
 
     yield from walk(0, 0, state_matrix(rho0).astype(complex))
 
 
-def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float,
-                           max_denominator: int = 10**6) -> float:
-    """Brute-force cross-check over all |I|^n outcome sequences."""
+def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float) -> float:
+    """Brute-force cross-check over all |I|^n outcome sequences.
+
+    Scores are summed as real numbers, so a payoff off the DP's rational
+    lattice (a :class:`LatticeError` there) is handled here.
+    """
     if len(channel.kraus) ** n > 2**24:
         raise ValueError("enumeration fallback limited to |I|^n <= 2^24")
     fv = observation_vector(f, channel.labels)
-    nums, denom = _score_lattice(fv, max_denominator)
-    threshold = gamma * n * denom - 1e-9
-    return float(sum(masses[scores >= threshold].sum()
-                     for scores, masses in _enumeration_batches(channel, rho0, nums, n)))
+    return float(sum(masses[scores >= gamma * n - 1e-9].sum()
+                     for scores, masses in _enumeration_batches(channel, rho0, fv, n)))
 
 
 def _window_length(f: Mapping) -> int:
@@ -487,9 +487,8 @@ def _window_value(f: Mapping, window: tuple):
     return f[window]
 
 
-def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
-                                max_denominator: int = 10**6,
-                                mass_tol: float = 1e-11) -> ScoreDistribution:
+def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping,
+                                n: int) -> ScoreDistribution:
     """Exact law of sum_k f(X_k, ..., X_{k+m-1}) over n sliding windows.
 
     The DP state is (last m-1 outcomes, lattice score); n windows involve
@@ -498,7 +497,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
     m = _window_length(f)
     keys = list(f.keys())
     vals = np.asarray([float(f[k]) for k in keys])
-    nums_list, denom = _score_lattice(vals, max_denominator)
+    nums_list, denom = _score_lattice(vals)
     nums = {k: int(v) for k, v in zip(keys, nums_list)}
     labels = channel.labels
     # one tag per history of fewer than m outcomes, the empty one first
@@ -516,7 +515,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping, n: int,
                 shift[t, i] = _window_value(nums, tuple(labels[j] for j in window))
     scores, masses = _channel_lattice_dp(channel, rho0, next_tag, shift, [n + m - 1])[n + m - 1]
     masses = np.clip(masses, 0.0, None)
-    if abs(float(masses.sum()) - 1.0) > mass_tol:
+    if abs(float(masses.sum()) - 1.0) > _MASS_TOL:
         raise RuntimeError("windowed DP lost probability mass")
     return ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
 
@@ -554,8 +553,7 @@ def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: flo
 # Laplace transforms
 # ---------------------------------------------------------------------------
 
-def laplace_transform_exact(channel: KrausChannel, rho0, f, n: int, u: float,
-                            agreement_tol: float = 1e-10) -> float:
+def laplace_transform_exact(channel: KrausChannel, rho0, f, n: int, u: float) -> float:
     """E[exp(u sum_k f(X_k))], cross-validated along two independent routes.
 
     Route one iterates the tilted Heisenberg family on the identity and
@@ -580,7 +578,7 @@ def laplace_transform_exact(channel: KrausChannel, rho0, f, n: int, u: float,
         raise RuntimeError("tilted expectation lost positivity")
     log_operator = log_scale + math.log(value)
     log_dp = score_distribution_dp(channel, rho0, f, n).log_laplace(u)
-    if abs(log_operator - log_dp) > agreement_tol * max(1.0, abs(log_dp)):
+    if abs(log_operator - log_dp) > 1e-10 * max(1.0, abs(log_dp)):
         raise RuntimeError(
             f"Laplace transform routes disagree: {log_operator!r} vs {log_dp!r} (log scale)")
     if log_operator > 700.0:
@@ -755,8 +753,7 @@ def counting_counts(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
 
 
 def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,
-                     trials: int, seed: int, m: float | None = None,
-                     chunk_size: int = 2048) -> EmpiricalTail:
+                     trials: int, seed: int, m: float | None = None) -> EmpiricalTail:
     """Monte Carlo tail of N_label(t)/t - m >= gamma.
 
     The stationary intensity m = tr(L^* L sigma) is computed from the steady
@@ -769,7 +766,7 @@ def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,
     if t == 0.0:
         hit = 1 if -m >= gamma - 1e-12 else 0
         return _empirical_tail(hit * trials, trials)
-    counts = counting_counts(gen, rho0, t, trials, seed, chunk_size)
+    counts = counting_counts(gen, rho0, t, trials, seed)
     deviations = counts[:, col] / t - m
     hits = int(np.sum(deviations >= gamma - 1e-12))
     return _empirical_tail(hits, trials)

@@ -27,6 +27,7 @@ from qmcbounds.bounds import (
     time_dependent_hoeffding,
 )
 import qmcbounds.spectral as spectral
+from qmcbounds import cli
 from qmcbounds.modelfile import load_model
 from qmcbounds.operators import GKLSGenerator
 from qmcbounds.spectral import (
@@ -181,7 +182,7 @@ class TestHoeffding:
         channel, payoff = qubit
         constants = hoeffding_constants(channel, payoff)
         assert constants.hypothesis_ok
-        assert constants.g_provenance == "certified-upper"
+        assert cli._constants_dict(constants)["g_provenance"] == "certified-upper"
         assert constants.g > 2.0 * constants.c / 2.0  # g = (1 + norm) c >= c
         res = hoeffding_bound(constants, 0.9, 16)
         if res.valid:

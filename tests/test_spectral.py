@@ -276,20 +276,20 @@ class TestAdditiveGap:
 class TestPseudoresolvent:
     def test_rank_one_both_sides_one(self):
         ch, sigma = rank_one_channel(seed=5)
-        norm = pseudoresolvent_norm(ch, sigma, restarts=8)
+        norm = pseudoresolvent_norm(ch, sigma)
         assert norm.lower_estimate == pytest.approx(1.0, abs=1e-10)
         assert norm.certified_upper == pytest.approx(1.0, abs=1e-10)
 
     def test_ring_bracketing(self, ring, ring_sigma):
         channel, _ = ring
-        norm = pseudoresolvent_norm(channel, ring_sigma, restarts=16)
+        norm = pseudoresolvent_norm(channel, ring_sigma)
         assert norm.lower_estimate <= norm.certified_upper + 1e-12
         assert norm.lower_estimate >= 0.99  # heuristic, but the norm is >= 1 here
 
     def test_seed_reproducible(self, ring, ring_sigma):
         channel, _ = ring
-        a = pseudoresolvent_norm(channel, ring_sigma, restarts=8, seed=3)
-        b = pseudoresolvent_norm(channel, ring_sigma, restarts=8, seed=3)
+        a = pseudoresolvent_norm(channel, ring_sigma)
+        b = pseudoresolvent_norm(channel, ring_sigma)
         assert a == b
 
     def test_near_reducible_large_but_finite(self):
@@ -310,7 +310,7 @@ class TestPseudoresolvent:
         ops += [np.sqrt(eta) * down, np.sqrt(eta) * up]
         ch = KrausChannel(ops)
         sigma = invariant_state(ch)
-        norm = pseudoresolvent_norm(ch, sigma, restarts=8)
+        norm = pseudoresolvent_norm(ch, sigma)
         assert np.isfinite(norm.certified_upper)
         assert norm.certified_upper > 50.0  # blows up as eta -> 0
         assert norm.lower_estimate <= norm.certified_upper + 1e-9
@@ -346,7 +346,7 @@ class TestCertifiedChain:
         expected = full_chain(phi_f, resolvent_on_f(phi_f), dim)
         assert _certified_sup_norm_chain(phi_f, resolvent_on_f(phi_f), dim) == expected
         assert certified_pseudoresolvent_norm(channel, sigma) == expected
-        assert pseudoresolvent_norm(channel, sigma, restarts=1).certified_upper == expected
+        assert pseudoresolvent_norm(channel, sigma).certified_upper == expected
 
     @pytest.mark.parametrize("size", [3, 5, 8])
     def test_classical_chain_bit_identical(self, size):

@@ -171,10 +171,10 @@ class TestExactTailDP:
 
     def test_lattice_failure_instructs_fallback(self, ring):
         channel, _ = ring
-        crooked = {l: (np.pi if l == "0+" else -1.0) for l in channel.labels}
+        # pi * 1e-7 is off the lattice of denominators <= 10**6
+        crooked = {l: (np.pi * 1e-7 if l == "0+" else -1.0) for l in channel.labels}
         with pytest.raises(LatticeError, match="enumeration"):
-            exact_tail_dp(channel, np.eye(3) / 3, crooked, 4, 0.2,
-                          max_denominator=50)
+            exact_tail_dp(channel, np.eye(3) / 3, crooked, 4, 0.2)
         # the enumeration fallback handles the same payoff
         value = exact_tail_enumeration(channel, np.eye(3) / 3, crooked, 4, 0.2)
         assert 0.0 <= value <= 1.0
