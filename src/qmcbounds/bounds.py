@@ -528,6 +528,19 @@ def _window_effects(channel: KrausChannel, m: int) -> dict:
     return effects
 
 
+def _window_length(f: Mapping) -> int:
+    """Window length m of a payoff on m-tuples of outcome labels.
+
+    The one input contract of the windowed oracles (multi-time constants,
+    windowed DP, windowed Monte Carlo): an empty payoff and keys of mixed or
+    zero length raise the same ValueError.
+    """
+    lengths = {len(k) for k in f}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ValueError("windowed payoff needs keys, all m-tuples of one length m >= 1")
+    return lengths.pop()
+
+
 def multitime_stationary_law(channel: KrausChannel, sigma, m: int) -> dict:
     """Stationary law of m consecutive outcomes: tuple -> probability."""
     s = state_matrix(sigma)
@@ -541,12 +554,7 @@ def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConsta
     m-step stationary law and the window Poisson equation is solved, which
     checks solvability.  A window the payoff leaves undefined is a KeyError.
     """
-    keys = list(f.keys())
-    if not keys:
-        raise ValueError("empty multi-time payoff")
-    m = len(keys[0])
-    if any(len(k) != m for k in keys):
-        raise ValueError("all payoff keys must be m-tuples of equal length")
+    m = _window_length(f)
     law = multitime_stationary_law(channel, sigma, m)
     missing = [k for k in law if k not in f]
     if missing:

@@ -95,7 +95,7 @@ from .classical import (
 )
 from .fixtures import ring_channel
 from .modelfile import Model, ModelParseError, load_model, parse_complex_matrix
-from .operators import DensityMatrix, observation_vector, validate_channel
+from .operators import DensityMatrix, observation_vector
 from .spectral import (
     FixedSpaceError,
     HypothesisError,
@@ -114,11 +114,10 @@ from .trajectory import (
     FilterCollapseError,
     LatticeError,
     SurvivalMonotonicityError,
-    mc_counting_tail,
-    mc_tail,
+    counting_counts,
     _counting_chunks,
     _discrete_tails,
-    _empirical_tail,
+    _rate_tails,
     _score_lattice,
     _score_laws,
 )
@@ -349,10 +348,9 @@ def _base_report(args, extra: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def _analyze_kraus(model: Model, diagnostics: dict) -> None:
-    channel = model.channel
-    validation = validate_channel(channel)
-    diagnostics["channel_deviation"] = validation.max_deviation
-    diagnostics["channel_ok"] = validation.passed
+    channel = model.channel  # validated at load, at the --tolerance channel= value
+    diagnostics["channel_deviation"] = channel.channel_deviation
+    diagnostics["channel_ok"] = channel.is_channel
     try:
         sigma = invariant_state(channel)
         diagnostics["invariant_state_diagonal"] = np.diag(sigma.matrix).real.tolist()
@@ -434,7 +432,8 @@ class _Plan(NamedTuple):
     """A flavor's constants, built once per command, as row makers over the grid.
 
     Each maker in a ``series`` group maps (horizon, gamma, tail) to a row;
-    ``tail`` maps a horizon to its gamma -> tail oracle; ``report`` adds keys.
+    ``tail`` maps (horizon, gammas) to the tails at those gammas, so a
+    sampled horizon is sampled once; ``report`` adds keys.
     """
 
     horizons: list
@@ -476,9 +475,9 @@ def _counting(args, model: Model) -> _Plan:
     sigma = gkls_steady_state(gen)
     rho0 = _resolve_rho0(args.rho0, model, sigma)
     constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
-    return _echoed(args, constants, counting_bound, horizons, lambda t: lambda gamma: (
-        mc_counting_tail(gen, model.count_label, rho0, t, gamma, args.trials, args.seed,
-                         m=constants.m)))
+    col = gen.index(model.count_label)
+    return _echoed(args, constants, counting_bound, horizons, lambda t, gammas: _rate_tails(
+        counting_counts(gen, rho0, t, args.trials, args.seed)[:, col], t, constants.m, gammas))
 
 
 def _flux(args, model: Model) -> _Plan:
@@ -493,7 +492,7 @@ def _flux(args, model: Model) -> _Plan:
     laws = cache(lambda: _flux_laws(chain, nu, f, ns))  # one DP pass, at the first tail
     return _Plan(ns, [[_rows(flux_bernstein_bound, ber, args.two_sided),
                        _rows(flux_hoeffding_bound, hoe, args.two_sided)]],
-                 lambda n: lambda gamma: laws()[n].tail(mean + gamma))
+                 lambda n, gammas: [laws()[n].tail(mean + gamma) for gamma in gammas])
 
 
 def _time_dependent(args, model: Model, flavor: str) -> _Plan:
@@ -594,9 +593,8 @@ def _grid_report(args, verify: bool) -> dict:
     report = _base_report(args, plan.report)
     for group in plan.series:
         for h in plan.horizons:
-            tail_at = plan.tail(h) if verify else None
-            for gamma in gammas:
-                tail = tail_at(gamma) if verify else None
+            tails = plan.tail(h, gammas) if verify else [None] * len(gammas)
+            for gamma, tail in zip(gammas, tails):
                 report["rows"].extend(row(h, gamma, tail) for row in group)
     return report
 
@@ -659,15 +657,14 @@ def cmd_simulate(args) -> int:
                 fh.write(json.dumps({"seed": seed, "index": idx,
                                      "events": [[time, str(lab)] for time, lab in record]},
                                     sort_keys=True) + "\n")
-        col = gen.index(model.count_label)
-        rate = counts[:, col] / t
+        counts = counts[:, gen.index(model.count_label)]
+        rate = counts / t
         report["empirical_rate"] = float(rate.mean())
         report["empirical_rate_stderr"] = (float(rate.std(ddof=1) / np.sqrt(trials))
                                            if trials > 1 else None)
         report["stationary_intensity"] = constants.m
-        for gamma in gammas:
-            hits = int(np.sum(rate - constants.m >= gamma - 1e-12))
-            rows.append(_row("simulate-counting", t, gamma, tail=_empirical_tail(hits, trials)))
+        rows.extend(_row("simulate-counting", t, gamma, tail=tail)
+                    for gamma, tail in zip(gammas, _rate_tails(counts, t, constants.m, gammas)))
     else:
         raise UsageError("simulate supports kraus and gkls models")
     _emit(report, args.format, args.output)
@@ -679,15 +676,15 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
-    """horizon -> (gamma -> tail); one DP pass serves every horizon the DP can afford.
+    """(horizon, gammas) -> tails; one DP pass serves every horizon the DP can afford.
 
     A tail is P((1/n) sum_k f(X_k) - mean >= gamma), ``mean`` being pi(f).
     The DP affords n when n * support * k <= 4e6, where support is the number
     of scores it can reach at step n: min(span n + 1, C(n + v - 1, v - 1)) for
     v distinct lattice values, since a sum of n of them lies in a span of
     span n + 1 lattice points and is fixed by how often each value occurs.
-    Other horizons get Monte Carlo tails under --mc and are infeasible
-    requests otherwise.
+    Other horizons get Monte Carlo tails at every gamma from one sample
+    under --mc, and are infeasible requests otherwise.
     """
     @cache
     def laws():  # run at the first tail asked for, so `bound` never runs it
@@ -701,12 +698,13 @@ def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
             if n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * len(channel.kraus)
             <= 4_000_000])
 
-    def tail(n: int):
+    def tail(n: int, gammas: list):
         if n in laws():
-            return lambda gamma: laws()[n].tail(mean + gamma)
+            return [laws()[n].tail(mean + gamma) for gamma in gammas]
         if not args.mc:
             raise InfeasibleError(f"exact tail at n={n} is infeasible and --mc was not given")
-        return lambda gamma: mc_tail(channel, rho0, f, n, mean + gamma, args.trials, args.seed)
+        return _discrete_tails(channel, rho0, f, n, [mean + gamma for gamma in gammas],
+                               args.trials, args.seed)
     return tail
 
 

@@ -31,7 +31,8 @@ kind "classical"::
 
 Sections are checked against each other when parsed: every unravelling
 must sum to the channel, a flux needs a value on every edge of the chain,
-and observation windows form a non-empty list.  Parse failures raise
+and observation windows form a non-empty list of label windows of one
+length, each with a finite value.  Parse failures raise
 :class:`ModelParseError` with a field-precise path.
 """
 
@@ -104,6 +105,16 @@ class Model:
     family: str | None = None
 
 
+def _finite(raw, path: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _observation(obs, labels, path: str) -> dict:
     """Label -> finite value; keys may be the labels or their string forms."""
     if not isinstance(obs, dict):
@@ -111,17 +122,7 @@ def _observation(obs, labels, path: str) -> dict:
     missing = [l for l in labels if str(l) not in obs and l not in obs]
     if missing:
         _fail(path, f"missing values for labels {missing}")
-    values = {}
-    for l in labels:
-        raw = obs.get(l, obs.get(str(l)))
-        try:
-            value = float(raw)
-        except (TypeError, ValueError, OverflowError):
-            value = math.nan
-        if not math.isfinite(value):
-            _fail(f"{path}.{l}", f"expected a finite number, got {raw!r}")
-        values[l] = value
-    return values
+    return {l: _finite(obs.get(l, obs.get(str(l))), f"{path}.{l}") for l in labels}
 
 
 def _choi(ops) -> np.ndarray:
@@ -182,9 +183,13 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
         parsed = {}
         for i, pair in enumerate(windows):
             path = f"$.observation_windows[{i}]"
-            if not (isinstance(pair, list) and len(pair) == 2):
-                _fail(path, "expected [[labels...], value]")
-            parsed[tuple(pair[0])] = float(pair[1])
+            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)
+                    and pair[0] and all(l in labels for l in pair[0])):
+                _fail(path, "expected [[labels...], value] with at least one label")
+            if len(pair[0]) != len(windows[0][0]):
+                _fail(path, f"window of length {len(pair[0])} among windows of length "
+                            f"{len(windows[0][0])}")
+            parsed[tuple(pair[0])] = _finite(pair[1], path)
         model.observation_windows = parsed
     model.parameter_grid = _get(doc, "parameter_grid", "$", required=False)
     model.family = _get(doc, "family", "$", required=False)

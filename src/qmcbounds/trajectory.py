@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _stationary_intensity, _step_stats
+from .bounds import _stationary_intensity, _step_stats, _window_length
 from .operators import (
     GKLSGenerator,
     KrausChannel,
@@ -472,15 +472,6 @@ def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float)
                      for scores, masses in _enumeration_batches(channel, rho0, fv, n)))
 
 
-def _window_length(f: Mapping) -> int:
-    """Window length m of a payoff on m-tuples of outcome labels."""
-    keys = list(f.keys())
-    m = len(keys[0])
-    if m < 1 or any(len(k) != m for k in keys):
-        raise ValueError("windowed payoff needs constant-length tuple keys")
-    return m
-
-
 def _window_value(f: Mapping, window: tuple):
     if window not in f:
         raise KeyError(f"windowed payoff undefined on {window}")
@@ -522,8 +513,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping,
 
 def windowed_sums(record: TrajectoryRecord, f: Mapping) -> np.ndarray:
     """Sliding-window payoffs f(X_k, ..., X_{k+m-1}) along one record."""
-    keys = list(f.keys())
-    m = len(keys[0])
+    m = _window_length(f)
     outcomes = record.outcomes
     if len(outcomes) < m:
         raise ValueError(f"record of length {len(outcomes)} is shorter than the window {m}")
@@ -752,6 +742,14 @@ def counting_counts(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
     return _counting_chunks(gen, rho0, t, trials, seed, chunk_size)[0]
 
 
+def _rate_tails(counts: np.ndarray, t: float, m: float,
+                gammas: Sequence[float]) -> list[EmpiricalTail]:
+    """P(N(t)/t - m >= gamma) per gamma from one label's counts; at t = 0 the rate is 0."""
+    deviations = (counts / t if t > 0.0 else np.zeros(counts.shape)) - m
+    return [_empirical_tail(int(np.sum(deviations >= gamma - 1e-12)), counts.size)
+            for gamma in gammas]
+
+
 def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,
                      trials: int, seed: int, m: float | None = None) -> EmpiricalTail:
     """Monte Carlo tail of N_label(t)/t - m >= gamma.
@@ -762,11 +760,5 @@ def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,
     if m is None:
         from .spectral import gkls_steady_state
         m = _stationary_intensity(gen, label, gkls_steady_state(gen))
-    col = gen.index(label)
-    if t == 0.0:
-        hit = 1 if -m >= gamma - 1e-12 else 0
-        return _empirical_tail(hit * trials, trials)
     counts = counting_counts(gen, rho0, t, trials, seed)
-    deviations = counts[:, col] / t - m
-    hits = int(np.sum(deviations >= gamma - 1e-12))
-    return _empirical_tail(hits, trials)
+    return _rate_tails(counts[:, gen.index(label)], t, m, [gamma])[0]

@@ -116,6 +116,16 @@ class TestAnalyze:
         assert "hypothesis_failure" in report["diagnostics"]
         assert report["diagnostics"]["generator_unitality_residual"] < 1e-12
 
+    def test_channel_judged_at_the_loaded_tolerance(self, tmp_path, capsys):
+        doc = json.loads(open(model("ring.json")).read())
+        doc["kraus"][0] = [[[(1 + 1e-6) * x for x in z] for z in row] for row in doc["kraus"][0]]
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(doc))
+        # the map is not trace preserving, so the spectral analysis fails (exit 3)
+        assert cli.main(["analyze", "--model", str(path), "--tolerance", "channel=1e-3"]) == 3
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["channel_ok"] is True and 1e-7 < diag["channel_deviation"] < 1e-3
+
 
 class TestBound:
     def test_bernstein_grid(self):
@@ -211,6 +221,24 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith("model error: observation_windows: payoff undefined")
         assert "('" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda pair: pair.__setitem__(1, "abc"),
+        lambda pair: pair.__setitem__(1, None),
+        lambda pair: pair.__setitem__(1, float("nan")),
+        lambda pair: pair.__setitem__(0, pair[0][:1]),
+    ], ids=["string", "null", "nan", "short-window"])
+    def test_malformed_window_is_a_model_error(self, edit, tmp_path, capsys):
+        doc = json.loads(open(model("ring_tdm.json")).read())
+        edit(doc["observation_windows"][2])
+        path = tmp_path / "windows.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["analyze"], ["bound", "--flavor", "multitime", "--n", "20",
+                                   "--gamma", "0.5"]):
+            assert cli.main([*argv, "--model", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("model error: $.observation_windows[2]")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, flavor, edit, message", [
         ("two_state_chain.json", "flux", lambda doc: doc["flux"].pop(),
@@ -530,6 +558,24 @@ class TestVerify:
                              "--trials", "40")
         assert [row["tail_kind"] for row in report["rows"]] == ["mc"]
         assert all(row["verdict"] is not False for row in report["rows"])
+
+    @pytest.mark.parametrize("owner, trials_at, argv", [
+        ("_discrete_tails", 5, ["--mc", "--flavor", "bernstein", "--model", model("ring.json"),
+                                "--n", "2000"]),
+        ("counting_counts", 3, ["--flavor", "counting", "--model",
+                                model("driven_qubit.json"), "--t", "5,20"]),
+    ], ids=["discrete", "counting"])
+    def test_each_horizon_sampled_once(self, owner, trials_at, argv, capsys, monkeypatch):
+        gammas = ["0.05", "0.1", "0.2"]
+        singles = [main_report(capsys, "verify", *argv, "--gamma", g, "--trials", "40")
+                   for g in gammas]
+        calls = counted(monkeypatch, cli, owner)
+        report = main_report(capsys, "verify", *argv, "--gamma", ",".join(gammas),
+                             "--trials", "40")
+        horizons = len(argv[-1].split(","))
+        assert [call[trials_at] for call in calls] == [40] * horizons
+        for g, single in zip(gammas, singles):
+            assert [row for row in report["rows"] if row["gamma"] == float(g)] == single["rows"]
 
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

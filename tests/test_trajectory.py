@@ -444,6 +444,21 @@ class TestWindowed:
         with pytest.raises(KeyError, match="undefined"):
             mc_tail_windowed(channel, rho0, plus_first, 8, 0.3, trials=100, seed=1)
 
+    @pytest.mark.parametrize("payoff", [{}, {("0+",): 1.0, ("0+", "0-"): 0.5}],
+                             ids=["empty", "ragged"])
+    def test_malformed_payoff_is_one_value_error_for_every_oracle(self, payoff, ring):
+        channel, _ = ring
+        rho0 = np.eye(3) / 3
+        oracles = [lambda: score_distribution_windowed(channel, rho0, payoff, 8),
+                   lambda: mc_tail_windowed(channel, rho0, payoff, 8, 0.3, trials=10, seed=1),
+                   lambda: multitime_hoeffding(channel, rho0, payoff, 0.3, 8)]
+        messages = []
+        for oracle in oracles:
+            with pytest.raises(ValueError) as info:
+                oracle()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1 and "m-tuples of one length" in messages[0]
+
     def test_windowed_dp_mass_and_mc_agreement(self, ring):
         channel, _ = ring
         pair = {(a, b): (1.0 if a.endswith("+") and b.endswith("+") else 0.0)
