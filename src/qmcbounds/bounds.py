@@ -8,6 +8,13 @@ Results come back as :class:`BoundResult` records carrying the probability
 bound, the exponent, a validity flag and all intermediate constants, so a
 caller scanning parameter grids always gets a total function.
 
+Each inequality has one guarded evaluator: ``_bernstein_result`` serves the
+Bernstein, flux-Bernstein and time-dependent Bernstein flavors,
+``_hoeffding_result`` the Hoeffding, multi-time and flux-Hoeffding ones.  It
+checks gamma and n, returns the exact-zero row of a degenerate payoff and
+the invalid row of a failed hypothesis, and applies the regime and n = 1
+rules; a flavor passes only its constants and its reason strings.
+
 Two deliberate policies apply everywhere:
 
 * observation functions are auto-centered against the stationary law before
@@ -142,56 +149,75 @@ class BoundResult:
     reason: str = ""
 
 
-def _clip_bound(prefactor: float, exponent: float) -> float:
-    return float(min(1.0, prefactor * math.exp(min(exponent, 0.0))))
+def _valid(flavor: str, constants: BoundConstants, gamma: float, horizon: float,
+           two_sided: bool, prefactor: float, exponent: float, reason: str) -> BoundResult:
+    """The bound prefactor exp(exponent), clipped to 1; exponent -inf is the exact zero."""
+    bound = float(min(1.0, prefactor * math.exp(min(exponent, 0.0))))
+    return BoundResult(probability_bound=bound, exponent=exponent, valid=True,
+                       constants=constants, flavor=flavor, gamma=gamma,
+                       horizon=horizon, two_sided=two_sided, reason=reason)
 
 
-def _invalid(flavor: str, gamma: float, horizon: float, constants: BoundConstants,
-             reason: str, two_sided: bool) -> BoundResult:
+def _invalid(flavor: str, constants: BoundConstants, gamma: float, horizon: float,
+             two_sided: bool, reason: str) -> BoundResult:
     return BoundResult(probability_bound=1.0, exponent=0.0, valid=False,
                        constants=constants, flavor=flavor, gamma=gamma,
                        horizon=horizon, two_sided=two_sided, reason=reason)
 
 
-def _exact_zero(flavor: str, gamma: float, horizon: float, constants: BoundConstants,
-                reason: str, two_sided: bool) -> BoundResult:
-    """A deviation that cannot occur: probability 0, exponent -inf."""
-    return BoundResult(probability_bound=0.0, exponent=-math.inf, valid=True,
-                       constants=constants, flavor=flavor, gamma=gamma,
-                       horizon=horizon, two_sided=two_sided, reason=reason)
+def _check_grid_point(gamma: float, n: int) -> None:
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
 
 
 def _bernstein_result(flavor: str, constants: BoundConstants, b2: float, gamma: float,
-                      n: int, two_sided: bool) -> BoundResult:
-    """N exp(-n gamma^2 eps / (6 b^2) h(10 c gamma / (3 b^2))) from the constants.
+                      n: int, two_sided: bool, zero_reason: str,
+                      reducible_reason: str) -> BoundResult:
+    """N exp(-n gamma^2 eps / (6 b^2) h(10 c gamma / (3 b^2))), the one Bernstein evaluator.
 
-    ``b2`` is passed apart from ``constants.b`` because the time-dependent
-    flavor knows b_n^2 before the square root stored in the constants.
+    A deterministic average (b = 0) deviates with probability 0
+    (``zero_reason``); without the gap hypothesis the row is invalid
+    (``reducible_reason``).  ``b2`` is passed apart from ``constants.b``
+    because each flavor squares its own way: the time-dependent one knows
+    b_n^2 before the square root stored in the constants.
     """
+    _check_grid_point(gamma, n)
+    if constants.b == 0.0:
+        return _valid(flavor, constants, gamma, n, two_sided, 0.0, -math.inf, zero_reason)
+    if not constants.hypothesis_ok or not constants.epsilon or constants.epsilon <= 0.0:
+        return _invalid(flavor, constants, gamma, n, two_sided, reducible_reason)
     exponent = -n * (gamma**2 * constants.epsilon / (6.0 * b2)) * h_function(
         10.0 * constants.c * gamma / (3.0 * b2))
     pref = (2.0 if two_sided else 1.0) * float(constants.n_rho or 1.0)
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor=flavor,
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _valid(flavor, constants, gamma, n, two_sided, pref, exponent, "")
 
 
 def _hoeffding_result(flavor: str, constants: BoundConstants, gamma: float, n: int,
-                      two_sided: bool, single_reason: str) -> BoundResult:
-    """exp(-(n gamma - 2G)^2 / (2 (n-1) G^2)) in the regime n gamma >= 2G.
+                      two_sided: bool, zero_reason: str, reducible_reason: str,
+                      single_reason: str) -> BoundResult:
+    """exp(-(n gamma - 2G)^2 / (2 (n-1) G^2)) for n gamma >= 2G, the one Hoeffding evaluator.
 
+    Without the hypothesis the row is invalid (``reducible_reason``); a
+    constant payoff (c = 0) deviates with probability 0 (``zero_reason``).
     At n = 1 the regime forces gamma >= 2G >= 2c, beyond the range of a
     single centered payoff, so the bound is the exact zero (``single_reason``).
     """
+    _check_grid_point(gamma, n)
+    if not constants.hypothesis_ok:
+        return _invalid(flavor, constants, gamma, n, two_sided, reducible_reason)
+    if constants.c == 0.0:
+        return _valid(flavor, constants, gamma, n, two_sided, 0.0, -math.inf, zero_reason)
     g = constants.g
+    if g is None or g < 0.0:
+        raise ValueError(f"Hoeffding constant G = {g!r} is missing or negative")
     if n * gamma < 2.0 * g:
-        return _invalid(flavor, gamma, n, constants, "outside regime", two_sided)
+        return _invalid(flavor, constants, gamma, n, two_sided, "outside regime")
     if n == 1:
-        return _exact_zero(flavor, gamma, n, constants, single_reason, two_sided)
+        return _valid(flavor, constants, gamma, n, two_sided, 0.0, -math.inf, single_reason)
     exponent = -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2)
-    return BoundResult(probability_bound=_clip_bound(2.0 if two_sided else 1.0, exponent),
-                       exponent=exponent, valid=True, constants=constants, flavor=flavor,
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _valid(flavor, constants, gamma, n, two_sided, 2.0 if two_sided else 1.0, exponent, "")
 
 
 def bernstein_constants(channel: KrausChannel, f, rho=None, sigma=None) -> BoundConstants:
@@ -214,18 +240,9 @@ def bernstein_bound(constants: BoundConstants, gamma: float, n: int,
     constants) and b > 0; a deterministic average (b = 0) deviates with
     probability 0, which is returned as an exact bound.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if constants.b == 0.0:
-        return _exact_zero("bernstein", gamma, n, constants,
-                           "deterministic average (b = 0): deviation has probability 0",
-                           two_sided)
-    if not constants.hypothesis_ok or not constants.epsilon or constants.epsilon <= 0.0:
-        return _invalid("bernstein", gamma, n, constants,
-                        "multiplicative symmetrization reducible (epsilon <= 0)", two_sided)
-    return _bernstein_result("bernstein", constants, constants.b**2, gamma, n, two_sided)
+    return _bernstein_result("bernstein", constants, constants.b**2, gamma, n, two_sided,
+                             "deterministic average (b = 0): deviation has probability 0",
+                             "multiplicative symmetrization reducible (epsilon <= 0)")
 
 
 def hoeffding_constants(channel: KrausChannel, f, rho=None, sigma=None) -> BoundConstants:
@@ -244,21 +261,9 @@ def hoeffding_constants(channel: KrausChannel, f, rho=None, sigma=None) -> Bound
 def hoeffding_bound(constants: BoundConstants, gamma: float, n: int,
                     two_sided: bool = False) -> BoundResult:
     """Tail bound exp(-(n gamma - 2G)^2 / (2 (n-1) G^2)) for n gamma >= 2G."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not constants.hypothesis_ok:
-        return _invalid("hoeffding", gamma, n, constants,
-                        "channel reducible: Hoeffding constant undefined", two_sided)
-    if constants.g is None or constants.g < 0.0:
-        raise ValueError(f"Hoeffding constant G = {constants.g!r} is missing or negative")
-    if constants.g == 0.0:
-        # G = (1 + ||(Id - phi)^(-1)|F||) c vanishes only for a constant payoff
-        return _exact_zero("hoeffding", gamma, n, constants,
-                           "deterministic average (c = 0): deviation has probability 0",
-                           two_sided)
     return _hoeffding_result("hoeffding", constants, gamma, n, two_sided,
+                             "deterministic average (c = 0): deviation has probability 0",
+                             "channel reducible: Hoeffding constant undefined",
                              "n = 1 and gamma >= 2c: single outcome cannot deviate")
 
 
@@ -296,16 +301,14 @@ def counting_bound(constants: BoundConstants, gamma: float, t: float,
     if t < 0:
         raise ValueError("t must be nonnegative")
     if not constants.hypothesis_ok or not constants.epsilon or constants.epsilon <= 0.0:
-        return _invalid("counting", gamma, t, constants,
-                        "additive symmetrization reducible (epsilon <= 0)", two_sided)
+        return _invalid("counting", constants, gamma, t, two_sided,
+                        "additive symmetrization reducible (epsilon <= 0)")
     eps = constants.epsilon
     denom = 2.0 * (constants.m + 2.0 * constants.b**2 / eps
                    + max(5.0 * constants.alpha / eps, 2.5) * gamma)
     exponent = -t * gamma**2 / denom
     pref = (2.0 if two_sided else 1.0) * float(constants.n_rho or 1.0)
-    return BoundResult(probability_bound=_clip_bound(pref, exponent), exponent=exponent,
-                       valid=True, constants=constants, flavor="counting",
-                       gamma=gamma, horizon=t, two_sided=two_sided)
+    return _valid("counting", constants, gamma, t, two_sided, pref, exponent, "")
 
 
 def counting_aux_bounds(gen: GKLSGenerator, label, sigma) -> dict:
@@ -466,31 +469,26 @@ def time_dependent_bound(constants: TimeDependentConstants, gamma: float, n: int
         bc = BoundConstants(b=math.sqrt(b_n2), c=c_n,
                             epsilon=gap.epsilon if gap.irreducible else 0.0,
                             n_rho=constants.n_rho, hypothesis_ok=gap.irreducible)
-        if b_n2 == 0.0:
-            return _exact_zero("tdm-bernstein", gamma, n, bc,
-                               "deterministic payoffs (b_n = 0)", two_sided)
-        if not gap.irreducible:
-            return _invalid("tdm-bernstein", gamma, n, bc,
-                            "multiplicative symmetrization reducible", two_sided)
-        return _bernstein_result("tdm-bernstein", bc, b_n2, gamma, n, two_sided)
+        return _bernstein_result("tdm-bernstein", bc, b_n2, gamma, n, two_sided,
+                                 "deterministic payoffs (b_n = 0)",
+                                 "multiplicative symmetrization reducible")
     if c_n == 0.0:
-        return _exact_zero("tdm-hoeffding", gamma, n, BoundConstants(b=0.0, c=0.0, n_rho=1.0),
-                           "deterministic payoffs (c_n = 0)", two_sided)
+        return _valid("tdm-hoeffding", BoundConstants(b=0.0, c=0.0, n_rho=1.0), gamma, n,
+                      two_sided, 0.0, -math.inf, "deterministic payoffs (c_n = 0)")
     g_n = (1.0 + sum(constants.powers[:max(n - 1, 0)])) * c_n
     bc = BoundConstants(b=math.sqrt(b_n2), c=c_n, g=g_n, n_rho=1.0)
     if n == 1:
         # G_1 = c_1; a single centered payoff can attain its range, so the
         # zero bound is only claimed strictly beyond it
         if gamma > c_n + 1e-12:
-            return _exact_zero("tdm-hoeffding", gamma, n, bc,
-                               "n = 1 and gamma > c_1: outside the payoff range", two_sided)
-        return _invalid("tdm-hoeffding", gamma, n, bc, "n = 1 at the regime boundary", two_sided)
+            return _valid("tdm-hoeffding", bc, gamma, n, two_sided, 0.0, -math.inf,
+                          "n = 1 and gamma > c_1: outside the payoff range")
+        return _invalid("tdm-hoeffding", bc, gamma, n, two_sided, "n = 1 at the regime boundary")
     if n * gamma < g_n:
-        return _invalid("tdm-hoeffding", gamma, n, bc, "outside regime", two_sided)
+        return _invalid("tdm-hoeffding", bc, gamma, n, two_sided, "outside regime")
     exponent = -((n * gamma - g_n)**2) / ((n - 1) * g_n**2)
-    return BoundResult(probability_bound=_clip_bound(2.0 if two_sided else 1.0, exponent),
-                       exponent=exponent, valid=True, constants=bc, flavor="tdm-hoeffding",
-                       gamma=gamma, horizon=n, two_sided=two_sided)
+    return _valid("tdm-hoeffding", bc, gamma, n, two_sided, 2.0 if two_sided else 1.0,
+                  exponent, "")
 
 
 def time_dependent_bernstein(channel: KrausChannel, steps: Sequence[TimeStep],
@@ -576,14 +574,9 @@ def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConsta
 def multitime_bound(constants: BoundConstants, gamma: float, n: int,
                     two_sided: bool = False) -> BoundResult:
     """exp(-(n gamma - 2G)^2 / (2 (n-1) G^2)) from :func:`multitime_constants`."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if constants.c == 0.0:
-        return _exact_zero("multitime", gamma, n, constants,
-                           "deterministic window payoff (c = 0)", two_sided)
     return _hoeffding_result("multitime", constants, gamma, n, two_sided,
+                             "deterministic window payoff (c = 0)",
+                             "channel reducible: Hoeffding constant undefined",
                              "n = 1 and gamma >= 2c: single window cannot deviate")
 
 

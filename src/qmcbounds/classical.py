@@ -20,11 +20,10 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .bounds import (BoundConstants, BoundResult, _bernstein_result, _exact_zero,
-                     _hoeffding_result, _invalid)
+from .bounds import BoundConstants, BoundResult, _bernstein_result, _hoeffding_result
 from .operators import KrausChannel
 from .spectral import HypothesisError, _certified_sup_norm_chain
-from .trajectory import ScoreDistribution, _collapse, _lattice_dp, _score_lattice
+from .trajectory import _dp_laws, _lattice_dp, _score_lattice
 
 
 class MarkovChain:
@@ -158,16 +157,9 @@ def flux_bernstein_constants(chain: MarkovChain, nu, f,
 def flux_bernstein_bound(constants: BoundConstants, gamma: float, n: int,
                          two_sided: bool = False) -> BoundResult:
     """Bernstein-type flux bound from :func:`flux_bernstein_constants`."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    b = constants.b
-    if b == 0.0:
-        return _exact_zero("flux-bernstein", gamma, n, constants,
-                           "deterministic flux (b = 0)", two_sided)
-    if not constants.hypothesis_ok or constants.epsilon <= 0.0:
-        return _invalid("flux-bernstein", gamma, n, constants,
-                        "multiplicative symmetrization of P is reducible", two_sided)
-    return _bernstein_result("flux-bernstein", constants, b * b, gamma, n, two_sided)
+    return _bernstein_result("flux-bernstein", constants, constants.b * constants.b, gamma, n,
+                             two_sided, "deterministic flux (b = 0)",
+                             "multiplicative symmetrization of P is reducible")
 
 
 def flux_bernstein(chain: MarkovChain, nu, f, gamma: float, n: int,
@@ -233,12 +225,9 @@ def flux_hoeffding_constants(chain: MarkovChain, f,
 def flux_hoeffding_bound(constants: BoundConstants, gamma: float, n: int,
                          two_sided: bool = False) -> BoundResult:
     """Hoeffding-type flux bound from :func:`flux_hoeffding_constants`."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if constants.c == 0.0:
-        return _exact_zero("flux-hoeffding", gamma, n, constants,
-                           "deterministic flux (c = 0)", two_sided)
     return _hoeffding_result("flux-hoeffding", constants, gamma, n, two_sided,
+                             "deterministic flux (c = 0)",
+                             "chain reducible: Hoeffding constant undefined",
                              "n = 1 and gamma >= 2c: single jump cannot deviate")
 
 
@@ -313,11 +302,8 @@ def _flux_laws(chain: MarkovChain, nu, f, horizons) -> dict:
     shift = np.vstack([np.zeros(chain.size, dtype=np.int64), nums])
     rows = _lattice_dp(weights[:, :, None, None], next_tag, shift, np.ones(1),
                        [n + 1 for n in horizons])
-    laws = {}
-    for n in horizons:
-        scores, masses = _collapse(rows[n + 1][0], rows[n + 1][1][:, 0])
-        laws[n] = ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
-    return laws
+    return _dp_laws({step: (scores, vecs[:, 0]) for step, (scores, vecs) in rows.items()},
+                    denom, 1, float(weights[0].sum()))
 
 
 def exact_flux_tail(chain: MarkovChain, nu, f, n: int, gamma: float) -> float:

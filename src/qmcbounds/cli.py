@@ -43,8 +43,8 @@ default) or as CSV rows with the fixed header
 
 Every randomized command echoes its seed; rerunning with the same arguments
 reproduces the report byte for byte.  Exit codes: 0 success, 1 usage,
-2 model parse failure, 3 hypothesis failure, 4 numerical runtime failure,
-5 infeasible request.
+2 model parse failure, 3 hypothesis failure (an unfaithful stationary state
+among them), 4 numerical runtime failure, 5 infeasible request.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from . import __version__
 from .bounds import (
     BoundConstants,
     BoundResult,
+    _stationary_intensity,
     bernstein_bound,
     bernstein_constants,
     confidence_lower_bound,
@@ -95,7 +96,7 @@ from .classical import (
 )
 from .fixtures import ring_channel
 from .modelfile import Model, ModelParseError, load_model, parse_complex_matrix
-from .operators import DensityMatrix, observation_vector
+from .operators import DensityMatrix, NotFaithfulError, observation_vector
 from .spectral import (
     FixedSpaceError,
     HypothesisError,
@@ -410,7 +411,8 @@ def cmd_analyze(args) -> int:
             _analyze_gkls(model, diagnostics)
         else:
             _analyze_classical(model, diagnostics)
-    except (HypothesisError, FixedSpaceError, InconclusiveIrreducibilityError) as exc:
+    except (HypothesisError, FixedSpaceError, InconclusiveIrreducibilityError,
+            NotFaithfulError) as exc:
         # partial diagnostics are still emitted below
         failure = exc
         diagnostics["hypothesis_failure"] = str(exc)
@@ -648,8 +650,7 @@ def cmd_simulate(args) -> int:
     elif model.kind == "gkls":
         t = _float_grid(args.t, "--t", 0.0)[0]
         gen = model.generator
-        sigma = gkls_steady_state(gen)
-        constants = counting_constants(gen, model.count_label, sigma=sigma)
+        m = _stationary_intensity(gen, model.count_label, gkls_steady_state(gen))
         with _open_dump(args.dump) as fh:
             counts, events = _counting_chunks(gen, rho0, t, trials, seed,
                                               collect_events=bool(args.dump))
@@ -662,9 +663,9 @@ def cmd_simulate(args) -> int:
         report["empirical_rate"] = float(rate.mean())
         report["empirical_rate_stderr"] = (float(rate.std(ddof=1) / np.sqrt(trials))
                                            if trials > 1 else None)
-        report["stationary_intensity"] = constants.m
+        report["stationary_intensity"] = m
         rows.extend(_row("simulate-counting", t, gamma, tail=tail)
-                    for gamma, tail in zip(gammas, _rate_tails(counts, t, constants.m, gammas)))
+                    for gamma, tail in zip(gammas, _rate_tails(counts, t, m, gammas)))
     else:
         raise UsageError("simulate supports kraus and gkls models")
     _emit(report, args.format, args.output)
@@ -797,7 +798,8 @@ def main(argv=None) -> int:
     except ModelParseError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (HypothesisError, FixedSpaceError, InconclusiveIrreducibilityError) as exc:
+    except (HypothesisError, FixedSpaceError, InconclusiveIrreducibilityError,
+            NotFaithfulError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (FilterCollapseError, SurvivalMonotonicityError, LatticeError,

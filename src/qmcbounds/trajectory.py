@@ -2,9 +2,10 @@
 
 Discrete-time trajectories are sampled by drawing outcome i with probability
 tr(V_i rho V_i^*) and updating the conditional state through the filter
-rho -> V_i rho V_i^* / tr(...).  One batched filter kernel serves Kraus
-channels and per-step unravellings alike: a channel is its standard
-unravelling (one operator per outcome) at every step, and an outcome with
+rho -> V_i rho V_i^* / tr(...).  One batched filter step serves Kraus
+channels, per-step unravellings and counting jumps alike: a channel is its
+standard unravelling (one operator per outcome) at every step, the jump
+operators of a generator are one more such stack, and an outcome with
 several operators is summed one operator slot at a time.  Tails at several
 deviations come from one pass over the trajectories, and the CLI's dump
 records are the very trajectories behind the tails it reports.
@@ -12,7 +13,8 @@ records are the very trajectories behind the tails it reports.
 Continuous-time counting records use jump / no-jump sampling: the waiting
 time solves tr(exp(tau G) rho exp(tau G)^*) = u by bracketed bisection, the
 jump label is drawn proportionally to the detector intensities
-tr(L_i rho L_i^*), and the state is reset through the jump map.
+tr(L_i rho L_i^*) and the state is reset through the jump map, both by the
+filter step of the discrete samplers.
 
 Randomness comes from counter-based Philox streams keyed as
 ``(master_seed, trajectory_index)``: every trajectory owns its stream, so
@@ -31,8 +33,10 @@ Label i sends tag t to ``next_tag[t, i]``, adds ``shift[t, i]`` to the
 score and multiplies the weights by a block: the matrix of
 ``T -> V_i T V_i^*``, or ``p_xy``.  For a fixed (tag, label) the key map is
 injective, so each block's GEMM result is scattered with a plain indexed
-add.  One pass serves every horizon asked for; a batched enumeration over
-outcome sequences, sharing no code with it, is the independent check.
+add.  One pass serves every horizon asked for, and every tag layout turns
+its rows into laws the same way (sum per score, clip, check the mass).
+A batched enumeration over outcome sequences, sharing no code with the
+kernel, is the independent check.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
 _BISECT_REL_TOL = 1e-10   # relative bracket width at which a waiting time is solved
 _MAX_DENOMINATOR = 10**6  # largest denominator of a score lattice
-_MASS_TOL = 1e-11         # |total DP mass - 1| allowed
+_MASS_TOL = 1e-11         # |total DP mass - initial mass| allowed
 
 
 class FilterCollapseError(RuntimeError):
@@ -182,12 +186,25 @@ def _categorical(probs: np.ndarray, u: np.ndarray, collapse: str) -> np.ndarray:
     return np.minimum(pick, probs.shape[1] - 1)
 
 
+def _filter_step(stack: np.ndarray, rho: np.ndarray, u: np.ndarray,
+                 collapse: str) -> tuple[np.ndarray, np.ndarray]:
+    """One filter step of a batch: (outcome per row, normalized conditioned states).
+
+    ``stack`` is (slots, outcomes, d, d) (see ``Unravelling._slots``), summed
+    one operator slot at a time; row b draws its outcome with uniform u[b].
+    """
+    probs = sum(np.einsum("ipq,bqr,ipr->bi", w, rho, w.conj()).real for w in stack)
+    pick = _categorical(probs, u, collapse)
+    rho = sum(np.einsum("bpq,bqr,bsr->bps", v, rho, v.conj()) for v in stack[:, pick])
+    rho /= np.einsum("bpp->b", rho).real[:, None, None]
+    return pick, rho
+
+
 def _filter_batch(stacks: Sequence[np.ndarray], rho0, seed: int,
                   indices: Sequence[int]) -> np.ndarray:
     """Outcome index matrix (len(indices), n); row i uses stream (seed, i).
 
-    Step k has the (slots, outcomes, d, d) stack ``stacks[k]`` (see
-    ``Unravelling._slots``), summed one operator slot at a time.
+    Step k filters through the (slots, outcomes, d, d) stack ``stacks[k]``.
     """
     batch = len(indices)
     dim = stacks[0].shape[-1]
@@ -195,11 +212,7 @@ def _filter_batch(stacks: Sequence[np.ndarray], rho0, seed: int,
     u = _uniform_rows(seed, indices, len(stacks))
     picks = np.empty((batch, len(stacks)), dtype=np.int64)
     for k, stack in enumerate(stacks):
-        probs = sum(np.einsum("ipq,bqr,ipr->bi", w, rho, w.conj()).real for w in stack)
-        pick = _categorical(probs, u[:, k], f"filter collapse at step {k}")
-        picks[:, k] = pick
-        rho = sum(np.einsum("bpq,bqr,bsr->bps", v, rho, v.conj()) for v in stack[:, pick])
-        rho /= np.einsum("bpp->b", rho).real[:, None, None]
+        picks[:, k], rho = _filter_step(stack, rho, u[:, k], f"filter collapse at step {k}")
     return picks
 
 
@@ -365,10 +378,25 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     return out
 
 
-def _collapse(scores: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ascending scores and the masses of their rows summed."""
-    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
-    return scores[starts], np.add.reduceat(masses, starts)
+def _dp_laws(rows: dict, denom: int, lag: int, mass: float) -> dict:
+    """{n: law of the score sum} from the kernel's {n + lag: (scores, row masses)}.
+
+    The rows of one score are summed and rounding noise below 0 is clipped.
+    The kernel conserves the initial ``mass``, which the input checks hold
+    to 1 only within their own tolerance, so the total is checked against
+    it at ``_MASS_TOL``.
+    """
+    laws = {}
+    for step, (scores, masses) in rows.items():
+        starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+        masses = np.clip(np.add.reduceat(masses, starts), 0.0, None)
+        total = float(masses.sum())
+        if abs(total - mass) > _MASS_TOL:
+            raise RuntimeError(f"DP mass {total!r} deviates from the initial {mass!r} "
+                               f"beyond {_MASS_TOL:g}")
+        laws[step - lag] = ScoreDistribution(numerators=scores[starts], masses=masses,
+                                             denominator=denom, n=step - lag)
+    return laws
 
 
 def _hermitian_basis(d: int) -> np.ndarray:
@@ -380,9 +408,9 @@ def _hermitian_basis(d: int) -> np.ndarray:
                     + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
 
 
-def _channel_lattice_dp(channel: KrausChannel, rho0, next_tag: np.ndarray,
-                        shift: np.ndarray, steps: Sequence[int]) -> dict:
-    """{step: (scores, masses)} of the kernel run on the operators of ``channel``.
+def _channel_laws(channel: KrausChannel, rho0, next_tag: np.ndarray, shift: np.ndarray,
+                  denom: int, steps: Sequence[int], lag: int) -> dict:
+    """{n: law} from the kernel run on the operators of ``channel`` to each n + lag in ``steps``.
 
     Rows hold the real coordinates r_b = tr(B_b T) of the Hermitian T[s] in
     an orthonormal Hermitian basis, so V T V^* is the real block
@@ -394,24 +422,16 @@ def _channel_lattice_dp(channel: KrausChannel, rho0, next_tag: np.ndarray,
     blocks = np.einsum("cqp,ibpq->ibc", basis, images).real
     maps = np.broadcast_to(blocks, (next_tag.shape[0],) + blocks.shape)
     init = np.einsum("bqp,pq->b", basis, state_matrix(rho0)).real
-    return {step: _collapse(scores, vecs[:, :d].sum(axis=1))
-            for step, (scores, vecs) in _lattice_dp(maps, next_tag, shift, init, steps).items()}
+    rows = _lattice_dp(maps, next_tag, shift, init, steps)
+    return _dp_laws({step: (scores, vecs[:, :d].sum(axis=1)) for step, (scores, vecs)
+                     in rows.items()}, denom, lag, float(init[:d].sum()))
 
 
 def _score_laws(channel: KrausChannel, rho0, nums: np.ndarray, denom: int,
                 horizons: Sequence[int]) -> dict:
     """{n: law of sum_k f(X_k)} at every horizon from one DP pass; f is on the lattice."""
-    rows = _channel_lattice_dp(channel, rho0, np.zeros((1, len(nums)), dtype=np.int64),
-                               np.asarray(nums, dtype=np.int64)[None, :], horizons)
-    laws = {}
-    for n in horizons:
-        scores, masses = rows[n]
-        masses = np.clip(masses, 0.0, None)
-        total = float(masses.sum())
-        if abs(total - 1.0) > _MASS_TOL:
-            raise RuntimeError(f"DP mass {total!r} deviates from 1 beyond {_MASS_TOL:g}")
-        laws[n] = ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
-    return laws
+    return _channel_laws(channel, rho0, np.zeros((1, len(nums)), dtype=np.int64),
+                         np.asarray(nums, dtype=np.int64)[None, :], denom, horizons, 0)
 
 
 def score_distribution_dp(channel: KrausChannel, rho0, f, n: int) -> ScoreDistribution:
@@ -419,7 +439,7 @@ def score_distribution_dp(channel: KrausChannel, rho0, f, n: int) -> ScoreDistri
 
     State: unnormalized conditioned operators T[s] per lattice score s,
     updated as T'[s + f(i)] += V_i T[s] V_i^*.  Mass conservation
-    sum_s tr(T_n[s]) = 1 is checked at ``_MASS_TOL``.
+    sum_s tr(T_n[s]) = tr(rho0) is checked at ``_MASS_TOL``.
     """
     nums, denom = _score_lattice(observation_vector(f, channel.labels))
     return _score_laws(channel, rho0, nums, denom, [n])[n]
@@ -504,11 +524,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping,
             else:
                 next_tag[t, i] = tag[window[1:]]
                 shift[t, i] = _window_value(nums, tuple(labels[j] for j in window))
-    scores, masses = _channel_lattice_dp(channel, rho0, next_tag, shift, [n + m - 1])[n + m - 1]
-    masses = np.clip(masses, 0.0, None)
-    if abs(float(masses.sum()) - 1.0) > _MASS_TOL:
-        raise RuntimeError("windowed DP lost probability mass")
-    return ScoreDistribution(numerators=scores, masses=masses, denominator=denom, n=n)
+    return _channel_laws(channel, rho0, next_tag, shift, denom, [n + m - 1], m - 1)[n]
 
 
 def windowed_sums(record: TrajectoryRecord, f: Mapping) -> np.ndarray:
@@ -597,7 +613,7 @@ class _CountingSampler:
         self.right_inv_t = np.linalg.inv(r).T.copy()
         self.trace_row = vec(np.eye(self.dim)).conj() @ r
         self.t0 = 1.0 / max(uniform_norm(g), 1e-30)
-        self.jump_stack = np.stack(gen.jumps)
+        self.jump_stack = np.stack(gen.jumps)[None]  # the jumps as one filter slot
 
     def _coefficients(self, rho_batch: np.ndarray) -> np.ndarray:
         """survival(tau) = Re sum_k a_k exp(w_k tau), one row per trajectory."""
@@ -666,11 +682,6 @@ class _CountingSampler:
         tau[idx] = 0.5 * (lo + hi)
         return tau, jumps
 
-    def jump_probabilities(self, rho_batch: np.ndarray) -> np.ndarray:
-        p = np.einsum("ipq,bqr,ipr->bi", self.jump_stack, rho_batch,
-                      self.jump_stack.conj()).real
-        return np.clip(p, 0.0, None)
-
 
 def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
                     indices: Sequence[int], collect_events: bool):
@@ -698,12 +709,9 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
 
         jump_rows = active[jumped]
         if jump_rows.size:
-            pick = _categorical(sampler.jump_probabilities(rho[jump_rows]),
-                                tape.take(jump_rows), "vanishing jump intensities at a jump time")
-            l = sampler.jump_stack[pick]
-            updated = np.einsum("bpq,bqr,bsr->bps", l, rho[jump_rows], l.conj())
-            tr_j = np.einsum("bpp->b", updated).real
-            rho[jump_rows] = updated / tr_j[:, None, None]
+            pick, rho[jump_rows] = _filter_step(sampler.jump_stack, rho[jump_rows],
+                                                tape.take(jump_rows),
+                                                "vanishing jump intensities at a jump time")
             counts[jump_rows, pick] += 1
             if collect_events:
                 for row, p in zip(jump_rows, pick):

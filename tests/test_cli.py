@@ -127,6 +127,53 @@ class TestAnalyze:
         assert diag["channel_ok"] is True and 1e-7 < diag["channel_deviation"] < 1e-3
 
 
+AMPLITUDE_DAMPING = {  # invariant state |0><0|, not faithful
+    "kind": "kraus", "labels": ["keep", "decay"], "observation": {"keep": 0.0, "decay": 1.0},
+    "kraus": [[[[1, 0], [0, 0]], [[0, 0], [0.7 ** 0.5, 0]]],
+              [[[0, 0], [0.3 ** 0.5, 0]], [[0, 0], [0, 0]]]],
+}
+PURE_DECAY = {  # H = 0, L = |0><1|: steady state |0><0|, not faithful
+    "kind": "gkls", "labels": ["click"], "count_label": "click",
+    "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    "jumps": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
+}
+
+
+class TestUnfaithfulState:
+    """An unfaithful stationary state is a hypothesis failure (exit 3), never a traceback."""
+
+    @pytest.mark.parametrize("doc, argv", [
+        (AMPLITUDE_DAMPING, ["bound", "--flavor", "bernstein", "--n", "10", "--gamma", "0.1"]),
+        (AMPLITUDE_DAMPING, ["verify", "--flavor", "bernstein", "--n", "10", "--gamma", "0.1"]),
+        (AMPLITUDE_DAMPING, ["bound", "--flavor", "ci", "--n", "10", "--gamma", "0.1"]),
+        (PURE_DECAY, ["bound", "--flavor", "counting", "--t", "1", "--gamma", "0.1"]),
+        (PURE_DECAY, ["verify", "--flavor", "counting", "--t", "1", "--gamma", "0.1",
+                      "--trials", "20"]),
+    ])
+    def test_exit_3(self, doc, argv, tmp_path, capsys):
+        path = tmp_path / "unfaithful.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(argv + ["--model", str(path)]) == 3
+        assert "not faithful" in capsys.readouterr().err
+
+    def test_analyze_emits_partial_diagnostics(self, tmp_path, capsys):
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps(PURE_DECAY))
+        assert cli.main(["analyze", "--model", str(path)]) == 3
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["faithful"] is False
+        assert diag["steady_state_diagonal"] == pytest.approx([1.0, 0.0])
+        assert "not faithful" in diag["hypothesis_failure"]
+
+    def test_simulate_needs_only_the_intensity(self, tmp_path, capsys):
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps(PURE_DECAY))
+        report = main_report(capsys, "simulate", "--model", str(path), "--t", "1",
+                             "--gamma", "0.1", "--trials", "20")
+        # started in |0><0|, the detector never clicks, at stationary intensity 0
+        assert report["stationary_intensity"] == 0.0 and report["empirical_rate"] == 0.0
+
+
 class TestBound:
     def test_bernstein_grid(self):
         proc = run_cli("bound", "--model", model("ring.json"), "--flavor",
@@ -455,6 +502,22 @@ class TestVerify:
                        "--flavor", "flux", "--n", "6,12", "--gamma", "0.2,0.6")
         report = json.loads(proc.stdout)
         assert report["summary"]["overall"] == "pass"
+
+    def test_inputs_off_unit_mass_within_their_checks(self, tmp_path, capsys):
+        # the loaders accept a state within 1e-10 of unit trace and an initial
+        # law within 1e-9 of unit sum; the exact DP checks it conserved that mass
+        rho0 = tmp_path / "rho0.json"
+        rho0.write_text(json.dumps([[[1 / 3 + 3e-11, 0], [0, 0], [0, 0]],
+                                    [[0, 0], [1 / 3, 0], [0, 0]],
+                                    [[0, 0], [0, 0], [1 / 3, 0]]]))
+        main_report(capsys, "verify", "--model", model("ring.json"), "--flavor", "bernstein",
+                    "--rho0", str(rho0), "--n", "16", "--gamma", "0.1")
+        doc = json.loads(open(model("two_state_chain.json")).read())
+        doc["initial"] = [0.5, 0.5 + 5e-10]
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(doc))
+        main_report(capsys, "verify", "--model", str(chain), "--flavor", "flux",
+                    "--n", "16", "--gamma", "0.1")
 
     def test_counting_verify_mc(self):
         proc = run_cli("verify", "--model", model("driven_qubit.json"),

@@ -253,6 +253,15 @@ class TestLatticeKernel:
             assert np.array_equal(law.numerators, single.numerators)
             assert np.array_equal(law.masses, single.masses) and law.n == n
 
+    def test_lost_mass_is_caught(self):
+        # one law assembly serves every tag layout: rows of a score are summed,
+        # then the total must be the mass the kernel started with
+        rows = {3: (np.array([-1, 2, 2]), np.array([0.25, 0.5, 0.25]))}
+        law = trajectory._dp_laws(rows, 2, 1, 1.0)[2]
+        assert law.numerators.tolist() == [-1, 2] and law.masses.tolist() == [0.25, 0.75]
+        with pytest.raises(RuntimeError, match="DP mass"):
+            trajectory._dp_laws(rows, 2, 1, 1.0 + 1e-9)
+
 
 class TestMCTail:
     def test_deterministic_channel(self):
