@@ -352,11 +352,6 @@ class Unravelling:
         self.labels = tuple(labels) if labels is not None else tuple(range(len(self.maps)))
         if len(self.labels) != len(self.maps):
             raise ValueError("one label per outcome required")
-        # the filter's (slots, outcomes, d, d) stack: slot j holds each outcome's j-th operator
-        self._slots = np.zeros((max(map(len, self.maps)), len(self.maps)) + (self.dim,) * 2,
-                               complex)
-        for i, ops in enumerate(self.maps):
-            self._slots[:len(ops), i] = ops
 
     @classmethod
     def standard(cls, channel: KrausChannel) -> "Unravelling":

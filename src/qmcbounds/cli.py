@@ -630,7 +630,8 @@ def cmd_simulate(args) -> int:
     report = _base_report(args, {"seed": seed})
     rows = report["rows"]
     gammas = _float_grid(args.gamma, "--gamma", 0.0) if args.gamma else []
-    rho0 = _resolve_rho0(args.rho0, model)
+    sigma = gkls_steady_state(model.generator) if model.kind == "gkls" else None
+    rho0 = _resolve_rho0(args.rho0, model, sigma)
 
     if model.kind == "kraus":
         n = _int_grid(args.n, "--n")[0]
@@ -650,7 +651,7 @@ def cmd_simulate(args) -> int:
     elif model.kind == "gkls":
         t = _float_grid(args.t, "--t", 0.0)[0]
         gen = model.generator
-        m = _stationary_intensity(gen, model.count_label, gkls_steady_state(gen))
+        m = _stationary_intensity(gen, model.count_label, sigma)
         with _open_dump(args.dump) as fh:
             counts, events = _counting_chunks(gen, rho0, t, trials, seed,
                                               collect_events=bool(args.dump))

@@ -1,27 +1,34 @@
 """Sampling and exact tail computation for measurement output processes.
 
 Discrete-time trajectories are sampled by drawing outcome i with probability
-tr(V_i rho V_i^*) and updating the conditional state through the filter
-rho -> V_i rho V_i^* / tr(...).  One batched filter step serves Kraus
-channels, per-step unravellings and counting jumps alike: a channel is its
-standard unravelling (one operator per outcome) at every step, the jump
-operators of a generator are one more such stack, and an outcome with
-several operators is summed one operator slot at a time.  Tails at several
-deviations come from one pass over the trajectories, and the CLI's dump
-records are the very trajectories behind the tails it reports.
+tr(W_i(rho)) and updating the conditional state through the filter
+rho -> W_i(rho) / tr(...), where W_i(rho) = sum_W W rho W^* over the Kraus
+operators of outcome i.  A batch of states is a (batch, d^2) array of rows
+vec(rho) (column stacking, :func:`operators.vec`), and each outcome is one
+d^2 x d^2 matrix acting on them from the right, however many operators it
+has.  The effect columns of those matrices give every outcome probability
+of the batch in one product, and the update is one product per picked
+outcome.  One filter step serves Kraus channels, per-step unravellings and
+counting jumps alike: a channel is its standard unravelling (one operator
+per outcome) at every step, and the jump operators of a generator are one
+more such family.  Tails at several deviations come from one pass over the
+trajectories, and the CLI's dump records are the very trajectories behind
+the tails it reports.
 
-Continuous-time counting records use jump / no-jump sampling: the waiting
-time solves tr(exp(tau G) rho exp(tau G)^*) = u by bracketed bisection, the
-jump label is drawn proportionally to the detector intensities
-tr(L_i rho L_i^*) and the state is reset through the jump map, both by the
-filter step of the discrete samplers.
+Continuous-time counting records use jump / no-jump sampling on the same
+rows: the waiting time solves tr(exp(tau G) rho exp(tau G)^*) = u by
+bracketed bisection, the jump label is drawn proportionally to the detector
+intensities tr(L_i rho L_i^*) and the state is reset through the jump map,
+both by the filter step of the discrete samplers.
 
 Randomness comes from counter-based Philox streams keyed as
 ``(master_seed, trajectory_index)``: every trajectory owns its stream, so
 results are reproducible bit-for-bit from the seed and independent of how
-trajectories are batched or parallelized.  Uniform variates are consumed
-from fixed-size per-trajectory tapes (block size ``_TAPE_BLOCK``), which
-keeps the consumption order a function of the trajectory alone.
+trajectories are batched or parallelized.  One bit generator per batch is
+re-keyed to each stream in turn, which draws the same numbers as a fresh
+generator per trajectory.  Uniform variates are consumed from fixed-size
+per-trajectory tapes (block size ``_TAPE_BLOCK``), which keeps the
+consumption order a function of the trajectory alone.
 
 Exact tails on small instances come from one lattice DP kernel.  Its
 state is a sorted int64 array of the reached keys ``score * T + tag``, one
@@ -54,6 +61,7 @@ from .operators import (
     GKLSGenerator,
     KrausChannel,
     dagger,
+    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     uniform_norm,
@@ -61,7 +69,8 @@ from .operators import (
     vec,
 )
 
-_TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape
+_TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape (a multiple of 4)
+_MASK64 = 0xFFFFFFFFFFFFFFFF  # seeds and indices enter a Philox key modulo 2**64
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
 _BISECT_REL_TOL = 1e-10   # relative bracket width at which a waiting time is solved
@@ -142,29 +151,54 @@ def _empirical_tail(successes: int, trials: int) -> EmpiricalTail:
 # counter-based per-trajectory randomness
 # ---------------------------------------------------------------------------
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Streams:
+    """The streams (seed, index) of one seed, drawn through one re-keyed bit generator.
+
+    Stream (seed, index) is ``Generator(Philox(key=(seed, index)))``.  Each
+    uniform consumes one 64-bit Philox output and one counter value yields
+    four, so the uniforms from position ``start`` (a multiple of 4) on are
+    those that follow counter ``start // 4`` with an empty buffer.  Setting
+    the key and counter avoids seeding a new generator per trajectory from
+    OS entropy that the key then overrides.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state  # counter 0, empty buffer
+
+    def fill(self, index: int, start: int, out: np.ndarray) -> None:
+        """Write uniforms start, start+1, ... of stream (seed, index) into ``out``."""
+        self._state["state"]["key"][1] = index & _MASK64
+        self._state["state"]["counter"][0] = start // 4
+        self._bits.state = self._state
+        self._gen.random(out=out)
 
 
 def _uniform_rows(seed: int, indices: Sequence[int], count: int) -> np.ndarray:
     """count uniforms per trajectory, row i from stream (seed, indices[i])."""
-    return np.vstack([_stream(seed, idx).random(count) for idx in indices])
+    streams = _Streams(seed)
+    u = np.empty((len(indices), count))
+    for row, index in zip(u, indices):
+        streams.fill(index, 0, row)
+    return u
 
 
 class _Tape:
     """Per-trajectory uniform tapes refilled in fixed-size blocks."""
 
     def __init__(self, seed: int, indices: Sequence[int]):
-        self._gens = [_stream(seed, idx) for idx in indices]
-        self._buf = np.vstack([g.random(_TAPE_BLOCK) for g in self._gens])
-        self._cursor = np.zeros(len(self._gens), dtype=np.int64)
+        self._streams = _Streams(seed)
+        self._indices = indices
+        self._buf = np.empty((len(indices), _TAPE_BLOCK))
+        self._blocks = np.zeros(len(indices), dtype=np.int64)  # blocks drawn so far
+        self._cursor = np.full(len(indices), _TAPE_BLOCK)      # every tape starts empty
 
     def take(self, rows: np.ndarray) -> np.ndarray:
-        exhausted = rows[self._cursor[rows] >= _TAPE_BLOCK]
-        for r in exhausted:
-            self._buf[r] = self._gens[r].random(_TAPE_BLOCK)
+        for r in rows[self._cursor[rows] >= _TAPE_BLOCK]:
+            self._streams.fill(self._indices[r], int(self._blocks[r]) * _TAPE_BLOCK,
+                               self._buf[r])
+            self._blocks[r] += 1
             self._cursor[r] = 0
         out = self._buf[rows, self._cursor[rows]]
         self._cursor[rows] += 1
@@ -186,40 +220,64 @@ def _categorical(probs: np.ndarray, u: np.ndarray, collapse: str) -> np.ndarray:
     return np.minimum(pick, probs.shape[1] - 1)
 
 
-def _filter_step(stack: np.ndarray, rho: np.ndarray, u: np.ndarray,
-                 collapse: str) -> tuple[np.ndarray, np.ndarray]:
-    """One filter step of a batch: (outcome per row, normalized conditioned states).
+def _row_maps(outcomes: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(maps, effects) of a filter step whose outcome i has the Kraus family outcomes[i].
 
-    ``stack`` is (slots, outcomes, d, d) (see ``Unravelling._slots``), summed
-    one operator slot at a time; row b draws its outcome with uniform u[b].
+    For a row r = vec(rho), ``r @ maps[i]`` is vec(sum_W W rho W^*), so
+    ``maps[i]`` is the conjugate of the family's Heisenberg matrix, and
+    ``r @ effects[:, i]`` is its trace, the probability of outcome i.
     """
-    probs = sum(np.einsum("ipq,bqr,ipr->bi", w, rho, w.conj()).real for w in stack)
-    pick = _categorical(probs, u, collapse)
-    rho = sum(np.einsum("bpq,bqr,bsr->bps", v, rho, v.conj()) for v in stack[:, pick])
-    rho /= np.einsum("bpp->b", rho).real[:, None, None]
-    return pick, rho
+    maps = np.stack([kraus_superoperator_matrix(ops).conj() for ops in outcomes])
+    return maps, (maps @ vec(np.eye(len(outcomes[0][0])))).T
 
 
-def _filter_batch(stacks: Sequence[np.ndarray], rho0, seed: int,
+def _channel_maps(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """``_row_maps`` of the standard unravelling of ``channel``: one operator per outcome."""
+    return _row_maps([(v,) for v in channel.kraus])
+
+
+def _traces(rows: np.ndarray) -> np.ndarray:
+    """tr(rho) of each row vec(rho): the sum of its diagonal entries."""
+    return np.einsum("bpp->b", unvec(rows, math.isqrt(rows.shape[1]))).real
+
+
+def _filter_step(step: tuple[np.ndarray, np.ndarray], rows: np.ndarray, u: np.ndarray,
+                 collapse: str) -> tuple[np.ndarray, np.ndarray]:
+    """One filter step of a batch: (outcome per row, normalized conditioned rows).
+
+    ``step`` is the (maps, effects) pair of ``_row_maps``; row b draws its
+    outcome with uniform u[b].
+    """
+    maps, effects = step
+    pick = _categorical((rows @ effects).real, u, collapse)
+    new = np.empty_like(rows)
+    for i in np.unique(pick):
+        sel = pick == i
+        new[sel] = rows[sel] @ maps[i]
+    new /= _traces(new)[:, None]
+    return pick, new
+
+
+def _filter_batch(steps: Sequence[tuple[np.ndarray, np.ndarray]], rho0, seed: int,
                   indices: Sequence[int]) -> np.ndarray:
     """Outcome index matrix (len(indices), n); row i uses stream (seed, i).
 
-    Step k filters through the (slots, outcomes, d, d) stack ``stacks[k]``.
+    Step k filters through the ``_row_maps`` pair ``steps[k]``; pass one
+    pair object per distinct step so each is built once.
     """
     batch = len(indices)
-    dim = stacks[0].shape[-1]
-    rho = np.broadcast_to(state_matrix(rho0), (batch, dim, dim)).copy()
-    u = _uniform_rows(seed, indices, len(stacks))
-    picks = np.empty((batch, len(stacks)), dtype=np.int64)
-    for k, stack in enumerate(stacks):
-        picks[:, k], rho = _filter_step(stack, rho, u[:, k], f"filter collapse at step {k}")
+    rows = np.tile(vec(state_matrix(rho0)), (batch, 1))
+    u = _uniform_rows(seed, indices, len(steps))
+    picks = np.empty((batch, len(steps)), dtype=np.int64)
+    for k, step in enumerate(steps):
+        picks[:, k], rows = _filter_step(step, rows, u[:, k], f"filter collapse at step {k}")
     return picks
 
 
 def _discrete_outcomes_batch(channel: KrausChannel, rho0, n: int, seed: int,
                              indices: Sequence[int]) -> np.ndarray:
     """Outcome index matrix of n steps of ``channel``, its standard unravelling."""
-    return _filter_batch([channel._stack[None]] * n, rho0, seed, indices)
+    return _filter_batch([_channel_maps(channel)] * n, rho0, seed, indices)
 
 
 def _chunks(trials: int, chunk_size: int) -> list[range]:
@@ -230,13 +288,13 @@ def _chunks(trials: int, chunk_size: int) -> list[range]:
             for start in range(0, trials, chunk_size)]
 
 
-def _filter_tails(stacks: Sequence[np.ndarray], rho0, score, n: int, gammas: Sequence[float],
+def _filter_tails(steps: Sequence[tuple], rho0, score, n: int, gammas: Sequence[float],
                   trials: int, seed: int, chunk_size: int, on_chunk=None) -> list[EmpiricalTail]:
     """P(score(picks) / n >= gamma) per gamma; on_chunk(indices, picks) sees each chunk."""
     thresholds = [n * gamma - 1e-12 for gamma in gammas]
     hits = [0] * len(thresholds)
     for indices in _chunks(trials, chunk_size):
-        picks = _filter_batch(stacks, rho0, seed, indices)
+        picks = _filter_batch(steps, rho0, seed, indices)
         if thresholds:
             sums = score(picks)
             for j, threshold in enumerate(thresholds):
@@ -251,7 +309,7 @@ def _discrete_tails(channel: KrausChannel, rho0, f, n: int, gammas: Sequence[flo
                     on_chunk=None) -> list[EmpiricalTail]:
     """``mc_tail`` at every gamma from one sample; ``f`` is read only if there are gammas."""
     fv = observation_vector(f, channel.labels) if gammas else None
-    return _filter_tails([channel._stack[None]] * n, rho0, lambda picks: fv[picks].sum(axis=1),
+    return _filter_tails([_channel_maps(channel)] * n, rho0, lambda picks: fv[picks].sum(axis=1),
                          n, gammas, trials, seed, chunk_size, on_chunk)
 
 
@@ -289,7 +347,9 @@ def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int,
     """Tail of (1/n) sum_k (f_k(X_k) - pi_k(f_k)) >= gamma under per-step unravellings."""
     n = len(steps)
     centered, _, _ = _step_stats(steps, sigma)
-    return _filter_tails([step.unravelling._slots for step in steps], rho0,
+    distinct = {id(step.unravelling): step.unravelling for step in steps}
+    maps = {key: _row_maps(unravelling.maps) for key, unravelling in distinct.items()}
+    return _filter_tails([maps[id(step.unravelling)] for step in steps], rho0,
                          lambda picks: sum(centered[k][picks[:, k]] for k in range(n)),
                          n, [gamma], trials, seed, chunk_size)[0]
 
@@ -549,7 +609,7 @@ def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: flo
     lookup = np.empty((len(labels),) * m)
     for idx in np.ndindex(lookup.shape):
         lookup[idx] = float(_window_value(f, tuple(labels[i] for i in idx)))
-    return _filter_tails([channel._stack[None]] * (n + m - 1), rho0,
+    return _filter_tails([_channel_maps(channel)] * (n + m - 1), rho0,
                          lambda picks: sum(lookup[tuple(picks[:, k + j] for j in range(m))]
                                            for k in range(n)),
                          n, [gamma], trials, seed, chunk_size)[0]
@@ -613,22 +673,21 @@ class _CountingSampler:
         self.right_inv_t = np.linalg.inv(r).T.copy()
         self.trace_row = vec(np.eye(self.dim)).conj() @ r
         self.t0 = 1.0 / max(uniform_norm(g), 1e-30)
-        self.jump_stack = np.stack(gen.jumps)[None]  # the jumps as one filter slot
+        self.jump_maps = _row_maps([(l,) for l in gen.jumps])
 
-    def _coefficients(self, rho_batch: np.ndarray) -> np.ndarray:
+    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
         """survival(tau) = Re sum_k a_k exp(w_k tau), one row per trajectory."""
-        return (vec(rho_batch) @ self.right_inv_t) * self.trace_row[None, :]
+        return (rows @ self.right_inv_t) * self.trace_row[None, :]
 
     @staticmethod
     def _survival(coeff: np.ndarray, eigenvalues: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return np.einsum("bk,bk->b", coeff, np.exp(np.outer(taus, eigenvalues))).real
 
-    def propagate(self, rho_batch: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        coeff = vec(rho_batch) @ self.right_inv_t
-        out = (coeff * np.exp(np.outer(taus, self.eigenvalues))) @ self.right_t
-        return unvec(out, self.dim)
+    def propagate(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        coeff = rows @ self.right_inv_t
+        return (coeff * np.exp(np.outer(taus, self.eigenvalues))) @ self.right_t
 
-    def waiting_times(self, rho_batch: np.ndarray, targets: np.ndarray,
+    def waiting_times(self, rows: np.ndarray, targets: np.ndarray,
                       remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve survival(tau) = target per trajectory by bracketed bisection.
 
@@ -637,9 +696,8 @@ class _CountingSampler:
         remaining time.  Each trajectory's arithmetic involves only its own
         row, so results do not depend on the batch composition.
         """
-        coeff = self._coefficients(rho_batch)
+        coeff = self._coefficients(rows)
         w = self.eigenvalues
-        batch = rho_batch.shape[0]
         s_rem = self._survival(coeff, w, remaining)
         jumps = s_rem <= targets
         tau = remaining.astype(float).copy()
@@ -688,8 +746,7 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
     """Counts per label (and optionally event lists) for a batch of trajectories."""
     sampler = _CountingSampler(gen)
     batch = len(indices)
-    d = gen.dim
-    rho = np.broadcast_to(state_matrix(rho0), (batch, d, d)).copy()
+    rows = np.tile(vec(state_matrix(rho0)), (batch, 1))
     tape = _Tape(seed, indices)
     clock = np.zeros(batch)
     active = np.arange(batch)
@@ -699,19 +756,19 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
     while active.size:
         u_wait = tape.take(active)
         remaining = t - clock[active]
-        tau, jumped = sampler.waiting_times(rho[active], u_wait, remaining)
-        rho_evolved = sampler.propagate(rho[active], tau)
-        tr = np.einsum("bpp->b", rho_evolved).real
+        tau, jumped = sampler.waiting_times(rows[active], u_wait, remaining)
+        evolved = sampler.propagate(rows[active], tau)
+        tr = _traces(evolved)
         if np.any(tr <= 0.0):
             raise FilterCollapseError("no-jump propagation lost all probability")
-        rho[active] = rho_evolved / tr[:, None, None]
+        rows[active] = evolved / tr[:, None]
         clock[active] += tau
 
         jump_rows = active[jumped]
         if jump_rows.size:
-            pick, rho[jump_rows] = _filter_step(sampler.jump_stack, rho[jump_rows],
-                                                tape.take(jump_rows),
-                                                "vanishing jump intensities at a jump time")
+            pick, rows[jump_rows] = _filter_step(sampler.jump_maps, rows[jump_rows],
+                                                 tape.take(jump_rows),
+                                                 "vanishing jump intensities at a jump time")
             counts[jump_rows, pick] += 1
             if collect_events:
                 for row, p in zip(jump_rows, pick):

@@ -479,6 +479,13 @@ class TestSimulate:
         assert abs(rate - m) < 4 * se + 1e-3
         assert report["rows"][0]["tail_kind"] == "mc"
 
+    def test_counting_solves_the_steady_state_once(self, capsys, monkeypatch):
+        solves = counted(monkeypatch, cli, "gkls_steady_state")
+        report = main_report(capsys, "simulate", "--model", model("driven_qubit.json"),
+                             "--t", "2", "--trials", "5", "--seed", "1")
+        assert report["stationary_intensity"] > 0.0
+        assert len(solves) == 1
+
 
 class TestVerify:
     def test_ring_bernstein_passes(self):

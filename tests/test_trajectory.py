@@ -7,7 +7,7 @@ from scipy import stats
 import qmcbounds.trajectory as trajectory
 from qmcbounds.bounds import TimeStep, Unravelling, multitime_hoeffding
 from qmcbounds.fixtures import random_channel
-from qmcbounds.operators import GKLSGenerator, KrausChannel, observation_vector
+from qmcbounds.operators import GKLSGenerator, KrausChannel, observation_vector, unvec, vec
 from qmcbounds.spectral import gkls_steady_state, invariant_state
 from qmcbounds.trajectory import (
     FilterCollapseError,
@@ -98,7 +98,7 @@ class TestSampleDiscrete:
         rho0 = random_state(3, np.random.default_rng(4))
         indices = list(range(50, 650))
         picks = _discrete_outcomes_batch(channel, rho0, 20, 31, indices)
-        standard = [Unravelling.standard(channel)._slots] * 20
+        standard = [trajectory._row_maps(Unravelling.standard(channel).maps)] * 20
         assert np.array_equal(picks, _filter_batch(standard, rho0, 31, indices))
 
     def test_two_point_correlations_match_process_law(self, ring):
@@ -125,6 +125,111 @@ class TestSampleDiscrete:
         exact = float(np.trace(inner @ v_i @ rho_before @ v_i.conj().T).real)
         se = np.sqrt(exact * (1 - exact) / trials)
         assert abs(empirical - exact) < 4 * se + 1e-4
+
+
+def fresh_stream(seed: int, index: int, count: int) -> np.ndarray:
+    """count uniforms of stream (seed, index) from a generator of its own."""
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+class TestStreams:
+    INDICES = [0, 1, 7, 2**63 + 3, 2**64 + 5]  # the last enters the key as 5
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**64 + 9])
+    def test_uniform_rows_are_the_per_trajectory_streams(self, seed):
+        rows = trajectory._uniform_rows(seed, self.INDICES, 37)
+        assert np.array_equal(rows, np.vstack([fresh_stream(seed, i, 37)
+                                               for i in self.INDICES]))
+
+    @pytest.mark.parametrize("seed", [2, 2**63 + 1])
+    def test_tape_refills_continue_each_stream(self, seed):
+        tape = trajectory._Tape(seed, self.INDICES)
+        drawn = [[] for _ in self.INDICES]
+        # row r draws at every (r+1)-th take, so the rows refill out of step;
+        # row 0 draws 4 blocks, 3 of them refills
+        for take in range(4 * trajectory._TAPE_BLOCK):
+            rows = np.asarray([r for r in range(len(self.INDICES)) if take % (r + 1) == 0])
+            for r, x in zip(rows, tape.take(rows)):
+                drawn[r].append(x)
+        for r, index in enumerate(self.INDICES):
+            assert np.array_equal(drawn[r], fresh_stream(seed, index, len(drawn[r])))
+
+
+def reference_filter(outcomes_per_step, rho0, seed: int, indices) -> np.ndarray:
+    """Outcome indices of one trajectory at a time, filtered by plain matrix loops.
+
+    Step k has the outcomes ``outcomes_per_step[k]``, each a Kraus family;
+    an outcome's weight is tr(sum_W W rho W^*) and the draw is ``_categorical``.
+    """
+    n = len(outcomes_per_step)
+    picks = np.empty((len(indices), n), dtype=np.int64)
+    for b, index in enumerate(indices):
+        u = fresh_stream(seed, index, n)
+        rho = np.asarray(rho0, dtype=complex)
+        for k, outcomes in enumerate(outcomes_per_step):
+            images = [sum(w @ rho @ w.conj().T for w in ops) for ops in outcomes]
+            probs = np.asarray([[np.trace(x).real for x in images]])
+            picks[b, k] = trajectory._categorical(probs, u[k:k + 1], "collapse")[0]
+            rho = images[picks[b, k]] / np.trace(images[picks[b, k]]).real
+    return picks
+
+
+class TestFilterReference:
+    @pytest.mark.parametrize("dim, seed", [(2, 3), (3, 5), (4, 8)])
+    def test_random_channels(self, dim, seed):
+        channel = random_channel(dim, 3, seed)
+        rho0 = random_state(dim, np.random.default_rng(seed))
+        indices = range(40, 240)
+        picks = _discrete_outcomes_batch(channel, rho0, 12, seed, indices)
+        standard = [[(v,) for v in channel.kraus]] * 12
+        assert np.array_equal(picks, reference_filter(standard, rho0, seed, indices))
+
+    def test_outcomes_of_one_two_and_three_operators(self):
+        kraus = random_channel(3, 6, 17).kraus
+        grouped = Unravelling([kraus[:1], kraus[1:3], kraus[3:]])
+        standard = Unravelling([(v,) for v in kraus])
+        schedule = [grouped, grouped, standard] * 4
+        maps = {id(u): trajectory._row_maps(u.maps) for u in (grouped, standard)}
+        rho0 = random_state(3, np.random.default_rng(17))
+        indices = range(300)
+        picks = _filter_batch([maps[id(u)] for u in schedule], rho0, 9, indices)
+        assert np.array_equal(picks, reference_filter([u.maps for u in schedule], rho0, 9,
+                                                      indices))
+
+    @pytest.mark.parametrize("generator", ["qubit_gen", "poisson_gen"])
+    def test_counting_jump(self, generator, request):
+        gen = request.getfixturevalue(generator)
+        rng = np.random.default_rng(23)
+        states = np.stack([random_state(2, rng) for _ in range(200)])
+        u = rng.random(200)
+        pick, rows = trajectory._filter_step(trajectory._CountingSampler(gen).jump_maps,
+                                             vec(states), u, "collapse")
+        for b, rho in enumerate(states):
+            images = [l @ rho @ l.conj().T for l in gen.jumps]
+            probs = np.asarray([[np.trace(x).real for x in images]])
+            expected = trajectory._categorical(probs, u[b:b + 1], "collapse")[0]
+            assert pick[b] == expected
+            np.testing.assert_allclose(unvec(rows[b], 2),
+                                       images[expected] / np.trace(images[expected]).real,
+                                       rtol=0, atol=1e-14)
+
+    def test_each_distinct_unravelling_is_built_once(self, ring, monkeypatch):
+        channel, payoff = ring
+        built = []
+        row_maps = trajectory._row_maps
+
+        def counted(outcomes):
+            built.append(outcomes)
+            return row_maps(outcomes)
+        monkeypatch.setattr(trajectory, "_row_maps", counted)
+        coarse = Unravelling([channel.kraus[0::2], channel.kraus[1::2]], ["up", "down"])
+        standard = Unravelling.standard(channel)
+        steps = [TimeStep(coarse, {"up": 1.0, "down": -1.0}) if k % 2
+                 else TimeStep(standard, payoff) for k in range(12)]
+        sigma = invariant_state(channel).matrix
+        mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 300, 11, chunk_size=100)
+        assert sorted(map(len, built)) == [2, 6]
 
 
 class TestExactTailDP:
