@@ -16,8 +16,11 @@ trajectories, and the CLI's dump records are the very trajectories behind
 the tails it reports.
 
 Continuous-time counting records use jump / no-jump sampling on the same
-rows: the waiting time solves tr(exp(tau G) rho exp(tau G)^*) = u by
-bracketed bisection, the jump label is drawn proportionally to the detector
+rows: the waiting time solves survival(tau) = tr(exp(tau G) rho exp(tau G)^*)
+= u, a sum of exponentials in the eigenbasis of the no-jump semigroup, by a
+safeguarded Newton iteration (the derivative reuses the same exponentials)
+inside a bracket that every evaluation narrows, down to a relative width of
+``_WAIT_REL_TOL``; the jump label is drawn proportionally to the detector
 intensities tr(L_i rho L_i^*) and the state is reset through the jump map,
 both by the filter step of the discrete samplers.
 
@@ -73,7 +76,8 @@ _TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape (a mu
 _MASK64 = 0xFFFFFFFFFFFFFFFF  # seeds and indices enter a Philox key modulo 2**64
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
-_BISECT_REL_TOL = 1e-10   # relative bracket width at which a waiting time is solved
+_WAIT_REL_TOL = 1e-10     # relative bracket width at which a waiting time is solved
+_WAIT_MAX_ITER = 100      # survival evaluations allowed to a waiting-time solve after bracketing
 _MAX_DENOMINATOR = 10**6  # largest denominator of a score lattice
 _MASS_TOL = 1e-11         # |total DP mass - initial mass| allowed
 
@@ -658,7 +662,12 @@ def laplace_transform_exact(channel: KrausChannel, rho0, f, n: int, u: float) ->
 # ---------------------------------------------------------------------------
 
 class _CountingSampler:
-    """Batched jump / no-jump unravelling of a GKLS generator."""
+    """Batched jump / no-jump unravelling of a GKLS generator.
+
+    A batch of states enters as its coefficients ``rows @ right_inv_t`` in
+    the eigenbasis of the no-jump semigroup, computed once per round and
+    shared by :meth:`waiting_times` and :meth:`propagate`.
+    """
 
     def __init__(self, gen: GKLSGenerator):
         self.gen = gen
@@ -675,42 +684,62 @@ class _CountingSampler:
         self.t0 = 1.0 / max(uniform_norm(g), 1e-30)
         self.jump_maps = _row_maps([(l,) for l in gen.jumps])
 
-    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """survival(tau) = Re sum_k a_k exp(w_k tau), one row per trajectory."""
-        return (rows @ self.right_inv_t) * self.trace_row[None, :]
-
     @staticmethod
-    def _survival(coeff: np.ndarray, eigenvalues: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        return np.einsum("bk,bk->b", coeff, np.exp(np.outer(taus, eigenvalues))).real
+    def _survival(coeff: np.ndarray, slope: np.ndarray, eigenvalues: np.ndarray,
+                  taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """survival(tau) = Re sum_k a_k exp(w_k tau) and its derivative, one per row.
 
-    def propagate(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        coeff = rows @ self.right_inv_t
+        ``coeff`` holds the a_k and ``slope`` the a_k w_k; both sums share one exp.
+        """
+        e = np.exp(np.outer(taus, eigenvalues))
+        return np.einsum("bk,bk->b", coeff, e).real, np.einsum("bk,bk->b", slope, e).real
+
+    def propagate(self, coeff: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return (coeff * np.exp(np.outer(taus, self.eigenvalues))) @ self.right_t
 
-    def waiting_times(self, rows: np.ndarray, targets: np.ndarray,
+    def waiting_times(self, coeff: np.ndarray, targets: np.ndarray,
                       remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve survival(tau) = target per trajectory by bracketed bisection.
+        """Solve survival(tau) = target per trajectory by safeguarded Newton.
 
-        Returns (tau, jumps) where ``jumps`` marks trajectories whose jump
-        happens before their remaining horizon; for the others tau equals the
-        remaining time.  Each trajectory's arithmetic involves only its own
-        row, so results do not depend on the batch composition.
+        ``coeff`` is ``rows @ right_inv_t``.  Returns (tau, jumps) where
+        ``jumps`` marks trajectories whose jump happens before their
+        remaining horizon; for the others tau equals the remaining time.
+
+        A jumping row's bracket [lo, hi] starts at [0, min(t0, remaining)]
+        and doubles until survival(hi) <= target.  Each Newton step then
+        starts from the last point evaluated, which is always an end of the
+        bracket, and every evaluation replaces lo or hi.  With
+        d = tol * hi / 4: a Newton target outside [lo + d, hi - d] by more
+        than a hundredth of the bracket width falls back to the midpoint,
+        a nearer one is clipped into it, and a clipped step that leaves the
+        bracket open is followed by one bisection; a step shorter than d is
+        lengthened by 2d, so that it crosses the root and closes the bracket,
+        and if it does not (the survival is flat or noisy at the scale of d,
+        as for targets within about 1e-6 of 1) the row bisects from then on.
+        The result is the midpoint of a bracket with
+        survival(lo) > target >= survival(hi) as evaluated here (lo = 0
+        stands for survival(0) = 1) and hi - lo <= tol * hi,
+        tol = ``_WAIT_REL_TOL``; a row still open after ``_WAIT_MAX_ITER``
+        evaluations raises :class:`SurvivalMonotonicityError`.  Converged
+        rows freeze and each row's arithmetic involves only its own data, so
+        results do not depend on the batch composition.
         """
-        coeff = self._coefficients(rows)
         w = self.eigenvalues
-        s_rem = self._survival(coeff, w, remaining)
+        a = coeff * self.trace_row[None, :]
+        aw = a * w
+        s_rem, _ = self._survival(a, aw, w, remaining)
         jumps = s_rem <= targets
         tau = remaining.astype(float).copy()
         if not np.any(jumps):
             return tau, jumps
 
         idx = np.nonzero(jumps)[0]
-        c = coeff[idx]
+        a, aw = a[idx], aw[idx]
         tgt = targets[idx]
         rem = remaining[idx]
         lo = np.zeros(idx.size)
         hi = np.minimum(np.full(idx.size, self.t0), rem)
-        s_hi = self._survival(c, w, hi)
+        s_hi, ds_hi = self._survival(a, aw, w, hi)
         s_prev = np.ones(idx.size)
         # grow brackets geometrically until the survival crosses the target
         for _ in range(200):
@@ -723,20 +752,39 @@ class _CountingSampler:
             s_prev = np.where(need, s_hi, s_prev)
             lo = np.where(need, hi, lo)
             hi = np.where(need, np.minimum(hi * 2.0, rem), hi)
-            s_hi = np.where(need, self._survival(c, w, hi), s_hi)
+            s, ds = self._survival(a, aw, w, hi)
+            s_hi = np.where(need, s, s_hi)
+            ds_hi = np.where(need, ds, ds_hi)
         else:
             raise SurvivalMonotonicityError("bracket growth failed to converge")
-        # masked bisection: converged rows freeze, so each result is a
-        # function of its own trajectory data only
-        for _ in range(100):
-            active = (hi - lo) > _BISECT_REL_TOL * np.maximum(hi, 1e-300)
+
+        x, f, df = hi, s_hi - tgt, ds_hi
+        bisect = np.zeros(idx.size, dtype=bool)  # a clipped step left the bracket open
+        stuck = np.zeros(idx.size, dtype=bool)   # a crossing step did: bisect from now on
+        for _ in range(_WAIT_MAX_ITER):
+            active = hi - lo > _WAIT_REL_TOL * hi
             if not np.any(active):
                 break
-            mid = np.where(active, 0.5 * (lo + hi), hi)
-            s_mid = self._survival(c, w, mid)
-            go_right = active & (s_mid > tgt)
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(active & ~go_right, mid, hi)
+            d = 0.25 * _WAIT_REL_TOL * hi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = -f / df
+            short = np.abs(step) < d
+            # f > 0 means x = lo, so the root lies to its right
+            target = x + np.where(short, step + np.where(f > 0.0, 2.0, -2.0) * d, step)
+            p = np.clip(target, lo + d, hi - d)
+            newton = ~(bisect | stuck) & (np.abs(target - p) <= 0.01 * (hi - lo))
+            bisect = newton & (p != target)
+            stuck |= newton & short
+            p = np.where(active, np.where(newton, p, 0.5 * (lo + hi)), hi)
+            s, df = self._survival(a, aw, w, p)
+            f = s - tgt
+            right = active & (f > 0.0)
+            lo = np.where(right, p, lo)
+            hi = np.where(active & ~right, p, hi)
+            x = p
+        else:
+            raise SurvivalMonotonicityError(
+                f"waiting-time solve did not converge in {_WAIT_MAX_ITER} survival evaluations")
         tau[idx] = 0.5 * (lo + hi)
         return tau, jumps
 
@@ -756,8 +804,9 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
     while active.size:
         u_wait = tape.take(active)
         remaining = t - clock[active]
-        tau, jumped = sampler.waiting_times(rows[active], u_wait, remaining)
-        evolved = sampler.propagate(rows[active], tau)
+        coeff = rows[active] @ sampler.right_inv_t
+        tau, jumped = sampler.waiting_times(coeff, u_wait, remaining)
+        evolved = sampler.propagate(coeff, tau)
         tr = _traces(evolved)
         if np.any(tr <= 0.0):
             raise FilterCollapseError("no-jump propagation lost all probability")

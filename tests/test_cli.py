@@ -463,6 +463,20 @@ class TestSimulate:
             assert record["index"] == idx
             assert record["events"] == [[time, str(lab)] for time, lab in single.events]
 
+    def test_rising_survival_is_a_numerical_failure(self, capsys, monkeypatch):
+        init = trajectory._CountingSampler.__init__
+
+        def rising(self, gen):
+            init(self, gen)
+            # slower than the slowest decay rate (0.25): from the post-jump
+            # ground state the survival rises before it decays
+            self.eigenvalues = self.eigenvalues + 0.2
+        monkeypatch.setattr(trajectory._CountingSampler, "__init__", rising)
+        assert cli.main(["simulate", "--model", model("driven_qubit.json"), "--t", "50",
+                         "--trials", "20"]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: survival function increased")
+
     def test_counting_single_trial_stderr_null(self, capsys):
         report = main_report(capsys, "simulate", "--model", model("driven_qubit.json"),
                              "--t", "10", "--trials", "1", "--seed", "2")

@@ -12,6 +12,7 @@ from qmcbounds.spectral import gkls_steady_state, invariant_state
 from qmcbounds.trajectory import (
     FilterCollapseError,
     LatticeError,
+    SurvivalMonotonicityError,
     counting_counts,
     exact_tail_dp,
     exact_tail_enumeration,
@@ -519,6 +520,154 @@ class TestCounting:
         exact = float(stats.poisson.sf(threshold - 1, kappa * t))
         se = np.sqrt(max(exact * (1 - exact), 1e-9) / trials)
         assert abs(tail.estimate - exact) < 3 * se + 1e-3
+
+
+GROUND = np.diag([1.0, 0.0]).astype(complex)   # the post-jump state of driven_qubit
+EXCITED = np.diag([0.0, 1.0]).astype(complex)
+MIXED = np.eye(2, dtype=complex) / 2
+STATES = {"ground": GROUND, "excited": EXCITED, "mixed": MIXED}
+GENERATORS = ["qubit_gen", "poisson_gen", "renewal_gen"]
+
+
+@pytest.fixture(scope="module")
+def renewal_gen():
+    return GKLSGenerator(np.zeros((2, 2)), [np.sqrt(0.7) * np.eye(2)], labels=("c",))
+
+
+def reference_survival(a, eigenvalues, taus):
+    return np.einsum("bk,bk->b", a, np.exp(np.outer(taus, eigenvalues))).real
+
+
+def bisection_waiting_times(sampler, coeff, targets, remaining):
+    """The masked bisection the Newton solve replaced, kept as its reference.
+
+    The same jump test and bracket growth, then every open bracket is halved
+    until hi - lo <= _WAIT_REL_TOL * hi; the result is the bracket's midpoint.
+    """
+    w = sampler.eigenvalues
+    a = coeff * sampler.trace_row[None, :]
+    jumps = reference_survival(a, w, remaining) <= targets
+    tau = remaining.astype(float).copy()
+    idx = np.nonzero(jumps)[0]
+    a, tgt, rem = a[idx], targets[idx], remaining[idx]
+    lo = np.zeros(idx.size)
+    hi = np.minimum(sampler.t0, rem)
+    s_hi = reference_survival(a, w, hi)
+    while np.any(s_hi > tgt):
+        need = s_hi > tgt
+        lo = np.where(need, hi, lo)
+        hi = np.where(need, np.minimum(hi * 2.0, rem), hi)
+        s_hi = np.where(need, reference_survival(a, w, hi), s_hi)
+    for _ in range(100):
+        active = (hi - lo) > trajectory._WAIT_REL_TOL * hi
+        if not np.any(active):
+            break
+        mid = np.where(active, 0.5 * (lo + hi), hi)
+        go_right = active & (reference_survival(a, w, mid) > tgt)
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+    tau[idx] = 0.5 * (lo + hi)
+    return tau, jumps
+
+
+def traced_waiting_times(sampler, coeff, targets, remaining, monkeypatch):
+    """Solve one row per call; per row return (tau, jump, lo, hi, evaluations).
+
+    The bracket is rebuilt from every survival value the call evaluated: lo is
+    the largest point above the target (0 if none), hi the smallest at or below.
+    """
+    evaluated = []
+    survival = trajectory._CountingSampler._survival
+
+    def recorded(*args):
+        values = survival(*args)
+        evaluated.append((args[-1], values[0]))
+        return values
+    monkeypatch.setattr(trajectory._CountingSampler, "_survival", staticmethod(recorded))
+    rows = []
+    for i, target in enumerate(targets):
+        evaluated.clear()
+        tau, jumps = sampler.waiting_times(coeff[i:i + 1], targets[i:i + 1],
+                                           remaining[i:i + 1])
+        taus = np.concatenate([t for t, _ in evaluated])
+        values = np.concatenate([s for _, s in evaluated])
+        rows.append((tau[0], jumps[0], taus[values > target].max(initial=0.0),
+                     taus[values <= target].min(initial=np.inf), len(evaluated)))
+    return rows
+
+
+def assert_certified(tau, lo, hi):
+    assert lo < hi and hi - lo <= trajectory._WAIT_REL_TOL * hi
+    assert tau == 0.5 * (lo + hi)
+
+
+class TestWaitingTimes:
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_newton_matches_the_bisection_reference(self, generator, state, request,
+                                                   monkeypatch):
+        sampler = trajectory._CountingSampler(request.getfixturevalue(generator))
+        coeff0 = vec(STATES[state]) @ sampler.right_inv_t
+        a0 = (coeff0 * sampler.trace_row)[None, :]
+        rng = np.random.default_rng(41)
+        for horizon in (0.37 * sampler.t0, 1e3):
+            targets = [1e-12, 1e-6, 1e-3, 0.5, 0.9, 0.999, *rng.random(16)]
+            # roots within a few ulps of the ends the bracket growth evaluates
+            ends = np.minimum(sampler.t0 * np.array([1.0, 2.0, 4.0]), horizon)
+            for s in reference_survival(np.repeat(a0, 3, axis=0), sampler.eigenvalues, ends):
+                targets += [s + k * np.spacing(s) for k in range(-3, 4)]
+            targets = np.asarray(targets)
+            remaining = np.full(targets.size, horizon)
+            coeff = np.repeat(coeff0[None, :], targets.size, axis=0)
+            ref_tau, ref_jumps = bisection_waiting_times(sampler, coeff, targets, remaining)
+            rows = traced_waiting_times(sampler, coeff, targets, remaining, monkeypatch)
+            batch_tau, batch_jumps = sampler.waiting_times(coeff, targets, remaining)
+            assert np.array_equal(batch_jumps, ref_jumps)
+            assert np.array_equal(batch_tau, [r[0] for r in rows])
+            for (tau, jump, lo, hi, evaluations), expected in zip(rows, ref_tau):
+                assert evaluations <= 24
+                if jump:
+                    assert_certified(tau, lo, hi)
+                    assert abs(tau - expected) <= trajectory._WAIT_REL_TOL * expected
+                else:
+                    assert tau == horizon
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_target_next_to_one(self, generator, state, request, monkeypatch):
+        """u = 1 - 2**-53 still gives a certified bracket and the reference's jump.
+
+        Doubles next to 1 are 2**-53 apart, so near such a root the computed
+        survival is constant over relative time ranges far wider than the
+        tolerance, and for the ground state it crosses the target more than
+        once.  The solve bisects there, so neither the evaluation budget nor
+        closeness to the reference's crossing applies.
+        """
+        sampler = trajectory._CountingSampler(request.getfixturevalue(generator))
+        coeff = (vec(STATES[state]) @ sampler.right_inv_t)[None, :]
+        targets = np.array([1.0 - 2.0**-53])
+        for horizon in (0.37 * sampler.t0, 1e3):
+            remaining = np.array([horizon])
+            _, ref_jumps = bisection_waiting_times(sampler, coeff, targets, remaining)
+            [(tau, jump, lo, hi, _)] = traced_waiting_times(sampler, coeff, targets,
+                                                            remaining, monkeypatch)
+            assert jump == ref_jumps[0]
+            assert_certified(tau, lo, hi)
+
+    def test_unconverged_solve_raises(self, qubit_gen, monkeypatch):
+        monkeypatch.setattr(trajectory, "_WAIT_MAX_ITER", 2)
+        sampler = trajectory._CountingSampler(qubit_gen)
+        coeff = (vec(MIXED) @ sampler.right_inv_t)[None, :]
+        with pytest.raises(SurvivalMonotonicityError, match="waiting-time solve"):
+            sampler.waiting_times(coeff, np.array([0.5]), np.array([1e3]))
+
+    def test_rising_survival_raises_while_growing(self, qubit_gen):
+        sampler = trajectory._CountingSampler(qubit_gen)
+        # the slowest decay rate is 0.25: the survival now rises first, then decays
+        sampler.eigenvalues = sampler.eigenvalues + 0.2
+        coeff = (vec(GROUND) @ sampler.right_inv_t)[None, :]
+        with pytest.raises(SurvivalMonotonicityError, match="increased while growing"):
+            sampler.waiting_times(coeff, np.array([0.5]), np.array([1e3]))
 
 
 class TestWindowed:
