@@ -42,7 +42,7 @@ from .operators import (
     dagger,
     kms_norm,
     kms_operator_norm,
-    kraus_superoperator_matrix,
+    kraus_family_deviation,
     observation_vector,
     state_matrix,
     state_power,
@@ -96,14 +96,21 @@ def stationary_stats(channel: KrausChannel, sigma, f) -> StationaryStats:
     if abs(total - 1.0) > 1e-9:
         raise HypothesisError(f"stationary law sums to {total!r}; state not invariant?")
     pi = pi / total
-    mean = float(pi @ fv)
-    centered = fv - mean
-    # a constant payoff should be exactly degenerate, not 1e-16 noise
+    mean, centered, variance, c = _centered(pi, fv)
+    return StationaryStats(pi=pi, mean=mean, centered=centered, b=math.sqrt(variance), c=c)
+
+
+def _centered(pi: np.ndarray, f: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+    """(pi(f), f - pi(f), pi((f - pi(f))^2), max |f - pi(f)|) for a law pi aligned with f.
+
+    A payoff constant up to rounding centers to exactly zero, not 1e-16 noise.
+    """
+    mean = float(pi @ f)
+    centered = f - mean
     if np.max(np.abs(centered), initial=0.0) <= 1e-13 * max(1.0, abs(mean)):
         centered = np.zeros_like(centered)
-    b = float(np.sqrt(max(pi @ centered**2, 0.0)))
     c = float(np.max(np.abs(centered))) if centered.size else 0.0
-    return StationaryStats(pi=pi, mean=mean, centered=centered, b=b, c=c)
+    return mean, centered, max(float(pi @ centered**2), 0.0), c
 
 
 def n_rho(rho, sigma) -> float:
@@ -282,7 +289,8 @@ def counting_constants(gen: GKLSGenerator, label, rho=None, sigma=None) -> Bound
     sig = gkls_steady_state(gen) if sigma is None else sigma
     s = state_matrix(sig)
     m_intensity = _stationary_intensity(gen, label, s)
-    jump_super = superoperator_matrix(lambda x: gen.jump(label, x), gen.dim)
+    jump = KrausChannel([gen.jumps[gen.index(label)]], expect_channel=False)
+    jump_super = superoperator_matrix(jump)
     b_op = _kms_real_part(jump_super, s)
     b_val = kms_norm(b_op.apply(np.eye(gen.dim)), s)
     alpha = kms_operator_norm(b_op, s)
@@ -348,7 +356,6 @@ class Unravelling:
         self.maps = tuple(tuple(as_complex_matrix(w) for w in ops) for ops in maps)
         if not self.maps or not all(self.maps):
             raise ValueError("each outcome needs at least one Kraus operator")
-        self.dim = self.maps[0][0].shape[0]
         self.labels = tuple(labels) if labels is not None else tuple(range(len(self.maps)))
         if len(self.labels) != len(self.maps):
             raise ValueError("one label per outcome required")
@@ -361,9 +368,6 @@ class Unravelling:
         r = state_matrix(rho)
         return sum(w @ r @ dagger(w) for w in self.maps[i])
 
-    def total_matrix(self) -> np.ndarray:
-        return kraus_superoperator_matrix([w for ops in self.maps for w in ops])
-
 
 @dataclass(frozen=True)
 class TimeStep:
@@ -375,13 +379,13 @@ class TimeStep:
 
 def _validate_steps(channel: KrausChannel, steps: Sequence[TimeStep]) -> None:
     """Each distinct unravelling, at its first step, must sum to the channel."""
-    ref = superoperator_matrix(channel).matrix
     seen = set()
     for k, step in enumerate(steps):
         if id(step.unravelling) in seen:
             continue
         seen.add(id(step.unravelling))
-        dev = float(np.max(np.abs(step.unravelling.total_matrix() - ref)))
+        dev = kraus_family_deviation([w for ops in step.unravelling.maps for w in ops],
+                                     channel.kraus)
         if dev > 1e-9:
             raise ValueError(
                 f"step {k}: unravelling does not sum to the channel (deviation {dev:.3e})")
@@ -402,11 +406,9 @@ def _step_stats(steps: Sequence[TimeStep], sigma) -> tuple[list[np.ndarray], tup
                          for i in range(len(step.unravelling.maps))])
         pi = np.clip(pi, 0.0, None)
         pi = pi / pi.sum()
-        fv = observation_vector(step.f, step.unravelling.labels)
-        fc = fv - float(pi @ fv)
-        moments[id(step)] = (fc, float(np.max(np.abs(fc))), float(pi @ fc**2))
+        moments[id(step)] = _centered(pi, observation_vector(step.f, step.unravelling.labels))[1:]
     rows = [moments[id(step)] for step in steps]
-    centered, ranges, variances = zip(*rows) if rows else ((), (), ())
+    centered, variances, ranges = zip(*rows) if rows else ((), (), ())
     return (list(centered), tuple(accumulate(ranges, max, initial=0.0))[1:],
             tuple(accumulate(variances, initial=0.0))[1:])
 
@@ -552,15 +554,14 @@ def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConsta
     missing = [k for k in law if k not in f]
     if missing:
         raise KeyError(f"payoff undefined on outcome tuples, e.g. {missing[0]}")
-    mean = sum(law[k] * float(f[k]) for k in law)
-    centered = {k: float(f[k]) - mean for k in law}
-    c = max(abs(v) for v in centered.values())
+    _, centered, _, c = _centered(np.asarray(list(law.values())),
+                                  np.asarray([float(f[k]) for k in law]))
     if c == 0.0:
         return BoundConstants(b=0.0, c=0.0, n_rho=1.0)
 
     # right-hand side of the window Poisson equation: the full m-step
     # conditional expectation operator of the centered payoff
-    f_m = sum(centered[k] * op for k, op in _window_effects(channel, m).items())
+    f_m = sum(fc * op for fc, op in zip(centered, _window_effects(channel, m).values()))
     certified = certified_pseudoresolvent_norm(channel, sigma)
     poisson_solve(channel, f_m, sigma, certified_upper=certified)
     return BoundConstants(b=None, c=c, g=(m + certified) * c, n_rho=1.0)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .bounds import TimeStep, Unravelling
 from .classical import FluxFunction, MarkovChain
-from .operators import GKLSGenerator, KrausChannel
+from .operators import GKLSGenerator, KrausChannel, kraus_family_deviation
 
 
 class ModelParseError(ValueError):
@@ -125,12 +125,6 @@ def _observation(obs, labels, path: str) -> dict:
     return {l: _finite(obs.get(l, obs.get(str(l))), f"{path}.{l}") for l in labels}
 
 
-def _choi(ops) -> np.ndarray:
-    """sum_w vec(w) vec(w)^*, whose entries are those of the superoperator, rearranged."""
-    flat = np.stack([w.reshape(-1) for w in ops])
-    return flat.T @ flat.conj()
-
-
 def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     labels = _get(doc, "labels", "$")
     matrices = _get(doc, "kraus", "$")
@@ -148,7 +142,6 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     if obs is not None:
         model.observation = _observation(obs, labels, "$.observation")
     unravellings = _get(doc, "unravellings", "$", required=False) or {}
-    choi = _choi(channel.kraus)
     for name, outcomes in unravellings.items():
         maps, ulabels = [], []
         for i, entry in enumerate(outcomes):
@@ -161,9 +154,7 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
             model.unravellings[name] = Unravelling(maps, ulabels)
         except Exception as exc:
             _fail(f"$.unravellings.{name}", str(exc))
-        ops = [w for outcome in maps for w in outcome]
-        dev = (float(np.max(np.abs(_choi(ops) - choi)))
-               if ops[0].shape == (channel.dim,) * 2 else math.inf)
+        dev = kraus_family_deviation([w for outcome in maps for w in outcome], channel.kraus)
         if dev > 1e-9:
             _fail(f"$.unravellings.{name}",
                   f"unravelling does not sum to the channel (deviation {dev:.3e})")

@@ -24,6 +24,7 @@ shared state, so values can be freely shared across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -311,11 +312,6 @@ class GKLSGenerator:
         e = sla.expm(t * self.no_jump_generator_matrix)
         return dagger(e) @ a @ e
 
-    def jump(self, label, x) -> np.ndarray:
-        """J_i(x) = L_i^* x L_i."""
-        l = self.jumps[self.index(label)]
-        return dagger(l) @ as_complex_matrix(x, self.dim) @ l
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"GKLSGenerator(dim={self.dim}, jumps={len(self.jumps)})"
 
@@ -409,31 +405,54 @@ def gkls_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
     return m
 
 
-def superoperator_matrix(mapping, dim: int | None = None) -> Superoperator:
-    """Dense Heisenberg matrix of a map on d x d matrices.
+def no_jump_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
+    """Heisenberg matrix of the no-jump generator x -> G^* x + x G."""
+    g, eye = gen.no_jump_generator_matrix, np.eye(gen.dim)
+    return np.kron(eye, dagger(g)) + np.kron(g.T, eye)
 
-    Accepts a :class:`KrausChannel`, a :class:`GKLSGenerator`, an existing
-    :class:`Superoperator` (returned unchanged) or a callable together with
-    ``dim``, in which case the matrix is assembled column by column from the
-    action on matrix units.
-    """
+
+def superoperator_matrix(mapping) -> Superoperator:
+    """Heisenberg matrix of a KrausChannel or GKLSGenerator; a Superoperator passes through."""
     if isinstance(mapping, Superoperator):
         return mapping
     if isinstance(mapping, KrausChannel):
         return Superoperator(mapping.dim, kraus_superoperator_matrix(mapping.kraus))
     if isinstance(mapping, GKLSGenerator):
         return Superoperator(mapping.dim, gkls_superoperator_matrix(mapping))
-    if callable(mapping):
-        if dim is None:
-            raise ValueError("dim is required for a callable map")
-        cols = []
-        for j in range(dim):
-            for i in range(dim):
-                unit = np.zeros((dim, dim), dtype=complex)
-                unit[i, j] = 1.0
-                cols.append(vec(as_complex_matrix(mapping(unit), dim)))
-        return Superoperator(dim, np.column_stack(cols))
     raise TypeError(f"cannot build a superoperator from {type(mapping)!r}")
+
+
+def kraus_family_deviation(ops: Sequence[np.ndarray], reference: Sequence[np.ndarray]) -> float:
+    """max |Choi(ops) - Choi(reference)|; inf when ops are not shaped like reference."""
+    if any(w.shape != reference[0].shape for w in ops):
+        return math.inf
+    a, b = vec(np.stack(ops)), vec(np.stack(reference))
+    return float(np.max(np.abs(a.T @ a.conj() - b.T @ b.conj())))
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first."""
+    e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    return np.stack([e[p, p] for p in range(d)]
+                    + [(e[p, q] + e[q, p]) * math.sqrt(0.5) for p, q in pairs]
+                    + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
+
+
+def hermitian_coordinates(x: np.ndarray) -> np.ndarray:
+    """Real coordinates r_b = tr(B_b x) of a Hermitian x in :func:`hermitian_basis`."""
+    return np.einsum("bqp,pq->b", hermitian_basis(x.shape[0]), x).real
+
+
+def hermitian_superoperator_matrix(channel: KrausChannel) -> np.ndarray:
+    """Real blocks K[i, b, c] = tr(B_c V_i B_b V_i^*) in :func:`hermitian_basis`.
+
+    ``r @ K[i]`` are the coordinates of V_i T V_i^* for the coordinates r of
+    T, so ``sum_i K[i]`` is the channel's Heisenberg matrix in them.
+    """
+    basis = hermitian_basis(channel.dim)
+    images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis, channel._stack.conj())
+    return np.einsum("cqp,ibpq->ibc", basis, images).real
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,10 @@ from .operators import (
     GKLSGenerator,
     KrausChannel,
     dagger,
+    hermitian_coordinates,
+    hermitian_superoperator_matrix,
     kraus_superoperator_matrix,
+    no_jump_superoperator_matrix,
     observation_vector,
     state_matrix,
     uniform_norm,
@@ -463,29 +466,18 @@ def _dp_laws(rows: dict, denom: int, lag: int, mass: float) -> dict:
     return laws
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first."""
-    e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
-    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
-    return np.stack([e[p, p] for p in range(d)]
-                    + [(e[p, q] + e[q, p]) * math.sqrt(0.5) for p, q in pairs]
-                    + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
-
-
 def _channel_laws(channel: KrausChannel, rho0, next_tag: np.ndarray, shift: np.ndarray,
                   denom: int, steps: Sequence[int], lag: int) -> dict:
     """{n: law} from the kernel run on the operators of ``channel`` to each n + lag in ``steps``.
 
     Rows hold the real coordinates r_b = tr(B_b T) of the Hermitian T[s] in
-    an orthonormal Hermitian basis, so V T V^* is the real block
+    :func:`operators.hermitian_basis`, so V T V^* is the real block
     K[b, c] = tr(B_c V B_b V^*) and the mass tr T sums the d diagonal ones.
     """
     d = channel.dim
-    basis = _hermitian_basis(d)
-    images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis, channel._stack.conj())
-    blocks = np.einsum("cqp,ibpq->ibc", basis, images).real
+    blocks = hermitian_superoperator_matrix(channel)
     maps = np.broadcast_to(blocks, (next_tag.shape[0],) + blocks.shape)
-    init = np.einsum("bqp,pq->b", basis, state_matrix(rho0)).real
+    init = hermitian_coordinates(state_matrix(rho0))
     rows = _lattice_dp(maps, next_tag, shift, init, steps)
     return _dp_laws({step: (scores, vecs[:, :d].sum(axis=1)) for step, (scores, vecs)
                      in rows.items()}, denom, lag, float(init[:d].sum()))
@@ -673,8 +665,7 @@ class _CountingSampler:
         self.gen = gen
         self.dim = gen.dim
         g = gen.no_jump_generator_matrix
-        m0 = np.kron(g.conj(), np.eye(self.dim)) + np.kron(np.eye(self.dim), g)
-        w, r = np.linalg.eig(m0)
+        w, r = np.linalg.eig(no_jump_superoperator_matrix(gen).conj().T)
         if np.linalg.cond(r) > 1e10:
             raise RuntimeError("no-jump generator eigenbasis is too ill conditioned")
         self.eigenvalues = w

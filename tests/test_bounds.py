@@ -29,7 +29,7 @@ from qmcbounds.bounds import (
 import qmcbounds.spectral as spectral
 from qmcbounds import cli
 from qmcbounds.modelfile import load_model
-from qmcbounds.operators import GKLSGenerator
+from qmcbounds.operators import GKLSGenerator, kraus_family_deviation
 from qmcbounds.spectral import (
     decompose_invariant_subspaces,
     gkls_steady_state,
@@ -333,19 +333,38 @@ class TestTimeDependent:
         res_h = time_dependent_hoeffding(channel, steps, ring_sigma.matrix, None, 0.4)
         assert res_h.flavor == "tdm-hoeffding"
 
-    def test_total_matrix_is_the_kron_loop(self, ring):
-        """Every operator of every outcome, summed in order from zero."""
+    def test_unravelling_check_is_the_shared_deviation(self, ring):
+        """The old kron-loop deviation within 1e-15: 0 on the channel's own operators,
+        rounding on the rotated split, the perturbation on perturbed ones; inf on a
+        wrongly shaped operator."""
         channel, _ = ring
         model = load_model(os.path.join(os.path.dirname(__file__), "..", "models",
                                         "ring_tdm.json"))
         paired = Unravelling([channel.kraus[2 * k:2 * k + 2] for k in range(3)])
-        for unravelling in [*model.unravellings.values(), paired]:
-            d2 = unravelling.dim ** 2
-            expected = np.zeros((d2, d2), dtype=complex)
-            for ops in unravelling.maps:
-                for w in ops:
-                    expected += np.kron(w.T, w.conj().T)
-            assert np.array_equal(unravelling.total_matrix(), expected)
+
+        def kron_loop(ops):
+            return sum(np.kron(w.T, w.conj().T) for w in ops)
+
+        def old_deviation(ops, reference):
+            return float(np.max(np.abs(kron_loop(ops) - kron_loop(reference))))
+
+        rng = np.random.default_rng(11)
+        cases = [(model.unravellings["edges"], model.channel, 0.0),
+                 (paired, channel, 0.0),
+                 (model.unravellings["rotated"], model.channel, None)]
+        for unravelling, reference, exact in cases:
+            flat = [w for ops in unravelling.maps for w in ops]
+            new = kraus_family_deviation(flat, reference.kraus)
+            assert abs(new - old_deviation(flat, reference.kraus)) <= 1e-15
+            assert new == exact if exact is not None else new <= 1e-15
+            for scale in (1e-10, 1e-8, 1e-6):
+                perturbed = [w + scale * (rng.standard_normal(w.shape)
+                                          + 1j * rng.standard_normal(w.shape)) for w in flat]
+                old = old_deviation(perturbed, reference.kraus)
+                assert old > 0.1 * scale
+                assert abs(kraus_family_deviation(perturbed, reference.kraus) - old) <= 1e-15
+        wrong = [*model.channel.kraus[:-1], np.eye(2)]
+        assert kraus_family_deviation(wrong, model.channel.kraus) == math.inf
 
 
 class TestMultitime:

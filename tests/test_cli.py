@@ -8,10 +8,11 @@ import pytest
 
 import qmcbounds.bounds as bounds
 import qmcbounds.classical as classical
+import qmcbounds.modelfile as modelfile
 import qmcbounds.spectral as spectral
 import qmcbounds.trajectory as trajectory
 from qmcbounds import cli
-from qmcbounds.bounds import Unravelling, stationary_stats
+from qmcbounds.bounds import stationary_stats
 from qmcbounds.fixtures import random_channel
 from qmcbounds.modelfile import load_model
 from qmcbounds.spectral import gkls_steady_state, invariant_state
@@ -244,6 +245,30 @@ class TestBound:
                        "--n", "1,10", "--gamma", "0.1")
         rows = json.loads(proc.stdout)["rows"]
         assert all(row["valid"] and row["bound"] == 0.0 for row in rows)
+
+    @pytest.mark.parametrize("name, flavor", [
+        ("ring_tdm.json", "bernstein"), ("ring_tdm.json", "hoeffding"),
+        ("ring_tdm.json", "tdm-bernstein"), ("ring_tdm.json", "tdm-hoeffding"),
+        ("ring_tdm.json", "multitime"), ("two_state_chain.json", "flux"),
+    ])
+    def test_constant_payoff_exact_zero_in_every_flavor(self, name, flavor, tmp_path, capsys):
+        doc = json.loads(open(model(name)).read())
+        if name == "two_state_chain.json":
+            doc["flux"] = [[a, b, 0.7] for a, b, _ in doc["flux"]]
+        else:
+            doc["observation"] = {label: 0.7 for label in doc["observation"]}
+            for entry in doc["schedule"]:
+                entry["observation"] = {label: 0.7 for label in entry["observation"]}
+            doc["observation_windows"] = [[window, 0.7]
+                                          for window, _ in doc["observation_windows"]]
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        rows = main_report(capsys, "bound", "--flavor", flavor, "--model", str(path),
+                           "--n", "20,80", "--gamma", "0.1,0.5")["rows"]
+        assert rows and len(rows) % 4 == 0  # flux reports both of its series
+        for row in rows:
+            assert row["valid"] and row["bound"] == 0.0 and row["exponent"] is None
+            assert row["reason"].startswith("deterministic")
 
     def test_hoeffding_and_ci_never_run_the_heuristic(self, capsys, monkeypatch):
         runs = [["bound", "--model", model("ring.json"), "--flavor", "hoeffding",
@@ -740,9 +765,11 @@ class TestFlavorTable:
         ("reducible", bounds, "bernstein_constants", 2),  # one per block
         ("reducible", bounds, "hoeffding_constants", 2),
         ("tdm-bernstein", bounds, "multiplicative_gap_report", 1),
-        ("tdm-bernstein", Unravelling, "total_matrix", 2),  # one per schedule entry
+        ("tdm-bernstein", modelfile, "kraus_family_deviation", 2),  # one per unravelling
+        ("tdm-bernstein", bounds, "kraus_family_deviation", 2),  # one per schedule entry
         ("tdm-hoeffding", bounds, "phi_power_norms", 1),
-        ("tdm-hoeffding", Unravelling, "total_matrix", 2),
+        ("tdm-hoeffding", modelfile, "kraus_family_deviation", 2),
+        ("tdm-hoeffding", bounds, "kraus_family_deviation", 2),
         ("flux", classical, "chain_pseudoresolvent_norm", 1),
         ("flux", cli, "stationary_distribution", 1),
     ])

@@ -13,11 +13,15 @@ from qmcbounds.operators import (
     Superoperator,
     apply_heisenberg,
     apply_schrodinger,
+    hermitian_basis,
+    hermitian_coordinates,
+    hermitian_superoperator_matrix,
     kms_adjoint,
     kms_inner,
     kms_norm,
     kms_operator_norm,
     kms_positive_parts,
+    no_jump_superoperator_matrix,
     superoperator_matrix,
     trace_norm,
     uniform_norm,
@@ -200,8 +204,8 @@ class TestPositiveParts:
 
 class TestSuperoperator:
     def test_identity_map(self):
-        sup = superoperator_matrix(lambda x: x, dim=3)
-        assert np.allclose(sup.matrix, np.eye(9))
+        sup = superoperator_matrix(KrausChannel([np.eye(3)]))
+        assert np.array_equal(sup.matrix, np.eye(9))
 
     def test_kraus_matrix_matches_action(self, ring):
         channel, _ = ring
@@ -232,6 +236,80 @@ class TestSuperoperator:
                               np.stack([w.reshape((d, d), order="F")
                                         for w in v.reshape((-1, d * d))]))
         assert np.array_equal(back, x)
+
+
+def bitwise_equal(a, b) -> bool:
+    """Equal bit for bit, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_generator(seed: int) -> GKLSGenerator:
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    jumps = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+             for _ in range(1 + seed % 2)]
+    return GKLSGenerator((h + h.conj().T) / 2, jumps)
+
+
+class TestHermitianCoordinates:
+    """The builders reproduce the inline constructions they replaced, bit for bit."""
+
+    @staticmethod
+    def channels(ring):
+        return [ring[0]] + [random_channel(2 + s % 4, 1 + s % 3, 70 + s) for s in range(5)]
+
+    @staticmethod
+    def old_basis(d):
+        e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+        pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+        return np.stack([e[p, p] for p in range(d)]
+                        + [(e[p, q] + e[q, p]) * np.sqrt(0.5) for p, q in pairs]
+                        + [(e[q, p] - e[p, q]) * 1j * np.sqrt(0.5) for p, q in pairs])
+
+    def test_blocks_and_coordinates_are_the_old_einsums(self, ring):
+        rng = np.random.default_rng(3)
+        for channel in self.channels(ring):
+            basis = self.old_basis(channel.dim)
+            assert bitwise_equal(hermitian_basis(channel.dim), basis)
+            images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis,
+                               channel._stack.conj())
+            old = np.einsum("cqp,ibpq->ibc", basis, images).real
+            assert bitwise_equal(hermitian_superoperator_matrix(channel), old)
+            rho = random_state(channel.dim, rng)
+            assert bitwise_equal(hermitian_coordinates(rho),
+                                 np.einsum("bqp,pq->b", basis, rho).real)
+
+    def test_blocks_act_as_the_channel(self, ring):
+        """r @ K[i] are the coordinates of V_i T V_i^*; sum_i K[i] is the Heisenberg matrix."""
+        rng = np.random.default_rng(4)
+        for channel in self.channels(ring):
+            blocks = hermitian_superoperator_matrix(channel)
+            x = random_hermitian(channel.dim, rng)
+            r = hermitian_coordinates(x)
+            for v, block in zip(channel.kraus, blocks):
+                assert np.allclose(r @ block, hermitian_coordinates(v @ x @ v.conj().T),
+                                   atol=1e-12)
+            assert np.allclose(blocks.sum(axis=0) @ r,
+                               hermitian_coordinates(apply_heisenberg(channel, x)), atol=1e-12)
+            back = np.einsum("b,bpq->pq", r, hermitian_basis(channel.dim))
+            assert np.allclose(back, x, atol=1e-12)
+
+    @pytest.mark.parametrize("generator", ["qubit_gen", "poisson_gen", 0, 1, 2, 3, 4])
+    def test_no_jump_matrix_is_the_old_kron(self, generator, request):
+        gen = (random_generator(generator) if isinstance(generator, int)
+               else request.getfixturevalue(generator))
+        g, eye = gen.no_jump_generator_matrix, np.eye(gen.dim)
+        old = np.kron(g.conj(), eye) + np.kron(eye, g)
+        m = no_jump_superoperator_matrix(gen)
+        # equal as values: an imaginary part that cancels to +0 turns -0 under
+        # conj, so only signed zeros may differ; the sampler's eigenbasis may not
+        assert np.array_equal(m.conj().T, old)
+        for new_part, old_part in zip(np.linalg.eig(m.conj().T), np.linalg.eig(old)):
+            assert np.array_equal(new_part, old_part)
+        x = random_hermitian(gen.dim, np.random.default_rng(5))
+        assert np.allclose(unvec(m @ vec(x), gen.dim), g.conj().T @ x + x @ g, atol=1e-12)
 
 
 class TestGKLS:
