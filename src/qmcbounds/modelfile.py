@@ -29,11 +29,15 @@ kind "classical"::
      "transition": [[0.7, 0.3], [0.4, 0.6]],
      "flux": [["a", "b", 1.0], ...], "initial": [0.5, 0.5]}
 
-Sections are checked against each other when parsed: every unravelling
-must sum to the channel, a flux needs a value on every edge of the chain,
-and observation windows form a non-empty list of label windows of one
-length, each with a finite value.  Parse failures raise
-:class:`ModelParseError` with a field-precise path.
+Every field's JSON type is checked where it is read, so a list, object or
+number in the wrong place is a parse error naming that field, never a
+Python exception from deeper down.  Sections are checked against each
+other when parsed: every unravelling must sum to the channel (operators of
+another shape give deviation inf), a flux needs a value on every edge of
+the chain and may name only the chain's states, and observation windows
+form a non-empty list of label windows of one length, each with a finite
+value.  Parse failures raise :class:`ModelParseError` with a field-precise
+path.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ def _get(obj: dict, key: str, path: str, required: bool = True):
             _fail(f"{path}.{key}", "missing field")
         return None
     return obj[key]
+
+
+def _typed(value, kind: type, path: str):
+    """``value``, checked to be a JSON list (``kind`` list) or object (``kind`` dict)."""
+    if not isinstance(value, kind):
+        _fail(path, f"expected {'a list' if kind is list else 'an object'}, got {value!r}")
+    return value
 
 
 def _complex_entry(value, path: str) -> complex:
@@ -141,13 +152,17 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
     obs = _get(doc, "observation", "$", required=False)
     if obs is not None:
         model.observation = _observation(obs, labels, "$.observation")
-    unravellings = _get(doc, "unravellings", "$", required=False) or {}
+    unravellings = _get(doc, "unravellings", "$", required=False)
+    unravellings = {} if unravellings is None else _typed(unravellings, dict, "$.unravellings")
     for name, outcomes in unravellings.items():
         maps, ulabels = [], []
-        for i, entry in enumerate(outcomes):
+        for i, entry in enumerate(_typed(outcomes, list, f"$.unravellings.{name}")):
             path = f"$.unravellings.{name}[{i}]"
-            ulabels.append(_get(entry, "label", path))
-            kraus = _get(entry, "kraus", path)
+            label = _get(_typed(entry, dict, path), "label", path)
+            if not isinstance(label, (str, int, float)):
+                _fail(f"{path}.label", f"expected a string or number, got {label!r}")
+            ulabels.append(label)
+            kraus = _typed(_get(entry, "kraus", path), list, f"{path}.kraus")
             maps.append(tuple(parse_complex_matrix(m, f"{path}.kraus[{j}]")
                               for j, m in enumerate(kraus)))
         try:
@@ -158,11 +173,12 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
         if dev > 1e-9:
             _fail(f"$.unravellings.{name}",
                   f"unravelling does not sum to the channel (deviation {dev:.3e})")
-    schedule = _get(doc, "schedule", "$", required=False) or []
+    schedule = _get(doc, "schedule", "$", required=False)
+    schedule = [] if schedule is None else _typed(schedule, list, "$.schedule")
     for i, entry in enumerate(schedule):
         path = f"$.schedule[{i}]"
-        name = _get(entry, "unravelling", path)
-        if name not in model.unravellings:
+        name = _get(_typed(entry, dict, path), "unravelling", path)
+        if not isinstance(name, str) or name not in model.unravellings:
             _fail(f"{path}.unravelling", f"unknown unravelling {name!r}")
         unr = model.unravellings[name]
         fk = _observation(_get(entry, "observation", path), unr.labels, f"{path}.observation")
@@ -189,8 +205,10 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
 
 def _parse_gkls(doc: dict) -> Model:
     h = parse_complex_matrix(_get(doc, "hamiltonian", "$"), "$.hamiltonian")
-    jumps_doc = _get(doc, "jumps", "$")
-    labels = _get(doc, "labels", "$")
+    jumps_doc = _typed(_get(doc, "jumps", "$"), list, "$.jumps")
+    labels = _typed(_get(doc, "labels", "$"), list, "$.labels")
+    if not jumps_doc:
+        _fail("$.jumps", "expected at least one jump operator")
     if len(labels) != len(jumps_doc):
         _fail("$.jumps", f"{len(jumps_doc)} jump operators for {len(labels)} labels")
     jumps = [parse_complex_matrix(m, f"$.jumps[{i}]") for i, m in enumerate(jumps_doc)]
@@ -206,7 +224,7 @@ def _parse_gkls(doc: dict) -> Model:
 
 
 def _parse_classical(doc: dict) -> Model:
-    states = _get(doc, "states", "$")
+    states = _typed(_get(doc, "states", "$"), list, "$.states")
     rows = _get(doc, "transition", "$")
     try:
         chain = MarkovChain(np.asarray(rows, dtype=float), states=states)
@@ -215,9 +233,12 @@ def _parse_classical(doc: dict) -> Model:
     model = Model(kind="classical", chain=chain)
     flux_doc = _get(doc, "flux", "$", required=False)
     if flux_doc is not None:
-        for i, entry in enumerate(flux_doc):
+        for i, entry in enumerate(_typed(flux_doc, list, "$.flux")):
             if not (isinstance(entry, list) and len(entry) == 3):
                 _fail(f"$.flux[{i}]", "expected [from, to, value]")
+            unknown = [s for s in entry[:2] if s not in chain.states]
+            if unknown:
+                _fail(f"$.flux[{i}]", f"unknown state {unknown[0]!r}")
         try:
             flux = FluxFunction({(a, b): value for a, b, value in flux_doc})
             flux.matrix(chain)
@@ -226,7 +247,8 @@ def _parse_classical(doc: dict) -> Model:
         model.flux = flux.values
     initial = _get(doc, "initial", "$", required=False)
     if initial is not None:
-        arr = np.asarray(initial, dtype=float)
+        arr = np.asarray([_finite(v, f"$.initial[{i}]")
+                          for i, v in enumerate(_typed(initial, list, "$.initial"))])
         if arr.shape != (chain.size,) or abs(arr.sum() - 1.0) > 1e-9 or np.any(arr < 0):
             _fail("$.initial", "expected a probability vector over the states")
         model.initial = arr

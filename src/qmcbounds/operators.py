@@ -14,7 +14,10 @@ Conventions
 * This module is the one place that knows how a map becomes a matrix: the
   column-stacking vectorization ``vec(a @ x @ b) = kron(b.T, a) @ vec(x)``.
   Superoperator matrices are ``d^2 x d^2`` and always Heisenberg; the
-  predual's matrix is their conjugate transpose.
+  predual's matrix is their conjugate transpose.  It also builds the
+  no-jump generator's matrix, the real coordinates of Hermitian matrices
+  and of channels in an orthonormal Hermitian basis, and the Choi-matrix
+  check that one Kraus family sums to another.
 * Matrix functions of selfadjoint inputs go through an eigendecomposition;
   exponentials of (generally non-normal) matrices use ``scipy.linalg.expm``.
 

@@ -37,6 +37,8 @@ Exact tails on small instances come from one lattice DP kernel.  Its
 state is a sorted int64 array of the reached keys ``score * T + tag``, one
 row of weights per key: the real coordinates of the conditioned operator
 ``T[s]`` in a Hermitian basis for a channel, one probability for a chain.
+The basis, the coordinates and the real blocks come from :mod:`operators`,
+as do the filter step's maps and the counting sampler's no-jump matrix.
 The tag holds the rest of the state: none for the plain score sum, the
 last outcomes for sliding windows, the current state for chain fluxes.
 Label i sends tag t to ``next_tag[t, i]``, adds ``shift[t, i]`` to the
@@ -709,9 +711,13 @@ class _CountingSampler:
         as for targets within about 1e-6 of 1) the row bisects from then on.
         The result is the midpoint of a bracket with
         survival(lo) > target >= survival(hi) as evaluated here (lo = 0
-        stands for survival(0) = 1) and hi - lo <= tol * hi,
-        tol = ``_WAIT_REL_TOL``; a row still open after ``_WAIT_MAX_ITER``
-        evaluations raises :class:`SurvivalMonotonicityError`.  Converged
+        stands for the computed survival(0)) and hi - lo <= tol * hi,
+        tol = ``_WAIT_REL_TOL``.  Rounding can put the computed survival(0)
+        below 1, and a target at or above it has no evaluated point above
+        it, so such a row's bracket stays open: after ``_WAIT_MAX_ITER``
+        evaluations it returns tau = 0, its root lying within rounding of 0.
+        Any other row still open then raises
+        :class:`SurvivalMonotonicityError`.  Converged
         rows freeze and each row's arithmetic involves only its own data, so
         results do not depend on the batch composition.
         """
@@ -774,8 +780,12 @@ class _CountingSampler:
             hi = np.where(active & ~right, p, hi)
             x = p
         else:
-            raise SurvivalMonotonicityError(
-                f"waiting-time solve did not converge in {_WAIT_MAX_ITER} survival evaluations")
+            open_ = hi - lo > _WAIT_REL_TOL * hi
+            s_zero, _ = self._survival(a, aw, w, np.zeros(idx.size))
+            if np.any(open_ & (tgt < s_zero)):
+                raise SurvivalMonotonicityError(f"waiting-time solve did not converge in "
+                                                f"{_WAIT_MAX_ITER} survival evaluations")
+            lo, hi = np.where(open_, 0.0, lo), np.where(open_, 0.0, hi)
         tau[idx] = 0.5 * (lo + hi)
         return tau, jumps
 

@@ -102,6 +102,53 @@ class TestAnalyze:
         proc = run_cli("analyze", "--model", str(bad), expect=2)
         assert "$.kraus" in proc.stderr
 
+    @pytest.mark.parametrize("name, edit, field", [
+        ("driven_qubit.json", lambda doc: doc.update(labels=3), "$.labels: expected a list"),
+        ("driven_qubit.json", lambda doc: doc.update(jumps=5), "$.jumps: expected a list"),
+        ("ring_tdm.json", lambda doc: doc.update(unravellings=[1, 2]),
+         "$.unravellings: expected an object"),
+        ("ring_tdm.json", lambda doc: doc.update(unravellings={"u": [5]}),
+         "$.unravellings.u[0]: expected an object"),
+        ("ring_tdm.json", lambda doc: doc["unravellings"]["edges"][0].update(kraus=3),
+         "$.unravellings.edges[0].kraus: expected a list"),
+        ("ring_tdm.json", lambda doc: doc.update(schedule=5), "$.schedule: expected a list"),
+        ("ring_tdm.json", lambda doc: doc.update(schedule={}), "$.schedule: expected a list"),
+        ("ring_tdm.json", lambda doc: doc.update(unravellings=0, schedule=[]),
+         "$.unravellings: expected an object"),
+        ("two_state_chain.json", lambda doc: doc.update(flux=5), "$.flux: expected a list"),
+        ("two_state_chain.json", lambda doc: doc.update(initial="x"),
+         "$.initial: expected a list"),
+        ("ring_tdm.json", lambda doc: doc["unravellings"]["rotated"][-1].update(
+            kraus=[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+         "$.unravellings.rotated: unravelling does not sum to the channel (deviation inf)"),
+        ("two_state_chain.json", lambda doc: doc["flux"].append(["a", "z", 1.0]),
+         "$.flux[4]: unknown state 'z'"),
+        ("driven_qubit.json", lambda doc: [doc.update(jumps=[], labels=[]),
+                                           doc.pop("count_label")],
+         "$.jumps: expected at least one jump operator"),
+        ("ring_tdm.json", lambda doc: doc["unravellings"]["edges"][0].update(label=["x"]),
+         "$.unravellings.edges[0].label: expected a string or number"),
+        ("ring_tdm.json", lambda doc: doc.update(schedule=[5]),
+         "$.schedule[0]: expected an object"),
+        ("ring_tdm.json", lambda doc: doc["schedule"][0].update(unravelling=["edges"]),
+         "$.schedule[0].unravelling: unknown unravelling ['edges']"),
+        ("two_state_chain.json", lambda doc: doc.update(initial=[0.5, None]),
+         "$.initial[1]: expected a finite number"),
+    ], ids=["gkls-labels", "gkls-jumps", "unravellings-list", "outcome-not-object",
+            "outcome-kraus", "schedule", "schedule-empty-object", "unravellings-zero",
+            "flux", "initial", "operator-shape", "flux-state",
+            "gkls-no-jumps", "outcome-label", "schedule-entry", "schedule-name",
+            "initial-entry"])
+    def test_structure_error_names_its_field(self, name, edit, field, tmp_path, capsys):
+        doc = json.loads(open(model(name)).read())
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"model error: {field}")
+
     def test_hypothesis_failure_partial_diagnostics(self, tmp_path):
         # pure dephasing has a degenerate steady state: exit 3, but the
         # report with partial diagnostics is still emitted

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -265,8 +267,8 @@ class TestHermitianCoordinates:
         e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
         pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
         return np.stack([e[p, p] for p in range(d)]
-                        + [(e[p, q] + e[q, p]) * np.sqrt(0.5) for p, q in pairs]
-                        + [(e[q, p] - e[p, q]) * 1j * np.sqrt(0.5) for p, q in pairs])
+                        + [(e[p, q] + e[q, p]) * math.sqrt(0.5) for p, q in pairs]
+                        + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
 
     def test_blocks_and_coordinates_are_the_old_einsums(self, ring):
         rng = np.random.default_rng(3)

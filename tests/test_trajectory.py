@@ -654,6 +654,26 @@ class TestWaitingTimes:
             assert jump == ref_jumps[0]
             assert_certified(tau, lo, hi)
 
+    def test_target_at_or_above_the_computed_survival_at_zero(self, qubit_gen):
+        """Rounding can put the computed survival(0) below 1; a target at or above it
+        is met at tau = 0, and the other rows of the batch solve as they would alone."""
+        sampler = trajectory._CountingSampler(qubit_gen)
+        w = sampler.eigenvalues
+        target = 1.0 - 2.0**-53
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            coeff = (vec(random_state(2, rng)) @ sampler.right_inv_t)[None, :]
+            a = coeff * sampler.trace_row
+            if sampler._survival(a, a * w, w, np.zeros(1))[0][0] <= target:
+                break
+        else:
+            pytest.fail("the search found no state whose computed survival(0) is below 1")
+        mixed = (vec(MIXED) @ sampler.right_inv_t)[None, :]
+        tau, jumps = sampler.waiting_times(np.vstack([coeff, mixed]), np.array([target, 0.5]),
+                                           np.full(2, 1e3))
+        assert jumps.all() and tau[0] == 0.0
+        assert tau[1] == sampler.waiting_times(mixed, np.array([0.5]), np.array([1e3]))[0][0]
+
     def test_unconverged_solve_raises(self, qubit_gen, monkeypatch):
         monkeypatch.setattr(trajectory, "_WAIT_MAX_ITER", 2)
         sampler = trajectory._CountingSampler(qubit_gen)
