@@ -812,11 +812,15 @@ class TestFlavorTable:
         ("reducible", bounds, "bernstein_constants", 2),  # one per block
         ("reducible", bounds, "hoeffding_constants", 2),
         ("tdm-bernstein", bounds, "multiplicative_gap_report", 1),
-        ("tdm-bernstein", modelfile, "kraus_family_deviation", 2),  # one per unravelling
-        ("tdm-bernstein", bounds, "kraus_family_deviation", 2),  # one per schedule entry
+        pytest.param("tdm-bernstein", modelfile, "kraus_family_deviation", 2,  # one per
+                     id="tdm-bernstein-modelfile-check"),  # unravelling
+        pytest.param("tdm-bernstein", bounds, "kraus_family_deviation", 2,  # one per
+                     id="tdm-bernstein-schedule-check"),  # schedule entry
         ("tdm-hoeffding", bounds, "phi_power_norms", 1),
-        ("tdm-hoeffding", modelfile, "kraus_family_deviation", 2),
-        ("tdm-hoeffding", bounds, "kraus_family_deviation", 2),
+        pytest.param("tdm-hoeffding", modelfile, "kraus_family_deviation", 2,
+                     id="tdm-hoeffding-modelfile-check"),
+        pytest.param("tdm-hoeffding", bounds, "kraus_family_deviation", 2,
+                     id="tdm-hoeffding-schedule-check"),
         ("flux", classical, "chain_pseudoresolvent_norm", 1),
         ("flux", cli, "stationary_distribution", 1),
     ])
