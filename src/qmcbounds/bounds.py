@@ -538,8 +538,13 @@ def _window_length(f: Mapping) -> int:
 
 def multitime_stationary_law(channel: KrausChannel, sigma, m: int) -> dict:
     """Stationary law of m consecutive outcomes: tuple -> probability."""
+    return _effects_law(sigma, _window_effects(channel, m))
+
+
+def _effects_law(sigma, effects: dict) -> dict:
+    """tuple -> tr(sigma E) for each window effect E."""
     s = state_matrix(sigma)
-    return {k: float(np.trace(s @ op).real) for k, op in _window_effects(channel, m).items()}
+    return {k: float(np.trace(s @ op).real) for k, op in effects.items()}
 
 
 def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConstants:
@@ -550,7 +555,8 @@ def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConsta
     checks solvability.  A window the payoff leaves undefined is a KeyError.
     """
     m = _window_length(f)
-    law = multitime_stationary_law(channel, sigma, m)
+    effects = _window_effects(channel, m)
+    law = _effects_law(sigma, effects)
     missing = [k for k in law if k not in f]
     if missing:
         raise KeyError(f"payoff undefined on outcome tuples, e.g. {missing[0]}")
@@ -561,7 +567,7 @@ def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConsta
 
     # right-hand side of the window Poisson equation: the full m-step
     # conditional expectation operator of the centered payoff
-    f_m = sum(fc * op for fc, op in zip(centered, _window_effects(channel, m).values()))
+    f_m = sum(fc * op for fc, op in zip(centered, effects.values()))
     certified = certified_pseudoresolvent_norm(channel, sigma)
     poisson_solve(channel, f_m, sigma, certified_upper=certified)
     return BoundConstants(b=None, c=c, g=(m + certified) * c, n_rho=1.0)

@@ -126,12 +126,12 @@ def edge_stationary_law(chain: MarkovChain, sigma: np.ndarray | None = None) -> 
     return s[:, None] * chain.transition
 
 
-def _centered_flux(chain: MarkovChain, f, sigma: np.ndarray) -> tuple[float, float]:
-    """b and c of a flux, centered against the stationary edge law sigma_x p_xy."""
+def _centered_flux(chain: MarkovChain, f, sigma: np.ndarray) -> tuple[float, float, float]:
+    """pi(f), b and c of a flux, centered against the stationary edge law sigma_x p_xy."""
     mask = chain.transition > 0.0
-    _, _, variance, c = _centered(edge_stationary_law(chain, sigma)[mask],
-                                  flux_matrix(f, chain)[mask])
-    return math.sqrt(variance), c
+    mean, _, variance, c = _centered(edge_stationary_law(chain, sigma)[mask],
+                                     flux_matrix(f, chain)[mask])
+    return mean, math.sqrt(variance), c
 
 
 def flux_bernstein_constants(chain: MarkovChain, nu, f,
@@ -139,7 +139,7 @@ def flux_bernstein_constants(chain: MarkovChain, nu, f,
     """b, c, N_nu and the gap of Q = P_dagger P in l2(sigma) for a flux f."""
     sigma = stationary_distribution(chain) if sigma is None else sigma
     nu = np.asarray(nu, dtype=float)
-    b, c = _centered_flux(chain, f, sigma)
+    _, b, c = _centered_flux(chain, f, sigma)
     n_nu = math.sqrt(float(np.sum(nu**2 / sigma)))
     q = stationary_l2_adjoint(chain, sigma) @ chain.transition
     q_irreducible = _strongly_connected(q > 1e-15)
@@ -212,7 +212,7 @@ def flux_hoeffding_constants(chain: MarkovChain, f,
                              sigma: np.ndarray | None = None) -> BoundConstants:
     """b, c and G = (1 + ||(Id-P)^(-1)|F||_inf) c for a flux f."""
     sigma = stationary_distribution(chain) if sigma is None else sigma
-    b, c = _centered_flux(chain, f, sigma)
+    _, b, c = _centered_flux(chain, f, sigma)
     if c == 0.0:
         return BoundConstants(b=0.0, c=0.0, n_rho=1.0)
     return BoundConstants(b=b, c=c, g=(1.0 + chain_pseudoresolvent_norm(chain, sigma)) * c,

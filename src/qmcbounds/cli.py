@@ -84,14 +84,13 @@ from .bounds import (
 )
 from .classical import (
     chain_pseudoresolvent_norm,
-    edge_stationary_law,
     flux_bernstein_bound,
     flux_bernstein_constants,
     flux_hoeffding_bound,
     flux_hoeffding_constants,
-    flux_matrix,
     is_chain_irreducible,
     stationary_distribution,
+    _centered_flux,
     _flux_laws,
 )
 from .fixtures import ring_channel
@@ -490,7 +489,7 @@ def _flux(args, model: Model) -> _Plan:
     nu = model.initial if model.initial is not None else sigma
     ber = flux_bernstein_constants(chain, nu, f, sigma)
     hoe = flux_hoeffding_constants(chain, f, sigma)
-    mean = float(np.sum(edge_stationary_law(chain, sigma) * flux_matrix(f, chain)))
+    mean = _centered_flux(chain, f, sigma)[0]
     laws = cache(lambda: _flux_laws(chain, nu, f, ns))  # one DP pass, at the first tail
     return _Plan(ns, [[_rows(flux_bernstein_bound, ber, args.two_sided),
                        _rows(flux_hoeffding_bound, hoe, args.two_sided)]],

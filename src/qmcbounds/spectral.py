@@ -49,6 +49,9 @@ TAU_PER = 1e-8   # peripheral-spectrum resolution
 TAU_DEC = 1e-8   # invariant-subspace commutation / eigenvalue grouping
 _RANK_TOL = 1e-10        # relative singular-value cut of the reachability probe
 _MAX_TERMS = 32          # terms of the certified pseudoresolvent chain
+_MARGIN = 1e-10          # relative margin of a chain norm's power-iteration lower bound
+_POWER_STEPS = 5         # power-iteration steps per lower bound
+_SVD_BELOW = 32          # chain matrices with fewer rows take every norm by SVD (measured)
 _ASCENT_ITERATIONS = 8   # projected-ascent steps of the heuristic lower estimate
 
 
@@ -427,19 +430,63 @@ class PseudoresolventNorm:
     certified_upper: float
 
 
-def _power_terms(phi_f: np.ndarray, root_d: float):
-    """Yield (bound on ||phi^j|F||, phi_F^(j+1)) for j = 0, 1, 2, ...
+def _svd_norm(a: np.ndarray) -> float:
+    """||a||_2 as the chain takes it exactly: LAPACK's largest singular value."""
+    return float(np.linalg.norm(a, 2))
 
-    ||phi^j|F|| <= min(1, sqrt(d) ||phi^j|F||_HS); the identity term is exact.
-    The powers start from an identity of ``phi_f.dtype``, so a real matrix
-    (a classical chain) is multiplied in real arithmetic.
+
+def _norm_bound(a: np.ndarray, right: np.ndarray | None,
+                v: np.ndarray | None) -> tuple[float, bool, np.ndarray | None]:
+    """(value, exact, v) for ``_svd_norm(a)``, or of ``a @ right``.
+
+    Below ``_SVD_BELOW`` rows the value is that SVD norm.  Otherwise it is a
+    lower bound from ``_POWER_STEPS`` steps of power iteration on the Gram
+    matrix, from the unit vector ``v`` (a seeded one when None), and the
+    last iterate is returned as the next start.  Each ratio ||a v|| (with
+    the product applied to vectors, never formed) is at most the largest
+    singular value; the rounding of the products is at most
+    8 n u ||a||_F ||right||_F in norm, which also covers the GEMM that forms
+    ``a @ right``, and is subtracted.  The rest of the margin argument is in
+    :func:`_certified_sup_norm_chain`.
+    """
+    if a.shape[0] < _SVD_BELOW:
+        return _svd_norm(a if right is None else a @ right), True, v
+    if v is None:
+        v = np.random.default_rng(0).standard_normal(a.shape[0])
+        v /= np.linalg.norm(v)
+    ratio = 0.0
+    for _ in range(_POWER_STEPS):
+        w = a @ (v if right is None else right @ v)
+        ratio = max(ratio, float(np.linalg.norm(w)))
+        u = w.conj() @ a
+        u = (u if right is None else u @ right).conj()
+        size = float(np.linalg.norm(u))
+        if size == 0.0:
+            break
+        v = u / size
+    frob = float(np.linalg.norm(a)) * (1.0 if right is None else float(np.linalg.norm(right)))
+    slack = 8 * a.shape[0] * np.finfo(float).eps * frob
+    return float(max(0.0, (ratio - slack) * (1.0 - _MARGIN))), False, v
+
+
+def _power_terms(phi_f: np.ndarray, root_d: float):
+    """Yield (term, exact, phi_F^(j+1)) for j = 0, 1, 2, ...
+
+    ||phi^j|F|| <= min(1, sqrt(d) ||phi^j|F||_HS); ``term`` is that bound
+    when ``exact`` (the identity term, every term of a matrix with fewer
+    than ``_SVD_BELOW`` rows, and every term proved to be 1), and a lower
+    bound on it otherwise.  The powers start from an identity of
+    ``phi_f.dtype``, so a real matrix (a classical chain) is multiplied in
+    real arithmetic, and every caller gets the same matrices.
     """
     power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
-    term = 1.0
+    term, exact, v = 1.0, True, None
     while True:
         power = phi_f @ power
-        yield term, power
-        term = min(1.0, root_d * float(np.linalg.norm(power, 2)))
+        yield term, exact, power
+        norm, exact, v = _norm_bound(power, None, v)
+        term = min(1.0, root_d * norm)
+        exact = exact or term == 1.0
 
 
 def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int) -> float:
@@ -447,25 +494,132 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int) ->
 
     Uses the norm equivalence ||x||_HS <= sqrt(d) ||x|| together with the
     resolvent identity (Id - phi)^(-1) = sum_{j<J} phi^j + phi^J (Id - phi)^(-1):
-    the minimum over J of (certified partial sums + sqrt(d) * HS tail) is a
-    rigorous upper bound, and degenerates gracefully to 1 when phi vanishes
-    on F.  Shared by channels (d = dim) and classical chains (d = states).
+    the minimum over J <= ``_MAX_TERMS`` of the candidate
+    c_J = (certified partial sum of J terms) + sqrt(d) ||phi^J (Id - phi)^(-1)||
+    is a rigorous upper bound, and degenerates gracefully to 1 when phi
+    vanishes on F.  Shared by channels (d = dim) and classical chains
+    (d = states).  A term is min(1, sqrt(d) ||phi^j||), and every norm is the
+    largest singular value of the matrix formed by the GEMMs
+    ``phi_f @ power`` and ``power @ inv_f``.
 
-    The loop stops, before that term's tail SVD, once the partial sum reaches
-    the running minimum.  This is exact: every term and every tail is >= 0,
-    and a floating-point sum of non-negative numbers never decreases, so from
-    then on every candidate partial + tail is >= the minimum, and the result
-    is bit-identical to running all ``_MAX_TERMS`` terms.
+    The value is exactly that minimum, with an SVD only where it depends on
+    one.  Every term and tail starts as a lower bound (:func:`_norm_bound`),
+    and a candidate's value is computed from its known terms and tail by the
+    same floating-point formula as the exact one.  Rounding is monotone, so a
+    value computed from lower bounds is a lower bound on the exact value.
+    The bounds hold in floating point: a backward-stable SVD returns the
+    largest singular value to a relative p(n) u, and a power-iteration ratio
+    is below it up to the product's rounding (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 3 and 20).  The relative margin
+    ``_MARGIN`` = 1e-10 lies far above p(n) u for any matrix the chain can
+    afford, and the rounding of the products is subtracted explicitly.
+    Hence:
+
+    - a term whose lower bound clamps to 1 is exactly 1, with no SVD;
+    - the loop stops once the partial sum of term lower bounds reaches the
+      smallest candidate value.  Terms and tails are >= 0 and a
+      floating-point sum of non-negative numbers never decreases, so every
+      later candidate is at least that partial sum;
+    - then the candidate of least value is settled: its missing terms and its
+      tail get exact SVDs, on powers recomputed by the same GEMMs, or on the
+      kept power of the best lower bound.  This repeats until the least
+      value is exact and the stopping partial sum is at least that value.
+      If it is not, the loop walks on, or settles the terms, when the last
+      term no longer moved the sum.  Each quantity is settled at most once.
+
+    The result is bit-identical to running every exact SVD of all
+    ``_MAX_TERMS`` terms.  Below ``_SVD_BELOW`` rows every norm is exact, and
+    this is the plain loop with the early stop.
     """
     root_d = float(np.sqrt(dim))
-    best = root_d * float(np.linalg.norm(inv_f, 2))
-    partial = 0.0
-    for term, power in islice(_power_terms(phi_f, root_d), _MAX_TERMS):
+    if phi_f.shape[0] < _SVD_BELOW:  # every norm is an SVD: the plain loop
+        best = root_d * _svd_norm(inv_f)
+        partial = 0.0
+        for term, _, power in islice(_power_terms(phi_f, root_d), _MAX_TERMS):
+            partial += term
+            if partial >= best:
+                break
+            best = min(best, partial + root_d * _svd_norm(power @ inv_f))
+        return best
+    v = None
+    # tails[J] bounds ||phi^J (Id - phi)^(-1)|| and terms[j] the term of phi^j,
+    # each a [value, exact] pair
+    tails: list[list] = []
+    terms: list[list] = []
+    walker = islice(_power_terms(phi_f, root_d), _MAX_TERMS)
+    pending = None  # the last walked power, whose tail is not yet taken
+    kept = (0, None)  # (J, phi^J) of the least candidate value
+    best = np.inf
+
+    def add_tail(power: np.ndarray | None) -> None:
+        nonlocal v, best, kept
+        if power is None:
+            norm, exact, v = _norm_bound(inv_f, None, v)
+        else:
+            norm, exact, v = _norm_bound(power, inv_f, v)
+        tails.append([norm, exact])
+        value = root_d * norm if power is None else partial + root_d * norm
+        if value < best:
+            best, kept = value, (len(tails) - 1, power)
+
+    def advance() -> bool:
+        nonlocal partial, pending
+        item = next(walker, None)
+        if item is None:
+            return False
+        term, exact, pending = item
+        terms.append([term, exact])
         partial += term
-        if partial >= best:
-            break
-        best = min(best, partial + root_d * float(np.linalg.norm(power @ inv_f, 2)))
-    return best
+        return True
+
+    partial = 0.0
+    add_tail(None)
+    while advance() and partial < best:
+        add_tail(pending)
+
+    def settle(term_ids: list[int], tail_ids: list[int]) -> None:
+        nonlocal kept
+        todo = []
+        for j in tail_ids:
+            if j == 0 or j == kept[0]:
+                tails[j] = [_svd_norm(inv_f if j == 0 else kept[1] @ inv_f), True]
+            else:
+                todo.append(j)
+        if not (todo or term_ids):
+            return
+        kept = (0, None)  # at most one power besides the walker's
+        power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
+        for j in range(1, max(todo + term_ids) + 1):
+            power = phi_f @ power
+            if j in term_ids:
+                terms[j] = [min(1.0, root_d * _svd_norm(power)), True]
+            if j in todo:
+                tails[j] = [_svd_norm(power @ inv_f), True]
+
+    while True:
+        partial, exact, values = 0.0, True, []
+        for j, (tail, tail_exact) in enumerate(tails):
+            if j:
+                partial += terms[j - 1][0]
+                exact = exact and terms[j - 1][1]
+            value = root_d * tail if j == 0 else partial + root_d * tail
+            values.append((value, not (exact and tail_exact), j))
+        value, inexact, j = min(values)
+        if inexact:
+            settle([i for i in range(j) if not terms[i][1]], [] if tails[j][1] else [j])
+            continue
+        if len(tails) > len(terms):  # all _MAX_TERMS walked: no candidate remains
+            return value
+        rest = partial + terms[-1][0]  # bounds every candidate not yet taken
+        if rest >= value:
+            return value
+        loose = [i for i, (_, term_exact) in enumerate(terms) if not term_exact]
+        if loose and rest == partial:  # the last term no longer moves the sum
+            settle(loose, [])
+        else:
+            partial, best = rest, value
+            add_tail(pending)
+            advance()
 
 
 def _sign_matrix(g: np.ndarray) -> np.ndarray:
@@ -573,8 +727,12 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
 def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
     """Certified upper bounds on || phi^j |F ||_inf for j = 0..j_max."""
     _, phi_f = _centered_restriction(channel, sigma)
-    terms = _power_terms(phi_f, float(np.sqrt(channel.dim)))
-    return [term for term, _ in islice(terms, j_max + 1)]
+    root_d = float(np.sqrt(channel.dim))
+    norms, previous = [], None
+    for term, exact, power in islice(_power_terms(phi_f, root_d), j_max + 1):
+        norms.append(term if exact else min(1.0, root_d * _svd_norm(previous)))
+        previous = power
+    return norms
 
 
 def poisson_solve(channel: KrausChannel, f_target, sigma,

@@ -809,6 +809,7 @@ class TestFlavorTable:
     @pytest.mark.parametrize("flavor, owner, name, expected", [
         ("multitime", bounds, "poisson_solve", 1),
         ("multitime", spectral, "_certified_sup_norm_chain", 1),
+        ("multitime", bounds, "_window_effects", 1),
         ("reducible", bounds, "bernstein_constants", 2),  # one per block
         ("reducible", bounds, "hoeffding_constants", 2),
         ("tdm-bernstein", bounds, "multiplicative_gap_report", 1),

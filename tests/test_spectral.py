@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg as sla
 import qmcbounds.spectral as spectral
 from qmcbounds import cli
 from qmcbounds.bounds import bernstein_constants
+from qmcbounds.modelfile import load_model
 from qmcbounds.classical import (
     MarkovChain,
     chain_pseudoresolvent_norm,
@@ -336,6 +338,99 @@ def resolvent_on_f(phi_f):
     return np.linalg.solve(eye_f - phi_f, eye_f)
 
 
+def head_chain(phi_f, inv_f, dim):
+    """The chain with one SVD per term and tail and the early exit; returns (value, SVDs)."""
+    svds = 0
+
+    def norm(a):
+        nonlocal svds
+        svds += 1
+        return float(np.linalg.norm(a, 2))
+
+    root_d = float(np.sqrt(dim))
+    best = root_d * norm(inv_f)
+    partial = 0.0
+    power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
+    for j in range(spectral._MAX_TERMS):
+        term = 1.0 if j == 0 else min(1.0, root_d * norm(power))
+        power = phi_f @ power
+        partial += term
+        if partial >= best:
+            break
+        best = min(best, partial + root_d * norm(power @ inv_f))
+    return best, svds
+
+
+def isometry_channel(dim, seed):
+    """Three Kraus operators cut from a seeded (3 d) x d isometry, as perfbench generates."""
+    rng = np.random.default_rng([seed, dim, 3])
+    q, _ = np.linalg.qr(rng.standard_normal((3 * dim, dim))
+                        + 1j * rng.standard_normal((3 * dim, dim)))
+    return KrausChannel([q[i * dim:(i + 1) * dim] for i in range(3)])
+
+
+def stochastic_chain(size):
+    rng = np.random.default_rng(size)
+    p = rng.random((size, size)) ** 3
+    return MarkovChain(p / p.sum(axis=1, keepdims=True))
+
+
+def case_channel(case):
+    """The channel of a named chain case: random:seed (d <= 8, k <= 4), isometry:d,
+    replacement:d (phi vanishes on F) or a model file's stem."""
+    kind, _, arg = case.partition(":")
+    if kind == "random":
+        seed = int(arg)
+        return random_channel(2 + seed % 7, 2 + seed % 3, seed=seed)
+    if kind == "isometry":
+        return isometry_channel(int(arg), 1)
+    if kind == "replacement":
+        return rank_one_channel(seed=7, dim=int(arg))[0]
+    return load_model(str(MODELS / f"{kind}.json")).channel
+
+
+def chain_inputs(case):
+    """(phi_F, (Id - phi_F)^(-1), d) of a named chain case; classical:e is a chain."""
+    kind, _, arg = case.partition(":")
+    if kind == "classical":
+        chain = stochastic_chain(int(arg))
+        q = sla.null_space(stationary_distribution(chain)[None, :])
+        phi_f = q.T @ chain.transition @ q
+        return phi_f, resolvent_on_f(phi_f), chain.size
+    channel = case_channel(case)
+    _, phi_f = _centered_restriction(channel, invariant_state(channel))
+    return phi_f, resolvent_on_f(phi_f), channel.dim
+
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+CHAIN_CASES = ([f"random:{seed}" for seed in range(24)]
+               + [f"isometry:{d}" for d in (8, 12, 16)]
+               + [f"classical:{e}" for e in (13, 20, 40)]
+               + ["replacement:3", "replacement:6", "qubit_two_unitary", "ring"])
+_FULL_CHAIN: dict = {}
+
+
+def full_chain_of(case):
+    if case not in _FULL_CHAIN:
+        _FULL_CHAIN[case] = full_chain(*chain_inputs(case))
+    return _FULL_CHAIN[case]
+
+
+@pytest.fixture(params=["default", "bounded"])
+def chain_mode(request, monkeypatch):
+    """The default size switch, or power-iteration bounds on every matrix."""
+    if request.param == "bounded":
+        monkeypatch.setattr(spectral, "_SVD_BELOW", 0)
+    return request.param
+
+
+def counted_svds(monkeypatch):
+    calls = []
+    plain = spectral._svd_norm
+    monkeypatch.setattr(spectral, "_svd_norm", lambda a: calls.append(a.shape) or plain(a))
+    return calls
+
+
 class TestCertifiedChain:
     @pytest.mark.parametrize("seed", range(20))
     def test_early_exit_is_bit_identical(self, seed):
@@ -372,6 +467,60 @@ class TestCertifiedChain:
         monkeypatch.setattr(spectral, "_power_terms", counted)
         certified_pseudoresolvent_norm(channel, ring_sigma)
         assert 1 <= len(terms) <= 4
+
+    @pytest.mark.parametrize("case", CHAIN_CASES)
+    def test_equals_full_chain(self, case, chain_mode):
+        assert _certified_sup_norm_chain(*chain_inputs(case)) == full_chain_of(case)
+
+    @pytest.mark.parametrize("case", CHAIN_CASES)
+    def test_never_more_svds_than_one_per_norm(self, case, chain_mode, monkeypatch):
+        inputs = chain_inputs(case)
+        expected, head_svds = head_chain(*inputs)
+        calls = counted_svds(monkeypatch)
+        assert _certified_sup_norm_chain(*inputs) == expected
+        assert len(calls) <= head_svds
+
+    def test_d16_takes_at_most_two_svds(self, monkeypatch):
+        inputs = chain_inputs("isometry:16")
+        assert head_chain(*inputs)[1] >= 15
+        calls = counted_svds(monkeypatch)
+        _certified_sup_norm_chain(*inputs)
+        assert 1 <= len(calls) <= 2
+
+    def test_two_unitary_qubit_reaches_max_terms(self):
+        _, head_svds = head_chain(*chain_inputs("qubit_two_unitary"))
+        assert head_svds == 2 * spectral._MAX_TERMS
+
+    @pytest.mark.parametrize("size", [13, 20, 40])
+    def test_classical_paths(self, size, chain_mode):
+        expected = full_chain_of(f"classical:{size}")
+        chain = stochastic_chain(size)
+        assert chain_pseudoresolvent_norm(chain) == expected
+        assert chain_pseudoresolvent_norm(chain, exact_limit=0) == expected
+
+    @pytest.mark.parametrize("case", ["random:6", "isometry:8", "replacement:6", "ring"])
+    def test_power_norms_are_clamped_svd_norms(self, case, chain_mode):
+        phi_f, _, dim = chain_inputs(case)
+        root_d = float(np.sqrt(dim))
+        power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
+        expected = [1.0]
+        for _ in range(7):
+            power = phi_f @ power
+            expected.append(min(1.0, root_d * float(np.linalg.norm(power, 2))))
+        channel = case_channel(case)
+        assert phi_power_norms(channel, invariant_state(channel), 7) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lower_bound_is_below_the_svd_norm(self, seed, monkeypatch):
+        monkeypatch.setattr(spectral, "_SVD_BELOW", 0)
+        rng = np.random.default_rng(seed)
+        n = 30 + 7 * seed
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        right = np.linalg.inv(np.eye(n) - 0.9 * a / np.linalg.norm(a, 2))
+        lower, exact, v = spectral._norm_bound(a, None, None)
+        assert not exact and 0.5 * spectral._svd_norm(a) < lower <= spectral._svd_norm(a)
+        lower, exact, _ = spectral._norm_bound(a, right, v)
+        assert not exact and lower <= spectral._svd_norm(a @ right)
 
 
 def sequential_lower_estimate(s, n_full, restarts, iterations, seed):
