@@ -444,10 +444,10 @@ def _norm_bound(a: np.ndarray, right: np.ndarray | None,
     matrix, from the unit vector ``v`` (a seeded one when None), and the
     last iterate is returned as the next start.  Each ratio ||a v|| (with
     the product applied to vectors, never formed) is at most the largest
-    singular value; the rounding of the products is at most
-    8 n u ||a||_F ||right||_F in norm, which also covers the GEMM that forms
-    ``a @ right``, and is subtracted.  The rest of the margin argument is in
-    :func:`_certified_sup_norm_chain`.
+    singular value; the rounding of the products is below
+    8 n eps ||a||_F ||right||_F in norm, which also covers the GEMM that
+    forms ``a @ right``, and that much is subtracted.  The rest of the margin
+    argument is in :func:`_certified_sup_norm_chain`.
     """
     if a.shape[0] < _SVD_BELOW:
         return _svd_norm(a if right is None else a @ right), True, v
