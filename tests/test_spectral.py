@@ -416,14 +416,18 @@ def full_chain_of(case):
     return _FULL_CHAIN[case]
 
 
-@pytest.fixture(params=["default", "bounded", "loose"])
+@pytest.fixture(params=["default", "bounded", "loose", "zero"])
 def chain_mode(request, monkeypatch):
-    """The default size switch, bounds on every matrix, or bounds from one
-    power step, loose enough that the chain must walk on and settle terms."""
+    """The default size switch, bounds on every matrix, bounds from one power
+    step, loose enough that the chain must walk on and settle terms, or every
+    bound 0 (still a valid lower bound), so that no term moves the sum of
+    bounds and the chain must settle its loose terms to go on."""
     if request.param != "default":
         monkeypatch.setattr(spectral, "_SVD_BELOW", 0)
     if request.param == "loose":
         monkeypatch.setattr(spectral, "_POWER_STEPS", 1)
+    if request.param == "zero":
+        monkeypatch.setattr(spectral, "_norm_bound", lambda a, right, v: (0.0, False, v))
     return request.param
 
 

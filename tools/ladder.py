@@ -4,12 +4,16 @@ Run from the root of a source checkout:
 
     python tools/ladder.py --out BENCH_15.json --parent /path/to/parent/checkout
 
-Each source tree (this one, and the optional parent checkout) is timed in its
-own child process, which imports ``qmcbounds`` from that tree's ``src/``.
-The channels are ``fixtures.random_channel(d, 3, 101)`` with payoff
-(i mod 3) - 1 on label i, for d in ``--dims``.  A row is the median of
-``--repeats`` calls; the certified chain's row also counts its SVDs
-(``np.linalg.norm(a, 2)`` calls, in one extra untimed call).  Children get
+Each source tree (this one, and the optional parent checkout) is timed in
+child processes, which import ``qmcbounds`` from that tree's ``src/``.  The
+channels are ``fixtures.random_channel(d, 3, 101)`` with payoff (i mod 3) - 1
+on label i, for d in ``DIMS``.  One child makes one pass: a warm-up call of
+every layer at the smallest d, then one timed call of each layer at each d,
+and for the certified chain one more untimed call that counts its SVDs
+(``np.linalg.norm(a, 2)`` calls).  There are ``REPEATS`` passes per tree, and
+the trees alternate: on even passes this tree goes first, on odd passes the
+parent, so a machine that speeds up or slows down over a run does not favour
+one column.  A row is the median over the passes.  Children get
 ``OPENBLAS_NUM_THREADS=1`` unless it is already set.  The output holds one
 column per tree and the environment each child saw: versions, BLAS,
 ``cpu_count`` and thread settings.
@@ -28,15 +32,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _median_seconds(call, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return sorted(times)[len(times) // 2]
+DIMS = (3, 8, 16, 24, 32)
+REPEATS = 3
 
 
 def _count_svds(call) -> int:
@@ -70,48 +67,51 @@ def _environment() -> dict:
             "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
 
 
-def measure(dims: list[int], repeats: int) -> dict:
-    """Rows of the ladder for the qmcbounds on sys.path."""
+def _layers(d: int) -> dict:
+    """The timed calls at dimension d, by layer name, for the qmcbounds on sys.path."""
     import numpy as np
 
     from qmcbounds import spectral
     from qmcbounds.bounds import hoeffding_constants
     from qmcbounds.fixtures import random_channel
 
+    channel = random_channel(d, 3, 101)
+    payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
+    sigma = spectral.invariant_state(channel)
+    _, phi_f = spectral._centered_restriction(channel, sigma)
+    eye_f = np.eye(phi_f.shape[0])
+    inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
+    return {
+        "invariant_state": lambda: spectral.invariant_state(channel),
+        "is_irreducible": lambda: spectral.is_irreducible(channel),
+        "multiplicative_gap_report": lambda: spectral.multiplicative_gap_report(channel, sigma),
+        "certified_chain": lambda: spectral._certified_sup_norm_chain(phi_f, inv_f, d),
+        "hoeffding_constants": lambda: hoeffding_constants(channel, payoff),
+    }
+
+
+def measure() -> dict:
+    """One pass of the ladder: one timed call per layer and d."""
+    for call in _layers(DIMS[0]).values():
+        call()
     rows = []
-    for d in dims:
-        channel = random_channel(d, 3, 101)
-        payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
-        sigma = spectral.invariant_state(channel)
-        _, phi_f = spectral._centered_restriction(channel, sigma)
-        eye_f = np.eye(phi_f.shape[0])
-        inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
-
-        def chain():
-            return spectral._certified_sup_norm_chain(phi_f, inv_f, d)
-
-        layers = {
-            "invariant_state": lambda: spectral.invariant_state(channel),
-            "is_irreducible": lambda: spectral.is_irreducible(channel),
-            "multiplicative_gap_report": lambda: spectral.multiplicative_gap_report(channel, sigma),
-            "certified_chain": chain,
-            "hoeffding_constants": lambda: hoeffding_constants(channel, payoff),
-        }
-        for layer, call in layers.items():
-            row = {"layer": layer, "d": d, "median_s": _median_seconds(call, repeats)}
+    for d in DIMS:
+        for layer, call in _layers(d).items():
+            start = time.perf_counter()
+            call()
+            row = {"layer": layer, "d": d, "seconds": time.perf_counter() - start}
             if layer == "certified_chain":
-                row["svds"] = _count_svds(chain)
+                row["svds"] = _count_svds(call)
             rows.append(row)
             print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
     return {"environment": _environment(), "rows": rows}
 
 
-def _run_tree(src: Path, dims: list[int], repeats: int) -> dict:
+def _run_pass(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    argv = [sys.executable, __file__, "--child", "--dims", ",".join(map(str, dims)),
-            "--repeats", str(repeats)]
-    done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
+                          capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
@@ -119,32 +119,34 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="BENCH file to write")
     parser.add_argument("--parent", help="checkout of the parent commit, for a second column")
-    parser.add_argument("--dims", default="3,8,16,24,32")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    dims = [int(x) for x in args.dims.split(",")]
     if args.child:
-        print(json.dumps(measure(dims, args.repeats)))
+        print(json.dumps(measure()))
         return 0
     if not args.out:
         parser.error("--out is required")
     trees = {"change": REPO}
     if args.parent:
         trees["parent"] = Path(args.parent).resolve()
-    columns = {name: _run_tree(root / "src", dims, args.repeats) for name, root in trees.items()}
+    passes: dict[str, list] = {name: [] for name in trees}
+    for repeat in range(REPEATS):
+        for name in (list(trees) if repeat % 2 == 0 else list(reversed(trees))):
+            passes[name].append(_run_pass(trees[name] / "src"))
     rows = []
-    for i, row in enumerate(columns["change"]["rows"]):
+    for i, row in enumerate(passes["change"][0]["rows"]):
         merged = {"layer": row["layer"], "d": row["d"]}
-        for name, column in columns.items():
-            merged[f"{name}_median_s"] = column["rows"][i]["median_s"]
+        for name, runs in passes.items():
+            times = sorted(run["rows"][i]["seconds"] for run in runs)
+            merged[f"{name}_median_s"] = times[len(times) // 2]
             if "svds" in row:
-                merged[f"{name}_svds"] = column["rows"][i]["svds"]
+                merged[f"{name}_svds"] = runs[0]["rows"][i]["svds"]
         rows.append(merged)
     doc = {
         "what": "median seconds of each spectral layer on fixtures.random_channel(d, 3, 101)",
-        "repeats": args.repeats,
-        "environment": {name: column["environment"] for name, column in columns.items()},
+        "repeats": REPEATS,
+        "order": "one child process per pass; this tree first on even passes, the parent on odd",
+        "environment": {name: runs[0]["environment"] for name, runs in passes.items()},
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
