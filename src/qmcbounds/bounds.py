@@ -52,15 +52,15 @@ from .operators import (
 from .spectral import (
     HypothesisError,
     MultiplicativeGap,
+    _certified_poisson_norm,
+    _irreducibility_vote,
     _kms_real_part,
     additive_gap_report,
     certified_pseudoresolvent_norm,
     gkls_steady_state,
     invariant_state,
-    is_irreducible,
     multiplicative_gap_report,
     phi_power_norms,
-    poisson_solve,
 )
 
 
@@ -256,8 +256,7 @@ def hoeffding_constants(channel: KrausChannel, f, rho=None, sigma=None) -> Bound
     """G = (1 + ||(Id - phi)^(-1)|F||_inf) c with the certified norm bound."""
     sig = invariant_state(channel) if sigma is None else sigma
     stats = stationary_stats(channel, sig, f)
-    evidence = is_irreducible(channel)
-    if not evidence.irreducible:
+    if not _irreducibility_vote(channel).irreducible:  # shares invariant_state's SVD
         return BoundConstants(b=stats.b, c=stats.c, n_rho=1.0, hypothesis_ok=False,
                               note="channel reducible: pseudoresolvent undefined")
     g = (1.0 + certified_pseudoresolvent_norm(channel, sig)) * stats.c
@@ -568,8 +567,7 @@ def multitime_constants(channel: KrausChannel, sigma, f: Mapping) -> BoundConsta
     # right-hand side of the window Poisson equation: the full m-step
     # conditional expectation operator of the centered payoff
     f_m = sum(fc * op for fc, op in zip(centered, effects.values()))
-    certified = certified_pseudoresolvent_norm(channel, sigma)
-    poisson_solve(channel, f_m, sigma, certified_upper=certified)
+    certified = _certified_poisson_norm(channel, f_m, sigma)
     return BoundConstants(b=None, c=c, g=(m + certified) * c, n_rho=1.0)
 
 

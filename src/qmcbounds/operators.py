@@ -207,6 +207,7 @@ class KrausChannel:
         self.labels = labels
         self.dim = dim
         self._stack = np.stack(ops)
+        self._fixed_space = None  # SVD of M_s - I, memoized by the spectral layer
         report = validate_kraus(ops, labels, tol)
         self.channel_deviation = report.max_deviation
         self.is_channel = report.passed

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .operators import (
+    TAU_IDENTITY,
     TAU_PSD,
     DensityMatrix,
     KrausChannel,
@@ -48,6 +49,7 @@ TAU_EIG = 1e-8   # eigenvalue-cluster resolution for simplicity checks
 TAU_PER = 1e-8   # peripheral-spectrum resolution
 TAU_DEC = 1e-8   # invariant-subspace commutation / eigenvalue grouping
 _RANK_TOL = 1e-10        # relative singular-value cut of the reachability probe
+_SVD_BAND = (1e-10, 1e-4)  # singular values of M_s - I here leave the vote to the eigensolve
 _MAX_TERMS = 32          # terms of the certified pseudoresolvent chain
 _MARGIN = 1e-10          # relative margin of a chain norm's power-iteration lower bound
 _POWER_STEPS = 5         # power-iteration steps per lower bound
@@ -75,12 +77,33 @@ class InconclusiveIrreducibilityError(RuntimeError):
 # invariant states and irreducibility
 # ---------------------------------------------------------------------------
 
-def _null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(m), singular values below 1e-10 * max(s_max, 1)."""
+def _singular_null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of m and the orthonormal basis of ker(m) they cut.
+
+    The basis spans the right singular vectors whose singular values lie at or
+    below 1e-10 * max(s_max, 1); only those rows of V are kept.
+    """
     u, s, vh = np.linalg.svd(m)
     cut = 1e-10 * max(s[0], 1.0) if s.size else 0.0
     rank = int(np.sum(s > cut))
-    return vh[rank:].conj().T
+    return s, vh[rank:].conj().T
+
+
+def _null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(m), singular values below 1e-10 * max(s_max, 1)."""
+    return _singular_null_space(m)[1]
+
+
+def _fixed_space(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of M_s - I and the basis of its null space, M_s the predual matrix.
+
+    One SVD per channel object: the pair is memoized on the channel, so
+    :func:`invariant_state` and the irreducibility vote share it.
+    """
+    if channel._fixed_space is None:
+        m_s = superoperator_matrix(channel).matrix.conj().T
+        channel._fixed_space = _singular_null_space(m_s - np.eye(m_s.shape[0]))
+    return channel._fixed_space
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
@@ -98,12 +121,21 @@ def _trace_normalized(v: np.ndarray, dim: int) -> np.ndarray | None:
 def invariant_state(channel: KrausChannel) -> DensityMatrix:
     """Unique fixed state of the predual action, phi_*(sigma) = sigma.
 
+    The fixed space is the null space of M_s - I, M_s the predual matrix,
+    from the one SVD that :func:`_fixed_space` keeps on the channel.  For a
+    trace-preserving channel the spectral radius is 1 and the peripheral
+    eigenvalues are semisimple (M. M. Wolf, *Quantum Channels & Operations:
+    Guided Tour*, 2012, Prop. 6.2), so that null space is the whole
+    eigenspace at the radius, and the irreducibility vote of the same channel
+    reads its dual fixed basis and, on the bound path, its multiplicity from
+    the same SVD (see :func:`_irreducibility_vote` for when).
+
     Raises :class:`FixedSpaceError` when the fixed space of the predual has
-    dimension != 1.  Faithfulness is *not* enforced here; check it with
+    dimension != 1 (singular values cut at 1e-10 * max(s_max, 1)).
+    Faithfulness is *not* enforced here; check it with
     ``DensityMatrix.is_faithful``.
     """
-    m_s = superoperator_matrix(channel).matrix.conj().T
-    basis = _null_space(m_s - np.eye(m_s.shape[0]))
+    basis = _fixed_space(channel)[1]
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
     sigma = _trace_normalized(basis[:, 0], channel.dim)
@@ -165,8 +197,9 @@ class IrreducibilityEvidence:
     min_fixed_eigenvalue: float
     reachability_full: bool
     reachability_dims: tuple[int, ...]
-    # spectrum of the Heisenberg matrix the vote computed, for primitivity
-    eigenvalues: np.ndarray = field(repr=False, compare=False)
+    # spectrum of the Heisenberg matrix the vote computed, for primitivity;
+    # None when the vote made no general eigensolve
+    eigenvalues: np.ndarray | None = field(repr=False, compare=False)
 
 
 def _hermitian_parts(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -202,24 +235,75 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     of the predual has least eigenvalue above ``TAU_PSD``.  Reachability
     check: Kraus products span the full space from every probed starting
     vector.  A disagreement raises :class:`InconclusiveIrreducibilityError`.
+
+    The multiplicity comes from a general eigensolve here, because
+    ``analyze`` reports it and primitivity reads the spectrum.  On
+    trace-preserving input the radius is 1 with semisimple peripheral
+    eigenvalues (Wolf, 2012, Prop. 6.2), so the dual fixed basis is
+    ker(M_s - I), from the SVD :func:`invariant_state` takes, unless a
+    singular value of M_s - I lies in ``_SVD_BAND``.  The bounds vote
+    through :func:`_irreducibility_vote` with no spectrum, which then counts
+    the multiplicity from that SVD instead.
     """
     m_h = superoperator_matrix(channel).matrix
     return _irreducibility_vote(channel, m_h, np.linalg.eigvals(m_h))
 
 
-def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray,
-                         eigs: np.ndarray) -> IrreducibilityEvidence:
-    """The vote of :func:`is_irreducible` on the spectrum ``eigs`` of ``m_h``.
+def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """:func:`_fixed_space` of a trace-preserving channel whose fixed space is well separated.
 
-    ``m_h`` is the Heisenberg matrix of ``channel``; ``eigs`` may be the
-    spectrum of any matrix similar to it, in any order.
+    (None, None) when sum V_i^* V_i deviates from 1 by more than
+    ``TAU_IDENTITY``, or when a singular value of M_s - I lies in
+    ``_SVD_BAND``: there the null vectors move by up to u / s under a
+    rounding-sized shift of M_s - I, enough to move a fixed point's least
+    eigenvalue across ``TAU_PSD``, and an eigenvalue near 1 and a singular
+    value near 0 may fall on opposite sides of ``TAU_EIG``.
     """
-    radius = float(np.max(np.abs(eigs)))
-    cluster = TAU_EIG * max(1.0, radius)
-    multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
+    if channel.channel_deviation > TAU_IDENTITY:
+        return None, None
+    singular, basis = _fixed_space(channel)
+    if np.any((singular > _SVD_BAND[0]) & (singular <= _SVD_BAND[1])):
+        return None, None
+    return singular, basis
 
-    m_s = m_h.conj().T
-    dual_basis = _null_space(m_s - radius * np.eye(m_s.shape[0]))
+
+def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
+                         eigs: np.ndarray | None = None) -> IrreducibilityEvidence:
+    """The vote of :func:`is_irreducible`; ``eigs`` is the spectrum of ``m_h``.
+
+    ``m_h`` is the Heisenberg matrix of ``channel`` and ``eigs`` the spectrum
+    of any matrix similar to it, in any order; pass both or neither.
+
+    A trace-preserving channel (sum V_i^* V_i = 1 within ``TAU_IDENTITY``) has
+    spectral radius 1 and semisimple peripheral eigenvalues (M. M. Wolf,
+    *Quantum Channels & Operations: Guided Tour*, 2012, Prop. 6.2): the
+    algebraic multiplicity of the eigenvalue 1 is dim ker(M_s - I), the
+    number of zero singular values of M_s - I.  So when such a channel's
+    SVD of M_s - I (shared with :func:`invariant_state`) has no singular
+    value in ``_SVD_BAND``, the dual fixed basis is its kernel, and with no
+    spectrum given the radius is 1 and the multiplicity the number of
+    singular values at or below ``TAU_EIG``: no general eigensolve.  The band
+    is what makes this count agree with the eigenvalue rule: counting with
+    the null-space cut (1e-10) alone would call near-reducible channels
+    irreducible where the eigenvalue rule finds the vote inconclusive.
+    Otherwise the multiplicity counts the eigenvalues
+    within ``TAU_EIG`` of the radius r of the given spectrum, or of one
+    computed here, and, unless the SVD gave it, the dual basis is
+    ker(M_s - r I), as for any input that is not trace preserving.
+    """
+    singular, dual_basis = _separated_fixed_space(channel)
+    if eigs is None and singular is not None:
+        radius, multiplicity = 1.0, int(np.sum(singular <= TAU_EIG))
+    else:
+        if eigs is None:
+            m_h = superoperator_matrix(channel).matrix
+            eigs = np.linalg.eigvals(m_h)
+        radius = float(np.max(np.abs(eigs)))
+        cluster = TAU_EIG * max(1.0, radius)
+        multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
+        if dual_basis is None:
+            m_s = m_h.conj().T
+            dual_basis = _null_space(m_s - radius * np.eye(m_s.shape[0]))
     min_eig = _fixed_point_min_eigenvalue(dual_basis, channel.dim)
     faithful = min_eig > TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
@@ -628,15 +712,24 @@ def _sign_matrix(g: np.ndarray) -> np.ndarray:
     return (u * signs[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
-def _certified_resolvent(channel: KrausChannel,
-                         s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Basis q of F, (Id - phi_F)^(-1) and the certified bound on its sup-norm."""
-    q, phi_f = _centered_restriction(channel, s)
+_SINGULAR = "channel is reducible: Id - phi is singular on the centered subspace"
+
+
+def _resolvent(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis q of F, phi_F and (Id - phi_F)^(-1): one restriction and one solve."""
+    q, phi_f = _centered_restriction(channel, sigma)
     eye_f = np.eye(phi_f.shape[0])
     try:
         inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
     except np.linalg.LinAlgError as exc:
-        raise HypothesisError("Id - phi is singular on the centered subspace") from exc
+        raise HypothesisError(_SINGULAR) from exc
+    return q, phi_f, inv_f
+
+
+def _certified_resolvent(channel: KrausChannel,
+                         s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Basis q of F, (Id - phi_F)^(-1) and the certified bound on its sup-norm."""
+    q, phi_f, inv_f = _resolvent(channel, s)
     return q, inv_f, _certified_sup_norm_chain(phi_f, inv_f, channel.dim)
 
 
@@ -735,28 +828,40 @@ def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
     return norms
 
 
-def poisson_solve(channel: KrausChannel, f_target, sigma,
-                  certified_upper: float | None = None) -> np.ndarray:
-    """Centered solution of (Id - phi)(A) = F on F = {tr(sigma x) = 0}.
+def _is_singular(system: np.ndarray, inverse: np.ndarray) -> bool:
+    """Whether sigma_min(system) <= 1e-10 max(sigma_max(system), 1), ``inverse`` its solve.
 
-    The right-hand side must already be centered; the solution satisfies
-    tr(sigma A) = 0 and, when ``certified_upper`` is passed, the norm bound
-    ||A|| <= certified_upper * ||F|| is verified.
+    The test is ||inverse||_2 max(||system||_2, 1) >= 1e10.  As
+    ||x||_F / sqrt(n) <= ||x||_2 <= ||x||_F, the product p of the Frobenius
+    norms brackets it from above, and p / n from below.  A bracket clear of
+    the cut by a factor 2 decides it, far beyond the relative error of either
+    computed norm (about cond(system) u <= 1e-5 near the cut); in between,
+    the singular values of ``system`` decide.
     """
-    s = state_matrix(sigma)
+    product = float(np.linalg.norm(inverse)) * max(float(np.linalg.norm(system)), 1.0)
+    if product < 0.5e10:
+        return False
+    if product > 2e10 * system.shape[0]:
+        return True
+    singular_values = np.linalg.svd(system, compute_uv=False)
+    return bool(singular_values[-1] <= 1e-10 * max(singular_values[0], 1.0))
+
+
+def _poisson(channel: KrausChannel, f_target, s: np.ndarray, resolvent: tuple,
+             certified_upper: float | None) -> np.ndarray:
+    """The checked solution of :func:`poisson_solve` from ``_resolvent``'s triple."""
     f = as_complex_matrix(f_target, channel.dim)
     scale = max(1.0, float(np.max(np.abs(f))))
     centering = abs(complex(np.trace(s @ f)))
     if centering > 1e-9 * scale:
         raise ValueError(
             f"right-hand side is not centered: |tr(sigma F)| = {centering:.3e}")
-    q, phi_f = _centered_restriction(channel, s)
-    system = np.eye(phi_f.shape[0]) - phi_f
-    singular_values = np.linalg.svd(system, compute_uv=False)
-    if singular_values[-1] <= 1e-10 * max(singular_values[0], 1.0):
-        raise HypothesisError(
-            "channel is reducible: Id - phi is singular on the centered subspace")
-    z = np.linalg.solve(system, q.conj().T @ vec(f))
+    q, phi_f, inv_f = resolvent
+    if _is_singular(np.eye(phi_f.shape[0]) - phi_f, inv_f):
+        raise HypothesisError(_SINGULAR)
+    rhs = q.conj().T @ vec(f)
+    z = inv_f @ rhs
+    z += inv_f @ (rhs - (z - phi_f @ z))  # one refinement step: a solve's residual
     a = unvec(q @ z, channel.dim)
     if is_selfadjoint(f, 1e-10):
         a = _hermitize(a)
@@ -770,6 +875,31 @@ def poisson_solve(channel: KrausChannel, f_target, sigma,
             raise HypothesisError(
                 f"solution norm {uniform_norm(a):.6e} exceeds certified bound {bound:.6e}")
     return a
+
+
+def poisson_solve(channel: KrausChannel, f_target, sigma,
+                  certified_upper: float | None = None) -> np.ndarray:
+    """Centered solution of (Id - phi)(A) = F on F = {tr(sigma x) = 0}.
+
+    The right-hand side must already be centered; the solution satisfies
+    tr(sigma A) = 0 and, when ``certified_upper`` is passed, the norm bound
+    ||A|| <= certified_upper * ||F|| is verified.
+    """
+    s = state_matrix(sigma)
+    return _poisson(channel, f_target, s, _resolvent(channel, s), certified_upper)
+
+
+def _certified_poisson_norm(channel: KrausChannel, f_target, sigma) -> float:
+    """The certified norm, after checking the Poisson equation for F against it.
+
+    One restriction and one solve of Id - phi_F serve the chain and the
+    Poisson solution, whose checks are those of :func:`poisson_solve`.
+    """
+    s = state_matrix(sigma)
+    resolvent = _resolvent(channel, s)
+    certified = _certified_sup_norm_chain(resolvent[1], resolvent[2], channel.dim)
+    _poisson(channel, f_target, s, resolvent, certified)
+    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +1069,7 @@ def decompose_invariant_subspaces(channel: KrausChannel) -> InvariantDecompositi
         for v in channel.kraus:
             residual = max(residual, float(np.max(np.abs(v @ p - p @ v))))
         sub = _restrict(channel, u)
-        evidence = is_irreducible(sub)
+        evidence = _irreducibility_vote(sub)  # shares its SVD with invariant_state(sub)
         if not evidence.irreducible:
             raise HypothesisError("restricted block is not irreducible after refinement")
         projections.append(p)

@@ -807,7 +807,8 @@ class TestFlavorTable:
         assert len(grouped) == len(grid["rows"]) and grouped == singles
 
     @pytest.mark.parametrize("flavor, owner, name, expected", [
-        ("multitime", bounds, "poisson_solve", 1),
+        pytest.param("multitime", spectral, "_centered_restriction", 1,  # shared by the
+                     id="multitime-one-restriction"),  # chain and the Poisson check
         ("multitime", spectral, "_certified_sup_norm_chain", 1),
         ("multitime", bounds, "_window_effects", 1),
         ("reducible", bounds, "bernstein_constants", 2),  # one per block

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 
@@ -637,6 +638,217 @@ class TestPsiVote:
         assert cli.main(["analyze", "--model", ring_json]) == 0
         capsys.readouterr()
         assert calls == [(9, 9)]
+
+
+def eigvals_vote(channel):
+    """The irreducibility verdict as the vote took it before the shared SVD:
+    a general eigensolve, and the dual basis from ker(M_s - r I)."""
+    m_h = superoperator_matrix(channel).matrix
+    eigs = np.linalg.eigvals(m_h)
+    radius = float(np.max(np.abs(eigs)))
+    multiplicity = int(np.sum(np.abs(eigs - radius) <= spectral.TAU_EIG * max(1.0, radius)))
+    dual_basis = spectral._null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
+    faithful = spectral._fixed_point_min_eigenvalue(dual_basis, channel.dim) > spectral.TAU_PSD
+    eig_verdict = multiplicity == 1 and faithful
+    reach_verdict = all(
+        spectral._reachable_dimension(channel._stack, np.asarray(v, dtype=complex)) == channel.dim
+        for v in spectral._witness_vectors(dual_basis, channel.dim))
+    return "inconclusive" if eig_verdict != reach_verdict else eig_verdict
+
+
+def vote_verdict(vote, channel):
+    try:
+        return vote(channel).irreducible
+    except spectral.InconclusiveIrreducibilityError:
+        return "inconclusive"
+
+
+def direct_sum_kraus(a, b):
+    n = a.dim + b.dim
+    ops = []
+    for v, at in [(v, 0) for v in a.kraus] + [(v, a.dim) for v in b.kraus]:
+        z = np.zeros((n, n), dtype=complex)
+        z[at:at + v.shape[0], at:at + v.shape[0]] = v
+        ops.append(z)
+    return ops
+
+
+COUPLINGS = (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def vote_family(family):
+    """(name, builder) pairs; each builder returns a new channel object."""
+    if family == "models":
+        return [(path.name, lambda path=path: load_model(str(path)).channel)
+                for path in sorted(MODELS.glob("*.json")) if load_model(str(path)).kind == "kraus"]
+    if family == "random":
+        return [(f"d{d} k{k} s{s}", lambda d=d, k=k, s=s: random_channel(d, k, 1000 * d + 10 * k + s))
+                for d in range(2, 7) for k in range(1, 5) for s in range(6)]
+    if family == "two-block":
+        def coupled(eps, seed):
+            # two random blocks, mixed with a random channel on the whole space
+            a, b = random_channel(2 + seed % 2, 2, 50 + seed), random_channel(2 + seed // 2 % 2, 2, 80 + seed)
+            ops = [np.sqrt(1 - eps) * v for v in direct_sum_kraus(a, b)]
+            if eps:
+                ops += [np.sqrt(eps) * v for v in random_channel(a.dim + b.dim, 2, 110 + seed).kraus]
+            return KrausChannel(ops)
+        return [(f"eps{eps} s{s}", lambda eps=eps, s=s: coupled(eps, s))
+                for eps in COUPLINGS for s in range(10)]
+    if family == "leak":
+        def leaking(eps, seed):
+            # block a drains into block b at rate eps; the fixed state lives on b
+            a, b = random_channel(2 + seed % 2, 2, 600 + seed), random_channel(2, 2, 700 + seed)
+            n = a.dim + b.dim
+            ops = [np.sqrt(1 - eps) * v for v in direct_sum_kraus(a, b)]
+            if eps:
+                for i in range(a.dim):
+                    leak = np.zeros((n, n), dtype=complex)
+                    leak[a.dim + seed % 2, i] = np.sqrt(eps)
+                    ops.append(leak)
+                ops.append(np.sqrt(eps) * np.diag([0.0] * a.dim + [1.0] * b.dim).astype(complex))
+            return KrausChannel(ops)
+        return [(f"eps{eps} s{s}", lambda eps=eps, s=s: leaking(eps, s))
+                for eps in COUPLINGS for s in range(4)]
+    assert family == "loose"
+
+    def perturbed(delta, seed):
+        # trace preserving only to about delta, as loaded under --tolerance channel=1e-6
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            base = list(random_channel(3 + seed % 3, 2, 300 + seed).kraus)
+        else:
+            block = direct_sum_kraus(random_channel(2, 2, 300 + seed), random_channel(2, 2, 400 + seed))
+            base = ([np.sqrt(1 - 1e-9) * v for v in block]
+                    + [np.sqrt(1e-9) * v for v in random_channel(4, 2, 500 + seed).kraus])
+        return KrausChannel([v + delta * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+                             for v in base], tol=1e-6)
+    return [(f"delta{delta} s{s}", lambda delta=delta, s=s: perturbed(delta, s))
+            for delta in (1e-9, 1e-8, 1e-7) for s in range(6)]
+
+
+VOTE_FAMILIES = ("models", "random", "two-block", "leak", "loose")
+
+
+class TestVoteOnTheFixedPointSVD:
+    """The vote on the SVD of M_s - I gives today's verdict on 240 channels:
+    4 + 120 random + 70 two-block + 28 leaking + 18 loosely trace-preserving."""
+
+    @pytest.mark.parametrize("family", VOTE_FAMILIES)
+    def test_verdicts_match_the_eigvals_vote(self, family):
+        verdicts = [(name, eigvals_vote(build()), vote_verdict(spectral._irreducibility_vote, build()),
+                     vote_verdict(is_irreducible, build())) for name, build in vote_family(family)]
+        assert [v for v in verdicts if not v[1] == v[2] == v[3]] == []
+
+    def test_families_reach_every_verdict_and_both_counts(self):
+        cases = [build for family in VOTE_FAMILIES for _, build in vote_family(family)]
+        assert len(cases) >= 200
+        assert {eigvals_vote(build()) for build in cases} == {True, False, "inconclusive"}
+        counted = [spectral._separated_fixed_space(build())[0] is not None for build in cases]
+        assert sum(counted) >= 100 and len(counted) - sum(counted) >= 50
+
+    @pytest.mark.parametrize("family", VOTE_FAMILIES)
+    def test_poisson_verdicts_match_the_svd_test(self, family):
+        mismatched = []
+        for name, build in vote_family(family):
+            channel = build()
+            try:
+                sigma = invariant_state(channel).matrix
+            except (FixedSpaceError, ValueError):
+                continue
+            h = random_hermitian(channel.dim, np.random.default_rng(3))
+            f = h - np.trace(sigma @ h) * np.eye(channel.dim)
+            q, phi_f, inv_f = spectral._resolvent(channel, sigma)
+            system = np.eye(phi_f.shape[0]) - phi_f
+            values = np.linalg.svd(system, compute_uv=False)
+            if spectral._is_singular(system, inv_f) != (values[-1] <= 1e-10 * max(values[0], 1.0)):
+                mismatched.append((name, "singular"))
+            certified = spectral._certified_sup_norm_chain(phi_f, inv_f, channel.dim)
+            for bound in (None, certified):
+                outcomes = [poisson_outcome(solve, channel, f, sigma, bound)
+                            for solve in (svd_tested_poisson_solve, poisson_solve)]
+                if outcomes[0] != outcomes[1]:
+                    mismatched.append((name, bound, outcomes))
+        assert mismatched == []
+
+
+def svd_tested_poisson_solve(channel, f, sigma, certified_upper):
+    """``poisson_solve`` as it was: an SVD tests singularity, then its own solve."""
+    q, phi_f = _centered_restriction(channel, sigma)
+    system = np.eye(phi_f.shape[0]) - phi_f
+    values = np.linalg.svd(system, compute_uv=False)
+    if values[-1] <= 1e-10 * max(values[0], 1.0):
+        raise HypothesisError("channel is reducible: Id - phi is singular on the centered subspace")
+    a = unvec(q @ np.linalg.solve(system, q.conj().T @ vec(f)), channel.dim)
+    a = (a + a.conj().T) / 2  # f is Hermitian
+    residual = float(np.max(np.abs((a - channel.heisenberg(a)) - f)))
+    if residual > 1e-10 * max(1.0, float(np.max(np.abs(f)))):
+        raise HypothesisError(f"Poisson residual {residual:.3e} exceeds tolerance")
+    if certified_upper is not None and uniform_norm(a) > certified_upper * uniform_norm(f) + 1e-12:
+        raise HypothesisError("solution norm exceeds certified bound")
+    return a
+
+
+def poisson_outcome(solve, channel, f, sigma, bound):
+    """The verdict of a Poisson solve: the first words of its error, or "solved"."""
+    try:
+        solve(channel, f, sigma, bound)
+    except HypothesisError as exc:
+        return " ".join(str(exc).split()[:2])
+    return "solved"
+
+
+def counted_factorisations(monkeypatch):
+    """The matrices of the general eigensolves and of the square SVDs with vectors."""
+    calls = {"eigvals": [], "svd": []}
+    eigvals, svd = np.linalg.eigvals, np.linalg.svd
+
+    def counted_eigvals(m):
+        calls["eigvals"].append(m)
+        return eigvals(m)
+
+    def counted_svd(m, *args, **kwargs):
+        if kwargs.get("compute_uv", True) and m.shape[0] == m.shape[1]:
+            calls["svd"].append(m)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
+def random_model(path, d):
+    channel = random_channel(d, 3, 17)
+    labels = [f"k{i}" for i in range(3)]
+    path.write_text(json.dumps({
+        "kind": "kraus", "labels": labels,
+        "kraus": [[[[z.real, z.imag] for z in row] for row in v] for v in channel.kraus],
+        "observation": dict(zip(labels, (1.0, 0.0, -1.0)))}))
+    return str(path)
+
+
+class TestOneFixedPointFactorisation:
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_hoeffding_bound_takes_one_svd_and_no_eigensolve(self, d, tmp_path, capsys,
+                                                              monkeypatch):
+        path = str(MODELS / "ring.json") if d == 3 else random_model(tmp_path / "random6.json", d)
+        calls = counted_factorisations(monkeypatch)
+        assert cli.main(["bound", "--flavor", "hoeffding", "--model", path,
+                         "--n", "100,1000", "--gamma", "0.5"]) == 0
+        capsys.readouterr()
+        assert calls["eigvals"] == []
+        assert [m.shape for m in calls["svd"] if m.shape[0] == d * d] == [(d * d, d * d)]
+
+    def test_decomposition_shares_one_svd_per_block(self, monkeypatch):
+        channel, _ = two_block_ring()
+        calls = counted_factorisations(monkeypatch)
+        dec = decompose_invariant_subspaces(channel)
+        assert calls["eigvals"] == []
+        for sub in dec.restricted_channels:
+            m_s = superoperator_matrix(sub).matrix.conj().T
+            assert sum(np.array_equal(m, m_s - np.eye(9)) for m in calls["svd"]) == 1
+        # besides those: the split's SVD of the Heisenberg matrix, of the whole
+        # channel and of each leaf
+        assert [m.shape for m in calls["svd"] if m.shape[0] > 3] == [(36, 36)] + [(9, 9)] * 4
 
 
 class TestPoisson:

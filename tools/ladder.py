@@ -2,15 +2,19 @@
 
 Run from the root of a source checkout:
 
-    python tools/ladder.py --out BENCH_15.json --parent /path/to/parent/checkout
+    python tools/ladder.py --out BENCH_16.json --parent /path/to/parent/checkout
 
 Each source tree (this one, and the optional parent checkout) is timed in
 child processes, which import ``qmcbounds`` from that tree's ``src/``.  The
 channels are ``fixtures.random_channel(d, 3, 101)`` with payoff (i mod 3) - 1
-on label i, for d in ``DIMS``.  One child makes one pass: a warm-up call of
-every layer at the smallest d, then one timed call of each layer at each d,
-and for the certified chain one more untimed call that counts its SVDs
-(``np.linalg.norm(a, 2)`` calls).  There are ``REPEATS`` passes per tree, and
+on label i, for d in ``DIMS``.  Every call gets a channel object of its own,
+built before the clock starts, so nothing a call memoizes on a channel
+serves a later one.  One child makes one pass: a warm-up call of every layer
+at the smallest d, then one timed call of each layer at each d, and for the
+certified chain and ``hoeffding_constants`` one more untimed call that
+counts the chain's SVD norms (``np.linalg.norm(a, 2)`` calls), the general
+eigensolves (``np.linalg.eigvals``) and the SVDs with singular vectors of a
+d^2 x d^2 matrix (``np.linalg.svd``).  There are ``REPEATS`` passes per tree, and
 the trees alternate: on even passes this tree goes first, on odd passes the
 parent, so a machine that speeds up or slows down over a run does not favour
 one column.  A row is the median over the passes.  Children get
@@ -36,24 +40,34 @@ DIMS = (3, 8, 16, 24, 32)
 REPEATS = 3
 
 
-def _count_svds(call) -> int:
-    """Calls of np.linalg.norm(a, 2) on a matrix while ``call`` runs."""
+COUNTED = ("certified_chain", "hoeffding_constants")
+
+
+def _counts(call, d: int) -> dict:
+    """Chain SVD norms, general eigensolves and full d^2 x d^2 SVDs while ``call`` runs."""
     import numpy as np
 
-    plain = np.linalg.norm
-    count = 0
+    plain = {name: getattr(np.linalg, name) for name in ("norm", "eigvals", "svd")}
+    counts = {"svds": 0, "eigvals": 0, "full_svds": 0}
 
-    def counting(x, ord=None, *args, **kwargs):
-        nonlocal count
-        count += ord == 2 and np.ndim(x) == 2
-        return plain(x, ord, *args, **kwargs)
+    def norm(x, ord=None, *args, **kwargs):
+        counts["svds"] += ord == 2 and np.ndim(x) == 2
+        return plain["norm"](x, ord, *args, **kwargs)
 
-    np.linalg.norm = counting
+    def eigvals(a):
+        counts["eigvals"] += 1
+        return plain["eigvals"](a)
+
+    def svd(a, *args, **kwargs):
+        counts["full_svds"] += a.shape == (d * d, d * d) and kwargs.get("compute_uv", True)
+        return plain["svd"](a, *args, **kwargs)
+
+    np.linalg.norm, np.linalg.eigvals, np.linalg.svd = norm, eigvals, svd
     try:
         call()
     finally:
-        np.linalg.norm = plain
-    return count
+        np.linalg.norm, np.linalg.eigvals, np.linalg.svd = plain.values()
+    return counts
 
 
 def _environment() -> dict:
@@ -67,41 +81,48 @@ def _environment() -> dict:
             "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
 
 
+def _channel(d: int):
+    from qmcbounds.fixtures import random_channel
+
+    return random_channel(d, 3, 101)
+
+
 def _layers(d: int) -> dict:
-    """The timed calls at dimension d, by layer name, for the qmcbounds on sys.path."""
+    """The calls at dimension d, by layer name, each on the channel it is given."""
     import numpy as np
 
     from qmcbounds import spectral
     from qmcbounds.bounds import hoeffding_constants
-    from qmcbounds.fixtures import random_channel
 
-    channel = random_channel(d, 3, 101)
+    channel = _channel(d)
     payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
     sigma = spectral.invariant_state(channel)
     _, phi_f = spectral._centered_restriction(channel, sigma)
     eye_f = np.eye(phi_f.shape[0])
     inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
     return {
-        "invariant_state": lambda: spectral.invariant_state(channel),
-        "is_irreducible": lambda: spectral.is_irreducible(channel),
-        "multiplicative_gap_report": lambda: spectral.multiplicative_gap_report(channel, sigma),
-        "certified_chain": lambda: spectral._certified_sup_norm_chain(phi_f, inv_f, d),
-        "hoeffding_constants": lambda: hoeffding_constants(channel, payoff),
+        "invariant_state": spectral.invariant_state,
+        "is_irreducible": spectral.is_irreducible,
+        "multiplicative_gap_report": lambda ch: spectral.multiplicative_gap_report(ch, sigma),
+        "certified_chain": lambda ch: spectral._certified_sup_norm_chain(phi_f, inv_f, d),
+        "hoeffding_constants": lambda ch: hoeffding_constants(ch, payoff),
     }
 
 
 def measure() -> dict:
     """One pass of the ladder: one timed call per layer and d."""
     for call in _layers(DIMS[0]).values():
-        call()
+        call(_channel(DIMS[0]))
     rows = []
     for d in DIMS:
         for layer, call in _layers(d).items():
+            channel = _channel(d)
             start = time.perf_counter()
-            call()
+            call(channel)
             row = {"layer": layer, "d": d, "seconds": time.perf_counter() - start}
-            if layer == "certified_chain":
-                row["svds"] = _count_svds(call)
+            if layer in COUNTED:
+                channel = _channel(d)
+                row.update(_counts(lambda: call(channel), d))
             rows.append(row)
             print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
     return {"environment": _environment(), "rows": rows}
@@ -139,8 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         for name, runs in passes.items():
             times = sorted(run["rows"][i]["seconds"] for run in runs)
             merged[f"{name}_median_s"] = times[len(times) // 2]
-            if "svds" in row:
-                merged[f"{name}_svds"] = runs[0]["rows"][i]["svds"]
+            for count in ("svds", "eigvals", "full_svds"):
+                if count in row:
+                    merged[f"{name}_{count}"] = runs[0]["rows"][i][count]
         rows.append(merged)
     doc = {
         "what": "median seconds of each spectral layer on fixtures.random_channel(d, 3, 101)",
