@@ -15,8 +15,6 @@ from .operators import (
     KrausChannel,
     ObservationFunction,
     Superoperator,
-    apply_heisenberg,
-    apply_schrodinger,
     kms_adjoint,
     kms_inner,
     kms_norm,
@@ -27,7 +25,6 @@ from .operators import (
 )
 from .spectral import (
     InvariantDecomposition,
-    SpectralReport,
     certified_pseudoresolvent_norm,
     decompose_invariant_subspaces,
     deformed_channel,
@@ -39,10 +36,8 @@ from .spectral import (
     phi_power_norms,
     poisson_solve,
     pseudoresolvent_norm,
-    spectral_gap_additive,
     spectral_gap_multiplicative,
     spectral_radius_deformed,
-    spectral_report,
 )
 from .bounds import (
     BoundConstants,
@@ -70,7 +65,6 @@ from .trajectory import (
     EmpiricalTail,
     TrajectoryRecord,
     exact_tail_dp,
-    exact_tail_enumeration,
     laplace_transform_exact,
     mc_counting_tail,
     mc_tail,
@@ -79,7 +73,6 @@ from .trajectory import (
     score_distribution_dp,
     score_distribution_windowed,
     wilson_interval,
-    windowed_sums,
 )
 from .classical import (
     FluxFunction,

@@ -535,11 +535,6 @@ def _window_length(f: Mapping) -> int:
     return lengths.pop()
 
 
-def multitime_stationary_law(channel: KrausChannel, sigma, m: int) -> dict:
-    """Stationary law of m consecutive outcomes: tuple -> probability."""
-    return _effects_law(sigma, _window_effects(channel, m))
-
-
 def _effects_law(sigma, effects: dict) -> dict:
     """tuple -> tr(sigma E) for each window effect E."""
     s = state_matrix(sigma)

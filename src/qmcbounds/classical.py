@@ -269,21 +269,6 @@ def embed_diagonal(chain: MarkovChain, f) -> tuple[KrausChannel, dict]:
     return KrausChannel(ops, labels), payoff
 
 
-def deformed_transition(chain: MarkovChain, f, u: float) -> np.ndarray:
-    """Tilted matrix (p_xy exp(u f(x,y))); its powers give the flux MGF."""
-    fm = flux_matrix(f, chain)
-    return chain.transition * np.exp(u * fm)
-
-
-def flux_mgf(chain: MarkovChain, nu, f, n: int, u: float) -> float:
-    """E_nu[exp(u sum_{k<=n} f(X_k, X_{k+1}))] = nu P_u^n 1."""
-    p_u = deformed_transition(chain, f, u)
-    vec_ = np.ones(chain.size)
-    for _ in range(n):
-        vec_ = p_u @ vec_
-    return float(np.asarray(nu, dtype=float) @ vec_)
-
-
 def _flux_laws(chain: MarkovChain, nu, f, horizons) -> dict:
     """{n: exact law of sum_{k<n} f(X_k, X_{k+1})} at every horizon from one DP pass.
 

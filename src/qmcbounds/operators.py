@@ -18,11 +18,13 @@ Conventions
   no-jump generator's matrix, the real coordinates of Hermitian matrices
   and of channels in an orthonormal Hermitian basis, and the Choi-matrix
   check that one Kraus family sums to another.
-* Matrix functions of selfadjoint inputs go through an eigendecomposition;
-  exponentials of (generally non-normal) matrices use ``scipy.linalg.expm``.
+* Matrix functions of selfadjoint inputs go through an eigendecomposition.
 
-All operations are pure functions of immutable inputs; nothing here mutates
-shared state, so values can be freely shared across threads.
+All operations are pure functions of immutable inputs, with one memo: a
+``KrausChannel`` carries ``_fixed_space``, the SVD of M_s - I that
+:func:`spectral._fixed_space` writes on first use.  Every write stores the
+same value (the SVD is deterministic) and a second write changes nothing,
+so channels can still be shared across threads; a race costs one more SVD.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 # Tolerances for double-precision work at dimensions d <= ~32.  Only the
 # channel tolerance is settable, per KrausChannel (``--tolerance channel=``).
@@ -86,11 +87,6 @@ def is_selfadjoint(x, tol: float = TAU_IDENTITY) -> bool:
 def uniform_norm(x) -> float:
     """Largest singular value (operator norm on vectors)."""
     return float(np.linalg.norm(np.asarray(x, dtype=complex), 2))
-
-
-def trace_norm(x) -> float:
-    """Sum of singular values, tr|x|."""
-    return float(np.sum(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)))
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -229,12 +225,6 @@ class KrausChannel:
         a = as_complex_matrix(state_matrix(rho), self.dim)
         return np.einsum("ipq,qr,isr->ps", self._stack, a, self._stack.conj())
 
-    def outcome_probabilities(self, rho) -> np.ndarray:
-        """tr(V_i rho V_i^*) per label, clipped at zero."""
-        a = state_matrix(rho)
-        p = np.einsum("ipq,qr,ipr->i", self._stack, a, self._stack.conj()).real
-        return np.clip(p, 0.0, None)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"KrausChannel(dim={self.dim}, outcomes={len(self.kraus)})"
 
@@ -304,18 +294,6 @@ class GKLSGenerator:
             out = out + l @ a @ dagger(l) - 0.5 * (ll @ a + a @ ll)
         return out
 
-    def no_jump(self, t: float, x) -> np.ndarray:
-        """Heisenberg no-jump semigroup exp(tG)^* x exp(tG); t >= 0.
-
-        The exponential uses scaling-and-squaring (``scipy.linalg.expm``),
-        accurate to ~1e-10 relative at desk-scale dimensions and times.
-        """
-        if t < 0:
-            raise ValueError("no-jump semigroup needs t >= 0")
-        a = as_complex_matrix(x, self.dim)
-        e = sla.expm(t * self.no_jump_generator_matrix)
-        return dagger(e) @ a @ e
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"GKLSGenerator(dim={self.dim}, jumps={len(self.jumps)})"
 
@@ -372,20 +350,6 @@ def observation_vector(f, labels: Sequence[Hashable]) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("observation values must be finite")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# channel application / duality
-# ---------------------------------------------------------------------------
-
-def apply_heisenberg(channel: KrausChannel, x) -> np.ndarray:
-    """sum_i V_i^* x V_i."""
-    return channel.heisenberg(x)
-
-
-def apply_schrodinger(channel: KrausChannel, rho) -> np.ndarray:
-    """sum_i V_i rho V_i^*; the trace dual of the Heisenberg action."""
-    return channel.schrodinger(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -343,43 +343,6 @@ def is_primitive(channel: KrausChannel) -> bool:
     return _peripheral_is_one(evidence.eigenvalues)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Eigenvalues and ergodicity flags of a channel."""
-
-    eigenvalues: np.ndarray
-    gap: float
-    peripheral: np.ndarray
-    irreducible: bool
-    primitive: bool | None
-    kms_selfadjoint: bool | None
-
-
-def spectral_report(channel: KrausChannel, sigma=None) -> SpectralReport:
-    sup = superoperator_matrix(channel)
-    eigs = np.linalg.eigvals(sup.matrix)
-    order = np.argsort(-np.abs(eigs))
-    eigs = eigs[order]
-    radius = float(np.abs(eigs[0]))
-    peripheral = eigs[np.abs(eigs) >= radius - TAU_PER]
-    interior = np.abs(eigs)[np.abs(eigs) < radius - TAU_PER]
-    gap = float(radius - interior.max()) if interior.size else radius
-    try:
-        irreducible = _irreducibility_vote(channel, sup.matrix, eigs).irreducible
-    except InconclusiveIrreducibilityError:
-        irreducible = False
-    primitive = None
-    if irreducible:
-        primitive = bool(np.all(np.abs(peripheral - radius) <= TAU_PER))
-    kms_flag = None
-    if sigma is not None:
-        iso = kms_isometrized_matrix(sup, sigma)
-        kms_flag = bool(np.max(np.abs(iso - iso.conj().T)) <= 1e-9)
-    return SpectralReport(eigenvalues=eigs, gap=gap, peripheral=peripheral,
-                          irreducible=irreducible, primitive=primitive,
-                          kms_selfadjoint=kms_flag)
-
-
 # ---------------------------------------------------------------------------
 # multiplicative and additive symmetrizations
 # ---------------------------------------------------------------------------
@@ -478,15 +441,6 @@ def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
     note = "[H, sigma] = 0: irreducibility of the symmetrization is automatic" if commutes else ""
     return AdditiveGap(epsilon=float(-second), irreducible=irreducible,
                        eigenvalues=eigs, hamiltonian_commutes=commutes, note=note)
-
-
-def spectral_gap_additive(gen: GKLSGenerator, sigma) -> float:
-    report = additive_gap_report(gen, sigma)
-    if not report.irreducible or report.epsilon <= 0.0:
-        raise HypothesisError(
-            "additive symmetrization generates a reducible semigroup; "
-            "counting-bound gap undefined")
-    return report.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +566,9 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int) ->
       term no longer moved the sum.  Each quantity is settled at most once.
 
     The result is bit-identical to running every exact SVD of all
-    ``_MAX_TERMS`` terms.  Below ``_SVD_BELOW`` rows every norm is exact, and
-    this is the plain loop with the early stop.
+    ``_MAX_TERMS`` terms.
     """
     root_d = float(np.sqrt(dim))
-    if phi_f.shape[0] < _SVD_BELOW:  # every norm is an SVD: the plain loop
-        best = root_d * _svd_norm(inv_f)
-        partial = 0.0
-        for term, _, power in islice(_power_terms(phi_f, root_d), _MAX_TERMS):
-            partial += term
-            if partial >= best:
-                break
-            best = min(best, partial + root_d * _svd_norm(power @ inv_f))
-        return best
     v = None
     # tails[J] bounds ||phi^J (Id - phi)^(-1)|| and terms[j] the term of phi^j,
     # each a [value, exact] pair

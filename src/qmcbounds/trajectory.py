@@ -48,7 +48,8 @@ injective, so each block's GEMM result is scattered with a plain indexed
 add.  One pass serves every horizon asked for, and every tag layout turns
 its rows into laws the same way (sum per score, clip, check the mass).
 A batched enumeration over outcome sequences, sharing no code with the
-kernel, is the independent check.
+kernel, is the independent check; it lives with the tests, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -398,8 +399,8 @@ def _score_lattice(fv: np.ndarray) -> tuple[np.ndarray, int]:
     for x, fr in zip(fv, fracs):
         if abs(float(fr) - float(x)) > 1e-12 * max(1.0, abs(float(x))):
             raise LatticeError(
-                f"observation value {x!r} has no rational approximation with "
-                f"denominator <= {_MAX_DENOMINATOR}; use the enumeration fallback")
+                f"payoff value {float(x)!r} has no rational approximation with "
+                f"denominator <= {_MAX_DENOMINATOR}")
     denom = 1
     for fr in fracs:
         denom = denom * fr.denominator // math.gcd(denom, fr.denominator)
@@ -508,48 +509,6 @@ def exact_tail_dp(channel: KrausChannel, rho0, f, n: int, gamma: float) -> float
     return score_distribution_dp(channel, rho0, f, n).tail(gamma)
 
 
-def _enumeration_batches(channel: KrausChannel, rho0, nums: np.ndarray, n: int,
-                         budget: int = 2**18):
-    """(scores, masses) of all |I|^n outcome sequences, one batch per prefix.
-
-    ``nums`` holds each label's score, integer or real.  Prefixes are
-    walked depth first; the last L levels are one batched stack of the k^L
-    products V_{i_L} ... V_{i_1}, with k^L d^2 <= ``budget``.
-    """
-    stack = channel._stack
-    k, d = stack.shape[0], channel.dim
-    levels = 0
-    while levels < n and k ** (levels + 1) * d * d <= budget:
-        levels += 1
-    words = np.eye(d, dtype=complex)[None]
-    word_scores = np.zeros(1, dtype=nums.dtype)
-    for _ in range(levels):
-        words = np.matmul(stack[:, None], words[None]).reshape(-1, d, d)
-        word_scores = (nums[:, None] + word_scores[None, :]).reshape(-1)
-
-    def walk(depth: int, score, op: np.ndarray):
-        if depth == n - levels:
-            yield score + word_scores, np.einsum("wpq,wpq->w", words @ op, words.conj()).real
-            return
-        for num, v in zip(nums, channel.kraus):
-            yield from walk(depth + 1, score + num, v @ op @ dagger(v))
-
-    yield from walk(0, 0, state_matrix(rho0).astype(complex))
-
-
-def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float) -> float:
-    """Brute-force cross-check over all |I|^n outcome sequences.
-
-    Scores are summed as real numbers, so a payoff off the DP's rational
-    lattice (a :class:`LatticeError` there) is handled here.
-    """
-    if len(channel.kraus) ** n > 2**24:
-        raise ValueError("enumeration fallback limited to |I|^n <= 2^24")
-    fv = observation_vector(f, channel.labels)
-    return float(sum(masses[scores >= gamma * n - 1e-9].sum()
-                     for scores, masses in _enumeration_batches(channel, rho0, fv, n)))
-
-
 def _window_value(f: Mapping, window: tuple):
     if window not in f:
         raise KeyError(f"windowed payoff undefined on {window}")
@@ -583,16 +542,6 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping,
                 next_tag[t, i] = tag[window[1:]]
                 shift[t, i] = _window_value(nums, tuple(labels[j] for j in window))
     return _channel_laws(channel, rho0, next_tag, shift, denom, [n + m - 1], m - 1)[n]
-
-
-def windowed_sums(record: TrajectoryRecord, f: Mapping) -> np.ndarray:
-    """Sliding-window payoffs f(X_k, ..., X_{k+m-1}) along one record."""
-    m = _window_length(f)
-    outcomes = record.outcomes
-    if len(outcomes) < m:
-        raise ValueError(f"record of length {len(outcomes)} is shorter than the window {m}")
-    return np.asarray([float(f[tuple(outcomes[k:k + m])])
-                       for k in range(len(outcomes) - m + 1)])
 
 
 def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: float,

@@ -19,12 +19,13 @@ from qmcbounds.bounds import (
     hoeffding_bound,
     hoeffding_constants,
     multitime_hoeffding,
-    multitime_stationary_law,
     n_rho,
     reducible_bound,
     stationary_stats,
     time_dependent_bernstein,
     time_dependent_hoeffding,
+    _effects_law,
+    _window_effects,
 )
 import qmcbounds.spectral as spectral
 from qmcbounds import cli
@@ -382,7 +383,7 @@ class TestMultitime:
 
     def test_stationary_pair_law(self, ring, ring_sigma):
         channel, _ = ring
-        law = multitime_stationary_law(channel, ring_sigma.matrix, 2)
+        law = _effects_law(ring_sigma.matrix, _window_effects(channel, 2))
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         # hops are independently +- with probability 1/2: each directed pair
         # of edge labels consistent with the walk has probability 1/36 * ...

