@@ -21,8 +21,9 @@ Conventions
 * Matrix functions of selfadjoint inputs go through an eigendecomposition.
 
 All operations are pure functions of immutable inputs, with one memo: a
-``KrausChannel`` carries ``_fixed_space``, the SVD of M_s - I that
-:func:`spectral._fixed_space` writes on first use.  Every write stores the
+``KrausChannel`` carries ``_fixed_space``, what the SVD of the predual's
+real matrix R^T - I gives and :func:`spectral._fixed_space` writes on
+first use.  Every write stores the
 same value (the SVD is deterministic) and a second write changes nothing,
 so channels can still be shared across threads; a race costs one more SVD.
 """
@@ -92,7 +93,7 @@ def uniform_norm(x) -> float:
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
     a = np.asarray(x, dtype=complex)
-    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
@@ -203,7 +204,7 @@ class KrausChannel:
         self.labels = labels
         self.dim = dim
         self._stack = np.stack(ops)
-        self._fixed_space = None  # SVD of M_s - I, memoized by the spectral layer
+        self._fixed_space = None  # SVD of R^T - I, memoized by the spectral layer
         report = validate_kraus(ops, labels, tol)
         self.channel_deviation = report.max_deviation
         self.is_channel = report.passed
@@ -399,7 +400,16 @@ def kraus_family_deviation(ops: Sequence[np.ndarray], reference: Sequence[np.nda
 
 
 def hermitian_basis(d: int) -> np.ndarray:
-    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first."""
+    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first.
+
+    The units are E_pp, then (E_pq + E_qp) / sqrt(2) and then
+    i (E_qp - E_pq) / sqrt(2) for the pairs p < q in row-major order.  The
+    basis is orthonormal in the Hilbert-Schmidt product and also a basis of
+    all d x d complex matrices, so the matrix U whose columns are the
+    vec(B_b) is unitary, and a map that preserves Hermiticity, with
+    column-stacking matrix M, has the real matrix U^* M U in these
+    coordinates (:func:`hermitian_coordinate_matrix`).
+    """
     e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
     pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
     return np.stack([e[p, p] for p in range(d)]
@@ -407,9 +417,55 @@ def hermitian_basis(d: int) -> np.ndarray:
                     + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
 
 
+def _frame(v: np.ndarray, d: int, sign: complex) -> np.ndarray:
+    """U^* v (``sign`` = -1j) or U^T v (``sign`` = 1j) along the last axis, indexed as vec.
+
+    U is the unitary of :func:`hermitian_basis`; each of its columns has at
+    most two entries, so this is a gather, not a product.
+    """
+    p, q = np.triu_indices(d, 1)
+    upper, lower, s = v[..., q * d + p], v[..., p * d + q], math.sqrt(0.5)  # E_pq, E_qp
+    return np.concatenate([v[..., np.arange(d) * (d + 1)], s * upper + s * lower,
+                           sign * (s * lower - s * upper)], axis=-1)
+
+
 def hermitian_coordinates(x: np.ndarray) -> np.ndarray:
-    """Real coordinates r_b = tr(B_b x) of a Hermitian x in :func:`hermitian_basis`."""
-    return np.einsum("bqp,pq->b", hermitian_basis(x.shape[0]), x).real
+    """Real coordinates r_b = Re tr(B_b x) in :func:`hermitian_basis`, of a matrix or a stack.
+
+    For a Hermitian x these are its coordinates; otherwise they are those of
+    its Hermitian part (x + x^*) / 2.
+    """
+    return np.ascontiguousarray(_frame(vec(x), x.shape[-1], -1j).real)
+
+
+def from_hermitian_coordinates(r: np.ndarray, d: int) -> np.ndarray:
+    """sum_b r_b B_b for coordinates r (real or complex) along the last axis.
+
+    Real coordinates give an exactly Hermitian matrix: each off-diagonal
+    pair is built as a complex number and its conjugate.
+    """
+    p, q = np.triu_indices(d, 1)
+    s, m = math.sqrt(0.5), p.size
+    x = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
+    idx = np.arange(d)
+    x[..., idx, idx] = r[..., :d]
+    sym, anti = s * r[..., d:d + m], s * r[..., d + m:]
+    x[..., p, q] = sym - 1j * anti
+    x[..., q, p] = sym + 1j * anti
+    return x
+
+
+def hermitian_coordinate_matrix(m: np.ndarray) -> np.ndarray:
+    """The real matrix U^* m U of a Hermiticity-preserving map in :func:`hermitian_basis`.
+
+    ``m`` is the map's column-stacking d^2 x d^2 matrix.  U is unitary, so
+    the result is similar to ``m``: the same eigenvalues and singular values.
+    Its imaginary part is rounding (about 1e-17) and is dropped.  For a
+    channel's Heisenberg matrix R, the predual's matrix in the same
+    coordinates is R^T, the adjoint in a real orthonormal basis.
+    """
+    d = math.isqrt(m.shape[0])
+    return _frame(_frame(m, d, 1j).T, d, -1j).T.real
 
 
 def hermitian_superoperator_matrix(channel: KrausChannel) -> np.ndarray:

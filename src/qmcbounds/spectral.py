@@ -14,6 +14,16 @@ full space by Kraus-operator products.  Reachability is probed from random
 starting vectors plus witness vectors drawn from the supports of fixed
 points, so the two checks agree except under genuine numerical trouble,
 which is surfaced as an error instead of silently resolved.
+
+The dense d^2 x d^2 factorisations of a Kraus channel run in real
+arithmetic.  Every map here preserves Hermiticity (phi, psi, the KMS
+weights and (Id - phi)^(-1) on F), so in the orthonormal Hermitian basis
+of :func:`operators.hermitian_basis` its matrix R is real.  That basis is
+also a complex basis of all d x d matrices and the change of basis is
+unitary, so R and the complex column-stacking matrix share every
+eigenvalue and singular value, and the predual's matrix in the same
+coordinates is R^T.  F = {tr(sigma x) = 0} is the complexification of its
+Hermitian part, so a restriction to F is a real matrix too.
 """
 
 from __future__ import annotations
@@ -33,9 +43,13 @@ from .operators import (
     Superoperator,
     as_complex_matrix,
     dagger,
+    from_hermitian_coordinates,
+    hermitian_coordinate_matrix,
+    hermitian_coordinates,
     is_selfadjoint,
     kms_adjoint,
     kms_isometrized_matrix,
+    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     state_power,
@@ -49,7 +63,7 @@ TAU_EIG = 1e-8   # eigenvalue-cluster resolution for simplicity checks
 TAU_PER = 1e-8   # peripheral-spectrum resolution
 TAU_DEC = 1e-8   # invariant-subspace commutation / eigenvalue grouping
 _RANK_TOL = 1e-10        # relative singular-value cut of the reachability probe
-_SVD_BAND = (1e-10, 1e-4)  # singular values of M_s - I here leave the vote to the eigensolve
+_SVD_BAND = (1e-10, 1e-4)  # singular values of R^T - I here leave the vote to the eigensolve
 _MAX_TERMS = 32          # terms of the certified pseudoresolvent chain
 _MARGIN = 1e-10          # relative margin of a chain norm's power-iteration lower bound
 _POWER_STEPS = 5         # power-iteration steps per lower bound
@@ -77,16 +91,17 @@ class InconclusiveIrreducibilityError(RuntimeError):
 # invariant states and irreducibility
 # ---------------------------------------------------------------------------
 
-def _singular_null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of m and the orthonormal basis of ker(m) they cut.
+def _singular_null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values of m and the orthonormal bases of ker(m) and ker(m^*) they cut.
 
-    The basis spans the right singular vectors whose singular values lie at or
-    below 1e-10 * max(s_max, 1); only those rows of V are kept.
+    The bases span the right and the left singular vectors whose singular
+    values lie at or below 1e-10 * max(s_max, 1); only those rows of V and
+    columns of U are kept.
     """
     u, s, vh = np.linalg.svd(m)
     cut = 1e-10 * max(s[0], 1.0) if s.size else 0.0
     rank = int(np.sum(s > cut))
-    return s, vh[rank:].conj().T
+    return s, vh[rank:].conj().T, u[:, rank:]
 
 
 def _null_space(m: np.ndarray) -> np.ndarray:
@@ -94,15 +109,28 @@ def _null_space(m: np.ndarray) -> np.ndarray:
     return _singular_null_space(m)[1]
 
 
-def _fixed_space(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of M_s - I and the basis of its null space, M_s the predual matrix.
+def _vec_basis(coordinates: np.ndarray, dim: int) -> np.ndarray:
+    """Columns of Hermitian coordinates as the columns vec(x) of the matrices they give."""
+    return vec(from_hermitian_coordinates(coordinates.T, dim)).T
 
-    One SVD per channel object: the pair is memoized on the channel, so
-    :func:`invariant_state` and the irreducibility vote share it.
+
+def _fixed_space(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values of R^T - I and its predual and Heisenberg fixed spaces, in vec form.
+
+    R is the channel's real Heisenberg matrix in Hermitian coordinates and
+    R^T its predual's, similar to M_s: the same singular values, and null
+    spaces whose complexifications are ker(M_s - I) and ker(M_h - I).  The
+    right singular vectors at the cut span the fixed states, the left ones
+    the fixed observables; both bases consist of Hermitian matrices.  One
+    SVD per channel object: the triple is memoized on the channel, so
+    :func:`invariant_state`, the irreducibility vote and the block split of
+    :func:`decompose_invariant_subspaces` share it.
     """
     if channel._fixed_space is None:
-        m_s = superoperator_matrix(channel).matrix.conj().T
-        channel._fixed_space = _singular_null_space(m_s - np.eye(m_s.shape[0]))
+        r = hermitian_coordinate_matrix(superoperator_matrix(channel).matrix)
+        singular, states, observables = _singular_null_space(r.T - np.eye(r.shape[0]))
+        channel._fixed_space = (singular, _vec_basis(states, channel.dim),
+                                _vec_basis(observables, channel.dim))
     return channel._fixed_space
 
 
@@ -121,8 +149,9 @@ def _trace_normalized(v: np.ndarray, dim: int) -> np.ndarray | None:
 def invariant_state(channel: KrausChannel) -> DensityMatrix:
     """Unique fixed state of the predual action, phi_*(sigma) = sigma.
 
-    The fixed space is the null space of M_s - I, M_s the predual matrix,
-    from the one SVD that :func:`_fixed_space` keeps on the channel.  For a
+    The fixed space is the null space of R^T - I, R^T the predual's real
+    matrix in Hermitian coordinates, from the one SVD that
+    :func:`_fixed_space` keeps on the channel.  For a
     trace-preserving channel the spectral radius is 1 and the peripheral
     eigenvalues are semisimple (M. M. Wolf, *Quantum Channels & Operations:
     Guided Tour*, 2012, Prop. 6.2), so that null space is the whole
@@ -240,28 +269,35 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     ``analyze`` reports it and primitivity reads the spectrum.  On
     trace-preserving input the radius is 1 with semisimple peripheral
     eigenvalues (Wolf, 2012, Prop. 6.2), so the dual fixed basis is
-    ker(M_s - I), from the SVD :func:`invariant_state` takes, unless a
-    singular value of M_s - I lies in ``_SVD_BAND``.  The bounds vote
-    through :func:`_irreducibility_vote` with no spectrum, which then counts
-    the multiplicity from that SVD instead.
+    ker(R^T - I), from the SVD :func:`invariant_state` takes, unless a
+    singular value of R^T - I lies in ``_SVD_BAND``.  With that basis the
+    eigensolve is of the real matrix R, which has the spectrum of M_h;
+    without it (in the band, or on input that is not trace preserving) the
+    spectrum and the dual basis ker(M_s - r I) come from the complex M_h, as
+    they always did, because there a rounding-sized shift of the matrix can
+    move the verdict.  The bounds vote through :func:`_irreducibility_vote`
+    with no spectrum, which then counts the multiplicity from that SVD
+    instead.
     """
     m_h = superoperator_matrix(channel).matrix
-    return _irreducibility_vote(channel, m_h, np.linalg.eigvals(m_h))
+    separated = _separated_fixed_space(channel)[0] is not None
+    spectrum = np.linalg.eigvals(hermitian_coordinate_matrix(m_h) if separated else m_h)
+    return _irreducibility_vote(channel, m_h, spectrum)
 
 
 def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np.ndarray | None]:
     """:func:`_fixed_space` of a trace-preserving channel whose fixed space is well separated.
 
     (None, None) when sum V_i^* V_i deviates from 1 by more than
-    ``TAU_IDENTITY``, or when a singular value of M_s - I lies in
+    ``TAU_IDENTITY``, or when a singular value of R^T - I lies in
     ``_SVD_BAND``: there the null vectors move by up to u / s under a
-    rounding-sized shift of M_s - I, enough to move a fixed point's least
+    rounding-sized shift of R^T - I, enough to move a fixed point's least
     eigenvalue across ``TAU_PSD``, and an eigenvalue near 1 and a singular
     value near 0 may fall on opposite sides of ``TAU_EIG``.
     """
     if channel.channel_deviation > TAU_IDENTITY:
         return None, None
-    singular, basis = _fixed_space(channel)
+    singular, basis, _ = _fixed_space(channel)
     if np.any((singular > _SVD_BAND[0]) & (singular <= _SVD_BAND[1])):
         return None, None
     return singular, basis
@@ -269,17 +305,19 @@ def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np
 
 def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
                          eigs: np.ndarray | None = None) -> IrreducibilityEvidence:
-    """The vote of :func:`is_irreducible`; ``eigs`` is the spectrum of ``m_h``.
+    """The vote of :func:`is_irreducible`; ``eigs`` is the spectrum of ``channel``.
 
-    ``m_h`` is the Heisenberg matrix of ``channel`` and ``eigs`` the spectrum
-    of any matrix similar to it, in any order; pass both or neither.
+    ``eigs`` is the spectrum of any matrix similar to the channel's
+    Heisenberg matrix, in any order, and ``m_h``, when given, is that
+    Heisenberg matrix (it is built here only if the vote needs it).
 
     A trace-preserving channel (sum V_i^* V_i = 1 within ``TAU_IDENTITY``) has
     spectral radius 1 and semisimple peripheral eigenvalues (M. M. Wolf,
     *Quantum Channels & Operations: Guided Tour*, 2012, Prop. 6.2): the
     algebraic multiplicity of the eigenvalue 1 is dim ker(M_s - I), the
-    number of zero singular values of M_s - I.  So when such a channel's
-    SVD of M_s - I (shared with :func:`invariant_state`) has no singular
+    number of zero singular values of M_s - I, or of its real similar
+    R^T - I.  So when such a channel's SVD of R^T - I (shared with
+    :func:`invariant_state`) has no singular
     value in ``_SVD_BAND``, the dual fixed basis is its kernel, and with no
     spectrum given the radius is 1 and the multiplicity the number of
     singular values at or below ``TAU_EIG``: no general eigensolve.  The band
@@ -302,7 +340,7 @@ def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
         cluster = TAU_EIG * max(1.0, radius)
         multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
         if dual_basis is None:
-            m_s = m_h.conj().T
+            m_s = (superoperator_matrix(channel).matrix if m_h is None else m_h).conj().T
             dual_basis = _null_space(m_s - radius * np.eye(m_s.shape[0]))
     min_eig = _fixed_point_min_eigenvalue(dual_basis, channel.dim)
     faithful = min_eig > TAU_PSD
@@ -379,22 +417,29 @@ class MultiplicativeGap:
 
 
 def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap:
-    """Spectral gap of psi = phi_dagger phi, without raising on a reducible psi."""
+    """Spectral gap of psi = phi_dagger phi, without raising on a reducible psi.
+
+    The spectrum is that of the KMS-isometrized psi, W^(1/2) M_psi W^(-1/2)
+    with W the Gram matrix of the KMS product.  As psi = phi_dagger phi, that
+    is T^* T for the KMS-isometrized phi, T = W^(1/2) M_phi W^(-1/2), the
+    Heisenberg matrix of the Kraus family sigma^(-1/4) V_i sigma^(1/4).  T
+    preserves Hermiticity, so in Hermitian coordinates it is real, T^T T is
+    real symmetric and positive semidefinite, and its eigenvalues, clipped
+    at 0 against rounding, are psi's.
+    """
     psi = multiplicative_symmetrization(channel, sigma)
-    sup = superoperator_matrix(psi)
-    iso = kms_isometrized_matrix(sup, sigma)
-    eigs = np.sort(np.linalg.eigvalsh(_hermitize(iso)))
-    # psi is a positive KMS-selfadjoint contraction: clamp rounding noise
-    eigs = np.clip(eigs, 0.0, None)
-    note = ""
-    if eigs[0] < -1e-10:
-        note = f"negative eigenvalue {eigs[0]:.3e} clamped to 0"
+    s = state_matrix(sigma)
+    quarter, quarter_inv = state_power(s, 0.25), state_power(s, -0.25)
+    t = hermitian_coordinate_matrix(
+        kraus_superoperator_matrix([quarter_inv @ v @ quarter for v in channel.kraus]))
+    eigs = np.clip(np.linalg.eigvalsh(t.T @ t), 0.0, None)  # ascending
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
-    try:  # iso is similar to psi's Heisenberg matrix, so eigs is psi's spectrum
-        irreducible = _irreducibility_vote(psi, sup.matrix, eigs).irreducible
+    note = ""
+    try:  # T^T T is similar to psi's Heisenberg matrix, so eigs is psi's spectrum
+        irreducible = _irreducibility_vote(psi, eigs=eigs).irreducible
     except InconclusiveIrreducibilityError:
         irreducible = False
-        note = (note + "; " if note else "") + "irreducibility vote inconclusive"
+        note = "irreducibility vote inconclusive"
     return MultiplicativeGap(epsilon=epsilon, irreducible=irreducible, psi=psi,
                              eigenvalues=eigs, note=note)
 
@@ -448,16 +493,25 @@ def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
 # ---------------------------------------------------------------------------
 
 def centered_basis(sigma) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis of F = {x : tr(sigma x) = 0}."""
-    s = state_matrix(sigma)
-    row = vec(s).conj()[None, :]
-    return sla.null_space(row)
+    """Orthonormal basis of the Hermitian part of F = {x : tr(sigma x) = 0}, in coordinates.
+
+    A real (d^2, d^2 - 1) matrix of Hermitian coordinates: tr(sigma x) is the
+    dot product of the coordinates of sigma and x.  As a complex basis it
+    spans F, which is the complexification of its Hermitian part.
+    """
+    return sla.null_space(hermitian_coordinates(state_matrix(sigma))[None, :])
 
 
 def _centered_restriction(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Basis q of F and the matrix phi_F = q^* M q of the channel on it."""
+    """Basis q of F and the real matrix phi_F = q^T R q of the channel on it.
+
+    R is the channel's Heisenberg matrix in Hermitian coordinates.  q is an
+    orthonormal basis of F as a complex space too, so phi_F is unitarily
+    similar to the complex restriction in any orthonormal basis of F, with
+    the same spectral norms of its powers and of its resolvent.
+    """
     q = centered_basis(sigma)
-    return q, q.conj().T @ superoperator_matrix(channel).matrix @ q
+    return q, q.T @ hermitian_coordinate_matrix(superoperator_matrix(channel).matrix) @ q
 
 
 @dataclass(frozen=True)
@@ -690,56 +744,62 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
                     iterations: int, seed: int) -> float:
     """Heuristic maximizer of ||n_full(x)|| / ||x|| over selfadjoint centered x.
 
-    Projected ascent over sign matrices of the linearized objective from
-    ``restarts`` seeded random starts; every evaluated ratio is a true lower
-    bound on the sup-norm of the map ``n_full`` (vectorized form).
+    ``n_full`` is the map's real matrix in Hermitian coordinates, and the
+    iterates are rows of coordinates.  Projected ascent over sign matrices
+    of the linearized objective from ``restarts`` seeded random starts;
+    every evaluated ratio is a true lower bound on the sup-norm of the map.
+    The sup-norm of a Hermitian matrix is its largest |eigenvalue|, so the
+    norms come from ``eigvalsh``, or from the ``eigh`` the ascent takes.
 
-    The restarts advance in lock-step as one (restarts, d, d) stack, and the
-    result equals running them one after another: numpy's stacked matmul,
-    ``svd`` and ``eigh`` make the same BLAS/LAPACK call on each matrix, so a
-    restart's arithmetic touches only its own slice; a restart whose step
+    The restarts advance in lock-step as one (restarts, d^2) stack, and the
+    result equals running them one after another: the matrix-vector
+    products are a stacked ``matmul`` (one BLAS call per row), the stacked
+    ``eigh`` and ``eigvalsh`` make the same LAPACK call on each matrix, and
+    the other steps are elementwise or reduce each row on its own, so a
+    restart's arithmetic touches only its own row; a restart whose step
     falls below 1e-12 is frozen where a lone run would stop, so it only
     repeats ratios already taken; and ``best`` is a max, exact in any order.
     """
     if restarts == 0:
         return 0.0
     d = s.shape[0]
-    eye_d = np.eye(d)
-    n_adjoint = n_full.conj().T
+    n_adjoint = n_full.T
+    weights = hermitian_coordinates(s) / np.trace(s).real  # tr(s x) / tr(s) = weights . r
+    unit = hermitian_coordinates(np.eye(d))
 
-    def center(x: np.ndarray) -> np.ndarray:
-        trace = np.trace(s @ x, axis1=1, axis2=2) / np.trace(s)
-        return x - trace[:, None, None] * eye_d
+    def center(r: np.ndarray) -> np.ndarray:
+        return r - (r * weights).sum(axis=-1)[:, None] * unit
 
-    def apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # unvec(m @ vec(x)) of each slice, one matrix-vector product per slice
-        return unvec(np.matmul(m, vec(x)[..., None])[..., 0], d)
+    def apply(m: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return np.matmul(m, r[..., None])[..., 0]
 
-    def sup_norms(x: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(x, compute_uv=False)[:, 0]
+    def largest(w: np.ndarray) -> np.ndarray:
+        return np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
 
-    def ratio(x: np.ndarray, image: np.ndarray) -> float:
-        nx = sup_norms(x)
-        return float(np.max(np.where(nx < 1e-14, 0.0, sup_norms(image) / np.maximum(nx, 1e-14))))
+    def sup_norms(r: np.ndarray) -> np.ndarray:
+        return largest(np.linalg.eigvalsh(from_hermitian_coordinates(r, d)))
+
+    def ratio(nx: np.ndarray, n_image: np.ndarray) -> float:
+        return float(np.max(np.where(nx < 1e-14, 0.0, n_image / np.maximum(nx, 1e-14))))
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((restarts, 2, d, d))  # per restart: real, then imaginary
-    x = center(_hermitize(z[:, 0] + 1j * z[:, 1]))
+    r = center(hermitian_coordinates(z[:, 0] + 1j * z[:, 1]))
     active, rows = np.ones(restarts, dtype=bool), np.arange(restarts)
     best = 0.0
     for _ in range(iterations):
-        image = apply(n_full, x)
-        best = max(best, ratio(x, image))
-        w, u = np.linalg.eigh(_hermitize(image))
+        w, u = np.linalg.eigh(from_hermitian_coordinates(apply(n_full, r), d))
+        best = max(best, ratio(sup_norms(r), largest(w)))
         k = np.argmax(np.abs(w), axis=1)
         top = u[rows, :, k]
         lead = top[:, :, None] * top.conj()[:, None, :] * np.sign(w[rows, k])[:, None, None]
-        x_new = center(_sign_matrix(_hermitize(apply(n_adjoint, lead))))
-        active &= ~(sup_norms(x_new - x) < 1e-12)
+        ascent = from_hermitian_coordinates(apply(n_adjoint, hermitian_coordinates(lead)), d)
+        r_new = center(hermitian_coordinates(_sign_matrix(ascent)))
+        active &= ~(sup_norms(r_new - r) < 1e-12)
         if not active.any():
             break
-        x = np.where(active[:, None, None], x_new, x)
-    return max(best, ratio(x, apply(n_full, x)))
+        r = np.where(active[:, None], r_new, r)
+    return max(best, ratio(sup_norms(r), sup_norms(apply(n_full, r))))
 
 
 def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
@@ -754,7 +814,7 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
     """
     s = state_matrix(sigma)
     q, inv_f, certified = _certified_resolvent(channel, s)
-    n_full = q @ inv_f @ q.conj().T  # acts as (Id-phi)^(-1) P_F in vectorized form
+    n_full = q @ inv_f @ q.T  # (Id-phi)^(-1) P_F in Hermitian coordinates
     best = _lower_estimate(s, n_full, 64, _ASCENT_ITERATIONS, 0)
     # both bracket the same quantity; rounding can make them cross at the
     # fully degenerate point where the norm is exactly 1
@@ -803,12 +863,12 @@ def _poisson(channel: KrausChannel, f_target, s: np.ndarray, resolvent: tuple,
     q, phi_f, inv_f = resolvent
     if _is_singular(np.eye(phi_f.shape[0]) - phi_f, inv_f):
         raise HypothesisError(_SINGULAR)
-    rhs = q.conj().T @ vec(f)
+    # F = F_1 + i F_2 with F_1, F_2 Hermitian: one real column of coordinates each
+    rhs = q.T @ np.stack([hermitian_coordinates(f), hermitian_coordinates(-1j * f)], axis=1)
     z = inv_f @ rhs
     z += inv_f @ (rhs - (z - phi_f @ z))  # one refinement step: a solve's residual
-    a = unvec(q @ z, channel.dim)
-    if is_selfadjoint(f, 1e-10):
-        a = _hermitize(a)
+    parts = from_hermitian_coordinates((q @ z).T, channel.dim)
+    a = parts[0] if is_selfadjoint(f, 1e-10) else parts[0] + 1j * parts[1]
     residual = float(np.max(np.abs((a - channel.heisenberg(a)) - f)))
     if residual > 1e-10 * scale:
         raise HypothesisError(
@@ -952,20 +1012,18 @@ _SPLIT_ATTEMPTS = 32  # random fixed points drawn before the split gives up
 def _split_once(channel: KrausChannel, seed: int) -> list[np.ndarray]:
     """Isometries of the invariant blocks found from one random fixed point.
 
-    When the eigenvalues of the drawn fixed point collide into one group, the
-    draw is retried with seeds ``seed + 1, seed + 2, ...``, at most
+    The fixed points are the Heisenberg ones of :func:`_fixed_space`, whose
+    SVD a leaf block's vote and invariant state then share.  When the
+    eigenvalues of the drawn fixed point collide into one group, the draw is
+    retried with seeds ``seed + 1, seed + 2, ...``, at most
     ``_SPLIT_ATTEMPTS`` draws in all.
     """
-    m_h = superoperator_matrix(channel).matrix
-    basis = _null_space(m_h - np.eye(m_h.shape[0]))
+    basis = _fixed_space(channel)[2]
     if basis.shape[1] <= 1:
         return [np.eye(channel.dim, dtype=complex)]
-    parts = _hermitian_parts(basis, channel.dim)
+    fixed = unvec(basis.T, channel.dim)  # Hermitian fixed points
     for attempt in range(seed, seed + _SPLIT_ATTEMPTS):
-        rng = np.random.default_rng(attempt)
-        y = np.zeros((channel.dim, channel.dim), dtype=complex)
-        for re_part, im_part in parts:
-            y += rng.standard_normal() * re_part + rng.standard_normal() * im_part
+        y = np.tensordot(np.random.default_rng(attempt).standard_normal(len(fixed)), fixed, 1)
         w, u = np.linalg.eigh(y)
         scale = max(1.0, float(np.max(np.abs(w))))
         groups = _group_eigenvalues(w, TAU_DEC * scale)
@@ -987,32 +1045,35 @@ def decompose_invariant_subspaces(channel: KrausChannel) -> InvariantDecompositi
     Fixed points of the Heisenberg action span the invariant projections when
     a faithful invariant state exists; a random selfadjoint fixed point is
     spectrally split at resolution ``TAU_DEC`` and the blocks are refined
-    recursively until each restricted channel is irreducible.
+    recursively until each restricted channel is irreducible.  Every block is
+    restricted from ``channel`` through its whole isometry, so a leaf's
+    channel object is the block's, and its one SVD serves the split, the
+    vote and the invariant state.
     """
     faithful_fixed_point(channel)  # raises if positive recurrence fails
 
-    blocks: list[np.ndarray] = []
+    blocks: list[tuple[np.ndarray, KrausChannel]] = []
 
     def refine(isometry: np.ndarray, sub: KrausChannel, depth: int):
         if depth > channel.dim:
             raise HypothesisError("invariant-subspace refinement failed to terminate")
         parts = _split_once(sub, 11 + depth)
         if len(parts) == 1:
-            blocks.append(isometry)
+            blocks.append((isometry, sub))
             return
         for part in parts:
-            refine(isometry @ part, _restrict(sub, part), depth + 1)
+            refine(isometry @ part, _restrict(channel, isometry @ part), depth + 1)
 
     refine(np.eye(channel.dim, dtype=complex), channel, 0)
-    blocks.sort(key=lambda u: (int(np.argmax(np.abs(u[:, 0]) > 1e-8)), -u.shape[1]))
+    blocks.sort(key=lambda block: (int(np.argmax(np.abs(block[0][:, 0]) > 1e-8)),
+                                   -block[0].shape[1]))
 
     projections, restricted, states = [], [], []
     residual = 0.0
-    for u in blocks:
+    for u, sub in blocks:
         p = u @ u.conj().T
         for v in channel.kraus:
             residual = max(residual, float(np.max(np.abs(v @ p - p @ v))))
-        sub = _restrict(channel, u)
         evidence = _irreducibility_vote(sub)  # shares its SVD with invariant_state(sub)
         if not evidence.irreducible:
             raise HypothesisError("restricted block is not irreducible after refinement")
@@ -1026,7 +1087,7 @@ def decompose_invariant_subspaces(channel: KrausChannel) -> InvariantDecompositi
         raise HypothesisError(
             f"commutation residual {residual:.3e} exceeds {TAU_DEC:g}; blocks not invariant")
     return InvariantDecomposition(projections=tuple(projections),
-                                  isometries=tuple(blocks),
+                                  isometries=tuple(u for u, _ in blocks),
                                   restricted_channels=tuple(restricted),
                                   block_states=tuple(states),
                                   commutation_residual=residual)

@@ -1,18 +1,39 @@
-"""Reference oracles for the lattice DP, sharing no code with its kernel.
+"""Reference computations that share no code with what the tests compare them to.
 
 The DP in ``qmcbounds.trajectory`` and ``qmcbounds.classical`` computes
 exact score laws on an integer lattice; these references compute the same
-quantities another way, so the tests compare against them:
+quantities another way:
 
 * a batched enumeration over all |I|^n outcome sequences of a channel;
 * the moment generating function of a chain's flux from powers of the tilted
   transition matrix.
+
+The spectral layer factorises real matrices in Hermitian coordinates; the
+complex column-stacking computations it replaced are kept here:
+
+* the invariant state from the SVD of M_s - I;
+* the restriction q^* M q to F = {tr(sigma x) = 0} in a complex orthonormal
+  basis of F, with its resolvent, which are the certified chain's inputs;
+* the gap of psi from ``eigvalsh`` of the complex KMS-isometrized psi;
+* the heuristic lower estimate on complex matrices;
+* the Poisson solution from the complex restriction.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from qmcbounds.classical import MarkovChain, flux_matrix
-from qmcbounds.operators import KrausChannel, dagger, observation_vector, state_matrix
+from qmcbounds.operators import (
+    KrausChannel,
+    dagger,
+    kms_isometrized_matrix,
+    observation_vector,
+    state_matrix,
+    superoperator_matrix,
+    unvec,
+    vec,
+)
+from qmcbounds.spectral import multiplicative_symmetrization
 
 
 def enumeration_batches(channel: KrausChannel, rho0, nums: np.ndarray, n: int,
@@ -70,3 +91,79 @@ def flux_mgf(chain: MarkovChain, nu, f, n: int, u: float) -> float:
     for _ in range(n):
         vec_ = p_u @ vec_
     return float(np.asarray(nu, dtype=float) @ vec_)
+
+
+def hermitize(x: np.ndarray) -> np.ndarray:
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+def complex_invariant_state(channel: KrausChannel) -> np.ndarray:
+    """The fixed state from the null vector of the complex M_s - I, at unit trace."""
+    m_s = superoperator_matrix(channel).matrix.conj().T
+    _, _, vh = np.linalg.svd(m_s - np.eye(m_s.shape[0]))
+    x = hermitize(unvec(vh[-1].conj(), channel.dim))
+    return x / float(np.trace(x).real)
+
+
+def complex_resolvent(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, phi_F, (Id - phi_F)^(-1)) with q a complex orthonormal basis of F."""
+    q = sla.null_space(vec(state_matrix(sigma)).conj()[None, :])
+    phi_f = q.conj().T @ superoperator_matrix(channel).matrix @ q
+    eye_f = np.eye(phi_f.shape[0])
+    return q, phi_f, np.linalg.solve(eye_f - phi_f, eye_f)
+
+
+def complex_psi_gap(channel: KrausChannel, sigma) -> float:
+    """1 - lambda_2 from eigvalsh of the complex KMS-isometrized psi."""
+    psi = multiplicative_symmetrization(channel, sigma)
+    iso = kms_isometrized_matrix(superoperator_matrix(psi), sigma)
+    eigs = np.clip(np.sort(np.linalg.eigvalsh(hermitize(iso))), 0.0, None)
+    return float(1.0 - eigs[-2])
+
+
+def complex_lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
+                           iterations: int, seed: int) -> float:
+    """The heuristic lower estimate on complex d x d matrices, n_full in vec form."""
+    d = s.shape[0]
+    n_adjoint = n_full.conj().T
+
+    def center(x):
+        return x - (np.trace(s @ x, axis1=1, axis2=2) / np.trace(s))[:, None, None] * np.eye(d)
+
+    def apply(m, x):
+        return unvec(np.matmul(m, vec(x)[..., None])[..., 0], d)
+
+    def sup_norms(x):
+        return np.linalg.svd(x, compute_uv=False)[:, 0]
+
+    def ratio(x, image):
+        nx = sup_norms(x)
+        return float(np.max(np.where(nx < 1e-14, 0.0, sup_norms(image) / np.maximum(nx, 1e-14))))
+
+    def sign_matrix(g):
+        w, u = np.linalg.eigh(hermitize(g))
+        return (u * np.where(w >= 0.0, 1.0, -1.0)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, d, d))
+    x = center(hermitize(z[:, 0] + 1j * z[:, 1]))
+    active, rows, best = np.ones(restarts, dtype=bool), np.arange(restarts), 0.0
+    for _ in range(iterations):
+        image = apply(n_full, x)
+        best = max(best, ratio(x, image))
+        w, u = np.linalg.eigh(hermitize(image))
+        k = np.argmax(np.abs(w), axis=1)
+        top = u[rows, :, k]
+        lead = top[:, :, None] * top.conj()[:, None, :] * np.sign(w[rows, k])[:, None, None]
+        x_new = center(sign_matrix(hermitize(apply(n_adjoint, lead))))
+        active &= ~(sup_norms(x_new - x) < 1e-12)
+        if not active.any():
+            break
+        x = np.where(active[:, None, None], x_new, x)
+    return max(best, ratio(x, apply(n_full, x)))
+
+
+def complex_poisson_solve(channel: KrausChannel, f: np.ndarray, sigma) -> np.ndarray:
+    """The centered solution of (Id - phi)(A) = F for a Hermitian centered F."""
+    q, phi_f, _ = complex_resolvent(channel, sigma)
+    z = np.linalg.solve(np.eye(phi_f.shape[0]) - phi_f, q.conj().T @ vec(f))
+    return hermitize(unvec(q @ z, channel.dim))

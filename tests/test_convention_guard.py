@@ -1,9 +1,14 @@
-"""Only ``operators.py`` builds the matrix of a map.
+"""Only ``operators.py`` builds the matrix of a map or the Hermitian coordinates.
 
 Every other module takes its superoperator matrices, Hermitian coordinates
 and Kraus-family checks from ``operators.py``, so the vectorization
 convention has one owner.  A ``kron`` call anywhere else would be a second
-construction.  The modules are read with ``ast``; nothing is imported.
+construction.  So would a use of ``hermitian_basis`` or of the coordinate
+frame's gather (``_frame``, ``triu_indices``, the factor sqrt(1/2)): the
+other modules convert through ``hermitian_coordinates``,
+``from_hermitian_coordinates`` and ``hermitian_coordinate_matrix``.  The
+modules are read with ``ast``, so docstrings do not count; nothing is
+imported.
 """
 
 import ast
@@ -12,15 +17,37 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qmcbounds"
 
 
-def test_only_operators_calls_kron():
-    calls = []
+def other_modules():
+    """(file name, ast node) of every node outside ``operators.py``."""
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "operators.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name == "kron":
-                    calls.append(f"{path.name}:{node.lineno}")
+        if path.name != "operators.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                yield path.name, node
+
+
+def called(node) -> str:
+    """The name a call node calls, or ""."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_only_operators_calls_kron():
+    calls = [f"{name}:{node.lineno}" for name, node in other_modules() if called(node) == "kron"]
     assert calls == []
+
+
+def test_only_operators_builds_hermitian_coordinates():
+    frame = {"hermitian_basis", "_frame", "triu_indices"}
+    found = []
+    for name, node in other_modules():
+        used = (node.id if isinstance(node, ast.Name) else node.attr
+                if isinstance(node, ast.Attribute) else node.name
+                if isinstance(node, ast.alias) else None)
+        if used in frame:
+            found.append(f"{name}:{node.lineno if hasattr(node, 'lineno') else '?'} {used}")
+        if called(node) == "sqrt" and node.args and isinstance(node.args[0], ast.Constant) \
+                and node.args[0].value in (0.5, 2):
+            found.append(f"{name}:{node.lineno} sqrt({node.args[0].value})")
+    assert found == []

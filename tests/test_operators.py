@@ -13,7 +13,9 @@ from qmcbounds.operators import (
     NotSelfadjointError,
     ObservationFunction,
     Superoperator,
+    from_hermitian_coordinates,
     hermitian_basis,
+    hermitian_coordinate_matrix,
     hermitian_coordinates,
     hermitian_superoperator_matrix,
     kms_adjoint,
@@ -294,6 +296,27 @@ class TestHermitianCoordinates:
                                hermitian_coordinates(channel.heisenberg(x)), atol=1e-12)
             back = np.einsum("b,bpq->pq", r, hermitian_basis(channel.dim))
             assert np.allclose(back, x, atol=1e-12)
+
+    def test_coordinate_matrix_is_the_unitary_change_of_basis(self, ring):
+        """U^* M U with U the vec(B_b) columns; real coordinates give Hermitian matrices."""
+        rng = np.random.default_rng(6)
+        for channel in self.channels(ring):
+            d = channel.dim
+            u = vec(hermitian_basis(d)).T
+            assert np.allclose(u.conj().T @ u, np.eye(d * d), atol=1e-15)
+            m = superoperator_matrix(channel).matrix
+            r = hermitian_coordinate_matrix(m)
+            assert r.dtype == float and np.max(np.abs((u.conj().T @ m @ u).imag)) < 1e-14
+            assert np.allclose(r, (u.conj().T @ m @ u).real, atol=1e-14)
+            x = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+            coordinates = hermitian_coordinates(x) + 1j * hermitian_coordinates(-1j * x)
+            assert np.allclose(from_hermitian_coordinates(coordinates, d), x, atol=1e-14)
+            h = from_hermitian_coordinates(hermitian_coordinates(x), d)
+            assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+            assert np.allclose(h, (x + x.conj().swapaxes(-1, -2)) / 2, atol=1e-14)
+            images = np.stack([channel.heisenberg(y) for y in h])
+            assert np.allclose(hermitian_coordinates(h) @ r.T, hermitian_coordinates(images),
+                               atol=1e-13)
 
     @pytest.mark.parametrize("generator", ["qubit_gen", "poisson_gen", 0, 1, 2, 3, 4])
     def test_no_jump_matrix_is_the_old_kron(self, generator, request):

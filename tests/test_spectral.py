@@ -29,6 +29,9 @@ from qmcbounds.operators import (
     DensityMatrix,
     GKLSGenerator,
     KrausChannel,
+    from_hermitian_coordinates,
+    hermitian_coordinate_matrix,
+    hermitian_coordinates,
     kms_isometrized_matrix,
     superoperator_matrix,
     uniform_norm,
@@ -113,16 +116,20 @@ FIXED_POINT_CASES = [f"seed{seed}" for seed in range(24)] + ["two-block"]
 
 class TestFixedPointsFromTheHeisenbergMatrix:
     """The fixed points read off the conjugate transpose of the Heisenberg
-    matrix equal, bit for bit, those read off a Schroedinger matrix built apart."""
+    matrix equal, bit for bit, those read off a Schroedinger matrix built apart.
+    The invariant state is read off the predual's real matrix R^T in Hermitian
+    coordinates, R the Heisenberg matrix's."""
 
     @pytest.mark.parametrize("name", FIXED_POINT_CASES)
     def test_channel_fixed_points(self, name):
         channel = two_block_ring()[0] if name == "two-block" else seeded_channel(int(name[4:]))
         m_s = schrodinger_matrix(channel)
         assert np.array_equal(superoperator_matrix(channel).matrix.conj().T, m_s)
-        basis = spectral._null_space(m_s - np.eye(m_s.shape[0]))
+        r_s = hermitian_coordinate_matrix(m_s.conj().T).T
+        basis = spectral._null_space(r_s - np.eye(r_s.shape[0]))
         if basis.shape[1] == 1:
-            expected = DensityMatrix(normalized_fixed_point(basis[:, 0], channel.dim)).matrix
+            fixed = vec(from_hermitian_coordinates(basis[:, 0], channel.dim))
+            expected = DensityMatrix(normalized_fixed_point(fixed, channel.dim)).matrix
             assert np.array_equal(invariant_state(channel).matrix, expected)
         else:
             with pytest.raises(FixedSpaceError):
@@ -529,39 +536,43 @@ class TestCertifiedChain:
 def sequential_lower_estimate(s, n_full, restarts, iterations, seed):
     """The heuristic lower estimate run one restart after another.
 
-    Returns the estimate and, per restart, the iteration at which it stopped
-    (None if it ran all ``iterations``).
+    ``n_full`` is the map's real matrix in Hermitian coordinates and each
+    iterate a vector of coordinates.  Returns the estimate and, per restart,
+    the iteration at which it stopped (None if it ran all ``iterations``).
     """
     d = s.shape[0]
+    weights = hermitian_coordinates(s) / np.trace(s).real
+    unit = hermitian_coordinates(np.eye(d))
 
-    def center(x):
-        return x - (np.trace(s @ x) / np.trace(s)) * np.eye(d)
+    def center(r):
+        return r - (r * weights).sum() * unit
 
-    def ratio(x):
-        nx = uniform_norm(x)
-        return 0.0 if nx < 1e-14 else uniform_norm(unvec(n_full @ vec(x), d)) / nx
+    def norm(r):
+        w = np.linalg.eigvalsh(from_hermitian_coordinates(r, d))
+        return max(abs(w[0]), abs(w[-1]))
 
-    def hermitize(x):
-        return (x + x.conj().T) / 2
+    def ratio(nx, n_image):
+        return 0.0 if nx < 1e-14 else n_image / nx
 
     rng = np.random.default_rng(seed)
     best, stops = 0.0, []
     for _ in range(restarts):
         stops.append(None)
-        x = center(hermitize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+        r = center(hermitian_coordinates(rng.standard_normal((d, d))
+                                         + 1j * rng.standard_normal((d, d))))
         for it in range(iterations):
-            best = max(best, ratio(x))
-            w, u = np.linalg.eigh(hermitize(unvec(n_full @ vec(x), d)))
+            w, u = np.linalg.eigh(from_hermitian_coordinates(n_full @ r, d))
+            best = max(best, ratio(norm(r), max(abs(w[0]), abs(w[-1]))))
             k = int(np.argmax(np.abs(w)))
             lead = np.outer(u[:, k], u[:, k].conj()) * np.sign(w[k])
-            g = hermitize(unvec(n_full.conj().T @ vec(lead), d))
-            w, u = np.linalg.eigh(hermitize(g))
-            x_new = center((u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T)
-            if uniform_norm(x_new - x) < 1e-12:
+            g = from_hermitian_coordinates(n_full.T @ hermitian_coordinates(lead), d)
+            w, u = np.linalg.eigh((g + g.conj().T) / 2)
+            r_new = center(hermitian_coordinates((u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T))
+            if norm(r_new - r) < 1e-12:
                 stops[-1] = it
                 break
-            x = x_new
-        best = max(best, ratio(x))
+            r = r_new
+        best = max(best, ratio(norm(r), norm(n_full @ r)))
     return best, stops
 
 
@@ -586,7 +597,7 @@ class TestLowerEstimate:
     def test_lock_step_equals_sequential(self, name, restarts):
         channel, sigma = lock_step_case(name)
         q, inv_f, _ = spectral._certified_resolvent(channel, sigma)
-        n_full = q @ inv_f @ q.conj().T
+        n_full = q @ inv_f @ q.T
         expected, stops = sequential_lower_estimate(sigma, n_full, restarts, 8, 0)
         assert spectral._lower_estimate(sigma, n_full, restarts, 8, 0) == expected
         if name == "early-stop" and restarts == 8:
@@ -762,14 +773,15 @@ class TestVoteOnTheFixedPointSVD:
 
 
 def svd_tested_poisson_solve(channel, f, sigma, certified_upper):
-    """``poisson_solve`` as it was: an SVD tests singularity, then its own solve."""
+    """``poisson_solve`` as it was: an SVD tests singularity, then its own solve,
+    on the restriction in Hermitian coordinates."""
     q, phi_f = _centered_restriction(channel, sigma)
     system = np.eye(phi_f.shape[0]) - phi_f
     values = np.linalg.svd(system, compute_uv=False)
     if values[-1] <= 1e-10 * max(values[0], 1.0):
         raise HypothesisError("channel is reducible: Id - phi is singular on the centered subspace")
-    a = unvec(q @ np.linalg.solve(system, q.conj().T @ vec(f)), channel.dim)
-    a = (a + a.conj().T) / 2  # f is Hermitian
+    coordinates = q @ np.linalg.solve(system, q.T @ hermitian_coordinates(f))
+    a = from_hermitian_coordinates(coordinates, channel.dim)  # f is Hermitian, so is a
     residual = float(np.max(np.abs((a - channel.heisenberg(a)) - f)))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(f)))):
         raise HypothesisError(f"Poisson residual {residual:.3e} exceeds tolerance")
@@ -834,11 +846,10 @@ class TestOneFixedPointFactorisation:
         dec = decompose_invariant_subspaces(channel)
         assert calls["eigvals"] == []
         for sub in dec.restricted_channels:
-            m_s = superoperator_matrix(sub).matrix.conj().T
-            assert sum(np.array_equal(m, m_s - np.eye(9)) for m in calls["svd"]) == 1
-        # besides those: the split's SVD of the Heisenberg matrix, of the whole
-        # channel and of each leaf
-        assert [m.shape for m in calls["svd"] if m.shape[0] > 3] == [(36, 36)] + [(9, 9)] * 4
+            r = hermitian_coordinate_matrix(superoperator_matrix(sub).matrix)
+            assert sum(np.array_equal(m, r.T - np.eye(9)) for m in calls["svd"]) == 1
+        # besides those: the whole channel's, whose left null vectors give the split
+        assert [m.shape for m in calls["svd"] if m.shape[0] > 3] == [(36, 36)] + [(9, 9)] * 2
 
 
 class TestPoisson:

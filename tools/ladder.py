@@ -2,14 +2,15 @@
 
 Run from the root of a source checkout:
 
-    python tools/ladder.py --out BENCH_16.json --parent /path/to/parent/checkout
+    python tools/ladder.py --out BENCH_18.json --parent /path/to/parent/checkout
 
 Each source tree (this one, and the optional parent checkout) is timed in
 child processes, which import ``qmcbounds`` from that tree's ``src/``.  The
 channels are ``fixtures.random_channel(d, 3, 101)`` with payoff (i mod 3) - 1
 on label i, for d in ``DIMS``.  Every call gets a channel object of its own,
 built before the clock starts, so nothing a call memoizes on a channel
-serves a later one.  One child makes one pass: a warm-up call of every layer
+serves a later one; ``bernstein_constants`` and ``pseudoresolvent_norm`` get
+the invariant state, computed on another object.  One child makes one pass: a warm-up call of every layer
 at the smallest d, then one timed call of each layer at each d, and for the
 certified chain and ``hoeffding_constants`` one more untimed call that
 counts the chain's SVD norms (``np.linalg.norm(a, 2)`` calls), the general
@@ -92,7 +93,7 @@ def _layers(d: int) -> dict:
     import numpy as np
 
     from qmcbounds import spectral
-    from qmcbounds.bounds import hoeffding_constants
+    from qmcbounds.bounds import bernstein_constants, hoeffding_constants
 
     channel = _channel(d)
     payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
@@ -106,6 +107,8 @@ def _layers(d: int) -> dict:
         "multiplicative_gap_report": lambda ch: spectral.multiplicative_gap_report(ch, sigma),
         "certified_chain": lambda ch: spectral._certified_sup_norm_chain(phi_f, inv_f, d),
         "hoeffding_constants": lambda ch: hoeffding_constants(ch, payoff),
+        "bernstein_constants": lambda ch: bernstein_constants(ch, payoff, sigma=sigma),
+        "pseudoresolvent_norm": lambda ch: spectral.pseudoresolvent_norm(ch, sigma),
     }
 
 
