@@ -402,13 +402,8 @@ def kraus_family_deviation(ops: Sequence[np.ndarray], reference: Sequence[np.nda
 def hermitian_basis(d: int) -> np.ndarray:
     """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first.
 
-    The units are E_pp, then (E_pq + E_qp) / sqrt(2) and then
-    i (E_qp - E_pq) / sqrt(2) for the pairs p < q in row-major order.  The
-    basis is orthonormal in the Hilbert-Schmidt product and also a basis of
-    all d x d complex matrices, so the matrix U whose columns are the
-    vec(B_b) is unitary, and a map that preserves Hermiticity, with
-    column-stacking matrix M, has the real matrix U^* M U in these
-    coordinates (:func:`hermitian_coordinate_matrix`).
+    E_pp, then (E_pq + E_qp) / sqrt(2), then i (E_qp - E_pq) / sqrt(2), for
+    the pairs p < q in row-major order.
     """
     e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
     pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
@@ -435,6 +430,7 @@ def hermitian_coordinates(x: np.ndarray) -> np.ndarray:
     For a Hermitian x these are its coordinates; otherwise they are those of
     its Hermitian part (x + x^*) / 2.
     """
+    # contiguous rows: numpy then sums each row of a stack as it sums one row
     return np.ascontiguousarray(_frame(vec(x), x.shape[-1], -1j).real)
 
 
@@ -458,11 +454,14 @@ def from_hermitian_coordinates(r: np.ndarray, d: int) -> np.ndarray:
 def hermitian_coordinate_matrix(m: np.ndarray) -> np.ndarray:
     """The real matrix U^* m U of a Hermiticity-preserving map in :func:`hermitian_basis`.
 
-    ``m`` is the map's column-stacking d^2 x d^2 matrix.  U is unitary, so
-    the result is similar to ``m``: the same eigenvalues and singular values.
-    Its imaginary part is rounding (about 1e-17) and is dropped.  For a
-    channel's Heisenberg matrix R, the predual's matrix in the same
-    coordinates is R^T, the adjoint in a real orthonormal basis.
+    ``m`` is the map's column-stacking d^2 x d^2 matrix and U the matrix of
+    the columns vec(B_b).  The basis is orthonormal and also a basis of all
+    d x d complex matrices, so U is unitary and the result has the
+    eigenvalues and singular values of ``m``; it is real because the map
+    sends the Hermitian B_b to Hermitian matrices, and its imaginary part
+    (rounding, about 1e-17) is dropped.  For a channel's Heisenberg matrix
+    R, the predual's matrix in the same coordinates is R^T, the adjoint in a
+    real orthonormal basis.
     """
     d = math.isqrt(m.shape[0])
     return _frame(_frame(m, d, 1j).T, d, -1j).T.real

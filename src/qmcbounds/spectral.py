@@ -17,13 +17,12 @@ which is surfaced as an error instead of silently resolved.
 
 The dense d^2 x d^2 factorisations of a Kraus channel run in real
 arithmetic.  Every map here preserves Hermiticity (phi, psi, the KMS
-weights and (Id - phi)^(-1) on F), so in the orthonormal Hermitian basis
-of :func:`operators.hermitian_basis` its matrix R is real.  That basis is
-also a complex basis of all d x d matrices and the change of basis is
-unitary, so R and the complex column-stacking matrix share every
-eigenvalue and singular value, and the predual's matrix in the same
-coordinates is R^T.  F = {tr(sigma x) = 0} is the complexification of its
-Hermitian part, so a restriction to F is a real matrix too.
+weights and (Id - phi)^(-1) on F), so its matrix R in Hermitian
+coordinates is real and unitarily similar to the complex one
+(:func:`operators.hermitian_coordinate_matrix`): the same eigenvalues and
+singular values, with the predual's matrix R^T.  F = {tr(sigma x) = 0} is
+the complexification of its Hermitian part, so a restriction to F is a
+real matrix too.
 """
 
 from __future__ import annotations
@@ -568,8 +567,9 @@ def _power_terms(phi_f: np.ndarray, root_d: float):
     when ``exact`` (the identity term, every term of a matrix with fewer
     than ``_SVD_BELOW`` rows, and every term proved to be 1), and a lower
     bound on it otherwise.  The powers start from an identity of
-    ``phi_f.dtype``, so a real matrix (a classical chain) is multiplied in
-    real arithmetic, and every caller gets the same matrices.
+    ``phi_f.dtype``, so a real matrix (a classical chain, or a channel in
+    Hermitian coordinates) is multiplied in real arithmetic, and every
+    caller gets the same matrices.
     """
     power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
     term, exact, v = 1.0, True, None

@@ -35,7 +35,6 @@ from qmcbounds.operators import (
     kms_isometrized_matrix,
     superoperator_matrix,
     uniform_norm,
-    unvec,
     vec,
 )
 from qmcbounds.spectral import (
