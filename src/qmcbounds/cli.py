@@ -113,7 +113,6 @@ from .trajectory import (
     EmpiricalTail,
     FilterCollapseError,
     LatticeError,
-    SurvivalMonotonicityError,
     counting_counts,
     _counting_chunks,
     _discrete_tails,
@@ -490,7 +489,15 @@ def _flux(args, model: Model) -> _Plan:
     ber = flux_bernstein_constants(chain, nu, f, sigma)
     hoe = flux_hoeffding_constants(chain, f, sigma)
     mean = _centered_flux(chain, f, sigma)[0]
-    laws = cache(lambda: _flux_laws(chain, nu, f, ns))  # one DP pass, at the first tail
+
+    @cache
+    def laws():  # one DP pass, at the first tail
+        try:
+            return _flux_laws(chain, nu, f, ns)
+        except LatticeError as exc:
+            raise InfeasibleError(f"exact flux tail is infeasible: {exc}; flux has no "
+                                  f"Monte Carlo oracle") from exc
+
     return _Plan(ns, [[_rows(flux_bernstein_bound, ber, args.two_sided),
                        _rows(flux_hoeffding_bound, hoe, args.two_sided)]],
                  lambda n, gammas: [laws()[n].tail(mean + gamma) for gamma in gammas])
@@ -802,8 +809,8 @@ def main(argv=None) -> int:
             NotFaithfulError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (FilterCollapseError, SurvivalMonotonicityError, LatticeError,
-            OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FilterCollapseError, LatticeError, OverflowError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InfeasibleError as exc:

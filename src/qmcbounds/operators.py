@@ -374,12 +374,6 @@ def gkls_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
     return m
 
 
-def no_jump_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
-    """Heisenberg matrix of the no-jump generator x -> G^* x + x G."""
-    g, eye = gen.no_jump_generator_matrix, np.eye(gen.dim)
-    return np.kron(eye, dagger(g)) + np.kron(g.T, eye)
-
-
 def superoperator_matrix(mapping) -> Superoperator:
     """Heisenberg matrix of a KrausChannel or GKLSGenerator; a Superoperator passes through."""
     if isinstance(mapping, Superoperator):

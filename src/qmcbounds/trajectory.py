@@ -1,28 +1,29 @@
 """Sampling and exact tail computation for measurement output processes.
 
-Discrete-time trajectories are sampled by drawing outcome i with probability
-tr(W_i(rho)) and updating the conditional state through the filter
-rho -> W_i(rho) / tr(...), where W_i(rho) = sum_W W rho W^* over the Kraus
-operators of outcome i.  A batch of states is a (batch, d^2) array of rows
-vec(rho) (column stacking, :func:`operators.vec`), and each outcome is one
-d^2 x d^2 matrix acting on them from the right, however many operators it
-has.  The effect columns of those matrices give every outcome probability
-of the batch in one product, and the update is one product per picked
-outcome.  One filter step serves Kraus channels, per-step unravellings and
-counting jumps alike: a channel is its standard unravelling (one operator
-per outcome) at every step, and the jump operators of a generator are one
-more such family.  Tails at several deviations come from one pass over the
-trajectories, and the CLI's dump records are the very trajectories behind
-the tails it reports.
+The samplers unravel states into state vectors (Dalibard, Castin & Molmer
+1992).  A trajectory starts from an eigenvector e_j of rho0 = sum_j p_j
+e_j e_j^*, drawn with weight p_j, so that the trajectories average to rho0
+and their outcomes have rho0's law.  A filter step applies every Kraus
+operator V_k of the step to psi, draws one with weight |V_k psi|^2,
+reports its outcome and moves to V_k psi / |V_k psi|; an outcome of
+several operators is the mixture of its operators' branches, so its
+probability is tr(W_i(rho)) as for the density filter
+rho -> W_i(rho) / tr(...).  A batch is a (batch, d) array of rows psi, and
+one step is one (batch, d) @ (d, K d) product over the K operators, in
+real arithmetic when the operators and rho0 are real.  One filter step
+serves Kraus channels, per-step unravellings and counting jumps alike: a
+channel is its standard unravelling (one operator per outcome) at every
+step, and the jump operators of a generator are one more such family.
+Tails at several deviations come from one pass over the trajectories, and
+the CLI's dump records are the very trajectories behind the tails it
+reports.
 
-Continuous-time counting records use jump / no-jump sampling on the same
-rows: the waiting time solves survival(tau) = tr(exp(tau G) rho exp(tau G)^*)
-= u, a sum of exponentials in the eigenbasis of the no-jump semigroup, by a
-safeguarded Newton iteration (the derivative reuses the same exponentials)
-inside a bracket that every evaluation narrows, down to a relative width of
-``_WAIT_REL_TOL``; the jump label is drawn proportionally to the detector
-intensities tr(L_i rho L_i^*) and the state is reset through the jump map,
-both by the filter step of the discrete samplers.
+Continuous-time counting records are drawn by thinning (Lewis & Shedler
+1979; Ogata 1981): proposals at the rate Lambda = lambda_max(sum_i L_i^*
+L_i), which bounds the jump intensity sum_i |L_i psi|^2 of every unit
+vector, between which psi follows the no-jump evolution e^{tau G} psi in
+the d x d eigenbasis of G; a proposal is a jump with probability
+intensity / Lambda, and its label is drawn by the filter step.
 
 Randomness comes from counter-based Philox streams keyed as
 ``(master_seed, trajectory_index)``: every trajectory owns its stream, so
@@ -37,8 +38,7 @@ Exact tails on small instances come from one lattice DP kernel.  Its
 state is a sorted int64 array of the reached keys ``score * T + tag``, one
 row of weights per key: the real coordinates of the conditioned operator
 ``T[s]`` in a Hermitian basis for a channel, one probability for a chain.
-The basis, the coordinates and the real blocks come from :mod:`operators`,
-as do the filter step's maps and the counting sampler's no-jump matrix.
+The basis, the coordinates and the real blocks come from :mod:`operators`.
 The tag holds the rest of the state: none for the plain score sum, the
 last outcomes for sliding windows, the current state for chain fluxes.
 Label i sends tag t to ``next_tag[t, i]``, adds ``shift[t, i]`` to the
@@ -69,35 +69,26 @@ from .operators import (
     dagger,
     hermitian_coordinates,
     hermitian_superoperator_matrix,
-    kraus_superoperator_matrix,
-    no_jump_superoperator_matrix,
     observation_vector,
     state_matrix,
     uniform_norm,
-    unvec,
-    vec,
 )
 
 _TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape (a multiple of 4)
 _MASK64 = 0xFFFFFFFFFFFFFFFF  # seeds and indices enter a Philox key modulo 2**64
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
-_WAIT_REL_TOL = 1e-10     # relative bracket width at which a waiting time is solved
-_WAIT_MAX_ITER = 100      # survival evaluations allowed to a waiting-time solve after bracketing
+_RATE_MARGIN = 1e-12      # relative excess of the thinning bound over lambda_max(sum L^* L)
 _MAX_DENOMINATOR = 10**6  # largest denominator of a score lattice
 _MASS_TOL = 1e-11         # |total DP mass - initial mass| allowed
 
 
 class FilterCollapseError(RuntimeError):
-    """All outcome probabilities vanished along a trajectory."""
+    """A sampler's filter failed numerically: its probabilities vanished or left their bounds."""
 
 
 class LatticeError(ValueError):
     """Observation values do not fit a rational score lattice."""
-
-
-class SurvivalMonotonicityError(RuntimeError):
-    """The no-jump survival function increased beyond numerical tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,68 +217,74 @@ def _categorical(probs: np.ndarray, u: np.ndarray, collapse: str) -> np.ndarray:
     if np.any(totals <= 0.0):
         raise FilterCollapseError(collapse)
     cum = np.cumsum(probs, axis=1)
-    pick = (cum < (u * totals)[:, None]).sum(axis=1)
+    pick = np.count_nonzero(cum < (u * totals)[:, None], axis=1)
     return np.minimum(pick, probs.shape[1] - 1)
 
 
-def _row_maps(outcomes: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """(maps, effects) of a filter step whose outcome i has the Kraus family outcomes[i].
+def _step_operators(outcomes: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, owner) of a filter step whose outcome i has the Kraus family outcomes[i].
 
-    For a row r = vec(rho), ``r @ maps[i]`` is vec(sum_W W rho W^*), so
-    ``maps[i]`` is the conjugate of the family's Heisenberg matrix, and
-    ``r @ effects[:, i]`` is its trace, the probability of outcome i.
+    The K operators of all families, flattened, are the fine operators V_k;
+    for a row psi (the entries of a state vector), ``psi @ matrix`` holds
+    the K rows V_k psi side by side, and ``owner[k]`` is V_k's outcome.
     """
-    maps = np.stack([kraus_superoperator_matrix(ops).conj() for ops in outcomes])
-    return maps, (maps @ vec(np.eye(len(outcomes[0][0])))).T
+    stack = np.stack([v for ops in outcomes for v in ops])
+    stack = stack if np.any(stack.imag) else stack.real
+    owner = np.repeat(np.arange(len(outcomes)), [len(ops) for ops in outcomes])
+    return stack.transpose(2, 0, 1).reshape(stack.shape[2], -1), owner
 
 
-def _channel_maps(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """``_row_maps`` of the standard unravelling of ``channel``: one operator per outcome."""
-    return _row_maps([(v,) for v in channel.kraus])
+def _channel_step(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """``_step_operators`` of the standard unravelling of ``channel``: one operator per outcome."""
+    return _step_operators([(v,) for v in channel.kraus])
 
 
-def _traces(rows: np.ndarray) -> np.ndarray:
-    """tr(rho) of each row vec(rho): the sum of its diagonal entries."""
-    return np.einsum("bpp->b", unvec(rows, math.isqrt(rows.shape[1]))).real
+def _images(step: tuple[np.ndarray, np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_k psi for each row and fine operator, shape (b, K, d), and their squared norms (b, K)."""
+    images = (psi @ step[0]).reshape(len(psi), len(step[1]), psi.shape[1])
+    parts = images.view(np.float64)
+    return images, np.einsum("bkj,bkj->bk", parts, parts)
 
 
-def _filter_step(step: tuple[np.ndarray, np.ndarray], rows: np.ndarray, u: np.ndarray,
-                 collapse: str) -> tuple[np.ndarray, np.ndarray]:
-    """One filter step of a batch: (outcome per row, normalized conditioned rows).
+def _collapse(images: np.ndarray, probs: np.ndarray, u: np.ndarray,
+              collapse: str) -> tuple[np.ndarray, np.ndarray]:
+    """(fine operator drawn per row by u with weights probs, its normalized image)."""
+    pick = _categorical(probs, u, collapse)
+    rows = np.arange(len(pick))
+    return pick, images[rows, pick] / np.sqrt(probs[rows, pick])[:, None]
 
-    ``step`` is the (maps, effects) pair of ``_row_maps``; row b draws its
-    outcome with uniform u[b].
-    """
-    maps, effects = step
-    pick = _categorical((rows @ effects).real, u, collapse)
-    new = np.empty_like(rows)
-    for i in np.unique(pick):
-        sel = pick == i
-        new[sel] = rows[sel] @ maps[i]
-    new /= _traces(new)[:, None]
-    return pick, new
+
+def _initial_vectors(rho0, u: np.ndarray) -> np.ndarray:
+    """Rows e_j of rho0 = sum_j p_j e_j e_j^*, j drawn per row by u with weights p_j."""
+    rho = state_matrix(rho0)
+    p, e = np.linalg.eigh(rho if np.any(rho.imag) else rho.real)
+    j = _categorical(np.broadcast_to(p, (len(u), len(p))), u, "initial state has no weight")
+    return e.T[j]
 
 
 def _filter_batch(steps: Sequence[tuple[np.ndarray, np.ndarray]], rho0, seed: int,
                   indices: Sequence[int]) -> np.ndarray:
-    """Outcome index matrix (len(indices), n); row i uses stream (seed, i).
+    """Outcome index matrix (len(indices), n); row i uses stream (seed, indices[i]).
 
-    Step k filters through the ``_row_maps`` pair ``steps[k]``; pass one
-    pair object per distinct step so each is built once.
+    Uniform 0 of a stream picks the trajectory's initial eigenvector of
+    rho0 and uniform k + 1 drives step k, through the ``_step_operators``
+    pair ``steps[k]``; pass one pair object per distinct step so each is
+    built once.
     """
-    batch = len(indices)
-    rows = np.tile(vec(state_matrix(rho0)), (batch, 1))
-    u = _uniform_rows(seed, indices, len(steps))
-    picks = np.empty((batch, len(steps)), dtype=np.int64)
+    u = _uniform_rows(seed, indices, len(steps) + 1)
+    psi = _initial_vectors(rho0, u[:, 0])
+    picks = np.empty((len(indices), len(steps)), dtype=np.int64)
     for k, step in enumerate(steps):
-        picks[:, k], rows = _filter_step(step, rows, u[:, k], f"filter collapse at step {k}")
+        images, probs = _images(step, psi)
+        fine, psi = _collapse(images, probs, u[:, k + 1], f"filter collapse at step {k}")
+        picks[:, k] = step[1][fine]
     return picks
 
 
 def _discrete_outcomes_batch(channel: KrausChannel, rho0, n: int, seed: int,
                              indices: Sequence[int]) -> np.ndarray:
     """Outcome index matrix of n steps of ``channel``, its standard unravelling."""
-    return _filter_batch([_channel_maps(channel)] * n, rho0, seed, indices)
+    return _filter_batch([_channel_step(channel)] * n, rho0, seed, indices)
 
 
 def _chunks(trials: int, chunk_size: int) -> list[range]:
@@ -319,7 +316,7 @@ def _discrete_tails(channel: KrausChannel, rho0, f, n: int, gammas: Sequence[flo
                     on_chunk=None) -> list[EmpiricalTail]:
     """``mc_tail`` at every gamma from one sample; ``f`` is read only if there are gammas."""
     fv = observation_vector(f, channel.labels) if gammas else None
-    return _filter_tails([_channel_maps(channel)] * n, rho0, lambda picks: fv[picks].sum(axis=1),
+    return _filter_tails([_channel_step(channel)] * n, rho0, lambda picks: fv[picks].sum(axis=1),
                          n, gammas, trials, seed, chunk_size, on_chunk)
 
 
@@ -358,7 +355,7 @@ def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int,
     n = len(steps)
     centered, _, _ = _step_stats(steps, sigma)
     distinct = {id(step.unravelling): step.unravelling for step in steps}
-    maps = {key: _row_maps(unravelling.maps) for key, unravelling in distinct.items()}
+    maps = {key: _step_operators(unravelling.maps) for key, unravelling in distinct.items()}
     return _filter_tails([maps[id(step.unravelling)] for step in steps], rho0,
                          lambda picks: sum(centered[k][picks[:, k]] for k in range(n)),
                          n, [gamma], trials, seed, chunk_size)[0]
@@ -556,7 +553,7 @@ def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: flo
     lookup = np.empty((len(labels),) * m)
     for idx in np.ndindex(lookup.shape):
         lookup[idx] = float(_window_value(f, tuple(labels[i] for i in idx)))
-    return _filter_tails([_channel_maps(channel)] * (n + m - 1), rho0,
+    return _filter_tails([_channel_step(channel)] * (n + m - 1), rho0,
                          lambda picks: sum(lookup[tuple(picks[:, k + j] for j in range(m))]
                                            for k in range(n)),
                          n, [gamma], trials, seed, chunk_size)[0]
@@ -604,176 +601,86 @@ def laplace_transform_exact(channel: KrausChannel, rho0, f, n: int, u: float) ->
 # continuous-time counting processes
 # ---------------------------------------------------------------------------
 
-class _CountingSampler:
-    """Batched jump / no-jump unravelling of a GKLS generator.
+def _no_jump_basis(gen: GKLSGenerator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, P^T, P^-T) with G = P diag(w) P^-1 for the generator's no-jump matrix G.
 
-    A batch of states enters as its coefficients ``rows @ right_inv_t`` in
-    the eigenbasis of the no-jump semigroup, computed once per round and
-    shared by :meth:`waiting_times` and :meth:`propagate`.
+    Under the no-jump evolution rho -> G rho + rho G^* of
+    :class:`operators.GKLSGenerator`, a state vector follows e^{tau G} psi:
+    with coefficients c = psi P^-T, the row (c * e^{tau w}) P^T.  The
+    evolution's d^2 x d^2 eigenbasis is kron(conj(P), P), of condition
+    number cond(P)^2, and that is what is held at 1e10.
     """
-
-    def __init__(self, gen: GKLSGenerator):
-        self.gen = gen
-        self.dim = gen.dim
-        g = gen.no_jump_generator_matrix
-        w, r = np.linalg.eig(no_jump_superoperator_matrix(gen).conj().T)
-        if np.linalg.cond(r) > 1e10:
-            raise RuntimeError("no-jump generator eigenbasis is too ill conditioned")
-        self.eigenvalues = w
-        self.right_t = r.T.copy()
-        self.right_inv_t = np.linalg.inv(r).T.copy()
-        self.trace_row = vec(np.eye(self.dim)).conj() @ r
-        self.t0 = 1.0 / max(uniform_norm(g), 1e-30)
-        self.jump_maps = _row_maps([(l,) for l in gen.jumps])
-
-    @staticmethod
-    def _survival(coeff: np.ndarray, slope: np.ndarray, eigenvalues: np.ndarray,
-                  taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """survival(tau) = Re sum_k a_k exp(w_k tau) and its derivative, one per row.
-
-        ``coeff`` holds the a_k and ``slope`` the a_k w_k; both sums share one exp.
-        """
-        e = np.exp(np.outer(taus, eigenvalues))
-        return np.einsum("bk,bk->b", coeff, e).real, np.einsum("bk,bk->b", slope, e).real
-
-    def propagate(self, coeff: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        return (coeff * np.exp(np.outer(taus, self.eigenvalues))) @ self.right_t
-
-    def waiting_times(self, coeff: np.ndarray, targets: np.ndarray,
-                      remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve survival(tau) = target per trajectory by safeguarded Newton.
-
-        ``coeff`` is ``rows @ right_inv_t``.  Returns (tau, jumps) where
-        ``jumps`` marks trajectories whose jump happens before their
-        remaining horizon; for the others tau equals the remaining time.
-
-        A jumping row's bracket [lo, hi] starts at [0, min(t0, remaining)]
-        and doubles until survival(hi) <= target.  Each Newton step then
-        starts from the last point evaluated, which is always an end of the
-        bracket, and every evaluation replaces lo or hi.  With
-        d = tol * hi / 4: a Newton target outside [lo + d, hi - d] by more
-        than a hundredth of the bracket width falls back to the midpoint,
-        a nearer one is clipped into it, and a clipped step that leaves the
-        bracket open is followed by one bisection; a step shorter than d is
-        lengthened by 2d, so that it crosses the root and closes the bracket,
-        and if it does not (the survival is flat or noisy at the scale of d,
-        as for targets within about 1e-6 of 1) the row bisects from then on.
-        The result is the midpoint of a bracket with
-        survival(lo) > target >= survival(hi) as evaluated here (lo = 0
-        stands for the computed survival(0)) and hi - lo <= tol * hi,
-        tol = ``_WAIT_REL_TOL``.  Rounding can put the computed survival(0)
-        below 1, and a target at or above it has no evaluated point above
-        it, so such a row's bracket stays open: after ``_WAIT_MAX_ITER``
-        evaluations it returns tau = 0, its root lying within rounding of 0.
-        Any other row still open then raises
-        :class:`SurvivalMonotonicityError`.  Converged
-        rows freeze and each row's arithmetic involves only its own data, so
-        results do not depend on the batch composition.
-        """
-        w = self.eigenvalues
-        a = coeff * self.trace_row[None, :]
-        aw = a * w
-        s_rem, _ = self._survival(a, aw, w, remaining)
-        jumps = s_rem <= targets
-        tau = remaining.astype(float).copy()
-        if not np.any(jumps):
-            return tau, jumps
-
-        idx = np.nonzero(jumps)[0]
-        a, aw = a[idx], aw[idx]
-        tgt = targets[idx]
-        rem = remaining[idx]
-        lo = np.zeros(idx.size)
-        hi = np.minimum(np.full(idx.size, self.t0), rem)
-        s_hi, ds_hi = self._survival(a, aw, w, hi)
-        s_prev = np.ones(idx.size)
-        # grow brackets geometrically until the survival crosses the target
-        for _ in range(200):
-            need = s_hi > tgt
-            if not np.any(need):
-                break
-            if np.any(s_hi[need] > s_prev[need] + 1e-8):
-                raise SurvivalMonotonicityError(
-                    "survival function increased while growing the bracket")
-            s_prev = np.where(need, s_hi, s_prev)
-            lo = np.where(need, hi, lo)
-            hi = np.where(need, np.minimum(hi * 2.0, rem), hi)
-            s, ds = self._survival(a, aw, w, hi)
-            s_hi = np.where(need, s, s_hi)
-            ds_hi = np.where(need, ds, ds_hi)
-        else:
-            raise SurvivalMonotonicityError("bracket growth failed to converge")
-
-        x, f, df = hi, s_hi - tgt, ds_hi
-        bisect = np.zeros(idx.size, dtype=bool)  # a clipped step left the bracket open
-        stuck = np.zeros(idx.size, dtype=bool)   # a crossing step did: bisect from now on
-        for _ in range(_WAIT_MAX_ITER):
-            active = hi - lo > _WAIT_REL_TOL * hi
-            if not np.any(active):
-                break
-            d = 0.25 * _WAIT_REL_TOL * hi
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = -f / df
-            short = np.abs(step) < d
-            # f > 0 means x = lo, so the root lies to its right
-            target = x + np.where(short, step + np.where(f > 0.0, 2.0, -2.0) * d, step)
-            p = np.clip(target, lo + d, hi - d)
-            newton = ~(bisect | stuck) & (np.abs(target - p) <= 0.01 * (hi - lo))
-            bisect = newton & (p != target)
-            stuck |= newton & short
-            p = np.where(active, np.where(newton, p, 0.5 * (lo + hi)), hi)
-            s, df = self._survival(a, aw, w, p)
-            f = s - tgt
-            right = active & (f > 0.0)
-            lo = np.where(right, p, lo)
-            hi = np.where(active & ~right, p, hi)
-            x = p
-        else:
-            open_ = hi - lo > _WAIT_REL_TOL * hi
-            s_zero, _ = self._survival(a, aw, w, np.zeros(idx.size))
-            if np.any(open_ & (tgt < s_zero)):
-                raise SurvivalMonotonicityError(f"waiting-time solve did not converge in "
-                                                f"{_WAIT_MAX_ITER} survival evaluations")
-            lo, hi = np.where(open_, 0.0, lo), np.where(open_, 0.0, hi)
-        tau[idx] = 0.5 * (lo + hi)
-        return tau, jumps
+    w, p = np.linalg.eig(gen.no_jump_generator_matrix)
+    cond = np.linalg.cond(p) ** 2
+    if not cond <= 1e10:
+        raise FilterCollapseError(f"counting sampler: the no-jump generator's eigenbasis is too "
+                                  f"ill conditioned (cond^2 = {cond:.3g} > 1e10)")
+    return w, p.T.copy(), np.linalg.inv(p).T.copy()
 
 
 def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
                     indices: Sequence[int], collect_events: bool):
-    """Counts per label (and optionally event lists) for a batch of trajectories."""
-    sampler = _CountingSampler(gen)
+    """Counts per label (and optionally event lists) for a batch of trajectories.
+
+    Jump times are drawn by thinning (Lewis & Shedler; Ogata).  The total
+    intensity sum_i |L_i psi|^2 of a unit vector psi is at most
+    Lambda = lambda_max(sum_i L_i^* L_i), raised by the relative
+    ``_RATE_MARGIN`` for rounding.  So proposals come at Exp(Lambda) gaps,
+    between which psi follows e^{tau G} psi / |.|, and a proposal whose
+    second uniform v has v Lambda < sum_i |L_i psi|^2 is a jump.  Given
+    that, v Lambda / sum_i |L_i psi|^2 is uniform again and draws the label
+    through the filter step.  Event times are sums of the gaps.
+
+    The cost is about Lambda t proposals per trajectory, one product each,
+    against some 17 m t survival evaluations to solve every waiting time
+    of the no-jump survival by safeguarded Newton, m being the total
+    stationary intensity; Lambda / m is 2.25 on ``driven_qubit`` and 1.75 on
+    ``poisson_qubit``.  Lambda = 0 means no events.  A computed intensity
+    above Lambda is a numerical failure and is never clipped.
+    """
     batch = len(indices)
-    rows = np.tile(vec(state_matrix(rho0)), (batch, 1))
-    tape = _Tape(seed, indices)
-    clock = np.zeros(batch)
-    active = np.arange(batch)
     counts = np.zeros((batch, len(gen.jumps)), dtype=np.int64)
     events: list[list] = [[] for _ in range(batch)] if collect_events else []
-
-    while active.size:
-        u_wait = tape.take(active)
-        remaining = t - clock[active]
-        coeff = rows[active] @ sampler.right_inv_t
-        tau, jumped = sampler.waiting_times(coeff, u_wait, remaining)
-        evolved = sampler.propagate(coeff, tau)
-        tr = _traces(evolved)
-        if np.any(tr <= 0.0):
-            raise FilterCollapseError("no-jump propagation lost all probability")
-        rows[active] = evolved / tr[:, None]
-        clock[active] += tau
-
-        jump_rows = active[jumped]
-        if jump_rows.size:
-            pick, rows[jump_rows] = _filter_step(sampler.jump_maps, rows[jump_rows],
-                                                 tape.take(jump_rows),
-                                                 "vanishing jump intensities at a jump time")
-            counts[jump_rows, pick] += 1
+    jumps = _step_operators([(l,) for l in gen.jumps])
+    bound = (float(np.linalg.eigvalsh(sum(dagger(l) @ l for l in gen.jumps))[-1])
+             * (1.0 + _RATE_MARGIN))
+    if not bound > 0.0:
+        return counts, events
+    w, right, left = _no_jump_basis(gen)
+    tape = _Tape(seed, indices)
+    active = np.arange(batch)
+    coeff = _initial_vectors(rho0, tape.take(active)) @ left
+    clock = np.zeros(batch)
+    while True:
+        gap = -np.log1p(-tape.take(active)) / bound
+        clock[active] += gap
+        live = clock[active] < t
+        active, gap = active[live], gap[live]
+        if not active.size:
+            return counts, events
+        c = coeff[active] * np.exp(np.outer(gap, w))
+        psi = c @ right
+        norm = np.sqrt(np.einsum("bj,bj->b", psi.view(np.float64), psi.view(np.float64)))
+        if np.any(norm <= 0.0):
+            raise FilterCollapseError("counting sampler: no-jump propagation lost all probability")
+        psi /= norm[:, None]
+        coeff[active] = c / norm[:, None]
+        images, probs = _images(jumps, psi)
+        rate = probs.sum(axis=1)
+        if np.any(rate > bound):
+            raise FilterCollapseError(f"counting sampler: jump intensity {rate.max()!r} above "
+                                      f"its bound {bound!r}")
+        v = tape.take(active) * bound
+        jumped = v < rate
+        hit = active[jumped]
+        if hit.size:
+            pick, psi = _collapse(images[jumped], probs[jumped], v[jumped] / rate[jumped],
+                                  "vanishing jump intensities at a jump time")
+            coeff[hit] = psi @ left
+            counts[hit, pick] += 1
             if collect_events:
-                for row, p in zip(jump_rows, pick):
+                for row, p in zip(hit, pick):
                     events[row].append((float(clock[row]), gen.labels[p]))
-        active = active[jumped]
-    return counts, events
 
 
 def sample_counting(gen: GKLSGenerator, rho0, t: float, seed: int,

@@ -535,19 +535,31 @@ class TestSimulate:
             assert record["index"] == idx
             assert record["events"] == [[time, str(lab)] for time, lab in single.events]
 
-    def test_rising_survival_is_a_numerical_failure(self, capsys, monkeypatch):
-        init = trajectory._CountingSampler.__init__
-
-        def rising(self, gen):
-            init(self, gen)
-            # slower than the slowest decay rate (0.25): from the post-jump
-            # ground state the survival rises before it decays
-            self.eigenvalues = self.eigenvalues + 0.2
-        monkeypatch.setattr(trajectory._CountingSampler, "__init__", rising)
+    def test_intensity_above_its_bound_is_a_numerical_failure(self, capsys, monkeypatch):
+        # a thinning bound at half of lambda_max(L^* L) is below the intensity
+        # of the excited state, which the driven qubit soon reaches
+        monkeypatch.setattr(trajectory, "_RATE_MARGIN", -0.5)
         assert cli.main(["simulate", "--model", model("driven_qubit.json"), "--t", "50",
                          "--trials", "20"]) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: survival function increased")
+        assert err.startswith("numerical failure: counting sampler: jump intensity ")
+        assert "above its bound 0.25" in err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--t", "5", "--trials", "10", "--seed", "1"],
+        ["verify", "--flavor", "counting", "--t", "5", "--gamma", "0.1", "--trials", "10"],
+    ], ids=["simulate", "verify"])
+    def test_exceptional_point_is_a_numerical_failure(self, command, tmp_path, capsys):
+        # kappa = 2 Omega: the no-jump generator G is a Jordan block, and the
+        # eigenbasis numpy returns for it has cond(P)^2 far above 1e10
+        doc = json.loads(open(model("driven_qubit.json")).read())
+        doc["jumps"][0][0][1] = [1.4142135623730951, 0.0]
+        path = tmp_path / "driven_qubit_ep.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command[0], "--model", str(path), *command[1:]]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: counting sampler: the no-jump generator's eigenbasis is too "
+            "ill conditioned (cond^2 = ")
 
     def test_counting_single_trial_stderr_null(self, capsys):
         report = main_report(capsys, "simulate", "--model", model("driven_qubit.json"),
@@ -651,18 +663,21 @@ class TestVerify:
         run_cli("verify", "--model", str(bad), "--flavor", "bernstein",
                 "--n", "40", "--gamma", "0.2", expect=5)
 
-    def test_off_lattice_flux_is_a_numerical_failure(self, tmp_path, capsys):
-        # the flux DP has no other exact tail: the message names the payoff
-        # value as a plain float and points to no fallback
+    @pytest.mark.parametrize("mc", [[], ["--mc"]], ids=["exact", "mc"])
+    def test_off_lattice_flux_is_infeasible(self, mc, tmp_path, capsys):
+        # the flux DP is the only flux tail: like bernstein and hoeffding off
+        # the lattice, the request is infeasible, with or without --mc, and the
+        # message names the payoff value as a plain float
         doc = json.loads(open(model("two_state_chain.json")).read())
         doc["flux"][1][2] = np.pi * 1e-7
         bad = tmp_path / "crooked_chain.json"
         bad.write_text(json.dumps(doc))
         assert cli.main(["verify", "--model", str(bad), "--flavor", "flux",
-                         "--n", "10", "--gamma", "0.1"]) == 4
+                         "--n", "10", "--gamma", "0.1", *mc]) == cli.EXIT_INFEASIBLE
         assert capsys.readouterr().err == (
-            "numerical failure: payoff value 3.141592653589793e-07 has no rational "
-            "approximation with denominator <= 1000000\n")
+            "infeasible request: exact flux tail is infeasible: payoff value "
+            "3.141592653589793e-07 has no rational approximation with denominator "
+            "<= 1000000; flux has no Monte Carlo oracle\n")
 
     @pytest.mark.parametrize("argv, owner", [
         (["--flavor", "bernstein", "--model", model("ring.json"), "--n", "16,64,256"],

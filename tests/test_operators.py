@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import qmcbounds.trajectory as trajectory
 from qmcbounds.fixtures import PAULI_X, PAULI_Z, random_channel
 from qmcbounds.operators import (
     ChannelValidationError,
@@ -23,7 +25,6 @@ from qmcbounds.operators import (
     kms_norm,
     kms_operator_norm,
     kms_positive_parts,
-    no_jump_superoperator_matrix,
     superoperator_matrix,
     uniform_norm,
     unvec,
@@ -320,18 +321,28 @@ class TestHermitianCoordinates:
 
     @pytest.mark.parametrize("generator", ["qubit_gen", "poisson_gen", 0, 1, 2, 3, 4])
     def test_no_jump_matrix_is_the_old_kron(self, generator, request):
+        """The counting sampler's d x d eigenbasis of G rebuilds the d^2 x d^2 no-jump matrix.
+
+        The old kron matrix of rho -> G rho + rho G^* has the eigenvectors
+        kron(conj(P), P) and eigenvalues conj(w_i) + w_j, so its conditioning
+        is cond(P)^2, the quantity the sampler's guard bounds.
+        """
         gen = (random_generator(generator) if isinstance(generator, int)
                else request.getfixturevalue(generator))
         g, eye = gen.no_jump_generator_matrix, np.eye(gen.dim)
         old = np.kron(g.conj(), eye) + np.kron(eye, g)
-        m = no_jump_superoperator_matrix(gen)
-        # equal as values: an imaginary part that cancels to +0 turns -0 under
-        # conj, so only signed zeros may differ; the sampler's eigenbasis may not
-        assert np.array_equal(m.conj().T, old)
-        for new_part, old_part in zip(np.linalg.eig(m.conj().T), np.linalg.eig(old)):
-            assert np.array_equal(new_part, old_part)
-        x = random_hermitian(gen.dim, np.random.default_rng(5))
-        assert np.allclose(unvec(m @ vec(x), gen.dim), g.conj().T @ x + x @ g, atol=1e-12)
+        w, right, left = trajectory._no_jump_basis(gen)
+        p = right.T
+        assert np.allclose(left.T @ p, eye, atol=1e-12)
+        basis = np.kron(p.conj(), p)
+        rebuilt = basis @ np.diag(np.add.outer(w.conj(), w).ravel()) @ np.linalg.inv(basis)
+        assert np.allclose(rebuilt, old, atol=1e-12)
+        assert np.linalg.cond(basis) == pytest.approx(np.linalg.cond(p) ** 2, rel=1e-8)
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        for tau in (0.1, 3.0):
+            row = (psi @ left * np.exp(tau * w)) @ right
+            assert np.allclose(row, expm(tau * g) @ psi, atol=1e-12)
 
 
 class TestGKLS:

@@ -3,16 +3,22 @@ import itertools
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 import qmcbounds.trajectory as trajectory
 from qmcbounds.bounds import TimeStep, Unravelling, multitime_hoeffding
 from qmcbounds.fixtures import random_channel
-from qmcbounds.operators import GKLSGenerator, KrausChannel, observation_vector, unvec, vec
+from qmcbounds.operators import (
+    GKLSGenerator,
+    KrausChannel,
+    observation_vector,
+    superoperator_matrix,
+    vec,
+)
 from qmcbounds.spectral import gkls_steady_state, invariant_state
 from qmcbounds.trajectory import (
     FilterCollapseError,
     LatticeError,
-    SurvivalMonotonicityError,
     counting_counts,
     exact_tail_dp,
     laplace_transform_exact,
@@ -98,7 +104,7 @@ class TestSampleDiscrete:
         rho0 = random_state(3, np.random.default_rng(4))
         indices = list(range(50, 650))
         picks = _discrete_outcomes_batch(channel, rho0, 20, 31, indices)
-        standard = [trajectory._row_maps(Unravelling.standard(channel).maps)] * 20
+        standard = [trajectory._step_operators(Unravelling.standard(channel).maps)] * 20
         assert np.array_equal(picks, _filter_batch(standard, rho0, 31, indices))
 
     def test_two_point_correlations_match_process_law(self, ring):
@@ -159,19 +165,25 @@ class TestStreams:
 def reference_filter(outcomes_per_step, rho0, seed: int, indices) -> np.ndarray:
     """Outcome indices of one trajectory at a time, filtered by plain matrix loops.
 
-    Step k has the outcomes ``outcomes_per_step[k]``, each a Kraus family;
-    an outcome's weight is tr(sum_W W rho W^*) and the draw is ``_categorical``.
+    Uniform 0 picks an eigenvector e_j of rho0 with weight p_j; step k has
+    the outcomes ``outcomes_per_step[k]``, each a Kraus family, and draws
+    one operator W of all of them with weight |W psi|^2 by uniform k + 1,
+    reports W's outcome and moves psi to W psi / |W psi|.  Every draw is
+    ``_categorical``.
     """
     n = len(outcomes_per_step)
     picks = np.empty((len(indices), n), dtype=np.int64)
+    p, e = np.linalg.eigh(np.asarray(rho0, dtype=complex))
     for b, index in enumerate(indices):
-        u = fresh_stream(seed, index, n)
-        rho = np.asarray(rho0, dtype=complex)
+        u = fresh_stream(seed, index, n + 1)
+        psi = e[:, trajectory._categorical(p[None, :], u[:1], "collapse")[0]]
         for k, outcomes in enumerate(outcomes_per_step):
-            images = [sum(w @ rho @ w.conj().T for w in ops) for ops in outcomes]
-            probs = np.asarray([[np.trace(x).real for x in images]])
-            picks[b, k] = trajectory._categorical(probs, u[k:k + 1], "collapse")[0]
-            rho = images[picks[b, k]] / np.trace(images[picks[b, k]]).real
+            owners = [i for i, ops in enumerate(outcomes) for _ in ops]
+            images = [w @ psi for ops in outcomes for w in ops]
+            probs = np.asarray([[np.vdot(x, x).real for x in images]])
+            fine = trajectory._categorical(probs, u[k + 1:k + 2], "collapse")[0]
+            picks[b, k] = owners[fine]
+            psi = images[fine] / np.sqrt(probs[0, fine])
     return picks
 
 
@@ -190,7 +202,7 @@ class TestFilterReference:
         grouped = Unravelling([kraus[:1], kraus[1:3], kraus[3:]])
         standard = Unravelling([(v,) for v in kraus])
         schedule = [grouped, grouped, standard] * 4
-        maps = {id(u): trajectory._row_maps(u.maps) for u in (grouped, standard)}
+        maps = {id(u): trajectory._step_operators(u.maps) for u in (grouped, standard)}
         rho0 = random_state(3, np.random.default_rng(17))
         indices = range(300)
         picks = _filter_batch([maps[id(u)] for u in schedule], rho0, 9, indices)
@@ -201,28 +213,30 @@ class TestFilterReference:
     def test_counting_jump(self, generator, request):
         gen = request.getfixturevalue(generator)
         rng = np.random.default_rng(23)
-        states = np.stack([random_state(2, rng) for _ in range(200)])
+        psi = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
         u = rng.random(200)
-        pick, rows = trajectory._filter_step(trajectory._CountingSampler(gen).jump_maps,
-                                             vec(states), u, "collapse")
-        for b, rho in enumerate(states):
-            images = [l @ rho @ l.conj().T for l in gen.jumps]
-            probs = np.asarray([[np.trace(x).real for x in images]])
-            expected = trajectory._categorical(probs, u[b:b + 1], "collapse")[0]
+        images, probs = trajectory._images(
+            trajectory._step_operators([(l,) for l in gen.jumps]), psi)
+        pick, new = trajectory._collapse(images, probs, u, "collapse")
+        for b, vector in enumerate(psi):
+            jumped = [l @ vector for l in gen.jumps]
+            weights = np.asarray([[np.vdot(x, x).real for x in jumped]])
+            np.testing.assert_allclose(probs[b], weights[0], rtol=1e-14, atol=0)
+            expected = trajectory._categorical(weights, u[b:b + 1], "collapse")[0]
             assert pick[b] == expected
-            np.testing.assert_allclose(unvec(rows[b], 2),
-                                       images[expected] / np.trace(images[expected]).real,
-                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(new[b], jumped[expected] / np.linalg.norm(jumped[expected]),
+                                       rtol=0, atol=1e-15)
 
     def test_each_distinct_unravelling_is_built_once(self, ring, monkeypatch):
         channel, payoff = ring
         built = []
-        row_maps = trajectory._row_maps
+        step_operators = trajectory._step_operators
 
         def counted(outcomes):
             built.append(outcomes)
-            return row_maps(outcomes)
-        monkeypatch.setattr(trajectory, "_row_maps", counted)
+            return step_operators(outcomes)
+        monkeypatch.setattr(trajectory, "_step_operators", counted)
         coarse = Unravelling([channel.kraus[0::2], channel.kraus[1::2]], ["up", "down"])
         standard = Unravelling.standard(channel)
         steps = [TimeStep(coarse, {"up": 1.0, "down": -1.0}) if k % 2
@@ -464,6 +478,128 @@ class TestLaplace:
             laplace_transform_exact(channel, np.eye(3) / 3, payoff, 20, 40.0)
 
 
+ALPHA = 1e-4  # level of every law test below, fixed before any of them was run
+
+
+def score_cells(law, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower ends, probabilities) of consecutive score intervals of ``law``.
+
+    Each interval expects at least 5 of ``trials`` draws; a short last one
+    joins the one before.
+    """
+    starts, probs = [], []
+    for score, mass in zip(law.numerators, law.masses):
+        if not probs or probs[-1] * trials >= 5.0:
+            starts.append(int(score))
+            probs.append(0.0)
+        probs[-1] += mass
+    if len(probs) > 1 and probs[-1] * trials < 5.0:
+        starts.pop()
+        probs[-2] += probs.pop()
+    return np.asarray(starts), np.asarray(probs)
+
+
+def law_pvalue(hits, probs: np.ndarray, trials: int) -> float:
+    """Chi-square p-value of cell counts against ``probs``; hits[i] = draws >= cell i's start."""
+    observed = -np.diff(np.append(hits, 0))
+    assert hits[0] == trials and observed.min() >= 0
+    return float(stats.chisquare(observed, probs / probs.sum() * trials).pvalue)
+
+
+class TestSamplerLaws:
+    """Sampled laws against exact ones, each at the level ALPHA."""
+
+    N, TRIALS, SEED = 8, 10_000, 2024
+
+    def check_discrete(self, channel, rho0, payoff):
+        law = score_distribution_dp(channel, rho0, payoff, self.N)
+        assert law.denominator == 1
+        starts, probs = score_cells(law, self.TRIALS)
+        tails = trajectory._discrete_tails(channel, rho0, payoff, self.N,
+                                           [(s - 0.5) / self.N for s in starts], self.TRIALS,
+                                           self.SEED)
+        hits = [round(tail.estimate * self.TRIALS) for tail in tails]
+        assert len(probs) >= 4 and law_pvalue(hits, probs, self.TRIALS) > ALPHA
+
+    def test_ring(self, ring):
+        channel, payoff = ring
+        self.check_discrete(channel, np.eye(3) / 3, payoff)
+
+    def test_mixed_non_diagonal_initial_state(self):
+        channel = random_channel(3, 3, 41)
+        rho0 = random_state(3, np.random.default_rng(41))
+        assert np.min(np.abs(rho0[np.triu_indices(3, 1)])) > 1e-3
+        payoff = {lab: float(i % 3 - 1) for i, lab in enumerate(channel.labels)}
+        self.check_discrete(channel, rho0, payoff)
+
+    def test_random_d4(self):
+        channel = random_channel(4, 3, 43)
+        rho0 = invariant_state(channel).matrix
+        payoff = {lab: float(i % 3 - 1) for i, lab in enumerate(channel.labels)}
+        self.check_discrete(channel, rho0, payoff)
+
+    def test_coarse_unravelling(self):
+        # three outcomes of two, one and one operators; the coarse law is the
+        # law of the fine channel with each operator scored by its outcome
+        channel = random_channel(3, 4, 47)
+        kraus = channel.kraus
+        coarse = Unravelling([kraus[:2], kraus[2:3], kraus[3:]], ["a", "b", "c"])
+        f = {"a": 1.0, "b": 0.0, "c": -1.0}
+        sigma = invariant_state(channel).matrix
+        rho0 = random_state(3, np.random.default_rng(47))
+        fine = dict(zip(channel.labels, (1.0, 1.0, 0.0, -1.0)))
+        law = score_distribution_dp(channel, rho0, fine, self.N)
+        trials = 4000  # one sample per cell: mc_tail_unravelled takes one gamma
+        starts, probs = score_cells(law, trials)
+        mean = sum(f[lab] * np.trace(coarse.apply_outcome_dual(i, sigma)).real
+                   for i, lab in enumerate(coarse.labels))
+        steps = [TimeStep(coarse, f)] * self.N
+        hits = [round(mc_tail_unravelled(steps, sigma, rho0, (s - 0.5) / self.N - mean,
+                                         trials, self.SEED).estimate * trials)
+                for s in starts]
+        assert len(probs) >= 4 and law_pvalue(hits, probs, trials) > ALPHA
+
+    def test_poisson_counts(self, poisson_gen):
+        # the counted detector has the state-independent intensity 0.4
+        t, trials = 10.0, 20_000
+        counts = counting_counts(poisson_gen, np.eye(2) / 2, t, trials, self.SEED)[:, 0]
+        law = stats.poisson(0.4 * t)
+        starts = np.arange(int(law.isf(1e-3)))
+        probs = np.append(-np.diff(law.sf(starts - 1)), law.sf(starts[-1] - 1))
+        hits = [int(np.sum(counts >= s)) for s in starts]
+        assert law_pvalue(hits, probs, trials) > ALPHA
+
+    @pytest.mark.parametrize("generator", ["qubit_gen", "complex_gen"])
+    def test_mean_count(self, generator, request):
+        """E[N(t)] = int_0^t tr(L^* L e^{s L} rho0) ds over every label, by one expm.
+
+        The block matrix [[M, 0], [a, 0]], with M the master equation's
+        matrix on vec(rho) and a the row rho -> tr(sum L^* L rho), has the
+        exponential whose corner at time t applied to vec(rho0) is the integral.
+        """
+        gen = (GKLSGenerator(*self.complex_parts(), labels=("x", "y"))
+               if generator == "complex_gen" else request.getfixturevalue(generator))
+        d, t, trials = gen.dim, 3.0, 10_000
+        rho0 = random_state(d, np.random.default_rng(53))
+        m = superoperator_matrix(gen).matrix.conj().T
+        a = vec(sum(l.conj().T @ l for l in gen.jumps)).conj()
+        block = np.zeros((d * d + 1, d * d + 1), dtype=complex)
+        block[:d * d, :d * d], block[d * d, :d * d] = m, a
+        exact = float((expm(t * block)[d * d, :d * d] @ vec(rho0)).real)
+        totals = counting_counts(gen, rho0, t, trials, self.SEED).sum(axis=1)
+        z = stats.norm.isf(ALPHA / 2)
+        assert abs(totals.mean() - exact) <= z * totals.std(ddof=1) / np.sqrt(trials)
+
+    @staticmethod
+    def complex_parts():
+        """A Hamiltonian and two jumps on C^3 with complex entries, so the sign of H matters."""
+        rng = np.random.default_rng(59)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        jumps = [0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                 for _ in range(2)]
+        return (a + a.conj().T) / 2, jumps
+
+
 class TestCounting:
     def test_no_jumps_when_generator_silent(self):
         gen = GKLSGenerator(np.zeros((2, 2)), [np.zeros((2, 2))], labels=("c",))
@@ -521,174 +657,6 @@ class TestCounting:
         exact = float(stats.poisson.sf(threshold - 1, kappa * t))
         se = np.sqrt(max(exact * (1 - exact), 1e-9) / trials)
         assert abs(tail.estimate - exact) < 3 * se + 1e-3
-
-
-GROUND = np.diag([1.0, 0.0]).astype(complex)   # the post-jump state of driven_qubit
-EXCITED = np.diag([0.0, 1.0]).astype(complex)
-MIXED = np.eye(2, dtype=complex) / 2
-STATES = {"ground": GROUND, "excited": EXCITED, "mixed": MIXED}
-GENERATORS = ["qubit_gen", "poisson_gen", "renewal_gen"]
-
-
-@pytest.fixture(scope="module")
-def renewal_gen():
-    return GKLSGenerator(np.zeros((2, 2)), [np.sqrt(0.7) * np.eye(2)], labels=("c",))
-
-
-def reference_survival(a, eigenvalues, taus):
-    return np.einsum("bk,bk->b", a, np.exp(np.outer(taus, eigenvalues))).real
-
-
-def bisection_waiting_times(sampler, coeff, targets, remaining):
-    """The masked bisection the Newton solve replaced, kept as its reference.
-
-    The same jump test and bracket growth, then every open bracket is halved
-    until hi - lo <= _WAIT_REL_TOL * hi; the result is the bracket's midpoint.
-    """
-    w = sampler.eigenvalues
-    a = coeff * sampler.trace_row[None, :]
-    jumps = reference_survival(a, w, remaining) <= targets
-    tau = remaining.astype(float).copy()
-    idx = np.nonzero(jumps)[0]
-    a, tgt, rem = a[idx], targets[idx], remaining[idx]
-    lo = np.zeros(idx.size)
-    hi = np.minimum(sampler.t0, rem)
-    s_hi = reference_survival(a, w, hi)
-    while np.any(s_hi > tgt):
-        need = s_hi > tgt
-        lo = np.where(need, hi, lo)
-        hi = np.where(need, np.minimum(hi * 2.0, rem), hi)
-        s_hi = np.where(need, reference_survival(a, w, hi), s_hi)
-    for _ in range(100):
-        active = (hi - lo) > trajectory._WAIT_REL_TOL * hi
-        if not np.any(active):
-            break
-        mid = np.where(active, 0.5 * (lo + hi), hi)
-        go_right = active & (reference_survival(a, w, mid) > tgt)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    tau[idx] = 0.5 * (lo + hi)
-    return tau, jumps
-
-
-def traced_waiting_times(sampler, coeff, targets, remaining, monkeypatch):
-    """Solve one row per call; per row return (tau, jump, lo, hi, evaluations).
-
-    The bracket is rebuilt from every survival value the call evaluated: lo is
-    the largest point above the target (0 if none), hi the smallest at or below.
-    """
-    evaluated = []
-    survival = trajectory._CountingSampler._survival
-
-    def recorded(*args):
-        values = survival(*args)
-        evaluated.append((args[-1], values[0]))
-        return values
-    monkeypatch.setattr(trajectory._CountingSampler, "_survival", staticmethod(recorded))
-    rows = []
-    for i, target in enumerate(targets):
-        evaluated.clear()
-        tau, jumps = sampler.waiting_times(coeff[i:i + 1], targets[i:i + 1],
-                                           remaining[i:i + 1])
-        taus = np.concatenate([t for t, _ in evaluated])
-        values = np.concatenate([s for _, s in evaluated])
-        rows.append((tau[0], jumps[0], taus[values > target].max(initial=0.0),
-                     taus[values <= target].min(initial=np.inf), len(evaluated)))
-    return rows
-
-
-def assert_certified(tau, lo, hi):
-    assert lo < hi and hi - lo <= trajectory._WAIT_REL_TOL * hi
-    assert tau == 0.5 * (lo + hi)
-
-
-class TestWaitingTimes:
-    @pytest.mark.parametrize("state", STATES)
-    @pytest.mark.parametrize("generator", GENERATORS)
-    def test_newton_matches_the_bisection_reference(self, generator, state, request,
-                                                   monkeypatch):
-        sampler = trajectory._CountingSampler(request.getfixturevalue(generator))
-        coeff0 = vec(STATES[state]) @ sampler.right_inv_t
-        a0 = (coeff0 * sampler.trace_row)[None, :]
-        rng = np.random.default_rng(41)
-        for horizon in (0.37 * sampler.t0, 1e3):
-            targets = [1e-12, 1e-6, 1e-3, 0.5, 0.9, 0.999, *rng.random(16)]
-            # roots within a few ulps of the ends the bracket growth evaluates
-            ends = np.minimum(sampler.t0 * np.array([1.0, 2.0, 4.0]), horizon)
-            for s in reference_survival(np.repeat(a0, 3, axis=0), sampler.eigenvalues, ends):
-                targets += [s + k * np.spacing(s) for k in range(-3, 4)]
-            targets = np.asarray(targets)
-            remaining = np.full(targets.size, horizon)
-            coeff = np.repeat(coeff0[None, :], targets.size, axis=0)
-            ref_tau, ref_jumps = bisection_waiting_times(sampler, coeff, targets, remaining)
-            rows = traced_waiting_times(sampler, coeff, targets, remaining, monkeypatch)
-            batch_tau, batch_jumps = sampler.waiting_times(coeff, targets, remaining)
-            assert np.array_equal(batch_jumps, ref_jumps)
-            assert np.array_equal(batch_tau, [r[0] for r in rows])
-            for (tau, jump, lo, hi, evaluations), expected in zip(rows, ref_tau):
-                assert evaluations <= 24
-                if jump:
-                    assert_certified(tau, lo, hi)
-                    assert abs(tau - expected) <= trajectory._WAIT_REL_TOL * expected
-                else:
-                    assert tau == horizon
-
-    @pytest.mark.parametrize("state", STATES)
-    @pytest.mark.parametrize("generator", GENERATORS)
-    def test_target_next_to_one(self, generator, state, request, monkeypatch):
-        """u = 1 - 2**-53 still gives a certified bracket and the reference's jump.
-
-        Doubles next to 1 are 2**-53 apart, so near such a root the computed
-        survival is constant over relative time ranges far wider than the
-        tolerance, and for the ground state it crosses the target more than
-        once.  The solve bisects there, so neither the evaluation budget nor
-        closeness to the reference's crossing applies.
-        """
-        sampler = trajectory._CountingSampler(request.getfixturevalue(generator))
-        coeff = (vec(STATES[state]) @ sampler.right_inv_t)[None, :]
-        targets = np.array([1.0 - 2.0**-53])
-        for horizon in (0.37 * sampler.t0, 1e3):
-            remaining = np.array([horizon])
-            _, ref_jumps = bisection_waiting_times(sampler, coeff, targets, remaining)
-            [(tau, jump, lo, hi, _)] = traced_waiting_times(sampler, coeff, targets,
-                                                            remaining, monkeypatch)
-            assert jump == ref_jumps[0]
-            assert_certified(tau, lo, hi)
-
-    def test_target_at_or_above_the_computed_survival_at_zero(self, qubit_gen):
-        """Rounding can put the computed survival(0) below 1; a target at or above it
-        is met at tau = 0, and the other rows of the batch solve as they would alone."""
-        sampler = trajectory._CountingSampler(qubit_gen)
-        w = sampler.eigenvalues
-        target = 1.0 - 2.0**-53
-        rng = np.random.default_rng(7)
-        for _ in range(2000):
-            coeff = (vec(random_state(2, rng)) @ sampler.right_inv_t)[None, :]
-            a = coeff * sampler.trace_row
-            if sampler._survival(a, a * w, w, np.zeros(1))[0][0] <= target:
-                break
-        else:
-            pytest.fail("the search found no state whose computed survival(0) is below 1")
-        mixed = (vec(MIXED) @ sampler.right_inv_t)[None, :]
-        tau, jumps = sampler.waiting_times(np.vstack([coeff, mixed]), np.array([target, 0.5]),
-                                           np.full(2, 1e3))
-        assert jumps.all() and tau[0] == 0.0
-        assert tau[1] == sampler.waiting_times(mixed, np.array([0.5]), np.array([1e3]))[0][0]
-
-    def test_unconverged_solve_raises(self, qubit_gen, monkeypatch):
-        monkeypatch.setattr(trajectory, "_WAIT_MAX_ITER", 2)
-        sampler = trajectory._CountingSampler(qubit_gen)
-        coeff = (vec(MIXED) @ sampler.right_inv_t)[None, :]
-        with pytest.raises(SurvivalMonotonicityError, match="waiting-time solve"):
-            sampler.waiting_times(coeff, np.array([0.5]), np.array([1e3]))
-
-    def test_rising_survival_raises_while_growing(self, qubit_gen):
-        sampler = trajectory._CountingSampler(qubit_gen)
-        # the slowest decay rate is 0.25: the survival now rises first, then decays
-        sampler.eigenvalues = sampler.eigenvalues + 0.2
-        coeff = (vec(GROUND) @ sampler.right_inv_t)[None, :]
-        with pytest.raises(SurvivalMonotonicityError, match="increased while growing"):
-            sampler.waiting_times(coeff, np.array([0.5]), np.array([1e3]))
 
 
 class TestWindowed:

@@ -1,8 +1,8 @@
-"""Time the spectral layers on a ladder of random channels and write a BENCH file.
+"""Time the spectral layers and the samplers on a ladder of random channels; write a BENCH file.
 
 Run from the root of a source checkout:
 
-    python tools/ladder.py --out BENCH_18.json --parent /path/to/parent/checkout
+    python tools/ladder.py --out BENCH_19.json --parent /path/to/parent/checkout
 
 Each source tree (this one, and the optional parent checkout) is timed in
 child processes, which import ``qmcbounds`` from that tree's ``src/``.  The
@@ -15,10 +15,16 @@ at the smallest d, then one timed call of each layer at each d, and for the
 certified chain and ``hoeffding_constants`` one more untimed call that
 counts the chain's SVD norms (``np.linalg.norm(a, 2)`` calls), the general
 eigensolves (``np.linalg.eigvals``) and the SVDs with singular vectors of a
-d^2 x d^2 matrix (``np.linalg.svd``).  There are ``REPEATS`` passes per tree, and
-the trees alternate: on even passes this tree goes first, on odd passes the
-parent, so a machine that speeds up or slows down over a run does not favour
-one column.  A row is the median over the passes.  Children get
+d^2 x d^2 matrix (``np.linalg.svd``).  Then the samplers: ``mc_tail`` with
+``MC_TRAJECTORIES`` trajectories of ``MC_STEPS`` steps from the invariant
+state at each d (layer ``mc_tail``), and ``counting_counts`` on
+``fixtures.driven_qubit()`` from its steady state, ``COUNTING_TRIALS``
+trajectories to t = ``COUNTING_T`` (layer ``counting_counts``, d = 2).  The
+parent's ``mc_tail`` rows above d = ``PARENT_MC_MAX_D`` are not timed, as
+they would take minutes, and read ``null``.  There are ``REPEATS`` passes
+per tree, and the trees alternate: on even passes this tree goes first, on
+odd passes the parent, so a machine that speeds up or slows down over a run
+does not favour one column.  A row is the median over the passes.  Children get
 ``OPENBLAS_NUM_THREADS=1`` unless it is already set.  The output holds one
 column per tree and the environment each child saw: versions, BLAS,
 ``cpu_count`` and thread settings.
@@ -39,6 +45,9 @@ REPO = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DIMS = (3, 8, 16, 24, 32)
 REPEATS = 3
+MC_TRAJECTORIES, MC_STEPS = 4096, 50
+COUNTING_T, COUNTING_TRIALS = 400.0, 500
+PARENT_MC_MAX_D = 16
 
 
 COUNTED = ("certified_chain", "hoeffding_constants")
@@ -112,10 +121,32 @@ def _layers(d: int) -> dict:
     }
 
 
-def measure() -> dict:
-    """One pass of the ladder: one timed call per layer and d."""
+def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
+    """Seconds of one sampler call; its channel or generator and state are built untimed."""
+    from qmcbounds.fixtures import driven_qubit
+    from qmcbounds.spectral import gkls_steady_state, invariant_state
+    from qmcbounds.trajectory import counting_counts, mc_tail
+
+    if layer == "counting_counts":
+        gen = driven_qubit()
+        rho0 = gkls_steady_state(gen).matrix
+        call = lambda: counting_counts(gen, rho0, COUNTING_T, trajectories, 0)  # noqa: E731
+    else:
+        channel = _channel(d)
+        payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
+        rho0 = invariant_state(_channel(d)).matrix
+        call = lambda: mc_tail(channel, rho0, payoff, MC_STEPS, 0.1, trajectories, 1)  # noqa: E731
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def measure(mc_max_d: int | None) -> dict:
+    """One pass of the ladder: one timed call per layer and d; mc_tail up to ``mc_max_d``."""
     for call in _layers(DIMS[0]).values():
         call(_channel(DIMS[0]))
+    _sampler_seconds("mc_tail", DIMS[0], 64)
+    _sampler_seconds("counting_counts", 2, 8)
     rows = []
     for d in DIMS:
         for layer, call in _layers(d).items():
@@ -128,13 +159,21 @@ def measure() -> dict:
                 row.update(_counts(lambda: call(channel), d))
             rows.append(row)
             print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
+    samplers = [("mc_tail", d, MC_TRAJECTORIES) for d in DIMS]
+    for layer, d, trajectories in samplers + [("counting_counts", 2, COUNTING_TRIALS)]:
+        skip = layer == "mc_tail" and mc_max_d is not None and d > mc_max_d
+        row = {"layer": layer, "d": d,
+               "seconds": None if skip else _sampler_seconds(layer, d, trajectories)}
+        rows.append(row)
+        print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
     return {"environment": _environment(), "rows": rows}
 
 
-def _run_pass(src: Path) -> dict:
+def _run_pass(src: Path, mc_max_d: int | None) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    done = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
+    limit = [] if mc_max_d is None else ["--mc-max-d", str(mc_max_d)]
+    done = subprocess.run([sys.executable, __file__, "--child", *limit], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -144,9 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="BENCH file to write")
     parser.add_argument("--parent", help="checkout of the parent commit, for a second column")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--mc-max-d", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.mc_max_d)))
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -156,19 +196,23 @@ def main(argv: list[str] | None = None) -> int:
     passes: dict[str, list] = {name: [] for name in trees}
     for repeat in range(REPEATS):
         for name in (list(trees) if repeat % 2 == 0 else list(reversed(trees))):
-            passes[name].append(_run_pass(trees[name] / "src"))
+            passes[name].append(_run_pass(trees[name] / "src",
+                                          PARENT_MC_MAX_D if name == "parent" else None))
     rows = []
     for i, row in enumerate(passes["change"][0]["rows"]):
         merged = {"layer": row["layer"], "d": row["d"]}
         for name, runs in passes.items():
-            times = sorted(run["rows"][i]["seconds"] for run in runs)
-            merged[f"{name}_median_s"] = times[len(times) // 2]
+            times = [run["rows"][i]["seconds"] for run in runs]
+            merged[f"{name}_median_s"] = (None if None in times
+                                          else sorted(times)[len(times) // 2])
             for count in ("svds", "eigvals", "full_svds"):
                 if count in row:
                     merged[f"{name}_{count}"] = runs[0]["rows"][i][count]
         rows.append(merged)
     doc = {
-        "what": "median seconds of each spectral layer on fixtures.random_channel(d, 3, 101)",
+        "what": ("median seconds of each spectral layer and of mc_tail (4096 trajectories, "
+                 "n = 50) on fixtures.random_channel(d, 3, 101), and of counting_counts on "
+                 "driven_qubit (t = 400, 500 trajectories); null: not timed"),
         "repeats": REPEATS,
         "order": "one child process per pass; this tree first on even passes, the parent on odd",
         "environment": {name: runs[0]["environment"] for name, runs in passes.items()},
