@@ -40,13 +40,14 @@ from .operators import (
     KrausChannel,
     as_complex_matrix,
     dagger,
+    hermitian_coordinate_matrix,
+    kms_conjugated,
     kms_norm,
-    kms_operator_norm,
     kraus_family_deviation,
+    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     state_power,
-    superoperator_matrix,
     uniform_norm,
 )
 from .spectral import (
@@ -54,7 +55,6 @@ from .spectral import (
     MultiplicativeGap,
     _certified_poisson_norm,
     _irreducibility_vote,
-    _kms_real_part,
     additive_gap_report,
     certified_pseudoresolvent_norm,
     gkls_steady_state,
@@ -233,8 +233,7 @@ def bernstein_constants(channel: KrausChannel, f, rho=None, sigma=None) -> Bound
     stats = stationary_stats(channel, sig, f)
     report = multiplicative_gap_report(channel, sig)
     nr = 1.0 if rho is None else n_rho(rho, sig)
-    eps = report.epsilon if report.irreducible else 0.0
-    return BoundConstants(b=stats.b, c=stats.c, epsilon=eps, n_rho=nr,
+    return BoundConstants(b=stats.b, c=stats.c, epsilon=report.epsilon, n_rho=nr,
                           hypothesis_ok=report.irreducible,
                           note=report.note)
 
@@ -284,19 +283,23 @@ def _stationary_intensity(gen: GKLSGenerator, label, sigma) -> float:
 
 
 def counting_constants(gen: GKLSGenerator, label, rho=None, sigma=None) -> BoundConstants:
-    """m, b, alpha and the additive-symmetrization gap for one detector."""
+    """m, b, alpha and the additive-symmetrization gap for one detector.
+
+    For the jump map J(x) = L^* x L, b = ||(J + J_dagger)(1) / 2||_KMS and
+    alpha = ||(J + J_dagger) / 2||_KMS = ||(T + T^T) / 2||_2, T the real matrix
+    of the family sigma^(-1/4) L sigma^(1/4).
+    """
     sig = gkls_steady_state(gen) if sigma is None else sigma
     s = state_matrix(sig)
     m_intensity = _stationary_intensity(gen, label, s)
-    jump = KrausChannel([gen.jumps[gen.index(label)]], expect_channel=False)
-    jump_super = superoperator_matrix(jump)
-    b_op = _kms_real_part(jump_super, s)
-    b_val = kms_norm(b_op.apply(np.eye(gen.dim)), s)
-    alpha = kms_operator_norm(b_op, s)
+    l = gen.jumps[gen.index(label)]
+    half_inv = state_power(s, -0.5)
+    b_val = kms_norm((dagger(l) @ l + half_inv @ l @ s @ dagger(l) @ half_inv) / 2, s)
+    t = hermitian_coordinate_matrix(kraus_superoperator_matrix(kms_conjugated([l], s)))
+    alpha = float(np.linalg.norm((t + t.T) / 2, 2))
     report = additive_gap_report(gen, s)
     nr = 1.0 if rho is None else n_rho(rho, sig)
-    eps = report.epsilon if report.irreducible else 0.0
-    return BoundConstants(b=b_val, epsilon=eps, n_rho=nr, m=m_intensity, alpha=alpha,
+    return BoundConstants(b=b_val, epsilon=report.epsilon, n_rho=nr, m=m_intensity, alpha=alpha,
                           hypothesis_ok=report.irreducible, note=report.note)
 
 
@@ -462,8 +465,7 @@ def time_dependent_bound(constants: TimeDependentConstants, gamma: float, n: int
     c_n, b_n2 = constants.c[n - 1], constants.var_sums[n - 1] / n
     if constants.flavor == "bernstein":
         gap = constants.gap
-        bc = BoundConstants(b=math.sqrt(b_n2), c=c_n,
-                            epsilon=gap.epsilon if gap.irreducible else 0.0,
+        bc = BoundConstants(b=math.sqrt(b_n2), c=c_n, epsilon=gap.epsilon,
                             n_rho=constants.n_rho, hypothesis_ok=gap.irreducible)
         return _bernstein_result("tdm-bernstein", bc, b_n2, gamma, n, two_sided,
                                  "deterministic payoffs (b_n = 0)",

@@ -14,10 +14,15 @@ Conventions
 * This module is the one place that knows how a map becomes a matrix: the
   column-stacking vectorization ``vec(a @ x @ b) = kron(b.T, a) @ vec(x)``.
   Superoperator matrices are ``d^2 x d^2`` and always Heisenberg; the
-  predual's matrix is their conjugate transpose.  It also builds the
-  no-jump generator's matrix, the real coordinates of Hermitian matrices
-  and of channels in an orthonormal Hermitian basis, and the Choi-matrix
-  check that one Kraus family sums to another.
+  predual's matrix is their conjugate transpose.  Every matrix comes from a
+  Kraus form ``sum_i V_i^* x V_i`` or a generator form
+  ``G^* x + x G + sum_i L_i^* x L_i`` (GKLS: ``G = iH - sum_i L_i^* L_i / 2``).
+  The module also builds real coordinates of Hermitian matrices and of maps
+  in an orthonormal Hermitian basis, and the Choi-matrix check that one
+  Kraus family sums to another.
+* KMS weighting is conjugation: the form on ``sigma^(-1/4) X sigma^(1/4)``
+  (:func:`kms_conjugated`) has the matrix ``W^(1/2) M W^(-1/2)``, ``W`` the
+  KMS Gram matrix, which only the Superoperator paths build.
 * Matrix functions of selfadjoint inputs go through an eigendecomposition.
 
 All operations are pure functions of immutable inputs, with one memo: a
@@ -362,16 +367,15 @@ def kraus_superoperator_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
     return sum(np.kron(v.T, v.conj().T) for v in ops)
 
 
+def generator_superoperator_matrix(g: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
+    """Heisenberg matrix of the generator form x -> G^* x + x G + sum_i L_i^* x L_i."""
+    eye = np.eye(g.shape[0])
+    return np.kron(eye, g.conj().T) + np.kron(g.T, eye) + kraus_superoperator_matrix(jumps)
+
+
 def gkls_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
-    """Heisenberg matrix of a GKLS generator."""
-    d = gen.dim
-    eye = np.eye(d)
-    h = gen.hamiltonian
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for l in gen.jumps:
-        ll = dagger(l) @ l
-        m = m + np.kron(l.T, l.conj().T) - 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
-    return m
+    """Heisenberg matrix of a GKLS generator, in its generator form."""
+    return generator_superoperator_matrix(gen.no_jump_generator_matrix, gen.jumps)
 
 
 def superoperator_matrix(mapping) -> Superoperator:
@@ -393,24 +397,14 @@ def kraus_family_deviation(ops: Sequence[np.ndarray], reference: Sequence[np.nda
     return float(np.max(np.abs(a.T @ a.conj() - b.T @ b.conj())))
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first.
-
-    E_pp, then (E_pq + E_qp) / sqrt(2), then i (E_qp - E_pq) / sqrt(2), for
-    the pairs p < q in row-major order.
-    """
-    e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
-    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
-    return np.stack([e[p, p] for p in range(d)]
-                    + [(e[p, q] + e[q, p]) * math.sqrt(0.5) for p, q in pairs]
-                    + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
-
-
 def _frame(v: np.ndarray, d: int, sign: complex) -> np.ndarray:
     """U^* v (``sign`` = -1j) or U^T v (``sign`` = 1j) along the last axis, indexed as vec.
 
-    U is the unitary of :func:`hermitian_basis`; each of its columns has at
-    most two entries, so this is a gather, not a product.
+    U is the unitary whose columns are vec(B_b) for the orthonormal basis of
+    the Hermitian matrices that every Hermitian coordinate refers to: the d
+    diagonal units E_pp, then (E_pq + E_qp) / sqrt(2), then
+    i (E_qp - E_pq) / sqrt(2), for the pairs p < q in row-major order.  Each
+    column has at most two entries, so this is a gather, not a product.
     """
     p, q = np.triu_indices(d, 1)
     upper, lower, s = v[..., q * d + p], v[..., p * d + q], math.sqrt(0.5)  # E_pq, E_qp
@@ -419,7 +413,7 @@ def _frame(v: np.ndarray, d: int, sign: complex) -> np.ndarray:
 
 
 def hermitian_coordinates(x: np.ndarray) -> np.ndarray:
-    """Real coordinates r_b = Re tr(B_b x) in :func:`hermitian_basis`, of a matrix or a stack.
+    """Real coordinates r_b = Re tr(B_b x) in the basis of :func:`_frame`, of a matrix or a stack.
 
     For a Hermitian x these are its coordinates; otherwise they are those of
     its Hermitian part (x + x^*) / 2.
@@ -446,7 +440,7 @@ def from_hermitian_coordinates(r: np.ndarray, d: int) -> np.ndarray:
 
 
 def hermitian_coordinate_matrix(m: np.ndarray) -> np.ndarray:
-    """The real matrix U^* m U of a Hermiticity-preserving map in :func:`hermitian_basis`.
+    """The real matrix U^* m U of a Hermiticity-preserving map in the basis of :func:`_frame`.
 
     ``m`` is the map's column-stacking d^2 x d^2 matrix and U the matrix of
     the columns vec(B_b).  The basis is orthonormal and also a basis of all
@@ -459,17 +453,6 @@ def hermitian_coordinate_matrix(m: np.ndarray) -> np.ndarray:
     """
     d = math.isqrt(m.shape[0])
     return _frame(_frame(m, d, 1j).T, d, -1j).T.real
-
-
-def hermitian_superoperator_matrix(channel: KrausChannel) -> np.ndarray:
-    """Real blocks K[i, b, c] = tr(B_c V_i B_b V_i^*) in :func:`hermitian_basis`.
-
-    ``r @ K[i]`` are the coordinates of V_i T V_i^* for the coordinates r of
-    T, so ``sum_i K[i]`` is the channel's Heisenberg matrix in them.
-    """
-    basis = hermitian_basis(channel.dim)
-    images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis, channel._stack.conj())
-    return np.einsum("cqp,ibpq->ibc", basis, images).real
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +473,16 @@ def kms_inner(x, y, sigma) -> complex:
 def kms_norm(x, sigma) -> float:
     v = kms_inner(x, x, sigma)
     return float(np.sqrt(max(v.real, 0.0)))
+
+
+def kms_conjugated(ops: Sequence[np.ndarray], sigma) -> list[np.ndarray]:
+    """sigma^(-1/4) X sigma^(1/4) for each X: the form on them has the matrix W^(1/2) M W^(-1/2).
+
+    M is the form's matrix on ``ops`` and W :func:`kms_weight_matrix` of a faithful sigma.
+    """
+    s = state_matrix(sigma)
+    quarter, quarter_inv = state_power(s, 0.25), state_power(s, -0.25)
+    return [quarter_inv @ x @ quarter for x in ops]
 
 
 def kms_weight_matrix(sigma, power: float = 1.0) -> np.ndarray:

@@ -39,15 +39,14 @@ from .operators import (
     DensityMatrix,
     KrausChannel,
     GKLSGenerator,
-    Superoperator,
     as_complex_matrix,
     dagger,
     from_hermitian_coordinates,
+    generator_superoperator_matrix,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
     is_selfadjoint,
-    kms_adjoint,
-    kms_isometrized_matrix,
+    kms_conjugated,
     kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
@@ -122,8 +121,8 @@ def _fixed_space(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndar
     right singular vectors at the cut span the fixed states, the left ones
     the fixed observables; both bases consist of Hermitian matrices.  One
     SVD per channel object: the triple is memoized on the channel, so
-    :func:`invariant_state`, the irreducibility vote and the block split of
-    :func:`decompose_invariant_subspaces` share it.
+    :func:`invariant_state`, the irreducibility vote, :func:`faithful_fixed_point`
+    and the block split of :func:`decompose_invariant_subspaces` share it.
     """
     if channel._fixed_space is None:
         r = hermitian_coordinate_matrix(superoperator_matrix(channel).matrix)
@@ -176,16 +175,16 @@ def invariant_state(channel: KrausChannel) -> DensityMatrix:
 
 
 def gkls_steady_state(gen: GKLSGenerator) -> DensityMatrix:
-    """Unique stationary state of the semigroup, ker of the predual generator."""
-    m_s = superoperator_matrix(gen).matrix.conj().T
-    basis = _null_space(m_s)
+    """Unique stationary state of the semigroup: ker R^T, R the generator's real matrix."""
+    r = hermitian_coordinate_matrix(superoperator_matrix(gen).matrix)
+    singular, basis, _ = _singular_null_space(r.T)
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
-    sigma = _trace_normalized(basis[:, 0], gen.dim)
+    sigma = _trace_normalized(_vec_basis(basis, gen.dim)[:, 0], gen.dim)
     if sigma is None:
         raise FixedSpaceError(1, "stationary solve returned a traceless matrix")
     residual = float(np.max(np.abs(gen.apply_dual(sigma))))
-    if residual > max(1e-10, 1e-9 * uniform_norm(m_s)):
+    if residual > max(1e-10, 1e-9 * singular[0]):
         raise FixedSpaceError(1, f"stationary residual {residual:.3e}")
     return DensityMatrix(sigma)
 
@@ -424,13 +423,12 @@ def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap
     Heisenberg matrix of the Kraus family sigma^(-1/4) V_i sigma^(1/4).  T
     preserves Hermiticity, so in Hermitian coordinates it is real, T^T T is
     real symmetric and positive semidefinite, and its eigenvalues, clipped
-    at 0 against rounding, are psi's.
+    at 0 against rounding, are psi's.  The gap is 0 when psi is reducible
+    or its vote inconclusive.
     """
     psi = multiplicative_symmetrization(channel, sigma)
-    s = state_matrix(sigma)
-    quarter, quarter_inv = state_power(s, 0.25), state_power(s, -0.25)
-    t = hermitian_coordinate_matrix(
-        kraus_superoperator_matrix([quarter_inv @ v @ quarter for v in channel.kraus]))
+    ops = kms_conjugated(channel.kraus, sigma)
+    t = hermitian_coordinate_matrix(kraus_superoperator_matrix(ops))
     eigs = np.clip(np.linalg.eigvalsh(t.T @ t), 0.0, None)  # ascending
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
     note = ""
@@ -439,8 +437,8 @@ def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap
     except InconclusiveIrreducibilityError:
         irreducible = False
         note = "irreducibility vote inconclusive"
-    return MultiplicativeGap(epsilon=epsilon, irreducible=irreducible, psi=psi,
-                             eigenvalues=eigs, note=note)
+    return MultiplicativeGap(epsilon=epsilon if irreducible else 0.0, irreducible=irreducible,
+                             psi=psi, eigenvalues=eigs, note=note)
 
 
 def spectral_gap_multiplicative(channel: KrausChannel, sigma) -> float:
@@ -461,29 +459,28 @@ class AdditiveGap:
     note: str = ""
 
 
-def _kms_real_part(mapping, sigma) -> Superoperator:
-    """(M + M_dagger) / 2 with the adjoint taken in the KMS product of sigma."""
-    sup = superoperator_matrix(mapping)
-    m_dag = kms_adjoint(sup, state_matrix(sigma)).matrix
-    return Superoperator(sup.dim, (sup.matrix + m_dag) / 2)
-
-
 def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
-    """Spectral gap of the additive symmetrization (L + L_dagger)/2."""
+    """Spectral gap of the additive symmetrization (L + L_dagger)/2; 0 when it is reducible.
+
+    It is similar to (T + T^T) / 2, T the real matrix of the generator form
+    on sigma^(-1/4) X sigma^(1/4) for X = G and the jumps.  Irreducible means
+    a simple top eigenvalue (``TAU_EIG``) whose dual fixed point
+    sigma^(1/4) Y sigma^(1/4), Y its eigenvector, is faithful.
+    """
     s = state_matrix(sigma)
-    a = _kms_real_part(gen, s)
-    iso = kms_isometrized_matrix(a, s)
-    eigs = np.sort(np.linalg.eigvalsh(_hermitize(iso)))  # real, <= 0 up to rounding
+    g, *jumps = kms_conjugated((gen.no_jump_generator_matrix,) + gen.jumps, s)
+    t = hermitian_coordinate_matrix(generator_superoperator_matrix(g, jumps))
+    eigs, vectors = np.linalg.eigh((t + t.T) / 2)  # ascending
     top = eigs[-1]
     second = eigs[-2] if eigs.size >= 2 else -np.inf
     multiplicity = int(np.sum(np.abs(eigs - top) <= TAU_EIG))
-    # dual fixed point of the symmetrized semigroup at eigenvalue 0
-    basis = _null_space(a.matrix.conj().T - top * np.eye(a.matrix.shape[0]))
-    faithful = _fixed_point_min_eigenvalue(basis, gen.dim) > TAU_PSD
+    quarter = state_power(s, 0.25)
+    fixed = quarter @ from_hermitian_coordinates(vectors[:, -1], gen.dim) @ quarter
+    faithful = _fixed_point_min_eigenvalue(vec(fixed)[:, None], gen.dim) > TAU_PSD
     irreducible = multiplicity == 1 and faithful
     commutes = float(np.max(np.abs(gen.hamiltonian @ s - s @ gen.hamiltonian))) <= 1e-10
     note = "[H, sigma] = 0: irreducibility of the symmetrization is automatic" if commutes else ""
-    return AdditiveGap(epsilon=float(-second), irreducible=irreducible,
+    return AdditiveGap(epsilon=float(-second) if irreducible else 0.0, irreducible=irreducible,
                        eigenvalues=eigs, hamiltonian_commutes=commutes, note=note)
 
 
@@ -922,13 +919,13 @@ def deformed_channel(channel: KrausChannel, f, u: float) -> KrausChannel:
 
 
 def spectral_radius_deformed(channel: KrausChannel, f, u: float, sigma) -> float:
-    """Spectral radius of psi_u = (phi_u)_dagger phi_u; equals 1 at u = 0."""
-    s = state_matrix(sigma)
-    phi_u = deformed_channel(channel, f, u)
-    m_u = superoperator_matrix(phi_u).matrix
-    m_dag = kms_adjoint(Superoperator(channel.dim, m_u), s).matrix
-    eigs = np.linalg.eigvals(m_dag @ m_u)
-    return float(np.max(np.abs(eigs)))
+    """Spectral radius of psi_u = (phi_u)_dagger phi_u; equals 1 at u = 0.
+
+    psi_u is similar to T^T T, T the real matrix of the Kraus family
+    sigma^(-1/4) e^(u f(i) / 2) V_i sigma^(1/4), so the radius is ||T||_2^2.
+    """
+    ops = kms_conjugated(deformed_channel(channel, f, u).kraus, sigma)
+    return _svd_norm(hermitian_coordinate_matrix(kraus_superoperator_matrix(ops))) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -964,30 +961,23 @@ class InvariantDecomposition:
         return comp / tr
 
 
-def _spectral_projector_at_one(m: np.ndarray) -> np.ndarray:
-    """Spectral projector onto the eigenvalues within 1e-8 of 1, along the complement."""
-    t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: abs(lam - 1.0) < 1e-8)
-    if sdim == 0:
-        raise HypothesisError("no eigenvalue 1: map is not trace preserving")
-    if sdim == m.shape[0]:
-        return np.eye(m.shape[0], dtype=complex)
-    t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
-    r = sla.solve_sylvester(t11, -t22, t12)
-    p_t = np.zeros_like(m)
-    p_t[:sdim, :sdim] = np.eye(sdim)
-    p_t[:sdim, sdim:] = r
-    return z @ p_t @ z.conj().T
-
-
 def faithful_fixed_point(channel: KrausChannel) -> np.ndarray:
     """A full-rank fixed state of the predual, via the Cesaro limit of 1/d.
+
+    The limit is V (W^* V)^(-1) W^* vec(1/d), the projection onto the fixed
+    states V along the range of phi_* - Id, W the fixed observables, both
+    from :func:`_fixed_space`; 1 is a semisimple eigenvalue of a channel
+    (Wolf, 2012, Prop. 6.2), so W^* V is invertible.
 
     Raises :class:`HypothesisError` ("positive recurrence fails") when no
     faithful invariant state exists.
     """
-    m_s = superoperator_matrix(channel).matrix.conj().T
-    p1 = _spectral_projector_at_one(m_s)
-    candidate = _trace_normalized(p1 @ vec(np.eye(channel.dim) / channel.dim), channel.dim)
+    _, states, observables = _fixed_space(channel)
+    if states.shape[1] == 0:
+        raise HypothesisError("no eigenvalue 1: map is not trace preserving")
+    w = observables.conj().T
+    limit = states @ np.linalg.solve(w @ states, w @ vec(np.eye(channel.dim) / channel.dim))
+    candidate = _trace_normalized(limit, channel.dim)
     if candidate is None or float(np.min(np.linalg.eigvalsh(candidate))) <= TAU_PSD:
         raise HypothesisError("positive recurrence fails")
     return candidate

@@ -67,8 +67,9 @@ from .operators import (
     GKLSGenerator,
     KrausChannel,
     dagger,
+    hermitian_coordinate_matrix,
     hermitian_coordinates,
-    hermitian_superoperator_matrix,
+    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     uniform_norm,
@@ -470,12 +471,14 @@ def _channel_laws(channel: KrausChannel, rho0, next_tag: np.ndarray, shift: np.n
                   denom: int, steps: Sequence[int], lag: int) -> dict:
     """{n: law} from the kernel run on the operators of ``channel`` to each n + lag in ``steps``.
 
-    Rows hold the real coordinates r_b = tr(B_b T) of the Hermitian T[s] in
-    :func:`operators.hermitian_basis`, so V T V^* is the real block
-    K[b, c] = tr(B_c V B_b V^*) and the mass tr T sums the d diagonal ones.
+    Rows hold the real coordinates r_b = tr(B_b T) of the Hermitian T[s]
+    (:func:`operators.hermitian_coordinates`), and the mass tr T sums the d
+    diagonal ones.  V T V^* is ``r @ K`` for K the real Heisenberg matrix of
+    the one-operator family (V), as the predual's matrix is its transpose.
     """
     d = channel.dim
-    blocks = hermitian_superoperator_matrix(channel)
+    blocks = np.stack([hermitian_coordinate_matrix(kraus_superoperator_matrix([v]))
+                       for v in channel.kraus])
     maps = np.broadcast_to(blocks, (next_tag.shape[0],) + blocks.shape)
     init = hermitian_coordinates(state_matrix(rho0))
     rows = _lattice_dp(maps, next_tag, shift, init, steps)
@@ -631,12 +634,11 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
     that, v Lambda / sum_i |L_i psi|^2 is uniform again and draws the label
     through the filter step.  Event times are sums of the gaps.
 
-    The cost is about Lambda t proposals per trajectory, one product each,
-    against some 17 m t survival evaluations to solve every waiting time
-    of the no-jump survival by safeguarded Newton, m being the total
-    stationary intensity; Lambda / m is 2.25 on ``driven_qubit`` and 1.75 on
-    ``poisson_qubit``.  Lambda = 0 means no events.  A computed intensity
-    above Lambda is a numerical failure and is never clipped.
+    The cost is about Lambda t proposals per trajectory, one product each;
+    Lambda is 2.25 times the total stationary intensity on ``driven_qubit``
+    and 1.75 times it on ``poisson_qubit``.  Lambda = 0 means no events.  A
+    computed intensity above Lambda is a numerical failure and is never
+    clipped.
     """
     batch = len(indices)
     counts = np.zeros((batch, len(gen.jumps)), dtype=np.int64)

@@ -17,23 +17,49 @@ complex column-stacking computations it replaced are kept here:
 * the gap of psi from ``eigvalsh`` of the complex KMS-isometrized psi;
 * the heuristic lower estimate on complex matrices;
 * the Poisson solution from the complex restriction.
+
+Every map is now the real matrix of a Kraus or generator form in Hermitian
+coordinates, KMS-weighted by conjugating its operators.  The routes that
+did this another way are kept here too:
+
+* the orthonormal Hermitian basis and the DP's per-operator blocks from
+  two einsums over it;
+* the GKLS generator's matrix as a sum of Kronecker products, and its
+  stationary state from the complex SVD of the predual's matrix;
+* the additive gap, alpha, b and the deformed radius from d^2 x d^2 KMS
+  Gram matrices, with the dual fixed point from a complex null space;
+* the Cesaro limit of 1/d from a sorted complex Schur form and a Sylvester
+  solve.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg as sla
 
 from qmcbounds.classical import MarkovChain, flux_matrix
 from qmcbounds.operators import (
+    GKLSGenerator,
     KrausChannel,
+    Superoperator,
     dagger,
+    kms_adjoint,
     kms_isometrized_matrix,
+    kms_norm,
+    kms_operator_norm,
     observation_vector,
     state_matrix,
     superoperator_matrix,
     unvec,
     vec,
 )
-from qmcbounds.spectral import multiplicative_symmetrization
+from qmcbounds.spectral import (
+    TAU_EIG,
+    TAU_PSD,
+    HypothesisError,
+    deformed_channel,
+    multiplicative_symmetrization,
+)
 
 
 def enumeration_batches(channel: KrausChannel, rho0, nums: np.ndarray, n: int,
@@ -167,3 +193,112 @@ def complex_poisson_solve(channel: KrausChannel, f: np.ndarray, sigma) -> np.nda
     q, phi_f, _ = complex_resolvent(channel, sigma)
     z = np.linalg.solve(np.eye(phi_f.shape[0]) - phi_f, q.conj().T @ vec(f))
     return hermitize(unvec(q @ z, channel.dim))
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """(d^2, d, d) orthonormal basis of the Hermitian matrices, the d diagonal units first.
+
+    E_pp, then (E_pq + E_qp) / sqrt(2), then i (E_qp - E_pq) / sqrt(2), for
+    the pairs p < q in row-major order.
+    """
+    e = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # e[p, q] is the unit E_pq
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    return np.stack([e[p, p] for p in range(d)]
+                    + [(e[p, q] + e[q, p]) * math.sqrt(0.5) for p, q in pairs]
+                    + [(e[q, p] - e[p, q]) * 1j * math.sqrt(0.5) for p, q in pairs])
+
+
+def einsum_blocks(channel: KrausChannel) -> np.ndarray:
+    """The DP's real blocks K[i, b, c] = tr(B_c V_i B_b V_i^*), from two einsums."""
+    basis = hermitian_basis(channel.dim)
+    images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis, channel._stack.conj())
+    return np.einsum("cqp,ibpq->ibc", basis, images).real
+
+
+def kron_generator_matrix(gen: GKLSGenerator) -> np.ndarray:
+    """Heisenberg matrix of a GKLS generator, term by term from its Hamiltonian and jumps."""
+    d = gen.dim
+    eye = np.eye(d)
+    h = gen.hamiltonian
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for l in gen.jumps:
+        ll = dagger(l) @ l
+        m = m + np.kron(l.T, l.conj().T) - 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
+    return m
+
+
+def _null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(m), singular values below 1e-10 * max(s_max, 1)."""
+    u, s, vh = np.linalg.svd(m)
+    rank = int(np.sum(s > 1e-10 * max(s[0], 1.0)))
+    return vh[rank:].conj().T
+
+
+def complex_steady_state(gen: GKLSGenerator) -> np.ndarray:
+    """The stationary state from the null vector of the complex predual generator, at unit trace."""
+    basis = _null_space(kron_generator_matrix(gen).conj().T)
+    assert basis.shape[1] == 1
+    x = hermitize(unvec(basis[:, 0], gen.dim))
+    return x / float(np.trace(x).real)
+
+
+def _kms_real_part(m: np.ndarray, sigma) -> Superoperator:
+    """(M + M_dagger) / 2, the adjoint taken in the KMS product through its Gram matrices."""
+    d = state_matrix(sigma).shape[0]
+    m_dag = kms_adjoint(Superoperator(d, m), sigma).matrix
+    return Superoperator(d, (m + m_dag) / 2)
+
+
+def gram_additive_gap(gen: GKLSGenerator, sigma) -> tuple[float, int, bool]:
+    """(epsilon, multiplicity, irreducible) of (L + L_dagger) / 2 through the Gram matrices.
+
+    epsilon is minus the second eigenvalue, whatever the verdict.
+    """
+    a = _kms_real_part(kron_generator_matrix(gen), sigma)
+    eigs = np.sort(np.linalg.eigvalsh(hermitize(kms_isometrized_matrix(a, sigma))))
+    top = eigs[-1]
+    multiplicity = int(np.sum(np.abs(eigs - top) <= TAU_EIG))
+    basis = _null_space(a.matrix.conj().T - top * np.eye(a.matrix.shape[0]))
+    faithful = False
+    if basis.shape[1] == 1:
+        x = hermitize(unvec(basis[:, 0], gen.dim))
+        tr = float(np.trace(x).real)
+        faithful = abs(tr) >= 1e-12 and float(np.min(np.linalg.eigvalsh(x / tr))) > TAU_PSD
+    return float(-eigs[-2]), multiplicity, multiplicity == 1 and faithful
+
+
+def gram_counting_constants(gen: GKLSGenerator, label, sigma) -> tuple[float, float]:
+    """(b, alpha) of one detector from the KMS real part of its jump map."""
+    jump = KrausChannel([gen.jumps[gen.index(label)]], expect_channel=False)
+    b_op = _kms_real_part(superoperator_matrix(jump).matrix, sigma)
+    return kms_norm(b_op.apply(np.eye(gen.dim)), sigma), kms_operator_norm(b_op, sigma)
+
+
+def gram_deformed_radius(channel: KrausChannel, f, u: float, sigma) -> float:
+    """Spectral radius of M_u_dagger M_u, the KMS adjoint through the Gram matrices."""
+    m_u = superoperator_matrix(deformed_channel(channel, f, u)).matrix
+    m_dag = kms_adjoint(Superoperator(channel.dim, m_u), sigma).matrix
+    return float(np.max(np.abs(np.linalg.eigvals(m_dag @ m_u))))
+
+
+def schur_fixed_point(channel: KrausChannel) -> np.ndarray:
+    """The Cesaro limit of 1/d from the spectral projector at 1, by Schur form and Sylvester.
+
+    Raises ``HypothesisError`` when the limit is not faithful.
+    """
+    m = superoperator_matrix(channel).matrix.conj().T
+    t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: abs(lam - 1.0) < 1e-8)
+    if sdim == 0:
+        raise HypothesisError("no eigenvalue 1: map is not trace preserving")
+    p1 = np.eye(m.shape[0], dtype=complex)
+    if sdim < m.shape[0]:
+        t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
+        p_t = np.zeros_like(m)
+        p_t[:sdim, :sdim] = np.eye(sdim)
+        p_t[:sdim, sdim:] = sla.solve_sylvester(t11, -t22, t12)
+        p1 = z @ p_t @ z.conj().T
+    x = hermitize(unvec(p1 @ vec(np.eye(channel.dim) / channel.dim), channel.dim))
+    tr = float(np.trace(x).real)
+    if abs(tr) < 1e-12 or float(np.min(np.linalg.eigvalsh(x / tr))) <= TAU_PSD:
+        raise HypothesisError("positive recurrence fails")
+    return x / tr

@@ -6,8 +6,11 @@ convention has one owner.  A ``kron`` call anywhere else would be a second
 construction.  So would a use of ``hermitian_basis`` or of the coordinate
 frame's gather (``_frame``, ``triu_indices``, the factor sqrt(1/2)): the
 other modules convert through ``hermitian_coordinates``,
-``from_hermitian_coordinates`` and ``hermitian_coordinate_matrix``.  The
-modules are read with ``ast``, so docstrings do not count; nothing is
+``from_hermitian_coordinates`` and ``hermitian_coordinate_matrix``.  KMS
+weighting is the conjugation of a form's operators (``kms_conjugated``), so
+no other module names the Gram matrix ``kms_weight_matrix``, and the fixed
+spaces come from one SVD, so no module calls ``schur`` or ``solve_sylvester``.
+The modules are read with ``ast``, so docstrings do not count; nothing is
 imported.
 """
 
@@ -23,6 +26,13 @@ def other_modules():
         if path.name != "operators.py":
             for node in ast.walk(ast.parse(path.read_text())):
                 yield path.name, node
+
+
+def named(node) -> str | None:
+    """The name a name, attribute or import alias node names, or None."""
+    return (node.id if isinstance(node, ast.Name) else node.attr
+            if isinstance(node, ast.Attribute) else node.name
+            if isinstance(node, ast.alias) else None)
 
 
 def called(node) -> str:
@@ -42,12 +52,23 @@ def test_only_operators_builds_hermitian_coordinates():
     frame = {"hermitian_basis", "_frame", "triu_indices"}
     found = []
     for name, node in other_modules():
-        used = (node.id if isinstance(node, ast.Name) else node.attr
-                if isinstance(node, ast.Attribute) else node.name
-                if isinstance(node, ast.alias) else None)
+        used = named(node)
         if used in frame:
             found.append(f"{name}:{node.lineno if hasattr(node, 'lineno') else '?'} {used}")
         if called(node) == "sqrt" and node.args and isinstance(node.args[0], ast.Constant) \
                 and node.args[0].value in (0.5, 2):
             found.append(f"{name}:{node.lineno} sqrt({node.args[0].value})")
+    assert found == []
+
+
+def test_only_operators_names_the_kms_gram_matrix():
+    found = [f"{name}:{node.lineno}" for name, node in other_modules()
+             if named(node) == "kms_weight_matrix"]
+    assert found == []
+
+
+def test_no_module_calls_schur_or_sylvester():
+    found = [f"{path.name}:{node.lineno} {called(node)}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if called(node) in ("schur", "solve_sylvester")]
     assert found == []

@@ -16,15 +16,14 @@ from qmcbounds.operators import (
     ObservationFunction,
     Superoperator,
     from_hermitian_coordinates,
-    hermitian_basis,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
-    hermitian_superoperator_matrix,
     kms_adjoint,
     kms_inner,
     kms_norm,
     kms_operator_norm,
     kms_positive_parts,
+    kraus_superoperator_matrix,
     superoperator_matrix,
     uniform_norm,
     unvec,
@@ -33,6 +32,7 @@ from qmcbounds.operators import (
 )
 
 from conftest import random_hermitian, random_state
+from reference import einsum_blocks, hermitian_basis
 
 
 def ring_ops(amplitude):
@@ -255,8 +255,15 @@ def random_generator(seed: int) -> GKLSGenerator:
     return GKLSGenerator((h + h.conj().T) / 2, jumps)
 
 
+def dp_blocks(channel):
+    """The exact DP's real blocks: the coordinate matrix of each one-operator family."""
+    return np.stack([hermitian_coordinate_matrix(kraus_superoperator_matrix([v]))
+                     for v in channel.kraus])
+
+
 class TestHermitianCoordinates:
-    """The builders reproduce the inline constructions they replaced, bit for bit."""
+    """The builders reproduce the inline constructions they replaced: the
+    coordinates bit for bit, the DP's blocks to rounding."""
 
     @staticmethod
     def channels(ring):
@@ -275,10 +282,7 @@ class TestHermitianCoordinates:
         for channel in self.channels(ring):
             basis = self.old_basis(channel.dim)
             assert bitwise_equal(hermitian_basis(channel.dim), basis)
-            images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis,
-                               channel._stack.conj())
-            old = np.einsum("cqp,ibpq->ibc", basis, images).real
-            assert bitwise_equal(hermitian_superoperator_matrix(channel), old)
+            assert np.max(np.abs(dp_blocks(channel) - einsum_blocks(channel))) <= 2e-16
             rho = random_state(channel.dim, rng)
             assert bitwise_equal(hermitian_coordinates(rho),
                                  np.einsum("bqp,pq->b", basis, rho).real)
@@ -287,7 +291,7 @@ class TestHermitianCoordinates:
         """r @ K[i] are the coordinates of V_i T V_i^*; sum_i K[i] is the Heisenberg matrix."""
         rng = np.random.default_rng(4)
         for channel in self.channels(ring):
-            blocks = hermitian_superoperator_matrix(channel)
+            blocks = dp_blocks(channel)
             x = random_hermitian(channel.dim, rng)
             r = hermitian_coordinates(x)
             for v, block in zip(channel.kraus, blocks):

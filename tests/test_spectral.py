@@ -61,6 +61,7 @@ from qmcbounds.spectral import (
 )
 
 from conftest import random_hermitian, random_state
+from reference import schur_fixed_point
 
 
 def rank_one_channel(seed=0, dim=3):
@@ -114,10 +115,13 @@ FIXED_POINT_CASES = [f"seed{seed}" for seed in range(24)] + ["two-block"]
 
 
 class TestFixedPointsFromTheHeisenbergMatrix:
-    """The fixed points read off the conjugate transpose of the Heisenberg
-    matrix equal, bit for bit, those read off a Schroedinger matrix built apart.
-    The invariant state is read off the predual's real matrix R^T in Hermitian
-    coordinates, R the Heisenberg matrix's."""
+    """The Heisenberg matrix's conjugate transpose is, bit for bit, a
+    Schroedinger matrix built apart, and the invariant state is read off the
+    predual's real matrix R^T in Hermitian coordinates, R the Heisenberg
+    matrix's, bit for bit.  The Cesaro limit from the shared fixed-space SVD
+    and the stationary state from the generator's real matrix agree to
+    rounding with the complex routes they replaced (Schur form and
+    Sylvester solve; complex SVD of the predual generator's matrix)."""
 
     @pytest.mark.parametrize("name", FIXED_POINT_CASES)
     def test_channel_fixed_points(self, name):
@@ -133,17 +137,14 @@ class TestFixedPointsFromTheHeisenbergMatrix:
         else:
             with pytest.raises(FixedSpaceError):
                 invariant_state(channel)
-        p1 = spectral._spectral_projector_at_one(m_s)
-        start = vec(np.eye(channel.dim) / channel.dim)
-        assert np.array_equal(faithful_fixed_point(channel),
-                              normalized_fixed_point(p1 @ start, channel.dim))
+        assert np.max(np.abs(faithful_fixed_point(channel) - schur_fixed_point(channel))) < 1e-14
 
     @pytest.mark.parametrize("make", [driven_qubit, poisson_counting_qubit])
     def test_gkls_steady_state(self, make):
         gen = make()
         basis = spectral._null_space(schrodinger_matrix(gen))
         expected = DensityMatrix(normalized_fixed_point(basis[:, 0], gen.dim)).matrix
-        assert np.array_equal(gkls_steady_state(gen).matrix, expected)
+        assert np.max(np.abs(gkls_steady_state(gen).matrix - expected)) < 1e-15
 
 
 class TestIrreducibility:
@@ -769,6 +770,66 @@ class TestVoteOnTheFixedPointSVD:
                 if outcomes[0] != outcomes[1]:
                     mismatched.append((name, bound, outcomes))
         assert mismatched == []
+
+
+# Leak channels on which the Schur route's cluster at 1 (eigenvalues within
+# 1e-8) held the draining block's eigenvalue 1 - O(eps), so its "Cesaro limit"
+# was faithful; the limit from the fixed-space SVD is the exact one, and no
+# faithful invariant state exists.
+NOT_RECURRENT = ("eps1e-10 s2", "eps1e-09 s1", "eps1e-09 s2", "eps1e-09 s3", "eps1e-08 s3",
+                 "eps1e-07 s1")
+
+
+def fixed_point_outcome(fixed_point, channel):
+    """The Cesaro limit, or the message of the HypothesisError raised instead."""
+    try:
+        return fixed_point(channel)
+    except HypothesisError as exc:
+        return str(exc)
+
+
+def kraus_model(path, channel):
+    labels = [f"k{i}" for i in range(len(channel.kraus))]
+    path.write_text(json.dumps({
+        "kind": "kraus", "labels": labels,
+        "kraus": [[[[z.real, z.imag] for z in row] for row in v] for v in channel.kraus],
+        "observation": {label: float(i % 3 - 1) for i, label in enumerate(labels)}}))
+    return str(path)
+
+
+class TestPositiveRecurrence:
+    """faithful_fixed_point from the shared fixed-space SVD against the Schur
+    route on the 222 trace-preserving vote-family channels."""
+
+    def test_verdicts_and_limits_match_the_schur_route(self):
+        moved, compared, total = [], 0, 0
+        for family in ("models", "random", "two-block", "leak"):
+            for name, build in vote_family(family):
+                total += 1
+                new = fixed_point_outcome(faithful_fixed_point, build())
+                old = fixed_point_outcome(schur_fixed_point, build())
+                if isinstance(new, str) or isinstance(old, str):
+                    if not (isinstance(new, str) and isinstance(old, str) and new == old):
+                        moved.append((family, name))
+                    continue
+                # near-reducible channels: Schur's cluster at 1 holds eigenvalues
+                # 1 - O(coupling), which the limit does not project onto
+                singular, basis = spectral._separated_fixed_space(build())
+                if singular is not None and (basis.shape[1] == 1 or name.startswith("eps0.0")):
+                    compared += 1
+                    assert np.max(np.abs(new - old)) < 1e-12, (family, name)
+        assert moved == [("leak", name) for name in NOT_RECURRENT]
+        assert total == 222 and compared >= 100
+
+    @pytest.mark.parametrize("name", NOT_RECURRENT)
+    def test_leak_channels_fail_positive_recurrence(self, name, tmp_path, capsys):
+        channel = dict(vote_family("leak"))[name]()
+        with pytest.raises(HypothesisError, match="positive recurrence fails"):
+            decompose_invariant_subspaces(channel)
+        path = kraus_model(tmp_path / "leak.json", channel)
+        assert cli.main(["bound", "--flavor", "reducible", "--model", path,
+                         "--n", "10", "--gamma", "0.1"]) == cli.EXIT_HYPOTHESIS
+        assert "positive recurrence fails" in capsys.readouterr().err
 
 
 def svd_tested_poisson_solve(channel, f, sigma, certified_upper):

@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python tools/ladder.py --out BENCH_19.json --parent /path/to/parent/checkout
+    python tools/ladder.py --out BENCH_20.json --parent /path/to/parent/checkout
 
 Each source tree (this one, and the optional parent checkout) is timed in
 child processes, which import ``qmcbounds`` from that tree's ``src/``.  The
@@ -21,7 +21,14 @@ state at each d (layer ``mc_tail``), and ``counting_counts`` on
 ``fixtures.driven_qubit()`` from its steady state, ``COUNTING_TRIALS``
 trajectories to t = ``COUNTING_T`` (layer ``counting_counts``, d = 2).  The
 parent's ``mc_tail`` rows above d = ``PARENT_MC_MAX_D`` are not timed, as
-they would take minutes, and read ``null``.  There are ``REPEATS`` passes
+they would take minutes, and read ``null``.  Then the exact DP,
+``score_distribution_dp`` from the maximally mixed state to each horizon in
+``DP_HORIZONS`` (rows carry ``n``), on ``fixtures.ring_channel()`` (d = 3)
+and on the random channels with d in ``DP_DIMS``;
+``decompose_invariant_subspaces`` on the direct sum of
+``random_channel(d // 2, 3, 101)`` and ``random_channel(d - d // 2, 3, 102)``
+for d in ``BLOCK_DIMS``; and ``counting_constants``, steady state included,
+on a seeded random GKLS generator with two jumps at d = ``GKLS_DIM``.  There are ``REPEATS`` passes
 per tree, and the trees alternate: on even passes this tree goes first, on
 odd passes the parent, so a machine that speeds up or slows down over a run
 does not favour one column.  A row is the median over the passes.  Children get
@@ -48,6 +55,10 @@ REPEATS = 3
 MC_TRAJECTORIES, MC_STEPS = 4096, 50
 COUNTING_T, COUNTING_TRIALS = 400.0, 500
 PARENT_MC_MAX_D = 16
+DP_HORIZONS = (128, 256, 512)
+DP_DIMS = (8, 16)
+BLOCK_DIMS = (8, 16)
+GKLS_DIM = 8
 
 
 COUNTED = ("certified_chain", "hoeffding_constants")
@@ -121,6 +132,67 @@ def _layers(d: int) -> dict:
     }
 
 
+def _two_block(d: int):
+    """The direct sum of two random channels, of dimensions d // 2 and d - d // 2."""
+    import numpy as np
+
+    from qmcbounds.fixtures import random_channel
+    from qmcbounds.operators import KrausChannel
+
+    ops = []
+    for at, block in ((0, random_channel(d // 2, 3, 101)),
+                      (d // 2, random_channel(d - d // 2, 3, 102))):
+        for v in block.kraus:
+            z = np.zeros((d, d), dtype=complex)
+            z[at:at + block.dim, at:at + block.dim] = v
+            ops.append(z)
+    return KrausChannel(ops)
+
+
+def _generator(d: int):
+    """A seeded random GKLS generator with two jumps."""
+    import numpy as np
+
+    from qmcbounds.operators import GKLSGenerator
+
+    rng = np.random.default_rng(101)
+    h, *jumps = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                 for _ in range(3))
+    return GKLSGenerator((h + h.conj().T) / 2, jumps)
+
+
+def _oracle_calls() -> list:
+    """(layer, d, n, build, call) of the DP, decomposition and counting-constant rows.
+
+    ``build`` makes the input untimed; ``call`` takes it.
+    """
+    import numpy as np
+
+    from qmcbounds.bounds import counting_constants
+    from qmcbounds.fixtures import ring_channel
+    from qmcbounds.spectral import decompose_invariant_subspaces
+    from qmcbounds.trajectory import score_distribution_dp
+
+    def dp(n: int):
+        def call(model):
+            channel, payoff = model
+            return score_distribution_dp(channel, np.eye(channel.dim) / channel.dim, payoff, n)
+        return call
+
+    def random_model(d: int):
+        channel = _channel(d)
+        return channel, {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
+
+    calls = [("score_distribution_dp", 3, n, ring_channel, dp(n)) for n in DP_HORIZONS]
+    calls += [("score_distribution_dp", d, n, lambda d=d: random_model(d), dp(n))
+              for d in DP_DIMS for n in DP_HORIZONS]
+    calls += [("decompose_invariant_subspaces", d, None, lambda d=d: _two_block(d),
+               decompose_invariant_subspaces) for d in BLOCK_DIMS]
+    calls.append(("counting_constants", GKLS_DIM, None, lambda: _generator(GKLS_DIM),
+                  lambda gen: counting_constants(gen, gen.labels[0])))
+    return calls
+
+
 def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
     """Seconds of one sampler call; its channel or generator and state are built untimed."""
     from qmcbounds.fixtures import driven_qubit
@@ -166,6 +238,21 @@ def measure(mc_max_d: int | None) -> dict:
                "seconds": None if skip else _sampler_seconds(layer, d, trajectories)}
         rows.append(row)
         print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
+    calls = _oracle_calls()
+    first: dict = {}
+    for layer, _, _, build, call in calls:
+        first.setdefault(layer, (build, call))
+    for build, call in first.values():  # warm-up: the first call of each layer
+        call(build())
+    for layer, d, n, build, call in calls:
+        model = build()
+        start = time.perf_counter()
+        call(model)
+        row = {"layer": layer, "d": d, "seconds": time.perf_counter() - start}
+        if n is not None:
+            row["n"] = n
+        rows.append(row)
+        print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
     return {"environment": _environment(), "rows": rows}
 
 
@@ -200,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
                                           PARENT_MC_MAX_D if name == "parent" else None))
     rows = []
     for i, row in enumerate(passes["change"][0]["rows"]):
-        merged = {"layer": row["layer"], "d": row["d"]}
+        merged = {key: row[key] for key in ("layer", "d", "n") if key in row}
         for name, runs in passes.items():
             times = [run["rows"][i]["seconds"] for run in runs]
             merged[f"{name}_median_s"] = (None if None in times
@@ -211,8 +298,11 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(merged)
     doc = {
         "what": ("median seconds of each spectral layer and of mc_tail (4096 trajectories, "
-                 "n = 50) on fixtures.random_channel(d, 3, 101), and of counting_counts on "
-                 "driven_qubit (t = 400, 500 trajectories); null: not timed"),
+                 "n = 50) on fixtures.random_channel(d, 3, 101), of counting_counts on "
+                 "driven_qubit (t = 400, 500 trajectories), of score_distribution_dp to n "
+                 "on the ring and on the random channels, of decompose_invariant_subspaces "
+                 "on a two-block random channel and of counting_constants on a random "
+                 "GKLS generator; null: not timed"),
         "repeats": REPEATS,
         "order": "one child process per pass; this tree first on even passes, the parent on odd",
         "environment": {name: runs[0]["environment"] for name, runs in passes.items()},
