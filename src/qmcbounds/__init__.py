@@ -1,6 +1,6 @@
 """Concentration bounds for output statistics of quantum Markov chains.
 
-A numpy/scipy library that computes finite-time tail bounds for time
+A numpy library that computes finite-time tail bounds for time
 averages of measurement outcomes (discrete-time quantum Markov chains,
 continuous-time counting processes, classical Markov chain fluxes) and
 certifies them numerically against exact dynamic-programming tails and

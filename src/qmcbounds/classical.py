@@ -18,11 +18,10 @@ from itertools import product
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .bounds import BoundConstants, BoundResult, _bernstein_result, _centered, _hoeffding_result
 from .operators import KrausChannel
-from .spectral import HypothesisError, _certified_sup_norm_chain
+from .spectral import HypothesisError, _certified_sup_norm_chain, _null_space
 from .trajectory import _dp_laws, _lattice_dp, _score_lattice
 
 
@@ -195,7 +194,7 @@ def chain_pseudoresolvent_norm(chain: MarkovChain, sigma: np.ndarray | None = No
     s = stationary_distribution(chain) if sigma is None else np.asarray(sigma, dtype=float)
     p = chain.transition
     e = chain.size
-    q_basis = sla.null_space(s[None, :])
+    q_basis = _null_space(s[None, :])
     p_f = q_basis.T @ p @ q_basis
     try:
         inv_f = np.linalg.solve(np.eye(e - 1) - p_f, np.eye(e - 1))

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-import scipy.linalg as sla
 
 from .operators import (
     TAU_IDENTITY,
@@ -479,7 +478,8 @@ def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
     faithful = _fixed_point_min_eigenvalue(vec(fixed)[:, None], gen.dim) > TAU_PSD
     irreducible = multiplicity == 1 and faithful
     commutes = float(np.max(np.abs(gen.hamiltonian @ s - s @ gen.hamiltonian))) <= 1e-10
-    note = "[H, sigma] = 0: irreducibility of the symmetrization is automatic" if commutes else ""
+    note = ("[H, sigma] = 0: irreducibility of the symmetrization is automatic"
+            if commutes and irreducible else "")
     return AdditiveGap(epsilon=float(-second) if irreducible else 0.0, irreducible=irreducible,
                        eigenvalues=eigs, hamiltonian_commutes=commutes, note=note)
 
@@ -495,7 +495,7 @@ def centered_basis(sigma) -> np.ndarray:
     dot product of the coordinates of sigma and x.  As a complex basis it
     spans F, which is the complexification of its Hermitian part.
     """
-    return sla.null_space(hermitian_coordinates(state_matrix(sigma))[None, :])
+    return _null_space(hermitian_coordinates(state_matrix(sigma))[None, :])
 
 
 def _centered_restriction(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,18 @@ no other module names the Gram matrix ``kms_weight_matrix``, and the fixed
 spaces come from one SVD, so no module calls ``schur`` or ``solve_sylvester``.
 The modules are read with ``ast``, so docstrings do not count; nothing is
 imported.
+
+The library and its command line need numpy only: no module imports scipy
+when it is imported, checked by ``ast`` and by importing ``qmcbounds.cli``
+in a fresh interpreter.  Code that needs scipy imports it inside the
+function that uses it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qmcbounds"
 
@@ -72,3 +80,31 @@ def test_no_module_calls_schur_or_sylvester():
              for node in ast.walk(ast.parse(path.read_text()))
              if called(node) in ("schur", "solve_sylvester")]
     assert found == []
+
+
+def module_level(node):
+    """The nodes that run when a module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from module_level(child)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in module_level(ast.parse(path.read_text())):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, qmcbounds.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -103,6 +103,20 @@ def test_generator_form_matches_the_kronecker_sum_and_the_gram_route(name):
     assert constants.epsilon == report.epsilon
 
 
+@pytest.mark.parametrize("name", ["poisson_qubit", "thermal", "dephasing"])
+def test_commutation_note_only_on_an_irreducible_symmetrization(name):
+    """[H, sigma] = 0 makes irreducibility automatic only where it holds."""
+    gen = generator(name)
+    sigma = np.eye(2) / 2 if name == "dephasing" else gkls_steady_state(gen).matrix
+    report = additive_gap_report(gen, sigma)
+    assert report.hamiltonian_commutes
+    note = "[H, sigma] = 0: irreducibility of the symmetrization is automatic"
+    expected = note if report.irreducible else ""
+    assert report.irreducible == (name != "dephasing")
+    assert report.note == expected
+    assert counting_constants(gen, gen.labels[0], sigma=sigma).note == expected
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_deformed_radius_matches_the_gram_route(seed):
     channel = random_channel(2 + seed % 4, 2 + seed % 3, seed)

@@ -4,7 +4,6 @@ import pathlib
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import qmcbounds.spectral as spectral
 from qmcbounds import cli
@@ -392,7 +391,7 @@ def chain_inputs(case):
     kind, _, arg = case.partition(":")
     if kind == "classical":
         chain = stochastic_chain(int(arg))
-        q = sla.null_space(stationary_distribution(chain)[None, :])
+        q = spectral._null_space(stationary_distribution(chain)[None, :])
         phi_f = q.T @ chain.transition @ q
         return phi_f, resolvent_on_f(phi_f), chain.size
     channel = case_channel(case)
@@ -454,7 +453,7 @@ class TestCertifiedChain:
         p = rng.random((size, size)) ** 3
         chain = MarkovChain(p / p.sum(axis=1, keepdims=True))
         sigma = stationary_distribution(chain)
-        q = sla.null_space(sigma[None, :])
+        q = spectral._null_space(sigma[None, :])
         p_f = q.T @ chain.transition @ q
         expected = full_chain(p_f, resolvent_on_f(p_f), size)
         assert chain_pseudoresolvent_norm(chain, exact_limit=0) == expected

@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python tools/ladder.py --out BENCH_20.json --parent /path/to/parent/checkout
+    python tools/ladder.py --out BENCH_21.json --parent /path/to/parent/checkout
 
 Each source tree (this one, and the optional parent checkout) is timed in
 child processes, which import ``qmcbounds`` from that tree's ``src/``.  The
@@ -28,13 +28,18 @@ and on the random channels with d in ``DP_DIMS``;
 ``decompose_invariant_subspaces`` on the direct sum of
 ``random_channel(d // 2, 3, 101)`` and ``random_channel(d - d // 2, 3, 102)``
 for d in ``BLOCK_DIMS``; and ``counting_constants``, steady state included,
-on a seeded random GKLS generator with two jumps at d = ``GKLS_DIM``.  There are ``REPEATS`` passes
+on a seeded random GKLS generator with two jumps at d = ``GKLS_DIM``.  Last, the command
+line in a fresh process, start-up included (layer ``cli``, rows carry
+``command``): ``analyze`` on every ``models/*.json``, and ``bound`` for both
+flavours, ``verify --flavor bernstein`` and ``simulate`` on ``models/ring.json``
+with the golden tests' grids.  There are ``REPEATS`` passes
 per tree, and the trees alternate: on even passes this tree goes first, on
 odd passes the parent, so a machine that speeds up or slows down over a run
 does not favour one column.  A row is the median over the passes.  Children get
 ``OPENBLAS_NUM_THREADS=1`` unless it is already set.  The output holds one
 column per tree and the environment each child saw: versions, BLAS,
-``cpu_count`` and thread settings.
+``cpu_count`` and thread settings; ``scipy`` is ``null`` where it is not
+installed.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import platform
 import subprocess
 import sys
 import time
+from importlib import metadata
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -59,6 +65,14 @@ DP_HORIZONS = (128, 256, 512)
 DP_DIMS = (8, 16)
 BLOCK_DIMS = (8, 16)
 GKLS_DIM = 8
+RING = ("--model", str(REPO / "models" / "ring.json"))
+CLI_COMMANDS = [("analyze", "--model", str(path))
+                for path in sorted((REPO / "models").glob("*.json"))] + [
+    ("bound", "--flavor", "bernstein", *RING, "--n", "10,100,1000", "--gamma", "0.05,0.1,0.5"),
+    ("bound", "--flavor", "hoeffding", *RING, "--n", "10,100,1000", "--gamma", "0.05,0.1,0.5"),
+    ("verify", "--flavor", "bernstein", *RING, "--n", "16,64,256", "--gamma", "0.05,0.1,0.5"),
+    ("simulate", *RING, "--n", "32", "--gamma", "0.1,0.3", "--trials", "100"),
+]
 
 
 COUNTED = ("certified_chain", "hoeffding_constants")
@@ -93,11 +107,14 @@ def _counts(call, d: int) -> dict:
 
 def _environment() -> dict:
     import numpy as np
-    import scipy
 
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "scipy": scipy_version, "blas": f"{blas.get('name')} {blas.get('version')}",
             "cpu_count": os.cpu_count(),
             "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
 
@@ -213,6 +230,14 @@ def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
     return time.perf_counter() - start
 
 
+def _cli_seconds(command: tuple) -> float:
+    """Wall seconds of one command in a fresh interpreter, start-up included."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "qmcbounds.cli", *command], check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
 def measure(mc_max_d: int | None) -> dict:
     """One pass of the ladder: one timed call per layer and d; mc_tail up to ``mc_max_d``."""
     for call in _layers(DIMS[0]).values():
@@ -253,6 +278,11 @@ def measure(mc_max_d: int | None) -> dict:
             row["n"] = n
         rows.append(row)
         print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
+    for command in CLI_COMMANDS:
+        row = {"layer": "cli", "command": " ".join(command).replace(f"{REPO}/", ""),
+               "seconds": _cli_seconds(command)}
+        rows.append(row)
+        print(f"cli: {row}", file=sys.stderr, flush=True)
     return {"environment": _environment(), "rows": rows}
 
 
@@ -287,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
                                           PARENT_MC_MAX_D if name == "parent" else None))
     rows = []
     for i, row in enumerate(passes["change"][0]["rows"]):
-        merged = {key: row[key] for key in ("layer", "d", "n") if key in row}
+        merged = {key: row[key] for key in ("layer", "d", "n", "command") if key in row}
         for name, runs in passes.items():
             times = [run["rows"][i]["seconds"] for run in runs]
             merged[f"{name}_median_s"] = (None if None in times
@@ -301,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
                  "n = 50) on fixtures.random_channel(d, 3, 101), of counting_counts on "
                  "driven_qubit (t = 400, 500 trajectories), of score_distribution_dp to n "
                  "on the ring and on the random channels, of decompose_invariant_subspaces "
-                 "on a two-block random channel and of counting_constants on a random "
-                 "GKLS generator; null: not timed"),
+                 "on a two-block random channel, of counting_constants on a random "
+                 "GKLS generator, and of CLI commands in a fresh process, start-up "
+                 "included; null: not timed"),
         "repeats": REPEATS,
         "order": "one child process per pass; this tree first on even passes, the parent on odd",
         "environment": {name: runs[0]["environment"] for name, runs in passes.items()},
