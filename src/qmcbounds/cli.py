@@ -95,7 +95,7 @@ from .classical import (
 )
 from .fixtures import ring_channel
 from .modelfile import Model, ModelParseError, load_model, parse_complex_matrix
-from .operators import DensityMatrix, NotFaithfulError, observation_vector
+from .operators import TAU_CHANNEL, DensityMatrix, NotFaithfulError, observation_vector
 from .spectral import (
     FixedSpaceError,
     HypothesisError,
@@ -206,21 +206,17 @@ def _parse_tolerances(pairs: list[str]) -> dict:
 
 
 def _load_model(args) -> Model:
-    return load_model(args.model, tol_channel=args.tolerances.get("channel", 1e-9))
+    return load_model(args.model, tol_channel=args.tolerances.get("channel", TAU_CHANNEL))
 
 
 def _resolve_rho0(spec: str, model: Model, sigma: DensityMatrix | None = None):
     """Initial state named by --rho0; ``sigma`` is the invariant state if already solved."""
     if spec == "stationary":
-        if model.kind == "classical":
-            return stationary_distribution(model.chain)
         if sigma is None:
             sigma = (invariant_state(model.channel) if model.kind == "kraus"
                      else gkls_steady_state(model.generator))
         return sigma.matrix
     if spec == "maximally-mixed":
-        if model.kind == "classical":
-            return np.full(model.chain.size, 1.0 / model.chain.size)
         dim = model.channel.dim if model.kind == "kraus" else model.generator.dim
         return np.eye(dim) / dim
     try:
@@ -230,8 +226,6 @@ def _resolve_rho0(spec: str, model: Model, sigma: DensityMatrix | None = None):
     try:
         with fh:
             doc = json.load(fh)
-        if model.kind == "classical":
-            return np.asarray(doc, dtype=float)
         rho = DensityMatrix(parse_complex_matrix(doc, "$")).matrix
         dim = model.channel.dim if model.kind == "kraus" else model.generator.dim
         if rho.shape[0] != dim:
@@ -631,6 +625,8 @@ def cmd_simulate(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
     model = _load_model(args)
+    if model.kind not in ("kraus", "gkls"):
+        raise UsageError("simulate supports kraus and gkls models")
     trials = args.trials or 1000
     seed = args.seed
     report = _base_report(args, {"seed": seed})
@@ -654,7 +650,7 @@ def cmd_simulate(args) -> int:
                                         on_chunk=write if args.dump else None)
             rows.extend(_row("simulate", n, gamma, tail=tail)
                         for gamma, tail in zip(gammas, tails))
-    elif model.kind == "gkls":
+    else:
         t = _float_grid(args.t, "--t", 0.0)[0]
         gen = model.generator
         m = _stationary_intensity(gen, model.count_label, sigma)
@@ -673,8 +669,6 @@ def cmd_simulate(args) -> int:
         report["stationary_intensity"] = m
         rows.extend(_row("simulate-counting", t, gamma, tail=tail)
                     for gamma, tail in zip(gammas, _rate_tails(counts, t, m, gammas)))
-    else:
-        raise UsageError("simulate supports kraus and gkls models")
     _emit(report, args.format, args.output)
     return EXIT_OK
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .bounds import TimeStep, Unravelling
 from .classical import FluxFunction, MarkovChain
-from .operators import GKLSGenerator, KrausChannel, kraus_family_deviation
+from .operators import TAU_CHANNEL, GKLSGenerator, KrausChannel, kraus_family_deviation
 
 
 class ModelParseError(ValueError):
@@ -255,7 +255,7 @@ def _parse_classical(doc: dict) -> Model:
     return model
 
 
-def load_model(path: str, tol_channel: float = 1e-9) -> Model:
+def load_model(path: str, tol_channel: float = TAU_CHANNEL) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

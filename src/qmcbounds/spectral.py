@@ -591,114 +591,83 @@ def _certified_sup_norm_chain(phi_f: np.ndarray, inv_f: np.ndarray, dim: int) ->
     largest singular value of the matrix formed by the GEMMs
     ``phi_f @ power`` and ``power @ inv_f``.
 
-    The value is exactly that minimum, with an SVD only where it depends on
-    one.  Every term and tail starts as a lower bound (:func:`_norm_bound`),
-    and a candidate's value is computed from its known terms and tail by the
-    same floating-point formula as the exact one.  Rounding is monotone, so a
-    value computed from lower bounds is a lower bound on the exact value.
-    The bounds hold in floating point: a backward-stable SVD returns the
-    largest singular value to a relative p(n) u, and a power-iteration ratio
-    is below it up to the product's rounding (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2nd ed., ch. 3 and 20).  The relative margin
-    ``_MARGIN`` = 1e-10 lies far above p(n) u for any matrix the chain can
-    afford, and the rounding of the products is subtracted explicitly.
-    Hence:
+    The value is exactly that minimum, bit for bit.  A lower bound on a norm
+    (:func:`_norm_bound`) put through a candidate's floating-point formula
+    gives a lower bound on the candidate, as rounding is monotone; a term
+    whose bound clamps to 1 is exactly 1.  The bounds hold in floating point:
+    a backward-stable SVD returns the largest singular value to a relative
+    p(n) u, and a power-iteration ratio is below it up to the product's
+    rounding (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 3 and 20); the relative margin ``_MARGIN`` = 1e-10 lies far
+    above p(n) u for any matrix the chain can afford, and the rounding of
+    the products is subtracted explicitly.  Three steps:
 
-    - a term whose lower bound clamps to 1 is exactly 1, with no SVD;
-    - the loop stops once the partial sum of term lower bounds reaches the
-      smallest candidate value.  Terms and tails are >= 0 and a
-      floating-point sum of non-negative numbers never decreases, so every
-      later candidate is at least that partial sum;
-    - then the candidate of least value is settled: its missing terms and its
-      tail get exact SVDs, on powers recomputed by the same GEMMs, or on the
-      kept power of the best lower bound.  This repeats until the least
-      value is exact and the stopping partial sum is at least that value.
-      If it is not, the loop walks on, or settles the terms, when the last
-      term no longer moved the sum.  Each quantity is settled at most once.
-
-    The result is bit-identical to running every exact SVD of all
-    ``_MAX_TERMS`` terms.
+    1. The walk: bound the tail of J = 0, then each term and the tail after
+       it, until the partial sum of term bounds reaches the least candidate
+       bound.  Terms are >= 0 and a floating-point sum of non-negative
+       numbers never decreases, so every candidate not walked is at least
+       that partial sum.
+    2. One settling SVD: if every term of the least candidate is exact, an
+       SVD of its tail gives its value.  If that is at most every other
+       walked candidate's bound and the stopping partial sum (or every
+       candidate was walked), it is the minimum.
+    3. Otherwise :func:`_plain_chain`, with the exact norms taken so far.
+       Step 2 adds no SVD that it skips: at each exact term before the least
+       candidate the walk went on, so the plain chain, with the same partial
+       sum and no smaller least value, goes on too and reaches that tail.
     """
     root_d = float(np.sqrt(dim))
-    v = None
-    # tails[J] bounds ||phi^J (Id - phi)^(-1)|| and terms[j] the term of phi^j,
-    # each a [value, exact] pair
-    tails: list[list] = []
-    terms: list[list] = []
-    walker = islice(_power_terms(phi_f, root_d), _MAX_TERMS)
-    pending = None  # the last walked power, whose tail is not yet taken
-    kept = (0, None)  # (J, phi^J) of the least candidate value
-    best = np.inf
-
-    def add_tail(power: np.ndarray | None) -> None:
-        nonlocal v, best, kept
-        if power is None:
-            norm, exact, v = _norm_bound(inv_f, None, v)
-        else:
-            norm, exact, v = _norm_bound(power, inv_f, v)
-        tails.append([norm, exact])
-        value = root_d * norm if power is None else partial + root_d * norm
-        if value < best:
-            best, kept = value, (len(tails) - 1, power)
-
-    def advance() -> bool:
-        nonlocal partial, pending
-        item = next(walker, None)
-        if item is None:
-            return False
-        term, exact, pending = item
-        terms.append([term, exact])
-        partial += term
-        return True
-
+    terms: dict[int, float] = {}  # the exact terms and tail norms, by index
+    tails: dict[int, float] = {}
+    norm, exact, v = _norm_bound(inv_f, None, None)
+    if exact:
+        tails[0] = norm
+    bounds = [root_d * norm]  # the candidates' lower bounds, by J
+    least = (0, 0.0, None)  # (J, partial sum, phi^J) of the least bound
     partial = 0.0
-    add_tail(None)
-    while advance() and partial < best:
-        add_tail(pending)
+    for j, (term, exact, power) in enumerate(islice(_power_terms(phi_f, root_d), _MAX_TERMS)):
+        if exact:
+            terms[j] = term
+        partial += term
+        if partial >= min(bounds):
+            break
+        norm, exact, v = _norm_bound(power, inv_f, v)
+        if exact:
+            tails[j + 1] = norm
+        bounds.append(partial + root_d * norm)
+        if bounds[-1] < bounds[least[0]]:
+            least = (j + 1, partial, power)
+    else:
+        partial = np.inf  # every candidate was walked
+    j, start, power = least
+    if all(i in terms for i in range(j)):
+        if j not in tails:
+            tails[j] = _svd_norm(inv_f if power is None else power @ inv_f)
+        bounds[j] = start + root_d * tails[j]
+        if bounds[j] <= min(bounds) and bounds[j] <= partial:
+            return bounds[j]
+    return _plain_chain(phi_f, inv_f, root_d, terms, tails)
 
-    def settle(term_ids: list[int], tail_ids: list[int]) -> None:
-        nonlocal kept
-        todo = []
-        for j in tail_ids:
-            if j == 0 or j == kept[0]:
-                tails[j] = [_svd_norm(inv_f if j == 0 else kept[1] @ inv_f), True]
-            else:
-                todo.append(j)
-        if not (todo or term_ids):
-            return
-        kept = (0, None)  # at most one power besides the walker's
-        power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
-        for j in range(1, max(todo + term_ids) + 1):
-            power = phi_f @ power
-            if j in term_ids:
-                terms[j] = [min(1.0, root_d * _svd_norm(power)), True]
-            if j in todo:
-                tails[j] = [_svd_norm(power @ inv_f), True]
 
-    while True:
-        partial, exact, values = 0.0, True, []
-        for j, (tail, tail_exact) in enumerate(tails):
-            if j:
-                partial += terms[j - 1][0]
-                exact = exact and terms[j - 1][1]
-            value = root_d * tail if j == 0 else partial + root_d * tail
-            values.append((value, not (exact and tail_exact), j))
-        value, inexact, j = min(values)
-        if inexact:
-            settle([i for i in range(j) if not terms[i][1]], [] if tails[j][1] else [j])
-            continue
-        if len(tails) > len(terms):  # all _MAX_TERMS walked: no candidate remains
-            return value
-        rest = partial + terms[-1][0]  # bounds every candidate not yet taken
-        if rest >= value:
-            return value
-        loose = [i for i, (_, term_exact) in enumerate(terms) if not term_exact]
-        if loose and rest == partial:  # the last term no longer moves the sum
-            settle(loose, [])
-        else:
-            partial, best = rest, value
-            add_tail(pending)
-            advance()
+def _plain_chain(phi_f: np.ndarray, inv_f: np.ndarray, root_d: float,
+                 terms: dict[int, float], tails: dict[int, float]) -> float:
+    """The chain with an SVD per term and tail, up to the early exit.
+
+    ``terms`` and ``tails`` hold exact terms and tail norms already taken,
+    by index, which stand in for their SVDs.
+    """
+    best = root_d * (tails[0] if 0 in tails else _svd_norm(inv_f))
+    partial = 0.0
+    power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
+    for j in range(_MAX_TERMS):
+        term = terms[j] if j in terms else min(1.0, root_d * _svd_norm(power))
+        power = phi_f @ power
+        partial += term
+        if partial >= best:
+            break
+        tail = tails[j + 1] if j + 1 in tails else _svd_norm(power @ inv_f)
+        best = min(best, partial + root_d * tail)
+    return best
 
 
 def _sign_matrix(g: np.ndarray) -> np.ndarray:

@@ -103,7 +103,6 @@ class TrajectoryRecord:
     outcomes: tuple
     seed: int
     index: int = 0
-    conditional_states: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -282,12 +281,6 @@ def _filter_batch(steps: Sequence[tuple[np.ndarray, np.ndarray]], rho0, seed: in
     return picks
 
 
-def _discrete_outcomes_batch(channel: KrausChannel, rho0, n: int, seed: int,
-                             indices: Sequence[int]) -> np.ndarray:
-    """Outcome index matrix of n steps of ``channel``, its standard unravelling."""
-    return _filter_batch([_channel_step(channel)] * n, rho0, seed, indices)
-
-
 def _chunks(trials: int, chunk_size: int) -> list[range]:
     """Index ranges of at most ``chunk_size`` trajectories covering 0..trials-1."""
     if trials < 1:
@@ -321,23 +314,12 @@ def _discrete_tails(channel: KrausChannel, rho0, f, n: int, gammas: Sequence[flo
                          n, gammas, trials, seed, chunk_size, on_chunk)
 
 
-def sample_discrete(channel: KrausChannel, rho0, n: int, seed: int, index: int = 0,
-                    keep_states: bool = False) -> TrajectoryRecord:
-    """One trajectory of n measurement outcomes from stream (seed, index)."""
-    picks = _discrete_outcomes_batch(channel, rho0, n, seed, [index])[0]
-    states = None
-    if keep_states:
-        from .operators import DensityMatrix
-        rho = state_matrix(rho0)
-        collected = []
-        for p in picks:
-            v = channel.kraus[p]
-            rho = v @ rho @ dagger(v)
-            rho = rho / np.trace(rho).real
-            collected.append(DensityMatrix(rho))
-        states = tuple(collected)
+def sample_discrete(channel: KrausChannel, rho0, n: int, seed: int,
+                    index: int = 0) -> TrajectoryRecord:
+    """One trajectory of n outcomes of the standard unravelling, from stream (seed, index)."""
+    picks = _filter_batch([_channel_step(channel)] * n, rho0, seed, [index])[0]
     return TrajectoryRecord(outcomes=tuple(channel.labels[p] for p in picks),
-                            seed=seed, index=index, conditional_states=states)
+                            seed=seed, index=index)
 
 
 def mc_tail(channel: KrausChannel, rho0, f, n: int, gamma: float, trials: int,

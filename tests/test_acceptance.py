@@ -57,7 +57,8 @@ from qmcbounds.spectral import (
     spectral_radius_deformed,
 )
 from qmcbounds.trajectory import (
-    _discrete_outcomes_batch,
+    _channel_step,
+    _filter_batch,
     counting_counts,
     mc_tail,
     mc_tail_unravelled,
@@ -420,8 +421,7 @@ def test_criterion_10_reducible_mixture():
                                        axis=1))
             prefix = "A" if support < 3 else "B"
             block_mean_of_prefix[prefix] = mix.block_means[j]
-        picks = _discrete_outcomes_batch(channel, rho_mix, n, 909,
-                                         list(range(trials)))
+        picks = _filter_batch([_channel_step(channel)] * n, rho_mix, 909, list(range(trials)))
         fv = np.asarray([payoff[l] for l in channel.labels])
         averages = fv[picks].mean(axis=1)
         limits = np.asarray([block_mean_of_prefix[channel.labels[p][0]]
@@ -490,8 +490,7 @@ def test_criterion_12_confidence_coverage():
             n, gamma,
             bernstein_bound(ber_c, gamma, n),
             hoeffding_bound(hoe_c, gamma, n))
-        picks = _discrete_outcomes_batch(channel, sigma.matrix, n, 1212,
-                                         list(range(runs)))
+        picks = _filter_batch([_channel_step(channel)] * n, sigma.matrix, 1212, list(range(runs)))
         fv = np.asarray([payoff[l] for l in channel.labels])
         estimates = fv[picks].mean(axis=1)
         coverage = float(np.mean(np.abs(estimates - theta) < gamma))

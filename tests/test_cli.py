@@ -477,6 +477,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot write --dump {dump}")
 
+    def test_classical_model_is_a_usage_error(self, tmp_path, capsys):
+        # a reducible chain: the model kind is judged before any initial state
+        path = tmp_path / "identity_chain.json"
+        path.write_text(json.dumps({"kind": "classical", "states": ["a", "b"],
+                                    "transition": [[1.0, 0.0], [0.0, 1.0]]}))
+        assert cli.main(["simulate", "--model", str(path), "--n", "5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: simulate supports kraus and gkls models")
+
     def test_byte_identical_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = ["simulate", "--model", model("ring.json"), "--n", "10",

@@ -484,6 +484,14 @@ class TestCertifiedChain:
         _certified_sup_norm_chain(*inputs)
         assert len(calls) <= head_svds
 
+    @pytest.mark.parametrize("case", CHAIN_CASES)
+    def test_bounds_settle_with_one_svd(self, case, monkeypatch):
+        monkeypatch.setattr(spectral, "_SVD_BELOW", 0)
+        inputs = chain_inputs(case)
+        calls = counted_svds(monkeypatch)
+        assert _certified_sup_norm_chain(*inputs) == full_chain_of(case)
+        assert len(calls) == 1
+
     def test_d16_takes_at_most_two_svds(self, monkeypatch):
         inputs = chain_inputs("isometry:16")
         assert head_chain(*inputs)[1] >= 15

@@ -31,7 +31,7 @@ from qmcbounds.trajectory import (
     score_distribution_dp,
     score_distribution_windowed,
     wilson_interval,
-    _discrete_outcomes_batch,
+    _channel_step,
     _filter_batch,
 )
 
@@ -69,13 +69,6 @@ class TestSampleDiscrete:
         c = sample_discrete(channel, np.eye(3) / 3, 25, seed=9, index=5)
         assert c.outcomes != a.outcomes
 
-    def test_conditional_states_recorded(self, ring):
-        channel, _ = ring
-        rec = sample_discrete(channel, np.eye(3) / 3, 5, seed=1, keep_states=True)
-        assert len(rec.conditional_states) == 5
-        for dm in rec.conditional_states:
-            assert dm.dim == 3  # DensityMatrix construction validates psd + trace
-
     def test_filter_collapse_detected(self):
         # a valid channel whose outcome annihilates the support of rho
         v0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -92,8 +85,7 @@ class TestSampleDiscrete:
     def test_stationary_marginals(self, ring):
         channel, _ = ring
         sigma = invariant_state(channel)
-        picks = _discrete_outcomes_batch(channel, sigma.matrix, 4, 17,
-                                         list(range(100_000)))
+        picks = _filter_batch([_channel_step(channel)] * 4, sigma.matrix, 17, list(range(100_000)))
         for k in range(4):
             counts = np.bincount(picks[:, k], minlength=6)
             _, pval = stats.chisquare(counts)
@@ -103,7 +95,7 @@ class TestSampleDiscrete:
         channel, _ = ring
         rho0 = random_state(3, np.random.default_rng(4))
         indices = list(range(50, 650))
-        picks = _discrete_outcomes_batch(channel, rho0, 20, 31, indices)
+        picks = _filter_batch([_channel_step(channel)] * 20, rho0, 31, indices)
         standard = [trajectory._step_operators(Unravelling.standard(channel).maps)] * 20
         assert np.array_equal(picks, _filter_batch(standard, rho0, 31, indices))
 
@@ -115,8 +107,8 @@ class TestSampleDiscrete:
         rng_state[0, 0] = 1.0
         n_step, m_step = 2, 4
         trials = 40000
-        picks = _discrete_outcomes_batch(channel, rng_state, m_step, 23,
-                                         list(range(trials)))
+        picks = _filter_batch([_channel_step(channel)] * m_step, rng_state, 23,
+                              list(range(trials)))
         i_lab, j_lab = 0, 3  # arbitrary outcome indices
         empirical = np.mean((picks[:, n_step - 1] == i_lab)
                             & (picks[:, m_step - 1] == j_lab))
@@ -193,7 +185,7 @@ class TestFilterReference:
         channel = random_channel(dim, 3, seed)
         rho0 = random_state(dim, np.random.default_rng(seed))
         indices = range(40, 240)
-        picks = _discrete_outcomes_batch(channel, rho0, 12, seed, indices)
+        picks = _filter_batch([_channel_step(channel)] * 12, rho0, seed, indices)
         standard = [[(v,) for v in channel.kraus]] * 12
         assert np.array_equal(picks, reference_filter(standard, rho0, seed, indices))
 
