@@ -234,8 +234,7 @@ def bernstein_constants(channel: KrausChannel, f, rho=None, sigma=None) -> Bound
     report = multiplicative_gap_report(channel, sig)
     nr = 1.0 if rho is None else n_rho(rho, sig)
     return BoundConstants(b=stats.b, c=stats.c, epsilon=report.epsilon, n_rho=nr,
-                          hypothesis_ok=report.irreducible,
-                          note=report.note)
+                          hypothesis_ok=report.irreducible)
 
 
 def bernstein_bound(constants: BoundConstants, gamma: float, n: int,

@@ -36,8 +36,8 @@ once per command; the grid loop then evaluates the closed form at every
 --override-epsilon on a flavor without a gap is a usage error.  verify
 reads --trials and --seed for Monte Carlo tails.
 
-Reports are emitted as a single JSON document (``--format structured``,
-default) or as CSV rows with the fixed header
+Reports are emitted as a single strict JSON document, a non-finite number as
+null (``--format structured``, default), or as CSV rows with the fixed header
 
     flavor,horizon,gamma,bound,exponent,valid,reason,tail,tail_kind,ci_low,ci_high,verdict
 
@@ -294,7 +294,7 @@ def _result_row(res: BoundResult, tail=None) -> dict:
 
 def _emit(report: dict, fmt: str, output: str | None) -> None:
     if fmt == "structured":
-        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(_json_value(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_HEADER, extrasaction="ignore",
@@ -311,14 +311,13 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
+def _json_value(value):
+    """``value`` with each non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _base_report(args, extra: dict | None = None) -> dict:

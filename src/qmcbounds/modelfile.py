@@ -78,12 +78,11 @@ def _typed(value, kind: type, path: str):
 
 
 def _complex_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+    pair = [value, 0.0] if isinstance(value, (int, float)) else value
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, (int, float)) for v in pair)):
+        _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+    return complex(_finite(pair[0], path), _finite(pair[1], path))
 
 
 def parse_complex_matrix(rows, path: str) -> np.ndarray:
@@ -136,11 +135,17 @@ def _observation(obs, labels, path: str) -> dict:
     return {l: _finite(obs.get(l, obs.get(str(l))), f"{path}.{l}") for l in labels}
 
 
+def _labels(doc: dict) -> list:
+    """``$.labels``: a list that holds no label twice (by ``==``, so unhashable ones too)."""
+    labels = _typed(_get(doc, "labels", "$"), list, "$.labels")
+    if any(labels.count(label) > 1 for label in labels):
+        _fail("$.labels", "labels must be unique")
+    return labels
+
+
 def _parse_kraus(doc: dict, tol_channel: float) -> Model:
-    labels = _get(doc, "labels", "$")
-    matrices = _get(doc, "kraus", "$")
-    if not isinstance(labels, list) or not isinstance(matrices, list):
-        _fail("$.labels", "labels and kraus must be lists")
+    labels = _labels(doc)
+    matrices = _typed(_get(doc, "kraus", "$"), list, "$.kraus")
     if len(labels) != len(matrices):
         _fail("$.kraus", f"{len(matrices)} matrices for {len(labels)} labels")
     ops = [parse_complex_matrix(m, f"$.kraus[{i}]") for i, m in enumerate(matrices)]
@@ -206,12 +211,15 @@ def _parse_kraus(doc: dict, tol_channel: float) -> Model:
 def _parse_gkls(doc: dict) -> Model:
     h = parse_complex_matrix(_get(doc, "hamiltonian", "$"), "$.hamiltonian")
     jumps_doc = _typed(_get(doc, "jumps", "$"), list, "$.jumps")
-    labels = _typed(_get(doc, "labels", "$"), list, "$.labels")
+    labels = _labels(doc)
     if not jumps_doc:
         _fail("$.jumps", "expected at least one jump operator")
     if len(labels) != len(jumps_doc):
         _fail("$.jumps", f"{len(jumps_doc)} jump operators for {len(labels)} labels")
     jumps = [parse_complex_matrix(m, f"$.jumps[{i}]") for i, m in enumerate(jumps_doc)]
+    for i, jump in enumerate(jumps):
+        if jump.shape != h.shape:
+            _fail(f"$.jumps[{i}]", f"expected dimension {h.shape[0]}, got {jump.shape[0]}")
     try:
         gen = GKLSGenerator(h, jumps, labels)
     except Exception as exc:

@@ -7,13 +7,15 @@ centered subspace, certified pseudoresolvent norms, tilted transition
 operators, and the decomposition of a positive-recurrent channel into
 irreducible invariant blocks.
 
-Irreducibility is decided by a two-method vote: the eigenstructure criterion
-(the eigenvalue at the spectral radius is algebraically simple and the dual
-fixed point is a faithful state) cross-checked against reachability of the
-full space by Kraus-operator products.  Reachability is probed from random
-starting vectors plus witness vectors drawn from the supports of fixed
+A channel's irreducibility is decided by a two-method vote: the eigenstructure
+criterion (the eigenvalue at the spectral radius is algebraically simple and
+the dual fixed point is a faithful state) cross-checked against reachability
+of the full space by Kraus-operator products.  Reachability is probed from
+random starting vectors plus witness vectors drawn from the supports of fixed
 points, so the two checks agree except under genuine numerical trouble,
-which is surfaced as an error instead of silently resolved.
+which is surfaced as an error instead of silently resolved.  The two
+symmetrizations take no vote: each is irreducible when the top of the
+symmetric spectrum that gives its gap is simple.
 
 The dense d^2 x d^2 factorisations of a Kraus channel run in real
 arithmetic.  Every map here preserves Hermiticity (phi, psi, the KMS
@@ -204,16 +206,6 @@ def _reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray) -> int:
     return basis.shape[1]
 
 
-def _fixed_point_min_eigenvalue(basis: np.ndarray, dim: int) -> float:
-    """Smallest eigenvalue of the trace-normalized fixed point spanned by ``basis``.
-
-    -inf when the fixed space is not one-dimensional or its trace vanishes,
-    so the point is never judged faithful.
-    """
-    candidate = _trace_normalized(basis[:, 0], dim) if basis.shape[1] == 1 else None
-    return -np.inf if candidate is None else float(np.min(np.linalg.eigvalsh(candidate)))
-
-
 @dataclass(frozen=True)
 class IrreducibilityEvidence:
     irreducible: bool
@@ -305,8 +297,7 @@ def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
     """The vote of :func:`is_irreducible`; ``eigs`` is the spectrum of ``channel``.
 
     ``eigs`` is the spectrum of any matrix similar to the channel's
-    Heisenberg matrix, in any order, and ``m_h``, when given, is that
-    Heisenberg matrix (it is built here only if the vote needs it).
+    Heisenberg matrix, in any order, given with that Heisenberg matrix ``m_h``.
 
     A trace-preserving channel (sum V_i^* V_i = 1 within ``TAU_IDENTITY``) has
     spectral radius 1 and semisimple peripheral eigenvalues (M. M. Wolf,
@@ -337,9 +328,9 @@ def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
         cluster = TAU_EIG * max(1.0, radius)
         multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
         if dual_basis is None:
-            m_s = (superoperator_matrix(channel).matrix if m_h is None else m_h).conj().T
-            dual_basis = _null_space(m_s - radius * np.eye(m_s.shape[0]))
-    min_eig = _fixed_point_min_eigenvalue(dual_basis, channel.dim)
+            dual_basis = _null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
+    point = _trace_normalized(dual_basis[:, 0], channel.dim) if dual_basis.shape[1] == 1 else None
+    min_eig = -np.inf if point is None else float(np.min(np.linalg.eigvalsh(point)))
     faithful = min_eig > TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
 
@@ -382,18 +373,35 @@ def is_primitive(channel: KrausChannel) -> bool:
 # multiplicative and additive symmetrizations
 # ---------------------------------------------------------------------------
 
-def multiplicative_symmetrization(channel: KrausChannel, sigma) -> KrausChannel:
-    """psi = phi_dagger phi with Kraus operators V_i sigma^(1/2) V_j^* sigma^(-1/2).
-
-    ``sigma`` must be the invariant state of the channel; the returned family
-    is labeled by outcome pairs (i, j).
-    """
+def _invariant_matrix(channel: KrausChannel, sigma) -> np.ndarray:
+    """``sigma``'s matrix; :class:`HypothesisError` unless phi_*(sigma) = sigma within 1e-9."""
     s = state_matrix(sigma)
     residual = float(np.max(np.abs(channel.schrodinger(s) - s)))
     if residual > 1e-9:
         raise HypothesisError(
             f"state is not invariant (residual {residual:.3e}); "
             "multiplicative symmetrization undefined")
+    return s
+
+
+def _top_is_simple(eigs: np.ndarray, cluster: float) -> bool:
+    """Irreducibility of a symmetrization: its top eigenvalue is alone within ``cluster``.
+
+    ``eigs`` ascend.  Both symmetrizations are KMS-selfadjoint for a faithful
+    sigma (:func:`operators.kms_conjugated` raises otherwise) and leave it
+    invariant, so their fixed points (the generator's kernel) form a *-algebra
+    (Frigerio, CMP 63, 1978; Wolf, 2012, ch. 6): trivial iff the top is simple.
+    """
+    return int(np.sum(np.abs(eigs - eigs[-1]) <= cluster)) == 1
+
+
+def multiplicative_symmetrization(channel: KrausChannel, sigma) -> KrausChannel:
+    """psi = phi_dagger phi with Kraus operators V_i sigma^(1/2) V_j^* sigma^(-1/2).
+
+    ``sigma`` must be the invariant state of the channel; the returned family
+    is labeled by outcome pairs (i, j).
+    """
+    s = _invariant_matrix(channel, sigma)
     half = state_power(s, 0.5)
     half_inv = state_power(s, -0.5)
     ops, labels = [], []
@@ -408,9 +416,7 @@ def multiplicative_symmetrization(channel: KrausChannel, sigma) -> KrausChannel:
 class MultiplicativeGap:
     epsilon: float
     irreducible: bool
-    psi: KrausChannel
     eigenvalues: np.ndarray
-    note: str = ""
 
 
 def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap:
@@ -422,22 +428,15 @@ def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap
     Heisenberg matrix of the Kraus family sigma^(-1/4) V_i sigma^(1/4).  T
     preserves Hermiticity, so in Hermitian coordinates it is real, T^T T is
     real symmetric and positive semidefinite, and its eigenvalues, clipped
-    at 0 against rounding, are psi's.  The gap is 0 when psi is reducible
-    or its vote inconclusive.
+    at 0 against rounding, are psi's.  The gap is 0 unless the top one is
+    simple within ``TAU_EIG`` max(1, top) (:func:`_top_is_simple`).
     """
-    psi = multiplicative_symmetrization(channel, sigma)
-    ops = kms_conjugated(channel.kraus, sigma)
-    t = hermitian_coordinate_matrix(kraus_superoperator_matrix(ops))
+    s = _invariant_matrix(channel, sigma)
+    t = hermitian_coordinate_matrix(kraus_superoperator_matrix(kms_conjugated(channel.kraus, s)))
     eigs = np.clip(np.linalg.eigvalsh(t.T @ t), 0.0, None)  # ascending
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
-    note = ""
-    try:  # T^T T is similar to psi's Heisenberg matrix, so eigs is psi's spectrum
-        irreducible = _irreducibility_vote(psi, eigs=eigs).irreducible
-    except InconclusiveIrreducibilityError:
-        irreducible = False
-        note = "irreducibility vote inconclusive"
-    return MultiplicativeGap(epsilon=epsilon if irreducible else 0.0, irreducible=irreducible,
-                             psi=psi, eigenvalues=eigs, note=note)
+    irreducible = _top_is_simple(eigs, TAU_EIG * max(1.0, float(eigs[-1])))
+    return MultiplicativeGap(epsilon if irreducible else 0.0, irreducible, eigs)
 
 
 def spectral_gap_multiplicative(channel: KrausChannel, sigma) -> float:
@@ -463,25 +462,18 @@ def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
 
     It is similar to (T + T^T) / 2, T the real matrix of the generator form
     on sigma^(-1/4) X sigma^(1/4) for X = G and the jumps.  Irreducible means
-    a simple top eigenvalue (``TAU_EIG``) whose dual fixed point
-    sigma^(1/4) Y sigma^(1/4), Y its eigenvector, is faithful.
+    a simple top eigenvalue within ``TAU_EIG`` (:func:`_top_is_simple`).
     """
     s = state_matrix(sigma)
     g, *jumps = kms_conjugated((gen.no_jump_generator_matrix,) + gen.jumps, s)
     t = hermitian_coordinate_matrix(generator_superoperator_matrix(g, jumps))
-    eigs, vectors = np.linalg.eigh((t + t.T) / 2)  # ascending
-    top = eigs[-1]
+    eigs = np.linalg.eigh((t + t.T) / 2)[0]  # ascending
     second = eigs[-2] if eigs.size >= 2 else -np.inf
-    multiplicity = int(np.sum(np.abs(eigs - top) <= TAU_EIG))
-    quarter = state_power(s, 0.25)
-    fixed = quarter @ from_hermitian_coordinates(vectors[:, -1], gen.dim) @ quarter
-    faithful = _fixed_point_min_eigenvalue(vec(fixed)[:, None], gen.dim) > TAU_PSD
-    irreducible = multiplicity == 1 and faithful
+    irreducible = _top_is_simple(eigs, TAU_EIG)
     commutes = float(np.max(np.abs(gen.hamiltonian @ s - s @ gen.hamiltonian))) <= 1e-10
     note = ("[H, sigma] = 0: irreducibility of the symmetrization is automatic"
             if commutes and irreducible else "")
-    return AdditiveGap(epsilon=float(-second) if irreducible else 0.0, irreducible=irreducible,
-                       eigenvalues=eigs, hamiltonian_commutes=commutes, note=note)
+    return AdditiveGap(float(-second) if irreducible else 0.0, irreducible, eigs, commutes, note)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,11 +135,22 @@ class TestAnalyze:
          "$.schedule[0].unravelling: unknown unravelling ['edges']"),
         ("two_state_chain.json", lambda doc: doc.update(initial=[0.5, None]),
          "$.initial[1]: expected a finite number"),
+        ("driven_qubit.json", lambda doc: doc.update(jumps=doc["jumps"] * 2,
+                                                     labels=["click", "click"]),
+         "$.labels: labels must be unique"),
+        ("ring.json", lambda doc: doc["labels"].__setitem__(1, doc["labels"][0]),
+         "$.labels: labels must be unique"),
+        ("driven_qubit.json", lambda doc: [doc["jumps"].append([[0.0] * 3] * 3),
+                                           doc["labels"].append("extra")],
+         "$.jumps[1]: expected dimension 2, got 3"),
+        ("driven_qubit.json", lambda doc: doc["jumps"][0][0].__setitem__(0, [math.nan, 0.0]),
+         "$.jumps[0][0][0]: expected a finite number"),
     ], ids=["gkls-labels", "gkls-jumps", "unravellings-list", "outcome-not-object",
             "outcome-kraus", "schedule", "schedule-empty-object", "unravellings-zero",
             "flux", "initial", "operator-shape", "flux-state",
             "gkls-no-jumps", "outcome-label", "schedule-entry", "schedule-name",
-            "initial-entry"])
+            "initial-entry", "gkls-duplicate-labels", "kraus-duplicate-labels",
+            "gkls-jump-shape", "gkls-jump-entry"])
     def test_structure_error_names_its_field(self, name, edit, field, tmp_path, capsys):
         doc = json.loads(open(model(name)).read())
         edit(doc)
@@ -185,6 +197,25 @@ PURE_DECAY = {  # H = 0, L = |0><1|: steady state |0><0|, not faithful
     "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
     "jumps": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
 }
+
+
+ONE_LEVEL = {"kind": "gkls", "hamiltonian": [[0.0]], "jumps": [[[0.7]]], "labels": ["click"],
+             "count_label": "click"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["bound", "--flavor", "counting", "--t", "2,8", "--gamma", "0.1"],
+    ["verify", "--flavor", "counting", "--t", "2,8", "--gamma", "0.1", "--trials", "50"],
+], ids=["analyze", "bound", "verify"])
+def test_infinite_gap_is_written_as_null(argv, tmp_path, capsys):
+    """One level: the additive spectrum has one eigenvalue, so epsilon = inf."""
+    path = tmp_path / "one_level.json"
+    path.write_text(json.dumps(ONE_LEVEL))
+    report = main_report(capsys, *argv, "--model", str(path))
+    constants = report["diagnostics"]["counting_constants"] if argv == ["analyze"] \
+        else report["constants"]
+    assert constants["epsilon"] is None and constants["hypothesis_ok"]
 
 
 class TestUnfaithfulState:

@@ -235,6 +235,11 @@ class TestMultiplicativeGap:
         with pytest.raises(HypothesisError):
             spectral_gap_multiplicative(KrausChannel([np.eye(2)]), np.eye(2) / 2)
 
+    def test_non_invariant_state_rejected(self, ring):
+        channel, _ = ring
+        with pytest.raises(HypothesisError, match="not invariant"):
+            multiplicative_gap_report(channel, np.diag([0.5, 0.3, 0.2]))
+
     def test_two_unitary_qubit_psi_reducible(self, qubit):
         channel, _ = qubit
         sigma = invariant_state(channel)
@@ -262,6 +267,14 @@ class TestAdditiveGap:
         assert report.hamiltonian_commutes
         assert "automatic" in report.note
         assert report.irreducible
+
+    def test_verdict_rebuilds_no_fixed_point(self, qubit_gen, monkeypatch):
+        sigma = gkls_steady_state(qubit_gen)
+        expected = additive_gap_report(qubit_gen, sigma)
+        for name in ("state_power", "from_hermitian_coordinates", "_trace_normalized"):
+            monkeypatch.setattr(spectral, name, None)
+        report = additive_gap_report(qubit_gen, sigma)
+        assert report.irreducible and report.epsilon == expected.epsilon
 
     def test_pure_dephasing_errors(self):
         gen = GKLSGenerator(np.zeros((2, 2)), [np.sqrt(0.5) * PAULI_Z])
@@ -612,23 +625,67 @@ class TestLowerEstimate:
             assert None not in stops and len(set(stops)) > 1
 
 
+def near_unitary_channel(d, eps, seed):
+    """A seeded unitary mixed with ``random_channel(d, 2, 900 + seed)`` at weight eps."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return KrausChannel([np.sqrt(1 - eps) * u]
+                        + [np.sqrt(eps) * v for v in random_channel(d, 2, 900 + seed).kraus])
+
+
+# psi of these is nearly reducible: the two-method vote on the explicit psi is
+# inconclusive on all but two of them
+NEAR_UNITARY = [f"near-unitary d{d} eps{eps} s{s}" for eps in (1e-9, 1e-8)
+                for d in (2, 3, 4) for s in range(4)]
+
+
+def near_unitary_case(name):
+    d, eps, seed = name.split()[1:]
+    channel = near_unitary_channel(int(d[1:]), float(eps[3:]), int(seed[1:]))
+    return channel, invariant_state(channel).matrix
+
+
+def psi_vote(channel, sigma):
+    """The two-method vote on the explicit psi: its verdict, or "inconclusive"."""
+    return vote_verdict(is_irreducible, multiplicative_symmetrization(channel, sigma))
+
+
 class TestPsiVote:
-    @pytest.mark.parametrize("name", LOCK_STEP_CASES + ["two-unitary"])
+    """psi's verdict from the simple top of T^T T against the full vote on the explicit psi."""
+
+    @pytest.mark.parametrize("name", LOCK_STEP_CASES + ["two-unitary"] + NEAR_UNITARY)
     def test_vote_on_the_gap_spectrum_matches_is_irreducible(self, name, qubit):
         if name == "two-unitary":  # psi is reducible
             channel = qubit[0]
             sigma = invariant_state(channel).matrix
+        elif name in NEAR_UNITARY:
+            channel, sigma = near_unitary_case(name)
         else:
             channel, sigma = lock_step_case(name)
         report = multiplicative_gap_report(channel, sigma)
-        direct = is_irreducible(report.psi)
-        shared = spectral._irreducibility_vote(
-            report.psi, superoperator_matrix(report.psi).matrix, report.eigenvalues)
-        fields = ("irreducible", "radius_multiplicity", "fixed_point_faithful",
-                  "reachability_dims")
-        assert [getattr(shared, f) for f in fields] == [getattr(direct, f) for f in fields]
-        assert report.irreducible == direct.irreducible
-        assert report.irreducible == (name != "two-unitary")
+        vote = psi_vote(channel, sigma)
+        if vote == "inconclusive":
+            assert not report.irreducible and report.epsilon == 0.0
+        else:
+            assert report.irreducible == vote
+        if name not in NEAR_UNITARY:
+            assert report.irreducible == (name != "two-unitary")
+
+    def test_near_unitary_channels_reach_the_inconclusive_vote(self):
+        verdicts = [psi_vote(*near_unitary_case(name)) for name in NEAR_UNITARY]
+        assert verdicts.count("inconclusive") == 22 and verdicts.count(True) == 2
+
+    def test_gap_report_builds_no_psi_and_takes_no_svd(self, ring, ring_sigma, monkeypatch):
+        channel, _ = ring
+        calls = []
+        monkeypatch.setattr(spectral, "KrausChannel", lambda *a, **k: calls.append("psi"))
+        monkeypatch.setattr(spectral, "superoperator_matrix",
+                            lambda *a, **k: calls.append("superoperator"))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: (calls.append("svd"), svd(*a, **k))[1])
+        assert multiplicative_gap_report(channel, ring_sigma).irreducible
+        assert calls == []
 
     def test_one_general_eigensolve_per_analysis(self, ring, capsys, monkeypatch):
         calls = []
@@ -656,7 +713,9 @@ def eigvals_vote(channel):
     radius = float(np.max(np.abs(eigs)))
     multiplicity = int(np.sum(np.abs(eigs - radius) <= spectral.TAU_EIG * max(1.0, radius)))
     dual_basis = spectral._null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
-    faithful = spectral._fixed_point_min_eigenvalue(dual_basis, channel.dim) > spectral.TAU_PSD
+    point = (spectral._trace_normalized(dual_basis[:, 0], channel.dim)
+             if dual_basis.shape[1] == 1 else None)
+    faithful = point is not None and np.min(np.linalg.eigvalsh(point)) > spectral.TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
     reach_verdict = all(
         spectral._reachable_dimension(channel._stack, np.asarray(v, dtype=complex)) == channel.dim
@@ -839,6 +898,27 @@ class TestPositiveRecurrence:
         assert "positive recurrence fails" in capsys.readouterr().err
 
 
+def test_verify_bernstein_passes_where_psi_is_irreducible_by_rounding(tmp_path, capsys):
+    """The leak channel on which psi's verdict is irreducible, where a vote read inconclusive.
+
+    Its sigma is faithful only by rounding (least eigenvalue 2.4e-10, exactly
+    0 in exact arithmetic).  The simple top of T^T T gives epsilon = 2e-7, and
+    the full vote on the explicit psi calls it irreducible too; the vote that
+    counted the multiplicity from the spectrum of T^T T was inconclusive.
+    """
+    channel = dict(vote_family("leak"))["eps1e-07 s0"]()
+    sigma = invariant_state(channel).matrix
+    assert 0.0 < np.min(np.linalg.eigvalsh(sigma)) < 1e-8
+    assert psi_vote(channel, sigma) is True
+    assert multiplicative_gap_report(channel, sigma).irreducible
+    path = kraus_model(tmp_path / "leak.json", channel)
+    assert cli.main(["verify", "--flavor", "bernstein", "--model", path,
+                     "--n", "4,16,64", "--gamma", "0.1,0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["constants"]["hypothesis_ok"] and report["constants"]["epsilon"] > 0
+    assert [row["verdict"] for row in report["rows"]] == [True] * 6
+
+
 def svd_tested_poisson_solve(channel, f, sigma, certified_upper):
     """``poisson_solve`` as it was: an SVD tests singularity, then its own solve,
     on the restriction in Hermitian coordinates."""
@@ -906,6 +986,29 @@ class TestOneFixedPointFactorisation:
         capsys.readouterr()
         assert calls["eigvals"] == []
         assert [m.shape for m in calls["svd"] if m.shape[0] == d * d] == [(d * d, d * d)]
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_bernstein_constants_take_no_svd_and_no_eigensolve(self, d, monkeypatch):
+        sigma = invariant_state(random_channel(d, 3, 17))  # on another channel object
+        channel = random_channel(d, 3, 17)
+        payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
+        calls = []
+        svd, eigvals = np.linalg.svd, np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: (calls.append(m.shape),
+                                                                   svd(m, *a, **k))[1])
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: (calls.append(m.shape), eigvals(m))[1])
+        assert bernstein_constants(channel, payoff, sigma=sigma).hypothesis_ok
+        assert calls == []
+
+    def test_bernstein_bound_takes_one_svd(self, capsys, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: (calls.append(m.shape),
+                                                                   svd(m, *a, **k))[1])
+        assert cli.main(["bound", "--flavor", "bernstein", "--model", str(MODELS / "ring.json"),
+                         "--n", "100,1000", "--gamma", "0.5"]) == 0
+        capsys.readouterr()
+        assert calls == [(9, 9)]  # R^T - I, for invariant_state
 
     def test_decomposition_shares_one_svd_per_block(self, monkeypatch):
         channel, _ = two_block_ring()

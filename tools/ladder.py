@@ -10,10 +10,11 @@ channels are ``fixtures.random_channel(d, 3, 101)`` with payoff (i mod 3) - 1
 on label i, for d in ``DIMS``.  Every call gets a channel object of its own,
 built before the clock starts, so nothing a call memoizes on a channel
 serves a later one; ``bernstein_constants`` and ``pseudoresolvent_norm`` get
-the invariant state, computed on another object.  One child makes one pass: a warm-up call of every layer
-at the smallest d, then one timed call of each layer at each d, and for the
-certified chain and ``hoeffding_constants`` one more untimed call that
-counts the chain's SVD norms (``np.linalg.norm(a, 2)`` calls), the general
+the invariant state, computed on another object.  One child makes one pass:
+a warm-up call of every layer at the smallest d, then one timed call of each
+layer at each d, and for the certified chain, ``hoeffding_constants``,
+``bernstein_constants`` and ``multiplicative_gap_report`` one more untimed
+call that counts the SVD norms (``np.linalg.norm(a, 2)`` calls), the general
 eigensolves (``np.linalg.eigvals``) and the SVDs with singular vectors of a
 d^2 x d^2 matrix (``np.linalg.svd``).  Then the samplers: ``mc_tail`` with
 ``MC_TRAJECTORIES`` trajectories of ``MC_STEPS`` steps from the invariant
@@ -75,7 +76,8 @@ CLI_COMMANDS = [("analyze", "--model", str(path))
 ]
 
 
-COUNTED = ("certified_chain", "hoeffding_constants")
+COUNTED = ("certified_chain", "hoeffding_constants", "bernstein_constants",
+           "multiplicative_gap_report")
 
 
 def _counts(call, d: int) -> dict:
