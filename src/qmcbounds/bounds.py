@@ -179,6 +179,14 @@ def _check_grid_point(gamma: float, n: int) -> None:
         raise ValueError("n must be a positive integer")
 
 
+def _exponent(formula) -> float:
+    """formula(), or -inf where it overflows: every exponent falls to -inf as gamma grows."""
+    try:
+        return formula()
+    except OverflowError:
+        return -math.inf
+
+
 def _bernstein_result(flavor: str, constants: BoundConstants, b2: float, gamma: float,
                       n: int, two_sided: bool, zero_reason: str,
                       reducible_reason: str) -> BoundResult:
@@ -195,8 +203,8 @@ def _bernstein_result(flavor: str, constants: BoundConstants, b2: float, gamma: 
         return _valid(flavor, constants, gamma, n, two_sided, 0.0, -math.inf, zero_reason)
     if not constants.hypothesis_ok or not constants.epsilon or constants.epsilon <= 0.0:
         return _invalid(flavor, constants, gamma, n, two_sided, reducible_reason)
-    exponent = -n * (gamma**2 * constants.epsilon / (6.0 * b2)) * h_function(
-        10.0 * constants.c * gamma / (3.0 * b2))
+    exponent = _exponent(lambda: -n * (gamma**2 * constants.epsilon / (6.0 * b2)) * h_function(
+        10.0 * constants.c * gamma / (3.0 * b2)))
     pref = (2.0 if two_sided else 1.0) * float(constants.n_rho or 1.0)
     return _valid(flavor, constants, gamma, n, two_sided, pref, exponent, "")
 
@@ -223,7 +231,7 @@ def _hoeffding_result(flavor: str, constants: BoundConstants, gamma: float, n: i
         return _invalid(flavor, constants, gamma, n, two_sided, "outside regime")
     if n == 1:
         return _valid(flavor, constants, gamma, n, two_sided, 0.0, -math.inf, single_reason)
-    exponent = -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2)
+    exponent = _exponent(lambda: -((n * gamma - 2.0 * g)**2) / (2.0 * (n - 1) * g**2))
     return _valid(flavor, constants, gamma, n, two_sided, 2.0 if two_sided else 1.0, exponent, "")
 
 
@@ -315,7 +323,7 @@ def counting_bound(constants: BoundConstants, gamma: float, t: float,
     eps = constants.epsilon
     denom = 2.0 * (constants.m + 2.0 * constants.b**2 / eps
                    + max(5.0 * constants.alpha / eps, 2.5) * gamma)
-    exponent = -t * gamma**2 / denom
+    exponent = _exponent(lambda: -t * gamma**2 / denom)
     pref = (2.0 if two_sided else 1.0) * float(constants.n_rho or 1.0)
     return _valid("counting", constants, gamma, t, two_sided, pref, exponent, "")
 
@@ -483,7 +491,7 @@ def time_dependent_bound(constants: TimeDependentConstants, gamma: float, n: int
         return _invalid("tdm-hoeffding", bc, gamma, n, two_sided, "n = 1 at the regime boundary")
     if n * gamma < g_n:
         return _invalid("tdm-hoeffding", bc, gamma, n, two_sided, "outside regime")
-    exponent = -((n * gamma - g_n)**2) / ((n - 1) * g_n**2)
+    exponent = _exponent(lambda: -((n * gamma - g_n)**2) / ((n - 1) * g_n**2))
     return _valid("tdm-hoeffding", bc, gamma, n, two_sided, 2.0 if two_sided else 1.0,
                   exponent, "")
 

@@ -43,13 +43,15 @@ The tag holds the rest of the state: none for the plain score sum, the
 last outcomes for sliding windows, the current state for chain fluxes.
 Label i sends tag t to ``next_tag[t, i]``, adds ``shift[t, i]`` to the
 score and multiplies the weights by a block: the matrix of
-``T -> V_i T V_i^*``, or ``p_xy``.  For a fixed (tag, label) the key map is
-injective, so each block's GEMM result is scattered with a plain indexed
-add.  One pass serves every horizon asked for, and every tag layout turns
-its rows into laws the same way (sum per score, clip, check the mass).
-A batched enumeration over outcome sequences, sharing no code with the
-kernel, is the independent check; it lives with the tests, in
-``tests/reference.py``.
+``T -> V_i T V_i^*``, or ``p_xy``.  The kernel runs on the quotient of
+these tables: tags with the same future merge, and labels that move a tag
+alike are one move with the sum of their blocks (the ring's six labels are
+two moves).  A (class, move) maps keys injectively, so each GEMM result is
+scattered with a plain indexed add.  One pass serves every horizon, and
+every tag layout turns its rows into laws the same way (sum per score,
+clip, check the mass).  A batched enumeration over outcome sequences,
+sharing no code with the kernel, is the independent check; it and the
+unreduced loop live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -388,6 +390,34 @@ def _score_lattice(fv: np.ndarray) -> tuple[np.ndarray, int]:
     return nums, denom
 
 
+def _quotient(maps: np.ndarray, next_tag: np.ndarray,
+              shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DP's tables on their quotient: equivalent tags merged, alike moves summed.
+
+    Tags are equivalent when, label by label, they have the same shift, map
+    and equivalent next tag (partition refinement, Moore 1956).  A class has
+    one move per (next class, shift), its map the sum of their maps in label
+    order; next class -1 pads the table.
+    """
+    live, ids = next_tag >= 0, {}  # ids: one number per distinct map
+    block = [[ids.setdefault(m.tobytes(), len(ids)) for m in row] for row in maps]
+    keys, cls, count = np.hstack(np.where(live, [shift, block], -1)), np.zeros(len(live), int), -1
+    while cls.max() > count:  # refine until stable; classes numbered as first seen, tag 0's is 0
+        _, first, inverse = np.unique(np.c_[keys, np.where(live, cls[next_tag], -1)], axis=0,
+                                      return_index=True, return_inverse=True)
+        count, cls = cls.max(), np.argsort(first).argsort()[inverse.ravel()]
+    reps = np.unique(cls, return_index=True)[1]  # the first tag of each class
+    q_next = np.full((len(reps), next_tag.shape[1]), -1)
+    q_shift, q_maps = np.zeros_like(q_next), np.zeros(q_next.shape + maps.shape[2:], maps.dtype)
+    for c, t in enumerate(reps):
+        moves: dict = {}
+        for i in np.flatnonzero(live[t]):
+            j = moves.setdefault((cls[next_tag[t, i]], shift[t, i]), len(moves))
+            q_next[c, j], q_shift[c, j] = cls[next_tag[t, i]], shift[t, i]
+            q_maps[c, j] += maps[t, i]
+    return q_maps, q_next, q_shift
+
+
 def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
                 init: np.ndarray, steps: Sequence[int]) -> dict:
     """Rows of the tagged score-lattice DP after each step count in ``steps``.
@@ -395,13 +425,15 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     The DP starts from the single row (tag 0, score 0) holding ``init``.
     Label i moves a row of tag t to tag ``next_tag[t, i]`` (nowhere if
     negative), adds ``shift[t, i]`` to its score and right-multiplies its
-    weights by ``maps[t, i]``.  Returns {step: (scores, weights)}, the rows
-    sorted by (score, tag), so scores ascend and repeat once per tag.
+    weights by ``maps[t, i]``, on the tables' ``_quotient``: a row's tag is
+    its class.  Returns {step: (scores, weights)}, the rows sorted by
+    (score, class), so scores ascend and repeat once per class.
     """
-    n_tags, k = next_tag.shape
     last = max(steps, default=0)
-    if (int(np.abs(shift).max(initial=0)) * last + 1) * n_tags >= 2**62:
+    if (int(np.abs(shift).max(initial=0)) * last + 1) * next_tag.shape[0] >= 2**62:
         raise LatticeError(f"a {last}-step score lattice this wide overflows 64-bit keys")
+    maps, next_tag, shift = _quotient(maps, next_tag, shift)
+    n_tags = next_tag.shape[0]
     keys = np.zeros(1, dtype=np.int64)
     vecs = np.asarray(init)[None, :].astype(np.result_type(init, maps))
     out = {0: (keys, vecs)} if 0 in steps else {}
@@ -420,7 +452,7 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
                 for lo in range(0, rows_t.size, _DP_BLOCK):
                     rows = rows_t[lo:lo + _DP_BLOCK]
                     # distinct rows of one tag have distinct scores, so
-                    # their targets under label i are distinct too
+                    # their targets under move i are distinct too
                     new[pos[rows, i]] += vecs[rows] @ maps[t, i]
         keys, vecs = new_keys, new
         if step in steps:

@@ -30,6 +30,10 @@ did this another way are kept here too:
   Gram matrices, with the dual fixed point from a complex null space;
 * the Cesaro limit of 1/d from a sorted complex Schur form and a Sylvester
   solve.
+
+The lattice DP runs on the quotient of its tag and label tables; the loop
+it replaced, one GEMM per (tag, label) pair of the unreduced tables, is kept
+here as ``lattice_dp_unreduced``.
 """
 
 import math
@@ -102,6 +106,38 @@ def exact_tail_enumeration(channel: KrausChannel, rho0, f, n: int, gamma: float)
     fv = observation_vector(f, channel.labels)
     return float(sum(masses[scores >= gamma * n - 1e-9].sum()
                      for scores, masses in enumeration_batches(channel, rho0, fv, n)))
+
+
+def lattice_dp_unreduced(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
+                         init: np.ndarray, steps) -> dict:
+    """``trajectory._lattice_dp``'s rows from one GEMM per (tag, label) of the tables as given.
+
+    Same contract: label i moves a row of tag t to ``next_tag[t, i]``
+    (nowhere if negative), adds ``shift[t, i]`` to its score and
+    right-multiplies its weights by ``maps[t, i]``; returns {step: (scores,
+    weights)} with the rows sorted by (score, tag).
+    """
+    n_tags = next_tag.shape[0]
+    keys = np.zeros(1, dtype=np.int64)
+    vecs = np.asarray(init)[None, :].astype(np.result_type(init, maps))
+    out = {0: (keys, vecs)} if 0 in steps else {}
+    for step in range(1, max(steps, default=0) + 1):
+        scores, tags = np.divmod(keys, n_tags)
+        targets = next_tag[tags]
+        cand = (scores[:, None] + shift[tags]) * n_tags + targets
+        new_keys = np.unique(cand[targets >= 0])
+        pos = np.searchsorted(new_keys, cand)
+        new = np.zeros((new_keys.size, vecs.shape[1]), dtype=vecs.dtype)
+        for t in range(n_tags):
+            rows_t = np.flatnonzero(tags == t)
+            for i in np.flatnonzero(next_tag[t] >= 0):
+                for lo in range(0, rows_t.size, 256):
+                    rows = rows_t[lo:lo + 256]
+                    new[pos[rows, i]] += vecs[rows] @ maps[t, i]
+        keys, vecs = new_keys, new
+        if step in steps:
+            out[step] = (keys // n_tags, vecs)
+    return out
 
 
 def deformed_transition(chain: MarkovChain, f, u: float) -> np.ndarray:

@@ -846,6 +846,18 @@ def counted(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+@pytest.mark.parametrize("flavor", list(FLAVOR_MODELS))
+def test_huge_gamma_is_the_exact_zero(flavor, capsys):
+    """An exponent too large for a float falls to -inf: bound 0 (coverage 1 for ci), exit 0."""
+    name, flag, horizons = FLAVOR_MODELS[flavor]
+    report = main_report(capsys, "bound", "--flavor", flavor, "--model", model(name),
+                         flag, horizons, "--gamma", "1e200,1e308")
+    assert report["rows"]
+    for row in report["rows"]:
+        assert row["valid"] and row["exponent"] is None
+        assert row["bound"] == (1.0 if flavor == "ci" else 0.0)
+
+
 class TestFlavorTable:
     def test_parsers_offer_the_table(self):
         parser = cli.build_parser()

@@ -1,13 +1,17 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import expm
 
+import qmcbounds.classical as classical
 import qmcbounds.trajectory as trajectory
 from qmcbounds.bounds import TimeStep, Unravelling, multitime_hoeffding
-from qmcbounds.fixtures import random_channel
+from qmcbounds.classical import MarkovChain, _flux_laws
+from qmcbounds.fixtures import random_channel, ring_channel, two_state_chain
+from qmcbounds.modelfile import load_model
 from qmcbounds.operators import (
     GKLSGenerator,
     KrausChannel,
@@ -36,7 +40,7 @@ from qmcbounds.trajectory import (
 )
 
 from conftest import random_state
-from reference import enumeration_batches, exact_tail_enumeration
+from reference import enumeration_batches, exact_tail_enumeration, lattice_dp_unreduced
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +378,78 @@ class TestLatticeKernel:
         assert law.numerators.tolist() == [-1, 2] and law.masses.tolist() == [0.25, 0.75]
         with pytest.raises(RuntimeError, match="DP mass"):
             trajectory._dp_laws(rows, 2, 1, 1.0 + 1e-9)
+
+
+def quotient_cases():
+    """(name, law, tolerance): exact laws of every tag layout; tolerance None asks bit equality."""
+    rho3 = np.diag([0.5, 0.3, 0.2])
+    ring, ring_payoff = ring_channel()
+    tdm = load_model(os.path.join(os.path.dirname(__file__), "..", "models", "ring_tdm.json"))
+    small = random_channel(2, 3, 5)
+    first = small.labels[0]
+    triples = {w: float(w.count(first)) - 1.0
+               for w in itertools.product(small.labels, repeat=3)}
+    flux2 = {("a", "a"): 0.0, ("a", "b"): 1.0, ("b", "a"): -1.0, ("b", "b"): 0.5}
+    rng = np.random.default_rng(4)
+    p = rng.random((4, 4))
+    p[3] = p[2]  # states 2 and 3 move alike, so their tags merge
+    chain4 = MarkovChain(p / p.sum(axis=1, keepdims=True))
+    flux4 = {(x, y): float(rng.integers(-3, 4)) / 2 for x, y in chain4.edges()}
+    # state 1 pays as state 0 does, but moves with other weights
+    flux4.update({(z, y): flux4[(x, y)] for x, z in ((0, 1), (2, 3)) for y in range(4)})
+    wide = random_channel(8, 6, 101)
+    wide_payoff = {label: float(i % 3 - 1) for i, label in enumerate(wide.labels)}
+    return [
+        ("ring", lambda: score_distribution_dp(ring, rho3, ring_payoff, 64), None),
+        ("ring_tdm", lambda: score_distribution_windowed(
+            tdm.channel, rho3, tdm.observation_windows, 64), 1e-15),
+        ("window3", lambda: score_distribution_windowed(small, np.eye(2) / 2, triples, 12),
+         1e-15),
+        ("two_state_flux", lambda: _flux_laws(two_state_chain(), [0.5, 0.5], flux2, [40])[40],
+         1e-15),
+        ("chain4_flux", lambda: _flux_laws(chain4, np.ones(4) / 4, flux4, [40])[40], 1e-15),
+        ("random8", lambda: score_distribution_dp(wide, np.eye(8) / 8, wide_payoff, 24), 1e-15),
+    ]
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("name, law, tol", quotient_cases(),
+                             ids=[case[0] for case in quotient_cases()])
+    def test_laws_match_the_unreduced_loop(self, name, law, tol, monkeypatch):
+        quotient = law()
+        monkeypatch.setattr(trajectory, "_lattice_dp", lattice_dp_unreduced)
+        monkeypatch.setattr(classical, "_lattice_dp", lattice_dp_unreduced)
+        unreduced = law()
+        assert np.array_equal(quotient.numerators, unreduced.numerators)
+        if tol is None:
+            assert np.array_equal(quotient.masses, unreduced.masses)
+        else:
+            assert np.max(np.abs(quotient.masses - unreduced.masses)) <= tol
+
+    def test_quotient_sizes(self, monkeypatch):
+        tables = []
+        reduce = trajectory._quotient
+        monkeypatch.setattr(trajectory, "_quotient",
+                            lambda *args: tables.append(reduce(*args)) or tables[-1])
+        for _, law, _ in quotient_cases()[:2]:
+            law()
+        (_, ring_next, _), (_, tdm_next, _) = tables
+        # the ring's six hops pay +1 or -1: one class, two moves
+        assert len(ring_next) == 1 and np.count_nonzero(ring_next >= 0) == 2
+        # a window of ring_tdm pays when both hops go up: the last hop up is one
+        # class, and the empty history moves as a last hop down does
+        assert len(tdm_next) == 2
+
+    def test_tag_zero_is_class_zero_and_alike_moves_sum(self):
+        # tag 2 moves as tag 0 does; tag 1's labels 0 and 2 move alike
+        maps = np.arange(1.0, 10.0).reshape(3, 3, 1, 1)
+        maps[2] = maps[0]
+        next_tag = np.array([[1, 2, -1], [0, -1, 0], [1, 2, -1]])
+        shift = np.array([[0, 1, 0], [2, 0, 2], [0, 1, 0]])
+        q_maps, q_next, q_shift = trajectory._quotient(maps, next_tag, shift)
+        assert q_next.tolist() == [[1, 0, -1], [0, -1, -1]]
+        assert q_shift.tolist() == [[0, 1, 0], [2, 0, 0]]
+        assert q_maps[:, :, 0, 0].tolist() == [[1.0, 2.0, 0.0], [10.0, 0.0, 0.0]]
 
 
 class TestMCTail:

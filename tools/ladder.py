@@ -24,8 +24,11 @@ trajectories to t = ``COUNTING_T`` (layer ``counting_counts``, d = 2).  The
 parent's ``mc_tail`` rows above d = ``PARENT_MC_MAX_D`` are not timed, as
 they would take minutes, and read ``null``.  Then the exact DP,
 ``score_distribution_dp`` from the maximally mixed state to each horizon in
-``DP_HORIZONS`` (rows carry ``n``), on ``fixtures.ring_channel()`` (d = 3)
-and on the random channels with d in ``DP_DIMS``;
+``DP_HORIZONS`` (rows carry ``n``), on ``fixtures.ring_channel()`` (d = 3),
+on the random channels with d in ``DP_DIMS`` and on
+``random_channel(d, 6, 101)`` with the same payoff (rows carry ``kraus``: 6),
+and ``score_distribution_windowed`` on ``models/ring_tdm.json``'s windows at
+the same horizons;
 ``decompose_invariant_subspaces`` on the direct sum of
 ``random_channel(d // 2, 3, 101)`` and ``random_channel(d - d // 2, 3, 102)``
 for d in ``BLOCK_DIMS``; and ``counting_constants``, steady state included,
@@ -36,7 +39,9 @@ flavours, ``verify --flavor bernstein`` and ``simulate`` on ``models/ring.json``
 with the golden tests' grids.  There are ``REPEATS`` passes
 per tree, and the trees alternate: on even passes this tree goes first, on
 odd passes the parent, so a machine that speeds up or slows down over a run
-does not favour one column.  A row is the median over the passes.  Children get
+does not favour one column.  A row is the median over the passes, with the
+least and the greatest pass beside it, so a reader can tell a change from
+the spread of one tree's passes.  Children get
 ``OPENBLAS_NUM_THREADS=1`` unless it is already set.  The output holds one
 column per tree and the environment each child saw: versions, BLAS,
 ``cpu_count`` and thread settings; ``scipy`` is ``null`` where it is not
@@ -181,33 +186,43 @@ def _generator(d: int):
 
 
 def _oracle_calls() -> list:
-    """(layer, d, n, build, call) of the DP, decomposition and counting-constant rows.
+    """(layer, d, keys, build, call) of the DP, decomposition and counting-constant rows.
 
-    ``build`` makes the input untimed; ``call`` takes it.
+    ``build`` makes the input untimed; ``call`` takes it; ``keys`` are the
+    row's further keys (``n``, ``kraus``).
     """
     import numpy as np
 
     from qmcbounds.bounds import counting_constants
-    from qmcbounds.fixtures import ring_channel
+    from qmcbounds.fixtures import random_channel, ring_channel
+    from qmcbounds.modelfile import load_model
     from qmcbounds.spectral import decompose_invariant_subspaces
-    from qmcbounds.trajectory import score_distribution_dp
+    from qmcbounds.trajectory import score_distribution_dp, score_distribution_windowed
 
-    def dp(n: int):
+    def dp(n: int, law=score_distribution_dp):
         def call(model):
             channel, payoff = model
-            return score_distribution_dp(channel, np.eye(channel.dim) / channel.dim, payoff, n)
+            return law(channel, np.eye(channel.dim) / channel.dim, payoff, n)
         return call
 
-    def random_model(d: int):
-        channel = _channel(d)
+    def random_model(d: int, kraus: int = 3):
+        channel = random_channel(d, kraus, 101)
         return channel, {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
 
-    calls = [("score_distribution_dp", 3, n, ring_channel, dp(n)) for n in DP_HORIZONS]
-    calls += [("score_distribution_dp", d, n, lambda d=d: random_model(d), dp(n))
+    def ring_tdm():
+        model = load_model(str(REPO / "models" / "ring_tdm.json"))
+        return model.channel, model.observation_windows
+
+    calls = [("score_distribution_dp", 3, {"n": n}, ring_channel, dp(n)) for n in DP_HORIZONS]
+    calls += [("score_distribution_dp", d, {"n": n}, lambda d=d: random_model(d), dp(n))
               for d in DP_DIMS for n in DP_HORIZONS]
-    calls += [("decompose_invariant_subspaces", d, None, lambda d=d: _two_block(d),
+    calls += [("score_distribution_dp", d, {"n": n, "kraus": 6},
+               lambda d=d: random_model(d, 6), dp(n)) for d in DP_DIMS for n in DP_HORIZONS]
+    calls += [("score_distribution_windowed", 3, {"n": n}, ring_tdm,
+               dp(n, score_distribution_windowed)) for n in DP_HORIZONS]
+    calls += [("decompose_invariant_subspaces", d, {}, lambda d=d: _two_block(d),
                decompose_invariant_subspaces) for d in BLOCK_DIMS]
-    calls.append(("counting_constants", GKLS_DIM, None, lambda: _generator(GKLS_DIM),
+    calls.append(("counting_constants", GKLS_DIM, {}, lambda: _generator(GKLS_DIM),
                   lambda gen: counting_constants(gen, gen.labels[0])))
     return calls
 
@@ -271,13 +286,11 @@ def measure(mc_max_d: int | None) -> dict:
         first.setdefault(layer, (build, call))
     for build, call in first.values():  # warm-up: the first call of each layer
         call(build())
-    for layer, d, n, build, call in calls:
+    for layer, d, keys, build, call in calls:
         model = build()
         start = time.perf_counter()
         call(model)
-        row = {"layer": layer, "d": d, "seconds": time.perf_counter() - start}
-        if n is not None:
-            row["n"] = n
+        row = {"layer": layer, "d": d, **keys, "seconds": time.perf_counter() - start}
         rows.append(row)
         print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
     for command in CLI_COMMANDS:
@@ -319,20 +332,24 @@ def main(argv: list[str] | None = None) -> int:
                                           PARENT_MC_MAX_D if name == "parent" else None))
     rows = []
     for i, row in enumerate(passes["change"][0]["rows"]):
-        merged = {key: row[key] for key in ("layer", "d", "n", "command") if key in row}
+        merged = {key: row[key] for key in ("layer", "d", "n", "kraus", "command") if key in row}
         for name, runs in passes.items():
             times = [run["rows"][i]["seconds"] for run in runs]
-            merged[f"{name}_median_s"] = (None if None in times
-                                          else sorted(times)[len(times) // 2])
+            times = None if None in times else sorted(times)
+            merged[f"{name}_median_s"] = times and times[len(times) // 2]
+            merged[f"{name}_min_s"] = times and times[0]
+            merged[f"{name}_max_s"] = times and times[-1]
             for count in ("svds", "eigvals", "full_svds"):
                 if count in row:
                     merged[f"{name}_{count}"] = runs[0]["rows"][i][count]
         rows.append(merged)
     doc = {
-        "what": ("median seconds of each spectral layer and of mc_tail (4096 trajectories, "
-                 "n = 50) on fixtures.random_channel(d, 3, 101), of counting_counts on "
-                 "driven_qubit (t = 400, 500 trajectories), of score_distribution_dp to n "
-                 "on the ring and on the random channels, of decompose_invariant_subspaces "
+        "what": ("median, least and greatest seconds over the passes of each spectral layer "
+                 "and of mc_tail (4096 trajectories, n = 50) on fixtures.random_channel(d, 3, "
+                 "101), of counting_counts on driven_qubit (t = 400, 500 trajectories), of "
+                 "score_distribution_dp to n on the ring and on the random channels (kraus: 6 "
+                 "for random_channel(d, 6, 101)), of score_distribution_windowed to n on "
+                 "ring_tdm's windows, of decompose_invariant_subspaces "
                  "on a two-block random channel, of counting_constants on a random "
                  "GKLS generator, and of CLI commands in a fresh process, start-up "
                  "included; null: not timed"),
