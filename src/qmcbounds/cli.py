@@ -88,6 +88,7 @@ from .classical import (
     flux_bernstein_constants,
     flux_hoeffding_bound,
     flux_hoeffding_constants,
+    flux_matrix,
     is_chain_irreducible,
     stationary_distribution,
     _centered_flux,
@@ -484,16 +485,23 @@ def _flux(args, model: Model) -> _Plan:
     mean = _centered_flux(chain, f, sigma)[0]
 
     @cache
-    def laws():  # one DP pass, at the first tail
-        try:
-            return _flux_laws(chain, nu, f, ns)
+    def laws():  # one DP pass over the horizons it affords, at the first tail
+        try:  # a state moves once per edge it leaves
+            nums = _score_lattice(flux_matrix(f, chain)[chain.transition > 0.0])[0]
+            return _flux_laws(chain, nu, f, [n for n in ns if _dp_affords(
+                n, nums, np.count_nonzero(chain.transition))])
         except LatticeError as exc:
             raise InfeasibleError(f"exact flux tail is infeasible: {exc}; flux has no "
                                   f"Monte Carlo oracle") from exc
 
+    def tail(n: int, gammas: list):
+        if n not in laws():
+            raise InfeasibleError(f"exact flux tail at n={n} is beyond the DP budget; flux "
+                                  f"has no Monte Carlo oracle")
+        return [laws()[n].tail(mean + gamma) for gamma in gammas]
+
     return _Plan(ns, [[_rows(flux_bernstein_bound, ber, args.two_sided),
-                       _rows(flux_hoeffding_bound, hoe, args.two_sided)]],
-                 lambda n, gammas: [laws()[n].tail(mean + gamma) for gamma in gammas])
+                       _rows(flux_hoeffding_bound, hoe, args.two_sided)]], tail)
 
 
 def _time_dependent(args, model: Model, flavor: str) -> _Plan:
@@ -676,14 +684,22 @@ def cmd_simulate(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _dp_affords(n: int, nums: np.ndarray, moves: int) -> bool:
+    """Whether the DP, ``moves`` moves per score, affords n: n * support * moves <= 4e6.
+
+    The support of n steps paying lattice values ``nums``, v of them distinct,
+    is min(span n + 1, C(n + v - 1, v - 1)): the sum lies in a span of span n
+    + 1 lattice points and is fixed by how often each value occurs.
+    """
+    span, v = int(nums.max() - nums.min()), len(np.unique(nums))
+    return n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * moves <= 4_000_000
+
+
 def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
     """(horizon, gammas) -> tails; one DP pass serves every horizon the DP can afford.
 
     A tail is P((1/n) sum_k f(X_k) - mean >= gamma), ``mean`` being pi(f).
-    The DP affords n when n * support * k <= 4e6, where support is the number
-    of scores it can reach at step n: min(span n + 1, C(n + v - 1, v - 1)) for
-    v distinct lattice values, since a sum of n of them lies in a span of
-    span n + 1 lattice points and is fixed by how often each value occurs.
+    The DP's one class moves once per distinct lattice value (``_dp_affords``).
     Other horizons get Monte Carlo tails at every gamma from one sample
     under --mc, and are infeasible requests otherwise.
     """
@@ -693,11 +709,8 @@ def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
             nums, denom = _score_lattice(observation_vector(f, channel.labels))
         except LatticeError:
             return {}
-        span, v = int(nums.max() - nums.min()), len(np.unique(nums))
         return _score_laws(channel, rho0, nums, denom, [
-            n for n in horizons
-            if n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * len(channel.kraus)
-            <= 4_000_000])
+            n for n in horizons if _dp_affords(n, nums, len(np.unique(nums)))])
 
     def tail(n: int, gammas: list):
         if n in laws():

@@ -35,8 +35,8 @@ per-trajectory tapes (block size ``_TAPE_BLOCK``), which keeps the
 consumption order a function of the trajectory alone.
 
 Exact tails on small instances come from one lattice DP kernel.  Its
-state is a sorted int64 array of the reached keys ``score * T + tag``, one
-row of weights per key: the real coordinates of the conditioned operator
+state holds, per tag, an ascending array of reached scores, one row of
+weights per score: the real coordinates of the conditioned operator
 ``T[s]`` in a Hermitian basis for a channel, one probability for a chain.
 The basis, the coordinates and the real blocks come from :mod:`operators`.
 The tag holds the rest of the state: none for the plain score sum, the
@@ -46,12 +46,12 @@ score and multiplies the weights by a block: the matrix of
 ``T -> V_i T V_i^*``, or ``p_xy``.  The kernel runs on the quotient of
 these tables: tags with the same future merge, and labels that move a tag
 alike are one move with the sum of their blocks (the ring's six labels are
-two moves).  A (class, move) maps keys injectively, so each GEMM result is
-scattered with a plain indexed add.  One pass serves every horizon, and
+two moves).  A (class, move) maps scores injectively, so each GEMM result
+is scattered with a plain indexed add.  One pass serves every horizon, and
 every tag layout turns its rows into laws the same way (sum per score,
 clip, check the mass).  A batched enumeration over outcome sequences,
 sharing no code with the kernel, is the independent check; it and the
-unreduced loop live with the tests, in ``tests/reference.py``.
+unreduced sorted-key loop live with the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -390,14 +390,15 @@ def _score_lattice(fv: np.ndarray) -> tuple[np.ndarray, int]:
     return nums, denom
 
 
-def _quotient(maps: np.ndarray, next_tag: np.ndarray,
-              shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quotient(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The DP's tables on their quotient: equivalent tags merged, alike moves summed.
 
     Tags are equivalent when, label by label, they have the same shift, map
     and equivalent next tag (partition refinement, Moore 1956).  A class has
     one move per (next class, shift), its map the sum of their maps in label
-    order; next class -1 pads the table.
+    order.  Returns (maps, index, next class, shift): each distinct summed
+    map once, and per (class, move) the index of its map; -1 pads the tables.
     """
     live, ids = next_tag >= 0, {}  # ids: one number per distinct map
     block = [[ids.setdefault(m.tobytes(), len(ids)) for m in row] for row in maps]
@@ -408,14 +409,17 @@ def _quotient(maps: np.ndarray, next_tag: np.ndarray,
         count, cls = cls.max(), np.argsort(first).argsort()[inverse.ravel()]
     reps = np.unique(cls, return_index=True)[1]  # the first tag of each class
     q_next = np.full((len(reps), next_tag.shape[1]), -1)
-    q_shift, q_maps = np.zeros_like(q_next), np.zeros(q_next.shape + maps.shape[2:], maps.dtype)
+    q_shift, q_index, sums = np.zeros_like(q_next), np.full_like(q_next, -1), {}
     for c, t in enumerate(reps):
         moves: dict = {}
         for i in np.flatnonzero(live[t]):
-            j = moves.setdefault((cls[next_tag[t, i]], shift[t, i]), len(moves))
-            q_next[c, j], q_shift[c, j] = cls[next_tag[t, i]], shift[t, i]
-            q_maps[c, j] += maps[t, i]
-    return q_maps, q_next, q_shift
+            moves.setdefault((cls[next_tag[t, i]], shift[t, i]), []).append(i)
+        for j, (move, labels) in enumerate(moves.items()):  # a sum is named by its terms
+            q_next[c, j], q_shift[c, j] = move
+            q_index[c, j] = sums.setdefault(tuple(block[t][i] for i in labels),
+                                            (len(sums), t, labels))[0]
+    return (np.array([sum(maps[t, i] for i in labels) for _, t, labels in sums.values()]),
+            q_index, q_next, q_shift)
 
 
 def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
@@ -426,37 +430,44 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     Label i moves a row of tag t to tag ``next_tag[t, i]`` (nowhere if
     negative), adds ``shift[t, i]`` to its score and right-multiplies its
     weights by ``maps[t, i]``, on the tables' ``_quotient``: a row's tag is
-    its class.  Returns {step: (scores, weights)}, the rows sorted by
-    (score, class), so scores ascend and repeat once per class.
+    its class.  Each class keeps one ascending score array and its block of
+    weights.  A step concatenates the shifted arrays of a class's sources in
+    (class, move) order; one ``np.unique`` gives its new scores and, by the
+    inverse, where each block of ``_DP_BLOCK`` source rows adds its product.
+    Returns {step: (scores, weights)}, the rows sorted by (score, class),
+    so scores ascend and repeat once per class.
     """
     last = max(steps, default=0)
-    if (int(np.abs(shift).max(initial=0)) * last + 1) * next_tag.shape[0] >= 2**62:
-        raise LatticeError(f"a {last}-step score lattice this wide overflows 64-bit keys")
-    maps, next_tag, shift = _quotient(maps, next_tag, shift)
-    n_tags = next_tag.shape[0]
-    keys = np.zeros(1, dtype=np.int64)
-    vecs = np.asarray(init)[None, :].astype(np.result_type(init, maps))
-    out = {0: (keys, vecs)} if 0 in steps else {}
-    for step in range(1, last + 1):
-        scores, tags = np.divmod(keys, n_tags)
-        targets = next_tag[tags]
-        cand = (scores[:, None] + shift[tags]) * n_tags + targets
-        new_keys = np.unique(cand[targets >= 0])
-        pos = np.searchsorted(new_keys, cand)
-        new = np.zeros((new_keys.size, vecs.shape[1]), dtype=vecs.dtype)
-        order = np.argsort(tags, kind="stable")
-        cuts = np.searchsorted(tags[order], np.arange(n_tags + 1))
-        for t in range(n_tags):
-            rows_t = order[cuts[t]:cuts[t + 1]]
-            for i in np.flatnonzero(next_tag[t] >= 0):
-                for lo in range(0, rows_t.size, _DP_BLOCK):
-                    rows = rows_t[lo:lo + _DP_BLOCK]
-                    # distinct rows of one tag have distinct scores, so
-                    # their targets under move i are distinct too
-                    new[pos[rows, i]] += vecs[rows] @ maps[t, i]
-        keys, vecs = new_keys, new
+    if int(np.abs(shift).max(initial=0)) * last >= 2**63:
+        raise LatticeError(f"a {last}-step score lattice this wide overflows 64-bit scores")
+    maps, index, next_tag, shift = _quotient(maps, next_tag, shift)
+    classes = range(next_tag.shape[0])
+    sources = [[(c, j) for c in classes for j in np.flatnonzero(next_tag[c] == u)]
+               for u in classes]
+    entered = [u for u in classes if sources[u]]  # the others are empty after step 0
+    none = np.zeros(0, dtype=np.int64)
+    first = np.asarray(init)[None, :].astype(np.result_type(init, maps))
+    scores = [np.zeros(1, dtype=np.int64)] + [none] * (len(classes) - 1)
+    vecs = [first] + [first[:0]] * (len(classes) - 1)
+    out = {}
+    for step in range(last + 1):
+        if step:
+            targets = [(none, first[:0])] * len(classes)
+            for u in entered:
+                cand = np.concatenate([scores[c] + shift[c, j] for c, j in sources[u]])
+                scores_u, at = np.unique(cand, return_inverse=True)
+                new = np.zeros((scores_u.size, first.shape[1]), dtype=first.dtype)
+                for c, j in sources[u]:  # one move's score map is injective
+                    for lo in range(0, scores[c].size, _DP_BLOCK):
+                        block = vecs[c][lo:lo + _DP_BLOCK]
+                        new[at[lo:lo + len(block)]] += block @ maps[index[c, j]]
+                    at = at[scores[c].size:]
+                targets[u] = scores_u, new
+            scores, vecs = zip(*targets)
         if step in steps:
-            out[step] = (keys // n_tags, vecs)
+            flat = np.concatenate(scores)
+            order = np.argsort(flat, kind="stable")  # a score's rows stay in class order
+            out[step] = flat[order], np.concatenate(vecs)[order]
     return out
 
 

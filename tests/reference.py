@@ -31,9 +31,12 @@ did this another way are kept here too:
 * the Cesaro limit of 1/d from a sorted complex Schur form and a Sylvester
   solve.
 
-The lattice DP runs on the quotient of its tag and label tables; the loop
-it replaced, one GEMM per (tag, label) pair of the unreduced tables, is kept
-here as ``lattice_dp_unreduced``.
+The lattice DP runs on the quotient of its tag and label tables and keeps
+one score array per class.  The loop it replaced, one sorted array of keys
+``score * tags + tag`` and one GEMM per (tag, label) pair of the tables it
+is given, is kept here as ``lattice_dp_unreduced``: on the unreduced tables
+it is the DP before the quotient, and on the quotient's tables it is the
+step loop the kernel ran before its per-class arrays.
 """
 
 import math

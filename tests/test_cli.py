@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -684,9 +685,10 @@ class TestVerify:
         assert report["summary"]["overall"] in ("pass", "inconclusive")
 
     def test_mc_corrupted_epsilon_detected(self):
-        # negative control: bounds 0.098 and 9.5e-7 lie below ci_low
+        # negative control: bounds 0.055 and 3.0e-8 lie below ci_low; n = 1500
+        # is beyond the exact DP's budget, so the tails are sampled
         proc = run_cli("verify", "--mc", "--model", model("ring.json"), "--flavor",
-                       "bernstein", "--n", "1200", "--gamma", "0.02,0.05",
+                       "bernstein", "--n", "1500", "--gamma", "0.02,0.05",
                        "--trials", "500", "--override-epsilon", "60")
         report = json.loads(proc.stdout)
         assert all(row["tail_kind"] == "mc" for row in report["rows"])
@@ -762,6 +764,26 @@ class TestVerify:
         mean = stationary_stats(loaded, sigma, payoff).mean
         assert [(row["tail_kind"], row["tail"]) for row in report["rows"]] == [
             ("dp", law.tail(mean + 0.1))]
+
+    def test_dp_budget_counts_moves_not_outcomes(self, capsys):
+        # the ring's six outcomes pay +1 or -1, so the DP runs two moves:
+        # 1000 * 1001 * 2 = 2.0e6 is within the budget, 1500 * 1501 * 2 = 4.5e6 not
+        report = main_report(capsys, "verify", "--mc", "--flavor", "bernstein", "--model",
+                             model("ring.json"), "--n", "1000,1500", "--gamma", "0.1",
+                             "--trials", "50")
+        assert [row["tail_kind"] for row in report["rows"]] == ["dp", "mc"]
+
+    def test_flux_beyond_the_dp_budget_is_infeasible(self, capsys):
+        report = main_report(capsys, "verify", "--flavor", "flux", "--model",
+                             model("two_state_chain.json"), "--n", "256", "--gamma", "0.1")
+        assert [row["tail_kind"] for row in report["rows"]] == ["dp", "dp"]
+        start = time.perf_counter()
+        assert cli.main(["verify", "--flavor", "flux", "--model", model("two_state_chain.json"),
+                         "--n", "200000", "--gamma", "0.1"]) == cli.EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "infeasible request: exact flux tail at n=200000 is beyond the DP budget; "
+            "flux has no Monte Carlo oracle\n")
 
     def test_tail_is_of_the_centered_mean(self, capsys):
         # pi(f) = 0.4: the bound on P(mean - 0.4 >= 0.3) meets the tail at 0.7

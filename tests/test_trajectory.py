@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,12 +434,14 @@ class TestQuotient:
                             lambda *args: tables.append(reduce(*args)) or tables[-1])
         for _, law, _ in quotient_cases()[:2]:
             law()
-        (_, ring_next, _), (_, tdm_next, _) = tables
+        (_, _, ring_next, _), (tdm_maps, _, tdm_next, _) = tables
         # the ring's six hops pay +1 or -1: one class, two moves
         assert len(ring_next) == 1 and np.count_nonzero(ring_next >= 0) == 2
         # a window of ring_tdm pays when both hops go up: the last hop up is one
-        # class, and the empty history moves as a last hop down does
-        assert len(tdm_next) == 2
+        # class, and the empty history moves as a last hop down does; both
+        # classes hop up or down, so their four moves share two summed maps
+        assert len(tdm_next) == 2 and np.count_nonzero(tdm_next >= 0) == 4
+        assert len(tdm_maps) == 2
 
     def test_tag_zero_is_class_zero_and_alike_moves_sum(self):
         # tag 2 moves as tag 0 does; tag 1's labels 0 and 2 move alike
@@ -446,10 +449,92 @@ class TestQuotient:
         maps[2] = maps[0]
         next_tag = np.array([[1, 2, -1], [0, -1, 0], [1, 2, -1]])
         shift = np.array([[0, 1, 0], [2, 0, 2], [0, 1, 0]])
-        q_maps, q_next, q_shift = trajectory._quotient(maps, next_tag, shift)
+        q_maps, q_index, q_next, q_shift = trajectory._quotient(maps, next_tag, shift)
         assert q_next.tolist() == [[1, 0, -1], [0, -1, -1]]
         assert q_shift.tolist() == [[0, 1, 0], [2, 0, 0]]
-        assert q_maps[:, :, 0, 0].tolist() == [[1.0, 2.0, 0.0], [10.0, 0.0, 0.0]]
+        assert q_index.tolist() == [[0, 1, -1], [2, -1, -1]]
+        assert q_maps[:, 0, 0].tolist() == [1.0, 2.0, 10.0]
+
+    def test_each_summed_map_is_stored_once(self):
+        # a length-3 window whose tags do not merge: 43 tags, 6 labels and 6
+        # distinct 64 x 64 maps; one map per (class, move) would take 8.3 MB
+        channel = random_channel(8, 6, 3)
+        index = {label: i for i, label in enumerate(channel.labels)}
+        payoff = {w: float(sum(index[label] for label in w) % 5)
+                  for w in itertools.product(channel.labels, repeat=3)}
+        rho0 = np.eye(8) / 8
+        tracemalloc.start()
+        try:
+            score_distribution_windowed(channel, rho0, payoff, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
+
+def kernel_layouts():
+    """(name, tables): the (maps, next_tag, shift, init) of every tag layout the kernel runs."""
+    def recorded(law):
+        def tables():
+            seen, real = [], trajectory._lattice_dp
+            with pytest.MonkeyPatch.context() as patch:
+                for owner in (trajectory, classical):
+                    patch.setattr(owner, "_lattice_dp",
+                                  lambda *args: seen.append(args[:4]) or real(*args))
+                law()
+            return seen[0]
+        return tables
+
+    def gen6(payoff):
+        channel = random_channel(6, 3, 1)
+        return lambda: score_distribution_dp(channel, np.eye(6) / 6,
+                                             dict(zip(channel.labels, payoff)), 4)
+
+    def three_classes():
+        # no move enters tag 0; tag 2's second label leads nowhere
+        maps = np.random.default_rng(9).random((3, 2, 2, 2))
+        next_tag = np.array([[1, 2], [2, 1], [1, -1]])
+        shift = np.array([[0, 1], [2, -1], [1, 0]])
+        return maps, next_tag, shift, np.array([1.0, 0.5])
+
+    ring, ring_payoff = ring_channel()
+    tdm = load_model(os.path.join(os.path.dirname(__file__), "..", "models", "ring_tdm.json"))
+    flux2 = {("a", "a"): 0.0, ("a", "b"): 1.0, ("b", "a"): 0.0, ("b", "b"): 0.0}
+    rng = np.random.default_rng(12)
+    p = rng.random((4, 4))
+    chain4 = MarkovChain(p / p.sum(axis=1, keepdims=True))
+    flux4 = {(x, y): float(rng.integers(-3, 4)) / 2 for x, y in chain4.edges()}
+    return [
+        ("ring", recorded(lambda: score_distribution_dp(ring, np.diag([0.5, 0.3, 0.2]),
+                                                        ring_payoff, 4))),
+        ("gen6", recorded(gen6([1.0, 0.0, -1.0]))),
+        ("gen6-sparse", recorded(gen6([0.0, 1.0, 1000.0]))),
+        ("ring_tdm", recorded(lambda: score_distribution_windowed(
+            tdm.channel, np.eye(3) / 3, tdm.observation_windows, 4))),
+        ("two_state_flux", recorded(lambda: _flux_laws(two_state_chain(), [0.4, 0.6],
+                                                       flux2, [4]))),
+        ("chain4_flux", recorded(lambda: _flux_laws(chain4, np.ones(4) / 4, flux4, [4]))),
+        ("three_classes", three_classes),
+    ]
+
+
+class TestClassArrays:
+    """The kernel keeps one score array per class; its rows are the sorted-key loop's bits."""
+
+    @pytest.mark.parametrize("name, tables", kernel_layouts(),
+                             ids=[case[0] for case in kernel_layouts()])
+    def test_rows_match_the_sorted_key_loop(self, name, tables):
+        maps, next_tag, shift, init = tables()
+        steps = [0, 1, 2, 7, 40]
+        rows = trajectory._lattice_dp(maps, next_tag, shift, init, steps)
+        q_maps, q_index, q_next, q_shift = trajectory._quotient(maps, next_tag, shift)
+        if name == "three_classes":
+            assert len(q_next) == 3
+        reference = lattice_dp_unreduced(q_maps[q_index], q_next, q_shift, init, steps)
+        assert list(rows) == list(reference) == steps
+        for step in steps:
+            assert np.array_equal(rows[step][0], reference[step][0])
+            assert np.array_equal(rows[step][1], reference[step][1])
 
 
 class TestMCTail:

@@ -27,8 +27,11 @@ they would take minutes, and read ``null``.  Then the exact DP,
 ``DP_HORIZONS`` (rows carry ``n``), on ``fixtures.ring_channel()`` (d = 3),
 on the random channels with d in ``DP_DIMS`` and on
 ``random_channel(d, 6, 101)`` with the same payoff (rows carry ``kraus``: 6),
-and ``score_distribution_windowed`` on ``models/ring_tdm.json``'s windows at
-the same horizons;
+``score_distribution_windowed`` on ``models/ring_tdm.json``'s windows at
+the same horizons, and ``exact_flux_tail`` at gamma 0.1 from the uniform
+law at the same horizons (rows carry the number of states as ``d``) on
+``models/two_state_chain.json`` and on a ``FLUX_STATES``-state chain with
+seeded random rows and flux (x + y) mod 3 - 1;
 ``decompose_invariant_subspaces`` on the direct sum of
 ``random_channel(d // 2, 3, 101)`` and ``random_channel(d - d // 2, 3, 102)``
 for d in ``BLOCK_DIMS``; and ``counting_constants``, steady state included,
@@ -69,6 +72,7 @@ COUNTING_T, COUNTING_TRIALS = 400.0, 500
 PARENT_MC_MAX_D = 16
 DP_HORIZONS = (128, 256, 512)
 DP_DIMS = (8, 16)
+FLUX_STATES = 8
 BLOCK_DIMS = (8, 16)
 GKLS_DIM = 8
 RING = ("--model", str(REPO / "models" / "ring.json"))
@@ -194,6 +198,7 @@ def _oracle_calls() -> list:
     import numpy as np
 
     from qmcbounds.bounds import counting_constants
+    from qmcbounds.classical import MarkovChain, exact_flux_tail
     from qmcbounds.fixtures import random_channel, ring_channel
     from qmcbounds.modelfile import load_model
     from qmcbounds.spectral import decompose_invariant_subspaces
@@ -213,6 +218,21 @@ def _oracle_calls() -> list:
         model = load_model(str(REPO / "models" / "ring_tdm.json"))
         return model.channel, model.observation_windows
 
+    def flux(n: int):
+        def call(model):
+            chain, f = model
+            return exact_flux_tail(chain, np.ones(chain.size) / chain.size, f, n, 0.1)
+        return call
+
+    def two_state():
+        model = load_model(str(REPO / "models" / "two_state_chain.json"))
+        return model.chain, model.flux
+
+    def random_chain():
+        p = np.random.default_rng(101).random((FLUX_STATES, FLUX_STATES))
+        chain = MarkovChain(p / p.sum(axis=1, keepdims=True))
+        return chain, {(x, y): float((x + y) % 3 - 1) for x, y in chain.edges()}
+
     calls = [("score_distribution_dp", 3, {"n": n}, ring_channel, dp(n)) for n in DP_HORIZONS]
     calls += [("score_distribution_dp", d, {"n": n}, lambda d=d: random_model(d), dp(n))
               for d in DP_DIMS for n in DP_HORIZONS]
@@ -220,6 +240,9 @@ def _oracle_calls() -> list:
                lambda d=d: random_model(d, 6), dp(n)) for d in DP_DIMS for n in DP_HORIZONS]
     calls += [("score_distribution_windowed", 3, {"n": n}, ring_tdm,
                dp(n, score_distribution_windowed)) for n in DP_HORIZONS]
+    calls += [("exact_flux_tail", size, {"n": n}, build, flux(n))
+              for size, build in ((2, two_state), (FLUX_STATES, random_chain))
+              for n in DP_HORIZONS]
     calls += [("decompose_invariant_subspaces", d, {}, lambda d=d: _two_block(d),
                decompose_invariant_subspaces) for d in BLOCK_DIMS]
     calls.append(("counting_constants", GKLS_DIM, {}, lambda: _generator(GKLS_DIM),
@@ -349,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
                  "101), of counting_counts on driven_qubit (t = 400, 500 trajectories), of "
                  "score_distribution_dp to n on the ring and on the random channels (kraus: 6 "
                  "for random_channel(d, 6, 101)), of score_distribution_windowed to n on "
-                 "ring_tdm's windows, of decompose_invariant_subspaces "
+                 "ring_tdm's windows, of exact_flux_tail to n on two_state_chain "
+                 "and a seeded 8-state chain (d: states), of decompose_invariant_subspaces "
                  "on a two-block random channel, of counting_constants on a random "
                  "GKLS generator, and of CLI commands in a fresh process, start-up "
                  "included; null: not timed"),
