@@ -44,7 +44,6 @@ from .operators import (
     kms_conjugated,
     kms_norm,
     kraus_family_deviation,
-    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     state_power,
@@ -114,11 +113,14 @@ def _centered(pi: np.ndarray, f: np.ndarray) -> tuple[float, np.ndarray, float, 
 
 
 def n_rho(rho, sigma) -> float:
-    """KMS norm of sigma^(-1/2) rho sigma^(-1/2); equals 1 at rho = sigma."""
+    """KMS norm of sigma^(-1/2) rho sigma^(-1/2): exactly 1 at rho = sigma, never below 1, as
+    1 = tr rho = <sigma^(-1/4) rho sigma^(-1/4), sigma^(1/2)>_HS <= N_rho (tr sigma)^(1/2)."""
     s = state_matrix(sigma)
     r = state_matrix(rho)
+    if np.array_equal(r, s):
+        return 1.0
     half_inv = state_power(s, -0.5)
-    return kms_norm(half_inv @ r @ half_inv, s)
+    return max(1.0, kms_norm(half_inv @ r @ half_inv, s))
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,7 @@ def counting_constants(gen: GKLSGenerator, label, rho=None, sigma=None) -> Bound
     l = gen.jumps[gen.index(label)]
     half_inv = state_power(s, -0.5)
     b_val = kms_norm((dagger(l) @ l + half_inv @ l @ s @ dagger(l) @ half_inv) / 2, s)
-    t = hermitian_coordinate_matrix(kraus_superoperator_matrix(kms_conjugated([l], s)))
+    t = hermitian_coordinate_matrix(kms_conjugated([l], s))
     alpha = float(np.linalg.norm((t + t.T) / 2, 2))
     report = additive_gap_report(gen, s)
     nr = 1.0 if rho is None else n_rho(rho, sig)

@@ -17,9 +17,9 @@ Conventions
   predual's matrix is their conjugate transpose.  Every matrix comes from a
   Kraus form ``sum_i V_i^* x V_i`` or a generator form
   ``G^* x + x G + sum_i L_i^* x L_i`` (GKLS: ``G = iH - sum_i L_i^* L_i / 2``).
-  The module also builds real coordinates of Hermitian matrices and of maps
-  in an orthonormal Hermitian basis, and the Choi-matrix check that one
-  Kraus family sums to another.
+  :func:`hermitian_coordinate_matrix` takes a form's operators to its real
+  matrix in an orthonormal Hermitian basis; the module also builds real
+  coordinates and the Choi-matrix check that one Kraus family sums to another.
 * KMS weighting is conjugation: the form on ``sigma^(-1/4) X sigma^(1/4)``
   (:func:`kms_conjugated`) has the matrix ``W^(1/2) M W^(-1/2)``, ``W`` the
   KMS Gram matrix, which only the Superoperator paths build.
@@ -362,20 +362,13 @@ def observation_vector(f, labels: Sequence[Hashable]) -> np.ndarray:
 # superoperator matrices
 # ---------------------------------------------------------------------------
 
-def kraus_superoperator_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Heisenberg matrix of a Kraus family: vec(V^* x V) = kron(V.T, V^*) vec(x)."""
-    return sum(np.kron(v.T, v.conj().T) for v in ops)
-
-
-def generator_superoperator_matrix(g: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    """Heisenberg matrix of the generator form x -> G^* x + x G + sum_i L_i^* x L_i."""
+def _kron_sum(ops: Sequence[np.ndarray], g: np.ndarray | None = None) -> np.ndarray:
+    """Heisenberg matrix of sum_i V_i^* x V_i, plus G^* x + x G when ``g`` is given."""
+    kraus = sum(np.kron(v.T, v.conj().T) for v in ops)
+    if g is None:
+        return kraus
     eye = np.eye(g.shape[0])
-    return np.kron(eye, g.conj().T) + np.kron(g.T, eye) + kraus_superoperator_matrix(jumps)
-
-
-def gkls_superoperator_matrix(gen: GKLSGenerator) -> np.ndarray:
-    """Heisenberg matrix of a GKLS generator, in its generator form."""
-    return generator_superoperator_matrix(gen.no_jump_generator_matrix, gen.jumps)
+    return np.kron(eye, g.conj().T) + np.kron(g.T, eye) + kraus
 
 
 def superoperator_matrix(mapping) -> Superoperator:
@@ -383,9 +376,10 @@ def superoperator_matrix(mapping) -> Superoperator:
     if isinstance(mapping, Superoperator):
         return mapping
     if isinstance(mapping, KrausChannel):
-        return Superoperator(mapping.dim, kraus_superoperator_matrix(mapping.kraus))
+        return Superoperator(mapping.dim, _kron_sum(mapping.kraus))
     if isinstance(mapping, GKLSGenerator):
-        return Superoperator(mapping.dim, gkls_superoperator_matrix(mapping))
+        return Superoperator(mapping.dim,
+                             _kron_sum(mapping.jumps, mapping.no_jump_generator_matrix))
     raise TypeError(f"cannot build a superoperator from {type(mapping)!r}")
 
 
@@ -439,18 +433,19 @@ def from_hermitian_coordinates(r: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def hermitian_coordinate_matrix(m: np.ndarray) -> np.ndarray:
-    """The real matrix U^* m U of a Hermiticity-preserving map in the basis of :func:`_frame`.
+def hermitian_coordinate_matrix(ops: Sequence, g: np.ndarray | None = None) -> np.ndarray:
+    """The real matrix R = U^* M U of sum_i V_i^* x V_i, plus G^* x + x G when ``g`` is given.
 
-    ``m`` is the map's column-stacking d^2 x d^2 matrix and U the matrix of
-    the columns vec(B_b).  The basis is orthonormal and also a basis of all
-    d x d complex matrices, so U is unitary and the result has the
-    eigenvalues and singular values of ``m``; it is real because the map
-    sends the Hermitian B_b to Hermitian matrices, and its imaginary part
-    (rounding, about 1e-17) is dropped.  For a channel's Heisenberg matrix
-    R, the predual's matrix in the same coordinates is R^T, the adjoint in a
-    real orthonormal basis.
+    ``ops`` are the V_i, M is the form's column-stacking d^2 x d^2 Heisenberg
+    matrix and U the matrix of the columns vec(B_b) of the basis of
+    :func:`_frame`.  The basis is orthonormal and also a basis of all d x d
+    complex matrices, so U is unitary and R has the eigenvalues and singular
+    values of M; it is real because the map sends the Hermitian B_b to
+    Hermitian matrices, and its imaginary part (rounding, about 1e-17) is
+    dropped.  For a channel's R, the predual's matrix in the same coordinates
+    is R^T, the adjoint in a real orthonormal basis.
     """
+    m = _kron_sum(ops, g)
     d = math.isqrt(m.shape[0])
     return _frame(_frame(m, d, 1j).T, d, -1j).T.real
 

@@ -43,12 +43,10 @@ from .operators import (
     as_complex_matrix,
     dagger,
     from_hermitian_coordinates,
-    generator_superoperator_matrix,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
     is_selfadjoint,
     kms_conjugated,
-    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     state_power,
@@ -126,7 +124,7 @@ def _fixed_space(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndar
     and the block split of :func:`decompose_invariant_subspaces` share it.
     """
     if channel._fixed_space is None:
-        r = hermitian_coordinate_matrix(superoperator_matrix(channel).matrix)
+        r = hermitian_coordinate_matrix(channel.kraus)
         singular, states, observables = _singular_null_space(r.T - np.eye(r.shape[0]))
         channel._fixed_space = (singular, _vec_basis(states, channel.dim),
                                 _vec_basis(observables, channel.dim))
@@ -177,7 +175,7 @@ def invariant_state(channel: KrausChannel) -> DensityMatrix:
 
 def gkls_steady_state(gen: GKLSGenerator) -> DensityMatrix:
     """Unique stationary state of the semigroup: ker R^T, R the generator's real matrix."""
-    r = hermitian_coordinate_matrix(superoperator_matrix(gen).matrix)
+    r = hermitian_coordinate_matrix(gen.jumps, gen.no_jump_generator_matrix)
     singular, basis, _ = _singular_null_space(r.T)
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
@@ -260,18 +258,17 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     eigenvalues (Wolf, 2012, Prop. 6.2), so the dual fixed basis is
     ker(R^T - I), from the SVD :func:`invariant_state` takes, unless a
     singular value of R^T - I lies in ``_SVD_BAND``.  With that basis the
-    eigensolve is of the real matrix R, which has the spectrum of M_h;
-    without it (in the band, or on input that is not trace preserving) the
-    spectrum and the dual basis ker(M_s - r I) come from the complex M_h, as
-    they always did, because there a rounding-sized shift of the matrix can
-    move the verdict.  The bounds vote through :func:`_irreducibility_vote`
-    with no spectrum, which then counts the multiplicity from that SVD
-    instead.
+    eigensolve is of the real matrix R of the Kraus form, which has the
+    spectrum of M_h; without it (in the band, or on input that is not trace
+    preserving) the vote takes the spectrum and the dual basis
+    ker(M_s - r I) from the complex M_h, because there a rounding-sized
+    shift of the matrix can move the verdict.  The bounds vote through
+    :func:`_irreducibility_vote` with no spectrum, which then counts the
+    multiplicity from that SVD instead.
     """
-    m_h = superoperator_matrix(channel).matrix
     separated = _separated_fixed_space(channel)[0] is not None
-    spectrum = np.linalg.eigvals(hermitian_coordinate_matrix(m_h) if separated else m_h)
-    return _irreducibility_vote(channel, m_h, spectrum)
+    eigs = np.linalg.eigvals(hermitian_coordinate_matrix(channel.kraus)) if separated else None
+    return _irreducibility_vote(channel, eigs)
 
 
 def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -292,12 +289,12 @@ def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np
     return singular, basis
 
 
-def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
+def _irreducibility_vote(channel: KrausChannel,
                          eigs: np.ndarray | None = None) -> IrreducibilityEvidence:
     """The vote of :func:`is_irreducible`; ``eigs`` is the spectrum of ``channel``.
 
     ``eigs`` is the spectrum of any matrix similar to the channel's
-    Heisenberg matrix, in any order, given with that Heisenberg matrix ``m_h``.
+    Heisenberg matrix M_h, in any order.
 
     A trace-preserving channel (sum V_i^* V_i = 1 within ``TAU_IDENTITY``) has
     spectral radius 1 and semisimple peripheral eigenvalues (M. M. Wolf,
@@ -313,22 +310,22 @@ def _irreducibility_vote(channel: KrausChannel, m_h: np.ndarray | None = None,
     the null-space cut (1e-10) alone would call near-reducible channels
     irreducible where the eigenvalue rule finds the vote inconclusive.
     Otherwise the multiplicity counts the eigenvalues
-    within ``TAU_EIG`` of the radius r of the given spectrum, or of one
-    computed here, and, unless the SVD gave it, the dual basis is
-    ker(M_s - r I), as for any input that is not trace preserving.
+    within ``TAU_EIG`` of the radius r of the given spectrum.  In the band, or
+    for input that is not trace preserving, the vote builds the complex M_h:
+    the spectrum, unless given, is its own, and the dual basis ker(M_s - r I).
     """
     singular, dual_basis = _separated_fixed_space(channel)
-    if eigs is None and singular is not None:
+    if dual_basis is None:
+        m_h = superoperator_matrix(channel).matrix
+        eigs = np.linalg.eigvals(m_h) if eigs is None else eigs
+    if eigs is None:
         radius, multiplicity = 1.0, int(np.sum(singular <= TAU_EIG))
     else:
-        if eigs is None:
-            m_h = superoperator_matrix(channel).matrix
-            eigs = np.linalg.eigvals(m_h)
         radius = float(np.max(np.abs(eigs)))
         cluster = TAU_EIG * max(1.0, radius)
         multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
-        if dual_basis is None:
-            dual_basis = _null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
+    if dual_basis is None:
+        dual_basis = _null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
     point = _trace_normalized(dual_basis[:, 0], channel.dim) if dual_basis.shape[1] == 1 else None
     min_eig = -np.inf if point is None else float(np.min(np.linalg.eigvalsh(point)))
     faithful = min_eig > TAU_PSD
@@ -432,7 +429,7 @@ def multiplicative_gap_report(channel: KrausChannel, sigma) -> MultiplicativeGap
     simple within ``TAU_EIG`` max(1, top) (:func:`_top_is_simple`).
     """
     s = _invariant_matrix(channel, sigma)
-    t = hermitian_coordinate_matrix(kraus_superoperator_matrix(kms_conjugated(channel.kraus, s)))
+    t = hermitian_coordinate_matrix(kms_conjugated(channel.kraus, s))
     eigs = np.clip(np.linalg.eigvalsh(t.T @ t), 0.0, None)  # ascending
     epsilon = float(1.0 - eigs[-2]) if eigs.size >= 2 else 1.0
     irreducible = _top_is_simple(eigs, TAU_EIG * max(1.0, float(eigs[-1])))
@@ -466,7 +463,7 @@ def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
     """
     s = state_matrix(sigma)
     g, *jumps = kms_conjugated((gen.no_jump_generator_matrix,) + gen.jumps, s)
-    t = hermitian_coordinate_matrix(generator_superoperator_matrix(g, jumps))
+    t = hermitian_coordinate_matrix(jumps, g)
     eigs = np.linalg.eigh((t + t.T) / 2)[0]  # ascending
     second = eigs[-2] if eigs.size >= 2 else -np.inf
     irreducible = _top_is_simple(eigs, TAU_EIG)
@@ -499,7 +496,7 @@ def _centered_restriction(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.
     the same spectral norms of its powers and of its resolvent.
     """
     q = centered_basis(sigma)
-    return q, q.T @ hermitian_coordinate_matrix(superoperator_matrix(channel).matrix) @ q
+    return q, q.T @ hermitian_coordinate_matrix(channel.kraus) @ q
 
 
 @dataclass(frozen=True)
@@ -886,7 +883,7 @@ def spectral_radius_deformed(channel: KrausChannel, f, u: float, sigma) -> float
     sigma^(-1/4) e^(u f(i) / 2) V_i sigma^(1/4), so the radius is ||T||_2^2.
     """
     ops = kms_conjugated(deformed_channel(channel, f, u).kraus, sigma)
-    return _svd_norm(hermitian_coordinate_matrix(kraus_superoperator_matrix(ops))) ** 2
+    return _svd_norm(hermitian_coordinate_matrix(ops)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ from .operators import (
     dagger,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
-    kraus_superoperator_matrix,
     observation_vector,
     state_matrix,
     uniform_norm,
@@ -502,8 +501,7 @@ def _channel_laws(channel: KrausChannel, rho0, next_tag: np.ndarray, shift: np.n
     the one-operator family (V), as the predual's matrix is its transpose.
     """
     d = channel.dim
-    blocks = np.stack([hermitian_coordinate_matrix(kraus_superoperator_matrix([v]))
-                       for v in channel.kraus])
+    blocks = np.stack([hermitian_coordinate_matrix([v]) for v in channel.kraus])
     maps = np.broadcast_to(blocks, (next_tag.shape[0],) + blocks.shape)
     init = hermitian_coordinates(state_matrix(rho0))
     rows = _lattice_dp(maps, next_tag, shift, init, steps)

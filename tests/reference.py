@@ -24,6 +24,10 @@ did this another way are kept here too:
 
 * the orthonormal Hermitian basis and the DP's per-operator blocks from
   two einsums over it;
+* the real matrix of a form as ``hermitian_coordinate_matrix`` computes it
+  inside, from a complex matrix: the Kronecker sum of the form and the
+  gather of the Hermitian basis vectors, for the tests that start from a
+  complex column-stacking matrix and as the bit-identity reference;
 * the GKLS generator's matrix as a sum of Kronecker products, and its
   stationary state from the complex SVD of the predual's matrix;
 * the additive gap, alpha, b and the deformed radius from d^2 x d^2 KMS
@@ -252,6 +256,35 @@ def einsum_blocks(channel: KrausChannel) -> np.ndarray:
     basis = hermitian_basis(channel.dim)
     images = np.einsum("ipq,bqr,isr->ibps", channel._stack, basis, channel._stack.conj())
     return np.einsum("cqp,ibpq->ibc", basis, images).real
+
+
+def kron_sum(ops, g=None) -> np.ndarray:
+    """Heisenberg matrix of sum_i V_i^* x V_i, plus G^* x + x G when ``g`` is given."""
+    m = sum(np.kron(v.T, v.conj().T) for v in ops)
+    if g is None:
+        return m
+    eye = np.eye(g.shape[0])
+    return np.kron(eye, g.conj().T) + np.kron(g.T, eye) + m
+
+
+def _basis_gather(v: np.ndarray, d: int, sign: complex) -> np.ndarray:
+    """U^* v (``sign`` = -1j) or U^T v (``sign`` = 1j) along the last axis, U the vec(B_b) columns.
+
+    B_b runs over :func:`hermitian_basis`; each column of U has at most two
+    entries, sqrt(1/2) or (for the diagonal units) 1.
+    """
+    s = math.sqrt(0.5)
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    upper = v[..., [q * d + p for p, q in pairs]]  # vec index of E_pq
+    lower = v[..., [p * d + q for p, q in pairs]]  # vec index of E_qp
+    return np.concatenate([v[..., [p * (d + 1) for p in range(d)]], s * upper + s * lower,
+                           sign * (s * lower - s * upper)], axis=-1)
+
+
+def coordinate_matrix(m: np.ndarray) -> np.ndarray:
+    """The real part of U^* m U for a complex column-stacking d^2 x d^2 matrix m."""
+    d = math.isqrt(m.shape[0])
+    return _basis_gather(_basis_gather(m, d, 1j).T, d, -1j).T.real
 
 
 def kron_generator_matrix(gen: GKLSGenerator) -> np.ndarray:

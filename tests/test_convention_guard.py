@@ -10,6 +10,11 @@ other modules convert through ``hermitian_coordinates``,
 weighting is the conjugation of a form's operators (``kms_conjugated``), so
 no other module names the Gram matrix ``kms_weight_matrix``, and the fixed
 spaces come from one SVD, so no module calls ``schur`` or ``solve_sylvester``.
+The real matrix of a form comes from ``hermitian_coordinate_matrix`` of its
+operators: no module names the complex builders it replaced, and outside
+``operators.py`` only the irreducibility vote's fallback, for channels
+near reducibility or not trace preserving, builds the complex matrix with
+``superoperator_matrix``.
 The modules are read with ``ast``, so docstrings do not count; nothing is
 imported.
 
@@ -79,6 +84,29 @@ def test_no_module_calls_schur_or_sylvester():
     found = [f"{path.name}:{node.lineno} {called(node)}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if called(node) in ("schur", "solve_sylvester")]
+    assert found == []
+
+
+def test_no_module_names_a_deleted_builder():
+    deleted = {"kraus_superoperator_matrix", "generator_superoperator_matrix",
+               "gkls_superoperator_matrix"}
+    found = [f"{path.name}:{node.lineno if hasattr(node, 'lineno') else '?'}"
+             for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+             if (named(node) or getattr(node, "name", None)) in deleted]
+    assert found == []
+
+
+def test_only_the_vote_calls_superoperator_matrix():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        tree = ast.parse(path.read_text())
+        vote = {id(node) for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and path.name == "spectral.py"
+                and function.name == "_irreducibility_vote" for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if called(node) == "superoperator_matrix" and id(node) not in vote]
     assert found == []
 
 

@@ -8,8 +8,12 @@ conjugating the operators with sigma^(-/+1/4).  These tests hold them to the
 routes they replaced, kept in ``reference.py``: einsum blocks, Kronecker
 sums, d^2 x d^2 KMS Gram matrices and complex SVDs.  Values agree within
 1e-12 relative (the GKLS matrix and states within 1e-14 of their scale),
-and multiplicities and verdicts are equal.
+and multiplicities and verdicts are equal.  The real matrix of each form is
+bit for bit the gather of its complex Kronecker sum, as ``reference.py``
+computes it.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,11 +28,12 @@ from qmcbounds.fixtures import (
     random_channel,
     two_unitary_qubit,
 )
+from qmcbounds.modelfile import load_model
 from qmcbounds.operators import (
     GKLSGenerator,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
-    kraus_superoperator_matrix,
+    kms_conjugated,
     observation_vector,
     superoperator_matrix,
 )
@@ -41,14 +46,19 @@ from qmcbounds.spectral import (
 )
 from qmcbounds.trajectory import score_distribution_dp
 
+from conftest import random_state
 from reference import (
     complex_steady_state,
+    coordinate_matrix,
     einsum_blocks,
     gram_additive_gap,
     gram_counting_constants,
     gram_deformed_radius,
     kron_generator_matrix,
+    kron_sum,
 )
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def seeded_generator(seed: int) -> GKLSGenerator:
@@ -138,9 +148,49 @@ def test_deformed_radius_on_the_two_unitary_qubit():
 @pytest.mark.parametrize("d", range(2, 17))
 def test_dp_blocks_match_the_einsum(d):
     channel = random_channel(d, 3, 100 + d)
-    blocks = np.stack([hermitian_coordinate_matrix(kraus_superoperator_matrix([v]))
-                       for v in channel.kraus])
+    blocks = np.stack([hermitian_coordinate_matrix([v]) for v in channel.kraus])
     assert np.max(np.abs(blocks - einsum_blocks(channel))) < 4e-16
+
+
+def models():
+    return [(path.stem, load_model(str(path))) for path in sorted(MODELS.glob("*.json"))]
+
+
+def kraus_forms():
+    """(name, ops) of the models' Kraus families and of random_channel(d, k, s), with
+    each family conjugated by a seeded faithful state and its one-operator families."""
+    rng = np.random.default_rng(26)
+    channels = [(name, model.channel) for name, model in models()]
+    channels += [(f"random({d},{k},{s})", random_channel(d, k, s))
+                 for d in range(2, 7) for k in (1, 2, 3) for s in (0, 1)]
+    for name, channel in channels:
+        if channel is None:
+            continue
+        yield name, channel.kraus
+        yield f"{name} kms", kms_conjugated(channel.kraus, random_state(channel.dim, rng))
+        yield from ((f"{name} [{i}]", [v]) for i, v in enumerate(channel.kraus))
+
+
+def generator_forms():
+    """(name, jumps, G) of the models' and ``GENERATORS``' generators, and KMS-conjugated."""
+    gens = [(name, model.generator) for name, model in models()]
+    gens += [(name, generator(name)) for name in GENERATORS]
+    for name, gen in gens:
+        if gen is None:
+            continue
+        yield name, gen.jumps, gen.no_jump_generator_matrix
+        sigma = np.eye(2) / 2 if name == "dephasing" else gkls_steady_state(gen)
+        g, *jumps = kms_conjugated((gen.no_jump_generator_matrix,) + gen.jumps, sigma)
+        yield f"{name} kms", jumps, g
+
+
+def test_coordinate_matrix_of_every_form_is_bit_identical_to_the_kron_gather():
+    forms = [(name, ops, None) for name, ops in kraus_forms()] + list(generator_forms())
+    assert len(forms) == 262
+    moved = [name for name, ops, g in forms
+             if not np.array_equal(hermitian_coordinate_matrix(ops, g),
+                                   coordinate_matrix(kron_sum(ops, g)))]
+    assert moved == []
 
 
 def test_ring_dp_masses_are_the_einsum_blocks_masses(ring):

@@ -23,7 +23,6 @@ from qmcbounds.operators import (
     kms_norm,
     kms_operator_norm,
     kms_positive_parts,
-    kraus_superoperator_matrix,
     superoperator_matrix,
     uniform_norm,
     unvec,
@@ -257,8 +256,7 @@ def random_generator(seed: int) -> GKLSGenerator:
 
 def dp_blocks(channel):
     """The exact DP's real blocks: the coordinate matrix of each one-operator family."""
-    return np.stack([hermitian_coordinate_matrix(kraus_superoperator_matrix([v]))
-                     for v in channel.kraus])
+    return np.stack([hermitian_coordinate_matrix([v]) for v in channel.kraus])
 
 
 class TestHermitianCoordinates:
@@ -310,7 +308,7 @@ class TestHermitianCoordinates:
             u = vec(hermitian_basis(d)).T
             assert np.allclose(u.conj().T @ u, np.eye(d * d), atol=1e-15)
             m = superoperator_matrix(channel).matrix
-            r = hermitian_coordinate_matrix(m)
+            r = hermitian_coordinate_matrix(channel.kraus)
             assert r.dtype == float and np.max(np.abs((u.conj().T @ m @ u).imag)) < 1e-14
             assert np.allclose(r, (u.conj().T @ m @ u).real, atol=1e-14)
             x = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))

@@ -60,7 +60,7 @@ from qmcbounds.spectral import (
 )
 
 from conftest import random_hermitian, random_state
-from reference import schur_fixed_point
+from reference import coordinate_matrix, schur_fixed_point
 
 
 def rank_one_channel(seed=0, dim=3):
@@ -127,7 +127,7 @@ class TestFixedPointsFromTheHeisenbergMatrix:
         channel = two_block_ring()[0] if name == "two-block" else seeded_channel(int(name[4:]))
         m_s = schrodinger_matrix(channel)
         assert np.array_equal(superoperator_matrix(channel).matrix.conj().T, m_s)
-        r_s = hermitian_coordinate_matrix(m_s.conj().T).T
+        r_s = coordinate_matrix(m_s.conj().T).T
         basis = spectral._null_space(r_s - np.eye(r_s.shape[0]))
         if basis.shape[1] == 1:
             fixed = vec(from_hermitian_coordinates(basis[:, 0], channel.dim))
@@ -1016,7 +1016,7 @@ class TestOneFixedPointFactorisation:
         dec = decompose_invariant_subspaces(channel)
         assert calls["eigvals"] == []
         for sub in dec.restricted_channels:
-            r = hermitian_coordinate_matrix(superoperator_matrix(sub).matrix)
+            r = hermitian_coordinate_matrix(sub.kraus)
             assert sum(np.array_equal(m, r.T - np.eye(9)) for m in calls["svd"]) == 1
         # besides those: the whole channel's, whose left null vectors give the split
         assert [m.shape for m in calls["svd"] if m.shape[0] > 3] == [(36, 36)] + [(9, 9)] * 2

@@ -47,8 +47,9 @@ least and the greatest pass beside it, so a reader can tell a change from
 the spread of one tree's passes.  Children get
 ``OPENBLAS_NUM_THREADS=1`` unless it is already set.  The output holds one
 column per tree and the environment each child saw: versions, BLAS,
-``cpu_count`` and thread settings; ``scipy`` is ``null`` where it is not
-installed.
+``cpu_count``, thread settings and ``PYTHONDONTWRITEBYTECODE`` (set, every
+fresh process compiles ``src/`` again); ``scipy`` is ``null`` where it is
+not installed.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def _environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy_version, "blas": f"{blas.get('name')} {blas.get('version')}",
             "cpu_count": os.cpu_count(),
-            "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
+            "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def _channel(d: int):
