@@ -692,7 +692,7 @@ def _dp_affords(n: int, nums: np.ndarray, moves: int) -> bool:
     + 1 lattice points and is fixed by how often each value occurs.
     """
     span, v = int(nums.max() - nums.min()), len(np.unique(nums))
-    return n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * moves <= 4_000_000
+    return n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * int(moves) <= 4_000_000
 
 
 def _discrete_tail(args, channel, f, rho0, horizons, mean: float):

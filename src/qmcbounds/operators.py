@@ -22,7 +22,8 @@ Conventions
   coordinates and the Choi-matrix check that one Kraus family sums to another.
 * KMS weighting is conjugation: the form on ``sigma^(-1/4) X sigma^(1/4)``
   (:func:`kms_conjugated`) has the matrix ``W^(1/2) M W^(-1/2)``, ``W`` the
-  KMS Gram matrix, which only the Superoperator paths build.
+  KMS Gram matrix, which is never built: every KMS quantity comes from a
+  Kraus form.
 * Matrix functions of selfadjoint inputs go through an eigendecomposition.
 
 All operations are pure functions of immutable inputs, with one memo: a
@@ -372,9 +373,7 @@ def _kron_sum(ops: Sequence[np.ndarray], g: np.ndarray | None = None) -> np.ndar
 
 
 def superoperator_matrix(mapping) -> Superoperator:
-    """Heisenberg matrix of a KrausChannel or GKLSGenerator; a Superoperator passes through."""
-    if isinstance(mapping, Superoperator):
-        return mapping
+    """Heisenberg matrix of a KrausChannel or GKLSGenerator."""
     if isinstance(mapping, KrausChannel):
         return Superoperator(mapping.dim, _kron_sum(mapping.kraus))
     if isinstance(mapping, GKLSGenerator):
@@ -473,51 +472,34 @@ def kms_norm(x, sigma) -> float:
 def kms_conjugated(ops: Sequence[np.ndarray], sigma) -> list[np.ndarray]:
     """sigma^(-1/4) X sigma^(1/4) for each X: the form on them has the matrix W^(1/2) M W^(-1/2).
 
-    M is the form's matrix on ``ops`` and W :func:`kms_weight_matrix` of a faithful sigma.
+    M is the form's matrix on ``ops`` and W = kron(conj(sigma^(1/2)),
+    sigma^(1/2)) the Gram matrix of the KMS product of a faithful sigma.
     """
     s = state_matrix(sigma)
     quarter, quarter_inv = state_power(s, 0.25), state_power(s, -0.25)
     return [quarter_inv @ x @ quarter for x in ops]
 
 
-def kms_weight_matrix(sigma, power: float = 1.0) -> np.ndarray:
-    """Vectorized Gram matrix of the KMS product: kron(conj(sigma^p/2), sigma^p/2)."""
-    s = state_matrix(sigma)
-    if float(np.min(np.linalg.eigvalsh(s))) <= TAU_PSD:
-        raise NotFaithfulError("state not faithful")
-    half = state_power(s, power / 2.0)
-    return np.kron(half.conj(), half)
+def kms_operator_norm(channel: KrausChannel, sigma) -> float:
+    """Operator norm induced by the KMS norm: the largest singular value of W^(1/2) M W^(-1/2)."""
+    if not isinstance(channel, KrausChannel):
+        raise TypeError(f"cannot take the KMS operator norm of {type(channel)!r}")
+    ops = kms_conjugated(channel.kraus, sigma)
+    return float(np.linalg.norm(hermitian_coordinate_matrix(ops), 2))
 
 
-def kms_isometrized_matrix(mapping, sigma) -> np.ndarray:
-    """W^(1/2) M W^(-1/2): Hermitian iff the map is KMS-selfadjoint."""
-    sup = superoperator_matrix(mapping)
-    return kms_weight_matrix(sigma, 0.5) @ sup.matrix @ kms_weight_matrix(sigma, -0.5)
-
-
-def kms_operator_norm(mapping, sigma) -> float:
-    """Operator norm induced by the KMS norm (largest singular value)."""
-    return float(np.linalg.norm(kms_isometrized_matrix(mapping, sigma), 2))
-
-
-def kms_adjoint(mapping, sigma):
+def kms_adjoint(channel: KrausChannel, sigma) -> KrausChannel:
     """Adjoint with respect to the KMS inner product of a faithful state.
 
-    For a Kraus family the adjoint is returned as a Kraus family with
-    operators ``sigma^(1/2) V_i^* sigma^(-1/2)`` under the same labels; for a
-    :class:`Superoperator` the conjugated matrix is returned.
+    The adjoint of a Kraus family is the Kraus family with operators
+    ``sigma^(1/2) V_i^* sigma^(-1/2)`` under the same labels.
     """
+    if not isinstance(channel, KrausChannel):
+        raise TypeError(f"cannot take the KMS adjoint of {type(channel)!r}")
     s = state_matrix(sigma)
-    if isinstance(mapping, KrausChannel):
-        half = state_power(s, 0.5)
-        half_inv = state_power(s, -0.5)
-        ops = [half @ dagger(v) @ half_inv for v in mapping.kraus]
-        return KrausChannel(ops, mapping.labels, expect_channel=False)
-    if isinstance(mapping, Superoperator):
-        w = kms_weight_matrix(s)
-        w_inv = kms_weight_matrix(s, -1.0)
-        return Superoperator(mapping.dim, w_inv @ mapping.matrix.conj().T @ w)
-    raise TypeError(f"cannot take the KMS adjoint of {type(mapping)!r}")
+    half, half_inv = state_power(s, 0.5), state_power(s, -0.5)
+    ops = [half @ dagger(v) @ half_inv for v in channel.kraus]
+    return KrausChannel(ops, channel.labels, expect_channel=False)
 
 
 def kms_positive_parts(x, sigma) -> tuple[np.ndarray, np.ndarray]:

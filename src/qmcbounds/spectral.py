@@ -41,15 +41,14 @@ from .operators import (
     KrausChannel,
     GKLSGenerator,
     as_complex_matrix,
-    dagger,
     from_hermitian_coordinates,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
     is_selfadjoint,
+    kms_adjoint,
     kms_conjugated,
     observation_vector,
     state_matrix,
-    state_power,
     superoperator_matrix,
     uniform_norm,
     unvec,
@@ -393,20 +392,15 @@ def _top_is_simple(eigs: np.ndarray, cluster: float) -> bool:
 
 
 def multiplicative_symmetrization(channel: KrausChannel, sigma) -> KrausChannel:
-    """psi = phi_dagger phi with Kraus operators V_i sigma^(1/2) V_j^* sigma^(-1/2).
+    """psi = phi_dagger phi with Kraus operators V_i A_j, A_j those of :func:`kms_adjoint`.
 
     ``sigma`` must be the invariant state of the channel; the returned family
     is labeled by outcome pairs (i, j).
     """
-    s = _invariant_matrix(channel, sigma)
-    half = state_power(s, 0.5)
-    half_inv = state_power(s, -0.5)
-    ops, labels = [], []
-    for i, vi in zip(channel.labels, channel.kraus):
-        for j, vj in zip(channel.labels, channel.kraus):
-            ops.append(vi @ half @ dagger(vj) @ half_inv)
-            labels.append((i, j))
-    return KrausChannel(ops, labels, expect_channel=False)
+    adjoint = kms_adjoint(channel, _invariant_matrix(channel, sigma)).kraus
+    return KrausChannel([vi @ aj for vi in channel.kraus for aj in adjoint],
+                        [(i, j) for i in channel.labels for j in channel.labels],
+                        expect_channel=False)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ complex column-stacking computations it replaced are kept here:
 * the invariant state from the SVD of M_s - I;
 * the restriction q^* M q to F = {tr(sigma x) = 0} in a complex orthonormal
   basis of F, with its resolvent, which are the certified chain's inputs;
-* the gap of psi from ``eigvalsh`` of the complex KMS-isometrized psi;
+* the gap of psi from ``eigvalsh`` of the complex KMS-isometrized psi,
+  with psi's matrix from the Gram matrices;
 * the heuristic lower estimate on complex matrices;
 * the Poisson solution from the complex restriction.
 
@@ -30,8 +31,10 @@ did this another way are kept here too:
   complex column-stacking matrix and as the bit-identity reference;
 * the GKLS generator's matrix as a sum of Kronecker products, and its
   stationary state from the complex SVD of the predual's matrix;
-* the additive gap, alpha, b and the deformed radius from d^2 x d^2 KMS
-  Gram matrices, with the dual fixed point from a complex null space;
+* the KMS adjoint, the KMS operator norm and the matrix of psi from
+  d^2 x d^2 KMS Gram matrices, which the library no longer builds;
+* the additive gap, alpha, b and the deformed radius from the same Gram
+  matrices, with the dual fixed point from a complex null space;
 * the Cesaro limit of 1/d from a sorted complex Schur form and a Sylvester
   solve.
 
@@ -52,12 +55,8 @@ from qmcbounds.classical import MarkovChain, flux_matrix
 from qmcbounds.operators import (
     GKLSGenerator,
     KrausChannel,
-    Superoperator,
     dagger,
-    kms_adjoint,
-    kms_isometrized_matrix,
     kms_norm,
-    kms_operator_norm,
     observation_vector,
     state_matrix,
     superoperator_matrix,
@@ -69,7 +68,6 @@ from qmcbounds.spectral import (
     TAU_PSD,
     HypothesisError,
     deformed_channel,
-    multiplicative_symmetrization,
 )
 
 
@@ -182,10 +180,37 @@ def complex_resolvent(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndar
     return q, phi_f, np.linalg.solve(eye_f - phi_f, eye_f)
 
 
+def kms_weight_matrix(sigma, power: float = 1.0) -> np.ndarray:
+    """Vectorized Gram matrix of the KMS product: kron(conj(sigma^p/2), sigma^p/2)."""
+    w, u = np.linalg.eigh(hermitize(state_matrix(sigma)))
+    half = (u * w ** (power / 2.0)) @ u.conj().T
+    return np.kron(half.conj(), half)
+
+
+def kms_isometrized_matrix(m: np.ndarray, sigma) -> np.ndarray:
+    """W^(1/2) M W^(-1/2) of a column-stacking matrix M; Hermitian iff M is KMS-selfadjoint."""
+    return kms_weight_matrix(sigma, 0.5) @ m @ kms_weight_matrix(sigma, -0.5)
+
+
+def gram_kms_adjoint(m: np.ndarray, sigma) -> np.ndarray:
+    """W^(-1) M^* W, the matrix of the KMS adjoint of the map with matrix M."""
+    return kms_weight_matrix(sigma, -1.0) @ m.conj().T @ kms_weight_matrix(sigma)
+
+
+def gram_kms_operator_norm(m: np.ndarray, sigma) -> float:
+    """KMS operator norm of the map with matrix M: the top singular value of W^(1/2) M W^(-1/2)."""
+    return float(np.linalg.norm(kms_isometrized_matrix(m, sigma), 2))
+
+
+def gram_psi_matrix(channel: KrausChannel, sigma) -> np.ndarray:
+    """The matrix of psi = phi_dagger phi, the KMS adjoint through the Gram matrices."""
+    m = superoperator_matrix(channel).matrix
+    return gram_kms_adjoint(m, sigma) @ m
+
+
 def complex_psi_gap(channel: KrausChannel, sigma) -> float:
     """1 - lambda_2 from eigvalsh of the complex KMS-isometrized psi."""
-    psi = multiplicative_symmetrization(channel, sigma)
-    iso = kms_isometrized_matrix(superoperator_matrix(psi), sigma)
+    iso = kms_isometrized_matrix(gram_psi_matrix(channel, sigma), sigma)
     eigs = np.clip(np.sort(np.linalg.eigvalsh(hermitize(iso))), 0.0, None)
     return float(1.0 - eigs[-2])
 
@@ -314,11 +339,9 @@ def complex_steady_state(gen: GKLSGenerator) -> np.ndarray:
     return x / float(np.trace(x).real)
 
 
-def _kms_real_part(m: np.ndarray, sigma) -> Superoperator:
+def _kms_real_part(m: np.ndarray, sigma) -> np.ndarray:
     """(M + M_dagger) / 2, the adjoint taken in the KMS product through its Gram matrices."""
-    d = state_matrix(sigma).shape[0]
-    m_dag = kms_adjoint(Superoperator(d, m), sigma).matrix
-    return Superoperator(d, (m + m_dag) / 2)
+    return (m + gram_kms_adjoint(m, sigma)) / 2
 
 
 def gram_additive_gap(gen: GKLSGenerator, sigma) -> tuple[float, int, bool]:
@@ -330,7 +353,7 @@ def gram_additive_gap(gen: GKLSGenerator, sigma) -> tuple[float, int, bool]:
     eigs = np.sort(np.linalg.eigvalsh(hermitize(kms_isometrized_matrix(a, sigma))))
     top = eigs[-1]
     multiplicity = int(np.sum(np.abs(eigs - top) <= TAU_EIG))
-    basis = _null_space(a.matrix.conj().T - top * np.eye(a.matrix.shape[0]))
+    basis = _null_space(a.conj().T - top * np.eye(a.shape[0]))
     faithful = False
     if basis.shape[1] == 1:
         x = hermitize(unvec(basis[:, 0], gen.dim))
@@ -343,14 +366,14 @@ def gram_counting_constants(gen: GKLSGenerator, label, sigma) -> tuple[float, fl
     """(b, alpha) of one detector from the KMS real part of its jump map."""
     jump = KrausChannel([gen.jumps[gen.index(label)]], expect_channel=False)
     b_op = _kms_real_part(superoperator_matrix(jump).matrix, sigma)
-    return kms_norm(b_op.apply(np.eye(gen.dim)), sigma), kms_operator_norm(b_op, sigma)
+    return (kms_norm(unvec(b_op @ vec(np.eye(gen.dim)), gen.dim), sigma),
+            gram_kms_operator_norm(b_op, sigma))
 
 
 def gram_deformed_radius(channel: KrausChannel, f, u: float, sigma) -> float:
     """Spectral radius of M_u_dagger M_u, the KMS adjoint through the Gram matrices."""
     m_u = superoperator_matrix(deformed_channel(channel, f, u)).matrix
-    m_dag = kms_adjoint(Superoperator(channel.dim, m_u), sigma).matrix
-    return float(np.max(np.abs(np.linalg.eigvals(m_dag @ m_u))))
+    return float(np.max(np.abs(np.linalg.eigvals(gram_kms_adjoint(m_u, sigma) @ m_u))))
 
 
 def schur_fixed_point(channel: KrausChannel) -> np.ndarray:

@@ -39,8 +39,10 @@ from qmcbounds.fixtures import (
     two_unitary_qubit,
 )
 from qmcbounds.operators import (
-    Superoperator,
+    KrausChannel,
+    hermitian_coordinate_matrix,
     kms_adjoint,
+    kms_conjugated,
     kms_inner,
     kms_operator_norm,
     kms_positive_parts,
@@ -225,26 +227,24 @@ def test_criterion_05_kms_suite():
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             sigma = a @ a.conj().T + 0.05 * np.eye(d)
             sigma /= np.trace(sigma).real
-            families = []
-            for _ in range(2):
-                ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                       for _ in range(2)]
-                families.append(sum(np.kron(v.T, v.conj().T) for v in ops))
-            eta1, eta2 = (Superoperator(d, m) for m in families)
+            families = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                         for _ in range(2)] for _ in range(2)]
+            eta1 = KrausChannel(families[0], expect_channel=False)
             # adjoint pairing and involution
             x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             adj = kms_adjoint(eta1, sigma)
-            pairing = abs(kms_inner(x, eta1.apply(y), sigma)
-                          - kms_inner(adj.apply(x), y, sigma))
+            pairing = abs(kms_inner(x, eta1.heisenberg(y), sigma)
+                          - kms_inner(adj.heisenberg(x), y, sigma))
             worst = max(worst, pairing)
             back = kms_adjoint(adj, sigma)
-            worst = max(worst, float(np.max(np.abs(back.matrix - eta1.matrix))))
+            worst = max(worst, float(np.max(np.abs(hermitian_coordinate_matrix(back.kraus)
+                                                   - hermitian_coordinate_matrix(eta1.kraus)))))
             # norm inequality for differences of completely positive maps
-            diff = kms_operator_norm(Superoperator(d, families[0] - families[1]),
-                                     sigma)
-            total = kms_operator_norm(Superoperator(d, families[0] + families[1]),
-                                      sigma)
+            r1, r2 = (hermitian_coordinate_matrix(kms_conjugated(ops, sigma)) for ops in families)
+            diff = float(np.linalg.norm(r1 - r2, 2))
+            total = kms_operator_norm(KrausChannel(families[0] + families[1],
+                                                   expect_channel=False), sigma)
             assert diff <= total + 1e-10, trial
             # positive-part split of a selfadjoint matrix
             h = x + x.conj().T

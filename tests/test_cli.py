@@ -785,6 +785,14 @@ class TestVerify:
             "infeasible request: exact flux tail at n=200000 is beyond the DP budget; "
             "flux has no Monte Carlo oracle\n")
 
+    def test_flux_at_a_huge_horizon_is_beyond_the_dp_budget(self):
+        # the flux DP's move count is a numpy integer, and n * support * moves
+        # overflows int64 at n = 1e12: the budget must still say no, not fail
+        proc = run_cli("verify", "--flavor", "flux", "--model", model("two_state_chain.json"),
+                       "--n", "1e12", "--gamma", "0.1", expect=cli.EXIT_INFEASIBLE)
+        assert "is beyond the DP budget" in proc.stderr
+        assert not cli._dp_affords(10**12, np.array([-1, 0, 1]), np.int64(2))
+
     def test_tail_is_of_the_centered_mean(self, capsys):
         # pi(f) = 0.4: the bound on P(mean - 0.4 >= 0.3) meets the tail at 0.7
         report = main_report(capsys, "verify", "--flavor", "hoeffding", "--model",

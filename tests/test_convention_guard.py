@@ -6,12 +6,13 @@ convention has one owner.  A ``kron`` call anywhere else would be a second
 construction.  So would a use of ``hermitian_basis`` or of the coordinate
 frame's gather (``_frame``, ``triu_indices``, the factor sqrt(1/2)): the
 other modules convert through ``hermitian_coordinates``,
-``from_hermitian_coordinates`` and ``hermitian_coordinate_matrix``.  KMS
-weighting is the conjugation of a form's operators (``kms_conjugated``), so
-no other module names the Gram matrix ``kms_weight_matrix``, and the fixed
-spaces come from one SVD, so no module calls ``schur`` or ``solve_sylvester``.
-The real matrix of a form comes from ``hermitian_coordinate_matrix`` of its
-operators: no module names the complex builders it replaced, and outside
+``from_hermitian_coordinates`` and ``hermitian_coordinate_matrix``.  The
+fixed spaces come from one SVD, so no module calls ``schur`` or
+``solve_sylvester``.  The real matrix of a form comes from
+``hermitian_coordinate_matrix`` of its operators, and KMS weighting is the
+conjugation of a form's operators (``kms_conjugated``): no module names the
+complex builders it replaced, no module, not even ``operators.py``, names the
+KMS Gram matrices (``kms_weight_matrix``, ``kms_isometrized_matrix``), and outside
 ``operators.py`` only the irreducibility vote's fallback, for channels
 near reducibility or not trace preserving, builds the complex matrix with
 ``superoperator_matrix``.
@@ -75,8 +76,11 @@ def test_only_operators_builds_hermitian_coordinates():
 
 
 def test_only_operators_names_the_kms_gram_matrix():
-    found = [f"{name}:{node.lineno}" for name, node in other_modules()
-             if named(node) == "kms_weight_matrix"]
+    """Not even ``operators.py`` names the KMS Gram matrices any more."""
+    gram = {"kms_weight_matrix", "kms_isometrized_matrix"}
+    found = [f"{path.name}:{node.lineno if hasattr(node, 'lineno') else '?'}"
+             for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+             if (named(node) or getattr(node, "name", None)) in gram]
     assert found == []
 
 

@@ -1,8 +1,8 @@
 """Every map the library factorises is the real matrix of a Kraus or generator form.
 
-The DP's per-operator blocks, the GKLS generator's matrix and the
-KMS-isometrized maps (the generator's additive symmetrization, the jump
-map's real part, the tilted psi_u) come from
+The DP's per-operator blocks, the GKLS generator's matrix, the KMS adjoint
+and operator norm, psi and the KMS-isometrized maps (the generator's
+additive symmetrization, the jump map's real part, the tilted psi_u) come from
 ``hermitian_coordinate_matrix`` of a Kraus or generator form, KMS-weighted by
 conjugating the operators with sigma^(-/+1/4).  These tests hold them to the
 routes they replaced, kept in ``reference.py``: einsum blocks, Kronecker
@@ -33,7 +33,9 @@ from qmcbounds.operators import (
     GKLSGenerator,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
+    kms_adjoint,
     kms_conjugated,
+    kms_operator_norm,
     observation_vector,
     superoperator_matrix,
 )
@@ -42,6 +44,7 @@ from qmcbounds.spectral import (
     additive_gap_report,
     gkls_steady_state,
     invariant_state,
+    multiplicative_symmetrization,
     spectral_radius_deformed,
 )
 from qmcbounds.trajectory import score_distribution_dp
@@ -54,6 +57,9 @@ from reference import (
     gram_additive_gap,
     gram_counting_constants,
     gram_deformed_radius,
+    gram_kms_adjoint,
+    gram_kms_operator_norm,
+    gram_psi_matrix,
     kron_generator_matrix,
     kron_sum,
 )
@@ -135,6 +141,27 @@ def test_deformed_radius_matches_the_gram_route(seed):
     for u in (0.0, 0.3, -1.0, 2.0):
         assert relative(spectral_radius_deformed(channel, payoff, u, sigma),
                         gram_deformed_radius(channel, payoff, u, sigma)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kms_adjoint_norm_and_psi_match_the_gram_route(seed):
+    """The adjoint and norm at a random faithful state and the invariant one, psi at the latter."""
+    channel = random_channel(2 + seed % 4, 2 + seed % 3, seed)
+    m = superoperator_matrix(channel).matrix
+
+    def assert_close(value, reference):
+        assert np.max(np.abs(value - reference)) < 1e-12 * np.max(np.abs(reference))
+
+    for sigma in (random_state(channel.dim, np.random.default_rng(seed)),
+                  invariant_state(channel).matrix):
+        assert relative(kms_operator_norm(channel, sigma), gram_kms_operator_norm(m, sigma)) < 1e-12
+        assert_close(superoperator_matrix(kms_adjoint(channel, sigma)).matrix,
+                     gram_kms_adjoint(m, sigma))
+    assert_close(superoperator_matrix(multiplicative_symmetrization(channel, sigma)).matrix,
+                 gram_psi_matrix(channel, sigma))
+    for kms in (kms_adjoint, kms_operator_norm):
+        with pytest.raises(TypeError):
+            kms(superoperator_matrix(channel), sigma)
 
 
 def test_deformed_radius_on_the_two_unitary_qubit():

@@ -14,11 +14,11 @@ from qmcbounds.operators import (
     NotFaithfulError,
     NotSelfadjointError,
     ObservationFunction,
-    Superoperator,
     from_hermitian_coordinates,
     hermitian_coordinate_matrix,
     hermitian_coordinates,
     kms_adjoint,
+    kms_conjugated,
     kms_inner,
     kms_norm,
     kms_operator_norm,
@@ -146,16 +146,17 @@ class TestKMSAdjoint:
     @pytest.mark.parametrize("seed", range(4))
     def test_pairing_and_involution(self, seed):
         rng = np.random.default_rng(seed)
-        ch = random_channel(3, 2, seed=seed + 10)
+        ch = KrausChannel([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                           for _ in range(2)], expect_channel=False)
         sigma = random_state(3, rng)
         adj = kms_adjoint(ch, sigma)
         x, y = random_hermitian(3, rng), random_hermitian(3, rng)
         lhs = kms_inner(x, ch.heisenberg(y), sigma)
         rhs = kms_inner(adj.heisenberg(x), y, sigma)
         assert abs(lhs - rhs) < 1e-12
-        m = superoperator_matrix(ch)
-        twice = kms_adjoint(kms_adjoint(m, sigma), sigma)
-        assert np.max(np.abs(twice.matrix - m.matrix)) < 1e-12
+        twice = kms_adjoint(adj, sigma)
+        assert np.max(np.abs(hermitian_coordinate_matrix(twice.kraus)
+                             - hermitian_coordinate_matrix(ch.kraus))) < 1e-12
 
     def test_norm_inequality_for_positive_map_differences(self):
         # for completely positive eta1, eta2: ||eta1 - eta2||_2 <= ||eta1 + eta2||_2
@@ -167,10 +168,9 @@ class TestKMSAdjoint:
                   for _ in range(2)]
             k2 = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                   for _ in range(2)]
-            m1 = sum(np.kron(v.T, v.conj().T) for v in k1)
-            m2 = sum(np.kron(v.T, v.conj().T) for v in k2)
-            diff = kms_operator_norm(Superoperator(d, m1 - m2), sigma)
-            total = kms_operator_norm(Superoperator(d, m1 + m2), sigma)
+            r1, r2 = (hermitian_coordinate_matrix(kms_conjugated(k, sigma)) for k in (k1, k2))
+            diff = float(np.linalg.norm(r1 - r2, 2))
+            total = kms_operator_norm(KrausChannel(k1 + k2, expect_channel=False), sigma)
             assert diff <= total + 1e-12
 
 
