@@ -96,7 +96,7 @@ from .classical import (
 )
 from .fixtures import ring_channel
 from .modelfile import Model, ModelParseError, load_model, parse_complex_matrix
-from .operators import TAU_CHANNEL, DensityMatrix, NotFaithfulError, observation_vector
+from .operators import TAU_CHANNEL, DensityMatrix, NotFaithfulError, dagger, observation_vector
 from .spectral import (
     FixedSpaceError,
     HypothesisError,
@@ -471,7 +471,8 @@ def _counting(args, model: Model) -> _Plan:
     constants = counting_constants(gen, model.count_label, rho=rho0, sigma=sigma)
     col = gen.index(model.count_label)
     return _echoed(args, constants, counting_bound, horizons, lambda t, gammas: _rate_tails(
-        counting_counts(gen, rho0, t, args.trials, args.seed)[:, col], t, constants.m, gammas))
+        counting_counts(gen, rho0, _sampler_affords(gen, t, args.trials), args.trials,
+                        args.seed)[:, col], t, constants.m, gammas))
 
 
 def _flux(args, model: Model) -> _Plan:
@@ -510,6 +511,10 @@ def _time_dependent(args, model: Model, flavor: str) -> _Plan:
     ns = _int_grid(args.n, "--n")
     sigma = invariant_state(channel)
     rho0 = _resolve_rho0(args.rho0, model, sigma)
+    work = max(ns) * (channel.dim**4 if flavor == "hoeffding" else 1)  # one d^2 x d^2 power a step
+    if work > 4_000_000:
+        raise InfeasibleError(f"tdm-{flavor} at n={max(ns)} is beyond the work budget: "
+                              f"{work:g} > 4e6 (n, times d^4 for hoeffding's powers)")
     steps = [model.schedule[k % len(model.schedule)] for k in range(max(ns))]
     constants = time_dependent_constants(channel, steps, sigma.matrix, rho0, flavor)
     return _Plan(ns, [[_rows(time_dependent_bound, constants, args.two_sided)]])
@@ -658,8 +663,8 @@ def cmd_simulate(args) -> int:
             rows.extend(_row("simulate", n, gamma, tail=tail)
                         for gamma, tail in zip(gammas, tails))
     else:
-        t = _float_grid(args.t, "--t", 0.0)[0]
         gen = model.generator
+        t = _sampler_affords(gen, _float_grid(args.t, "--t", 0.0)[0], trials)
         m = _stationary_intensity(gen, model.count_label, sigma)
         with _open_dump(args.dump) as fh:
             counts, events = _counting_chunks(gen, rho0, t, trials, seed,
@@ -693,6 +698,15 @@ def _dp_affords(n: int, nums: np.ndarray, moves: int) -> bool:
     """
     span, v = int(nums.max() - nums.min()), len(np.unique(nums))
     return n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * int(moves) <= 4_000_000
+
+
+def _sampler_affords(gen, t: float, trials: int) -> float:
+    """``t``, if the counting sampler's Lambda t trials proposals are <= 2e7; else infeasible."""
+    proposals = t * trials * float(np.linalg.eigvalsh(sum(dagger(l) @ l for l in gen.jumps))[-1])
+    if proposals > 2e7:
+        raise InfeasibleError(f"counting sampler at t={t:g} with {trials} trials is beyond the "
+                              f"work budget: {proposals:.3g} proposals (Lambda t trials) > 2e7")
+    return t
 
 
 def _discrete_tail(args, channel, f, rho0, horizons, mean: float):

@@ -47,7 +47,7 @@ score and multiplies the weights by a block: the matrix of
 these tables: tags with the same future merge, and labels that move a tag
 alike are one move with the sum of their blocks (the ring's six labels are
 two moves).  A (class, move) maps scores injectively, so each GEMM result
-is scattered with a plain indexed add.  One pass serves every horizon, and
+adds into a slice or at plain indices.  One pass serves every horizon, and
 every tag layout turns its rows into laws the same way (sum per score,
 clip, check the mass).  A batched enumeration over outcome sequences,
 sharing no code with the kernel, is the independent check; it and the
@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -429,10 +429,14 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     Label i moves a row of tag t to tag ``next_tag[t, i]`` (nowhere if
     negative), adds ``shift[t, i]`` to its score and right-multiplies its
     weights by ``maps[t, i]``, on the tables' ``_quotient``: a row's tag is
-    its class.  Each class keeps one ascending score array and its block of
-    weights.  A step concatenates the shifted arrays of a class's sources in
-    (class, move) order; one ``np.unique`` gives its new scores and, by the
-    inverse, where each block of ``_DP_BLOCK`` source rows adds its product.
+    its class.  As every row moves once per step, shifts are reduced to
+    (shift - base) / stride, base the least and stride the gcd of the rest,
+    and a reduced score s after k steps is handed back as base k + stride s.
+    Each class keeps one ascending score array and its block of weights.  A
+    step adds each source's blocks of ``_DP_BLOCK`` rows (one block for 1 x 1
+    maps, whose products round per row) times its map, in (class, move)
+    order: into slices where the contiguous sources tile one interval, else
+    where the inverse of one ``np.unique`` of the shifted sources puts them.
     Returns {step: (scores, weights)}, the rows sorted by (score, class),
     so scores ascend and repeat once per class.
     """
@@ -440,10 +444,14 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     if int(np.abs(shift).max(initial=0)) * last >= 2**63:
         raise LatticeError(f"a {last}-step score lattice this wide overflows 64-bit scores")
     maps, index, next_tag, shift = _quotient(maps, next_tag, shift)
+    live = shift[next_tag >= 0]
+    base = int(min(live, default=0))
+    stride = math.gcd(*(live - base).tolist()) or 1
+    shift = (shift - base) // stride
     classes = range(next_tag.shape[0])
     sources = [[(c, j) for c in classes for j in np.flatnonzero(next_tag[c] == u)]
                for u in classes]
-    entered = [u for u in classes if sources[u]]  # the others are empty after step 0
+    block_rows = _DP_BLOCK if maps.shape[1:] != (1, 1) else 2**62  # 1 x 1: one block
     none = np.zeros(0, dtype=np.int64)
     first = np.asarray(init)[None, :].astype(np.result_type(init, maps))
     scores = [np.zeros(1, dtype=np.int64)] + [none] * (len(classes) - 1)
@@ -452,21 +460,34 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     for step in range(last + 1):
         if step:
             targets = [(none, first[:0])] * len(classes)
-            for u in entered:
-                cand = np.concatenate([scores[c] + shift[c, j] for c, j in sources[u]])
-                scores_u, at = np.unique(cand, return_inverse=True)
+            dense = [s.size and s[-1] - s[0] < s.size for s in scores]  # contiguous scores
+            for u in classes:
+                moves = [(c, j) for c, j in sources[u] if scores[c].size]
+                if not moves:
+                    continue
+                sizes = [scores[c].size for c, _ in moves]
+                at = ([int(scores[c][0] + shift[c, j]) for c, j in moves]
+                      if all(dense[c] for c, _ in moves) else [])
+                spans = sorted(zip(at, sizes))
+                reach = list(accumulate((a + size for a, size in spans), max))  # half-open ends
+                if at and all(a <= b for (a, _), b in zip(spans[1:], reach)):  # one interval
+                    scores_u, where = np.arange(spans[0][0], reach[-1]), np.s_  # np.s_[a:b] is a:b
+                    at = [a - spans[0][0] for a in at]
+                else:
+                    cand = np.concatenate([scores[c] + shift[c, j] for c, j in moves])
+                    scores_u, where = np.unique(cand, return_inverse=True)
+                    at = accumulate(sizes, initial=0)
                 new = np.zeros((scores_u.size, first.shape[1]), dtype=first.dtype)
-                for c, j in sources[u]:  # one move's score map is injective
-                    for lo in range(0, scores[c].size, _DP_BLOCK):
-                        block = vecs[c][lo:lo + _DP_BLOCK]
-                        new[at[lo:lo + len(block)]] += block @ maps[index[c, j]]
-                    at = at[scores[c].size:]
+                for (c, j), to in zip(moves, at):  # one move's score map is injective
+                    for lo in range(0, scores[c].size, block_rows):
+                        block = vecs[c][lo:lo + block_rows]
+                        new[where[to + lo:to + lo + len(block)]] += block @ maps[index[c, j]]
                 targets[u] = scores_u, new
             scores, vecs = zip(*targets)
         if step in steps:
             flat = np.concatenate(scores)
             order = np.argsort(flat, kind="stable")  # a score's rows stay in class order
-            out[step] = flat[order], np.concatenate(vecs)[order]
+            out[step] = base * step + stride * flat[order], np.concatenate(vecs)[order]
     return out
 
 

@@ -793,6 +793,26 @@ class TestVerify:
         assert "is beyond the DP budget" in proc.stderr
         assert not cli._dp_affords(10**12, np.array([-1, 0, 1]), np.int64(2))
 
+    @pytest.mark.parametrize("argv, budget", [
+        (["bound", "--flavor", "tdm-hoeffding", "--model", "ring_tdm.json", "--n", "1e8"],
+         "tdm-hoeffding at n=100000000 is beyond the work budget: 8.1e+09 > 4e6"),
+        (["bound", "--flavor", "tdm-bernstein", "--model", "ring_tdm.json", "--n", "20,1e8"],
+         "tdm-bernstein at n=100000000 is beyond the work budget: 1e+08 > 4e6"),
+        (["simulate", "--model", "driven_qubit.json", "--t", "1e9", "--trials", "100"],
+         "counting sampler at t=1e+09 with 100 trials is beyond the work budget: 5e+10 "),
+        (["verify", "--flavor", "counting", "--model", "driven_qubit.json", "--t", "1e9",
+          "--trials", "100"],
+         "counting sampler at t=1e+09 with 100 trials is beyond the work budget: 5e+10 "),
+    ], ids=["tdm-hoeffding", "tdm-bernstein", "simulate", "verify-counting"])
+    def test_long_horizons_are_beyond_the_work_budget(self, capsys, argv, budget):
+        # tdm builds one step (and for hoeffding one certified d^2 x d^2 power)
+        # per step of n; the counting sampler proposes Lambda t times per trial
+        argv[argv.index("--model") + 1] = model(argv[argv.index("--model") + 1])
+        start = time.perf_counter()
+        assert cli.main([*argv, "--gamma", "0.1"]) == cli.EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 1.0
+        assert budget in capsys.readouterr().err
+
     def test_tail_is_of_the_centered_mean(self, capsys):
         # pi(f) = 0.4: the bound on P(mean - 0.4 >= 0.3) meets the tail at 0.7
         report = main_report(capsys, "verify", "--flavor", "hoeffding", "--model",

@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -497,6 +498,20 @@ def kernel_layouts():
         shift = np.array([[0, 1], [2, -1], [1, 0]])
         return maps, next_tag, shift, np.array([1.0, 0.5])
 
+    def gap():
+        # tags 0 and 1 keep contiguous scores; tag 2 gets them 20 apart
+        maps = np.random.default_rng(9).random((3, 3, 2, 2))
+        next_tag = np.array([[0, 1, 2], [1, 1, 2], [-1, -1, -1]])
+        shift = np.array([[0, 0, 0], [0, 1, 20], [0, 0, 0]])
+        return maps, next_tag, shift, np.array([1.0, 0.5])
+
+    def mixed():
+        # tag 1 pays 0, 2 or 3 and never reaches score 1; tag 0 stays at 0
+        maps = np.random.default_rng(9).random((2, 3, 2, 2))
+        next_tag = np.array([[0, 1, -1], [1, 1, 1]])
+        shift = np.array([[0, 0, 0], [0, 2, 3]])
+        return maps, next_tag, shift, np.array([1.0, 0.5])
+
     ring, ring_payoff = ring_channel()
     tdm = load_model(os.path.join(os.path.dirname(__file__), "..", "models", "ring_tdm.json"))
     flux2 = {("a", "a"): 0.0, ("a", "b"): 1.0, ("b", "a"): 0.0, ("b", "b"): 0.0}
@@ -504,6 +519,7 @@ def kernel_layouts():
     p = rng.random((4, 4))
     chain4 = MarkovChain(p / p.sum(axis=1, keepdims=True))
     flux4 = {(x, y): float(rng.integers(-3, 4)) / 2 for x, y in chain4.edges()}
+    wide4 = {(x, y): float(x + 3 * y) for x, y in chain4.edges()}
     return [
         ("ring", recorded(lambda: score_distribution_dp(ring, np.diag([0.5, 0.3, 0.2]),
                                                         ring_payoff, 4))),
@@ -515,6 +531,12 @@ def kernel_layouts():
                                                        flux2, [4]))),
         ("chain4_flux", recorded(lambda: _flux_laws(chain4, np.ones(4) / 4, flux4, [4]))),
         ("three_classes", three_classes),
+        ("stride2", recorded(gen6([0.0, 2.0, 2.0]))),
+        ("negative", recorded(gen6([-1.0, -2.0, -3.0]))),
+        ("gap", gap),
+        ("mixed", mixed),
+        # more than _DP_BLOCK rows a class by step 40, in one 1 x 1 product
+        ("wide_flux", recorded(lambda: _flux_laws(chain4, np.ones(4) / 4, wide4, [4]))),
     ]
 
 
@@ -535,6 +557,21 @@ class TestClassArrays:
         for step in steps:
             assert np.array_equal(rows[step][0], reference[step][0])
             assert np.array_equal(rows[step][1], reference[step][1])
+        if name == "wide_flux":  # its four state classes hold every row after step 1
+            assert rows[40][0].size > 4 * trajectory._DP_BLOCK
+
+    @pytest.mark.parametrize("name, sorts", [
+        ("ring", False), ("ring_tdm", False), ("two_state_flux", False), ("gen6", False),
+        ("stride2", False), ("negative", False), ("wide_flux", False), ("gen6-sparse", True),
+        ("gap", True), ("mixed", True)])
+    def test_interval_rows_need_no_sort(self, name, sorts, monkeypatch):
+        # rows that fill an interval take slices; the sparse payoff still sorts
+        tables = dict(kernel_layouts())[name]()
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(
+            sys._getframe(1).f_code.co_name) or unique(*args, **kwargs))
+        trajectory._lattice_dp(*tables, [40])
+        assert ("_lattice_dp" in calls) == sorts
 
 
 class TestMCTail:

@@ -25,8 +25,11 @@ parent's ``mc_tail`` rows above d = ``PARENT_MC_MAX_D`` are not timed, as
 they would take minutes, and read ``null``.  Then the exact DP,
 ``score_distribution_dp`` from the maximally mixed state to each horizon in
 ``DP_HORIZONS`` (rows carry ``n``), on ``fixtures.ring_channel()`` (d = 3),
-on the random channels with d in ``DP_DIMS`` and on
-``random_channel(d, 6, 101)`` with the same payoff (rows carry ``kraus``: 6),
+on the random channels with d in ``DP_DIMS``, on
+``random_channel(d, 6, 101)`` with the same payoff (rows carry ``kraus``: 6)
+and, at the horizons in ``SPARSE_HORIZONS``, on ``random_channel(6, 3, 101)``
+with the payoff (0, 1, 1000), whose scores leave gaps, so the kernel sorts
+them (rows carry ``payoff``),
 ``score_distribution_windowed`` on ``models/ring_tdm.json``'s windows at
 the same horizons, and ``exact_flux_tail`` at gamma 0.1 from the uniform
 law at the same horizons (rows carry the number of states as ``d``) on
@@ -73,6 +76,7 @@ COUNTING_T, COUNTING_TRIALS = 400.0, 500
 PARENT_MC_MAX_D = 16
 DP_HORIZONS = (128, 256, 512)
 DP_DIMS = (8, 16)
+SPARSE_HORIZONS = (40, 96)
 FLUX_STATES = 8
 BLOCK_DIMS = (8, 16)
 GKLS_DIM = 8
@@ -216,6 +220,10 @@ def _oracle_calls() -> list:
         channel = random_channel(d, kraus, 101)
         return channel, {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
 
+    def sparse_model():
+        channel = random_channel(6, 3, 101)
+        return channel, dict(zip(channel.labels, (0.0, 1.0, 1000.0)))
+
     def ring_tdm():
         model = load_model(str(REPO / "models" / "ring_tdm.json"))
         return model.channel, model.observation_windows
@@ -240,6 +248,8 @@ def _oracle_calls() -> list:
               for d in DP_DIMS for n in DP_HORIZONS]
     calls += [("score_distribution_dp", d, {"n": n, "kraus": 6},
                lambda d=d: random_model(d, 6), dp(n)) for d in DP_DIMS for n in DP_HORIZONS]
+    calls += [("score_distribution_dp", 6, {"n": n, "payoff": "0,1,1000"}, sparse_model, dp(n))
+              for n in SPARSE_HORIZONS]
     calls += [("score_distribution_windowed", 3, {"n": n}, ring_tdm,
                dp(n, score_distribution_windowed)) for n in DP_HORIZONS]
     calls += [("exact_flux_tail", size, {"n": n}, build, flux(n))
@@ -357,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
                                           PARENT_MC_MAX_D if name == "parent" else None))
     rows = []
     for i, row in enumerate(passes["change"][0]["rows"]):
-        merged = {key: row[key] for key in ("layer", "d", "n", "kraus", "command") if key in row}
+        merged = {key: row[key] for key in ("layer", "d", "n", "kraus", "payoff", "command")
+                  if key in row}
         for name, runs in passes.items():
             times = [run["rows"][i]["seconds"] for run in runs]
             times = None if None in times else sorted(times)
@@ -373,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
                  "and of mc_tail (4096 trajectories, n = 50) on fixtures.random_channel(d, 3, "
                  "101), of counting_counts on driven_qubit (t = 400, 500 trajectories), of "
                  "score_distribution_dp to n on the ring and on the random channels (kraus: 6 "
-                 "for random_channel(d, 6, 101)), of score_distribution_windowed to n on "
+                 "for random_channel(d, 6, 101); payoff: the sparse payoff (0, 1, 1000) on "
+                 "random_channel(6, 3, 101)), of score_distribution_windowed to n on "
                  "ring_tdm's windows, of exact_flux_tail to n on two_state_chain "
                  "and a seeded 8-state chain (d: states), of decompose_invariant_subspaces "
                  "on a two-block random channel, of counting_constants on a random "
