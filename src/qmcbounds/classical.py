@@ -21,8 +21,10 @@ import numpy as np
 
 from .bounds import BoundConstants, BoundResult, _bernstein_result, _centered, _hoeffding_result
 from .operators import KrausChannel
-from .spectral import HypothesisError, _certified_sup_norm_chain, _null_space
+from .spectral import HypothesisError, _certified_sup_norm_chain, _resolvent
 from .trajectory import _dp_laws, _lattice_dp, _score_lattice
+
+_VERTEX_LIMIT = 12  # chains of at most this many states take the exact vertex enumeration
 
 
 class MarkovChain:
@@ -184,27 +186,19 @@ def _centered_subspace_vertices(sigma: np.ndarray) -> np.ndarray:
     return np.asarray(vertices)
 
 
-def chain_pseudoresolvent_norm(chain: MarkovChain, sigma: np.ndarray | None = None,
-                               exact_limit: int = 12) -> float:
+def chain_pseudoresolvent_norm(chain: MarkovChain, sigma: np.ndarray | None = None) -> float:
     """Certified || (Id - P)^(-1) ||_inf on {h: sigma(h) = 0}.
 
-    Exact vertex enumeration for small chains, otherwise the same
-    sqrt(|E|) * (2 -> 2) norm-equivalence chain used for channels.
+    Exact vertex enumeration for chains of at most ``_VERTEX_LIMIT`` states,
+    otherwise the same sqrt(|E|) * (2 -> 2) norm-equivalence chain used for
+    channels; both take (Id - P_F)^(-1) from ``spectral._resolvent``.
     """
     s = stationary_distribution(chain) if sigma is None else np.asarray(sigma, dtype=float)
-    p = chain.transition
-    e = chain.size
-    q_basis = _null_space(s[None, :])
-    p_f = q_basis.T @ p @ q_basis
-    try:
-        inv_f = np.linalg.solve(np.eye(e - 1) - p_f, np.eye(e - 1))
-    except np.linalg.LinAlgError as exc:
-        raise HypothesisError("Id - P singular on the centered subspace") from exc
-    if e <= exact_limit:
-        m_full = q_basis @ inv_f @ q_basis.T
-        images = _centered_subspace_vertices(s) @ m_full.T
+    q, p_f, inv_f = _resolvent(chain.transition, s)
+    if chain.size <= _VERTEX_LIMIT:
+        images = _centered_subspace_vertices(s) @ (q @ inv_f @ q.T).T
         return float(np.max(np.abs(images)))
-    return _certified_sup_norm_chain(p_f, inv_f, e)
+    return _certified_sup_norm_chain(p_f, inv_f, chain.size)
 
 
 def flux_hoeffding_constants(chain: MarkovChain, f,

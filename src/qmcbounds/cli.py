@@ -96,7 +96,7 @@ from .classical import (
 )
 from .fixtures import ring_channel
 from .modelfile import Model, ModelParseError, load_model, parse_complex_matrix
-from .operators import TAU_CHANNEL, DensityMatrix, NotFaithfulError, dagger, observation_vector
+from .operators import TAU_CHANNEL, DensityMatrix, NotFaithfulError, observation_vector
 from .spectral import (
     FixedSpaceError,
     HypothesisError,
@@ -120,6 +120,7 @@ from .trajectory import (
     _rate_tails,
     _score_lattice,
     _score_laws,
+    _thinning_rate,
 )
 
 EXIT_OK = 0
@@ -694,15 +695,17 @@ def _dp_affords(n: int, nums: np.ndarray, moves: int) -> bool:
 
     The support of n steps paying lattice values ``nums``, v of them distinct,
     is min(span n + 1, C(n + v - 1, v - 1)): the sum lies in a span of span n
-    + 1 lattice points and is fixed by how often each value occurs.
+    + 1 points and is fixed by how often each value occurs.  As in the DP's
+    reduced lattice, span is (max - min) / stride, stride the gcd of nums - min.
     """
-    span, v = int(nums.max() - nums.min()), len(np.unique(nums))
+    stride = math.gcd(*(nums - nums.min()).tolist()) or 1
+    span, v = int(nums.max() - nums.min()) // stride, len(np.unique(nums))
     return n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * int(moves) <= 4_000_000
 
 
 def _sampler_affords(gen, t: float, trials: int) -> float:
     """``t``, if the counting sampler's Lambda t trials proposals are <= 2e7; else infeasible."""
-    proposals = t * trials * float(np.linalg.eigvalsh(sum(dagger(l) @ l for l in gen.jumps))[-1])
+    proposals = t * trials * _thinning_rate(gen)
     if proposals > 2e7:
         raise InfeasibleError(f"counting sampler at t={t:g} with {trials} trials is beyond the "
                               f"work budget: {proposals:.3g} proposals (Lambda t trials) > 2e7")

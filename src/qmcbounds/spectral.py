@@ -471,26 +471,23 @@ def additive_gap_report(gen: GKLSGenerator, sigma) -> AdditiveGap:
 # centered subspace, Poisson equation and pseudoresolvent norms
 # ---------------------------------------------------------------------------
 
-def centered_basis(sigma) -> np.ndarray:
-    """Orthonormal basis of the Hermitian part of F = {x : tr(sigma x) = 0}, in coordinates.
+def _coordinates(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """(R, weights): the channel's Heisenberg matrix and sigma in Hermitian coordinates.
 
-    A real (d^2, d^2 - 1) matrix of Hermitian coordinates: tr(sigma x) is the
-    dot product of the coordinates of sigma and x.  As a complex basis it
-    spans F, which is the complexification of its Hermitian part.
+    tr(sigma x) = weights . x, so an orthonormal basis q of {weights . x = 0} is one
+    of F, and q^T R q has the spectral norms of phi|F's powers and resolvent.
     """
-    return _null_space(hermitian_coordinates(state_matrix(sigma))[None, :])
+    return hermitian_coordinate_matrix(channel.kraus), hermitian_coordinates(state_matrix(sigma))
 
 
-def _centered_restriction(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Basis q of F and the real matrix phi_F = q^T R q of the channel on it.
+def _restriction(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, q^T matrix q), q an orthonormal basis of {x : weights . x = 0}.
 
-    R is the channel's Heisenberg matrix in Hermitian coordinates.  q is an
-    orthonormal basis of F as a complex space too, so phi_F is unitarily
-    similar to the complex restriction in any orthonormal basis of F, with
-    the same spectral norms of its powers and of its resolvent.
+    A channel passes :func:`_coordinates`; a classical chain passes P and its
+    stationary law, for the functions centred under it.
     """
-    q = centered_basis(sigma)
-    return q, q.T @ hermitian_coordinate_matrix(channel.kraus) @ q
+    q = _null_space(weights[None, :])
+    return q, q.T @ matrix @ q
 
 
 @dataclass(frozen=True)
@@ -548,8 +545,7 @@ def _power_terms(phi_f: np.ndarray, root_d: float):
     than ``_SVD_BELOW`` rows, and every term proved to be 1), and a lower
     bound on it otherwise.  The powers start from an identity of
     ``phi_f.dtype``, so a real matrix (a classical chain, or a channel in
-    Hermitian coordinates) is multiplied in real arithmetic, and every
-    caller gets the same matrices.
+    Hermitian coordinates) is multiplied in real arithmetic.
     """
     power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
     term, exact, v = 1.0, True, None
@@ -662,22 +658,16 @@ def _sign_matrix(g: np.ndarray) -> np.ndarray:
 _SINGULAR = "channel is reducible: Id - phi is singular on the centered subspace"
 
 
-def _resolvent(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis q of F, phi_F and (Id - phi_F)^(-1): one restriction and one solve."""
-    q, phi_f = _centered_restriction(channel, sigma)
-    eye_f = np.eye(phi_f.shape[0])
+def _resolvent(matrix: np.ndarray,
+               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, M_F, (Id - M_F)^(-1)) of :func:`_restriction`: the one solve for channels and chains."""
+    q, m_f = _restriction(matrix, weights)
+    eye_f = np.eye(m_f.shape[0])
     try:
-        inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
+        inv_f = np.linalg.solve(eye_f - m_f, eye_f)
     except np.linalg.LinAlgError as exc:
         raise HypothesisError(_SINGULAR) from exc
-    return q, phi_f, inv_f
-
-
-def _certified_resolvent(channel: KrausChannel,
-                         s: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Basis q of F, (Id - phi_F)^(-1) and the certified bound on its sup-norm."""
-    q, phi_f, inv_f = _resolvent(channel, s)
-    return q, inv_f, _certified_sup_norm_chain(phi_f, inv_f, channel.dim)
+    return q, m_f, inv_f
 
 
 def certified_pseudoresolvent_norm(channel: KrausChannel, sigma) -> float:
@@ -686,7 +676,8 @@ def certified_pseudoresolvent_norm(channel: KrausChannel, sigma) -> float:
     The value of ``pseudoresolvent_norm(channel, sigma).certified_upper``
     without the heuristic lower estimate.
     """
-    return _certified_resolvent(channel, state_matrix(sigma))[2]
+    _, phi_f, inv_f = _resolvent(*_coordinates(channel, sigma))
+    return _certified_sup_norm_chain(phi_f, inv_f, channel.dim)
 
 
 def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
@@ -762,7 +753,8 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
     :func:`certified_pseudoresolvent_norm`, which skips the heuristic.
     """
     s = state_matrix(sigma)
-    q, inv_f, certified = _certified_resolvent(channel, s)
+    q, phi_f, inv_f = _resolvent(*_coordinates(channel, s))
+    certified = _certified_sup_norm_chain(phi_f, inv_f, channel.dim)
     n_full = q @ inv_f @ q.T  # (Id-phi)^(-1) P_F in Hermitian coordinates
     best = _lower_estimate(s, n_full, 64, _ASCENT_ITERATIONS, 0)
     # both bracket the same quantity; rounding can make them cross at the
@@ -771,13 +763,13 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
 
 
 def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
-    """Certified upper bounds on || phi^j |F ||_inf for j = 0..j_max."""
-    _, phi_f = _centered_restriction(channel, sigma)
+    """Certified upper bounds min(1, sqrt(d) ||phi^j|F||_2) on || phi^j |F ||_inf, j = 0..j_max."""
+    _, phi_f = _restriction(*_coordinates(channel, sigma))
     root_d = float(np.sqrt(channel.dim))
-    norms, previous = [], None
-    for term, exact, power in islice(_power_terms(phi_f, root_d), j_max + 1):
-        norms.append(term if exact else min(1.0, root_d * _svd_norm(previous)))
-        previous = power
+    norms, power = [1.0], np.eye(phi_f.shape[0])
+    for _ in range(j_max):
+        power = phi_f @ power
+        norms.append(min(1.0, root_d * _svd_norm(power)))
     return norms
 
 
@@ -839,7 +831,7 @@ def poisson_solve(channel: KrausChannel, f_target, sigma,
     ||A|| <= certified_upper * ||F|| is verified.
     """
     s = state_matrix(sigma)
-    return _poisson(channel, f_target, s, _resolvent(channel, s), certified_upper)
+    return _poisson(channel, f_target, s, _resolvent(*_coordinates(channel, s)), certified_upper)
 
 
 def _certified_poisson_norm(channel: KrausChannel, f_target, sigma) -> float:
@@ -849,7 +841,7 @@ def _certified_poisson_norm(channel: KrausChannel, f_target, sigma) -> float:
     Poisson solution, whose checks are those of :func:`poisson_solve`.
     """
     s = state_matrix(sigma)
-    resolvent = _resolvent(channel, s)
+    resolvent = _resolvent(*_coordinates(channel, s))
     certified = _certified_sup_norm_chain(resolvent[1], resolvent[2], channel.dim)
     _poisson(channel, f_target, s, resolvent, certified)
     return certified

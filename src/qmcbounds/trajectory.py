@@ -75,12 +75,15 @@ from .operators import (
     state_matrix,
     uniform_norm,
 )
+from .spectral import gkls_steady_state
 
 _TAPE_BLOCK = 64          # uniforms drawn per refill of a trajectory tape (a multiple of 4)
 _MASK64 = 0xFFFFFFFFFFFFFFFF  # seeds and indices enter a Philox key modulo 2**64
 _PROB_FLOOR = 1e-15       # outcome probabilities below this count as zero
 _DP_BLOCK = 256           # rows per GEMM block of the lattice DP
 _RATE_MARGIN = 1e-12      # relative excess of the thinning bound over lambda_max(sum L^* L)
+_MC_CHUNK = 4096          # trajectories per batch of the discrete samplers
+_COUNTING_CHUNK = 2048    # trajectories per batch of the counting sampler
 _MAX_DENOMINATOR = 10**6  # largest denominator of a score lattice
 _MASS_TOL = 1e-11         # |total DP mass - initial mass| allowed
 
@@ -291,11 +294,11 @@ def _chunks(trials: int, chunk_size: int) -> list[range]:
 
 
 def _filter_tails(steps: Sequence[tuple], rho0, score, n: int, gammas: Sequence[float],
-                  trials: int, seed: int, chunk_size: int, on_chunk=None) -> list[EmpiricalTail]:
+                  trials: int, seed: int, on_chunk=None) -> list[EmpiricalTail]:
     """P(score(picks) / n >= gamma) per gamma; on_chunk(indices, picks) sees each chunk."""
     thresholds = [n * gamma - 1e-12 for gamma in gammas]
     hits = [0] * len(thresholds)
-    for indices in _chunks(trials, chunk_size):
+    for indices in _chunks(trials, _MC_CHUNK):
         picks = _filter_batch(steps, rho0, seed, indices)
         if thresholds:
             sums = score(picks)
@@ -307,12 +310,11 @@ def _filter_tails(steps: Sequence[tuple], rho0, score, n: int, gammas: Sequence[
 
 
 def _discrete_tails(channel: KrausChannel, rho0, f, n: int, gammas: Sequence[float],
-                    trials: int, seed: int, chunk_size: int = 4096,
-                    on_chunk=None) -> list[EmpiricalTail]:
+                    trials: int, seed: int, on_chunk=None) -> list[EmpiricalTail]:
     """``mc_tail`` at every gamma from one sample; ``f`` is read only if there are gammas."""
     fv = observation_vector(f, channel.labels) if gammas else None
     return _filter_tails([_channel_step(channel)] * n, rho0, lambda picks: fv[picks].sum(axis=1),
-                         n, gammas, trials, seed, chunk_size, on_chunk)
+                         n, gammas, trials, seed, on_chunk)
 
 
 def sample_discrete(channel: KrausChannel, rho0, n: int, seed: int,
@@ -324,17 +326,16 @@ def sample_discrete(channel: KrausChannel, rho0, n: int, seed: int,
 
 
 def mc_tail(channel: KrausChannel, rho0, f, n: int, gamma: float, trials: int,
-            seed: int, chunk_size: int = 4096) -> EmpiricalTail:
+            seed: int) -> EmpiricalTail:
     """Monte Carlo estimate of P(mean of f over n outcomes >= gamma).
 
-    Deterministic given the seed and independent of ``chunk_size``: each
+    Deterministic given the seed and independent of ``_MC_CHUNK``: each
     trajectory consumes only its own Philox stream.
     """
-    return _discrete_tails(channel, rho0, f, n, [gamma], trials, seed, chunk_size)[0]
+    return _discrete_tails(channel, rho0, f, n, [gamma], trials, seed)[0]
 
 
-def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int,
-                       chunk_size: int = 4096) -> EmpiricalTail:
+def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int) -> EmpiricalTail:
     """Tail of (1/n) sum_k (f_k(X_k) - pi_k(f_k)) >= gamma under per-step unravellings."""
     n = len(steps)
     centered, _, _ = _step_stats(steps, sigma)
@@ -342,7 +343,7 @@ def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int,
     maps = {key: _step_operators(unravelling.maps) for key, unravelling in distinct.items()}
     return _filter_tails([maps[id(step.unravelling)] for step in steps], rho0,
                          lambda picks: sum(centered[k][picks[:, k]] for k in range(n)),
-                         n, [gamma], trials, seed, chunk_size)[0]
+                         n, [gamma], trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +590,7 @@ def score_distribution_windowed(channel: KrausChannel, rho0, f: Mapping,
 
 
 def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: float,
-                     trials: int, seed: int, chunk_size: int = 4096) -> EmpiricalTail:
+                     trials: int, seed: int) -> EmpiricalTail:
     """Monte Carlo tail of the sliding-window mean over n windows.
 
     Like :func:`score_distribution_windowed`, raises ``KeyError`` if the
@@ -603,7 +604,7 @@ def mc_tail_windowed(channel: KrausChannel, rho0, f: Mapping, n: int, gamma: flo
     return _filter_tails([_channel_step(channel)] * (n + m - 1), rho0,
                          lambda picks: sum(lookup[tuple(picks[:, k + j] for j in range(m))]
                                            for k in range(n)),
-                         n, [gamma], trials, seed, chunk_size)[0]
+                         n, [gamma], trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +666,11 @@ def _no_jump_basis(gen: GKLSGenerator) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return w, p.T.copy(), np.linalg.inv(p).T.copy()
 
 
+def _thinning_rate(gen: GKLSGenerator) -> float:
+    """Lambda = lambda_max(sum_i L_i^* L_i): the largest sum_i |L_i psi|^2 over unit psi."""
+    return float(np.linalg.eigvalsh(sum(dagger(l) @ l for l in gen.jumps))[-1])
+
+
 def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
                     indices: Sequence[int], collect_events: bool):
     """Counts per label (and optionally event lists) for a batch of trajectories.
@@ -688,8 +694,7 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
     counts = np.zeros((batch, len(gen.jumps)), dtype=np.int64)
     events: list[list] = [[] for _ in range(batch)] if collect_events else []
     jumps = _step_operators([(l,) for l in gen.jumps])
-    bound = (float(np.linalg.eigvalsh(sum(dagger(l) @ l for l in gen.jumps))[-1])
-             * (1.0 + _RATE_MARGIN))
+    bound = _thinning_rate(gen) * (1.0 + _RATE_MARGIN)
     if not bound > 0.0:
         return counts, events
     w, right, left = _no_jump_basis(gen)
@@ -741,22 +746,21 @@ def sample_counting(gen: GKLSGenerator, rho0, t: float, seed: int,
 
 
 def _counting_chunks(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
-                     chunk_size: int = 2048, collect_events: bool = False):
-    """Counts (and event lists) of trajectories 0..trials-1, ``chunk_size`` at a time."""
+                     collect_events: bool = False):
+    """Counts (and event lists) of trajectories 0..trials-1, ``_COUNTING_CHUNK`` at a time."""
     batches = [_counting_batch(gen, rho0, t, seed, indices, collect_events)
-               for indices in _chunks(trials, chunk_size)]
+               for indices in _chunks(trials, _COUNTING_CHUNK)]
     return (np.vstack([counts for counts, _ in batches]),
             [events for _, chunk in batches for events in chunk])
 
 
-def counting_counts(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
-                    chunk_size: int = 2048) -> np.ndarray:
+def counting_counts(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int) -> np.ndarray:
     """Matrix of per-label click counts, one row per trajectory."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if t == 0.0:
         return np.zeros((trials, len(gen.jumps)), dtype=np.int64)
-    return _counting_chunks(gen, rho0, t, trials, seed, chunk_size)[0]
+    return _counting_chunks(gen, rho0, t, trials, seed)[0]
 
 
 def _rate_tails(counts: np.ndarray, t: float, m: float,
@@ -775,7 +779,6 @@ def mc_counting_tail(gen: GKLSGenerator, label, rho0, t: float, gamma: float,
     state unless passed explicitly.
     """
     if m is None:
-        from .spectral import gkls_steady_state
         m = _stationary_intensity(gen, label, gkls_steady_state(gen))
     counts = counting_counts(gen, rho0, t, trials, seed)
     return _rate_tails(counts[:, gen.index(label)], t, m, [gamma])[0]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import qmcbounds.trajectory as trajectory
 from qmcbounds.bounds import (
     TimeStep,
     Unravelling,
@@ -501,7 +502,7 @@ def test_criterion_12_confidence_coverage():
         _verdict(12, "empirical coverage is at least the certified lower bound", ok)
 
 
-def test_criterion_13_determinism(tmp_path):
+def test_criterion_13_determinism(tmp_path, monkeypatch):
     ok = False
     try:
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -513,15 +514,17 @@ def test_criterion_13_determinism(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
         channel, payoff = ring_channel()
-        a = mc_tail(channel, np.eye(3) / 3, payoff, 8, 0.25, trials=4000,
-                    seed=5, chunk_size=64)
-        b = mc_tail(channel, np.eye(3) / 3, payoff, 8, 0.25, trials=4000,
-                    seed=5, chunk_size=4096)
+        monkeypatch.setattr(trajectory, "_MC_CHUNK", 64)
+        a = mc_tail(channel, np.eye(3) / 3, payoff, 8, 0.25, trials=4000, seed=5)
+        monkeypatch.setattr(trajectory, "_MC_CHUNK", 4096)
+        b = mc_tail(channel, np.eye(3) / 3, payoff, 8, 0.25, trials=4000, seed=5)
         assert a == b
         from qmcbounds.fixtures import driven_qubit
         gen = driven_qubit()
-        c1 = counting_counts(gen, np.eye(2) / 2, 30.0, 500, seed=2, chunk_size=61)
-        c2 = counting_counts(gen, np.eye(2) / 2, 30.0, 500, seed=2, chunk_size=500)
+        monkeypatch.setattr(trajectory, "_COUNTING_CHUNK", 61)
+        c1 = counting_counts(gen, np.eye(2) / 2, 30.0, 500, seed=2)
+        monkeypatch.setattr(trajectory, "_COUNTING_CHUNK", 500)
+        c2 = counting_counts(gen, np.eye(2) / 2, 30.0, 500, seed=2)
         assert np.array_equal(c1, c2)
         ok = True
     finally:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qmcbounds import classical
 from qmcbounds.classical import (
     FluxFunction,
     MarkovChain,
@@ -103,16 +104,17 @@ class TestFluxHoeffding:
         assert chain_pseudoresolvent_norm(chain) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_chain_path_dominates_enumeration(self, seed):
-        # the certified norm chain (exact_limit=0) must bound the exact
-        # vertex-enumeration value from above
+    def test_chain_path_dominates_enumeration(self, seed, monkeypatch):
+        # the certified norm chain (no vertex enumeration) must bound the
+        # exact vertex-enumeration value from above
         rng = np.random.default_rng(seed)
         e = int(rng.integers(3, 9))
         p = rng.random((e, e)) * (rng.random((e, e)) < 0.6)
         p[np.arange(e), (np.arange(e) + 1) % e] += 0.2  # a cycle keeps it irreducible
         chain = MarkovChain(p / p.sum(axis=1, keepdims=True))
         exact = chain_pseudoresolvent_norm(chain)
-        assert chain_pseudoresolvent_norm(chain, exact_limit=0) >= exact - 1e-12
+        monkeypatch.setattr(classical, "_VERTEX_LIMIT", 0)
+        assert chain_pseudoresolvent_norm(chain) >= exact - 1e-12
 
     def test_dominates_exact_tail_in_regime(self, chain2):
         sigma = stationary_distribution(chain2)

@@ -765,6 +765,23 @@ class TestVerify:
         assert [(row["tail_kind"], row["tail"]) for row in report["rows"]] == [
             ("dp", law.tail(mean + 0.1))]
 
+    def test_dp_budget_counts_the_reduced_span(self, tmp_path, capsys):
+        # the ring paying 2 (i mod 3) on outcome i runs on the lattice reduced by
+        # its stride 2: 600 * 1201 * 3 = 2.2e6 is within the budget, and its
+        # tails at twice the gamma are those of the payoff (i mod 3)
+        with open(model("ring.json")) as fh:
+            doc = json.load(fh)
+        rows = []
+        for scale, gammas in ((1, "0.1,0.25"), (2, "0.2,0.5")):
+            doc["observation"] = {label: float(scale * (i % 3))
+                                  for i, label in enumerate(doc["labels"])}
+            path = tmp_path / f"ring_{scale}.json"
+            path.write_text(json.dumps(doc))
+            report = main_report(capsys, "verify", "--flavor", "bernstein", "--model", str(path),
+                                 "--n", "600", "--gamma", gammas)
+            rows.append([(row["tail_kind"], row["tail"]) for row in report["rows"]])
+        assert rows[0] == rows[1] and [kind for kind, _ in rows[1]] == ["dp", "dp"]
+
     def test_dp_budget_counts_moves_not_outcomes(self, capsys):
         # the ring's six outcomes pay +1 or -1, so the DP runs two moves:
         # 1000 * 1001 * 2 = 2.0e6 is within the budget, 1500 * 1501 * 2 = 4.5e6 not
@@ -937,7 +954,7 @@ class TestFlavorTable:
         assert len(grouped) == len(grid["rows"]) and grouped == singles
 
     @pytest.mark.parametrize("flavor, owner, name, expected", [
-        pytest.param("multitime", spectral, "_centered_restriction", 1,  # shared by the
+        pytest.param("multitime", spectral, "_restriction", 1,  # shared by the
                      id="multitime-one-restriction"),  # chain and the Poisson check
         ("multitime", spectral, "_certified_sup_norm_chain", 1),
         ("multitime", bounds, "_window_effects", 1),

@@ -8,7 +8,9 @@ frame's gather (``_frame``, ``triu_indices``, the factor sqrt(1/2)): the
 other modules convert through ``hermitian_coordinates``,
 ``from_hermitian_coordinates`` and ``hermitian_coordinate_matrix``.  The
 fixed spaces come from one SVD, so no module calls ``schur`` or
-``solve_sylvester``.  The real matrix of a form comes from
+``solve_sylvester``.  One centred restriction and resolvent in ``spectral.py``
+serve channels and classical chains, so no other module calls ``solve`` or
+``_null_space``.  The real matrix of a form comes from
 ``hermitian_coordinate_matrix`` of its operators, and KMS weighting is the
 conjugation of a form's operators (``kms_conjugated``): no module names the
 complex builders it replaced, no module, not even ``operators.py``, names the
@@ -88,6 +90,13 @@ def test_no_module_calls_schur_or_sylvester():
     found = [f"{path.name}:{node.lineno} {called(node)}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if called(node) in ("schur", "solve_sylvester")]
+    assert found == []
+
+
+def test_only_spectral_restricts_and_solves():
+    found = [f"{path.name}:{node.lineno} {called(node)}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "spectral.py" for node in ast.walk(ast.parse(path.read_text()))
+             if called(node) in ("solve", "_null_space")]
     assert found == []
 
 

@@ -10,9 +10,6 @@ KNOB = re.compile(r"((.*_)?tol(_.*)?|rcond|z|max_denominator|restarts|seed|chunk
                   r"|budget|exact_limit)$")
 ALLOWED = {
     "KrausChannel.__init__.tol", "load_model.tol_channel", "is_selfadjoint.tol",
-    "mc_tail.chunk_size", "mc_tail_windowed.chunk_size", "mc_tail_unravelled.chunk_size",
-    "counting_counts.chunk_size", "_discrete_tails.chunk_size", "_counting_chunks.chunk_size",
-    "chain_pseudoresolvent_norm.exact_limit",
     "nondemolition_channel.seed",  # a fixture's seed picks the model: an input
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qmcbounds.spectral as spectral
-from qmcbounds import cli
+from qmcbounds import classical, cli
 from qmcbounds.bounds import bernstein_constants
 from qmcbounds.modelfile import load_model
 from qmcbounds.classical import (
@@ -39,7 +39,6 @@ from qmcbounds.operators import (
 from qmcbounds.spectral import (
     FixedSpaceError,
     HypothesisError,
-    _centered_restriction,
     _certified_sup_norm_chain,
     additive_gap_report,
     certified_pseudoresolvent_norm,
@@ -410,7 +409,7 @@ def chain_inputs(case):
         phi_f = q.T @ chain.transition @ q
         return phi_f, resolvent_on_f(phi_f), chain.size
     channel = case_channel(case)
-    _, phi_f = _centered_restriction(channel, invariant_state(channel))
+    _, phi_f = spectral._restriction(*spectral._coordinates(channel, invariant_state(channel)))
     return phi_f, resolvent_on_f(phi_f), channel.dim
 
 
@@ -456,14 +455,14 @@ class TestCertifiedChain:
         dim, n_kraus = 2 + seed % 5, 2 + seed % 3
         channel = random_channel(dim, n_kraus, seed=seed)
         sigma = invariant_state(channel)
-        _, phi_f = _centered_restriction(channel, sigma)
+        _, phi_f = spectral._restriction(*spectral._coordinates(channel, sigma))
         expected = full_chain(phi_f, resolvent_on_f(phi_f), dim)
         assert _certified_sup_norm_chain(phi_f, resolvent_on_f(phi_f), dim) == expected
         assert certified_pseudoresolvent_norm(channel, sigma) == expected
         assert pseudoresolvent_norm(channel, sigma).certified_upper == expected
 
     @pytest.mark.parametrize("size", [3, 5, 8])
-    def test_classical_chain_bit_identical(self, size):
+    def test_classical_chain_bit_identical(self, size, monkeypatch):
         rng = np.random.default_rng(size)
         p = rng.random((size, size)) ** 3
         chain = MarkovChain(p / p.sum(axis=1, keepdims=True))
@@ -471,7 +470,8 @@ class TestCertifiedChain:
         q = spectral._null_space(sigma[None, :])
         p_f = q.T @ chain.transition @ q
         expected = full_chain(p_f, resolvent_on_f(p_f), size)
-        assert chain_pseudoresolvent_norm(chain, exact_limit=0) == expected
+        monkeypatch.setattr(classical, "_VERTEX_LIMIT", 0)
+        assert chain_pseudoresolvent_norm(chain) == expected
 
     def test_ring_stops_early(self, ring, ring_sigma, monkeypatch):
         channel, _ = ring
@@ -519,11 +519,12 @@ class TestCertifiedChain:
         assert head_svds == 2 * spectral._MAX_TERMS
 
     @pytest.mark.parametrize("size", [13, 20, 40])
-    def test_classical_paths(self, size, chain_mode):
+    def test_classical_paths(self, size, chain_mode, monkeypatch):
         expected = full_chain_of(f"classical:{size}")
         chain = stochastic_chain(size)
         assert chain_pseudoresolvent_norm(chain) == expected
-        assert chain_pseudoresolvent_norm(chain, exact_limit=0) == expected
+        monkeypatch.setattr(classical, "_VERTEX_LIMIT", 0)
+        assert chain_pseudoresolvent_norm(chain) == expected
 
     @pytest.mark.parametrize("case", ["random:6", "isometry:8", "replacement:6", "ring"])
     def test_power_norms_are_clamped_svd_norms(self, case, chain_mode):
@@ -618,7 +619,7 @@ class TestLowerEstimate:
     @pytest.mark.parametrize("name", LOCK_STEP_CASES)
     def test_lock_step_equals_sequential(self, name, restarts):
         channel, sigma = lock_step_case(name)
-        q, inv_f, _ = spectral._certified_resolvent(channel, sigma)
+        q, _, inv_f = spectral._resolvent(*spectral._coordinates(channel, sigma))
         n_full = q @ inv_f @ q.T
         expected, stops = sequential_lower_estimate(sigma, n_full, restarts, 8, 0)
         assert spectral._lower_estimate(sigma, n_full, restarts, 8, 0) == expected
@@ -826,7 +827,7 @@ class TestVoteOnTheFixedPointSVD:
                 continue
             h = random_hermitian(channel.dim, np.random.default_rng(3))
             f = h - np.trace(sigma @ h) * np.eye(channel.dim)
-            q, phi_f, inv_f = spectral._resolvent(channel, sigma)
+            q, phi_f, inv_f = spectral._resolvent(*spectral._coordinates(channel, sigma))
             system = np.eye(phi_f.shape[0]) - phi_f
             values = np.linalg.svd(system, compute_uv=False)
             if spectral._is_singular(system, inv_f) != (values[-1] <= 1e-10 * max(values[0], 1.0)):
@@ -924,7 +925,7 @@ def test_verify_bernstein_passes_where_psi_is_irreducible_by_rounding(tmp_path, 
 def svd_tested_poisson_solve(channel, f, sigma, certified_upper):
     """``poisson_solve`` as it was: an SVD tests singularity, then its own solve,
     on the restriction in Hermitian coordinates."""
-    q, phi_f = _centered_restriction(channel, sigma)
+    q, phi_f = spectral._restriction(*spectral._coordinates(channel, sigma))
     system = np.eye(phi_f.shape[0]) - phi_f
     values = np.linalg.svd(system, compute_uv=False)
     if values[-1] <= 1e-10 * max(values[0], 1.0):

@@ -240,7 +240,8 @@ class TestFilterReference:
         steps = [TimeStep(coarse, {"up": 1.0, "down": -1.0}) if k % 2
                  else TimeStep(standard, payoff) for k in range(12)]
         sigma = invariant_state(channel).matrix
-        mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 300, 11, chunk_size=100)
+        monkeypatch.setattr(trajectory, "_MC_CHUNK", 100)
+        mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 300, 11)
         assert sorted(map(len, built)) == [2, 6]
 
 
@@ -608,24 +609,29 @@ class TestMCTail:
         tail = mc_tail(channel, np.eye(3) / 3, payoff, 4, 0.2, trials=1, seed=1)
         assert 0.0 <= tail.ci_low <= tail.estimate <= tail.ci_high <= 1.0
 
-    def test_chunking_invariance(self, ring):
+    def test_chunking_invariance(self, ring, monkeypatch):
         channel, payoff = ring
         kw = dict(n=8, gamma=0.25, trials=3000, seed=11)
-        a = mc_tail(channel, np.eye(3) / 3, payoff, chunk_size=100, **kw)
-        b = mc_tail(channel, np.eye(3) / 3, payoff, chunk_size=1024, **kw)
+
+        def chunked(size, sample, *args, **kwargs):
+            monkeypatch.setattr(trajectory, "_MC_CHUNK", size)
+            return sample(*args, **kwargs)
+
+        a = chunked(100, mc_tail, channel, np.eye(3) / 3, payoff, **kw)
+        b = chunked(1024, mc_tail, channel, np.eye(3) / 3, payoff, **kw)
         assert a == b
         pair = {(x, y): float(x.endswith("+")) - float(y.endswith("-"))
                 for x in channel.labels for y in channel.labels}
-        a = mc_tail_windowed(channel, np.eye(3) / 3, pair, chunk_size=100, **kw)
-        b = mc_tail_windowed(channel, np.eye(3) / 3, pair, chunk_size=1024, **kw)
+        a = chunked(100, mc_tail_windowed, channel, np.eye(3) / 3, pair, **kw)
+        b = chunked(1024, mc_tail_windowed, channel, np.eye(3) / 3, pair, **kw)
         assert a == b
         # a coarse step has two operators per outcome
         coarse = Unravelling([channel.kraus[0::2], channel.kraus[1::2]], ["up", "down"])
         steps = [TimeStep(coarse, {"up": 1.0, "down": -1.0}) if k % 2
                  else TimeStep(Unravelling.standard(channel), payoff) for k in range(8)]
         sigma = invariant_state(channel).matrix
-        a = mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 3000, 11, chunk_size=100)
-        b = mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 3000, 11, chunk_size=1024)
+        a = chunked(100, mc_tail_unravelled, steps, sigma, np.eye(3) / 3, 0.25, 3000, 11)
+        b = chunked(1024, mc_tail_unravelled, steps, sigma, np.eye(3) / 3, 0.25, 3000, 11)
         assert a == b
 
     def test_wilson_basics(self):
@@ -819,9 +825,11 @@ class TestCounting:
         se = rates.std(ddof=1) / np.sqrt(len(rates))
         assert abs(rates.mean() - m) < 3 * se
 
-    def test_counting_determinism_and_chunking(self, qubit_gen):
-        a = counting_counts(qubit_gen, np.eye(2) / 2, 40.0, 400, seed=2, chunk_size=37)
-        b = counting_counts(qubit_gen, np.eye(2) / 2, 40.0, 400, seed=2, chunk_size=400)
+    def test_counting_determinism_and_chunking(self, qubit_gen, monkeypatch):
+        monkeypatch.setattr(trajectory, "_COUNTING_CHUNK", 37)
+        a = counting_counts(qubit_gen, np.eye(2) / 2, 40.0, 400, seed=2)
+        monkeypatch.setattr(trajectory, "_COUNTING_CHUNK", 400)
+        b = counting_counts(qubit_gen, np.eye(2) / 2, 40.0, 400, seed=2)
         assert np.array_equal(a, b)
         r1 = sample_counting(qubit_gen, np.eye(2) / 2, 40.0, seed=2, index=11)
         r2 = sample_counting(qubit_gen, np.eye(2) / 2, 40.0, seed=2, index=11)

@@ -144,17 +144,13 @@ def _channel(d: int):
 
 def _layers(d: int) -> dict:
     """The calls at dimension d, by layer name, each on the channel it is given."""
-    import numpy as np
-
     from qmcbounds import spectral
     from qmcbounds.bounds import bernstein_constants, hoeffding_constants
 
     channel = _channel(d)
     payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
     sigma = spectral.invariant_state(channel)
-    _, phi_f = spectral._centered_restriction(channel, sigma)
-    eye_f = np.eye(phi_f.shape[0])
-    inv_f = np.linalg.solve(eye_f - phi_f, eye_f)
+    _, phi_f, inv_f = spectral._resolvent(*spectral._coordinates(channel, sigma))
     return {
         "invariant_state": spectral.invariant_state,
         "is_irreducible": spectral.is_irreducible,
