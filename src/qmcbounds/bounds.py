@@ -53,11 +53,11 @@ from .spectral import (
     HypothesisError,
     MultiplicativeGap,
     _certified_poisson_norm,
-    _irreducibility_vote,
     additive_gap_report,
     certified_pseudoresolvent_norm,
     gkls_steady_state,
     invariant_state,
+    is_irreducible,
     multiplicative_gap_report,
     phi_power_norms,
 )
@@ -264,7 +264,7 @@ def hoeffding_constants(channel: KrausChannel, f, rho=None, sigma=None) -> Bound
     """G = (1 + ||(Id - phi)^(-1)|F||_inf) c with the certified norm bound."""
     sig = invariant_state(channel) if sigma is None else sigma
     stats = stationary_stats(channel, sig, f)
-    if not _irreducibility_vote(channel).irreducible:  # shares invariant_state's SVD
+    if not is_irreducible(channel).irreducible:  # shares invariant_state's SVD
         return BoundConstants(b=stats.b, c=stats.c, n_rho=1.0, hypothesis_ok=False,
                               note="channel reducible: pseudoresolvent undefined")
     g = (1.0 + certified_pseudoresolvent_norm(channel, sig)) * stats.c

@@ -5,7 +5,7 @@ Subcommands
 analyze   -- validation residuals, invariant state, irreducibility and gap
              diagnostics, pseudoresolvent norms, block decomposition.
 bound     -- evaluate a bound flavor over an (n or t) x gamma grid.
-simulate  -- Monte Carlo tails / counting records, optional trajectory dump.
+simulate  -- Monte Carlo tails / counting records at one horizon, optional dump.
 verify    -- bounds against exact DP or Monte Carlo tails, with dominance
              verdicts per grid point.  A tail is that of the centered mean
              (1/n) sum f - pi(f) (flux: of the edge flux mean minus its
@@ -117,6 +117,7 @@ from .trajectory import (
     counting_counts,
     _counting_chunks,
     _discrete_tails,
+    _lattice_reduction,
     _rate_tails,
     _score_lattice,
     _score_laws,
@@ -306,11 +307,18 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
             writer.writerow({k: ("" if row.get(k) is None else row.get(k))
                              for k in CSV_HEADER})
         text = buf.getvalue()
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_for_writing(output, "--output") as fh:
+        (fh or sys.stdout).write(text)
+
+
+def _open_for_writing(path: str | None, flag: str):
+    """The file a flag names, opened for writing, or a null context without one."""
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {flag} {path}: {exc}") from exc
 
 
 def _json_value(value):
@@ -354,7 +362,7 @@ def _analyze_kraus(model: Model, diagnostics: dict) -> None:
         diagnostics["irreducible"] = evidence.irreducible
         diagnostics["radius_multiplicity"] = evidence.radius_multiplicity
         if evidence.irreducible:
-            diagnostics["primitive"] = _peripheral_is_one(evidence.eigenvalues)
+            diagnostics["primitive"] = _peripheral_is_one(channel)
             gap = multiplicative_gap_report(channel, sigma)
             diagnostics["psi_irreducible"] = gap.irreducible
             diagnostics["epsilon_multiplicative"] = gap.epsilon
@@ -623,14 +631,10 @@ def cmd_bound(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _open_dump(path: str | None):
-    """The --dump file opened for writing, or a null context without --dump."""
-    if not path:
-        return nullcontext()
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot write --dump {path}: {exc}") from exc
+def _one(grid: list, flag: str):
+    if len(grid) > 1:
+        raise UsageError(f"simulate samples one horizon; {flag} has {len(grid)} values")
+    return grid[0]
 
 
 def cmd_simulate(args) -> int:
@@ -649,11 +653,11 @@ def cmd_simulate(args) -> int:
     rho0 = _resolve_rho0(args.rho0, model, sigma)
 
     if model.kind == "kraus":
-        n = _int_grid(args.n, "--n")[0]
+        n = _one(_int_grid(args.n, "--n"), "--n")
         channel = model.channel
         f = _need(model.observation, "an observation section") if gammas else None
         if gammas or args.dump:
-            with _open_dump(args.dump) as fh:
+            with _open_for_writing(args.dump, "--dump") as fh:
                 def write(indices, picks):
                     for idx, row in zip(indices, picks):
                         fh.write(json.dumps({"seed": seed, "index": idx,
@@ -665,9 +669,9 @@ def cmd_simulate(args) -> int:
                         for gamma, tail in zip(gammas, tails))
     else:
         gen = model.generator
-        t = _sampler_affords(gen, _float_grid(args.t, "--t", 0.0)[0], trials)
+        t = _sampler_affords(gen, _one(_float_grid(args.t, "--t", 0.0), "--t"), trials)
         m = _stationary_intensity(gen, model.count_label, sigma)
-        with _open_dump(args.dump) as fh:
+        with _open_for_writing(args.dump, "--dump") as fh:
             counts, events = _counting_chunks(gen, rho0, t, trials, seed,
                                               collect_events=bool(args.dump))
             for idx, record in enumerate(events):
@@ -696,10 +700,10 @@ def _dp_affords(n: int, nums: np.ndarray, moves: int) -> bool:
     The support of n steps paying lattice values ``nums``, v of them distinct,
     is min(span n + 1, C(n + v - 1, v - 1)): the sum lies in a span of span n
     + 1 points and is fixed by how often each value occurs.  As in the DP's
-    reduced lattice, span is (max - min) / stride, stride the gcd of nums - min.
+    reduced lattice (``_lattice_reduction``), span is (max - base) / stride.
     """
-    stride = math.gcd(*(nums - nums.min()).tolist()) or 1
-    span, v = int(nums.max() - nums.min()) // stride, len(np.unique(nums))
+    base, stride = _lattice_reduction(nums)
+    span, v = int(nums.max() - base) // stride, len(np.unique(nums))
     return n * min(span * n + 1, math.comb(n + v - 1, v - 1)) * int(moves) <= 4_000_000
 
 

@@ -7,13 +7,14 @@ centered subspace, certified pseudoresolvent norms, tilted transition
 operators, and the decomposition of a positive-recurrent channel into
 irreducible invariant blocks.
 
-A channel's irreducibility is decided by a two-method vote: the eigenstructure
-criterion (the eigenvalue at the spectral radius is algebraically simple and
-the dual fixed point is a faithful state) cross-checked against reachability
-of the full space by Kraus-operator products.  Reachability is probed from
-random starting vectors plus witness vectors drawn from the supports of fixed
-points, so the two checks agree except under genuine numerical trouble,
-which is surfaced as an error instead of silently resolved.  The two
+A channel's irreducibility is decided by one two-method vote,
+:func:`is_irreducible`: the eigenstructure criterion (the eigenvalue at the
+spectral radius is algebraically simple and the dual fixed point is a
+faithful state) cross-checked against reachability of the full space by
+Kraus-operator products.  Reachability is probed from random starting
+vectors plus witness vectors drawn from the supports of fixed points, so
+the two checks agree except under genuine numerical trouble, which is
+surfaced as an error instead of silently resolved.  The two
 symmetrizations take no vote: each is irreducible when the top of the
 symmetric spectrum that gives its gap is simple.
 
@@ -29,7 +30,7 @@ real matrix too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -151,9 +152,9 @@ def invariant_state(channel: KrausChannel) -> DensityMatrix:
     trace-preserving channel the spectral radius is 1 and the peripheral
     eigenvalues are semisimple (M. M. Wolf, *Quantum Channels & Operations:
     Guided Tour*, 2012, Prop. 6.2), so that null space is the whole
-    eigenspace at the radius, and the irreducibility vote of the same channel
-    reads its dual fixed basis and, on the bound path, its multiplicity from
-    the same SVD (see :func:`_irreducibility_vote` for when).
+    eigenspace at the radius, and :func:`is_irreducible` of the same channel
+    reads its dual fixed basis and its multiplicity from the same SVD unless
+    a singular value lies in ``_SVD_BAND``.
 
     Raises :class:`FixedSpaceError` when the fixed space of the predual has
     dimension != 1 (singular values cut at 1e-10 * max(s_max, 1)).
@@ -206,15 +207,11 @@ def _reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray) -> int:
 @dataclass(frozen=True)
 class IrreducibilityEvidence:
     irreducible: bool
-    spectral_radius: float
     radius_multiplicity: int
     fixed_point_faithful: bool
     min_fixed_eigenvalue: float
     reachability_full: bool
     reachability_dims: tuple[int, ...]
-    # spectrum of the Heisenberg matrix the vote computed, for primitivity;
-    # None when the vote made no general eigensolve
-    eigenvalues: np.ndarray | None = field(repr=False, compare=False)
 
 
 def _hermitian_parts(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -242,34 +239,6 @@ def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> list[np.ndarray]
     return vectors
 
 
-def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
-    """Two-method irreducibility vote for a completely positive Kraus family.
-
-    Eigenstructure check: the eigenvalue at the spectral radius is
-    algebraically simple within ``TAU_EIG`` and the corresponding fixed point
-    of the predual has least eigenvalue above ``TAU_PSD``.  Reachability
-    check: Kraus products span the full space from every probed starting
-    vector.  A disagreement raises :class:`InconclusiveIrreducibilityError`.
-
-    The multiplicity comes from a general eigensolve here, because
-    ``analyze`` reports it and primitivity reads the spectrum.  On
-    trace-preserving input the radius is 1 with semisimple peripheral
-    eigenvalues (Wolf, 2012, Prop. 6.2), so the dual fixed basis is
-    ker(R^T - I), from the SVD :func:`invariant_state` takes, unless a
-    singular value of R^T - I lies in ``_SVD_BAND``.  With that basis the
-    eigensolve is of the real matrix R of the Kraus form, which has the
-    spectrum of M_h; without it (in the band, or on input that is not trace
-    preserving) the vote takes the spectrum and the dual basis
-    ker(M_s - r I) from the complex M_h, because there a rounding-sized
-    shift of the matrix can move the verdict.  The bounds vote through
-    :func:`_irreducibility_vote` with no spectrum, which then counts the
-    multiplicity from that SVD instead.
-    """
-    separated = _separated_fixed_space(channel)[0] is not None
-    eigs = np.linalg.eigvals(hermitian_coordinate_matrix(channel.kraus)) if separated else None
-    return _irreducibility_vote(channel, eigs)
-
-
 def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np.ndarray | None]:
     """:func:`_fixed_space` of a trace-preserving channel whose fixed space is well separated.
 
@@ -288,43 +257,37 @@ def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np
     return singular, basis
 
 
-def _irreducibility_vote(channel: KrausChannel,
-                         eigs: np.ndarray | None = None) -> IrreducibilityEvidence:
-    """The vote of :func:`is_irreducible`; ``eigs`` is the spectrum of ``channel``.
+def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
+    """Two-method irreducibility vote for a completely positive Kraus family.
 
-    ``eigs`` is the spectrum of any matrix similar to the channel's
-    Heisenberg matrix M_h, in any order.
+    Eigenstructure check: the eigenvalue at the spectral radius is
+    algebraically simple within ``TAU_EIG`` and the corresponding fixed point
+    of the predual has least eigenvalue above ``TAU_PSD``.  Reachability
+    check: Kraus products span the full space from every probed starting
+    vector.  A disagreement raises :class:`InconclusiveIrreducibilityError`.
 
-    A trace-preserving channel (sum V_i^* V_i = 1 within ``TAU_IDENTITY``) has
-    spectral radius 1 and semisimple peripheral eigenvalues (M. M. Wolf,
-    *Quantum Channels & Operations: Guided Tour*, 2012, Prop. 6.2): the
-    algebraic multiplicity of the eigenvalue 1 is dim ker(M_s - I), the
-    number of zero singular values of M_s - I, or of its real similar
-    R^T - I.  So when such a channel's SVD of R^T - I (shared with
-    :func:`invariant_state`) has no singular
-    value in ``_SVD_BAND``, the dual fixed basis is its kernel, and with no
-    spectrum given the radius is 1 and the multiplicity the number of
-    singular values at or below ``TAU_EIG``: no general eigensolve.  The band
-    is what makes this count agree with the eigenvalue rule: counting with
-    the null-space cut (1e-10) alone would call near-reducible channels
-    irreducible where the eigenvalue rule finds the vote inconclusive.
-    Otherwise the multiplicity counts the eigenvalues
-    within ``TAU_EIG`` of the radius r of the given spectrum.  In the band, or
-    for input that is not trace preserving, the vote builds the complex M_h:
-    the spectrum, unless given, is its own, and the dual basis ker(M_s - r I).
+    A trace-preserving channel has spectral radius 1 and semisimple
+    peripheral eigenvalues (M. M. Wolf, *Quantum Channels & Operations:
+    Guided Tour*, 2012, Prop. 6.2), so the multiplicity of 1 is the number of
+    zero singular values of R^T - I.  Unless one lies in ``_SVD_BAND``
+    (:func:`_separated_fixed_space`), the vote counts those at or below
+    ``TAU_EIG`` in the SVD that :func:`invariant_state` shares, whose kernel
+    is the dual fixed basis: no general eigensolve.  The band makes this
+    count agree with the eigenvalue rule, where the null-space cut (1e-10)
+    alone would call near-reducible channels irreducible.  In the band, or
+    off trace preservation, the vote counts the eigenvalues of the complex
+    M_h within ``TAU_EIG`` max(1, r) of its spectral radius r, and the dual
+    basis is ker(M_s - r I).
     """
     singular, dual_basis = _separated_fixed_space(channel)
     if dual_basis is None:
         m_h = superoperator_matrix(channel).matrix
-        eigs = np.linalg.eigvals(m_h) if eigs is None else eigs
-    if eigs is None:
-        radius, multiplicity = 1.0, int(np.sum(singular <= TAU_EIG))
-    else:
+        eigs = np.linalg.eigvals(m_h)
         radius = float(np.max(np.abs(eigs)))
-        cluster = TAU_EIG * max(1.0, radius)
-        multiplicity = int(np.sum(np.abs(eigs - radius) <= cluster))
-    if dual_basis is None:
+        multiplicity = int(np.sum(np.abs(eigs - radius) <= TAU_EIG * max(1.0, radius)))
         dual_basis = _null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
+    else:
+        multiplicity = int(np.sum(singular <= TAU_EIG))
     point = _trace_normalized(dual_basis[:, 0], channel.dim) if dual_basis.shape[1] == 1 else None
     min_eig = -np.inf if point is None else float(np.min(np.linalg.eigvalsh(point)))
     faithful = min_eig > TAU_PSD
@@ -341,28 +304,26 @@ def _irreducibility_vote(channel: KrausChannel,
             f"min fixed eigenvalue {min_eig:.3e})")
     return IrreducibilityEvidence(
         irreducible=eig_verdict,
-        spectral_radius=radius,
         radius_multiplicity=multiplicity,
         fixed_point_faithful=faithful,
         min_fixed_eigenvalue=min_eig,
         reachability_full=reach_verdict,
         reachability_dims=dims,
-        eigenvalues=eigs,
     )
 
 
-def _peripheral_is_one(eigs: np.ndarray) -> bool:
-    """Whether every eigenvalue of modulus >= 1 - TAU_PER lies within TAU_PER of 1."""
+def _peripheral_is_one(channel: KrausChannel) -> bool:
+    """Whether each eigenvalue of R of modulus >= 1 - TAU_PER lies within TAU_PER of 1."""
+    eigs = np.linalg.eigvals(hermitian_coordinate_matrix(channel.kraus))
     peripheral = eigs[np.abs(eigs) >= 1.0 - TAU_PER]
     return bool(np.all(np.abs(peripheral - 1.0) <= TAU_PER))
 
 
 def is_primitive(channel: KrausChannel) -> bool:
     """Irreducible with peripheral spectrum {1}; errors on reducible input."""
-    evidence = is_irreducible(channel)
-    if not evidence.irreducible:
+    if not is_irreducible(channel).irreducible:
         raise HypothesisError("primitivity is undefined for a reducible channel")
-    return _peripheral_is_one(evidence.eigenvalues)
+    return _peripheral_is_one(channel)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +969,7 @@ def decompose_invariant_subspaces(channel: KrausChannel) -> InvariantDecompositi
         p = u @ u.conj().T
         for v in channel.kraus:
             residual = max(residual, float(np.max(np.abs(v @ p - p @ v))))
-        evidence = _irreducibility_vote(sub)  # shares its SVD with invariant_state(sub)
-        if not evidence.irreducible:
+        if not is_irreducible(sub).irreducible:  # shares its SVD with invariant_state(sub)
             raise HypothesisError("restricted block is not irreducible after refinement")
         projections.append(p)
         restricted.append(sub)

@@ -422,6 +422,12 @@ def _quotient(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray
             q_index, q_next, q_shift)
 
 
+def _lattice_reduction(shifts: np.ndarray) -> tuple[int, int]:
+    """(base, stride) of 1-D integer shifts: the least (or 0) and the gcd over it (or 1)."""
+    base = int(min(shifts, default=0))
+    return base, math.gcd(*(shifts - base).tolist()) or 1
+
+
 def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
                 init: np.ndarray, steps: Sequence[int]) -> dict:
     """Rows of the tagged score-lattice DP after each step count in ``steps``.
@@ -445,9 +451,7 @@ def _lattice_dp(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarray,
     if int(np.abs(shift).max(initial=0)) * last >= 2**63:
         raise LatticeError(f"a {last}-step score lattice this wide overflows 64-bit scores")
     maps, index, next_tag, shift = _quotient(maps, next_tag, shift)
-    live = shift[next_tag >= 0]
-    base = int(min(live, default=0))
-    stride = math.gcd(*(live - base).tolist()) or 1
+    base, stride = _lattice_reduction(shift[next_tag >= 0])
     shift = (shift - base) // stride
     classes = range(next_tag.shape[0])
     sources = [[(c, j) for c in classes for j in np.flatnonzero(next_tag[c] == u)]

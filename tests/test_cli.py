@@ -488,10 +488,35 @@ class TestBound:
         assert "2d" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "ring.json"],
+    ["bound", "--model", "ring.json", "--flavor", "bernstein", "--n", "10", "--gamma", "0.1"],
+    ["simulate", "--model", "ring.json", "--n", "10", "--gamma", "0.1", "--trials", "5"],
+    ["verify", "--model", "ring.json", "--flavor", "bernstein", "--n", "10", "--gamma", "0.1"],
+])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path):
+    output = str(tmp_path / "missing" / "x.json")
+    proc = run_cli(*[model(a) if a.endswith(".json") else a for a in argv],
+                   "--output", output, expect=1)
+    assert proc.stderr.startswith(f"usage error: cannot write --output {output}: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 class TestSimulate:
     def test_zero_trials_usage_error(self):
         run_cli("simulate", "--model", model("ring.json"), "--n", "5",
                 "--trials", "0", "--seed", "1", expect=1)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--model", "ring.json", "--n", "10,20", "--gamma", "0.1"], "--n"),
+        (["--model", "driven_qubit.json", "--t", "5,10", "--gamma", "0.1"], "--t"),
+    ])
+    def test_a_grid_of_horizons_is_a_usage_error(self, argv, flag, capsys):
+        argv = [model(a) if a.endswith(".json") else a for a in argv]
+        assert cli.main(["simulate", *argv, "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: simulate samples one horizon; {flag} has 2 values\n"
 
     @pytest.mark.parametrize("argv", [
         ["--model", "ring.json", "--n", "5", "--gamma", "0.1"],

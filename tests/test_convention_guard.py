@@ -17,7 +17,9 @@ complex builders it replaced, no module, not even ``operators.py``, names the
 KMS Gram matrices (``kms_weight_matrix``, ``kms_isometrized_matrix``), and outside
 ``operators.py`` only the irreducibility vote's fallback, for channels
 near reducibility or not trace preserving, builds the complex matrix with
-``superoperator_matrix``.
+``superoperator_matrix``.  That fallback and primitivity's
+``_peripheral_is_one`` are the only general eigensolves (``eigvals``), so the
+bound path takes none.
 The modules are read with ``ast``, so docstrings do not count; nothing is
 imported.
 
@@ -117,10 +119,25 @@ def test_only_the_vote_calls_superoperator_matrix():
         tree = ast.parse(path.read_text())
         vote = {id(node) for function in ast.walk(tree)
                 if isinstance(function, ast.FunctionDef) and path.name == "spectral.py"
-                and function.name == "_irreducibility_vote" for node in ast.walk(function)}
+                and function.name == "is_irreducible" for node in ast.walk(function)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if called(node) == "superoperator_matrix" and id(node) not in vote]
     assert found == []
+
+
+def test_no_general_eigensolve_outside_the_in_band_vote_and_primitivity():
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    in_band = [node for node in ast.walk(functions["is_irreducible"]) if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "dual_basis is None"]
+    assert len(in_band) == 1
+    allowed = {id(node) for root in in_band[0].body + [functions["_peripheral_is_one"]]
+               for node in ast.walk(root)}
+    calls = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(tree if path.name == "spectral.py" else ast.parse(path.read_text()))
+             if called(node) == "eigvals"]
+    assert [f"{name}:{node.lineno}" for name, node in calls if id(node) not in allowed] == []
+    assert len(calls) == 2
 
 
 def module_level(node):

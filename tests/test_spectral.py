@@ -709,8 +709,8 @@ class TestPsiVote:
 
 
 def eigvals_vote(channel):
-    """The irreducibility verdict as the vote took it before the shared SVD:
-    a general eigensolve, and the dual basis from ker(M_s - r I)."""
+    """(verdict, multiplicity, faithful) as the vote took them before the shared
+    SVD: a general eigensolve, and the dual basis from ker(M_s - r I)."""
     m_h = superoperator_matrix(channel).matrix
     eigs = np.linalg.eigvals(m_h)
     radius = float(np.max(np.abs(eigs)))
@@ -723,7 +723,14 @@ def eigvals_vote(channel):
     reach_verdict = all(
         spectral._reachable_dimension(channel._stack, np.asarray(v, dtype=complex)) == channel.dim
         for v in spectral._witness_vectors(dual_basis, channel.dim))
-    return "inconclusive" if eig_verdict != reach_verdict else eig_verdict
+    return ("inconclusive" if eig_verdict != reach_verdict else eig_verdict), multiplicity, faithful
+
+
+def peripheral_rule(channel):
+    """Primitivity's peripheral rule on the spectrum of the complex M_h."""
+    eigs = np.linalg.eigvals(superoperator_matrix(channel).matrix)
+    peripheral = eigs[np.abs(eigs) >= 1.0 - spectral.TAU_PER]
+    return bool(np.all(np.abs(peripheral - 1.0) <= spectral.TAU_PER))
 
 
 def vote_verdict(vote, channel):
@@ -805,14 +812,32 @@ class TestVoteOnTheFixedPointSVD:
 
     @pytest.mark.parametrize("family", VOTE_FAMILIES)
     def test_verdicts_match_the_eigvals_vote(self, family):
-        verdicts = [(name, eigvals_vote(build()), vote_verdict(spectral._irreducibility_vote, build()),
-                     vote_verdict(is_irreducible, build())) for name, build in vote_family(family)]
-        assert [v for v in verdicts if not v[1] == v[2] == v[3]] == []
+        moved = []
+        for name, build in vote_family(family):
+            reference = eigvals_vote(build())
+            try:
+                evidence = is_irreducible(build())
+            except spectral.InconclusiveIrreducibilityError:
+                if reference[0] != "inconclusive":
+                    moved.append((name, reference, "inconclusive"))
+                continue
+            vote = (evidence.irreducible, evidence.radius_multiplicity,
+                    evidence.fixed_point_faithful)
+            if vote != reference:
+                moved.append((name, reference, vote))
+        assert moved == []
+
+    @pytest.mark.parametrize("family", VOTE_FAMILIES)
+    def test_primitivity_matches_the_peripheral_rule_on_m_h(self, family):
+        moved = [name for name, build in vote_family(family)
+                 if vote_verdict(is_irreducible, channel := build()) is True
+                 and spectral._peripheral_is_one(channel) != peripheral_rule(channel)]
+        assert moved == []
 
     def test_families_reach_every_verdict_and_both_counts(self):
         cases = [build for family in VOTE_FAMILIES for _, build in vote_family(family)]
         assert len(cases) >= 200
-        assert {eigvals_vote(build()) for build in cases} == {True, False, "inconclusive"}
+        assert {eigvals_vote(build())[0] for build in cases} == {True, False, "inconclusive"}
         counted = [spectral._separated_fixed_space(build())[0] is not None for build in cases]
         assert sum(counted) >= 100 and len(counted) - sum(counted) >= 50
 
