@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -388,49 +389,27 @@ class TimeStep:
     f: Mapping
 
 
-def _validate_steps(channel: KrausChannel, steps: Sequence[TimeStep]) -> None:
-    """Each distinct unravelling, at its first step, must sum to the channel."""
-    seen = set()
-    for k, step in enumerate(steps):
-        if id(step.unravelling) in seen:
-            continue
-        seen.add(id(step.unravelling))
-        dev = kraus_family_deviation([w for ops in step.unravelling.maps for w in ops],
-                                     channel.kraus)
-        if dev > 1e-9:
-            raise ValueError(
-                f"step {k}: unravelling does not sum to the channel (deviation {dev:.3e})")
-
-
-def _step_stats(steps: Sequence[TimeStep], sigma) -> tuple[list[np.ndarray], tuple, tuple]:
-    """Per-step centered payoffs, then c_n (worst range) and variance sums of n-step prefixes.
-
-    Each distinct step is centered once; the prefixes accumulate in step
-    order, so ``var_sums[n-1] / n`` is b_n^2 for every horizon n.
-    """
+def _step_stats(steps: Sequence[TimeStep], sigma) -> list[tuple[np.ndarray, float, float]]:
+    """(centered payoff, variance, max |centered payoff|) of each step under its stationary law."""
     s = state_matrix(sigma)
-    moments: dict[int, tuple[np.ndarray, float, float]] = {}
+    stats = []
     for step in steps:
-        if id(step) in moments:
-            continue
         pi = np.asarray([float(np.trace(step.unravelling.apply_outcome_dual(i, s)).real)
                          for i in range(len(step.unravelling.maps))])
         pi = np.clip(pi, 0.0, None)
         pi = pi / pi.sum()
-        moments[id(step)] = _centered(pi, observation_vector(step.f, step.unravelling.labels))[1:]
-    rows = [moments[id(step)] for step in steps]
-    centered, variances, ranges = zip(*rows) if rows else ((), (), ())
-    return (list(centered), tuple(accumulate(ranges, max, initial=0.0))[1:],
-            tuple(accumulate(variances, initial=0.0))[1:])
+        stats.append(_centered(pi, observation_vector(step.f, step.unravelling.labels))[1:])
+    return stats
 
 
 @dataclass(frozen=True)
 class TimeDependentConstants:
-    """Constants of a time-dependent flavor at every horizon n <= len(steps).
+    """Constants of a time-dependent flavor whose P steps repeat, at every horizon.
 
-    ``c[n-1]`` is c_n and ``var_sums[n-1] / n`` is b_n^2.  The Bernstein
-    flavor adds the gap of the multiplicative symmetrization and N_rho, the
-    Hoeffding flavor the certified power norms ||phi^j|F||, j <= len(steps) - 2.
+    ``c[k-1]`` is c_k and ``var_sums[k]`` the variance sum of the first k
+    steps, k <= P.  The Bernstein flavor adds the gap of the multiplicative
+    symmetrization and N_rho, the Hoeffding flavor the certified power norms
+    t_j >= ||phi^j|F||, j <= K, and their ``tail`` T (:func:`phi_power_norms`).
     """
 
     flavor: str
@@ -439,39 +418,48 @@ class TimeDependentConstants:
     gap: MultiplicativeGap | None = None
     n_rho: float = 1.0
     powers: tuple[float, ...] = ()
+    tail: float = 0.0
 
 
 def time_dependent_constants(channel: KrausChannel, steps: Sequence[TimeStep], sigma,
                              rho=None, flavor: str = "bernstein") -> TimeDependentConstants:
-    """Validate the steps and build the constants of ``flavor`` for every prefix."""
+    """Validate the period ``steps`` and build the constants of ``flavor``."""
     if flavor not in ("bernstein", "hoeffding"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    _validate_steps(channel, steps)
-    _, c, var_sums = _step_stats(steps, sigma)
+    for k, step in enumerate(steps):
+        dev = kraus_family_deviation([w for ops in step.unravelling.maps for w in ops],
+                                     channel.kraus)
+        if dev > 1e-9:
+            raise ValueError(
+                f"step {k}: unravelling does not sum to the channel (deviation {dev:.3e})")
+    _, variances, ranges = zip(*_step_stats(steps, sigma))
+    c = tuple(accumulate(ranges, max, initial=0.0))[1:]
+    var_sums = tuple(accumulate(variances, initial=0.0))
     if flavor == "bernstein":
         return TimeDependentConstants(
             "bernstein", c, var_sums, gap=multiplicative_gap_report(channel, sigma),
             n_rho=n_rho(rho, sigma) if rho is not None else 1.0)
-    powers = phi_power_norms(channel, sigma, max(len(steps) - 2, 0)) if c and c[-1] else []
-    return TimeDependentConstants("hoeffding", c, var_sums, powers=tuple(powers))
+    powers, tail = phi_power_norms(channel, sigma) if c[-1] else ([], 0.0)
+    return TimeDependentConstants("hoeffding", c, var_sums, powers=tuple(powers), tail=tail)
 
 
 def time_dependent_bound(constants: TimeDependentConstants, gamma: float, n: int,
                          two_sided: bool = False) -> BoundResult:
-    """The bound of ``constants.flavor`` over the first n steps.
+    """The bound of ``constants.flavor`` over the first n steps, for any n.
 
     Bernstein keeps the gap of the time-homogeneous multiplicative
     symmetrization; only the moments b_n^2 (average stationary variance) and
-    c_n (worst centered range) change.  Hoeffding uses
-    G_n = (1 + sum_{j<=n-2} ||phi^j|F||) c_n; the power norms are certified
-    upper bounds, so G_n (and with it the emitted bound) stays rigorous.  In
-    the regime n gamma >= G_n its exponent is -(n gamma - G_n)^2 / ((n-1) G_n^2).
+    c_n (worst centered range) change: c_n = c_min(n, P), and the variance
+    sum floor(n/P) S_P + S_(n mod P) is exactly rounded.  Hoeffding uses
+    G_n = (1 + sum_{j<=min(n-2, K)} t_j + min(T, n - 2 - K)) c_n: T bounds the
+    terms past K, and below a quarter ulp it leaves the float of the full sum.
+    In the regime n gamma >= G_n its exponent is
+    -(n gamma - G_n)^2 / ((n-1) G_n^2).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not 1 <= n <= len(constants.c):
-        raise ValueError(f"n must lie in 1..{len(constants.c)}, got {n}")
-    c_n, b_n2 = constants.c[n - 1], constants.var_sums[n - 1] / n
+    _check_grid_point(gamma, n)
+    period, sums = len(constants.c), constants.var_sums
+    c_n = constants.c[min(n, period) - 1]
+    b_n2 = float((n // period * Fraction(sums[-1]) + Fraction(sums[n % period])) / n)
     if constants.flavor == "bernstein":
         gap = constants.gap
         bc = BoundConstants(b=math.sqrt(b_n2), c=c_n, epsilon=gap.epsilon,
@@ -482,7 +470,8 @@ def time_dependent_bound(constants: TimeDependentConstants, gamma: float, n: int
     if c_n == 0.0:
         return _valid("tdm-hoeffding", BoundConstants(b=0.0, c=0.0, n_rho=1.0), gamma, n,
                       two_sided, 0.0, -math.inf, "deterministic payoffs (c_n = 0)")
-    g_n = (1.0 + sum(constants.powers[:max(n - 1, 0)])) * c_n
+    beyond = max(0, n - 1 - len(constants.powers))  # the terms j = K+1..n-2
+    g_n = (1.0 + sum(constants.powers[:n - 1]) + min(constants.tail, beyond)) * c_n
     bc = BoundConstants(b=math.sqrt(b_n2), c=c_n, g=g_n, n_rho=1.0)
     if n == 1:
         # G_1 = c_1; a single centered payoff can attain its range, so the

@@ -54,6 +54,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -520,12 +521,7 @@ def _time_dependent(args, model: Model, flavor: str) -> _Plan:
     ns = _int_grid(args.n, "--n")
     sigma = invariant_state(channel)
     rho0 = _resolve_rho0(args.rho0, model, sigma)
-    work = max(ns) * (channel.dim**4 if flavor == "hoeffding" else 1)  # one d^2 x d^2 power a step
-    if work > 4_000_000:
-        raise InfeasibleError(f"tdm-{flavor} at n={max(ns)} is beyond the work budget: "
-                              f"{work:g} > 4e6 (n, times d^4 for hoeffding's powers)")
-    steps = [model.schedule[k % len(model.schedule)] for k in range(max(ns))]
-    constants = time_dependent_constants(channel, steps, sigma.matrix, rho0, flavor)
+    constants = time_dependent_constants(channel, model.schedule, sigma.matrix, rho0, flavor)
     return _Plan(ns, [[_rows(time_dependent_bound, constants, args.two_sided)]])
 
 
@@ -825,6 +821,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.tolerances = _parse_tolerances(args.tolerance)
+        for flag in ("output", "dump"):  # probed before any work, creating nothing
+            path = getattr(args, flag, None)
+            target = path if not path or os.path.exists(path) else os.path.dirname(path) or "."
+            if path and not os.access(target, os.W_OK):
+                raise UsageError(f"cannot write --{flag} {path}: {target} is missing or read-only")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

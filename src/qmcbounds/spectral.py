@@ -30,6 +30,7 @@ real matrix too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -723,15 +724,24 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
     return PseudoresolventNorm(lower_estimate=min(best, certified), certified_upper=certified)
 
 
-def phi_power_norms(channel: KrausChannel, sigma, j_max: int) -> list[float]:
-    """Certified upper bounds min(1, sqrt(d) ||phi^j|F||_2) on || phi^j |F ||_inf, j = 0..j_max."""
+def phi_power_norms(channel: KrausChannel, sigma) -> tuple[list[float], float]:
+    """t_j = min(1, sqrt(d) ||phi^j|F||_2) >= ||phi^j|F||_inf for j <= K, and T >= sum_{j>=K} t_j.
+
+    R leaves F invariant, so with x = ||phi^K|F||_2, ||phi^(aK+b)|F||_2 <= x^a ||phi^b|F||_2 and
+    T = sqrt(d) x / (1 - x) sum_{b<K} ||phi^b|F||_2 (inf for x >= 1, as each t_j <= 1).  K is the
+    first power with T below a quarter ulp of 1 + t_0 + ... + t_K, or the 4e6 / d^4-th.
+    """
     _, phi_f = _restriction(*_coordinates(channel, sigma))
     root_d = float(np.sqrt(channel.dim))
-    norms, power = [1.0], np.eye(phi_f.shape[0])
-    for _ in range(j_max):
+    norms, head, total, tail, power = [1.0], 1.0, 1.0, math.inf, np.eye(phi_f.shape[0])
+    while tail >= math.ulp(1.0 + total) / 4 and len(norms) <= 4_000_000 // channel.dim**4:
         power = phi_f @ power
-        norms.append(min(1.0, root_d * _svd_norm(power)))
-    return norms
+        x = _svd_norm(power)
+        norms.append(min(1.0, root_d * x))
+        total += norms[-1]  # sum(norms), term by term
+        tail = root_d * x / (1.0 - x) * head if x < 1.0 else math.inf
+        head += x
+    return norms, tail
 
 
 def _is_singular(system: np.ndarray, inverse: np.ndarray) -> bool:

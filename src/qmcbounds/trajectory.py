@@ -338,7 +338,7 @@ def mc_tail(channel: KrausChannel, rho0, f, n: int, gamma: float, trials: int,
 def mc_tail_unravelled(steps, sigma, rho0, gamma: float, trials: int, seed: int) -> EmpiricalTail:
     """Tail of (1/n) sum_k (f_k(X_k) - pi_k(f_k)) >= gamma under per-step unravellings."""
     n = len(steps)
-    centered, _, _ = _step_stats(steps, sigma)
+    centered = [row[0] for row in _step_stats(steps, sigma)]
     distinct = {id(step.unravelling): step.unravelling for step in steps}
     maps = {key: _step_operators(unravelling.maps) for key, unravelling in distinct.items()}
     return _filter_tails([maps[id(step.unravelling)] for step in steps], rho0,

@@ -44,9 +44,19 @@ one score array per class.  The loop it replaced, one sorted array of keys
 is given, is kept here as ``lattice_dp_unreduced``: on the unreduced tables
 it is the DP before the quotient, and on the quotient's tables it is the
 step loop the kernel ran before its per-class arrays.
+
+The time-dependent constants are taken over one period of the schedule, with
+the power norms of phi on F cut off by a tail bound.  The route they
+replaced, the schedule cycled to the horizon, running sums of its ranges and
+variances and one power and SVD of phi_F per step, is kept here as
+``cycled_time_dependent``, with that power loop as ``power_norms``.  The
+running float sum of the variances drifts from its exact value as the
+horizon grows, so it also gives the exactly rounded one.
 """
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as sla
@@ -143,6 +153,36 @@ def lattice_dp_unreduced(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarr
         if step in steps:
             out[step] = (keys // n_tags, vecs)
     return out
+
+
+def power_norms(phi_f: np.ndarray, j_max: int) -> list[float]:
+    """||phi_f^j||_2, j = 0..j_max, from one matrix power and one SVD per j (1.0 at j = 0)."""
+    norms, power = [1.0], np.eye(phi_f.shape[0])
+    for _ in range(j_max):
+        power = phi_f @ power
+        norms.append(float(np.linalg.norm(power, 2)))
+    return norms
+
+
+def cycled_time_dependent(step_stats, phi_f: np.ndarray, dim: int, n_max: int) -> list:
+    """(c_n, b_n, exact b_n, G_n) at n = 1..n_max with the period's steps cycled to n_max.
+
+    ``step_stats`` holds (centered payoff, variance, range) per step of the
+    period.  c_n and the variance sums S_n are running ``accumulate`` sums over
+    the cycled steps, b_n = sqrt(S_n / n), exact b_n takes S_n / n in exact
+    rational arithmetic, rounded once, and
+    G_n = (1 + sum_{j<=n-2} min(1, sqrt(d) ||phi_F^j||_2)) c_n from every power.
+    """
+    cycled = [step_stats[k % len(step_stats)] for k in range(n_max)]
+    _, variances, ranges = zip(*cycled)
+    c = list(accumulate(ranges, max, initial=0.0))[1:]
+    var_sums = list(accumulate(variances, initial=0.0))[1:]
+    exact_sums = list(accumulate(map(Fraction, variances)))
+    root_d = float(np.sqrt(dim))
+    terms = [min(1.0, root_d * x) for x in power_norms(phi_f, max(n_max - 2, 0))]
+    heads = list(accumulate(terms, initial=0))  # heads[m] == sum(terms[:m])
+    return [(c[n - 1], math.sqrt(var_sums[n - 1] / n), math.sqrt(float(exact_sums[n - 1] / n)),
+             (1.0 + heads[n - 1]) * c[n - 1]) for n in range(1, n_max + 1)]
 
 
 def deformed_transition(chain: MarkovChain, f, u: float) -> np.ndarray:

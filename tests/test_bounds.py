@@ -23,14 +23,18 @@ from qmcbounds.bounds import (
     reducible_bound,
     stationary_stats,
     time_dependent_bernstein,
+    time_dependent_bound,
+    time_dependent_constants,
     time_dependent_hoeffding,
     _effects_law,
+    _step_stats,
     _window_effects,
 )
 import qmcbounds.spectral as spectral
 from qmcbounds import cli
 from qmcbounds.modelfile import load_model
-from qmcbounds.operators import GKLSGenerator, kraus_family_deviation
+from qmcbounds.fixtures import random_channel
+from qmcbounds.operators import GKLSGenerator, KrausChannel, kraus_family_deviation
 from qmcbounds.spectral import (
     decompose_invariant_subspaces,
     gkls_steady_state,
@@ -39,6 +43,7 @@ from qmcbounds.spectral import (
 )
 
 from conftest import random_state
+from reference import cycled_time_dependent
 
 
 class TestHFunction:
@@ -273,6 +278,30 @@ class TestCounting:
             assert aux["alpha_upper"] >= constants.alpha - 1e-10
 
 
+def schedule_case(case):
+    """(channel, period, sigma): ring_tdm's schedule; random:6, three steps of a seeded
+    d = 6 channel over its own and a rotated unravelling; cycle:3, the 3-cycle
+    permutation in two equal halves paying +-1, with sigma = 1/3."""
+    if case == "ring_tdm":
+        model = load_model(os.path.join(os.path.dirname(__file__), "..", "models",
+                                        "ring_tdm.json"))
+        return model.channel, model.schedule, invariant_state(model.channel).matrix
+    if case == "cycle:3":
+        half = np.roll(np.eye(3), 1, axis=0) / np.sqrt(2)
+        channel = KrausChannel([half, half], ["a", "b"])
+        return channel, [TimeStep(Unravelling.standard(channel), {"a": 1.0, "b": -1.0})], \
+            np.eye(3) / 3
+    channel = random_channel(6, 3, seed=6)
+    rng = np.random.default_rng(6)
+    mix = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    rotated = Unravelling([(sum(mix[i, j] * v for j, v in enumerate(channel.kraus)),)
+                           for i in range(3)], ["x", "y", "z"])
+    steps = [TimeStep(unravelling, dict(zip(unravelling.labels, rng.standard_normal(3))))
+             for unravelling in (Unravelling.standard(channel), rotated,
+                                 Unravelling.standard(channel))]
+    return channel, steps, invariant_state(channel).matrix
+
+
 class TestTimeDependent:
     def test_homogeneous_steps_reduce_to_bernstein(self, ring, ring_sigma):
         channel, payoff = ring
@@ -366,6 +395,28 @@ class TestTimeDependent:
                 assert abs(kraus_family_deviation(perturbed, reference.kraus) - old) <= 1e-15
         wrong = [*model.channel.kraus[:-1], np.eye(2)]
         assert kraus_family_deviation(wrong, model.channel.kraus) == math.inf
+
+    @pytest.mark.parametrize("case", ["ring_tdm", "random:6", "cycle:3"])
+    def test_the_period_matches_the_cycled_steps(self, case):
+        """c_n and G_n at every n <= 2000 are those of the steps cycled to n with
+        every power norm, and b_n is that of their running variance sum up to the
+        period.  Beyond it, b_n lies within 4 ulps of the exact sum's: the running
+        float sum drifts from it (by 41 ulps of b_n at n <= 2000 on random:6).
+        cycle:3 is a permutation channel: every t_j is 1 and no tail converges."""
+        channel, steps, sigma = schedule_case(case)
+        constants = time_dependent_constants(channel, steps, sigma, None, "hoeffding")
+        _, phi_f = spectral._restriction(*spectral._coordinates(channel, sigma))
+        expected = cycled_time_dependent(_step_stats(steps, sigma), phi_f, channel.dim, 2000)
+        moved = []
+        for n, (c_n, b_n, exact_b_n, g_n) in enumerate(expected, start=1):
+            got = time_dependent_bound(constants, 0.5, n).constants
+            b_moved = (got.b != b_n if n <= len(steps)
+                       else abs(got.b - exact_b_n) > 4 * math.ulp(exact_b_n))
+            if (got.c, got.g) != (c_n, g_n) or b_moved:
+                moved.append((n, got.c - c_n, got.b - b_n, got.g - g_n))
+        assert moved == []
+        if case == "cycle:3":  # the powers ran to the cap
+            assert set(constants.powers) == {1.0} and len(constants.powers) == 4_000_000 // 81 + 1
 
 
 class TestMultitime:

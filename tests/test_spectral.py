@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import pathlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ from qmcbounds.spectral import (
 )
 
 from conftest import random_hermitian, random_state
-from reference import coordinate_matrix, schur_fixed_point
+from reference import coordinate_matrix, power_norms, schur_fixed_point
 
 
 def rank_one_channel(seed=0, dim=3):
@@ -530,13 +532,18 @@ class TestCertifiedChain:
     def test_power_norms_are_clamped_svd_norms(self, case, chain_mode):
         phi_f, _, dim = chain_inputs(case)
         root_d = float(np.sqrt(dim))
-        power = np.eye(phi_f.shape[0], dtype=phi_f.dtype)
-        expected = [1.0]
-        for _ in range(7):
-            power = phi_f @ power
-            expected.append(min(1.0, root_d * float(np.linalg.norm(power, 2))))
         channel = case_channel(case)
-        assert phi_power_norms(channel, invariant_state(channel), 7) == expected
+        norms, tail = phi_power_norms(channel, invariant_state(channel))
+        raw = power_norms(phi_f, len(norms) - 1)
+        assert norms == [min(1.0, root_d * x) for x in raw]
+        # K is the first power whose tail bound is below a quarter ulp of
+        # 1 + t_0 + ... + t_K, or the 4e6 / d^4-th, and T is that bound
+        heads, sums = list(accumulate(raw)), list(accumulate(norms))
+        tails = [root_d * x / (1.0 - x) * heads[j - 1] if x < 1.0 else math.inf
+                 for j, x in enumerate(raw) if j]
+        stops = [j for j in range(1, len(raw)) if tails[j - 1] < math.ulp(1.0 + sums[j]) / 4]
+        assert stops == [len(raw) - 1] or (stops == [] and len(raw) - 1 == 4_000_000 // dim**4)
+        assert tail == tails[-1]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bound_is_below_the_svd_norm(self, seed, monkeypatch):
@@ -1219,16 +1226,26 @@ class TestDecomposition:
 class TestPowerNorms:
     def test_leading_entry_is_one(self, ring, ring_sigma):
         channel, _ = ring
-        assert phi_power_norms(channel, ring_sigma, 0) == [1.0]
+        assert phi_power_norms(channel, ring_sigma)[0][0] == 1.0
 
     def test_rank_one_zero_tail(self):
         ch, sigma = rank_one_channel(seed=7)
-        norms = phi_power_norms(ch, sigma, 4)
+        norms, tail = phi_power_norms(ch, sigma)
         assert norms[0] == 1.0
-        assert all(v < 1e-12 for v in norms[1:])
+        assert all(v < 1e-12 for v in norms[1:]) and tail < 1e-12
 
     def test_ring_decays(self, ring, ring_sigma):
         channel, _ = ring
-        norms = phi_power_norms(channel, ring_sigma, 6)
+        norms, _ = phi_power_norms(channel, ring_sigma)
         assert all(b <= a + 1e-12 for a, b in zip(norms[1:], norms[2:]))
         assert norms[6] < 0.1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tail_covers_the_terms_it_replaces(self, seed):
+        channel = case_channel(f"random:{seed}")
+        sigma = invariant_state(channel)
+        norms, tail = phi_power_norms(channel, sigma)
+        phi_f = chain_inputs(f"random:{seed}")[0]
+        later = power_norms(phi_f, len(norms) + 499)[len(norms):]
+        assert len(later) == 500
+        assert sum(min(1.0, np.sqrt(channel.dim) * x) for x in later) <= tail

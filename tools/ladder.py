@@ -42,9 +42,11 @@ on a seeded random GKLS generator with two jumps at d = ``GKLS_DIM``.  Last, the
 line in a fresh process, start-up included (layer ``cli``, rows carry
 ``command``): ``analyze`` on every ``models/*.json``, and ``bound`` for both
 flavours, ``verify --flavor bernstein`` and ``simulate`` on ``models/ring.json``
-with the golden tests' grids.  There are ``REPEATS`` passes
-per tree, and the trees alternate: on even passes this tree goes first, on
-odd passes the parent, so a machine that speeds up or slows down over a run
+with the golden tests' grids, and ``bound`` for both time-dependent flavours on
+``models/ring_tdm.json`` at horizons up to 4e4 (hoeffding) and 1e6
+(bernstein).  There are ``REPEATS`` passes per tree, and the trees
+alternate: on even passes this tree goes first, on odd passes the parent,
+so a machine that speeds up or slows down over a run
 does not favour one column.  A row is the median over the passes, with the
 least and the greatest pass beside it, so a reader can tell a change from
 the spread of one tree's passes.  Children get
@@ -81,12 +83,15 @@ FLUX_STATES = 8
 BLOCK_DIMS = (8, 16)
 GKLS_DIM = 8
 RING = ("--model", str(REPO / "models" / "ring.json"))
+TDM = ("--model", str(REPO / "models" / "ring_tdm.json"))
 CLI_COMMANDS = [("analyze", "--model", str(path))
                 for path in sorted((REPO / "models").glob("*.json"))] + [
     ("bound", "--flavor", "bernstein", *RING, "--n", "10,100,1000", "--gamma", "0.05,0.1,0.5"),
     ("bound", "--flavor", "hoeffding", *RING, "--n", "10,100,1000", "--gamma", "0.05,0.1,0.5"),
     ("verify", "--flavor", "bernstein", *RING, "--n", "16,64,256", "--gamma", "0.05,0.1,0.5"),
     ("simulate", *RING, "--n", "32", "--gamma", "0.1,0.3", "--trials", "100"),
+    ("bound", "--flavor", "tdm-hoeffding", *TDM, "--n", "20,1000,40000", "--gamma", "0.5"),
+    ("bound", "--flavor", "tdm-bernstein", *TDM, "--n", "1000,100000,1000000", "--gamma", "0.5"),
 ]
 
 
