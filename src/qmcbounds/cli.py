@@ -363,8 +363,8 @@ def _analyze_kraus(model: Model, diagnostics: dict) -> None:
         diagnostics["irreducible"] = evidence.irreducible
         diagnostics["radius_multiplicity"] = evidence.radius_multiplicity
         if evidence.irreducible:
-            diagnostics["primitive"] = _peripheral_is_one(channel)
             gap = multiplicative_gap_report(channel, sigma)
+            diagnostics["primitive"] = _peripheral_is_one(channel, gap)
             diagnostics["psi_irreducible"] = gap.irreducible
             diagnostics["epsilon_multiplicative"] = gap.epsilon
             norm = pseudoresolvent_norm(channel, sigma)

@@ -313,18 +313,36 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     )
 
 
-def _peripheral_is_one(channel: KrausChannel) -> bool:
-    """Whether each eigenvalue of R of modulus >= 1 - TAU_PER lies within TAU_PER of 1."""
+def _peripheral_is_one(channel: KrausChannel, gap: MultiplicativeGap | None = None) -> bool:
+    """Whether each eigenvalue of R of modulus >= 1 - TAU_PER lies within TAU_PER of 1.
+
+    ``gap`` proves it where it can: T = G R G^(-1), G: x -> sigma^(1/4) x sigma^(1/4),
+    has R's eigenvalues, so |l_1 l_2| <= sqrt(m_1 m_2), m_1 >= m_2 atop T^T T (Weyl,
+    PNAS 35, 408, 1949), and l_1 = rho(phi) (phi positive) is within e = d delta < 1e-9
+    of 1, as (1 -+ e)^j bracket phi^j(1), for delta = ``channel_deviation`` <=
+    ``TAU_IDENTITY``.  sqrt((m_1 + c)(m_2 + c)) < 1 - 2 TAU_PER proves it: c = 8 n u
+    sum(m), n = d^2, covers forming T^T T (gamma_n ||T||_F^2) and eigvalsh (p(n) u m_1),
+    the second TAU_PER covers e, leaving 1e-9 for T's and R's rounding.  Else eigvals(R).
+    """
+    if gap is not None and gap.eigenvalues.size > 1 and channel.channel_deviation <= TAU_IDENTITY:
+        m = gap.eigenvalues
+        c = 8 * m.size * np.finfo(float).eps * float(m.sum())
+        if math.sqrt((m[-1] + c) * (m[-2] + c)) < 1.0 - 2 * TAU_PER:
+            return True
     eigs = np.linalg.eigvals(hermitian_coordinate_matrix(channel.kraus))
     peripheral = eigs[np.abs(eigs) >= 1.0 - TAU_PER]
     return bool(np.all(np.abs(peripheral - 1.0) <= TAU_PER))
 
 
 def is_primitive(channel: KrausChannel) -> bool:
-    """Irreducible with peripheral spectrum {1}; errors on reducible input."""
+    """Irreducible with peripheral spectrum {1}, as ``analyze`` decides it; errors if reducible."""
     if not is_irreducible(channel).irreducible:
         raise HypothesisError("primitivity is undefined for a reducible channel")
-    return _peripheral_is_one(channel)
+    try:
+        gap = multiplicative_gap_report(channel, invariant_state(channel))
+    except (FixedSpaceError, ValueError):  # no faithful invariant state: eigvals(R) decides
+        gap = None
+    return _peripheral_is_one(channel, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +660,14 @@ def certified_pseudoresolvent_norm(channel: KrausChannel, sigma) -> float:
     return _certified_sup_norm_chain(phi_f, inv_f, channel.dim)
 
 
+def _frozen(step: np.ndarray, d: int) -> np.ndarray:
+    """Whether each row's matrix has sup-norm s < 1e-12, as ``eigvalsh`` decides it."""
+    f = np.linalg.norm(step, axis=1)  # the Frobenius norm: s <= f <= sqrt(d) s
+    band = (f >= 0.5e-12) & (f <= 2e-12 * math.sqrt(d))  # f decides outside, as in _is_singular
+    f[band] = np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(step[band], d))).max(axis=1)
+    return f < 1e-12
+
+
 def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
                     iterations: int, seed: int) -> float:
     """Heuristic maximizer of ||n_full(x)|| / ||x|| over selfadjoint centered x.
@@ -662,10 +688,7 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
     falls below 1e-12 is frozen where a lone run would stop, so it only
     repeats ratios already taken; and ``best`` is a max, exact in any order.
     """
-    if restarts == 0:
-        return 0.0
     d = s.shape[0]
-    n_adjoint = n_full.T
     weights = hermitian_coordinates(s) / np.trace(s).real  # tr(s x) / tr(s) = weights . r
     unit = hermitian_coordinates(np.eye(d))
 
@@ -675,14 +698,11 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
     def apply(m: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.matmul(m, r[..., None])[..., 0]
 
-    def largest(w: np.ndarray) -> np.ndarray:
-        return np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-
     def sup_norms(r: np.ndarray) -> np.ndarray:
-        return largest(np.linalg.eigvalsh(from_hermitian_coordinates(r, d)))
+        return np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(r, d))).max(axis=1)
 
     def ratio(nx: np.ndarray, n_image: np.ndarray) -> float:
-        return float(np.max(np.where(nx < 1e-14, 0.0, n_image / np.maximum(nx, 1e-14))))
+        return float(np.max(n_image / np.maximum(nx, 1e-14), where=nx >= 1e-14, initial=0.0))
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((restarts, 2, d, d))  # per restart: real, then imaginary
@@ -691,13 +711,13 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
     best = 0.0
     for _ in range(iterations):
         w, u = np.linalg.eigh(from_hermitian_coordinates(apply(n_full, r), d))
-        best = max(best, ratio(sup_norms(r), largest(w)))
+        best = max(best, ratio(sup_norms(r), np.abs(w).max(axis=1)))
         k = np.argmax(np.abs(w), axis=1)
         top = u[rows, :, k]
         lead = top[:, :, None] * top.conj()[:, None, :] * np.sign(w[rows, k])[:, None, None]
-        ascent = from_hermitian_coordinates(apply(n_adjoint, hermitian_coordinates(lead)), d)
+        ascent = from_hermitian_coordinates(apply(n_full.T, hermitian_coordinates(lead)), d)
         r_new = center(hermitian_coordinates(_sign_matrix(ascent)))
-        active &= ~(sup_norms(r_new - r) < 1e-12)
+        active &= ~_frozen(r_new - r, d)
         if not active.any():
             break
         r = np.where(active[:, None], r_new, r)

@@ -187,6 +187,13 @@ class TestPrimitivity:
     def test_random_channel_primitive(self):
         assert is_primitive(random_channel(3, 3, seed=2))
 
+    def test_the_gap_proves_it_without_an_eigensolve(self, ring, qubit, monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: (calls.append(m.shape), original(m))[1])
+        assert is_primitive(ring[0]) and calls == []
+        assert is_primitive(qubit[0]) and calls == [(4, 4)]  # psi reducible: gap 0
+
     def test_reducible_rejected(self):
         with pytest.raises(HypothesisError):
             is_primitive(KrausChannel([np.eye(2)]))
@@ -635,6 +642,36 @@ class TestLowerEstimate:
             assert None not in stops and len(set(stops)) > 1
 
 
+def hermitian_steps(d, rng):
+    """Hermitian coordinates of steps with sup-norms 0.4e-12 to 4e-12, of rank 1 (Frobenius
+    norm = sup-norm) and of full rank with eigenvalues +-s (Frobenius norm = sqrt(d) s)."""
+    rows = []
+    for sup in np.geomspace(0.4e-12, 4e-12, 41):
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        for eigenvalues in ([sup] + [0.0] * (d - 1), sup * rng.choice([-1.0, 1.0], d)):
+            rows.append(hermitian_coordinates((u * eigenvalues) @ u.conj().T))
+    return np.array(rows)
+
+
+class TestFreezeDecision:
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_frozen_matches_the_eigvalsh_rule(self, d, monkeypatch):
+        step = hermitian_steps(d, np.random.default_rng(d))
+        sup = np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(step, d))).max(axis=1)
+        frobenius = np.linalg.norm(step, axis=1)
+        band = (frobenius >= 0.5e-12) & (frobenius <= 2e-12 * np.sqrt(d))
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (calls.append(len(a)), original(a))[1])
+        frozen = spectral._frozen(step, d)
+        assert np.array_equal(frozen, sup < 1e-12)
+        assert calls == [int(band.sum())]
+        # rows on each side of the bracket and in it, frozen and running in each
+        for rows in (band, ~band & (frobenius < 1e-12), ~band & (frobenius > 1e-12)):
+            assert rows.any()
+        assert (frozen & band).any() and (~frozen & band).any()
+
+
 def near_unitary_channel(d, eps, seed):
     """A seeded unitary mixed with ``random_channel(d, 2, 900 + seed)`` at weight eps."""
     rng = np.random.default_rng(seed)
@@ -698,6 +735,8 @@ class TestPsiVote:
         assert calls == []
 
     def test_one_general_eigensolve_per_analysis(self, ring, capsys, monkeypatch):
+        """At most one: psi's gap proves ring primitive, and leaves qubit_two_unitary
+        (gap 0) to the eigensolve."""
         calls = []
         original = np.linalg.eigvals
 
@@ -709,10 +748,13 @@ class TestPsiVote:
         channel, payoff = ring
         bernstein_constants(channel, payoff)
         assert calls == []
-        ring_json = os.path.join(os.path.dirname(__file__), "..", "models", "ring.json")
-        assert cli.main(["analyze", "--model", ring_json]) == 0
+        models = os.path.join(os.path.dirname(__file__), "..", "models")
+        assert cli.main(["analyze", "--model", os.path.join(models, "ring.json")]) == 0
         capsys.readouterr()
-        assert calls == [(9, 9)]
+        assert calls == []
+        assert cli.main(["analyze", "--model", os.path.join(models, "qubit_two_unitary.json")]) == 0
+        capsys.readouterr()
+        assert calls == [(4, 4)]
 
 
 def eigvals_vote(channel):
@@ -840,6 +882,33 @@ class TestVoteOnTheFixedPointSVD:
                  if vote_verdict(is_irreducible, channel := build()) is True
                  and spectral._peripheral_is_one(channel) != peripheral_rule(channel)]
         assert moved == []
+
+    def test_the_gap_proof_agrees_with_the_peripheral_rule(self, monkeypatch):
+        """Where psi's gap proves primitivity (no eigensolve), the rule on M_h agrees;
+        is_primitive, which tries the proof first, agrees everywhere."""
+        irreducible, proved, moved = 0, [], []
+        original = np.linalg.eigvals
+        for family in VOTE_FAMILIES:
+            for name, build in vote_family(family):
+                if vote_verdict(is_irreducible, channel := build()) is not True:
+                    continue
+                irreducible += 1
+                rule = peripheral_rule(channel)
+                try:  # is_primitive's route
+                    gap = multiplicative_gap_report(channel, invariant_state(channel))
+                except (FixedSpaceError, ValueError):
+                    gap = None
+                calls = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "eigvals",
+                                  lambda m: (calls.append(m.shape), original(m))[1])
+                    verdict = spectral._peripheral_is_one(channel, gap)
+                if calls == []:
+                    proved.append(name)
+                if verdict != rule or is_primitive(channel) != rule:
+                    moved.append((family, name, rule))
+        assert moved == []
+        assert irreducible == 132 and len(proved) >= 100
 
     def test_families_reach_every_verdict_and_both_counts(self):
         cases = [build for family in VOTE_FAMILIES for _, build in vote_family(family)]

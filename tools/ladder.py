@@ -44,7 +44,10 @@ line in a fresh process, start-up included (layer ``cli``, rows carry
 flavours, ``verify --flavor bernstein`` and ``simulate`` on ``models/ring.json``
 with the golden tests' grids, and ``bound`` for both time-dependent flavours on
 ``models/ring_tdm.json`` at horizons up to 4e4 (hoeffding) and 1e6
-(bernstein).  There are ``REPEATS`` passes per tree, and the trees
+(bernstein); then ``analyze`` on a model file of each random channel with d
+in ``ANALYZE_DIMS`` (labels a, b, c paying -1, 0, 1), timed in a fresh
+process, and run once more in the child, untimed, for its counts (rows carry
+``d``).  There are ``REPEATS`` passes per tree, and the trees
 alternate: on even passes this tree goes first, on odd passes the parent,
 so a machine that speeds up or slows down over a run
 does not favour one column.  A row is the median over the passes, with the
@@ -65,7 +68,9 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from importlib import metadata
 from pathlib import Path
 
@@ -82,6 +87,7 @@ SPARSE_HORIZONS = (40, 96)
 FLUX_STATES = 8
 BLOCK_DIMS = (8, 16)
 GKLS_DIM = 8
+ANALYZE_DIMS = (16, 24, 32)
 RING = ("--model", str(REPO / "models" / "ring.json"))
 TDM = ("--model", str(REPO / "models" / "ring_tdm.json"))
 CLI_COMMANDS = [("analyze", "--model", str(path))
@@ -283,6 +289,27 @@ def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
     return time.perf_counter() - start
 
 
+def _analyze_rows(directory: str) -> list:
+    """``analyze`` on a model file of ``_channel(d)`` per d: fresh-process seconds and counts."""
+    from qmcbounds import cli
+
+    rows = []
+    for d in ANALYZE_DIMS:
+        path = Path(directory) / f"random{d}.json"
+        path.write_text(json.dumps({
+            "kind": "kraus", "labels": ["a", "b", "c"], "observation": {"a": -1, "b": 0, "c": 1},
+            "kraus": [[[[z.real, z.imag] for z in row] for row in v]
+                      for v in _channel(d).kraus]}), encoding="utf-8")
+        command = ("analyze", "--model", str(path))
+        row = {"layer": "cli", "command": f"analyze --model random_channel({d}, 3, 101)",
+               "d": d, "seconds": _cli_seconds(command)}
+        with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+            row.update(_counts(lambda: cli.main(list(command)), d))
+        rows.append(row)
+        print(f"cli: {row}", file=sys.stderr, flush=True)
+    return rows
+
+
 def _cli_seconds(command: tuple) -> float:
     """Wall seconds of one command in a fresh interpreter, start-up included."""
     start = time.perf_counter()
@@ -334,6 +361,8 @@ def measure(mc_max_d: int | None) -> dict:
                "seconds": _cli_seconds(command)}
         rows.append(row)
         print(f"cli: {row}", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as directory:
+        rows += _analyze_rows(directory)
     return {"environment": _environment(), "rows": rows}
 
 
@@ -391,7 +420,8 @@ def main(argv: list[str] | None = None) -> int:
                  "and a seeded 8-state chain (d: states), of decompose_invariant_subspaces "
                  "on a two-block random channel, of counting_constants on a random "
                  "GKLS generator, and of CLI commands in a fresh process, start-up "
-                 "included; null: not timed"),
+                 "included (analyze on random_channel(d, 3, 101) model files with the counts "
+                 "of an untimed in-process run); null: not timed"),
         "repeats": REPEATS,
         "order": "one child process per pass; this tree first on even passes, the parent on odd",
         "environment": {name: runs[0]["environment"] for name, runs in passes.items()},
