@@ -371,7 +371,10 @@ def _analyze_kraus(model: Model, diagnostics: dict) -> None:
             diagnostics["pseudoresolvent_lower"] = norm.lower_estimate
             diagnostics["pseudoresolvent_certified"] = norm.certified_upper
     except FixedSpaceError as exc:
-        diagnostics["irreducible"] = False
+        evidence = is_irreducible(channel) if exc.dimension == 0 else None  # needs no fixed state
+        diagnostics["irreducible"] = evidence is not None and evidence.irreducible
+        if evidence is not None:
+            diagnostics["radius_multiplicity"] = evidence.radius_multiplicity
         diagnostics["fixed_space_dimension"] = exc.dimension
         decomposition = decompose_invariant_subspaces(channel)
         diagnostics["blocks"] = decomposition.blocks

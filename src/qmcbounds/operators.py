@@ -26,12 +26,12 @@ Conventions
   Kraus form.
 * Matrix functions of selfadjoint inputs go through an eigendecomposition.
 
-All operations are pure functions of immutable inputs, with one memo: a
-``KrausChannel`` carries ``_fixed_space``, what the SVD of the predual's
-real matrix R^T - I gives and :func:`spectral._fixed_space` writes on
-first use.  Every write stores the
-same value (the SVD is deterministic) and a second write changes nothing,
-so channels can still be shared across threads; a race costs one more SVD.
+All operations are pure functions of immutable inputs, with two memos: a
+``KrausChannel`` carries ``_matrix``, its real Heisenberg matrix R (read
+only), and ``_fixed_space``, the fixed spaces of R^T - I, which the spectral
+layer writes on first use.  Every write stores the same value (each route is
+deterministic) and a second write changes nothing, so channels can still be
+shared across threads; a race costs one more build.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class KrausChannel:
         self.labels = labels
         self.dim = dim
         self._stack = np.stack(ops)
-        self._fixed_space = None  # SVD of R^T - I, memoized by the spectral layer
+        self._matrix = self._fixed_space = None  # R and R^T - I's fixed spaces: spectral memos
         report = validate_kraus(ops, labels, tol)
         self.channel_deviation = report.max_deviation
         self.is_channel = report.passed

@@ -112,23 +112,85 @@ def _vec_basis(coordinates: np.ndarray, dim: int) -> np.ndarray:
     return vec(from_hermitian_coordinates(coordinates.T, dim)).T
 
 
-def _fixed_space(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values of R^T - I and its predual and Heisenberg fixed spaces, in vec form.
+def _heisenberg_matrix(channel: KrausChannel) -> np.ndarray:
+    """The channel's real Heisenberg matrix R, built once per channel object, read only."""
+    if channel._matrix is None:
+        channel._matrix = hermitian_coordinate_matrix(channel.kraus)
+        channel._matrix.setflags(write=False)
+    return channel._matrix
 
-    R is the channel's real Heisenberg matrix in Hermitian coordinates and
-    R^T its predual's, similar to M_s: the same singular values, and null
-    spaces whose complexifications are ker(M_s - I) and ker(M_h - I).  The
-    right singular vectors at the cut span the fixed states, the left ones
-    the fixed observables; both bases consist of Hermitian matrices.  One
-    SVD per channel object: the triple is memoized on the channel, so
-    :func:`invariant_state`, the irreducibility vote, :func:`faithful_fixed_point`
-    and the block split of :func:`decompose_invariant_subspaces` share it.
+
+def _proves_psd(b: np.ndarray, formed: float) -> bool:
+    """Whether a Cholesky proves lambda_min(b) > ``formed`` (the caller's rounding of b, 2-norm).
+
+    A completed Cholesky of C (order n, any summation order) gives G^T G = C + D, |D| <= g |G^T||G|,
+    g = gamma_(n+1) (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3);
+    || |G^T||G| ||_2 <= tr(G^T G), so lambda_min(C) > -g tr(C) / (1 - g) (Rump, BIT 46, 2006).
+    C = fl(b - cI), c = 2 g sum|b_ii| + formed, has tr(C) <= sum|b_ii| and a diagonal rounded by
+    u |b_ii - c|: the 2 covers both, so lambda_min(b) > formed.
+    """
+    n, unit = b.shape[0], np.finfo(float).eps / 2
+    shift = 2 * (n + 1) * unit / (1 - (n + 1) * unit) * float(np.abs(np.diagonal(b)).sum())
+    try:
+        np.linalg.cholesky(b - (shift + formed) * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _proved_fixed_point(m: np.ndarray) -> np.ndarray | None:
+    """s spanning ker(m), m = R^T - I, where that kernel is proved separated; else None.
+
+    e, the coordinates of 1, has e^T m = 0 on a trace-preserving channel, so one LU of
+    (m + e e^T) s = e gives m s = 0 and tr(s) = e . s = 1.  Proved: sigma_n(m) <= ||m s|| / ||s||
+    < ``_SVD_BAND[0]`` (gamma_n ||m||_F ||s|| for the product, doubled for the norms as ||m||_F >
+    tau), and sigma_(n-1)(m) > tau = ``_SVD_BAND[1]``: the Householder reflection of v = e +
+    sqrt(d) e_1 has the other columns Q, so sigma_(n-1)(m) >= sigma_(n-1)(a), a = Q^T m
+    (interlacing), > tau where :func:`_proves_psd` proves a a^T - tau^2 I > 0, with ``formed``
+    2 n u ||a||_F^2 (product, shift) plus (2 tau + r) r (a's error r = 8 (n + 4) u ||m||_F).
+    """
+    n, d = m.shape[0], math.isqrt(m.shape[0])
+    e = hermitian_coordinates(np.eye(d))
+    try:
+        s = np.linalg.solve(m + np.outer(e, e), e)
+    except np.linalg.LinAlgError:
+        return None
+    eps, frob, size = np.finfo(float).eps, float(np.linalg.norm(m)), float(np.linalg.norm(s))
+    if not np.linalg.norm(m @ s) + n * eps * frob * size < _SVD_BAND[0] * size:
+        return None
+    v = e + math.sqrt(d) * (np.arange(n) == 0)
+    a = (m - np.outer(v, (2 / (v @ v)) * (v @ m)))[1:]
+    tau, r = _SVD_BAND[1], 4 * (n + 4) * eps * frob
+    b = a @ a.T - tau**2 * np.eye(n - 1)
+    return s if _proves_psd(b, n * eps * float(np.sum(a * a)) + (2 * tau + r) * r) else None
+
+
+def _fixed_space(channel: KrausChannel) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """(multiplicity of 1 or None, fixed states, fixed observables) of R^T - I, in vec form.
+
+    R (:func:`_heisenberg_matrix`) is the channel's real Heisenberg matrix and R^T its
+    predual's, similar to M_s: the same singular values, and null spaces of Hermitian matrices
+    whose complexifications are ker(M_s - I) and ker(M_h - I).  Within ``TAU_IDENTITY`` of trace
+    preservation :func:`_proved_fixed_point` comes first: where it proves the kernel, the bases
+    are its s and 1 / sqrt(d) (phi(1) = 1), the multiplicity is 1, and no SVD is taken.
+    Else one SVD's singular vectors at the cut span them and the multiplicity counts singular
+    values at or below ``TAU_EIG``; None off trace preservation or with one in ``_SVD_BAND``,
+    where a rounding-sized shift moves null vectors by up to u / s (a fixed point's least
+    eigenvalue across ``TAU_PSD``; an eigenvalue near 1 and a singular value near 0 across
+    ``TAU_EIG``).  Memoized: :func:`invariant_state`, the vote, the Cesaro limit and the split.
     """
     if channel._fixed_space is None:
-        r = hermitian_coordinate_matrix(channel.kraus)
-        singular, states, observables = _singular_null_space(r.T - np.eye(r.shape[0]))
-        channel._fixed_space = (singular, _vec_basis(states, channel.dim),
-                                _vec_basis(observables, channel.dim))
+        d, tight = channel.dim, channel.channel_deviation <= TAU_IDENTITY
+        m = _heisenberg_matrix(channel).T - np.eye(d * d)
+        state = _proved_fixed_point(m) if tight else None
+        if state is None:
+            singular, states, observables = _singular_null_space(m)
+            band = np.any((singular > _SVD_BAND[0]) & (singular <= _SVD_BAND[1]))
+            multiplicity = int(np.sum(singular <= TAU_EIG)) if tight and not band else None
+        else:
+            multiplicity, states = 1, state[:, None]
+            observables = hermitian_coordinates(np.eye(d))[:, None] / math.sqrt(d)
+        channel._fixed_space = (multiplicity, _vec_basis(states, d), _vec_basis(observables, d))
     return channel._fixed_space
 
 
@@ -148,14 +210,14 @@ def invariant_state(channel: KrausChannel) -> DensityMatrix:
     """Unique fixed state of the predual action, phi_*(sigma) = sigma.
 
     The fixed space is the null space of R^T - I, R^T the predual's real
-    matrix in Hermitian coordinates, from the one SVD that
-    :func:`_fixed_space` keeps on the channel.  For a
+    matrix in Hermitian coordinates, as :func:`_fixed_space` keeps it (one
+    bordered solve where proved, else one SVD).  For a
     trace-preserving channel the spectral radius is 1 and the peripheral
     eigenvalues are semisimple (M. M. Wolf, *Quantum Channels & Operations:
     Guided Tour*, 2012, Prop. 6.2), so that null space is the whole
     eigenspace at the radius, and :func:`is_irreducible` of the same channel
-    reads its dual fixed basis and its multiplicity from the same SVD unless
-    a singular value lies in ``_SVD_BAND``.
+    reads its dual fixed basis and its multiplicity from the same fixed
+    space unless a singular value lies in ``_SVD_BAND``.
 
     Raises :class:`FixedSpaceError` when the fixed space of the predual has
     dimension != 1 (singular values cut at 1e-10 * max(s_max, 1)).
@@ -215,12 +277,6 @@ class IrreducibilityEvidence:
     reachability_dims: tuple[int, ...]
 
 
-def _hermitian_parts(basis: np.ndarray, dim: int) -> np.ndarray:
-    """(h(b), h(i b)) per basis column b, h the Hermitian part: a (cols, 2, d, d) stack."""
-    b = unvec(basis.T, dim)
-    return np.stack([_hermitize(b), _hermitize(1j * b)], axis=1)
-
-
 def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> list[np.ndarray]:
     """Starting vectors for the reachability probe.
 
@@ -232,30 +288,13 @@ def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> list[np.ndarray]
     rng = np.random.default_rng(7)
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
     vectors.extend(np.eye(dim, dtype=complex)[:, k] for k in range(dim))
-    for h in _hermitian_parts(dual_fixed_basis, dim).reshape(-1, dim, dim):
+    b = unvec(dual_fixed_basis.T, dim)  # h(b) and h(i b) per basis column b, h the Hermitian part
+    for h in np.stack([_hermitize(b), _hermitize(1j * b)], axis=1).reshape(-1, dim, dim):
         if np.max(np.abs(h)) < 1e-14:
             continue
         _, eigvecs = np.linalg.eigh(h)
         vectors.extend(eigvecs[:, k] for k in range(dim))
     return vectors
-
-
-def _separated_fixed_space(channel: KrausChannel) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """:func:`_fixed_space` of a trace-preserving channel whose fixed space is well separated.
-
-    (None, None) when sum V_i^* V_i deviates from 1 by more than
-    ``TAU_IDENTITY``, or when a singular value of R^T - I lies in
-    ``_SVD_BAND``: there the null vectors move by up to u / s under a
-    rounding-sized shift of R^T - I, enough to move a fixed point's least
-    eigenvalue across ``TAU_PSD``, and an eigenvalue near 1 and a singular
-    value near 0 may fall on opposite sides of ``TAU_EIG``.
-    """
-    if channel.channel_deviation > TAU_IDENTITY:
-        return None, None
-    singular, basis, _ = _fixed_space(channel)
-    if np.any((singular > _SVD_BAND[0]) & (singular <= _SVD_BAND[1])):
-        return None, None
-    return singular, basis
 
 
 def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
@@ -270,25 +309,23 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     A trace-preserving channel has spectral radius 1 and semisimple
     peripheral eigenvalues (M. M. Wolf, *Quantum Channels & Operations:
     Guided Tour*, 2012, Prop. 6.2), so the multiplicity of 1 is the number of
-    zero singular values of R^T - I.  Unless one lies in ``_SVD_BAND``
-    (:func:`_separated_fixed_space`), the vote counts those at or below
-    ``TAU_EIG`` in the SVD that :func:`invariant_state` shares, whose kernel
-    is the dual fixed basis: no general eigensolve.  The band makes this
-    count agree with the eigenvalue rule, where the null-space cut (1e-10)
-    alone would call near-reducible channels irreducible.  In the band, or
+    zero singular values of R^T - I.  Unless one lies in ``_SVD_BAND``, the
+    vote reads it and the dual fixed basis from :func:`_fixed_space`, which
+    :func:`invariant_state` shares: 1 where the bordered solve is proved,
+    else the count at or below ``TAU_EIG``; no general eigensolve.  The band
+    makes this agree with the eigenvalue rule, where the null-space cut
+    (1e-10) alone would call near-reducible channels irreducible.  In the band, or
     off trace preservation, the vote counts the eigenvalues of the complex
     M_h within ``TAU_EIG`` max(1, r) of its spectral radius r, and the dual
     basis is ker(M_s - r I).
     """
-    singular, dual_basis = _separated_fixed_space(channel)
-    if dual_basis is None:
+    multiplicity, dual_basis, _ = _fixed_space(channel)
+    if multiplicity is None:
         m_h = superoperator_matrix(channel).matrix
         eigs = np.linalg.eigvals(m_h)
         radius = float(np.max(np.abs(eigs)))
         multiplicity = int(np.sum(np.abs(eigs - radius) <= TAU_EIG * max(1.0, radius)))
         dual_basis = _null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
-    else:
-        multiplicity = int(np.sum(singular <= TAU_EIG))
     point = _trace_normalized(dual_basis[:, 0], channel.dim) if dual_basis.shape[1] == 1 else None
     min_eig = -np.inf if point is None else float(np.min(np.linalg.eigvalsh(point)))
     faithful = min_eig > TAU_PSD
@@ -329,7 +366,7 @@ def _peripheral_is_one(channel: KrausChannel, gap: MultiplicativeGap | None = No
         c = 8 * m.size * np.finfo(float).eps * float(m.sum())
         if math.sqrt((m[-1] + c) * (m[-2] + c)) < 1.0 - 2 * TAU_PER:
             return True
-    eigs = np.linalg.eigvals(hermitian_coordinate_matrix(channel.kraus))
+    eigs = np.linalg.eigvals(_heisenberg_matrix(channel))
     peripheral = eigs[np.abs(eigs) >= 1.0 - TAU_PER]
     return bool(np.all(np.abs(peripheral - 1.0) <= TAU_PER))
 
@@ -457,7 +494,7 @@ def _coordinates(channel: KrausChannel, sigma) -> tuple[np.ndarray, np.ndarray]:
     tr(sigma x) = weights . x, so an orthonormal basis q of {weights . x = 0} is one
     of F, and q^T R q has the spectral norms of phi|F's powers and resolvent.
     """
-    return hermitian_coordinate_matrix(channel.kraus), hermitian_coordinates(state_matrix(sigma))
+    return _heisenberg_matrix(channel), hermitian_coordinates(state_matrix(sigma))
 
 
 def _restriction(matrix: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

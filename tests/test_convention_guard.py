@@ -129,7 +129,7 @@ def test_no_general_eigensolve_outside_the_in_band_vote_and_primitivity():
     tree = ast.parse((SRC / "spectral.py").read_text())
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     in_band = [node for node in ast.walk(functions["is_irreducible"]) if isinstance(node, ast.If)
-               and ast.unparse(node.test) == "dual_basis is None"]
+               and ast.unparse(node.test) == "multiplicity is None"]
     assert len(in_band) == 1
     allowed = {id(node) for root in in_band[0].body + [functions["_peripheral_is_one"]]
                for node in ast.walk(root)}

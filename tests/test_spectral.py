@@ -111,21 +111,40 @@ def normalized_fixed_point(v, dim):
     return x / float(np.trace(x).real)
 
 
-FIXED_POINT_CASES = [f"seed{seed}" for seed in range(24)] + ["two-block"]
+# seeded channels (the bordered solve), a two-block channel coupled at 1e-6 (a
+# singular value in _SVD_BAND: the SVD) and the reducible two-block ring
+FIXED_POINT_CASES = [f"seed{seed}" for seed in range(24)] + ["coupled", "two-block"]
+
+
+def bordered(channel):
+    """Whether _fixed_space takes the bordered solve, proved, and no SVD on this channel."""
+    m = spectral._heisenberg_matrix(channel).T - np.eye(channel.dim**2)
+    return (channel.channel_deviation <= spectral.TAU_IDENTITY
+            and spectral._proved_fixed_point(m) is not None)
+
+
+def fixed_point_case(name):
+    if name == "two-block":
+        return two_block_ring()[0]
+    if name == "coupled":
+        return dict(vote_family("two-block"))["eps1e-06 s0"]()
+    return seeded_channel(int(name[4:]))
 
 
 class TestFixedPointsFromTheHeisenbergMatrix:
     """The Heisenberg matrix's conjugate transpose is, bit for bit, a
     Schroedinger matrix built apart, and the invariant state is read off the
     predual's real matrix R^T in Hermitian coordinates, R the Heisenberg
-    matrix's, bit for bit.  The Cesaro limit from the shared fixed-space SVD
-    and the stationary state from the generator's real matrix agree to
-    rounding with the complex routes they replaced (Schur form and
-    Sylvester solve; complex SVD of the predual generator's matrix)."""
+    matrix's: where the bordered solve proves the kernel separated, within
+    1e-13 of the SVD's null vector, and where the SVD decides, bit for bit.
+    The Cesaro limit from the shared fixed space and the stationary state
+    from the generator's real matrix agree to rounding with the complex
+    routes they replaced (Schur form and Sylvester solve; complex SVD of the
+    predual generator's matrix)."""
 
     @pytest.mark.parametrize("name", FIXED_POINT_CASES)
     def test_channel_fixed_points(self, name):
-        channel = two_block_ring()[0] if name == "two-block" else seeded_channel(int(name[4:]))
+        channel = fixed_point_case(name)
         m_s = schrodinger_matrix(channel)
         assert np.array_equal(superoperator_matrix(channel).matrix.conj().T, m_s)
         r_s = coordinate_matrix(m_s.conj().T).T
@@ -133,11 +152,19 @@ class TestFixedPointsFromTheHeisenbergMatrix:
         if basis.shape[1] == 1:
             fixed = vec(from_hermitian_coordinates(basis[:, 0], channel.dim))
             expected = DensityMatrix(normalized_fixed_point(fixed, channel.dim)).matrix
-            assert np.array_equal(invariant_state(channel).matrix, expected)
+            sigma = invariant_state(channel).matrix
+            assert bordered(channel) == name.startswith("seed")
+            if bordered(channel):
+                assert np.max(np.abs(sigma - expected)) < 1e-13
+                assert np.max(np.abs(channel.schrodinger(sigma) - sigma)) < 1e-14
+            else:
+                assert np.array_equal(sigma, expected)
         else:
             with pytest.raises(FixedSpaceError):
                 invariant_state(channel)
-        assert np.max(np.abs(faithful_fixed_point(channel) - schur_fixed_point(channel))) < 1e-14
+        # coupled: both routes move by u / sigma_(n-1), about 1e-10, from the exact limit
+        tolerance = 1e-9 if name == "coupled" else 1e-14
+        assert np.max(np.abs(faithful_fixed_point(channel) - schur_fixed_point(channel))) < tolerance
 
     @pytest.mark.parametrize("make", [driven_qubit, poisson_counting_qubit])
     def test_gkls_steady_state(self, make):
@@ -910,11 +937,36 @@ class TestVoteOnTheFixedPointSVD:
         assert moved == []
         assert irreducible == 132 and len(proved) >= 100
 
+    def test_the_bordered_solve_keeps_the_svd_vote(self, monkeypatch):
+        """(verdict, multiplicity, faithful) with the bordered solve and its Cholesky
+        proof equal the SVD route's on all 240 channels; the proof settles at least 90."""
+        def vote(channel):
+            try:
+                evidence = is_irreducible(channel)
+            except spectral.InconclusiveIrreducibilityError:
+                return "inconclusive"
+            return (evidence.irreducible, evidence.radius_multiplicity,
+                    evidence.fixed_point_faithful)
+
+        moved, proved, total = [], 0, 0
+        for family in VOTE_FAMILIES:
+            for name, build in vote_family(family):
+                total += 1
+                verdict = vote(channel := build())
+                proved += bordered(channel)
+                with monkeypatch.context() as patch:
+                    patch.setattr(spectral, "_proved_fixed_point", lambda m: None)
+                    reference = vote(build())
+                if verdict != reference:
+                    moved.append((family, name, reference, verdict))
+        assert moved == []
+        assert total == 240 and proved >= 90
+
     def test_families_reach_every_verdict_and_both_counts(self):
         cases = [build for family in VOTE_FAMILIES for _, build in vote_family(family)]
         assert len(cases) >= 200
         assert {eigvals_vote(build())[0] for build in cases} == {True, False, "inconclusive"}
-        counted = [spectral._separated_fixed_space(build())[0] is not None for build in cases]
+        counted = [spectral._fixed_space(build())[0] is not None for build in cases]
         assert sum(counted) >= 100 and len(counted) - sum(counted) >= 50
 
     @pytest.mark.parametrize("family", VOTE_FAMILIES)
@@ -984,8 +1036,8 @@ class TestPositiveRecurrence:
                     continue
                 # near-reducible channels: Schur's cluster at 1 holds eigenvalues
                 # 1 - O(coupling), which the limit does not project onto
-                singular, basis = spectral._separated_fixed_space(build())
-                if singular is not None and (basis.shape[1] == 1 or name.startswith("eps0.0")):
+                multiplicity, basis, _ = spectral._fixed_space(build())
+                if multiplicity is not None and (basis.shape[1] == 1 or name.startswith("eps0.0")):
                     compared += 1
                     assert np.max(np.abs(new - old)) < 1e-12, (family, name)
         assert moved == [("leak", name) for name in NOT_RECURRENT]
@@ -1000,6 +1052,27 @@ class TestPositiveRecurrence:
         assert cli.main(["bound", "--flavor", "reducible", "--model", path,
                          "--n", "10", "--gamma", "0.1"]) == cli.EXIT_HYPOTHESIS
         assert "positive recurrence fails" in capsys.readouterr().err
+
+
+def test_analyze_reports_the_vote_where_no_fixed_state_exists(tmp_path, capsys):
+    """The irreducible loosely trace-preserving channels: R^T - I has no null
+    vector, so analyze exits 3 with "no eigenvalue 1", and reports the vote's
+    verdict and multiplicity, not "irreducible: false"."""
+    checked = []
+    for name, build in vote_family("loose"):
+        if vote_verdict(is_irreducible, build()) is not True:
+            continue
+        evidence = is_irreducible(build())
+        path = kraus_model(tmp_path / "loose.json", build())
+        assert cli.main(["analyze", "--model", path, "--tolerance", "channel=1e-6"]) == 3, name
+        captured = capsys.readouterr()
+        diagnostics = json.loads(captured.out)["diagnostics"]
+        assert diagnostics["fixed_space_dimension"] == 0, name
+        assert diagnostics["irreducible"] is True, name
+        assert diagnostics["radius_multiplicity"] == evidence.radius_multiplicity == 1, name
+        assert "no eigenvalue 1: map is not trace preserving" in captured.err, name
+        checked.append(name)
+    assert len(checked) == 14
 
 
 def test_verify_bernstein_passes_where_psi_is_irreducible_by_rounding(tmp_path, capsys):
@@ -1050,6 +1123,28 @@ def poisson_outcome(solve, channel, f, sigma, bound):
     return "solved"
 
 
+class TestCholeskyProof:
+    """_proves_psd accepts a least eigenvalue of k c and rejects -k c, c its shift."""
+
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("formed", [0.0, 1e-9])
+    def test_accepts_beyond_the_shift_and_rejects_below(self, n, formed):
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        rest = rng.uniform(1.0, 2.0, n - 1)
+
+        def matrix(least):
+            b = (q * np.concatenate([[least], rest])) @ q.T
+            return (b + b.T) / 2
+
+        unit = np.finfo(float).eps / 2
+        gamma = (n + 1) * unit / (1 - (n + 1) * unit)
+        shift = 2 * gamma * float(np.abs(np.diagonal(matrix(0.0))).sum()) + formed
+        for k in (2, 10, 100):
+            assert spectral._proves_psd(matrix(k * shift), formed), k
+            assert not spectral._proves_psd(matrix(-k * shift), formed), k
+
+
 def counted_factorisations(monkeypatch):
     """The matrices of the general eigensolves and of the square SVDs with vectors."""
     calls = {"eigvals": [], "svd": []}
@@ -1081,15 +1176,15 @@ def random_model(path, d):
 
 class TestOneFixedPointFactorisation:
     @pytest.mark.parametrize("d", [3, 6])
-    def test_hoeffding_bound_takes_one_svd_and_no_eigensolve(self, d, tmp_path, capsys,
-                                                              monkeypatch):
+    def test_hoeffding_bound_takes_no_fixed_space_svd_and_no_eigensolve(self, d, tmp_path,
+                                                                         capsys, monkeypatch):
         path = str(MODELS / "ring.json") if d == 3 else random_model(tmp_path / "random6.json", d)
         calls = counted_factorisations(monkeypatch)
         assert cli.main(["bound", "--flavor", "hoeffding", "--model", path,
                          "--n", "100,1000", "--gamma", "0.5"]) == 0
         capsys.readouterr()
         assert calls["eigvals"] == []
-        assert [m.shape for m in calls["svd"] if m.shape[0] == d * d] == [(d * d, d * d)]
+        assert [m.shape for m in calls["svd"] if m.shape[0] == d * d] == []  # the bordered solve
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_bernstein_constants_take_no_svd_and_no_eigensolve(self, d, monkeypatch):
@@ -1104,7 +1199,7 @@ class TestOneFixedPointFactorisation:
         assert bernstein_constants(channel, payoff, sigma=sigma).hypothesis_ok
         assert calls == []
 
-    def test_bernstein_bound_takes_one_svd(self, capsys, monkeypatch):
+    def test_bernstein_bound_takes_no_svd(self, capsys, monkeypatch):
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: (calls.append(m.shape),
@@ -1112,18 +1207,34 @@ class TestOneFixedPointFactorisation:
         assert cli.main(["bound", "--flavor", "bernstein", "--model", str(MODELS / "ring.json"),
                          "--n", "100,1000", "--gamma", "0.5"]) == 0
         capsys.readouterr()
-        assert calls == [(9, 9)]  # R^T - I, for invariant_state
+        assert calls == []  # invariant_state takes the bordered solve and its Cholesky proof
 
-    def test_decomposition_shares_one_svd_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["analyze", "hoeffding", "bernstein"])
+    def test_each_form_is_built_once(self, command, tmp_path, capsys, monkeypatch):
+        """analyze and both bounds build the channel's R once (and psi's T once)."""
+        path = random_model(tmp_path / "random6.json", 6)
+        forms = []
+        build = spectral.hermitian_coordinate_matrix
+        monkeypatch.setattr(spectral, "hermitian_coordinate_matrix",
+                            lambda ops, g=None: (forms.append(np.stack(ops)), build(ops, g))[1])
+        argv = (["analyze"] if command == "analyze" else
+                ["bound", "--flavor", command, "--n", "100,1000", "--gamma", "0.5"])
+        assert cli.main([*argv, "--model", path]) == 0
+        capsys.readouterr()
+        kraus = np.stack(load_model(path).channel.kraus)
+        assert sum(np.array_equal(ops, kraus) for ops in forms) == 1
+        assert len(forms) == (1 if command == "hoeffding" else 2)
+        assert not any(np.array_equal(a, b) for i, a in enumerate(forms) for b in forms[:i])
+
+    def test_decomposition_takes_one_svd_and_none_per_block(self, monkeypatch):
         channel, _ = two_block_ring()
         calls = counted_factorisations(monkeypatch)
         dec = decompose_invariant_subspaces(channel)
         assert calls["eigvals"] == []
-        for sub in dec.restricted_channels:
-            r = hermitian_coordinate_matrix(sub.kraus)
-            assert sum(np.array_equal(m, r.T - np.eye(9)) for m in calls["svd"]) == 1
-        # besides those: the whole channel's, whose left null vectors give the split
-        assert [m.shape for m in calls["svd"] if m.shape[0] > 3] == [(36, 36)] + [(9, 9)] * 2
+        for sub in dec.restricted_channels:  # the bordered solve serves the vote and the state
+            assert bordered(sub)
+        # the whole channel's, whose left null vectors give the split
+        assert [m.shape for m in calls["svd"] if m.shape[0] > 3] == [(36, 36)]
 
 
 class TestPoisson:
