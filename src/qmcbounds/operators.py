@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -390,6 +391,22 @@ def kraus_family_deviation(ops: Sequence[np.ndarray], reference: Sequence[np.nda
     return float(np.max(np.abs(a.T @ a.conj() - b.T @ b.conj())))
 
 
+@lru_cache(maxsize=None)
+def _frame_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p d + q, q d + p, (d + 1) k) for the pairs p < q in row-major order and k < d.
+
+    Flat positions: of (p, q), (q, p) and the diagonal in a C-ordered matrix,
+    so of E_qp, E_pq and the diagonal in vec form.  :func:`_frame` gathers
+    them and :func:`from_hermitian_coordinates` scatters them; built once per
+    d, read only.
+    """
+    p, q = np.triu_indices(d, 1)
+    tables = (p * d + q, q * d + p, np.arange(d) * (d + 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _frame(v: np.ndarray, d: int, sign: complex) -> np.ndarray:
     """U^* v (``sign`` = -1j) or U^T v (``sign`` = 1j) along the last axis, indexed as vec.
 
@@ -399,9 +416,9 @@ def _frame(v: np.ndarray, d: int, sign: complex) -> np.ndarray:
     i (E_qp - E_pq) / sqrt(2), for the pairs p < q in row-major order.  Each
     column has at most two entries, so this is a gather, not a product.
     """
-    p, q = np.triu_indices(d, 1)
-    upper, lower, s = v[..., q * d + p], v[..., p * d + q], math.sqrt(0.5)  # E_pq, E_qp
-    return np.concatenate([v[..., np.arange(d) * (d + 1)], s * upper + s * lower,
+    pq, qp, diagonal = _frame_indices(d)
+    upper, lower, s = v[..., qp], v[..., pq], math.sqrt(0.5)  # E_pq, E_qp
+    return np.concatenate([v[..., diagonal], s * upper + s * lower,
                            sign * (s * lower - s * upper)], axis=-1)
 
 
@@ -421,15 +438,14 @@ def from_hermitian_coordinates(r: np.ndarray, d: int) -> np.ndarray:
     Real coordinates give an exactly Hermitian matrix: each off-diagonal
     pair is built as a complex number and its conjugate.
     """
-    p, q = np.triu_indices(d, 1)
-    s, m = math.sqrt(0.5), p.size
-    x = np.zeros(r.shape[:-1] + (d, d), dtype=complex)
-    idx = np.arange(d)
-    x[..., idx, idx] = r[..., :d]
+    pq, qp, diagonal = _frame_indices(d)
+    s, m = math.sqrt(0.5), pq.size
+    x = np.zeros(r.shape[:-1] + (d * d,), dtype=complex)
+    x[..., diagonal] = r[..., :d]
     sym, anti = s * r[..., d:d + m], s * r[..., d + m:]
-    x[..., p, q] = sym - 1j * anti
-    x[..., q, p] = sym + 1j * anti
-    return x
+    x[..., pq] = sym - 1j * anti
+    x[..., qp] = sym + 1j * anti
+    return x.reshape(r.shape[:-1] + (d, d))
 
 
 def hermitian_coordinate_matrix(ops: Sequence, g: np.ndarray | None = None) -> np.ndarray:

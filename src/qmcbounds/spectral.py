@@ -61,12 +61,15 @@ TAU_EIG = 1e-8   # eigenvalue-cluster resolution for simplicity checks
 TAU_PER = 1e-8   # peripheral-spectrum resolution
 TAU_DEC = 1e-8   # invariant-subspace commutation / eigenvalue grouping
 _RANK_TOL = 1e-10        # relative singular-value cut of the reachability probe
+_PROBE_ENTRIES = 1 << 20  # entries of one stacked probe SVD's input, at most (16 MB)
 _SVD_BAND = (1e-10, 1e-4)  # singular values of R^T - I here leave the vote to the eigensolve
 _MAX_TERMS = 32          # terms of the certified pseudoresolvent chain
 _MARGIN = 1e-10          # relative margin of a chain norm's power-iteration lower bound
 _POWER_STEPS = 5         # power-iteration steps per lower bound
 _SVD_BELOW = 32          # chain matrices with fewer rows take every norm by SVD (measured)
 _ASCENT_ITERATIONS = 8   # projected-ascent steps of the heuristic lower estimate
+_INVERSE_SOLVES = 3      # shifted-inverse-iteration solves per top eigenvector of the ascent
+_SHIFT = 1e-10           # relative distance of their shift beyond the extreme eigenvalue
 
 
 class HypothesisError(RuntimeError):
@@ -251,20 +254,43 @@ def gkls_steady_state(gen: GKLSGenerator) -> DensityMatrix:
     return DensityMatrix(sigma)
 
 
-def _reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray) -> int:
-    """Dimension of span{ V_in ... V_i1 v } grown until stable."""
-    d = v.shape[0]
-    basis = v[:, None] / np.linalg.norm(v)
+def _reachable_dimensions(kraus: np.ndarray, vectors: np.ndarray) -> list[int]:
+    """Dimension of span{V_in ... V_i1 v} grown until stable, for each row v of ``vectors``.
+
+    Each probe keeps an orthonormal basis, from v / ||v||; a round replaces
+    it by the left singular vectors of [basis, V_1 basis, ...] above
+    ``_RANK_TOL`` max(s_max, 1), until the width stops growing or reaches d,
+    for at most d rounds.  The live probes of equal width take one stacked
+    ``matmul`` and one stacked SVD per round (split so that no stack exceeds
+    ``_PROBE_ENTRIES`` entries), which make the BLAS and LAPACK call of a
+    lone probe on each matrix, so every probe grows as it would alone;
+    probes whose widths diverge go in one stack per width.
+    """
+    d = vectors.shape[1]
+    live = {i: v[:, None] / np.linalg.norm(v) for i, v in enumerate(vectors)}
+    dims: dict[int, int] = {}
     for _ in range(d):
-        stacked = np.hstack([basis] + [k @ basis for k in kraus])
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        grown = u[:, s > _RANK_TOL * max(float(s[0]), 1.0)]
-        if grown.shape[1] == basis.shape[1]:
+        widths: dict[int, list[int]] = {}
+        for i, basis in live.items():
+            widths.setdefault(basis.shape[1], []).append(i)
+        for width, probes in widths.items():
+            size = max(1, _PROBE_ENTRIES // (d * (len(kraus) + 1) * width))
+            for group in (probes[at:at + size] for at in range(0, len(probes), size)):
+                bases = np.stack([live[i] for i in group])[:, None]
+                stacked = np.concatenate([bases, np.matmul(kraus, bases)], axis=1)  # g, k+1, d, w
+                u, s, _ = np.linalg.svd(stacked.transpose(0, 2, 1, 3).reshape(len(group), d, -1),
+                                        full_matrices=False)
+                ranks = np.sum(s > _RANK_TOL * np.maximum(s[:, :1], 1.0), axis=1)
+                for i, rank, grown in zip(group, ranks, u):
+                    if rank == width or rank == d:
+                        dims[i] = int(rank)
+                        del live[i]
+                    else:
+                        live[i] = grown[:, :rank]
+        if not live:
             break
-        basis = grown
-        if basis.shape[1] == d:
-            break
-    return basis.shape[1]
+    dims.update((i, basis.shape[1]) for i, basis in live.items())
+    return [dims[i] for i in range(len(vectors))]
 
 
 @dataclass(frozen=True)
@@ -277,8 +303,8 @@ class IrreducibilityEvidence:
     reachability_dims: tuple[int, ...]
 
 
-def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Starting vectors for the reachability probe.
+def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> np.ndarray:
+    """Starting vectors for the reachability probe, one per row.
 
     Besides two seeded random vectors and the standard basis, eigenvectors of
     Hermitian elements of the dual fixed space are included: the support of
@@ -287,14 +313,13 @@ def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> list[np.ndarray]
     """
     rng = np.random.default_rng(7)
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
-    vectors.extend(np.eye(dim, dtype=complex)[:, k] for k in range(dim))
+    vectors.extend(np.eye(dim, dtype=complex))
     b = unvec(dual_fixed_basis.T, dim)  # h(b) and h(i b) per basis column b, h the Hermitian part
     for h in np.stack([_hermitize(b), _hermitize(1j * b)], axis=1).reshape(-1, dim, dim):
         if np.max(np.abs(h)) < 1e-14:
             continue
-        _, eigvecs = np.linalg.eigh(h)
-        vectors.extend(eigvecs[:, k] for k in range(dim))
-    return vectors
+        vectors.extend(np.linalg.eigh(h)[1].T)
+    return np.array(vectors)
 
 
 def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
@@ -318,6 +343,12 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     off trace preservation, the vote counts the eigenvalues of the complex
     M_h within ``TAU_EIG`` max(1, r) of its spectral radius r, and the dual
     basis is ker(M_s - r I).
+
+    The reachability probe (:func:`_reachable_dimensions`) runs once per
+    distinct witness vector, as equal vectors grow equal spans (where the
+    dual fixed point is 1, its eigenvectors are the standard basis), and
+    advances the live probes of equal width by one stacked SVD per round;
+    ``reachability_dims`` holds one entry per witness vector, in their order.
     """
     multiplicity, dual_basis, _ = _fixed_space(channel)
     if multiplicity is None:
@@ -331,8 +362,10 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     faithful = min_eig > TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
 
-    dims = tuple(_reachable_dimension(channel._stack, np.asarray(v, dtype=complex))
-                 for v in _witness_vectors(dual_basis, channel.dim))
+    distinct, copies = np.unique(_witness_vectors(dual_basis, channel.dim), axis=0,
+                                 return_inverse=True)
+    reached = _reachable_dimensions(channel._stack, distinct)
+    dims = tuple(reached[i] for i in copies)
     reach_verdict = all(d == channel.dim for d in dims)
 
     if eig_verdict != reach_verdict:
@@ -666,10 +699,37 @@ def _plain_chain(phi_f: np.ndarray, inv_f: np.ndarray, root_d: float,
     return best
 
 
-def _sign_matrix(g: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(_hermitize(g))
+def _sign_matrix(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign(g), its eigenvalues +-1) per Hermitian matrix of a stack; sign(0) = 1."""
+    w, u = np.linalg.eigh(g)
     signs = np.where(w >= 0.0, 1.0, -1.0)
-    return (u * signs[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return (u * signs[..., None, :]) @ u.conj().swapaxes(-1, -2), signs
+
+
+def _top_eigenpairs(y: np.ndarray, w: np.ndarray,
+                    start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, v) per Hermitian matrix of a stack y: the eigenvalue of largest modulus, a unit
+    eigenvector.
+
+    ``w`` is ``eigvalsh(y)``, ascending, and lambda one of its ends, the lower
+    one on a tie, as ``argmax`` of |w| picks it.  v is ``start`` after
+    ``_INVERSE_SOLVES`` solves of (y - mu I) x' = x, each normalized
+    (inverse iteration: Ipsen, SIAM Review 39, 1997).  mu lies ``_SHIFT``
+    |lambda| beyond that end (``_SHIFT`` at lambda = 0), far beyond
+    ``eigvalsh``'s error, so y - mu I is definite, for a zero or rank-one y
+    too, and each solve shrinks every other eigenvector's share of x by
+    |lambda - mu| over its eigenvalue's distance to mu.
+    """
+    low = np.abs(w[:, 0]) >= np.abs(w[:, -1])
+    lam = np.where(low, w[:, 0], w[:, -1])
+    size = np.abs(lam)
+    mu = lam + np.where(low, -_SHIFT, _SHIFT) * np.where(size > 0.0, size, 1.0)
+    shifted = y - mu[:, None, None] * np.eye(y.shape[-1])
+    x = np.broadcast_to(start, y.shape[:-1])
+    for _ in range(_INVERSE_SOLVES):
+        x = np.linalg.solve(shifted, x[..., None])[..., 0]
+        x = x / np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-1))[..., None]
+    return lam, x
 
 
 _SINGULAR = "channel is reducible: Id - phi is singular on the centered subspace"
@@ -701,7 +761,8 @@ def _frozen(step: np.ndarray, d: int) -> np.ndarray:
     """Whether each row's matrix has sup-norm s < 1e-12, as ``eigvalsh`` decides it."""
     f = np.linalg.norm(step, axis=1)  # the Frobenius norm: s <= f <= sqrt(d) s
     band = (f >= 0.5e-12) & (f <= 2e-12 * math.sqrt(d))  # f decides outside, as in _is_singular
-    f[band] = np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(step[band], d))).max(axis=1)
+    if band.any():
+        f[band] = np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(step[band], d))).max(axis=1)
     return f < 1e-12
 
 
@@ -713,52 +774,65 @@ def _lower_estimate(s: np.ndarray, n_full: np.ndarray, restarts: int,
     iterates are rows of coordinates.  Projected ascent over sign matrices
     of the linearized objective from ``restarts`` seeded random starts;
     every evaluated ratio is a true lower bound on the sup-norm of the map.
-    The sup-norm of a Hermitian matrix is its largest |eigenvalue|, so the
-    norms come from ``eigvalsh``, or from the ``eigh`` the ascent takes.
+    The sup-norm of a Hermitian matrix is its largest |eigenvalue|.  A step
+    takes one ``eigvalsh`` of the image y = N(r), whose extreme eigenvalue
+    gives the ratio, and the top eigenvector from :func:`_top_eigenpairs`
+    (a few solves, from the next draw of the seeded stream), then one
+    ``eigh``, of the ascent direction, for the sign matrix S.  The next
+    iterate is S - c 1, c = tr(s S) / tr(s), and its sup-norm is the closed
+    form max |e - c| over the signs e = +-1 present in S, so only the random
+    starts take an ``eigvalsh`` of their own.
 
     The restarts advance in lock-step as one (restarts, d^2) stack, and the
     result equals running them one after another: the matrix-vector
     products are a stacked ``matmul`` (one BLAS call per row), the stacked
-    ``eigh`` and ``eigvalsh`` make the same LAPACK call on each matrix, and
-    the other steps are elementwise or reduce each row on its own, so a
-    restart's arithmetic touches only its own row; a restart whose step
-    falls below 1e-12 is frozen where a lone run would stop, so it only
-    repeats ratios already taken; and ``best`` is a max, exact in any order.
+    ``eigh``, ``eigvalsh`` and ``solve`` make the same LAPACK call on each
+    matrix, and the other steps are elementwise or reduce each row on its
+    own, so a restart's arithmetic touches only its own row; a restart
+    whose step falls below 1e-12 is frozen where a lone run would stop, so
+    it only repeats ratios already taken; and ``best`` is a max, exact in
+    any order.
     """
     d = s.shape[0]
     weights = hermitian_coordinates(s) / np.trace(s).real  # tr(s x) / tr(s) = weights . r
     unit = hermitian_coordinates(np.eye(d))
 
-    def center(r: np.ndarray) -> np.ndarray:
-        return r - (r * weights).sum(axis=-1)[:, None] * unit
+    def center(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = (r * weights).sum(axis=-1)
+        return r - c[:, None] * unit, c
 
     def apply(m: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.matmul(m, r[..., None])[..., 0]
-
-    def sup_norms(r: np.ndarray) -> np.ndarray:
-        return np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(r, d))).max(axis=1)
 
     def ratio(nx: np.ndarray, n_image: np.ndarray) -> float:
         return float(np.max(n_image / np.maximum(nx, 1e-14), where=nx >= 1e-14, initial=0.0))
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((restarts, 2, d, d))  # per restart: real, then imaginary
-    r = center(hermitian_coordinates(z[:, 0] + 1j * z[:, 1]))
-    active, rows = np.ones(restarts, dtype=bool), np.arange(restarts)
+    r = center(hermitian_coordinates(z[:, 0] + 1j * z[:, 1]))[0]
+    norm = np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(r, d))).max(axis=1)
+    start = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    active = np.ones(restarts, dtype=bool)
     best = 0.0
-    for _ in range(iterations):
-        w, u = np.linalg.eigh(from_hermitian_coordinates(apply(n_full, r), d))
-        best = max(best, ratio(sup_norms(r), np.abs(w).max(axis=1)))
-        k = np.argmax(np.abs(w), axis=1)
-        top = u[rows, :, k]
-        lead = top[:, :, None] * top.conj()[:, None, :] * np.sign(w[rows, k])[:, None, None]
+    for step in range(iterations + 1):
+        y = from_hermitian_coordinates(apply(n_full, r), d)
+        w = np.linalg.eigvalsh(y)
+        best = max(best, ratio(norm, np.abs(w).max(axis=1)))
+        if step == iterations:
+            break
+        lam, top = _top_eigenpairs(y, w, start)
+        lead = top[:, :, None] * top.conj()[:, None, :] * np.sign(lam)[:, None, None]
         ascent = from_hermitian_coordinates(apply(n_full.T, hermitian_coordinates(lead)), d)
-        r_new = center(hermitian_coordinates(_sign_matrix(ascent)))
+        sign, signs = _sign_matrix(ascent)
+        r_new, c = center(hermitian_coordinates(sign))
+        norm_new = np.maximum(np.where((signs > 0.0).any(axis=1), np.abs(1.0 - c), 0.0),
+                              np.where((signs < 0.0).any(axis=1), np.abs(1.0 + c), 0.0))
         active &= ~_frozen(r_new - r, d)
         if not active.any():
             break
         r = np.where(active[:, None], r_new, r)
-    return max(best, ratio(sup_norms(r), sup_norms(apply(n_full, r))))
+        norm = np.where(active, norm_new, norm)
+    return best
 
 
 def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
@@ -767,7 +841,11 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
     ``lower_estimate`` is a heuristic maximizer (projected ascent over
     sign matrices of the linearized objective, 64 random restarts from seed
     0 run in lock-step, with the value of running them one after another);
-    every evaluated ratio is a true lower bound.
+    every evaluated ratio is a true lower bound.  Each of its
+    ``_ASCENT_ITERATIONS`` steps takes one stacked ``eigh``, of the ascent
+    direction's sign matrix; the image's top eigenpair comes from
+    ``eigvalsh`` and shifted inverse iteration, and a sign iterate's
+    sup-norm from its closed form (:func:`_lower_estimate`).
     ``certified_upper`` is rigorous; the bounds consume it alone, through
     :func:`certified_pseudoresolvent_norm`, which skips the heuristic.
     """

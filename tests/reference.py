@@ -52,6 +52,11 @@ variances and one power and SVD of phi_F per step, is kept here as
 ``cycled_time_dependent``, with that power loop as ``power_norms``.  The
 running float sum of the variances drifts from its exact value as the
 horizon grows, so it also gives the exactly rounded one.
+
+The irreducibility vote's reachability probe runs on the distinct witness
+vectors, one stacked SVD per round for the probes of equal width.  The loop
+it replaced, one probe after another with one SVD per round, is kept here as
+``reachable_dimension``.
 """
 
 import math
@@ -74,6 +79,7 @@ from qmcbounds.operators import (
     vec,
 )
 from qmcbounds.spectral import (
+    _RANK_TOL,
     TAU_EIG,
     TAU_PSD,
     HypothesisError,
@@ -198,6 +204,22 @@ def flux_mgf(chain: MarkovChain, nu, f, n: int, u: float) -> float:
     for _ in range(n):
         vec_ = p_u @ vec_
     return float(np.asarray(nu, dtype=float) @ vec_)
+
+
+def reachable_dimension(kraus: tuple[np.ndarray, ...], v: np.ndarray) -> int:
+    """Dimension of span{V_in ... V_i1 v} grown until stable, one SVD per round."""
+    d = v.shape[0]
+    basis = v[:, None] / np.linalg.norm(v)
+    for _ in range(d):
+        stacked = np.hstack([basis] + [k @ basis for k in kraus])
+        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        grown = u[:, s > _RANK_TOL * max(float(s[0]), 1.0)]
+        if grown.shape[1] == basis.shape[1]:
+            break
+        basis = grown
+        if basis.shape[1] == d:
+            break
+    return basis.shape[1]
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

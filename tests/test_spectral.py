@@ -61,7 +61,7 @@ from qmcbounds.spectral import (
 )
 
 from conftest import random_hermitian, random_state
-from reference import coordinate_matrix, power_norms, schur_fixed_point
+from reference import coordinate_matrix, power_norms, reachable_dimension, schur_fixed_point
 
 
 def rank_one_channel(seed=0, dim=3):
@@ -601,15 +601,19 @@ def sequential_lower_estimate(s, n_full, restarts, iterations, seed):
     """The heuristic lower estimate run one restart after another.
 
     ``n_full`` is the map's real matrix in Hermitian coordinates and each
-    iterate a vector of coordinates.  Returns the estimate and, per restart,
-    the iteration at which it stopped (None if it ran all ``iterations``).
+    iterate a vector of coordinates.  A step takes ``eigvalsh`` of the image,
+    the top eigenvector by shifted inverse iteration and one ``eigh`` for the
+    sign matrix; the sup-norm of a sign iterate is its closed form.  Returns
+    the estimate and, per restart, the iteration at which it stopped (None if
+    it ran all ``iterations``).
     """
     d = s.shape[0]
     weights = hermitian_coordinates(s) / np.trace(s).real
     unit = hermitian_coordinates(np.eye(d))
 
     def center(r):
-        return r - (r * weights).sum() * unit
+        c = (r * weights).sum()
+        return r - c * unit, c
 
     def norm(r):
         w = np.linalg.eigvalsh(from_hermitian_coordinates(r, d))
@@ -619,24 +623,39 @@ def sequential_lower_estimate(s, n_full, restarts, iterations, seed):
         return 0.0 if nx < 1e-14 else n_image / nx
 
     rng = np.random.default_rng(seed)
+    starts = [center(hermitian_coordinates(rng.standard_normal((d, d))
+                                           + 1j * rng.standard_normal((d, d))))[0]
+              for _ in range(restarts)]
+    start = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     best, stops = 0.0, []
-    for _ in range(restarts):
+    for r in starts:
         stops.append(None)
-        r = center(hermitian_coordinates(rng.standard_normal((d, d))
-                                         + 1j * rng.standard_normal((d, d))))
-        for it in range(iterations):
-            w, u = np.linalg.eigh(from_hermitian_coordinates(n_full @ r, d))
-            best = max(best, ratio(norm(r), max(abs(w[0]), abs(w[-1]))))
-            k = int(np.argmax(np.abs(w)))
-            lead = np.outer(u[:, k], u[:, k].conj()) * np.sign(w[k])
+        size = norm(r)
+        for it in range(iterations + 1):
+            y = from_hermitian_coordinates(n_full @ r, d)
+            w = np.linalg.eigvalsh(y)
+            best = max(best, ratio(size, max(abs(w[0]), abs(w[-1]))))
+            if it == iterations:
+                break
+            low = abs(w[0]) >= abs(w[-1])
+            lam = w[0] if low else w[-1]
+            mu = lam + (-spectral._SHIFT if low else spectral._SHIFT) * (abs(lam) if lam else 1.0)
+            shifted = y - mu * np.eye(d)
+            x = start
+            for _ in range(spectral._INVERSE_SOLVES):
+                x = np.linalg.solve(shifted, x[:, None])[:, 0]
+                x = x / np.sqrt((x.real ** 2 + x.imag ** 2).sum())
+            lead = np.outer(x, x.conj()) * np.sign(lam)
             g = from_hermitian_coordinates(n_full.T @ hermitian_coordinates(lead), d)
             w, u = np.linalg.eigh((g + g.conj().T) / 2)
-            r_new = center(hermitian_coordinates((u * np.where(w >= 0.0, 1.0, -1.0)) @ u.conj().T))
+            signs = np.where(w >= 0.0, 1.0, -1.0)
+            r_new, c = center(hermitian_coordinates((u * signs) @ u.conj().T))
             if norm(r_new - r) < 1e-12:
                 stops[-1] = it
                 break
             r = r_new
-        best = max(best, ratio(norm(r), norm(n_full @ r)))
+            size = max(abs(1.0 - c) if (signs > 0).any() else 0.0,
+                       abs(1.0 + c) if (signs < 0).any() else 0.0)
     return best, stops
 
 
@@ -667,6 +686,46 @@ class TestLowerEstimate:
         if name == "early-stop" and restarts == 8:
             # restarts stop at different iterations: frozen and running rows mix
             assert None not in stops and len(set(stops)) > 1
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
+    def test_closed_form_sup_norm_of_a_sign_iterate(self, d):
+        """max |e - c| over the signs e present in S is eigvalsh's sup-norm of S - c 1
+        within 8 d ulps, for S the sign matrix of a centred direction, c = tr(s S) / tr(s)."""
+        rng = np.random.default_rng(d)
+        s = random_state(d, rng)
+        weights = hermitian_coordinates(s) / np.trace(s).real
+        g = np.stack([random_hermitian(d, rng) for _ in range(64)])
+        g -= (np.trace(s @ g, axis1=1, axis2=2).real / np.trace(s).real)[:, None, None] * np.eye(d)
+        sign, signs = spectral._sign_matrix(g)
+        coordinates = hermitian_coordinates(sign)
+        c = (coordinates * weights).sum(axis=-1)
+        closed = np.maximum(np.where((signs > 0).any(axis=1), np.abs(1.0 - c), 0.0),
+                            np.where((signs < 0).any(axis=1), np.abs(1.0 + c), 0.0))
+        r = coordinates - c[:, None] * hermitian_coordinates(np.eye(d))
+        sup = np.abs(np.linalg.eigvalsh(from_hermitian_coordinates(r, d))).max(axis=1)
+        assert np.all(np.abs(closed - sup) <= 8 * d * np.spacing(sup))
+
+    def test_zero_and_rank_one_images_raise_nothing(self):
+        """The shift puts y - mu 1 beyond the spectrum, so a zero or rank-one image solves."""
+        d, rng = 4, np.random.default_rng(1)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        y = np.stack([np.zeros((d, d)), 2.5 * np.outer(v, v.conj()), -np.outer(v, v.conj()),
+                      random_hermitian(d, rng)])
+        w = np.linalg.eigvalsh(y)
+        lam, top = spectral._top_eigenpairs(y, w, np.ones(d, dtype=complex))
+        assert np.all(np.isfinite(top)) and np.allclose(np.linalg.norm(top, axis=1), 1.0)
+        assert lam[0] == 0.0 and abs(lam[1] - 2.5) < 1e-14 and abs(lam[2] + 1.0) < 1e-14
+        assert np.allclose(np.abs(top[1:3] @ v.conj()), 1.0, atol=1e-12)
+        residual = np.einsum("rij,rj->ri", y, top) - lam[:, None] * top
+        assert np.max(np.abs(residual)) < 1e-12
+        # the whole estimate: a zero map, and a map whose every image is rank one
+        sigma = random_state(d, rng)
+        projector = hermitian_coordinates(np.outer(v, v.conj()))
+        zero = np.zeros((d * d, d * d))
+        assert spectral._lower_estimate(sigma, zero, 8, 8, 0) == 0.0
+        rank_one = np.outer(projector, rng.standard_normal(d * d))
+        assert np.isfinite(spectral._lower_estimate(sigma, rank_one, 8, 8, 0))
 
 
 def hermitian_steps(d, rng):
@@ -796,9 +855,8 @@ def eigvals_vote(channel):
              if dual_basis.shape[1] == 1 else None)
     faithful = point is not None and np.min(np.linalg.eigvalsh(point)) > spectral.TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
-    reach_verdict = all(
-        spectral._reachable_dimension(channel._stack, np.asarray(v, dtype=complex)) == channel.dim
-        for v in spectral._witness_vectors(dual_basis, channel.dim))
+    reach_verdict = all(reachable_dimension(channel._stack, v) == channel.dim
+                        for v in spectral._witness_vectors(dual_basis, channel.dim))
     return ("inconclusive" if eig_verdict != reach_verdict else eig_verdict), multiplicity, faithful
 
 
@@ -992,6 +1050,69 @@ class TestVoteOnTheFixedPointSVD:
                 if outcomes[0] != outcomes[1]:
                     mismatched.append((name, bound, outcomes))
         assert mismatched == []
+
+
+class TestStackedReachability:
+    """The reachability probe on the distinct witness vectors, one stacked SVD per width and
+    round, gives the per-vector loop's dimensions, tuple and verdict."""
+
+    @pytest.mark.parametrize("family", VOTE_FAMILIES)
+    def test_dims_match_the_per_vector_loop(self, family, monkeypatch):
+        witnesses = []
+        original = spectral._witness_vectors
+        monkeypatch.setattr(spectral, "_witness_vectors",
+                            lambda *args: witnesses.append(original(*args)) or witnesses[-1])
+        moved = []
+        for name, build in vote_family(family):
+            channel = build()
+            try:
+                evidence = is_irreducible(channel)
+                dims, verdict = evidence.reachability_dims, evidence.reachability_full
+            except spectral.InconclusiveIrreducibilityError as err:
+                dims, verdict = str(err), None
+            reference = tuple(reachable_dimension(channel._stack, v) for v in witnesses[-1])
+            full = all(dim == channel.dim for dim in reference)
+            if verdict is None:
+                if f"reachability says {full} (dims {reference}," not in dims:
+                    moved.append((name, reference, dims))
+            elif (dims, verdict) != (reference, full):
+                moved.append((name, reference, dims))
+        assert moved == []
+
+    def test_ring_probes_its_five_distinct_witnesses(self, monkeypatch):
+        probed = []
+        original = spectral._reachable_dimensions
+        monkeypatch.setattr(spectral, "_reachable_dimensions",
+                            lambda kraus, vectors: probed.append(len(vectors))
+                            or original(kraus, vectors))
+        evidence = is_irreducible(ring_channel()[0])
+        assert probed == [5] and evidence.reachability_dims == (3,) * 8
+
+    def test_diverging_widths_take_one_stack_each(self, monkeypatch):
+        """Blocks of dimensions 2 and 4: the probes split by width, so there are more
+        stacked SVDs than rounds, and fewer than the per-vector loop's SVDs."""
+        channel = KrausChannel(direct_sum_kraus(random_channel(2, 2, 5), random_channel(4, 2, 6)))
+        vectors = np.unique(spectral._witness_vectors(spectral._fixed_space(channel)[1],
+                                                      channel.dim), axis=0)
+        calls = []
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: calls.append(a.shape) or original(a, **kwargs))
+        reference = []
+        for v in vectors:
+            before = len(calls)
+            reference.append((reachable_dimension(channel._stack, v), len(calls) - before))
+        del calls[:]
+        dims = spectral._reachable_dimensions(channel._stack, vectors)
+        assert dims == [dim for dim, _ in reference] and len(set(dims)) > 1
+        rounds = max(count for _, count in reference)
+        assert len(calls) > rounds
+        assert len(calls) < sum(count for _, count in reference)
+        # stacks capped at one probe each: the per-vector loop's SVDs, one by one
+        del calls[:]
+        monkeypatch.setattr(spectral, "_PROBE_ENTRIES", 1)
+        assert spectral._reachable_dimensions(channel._stack, vectors) == dims
+        assert len(calls) == sum(count for _, count in reference)
 
 
 # Leak channels on which the Schur route's cluster at 1 (eigenvalues within

@@ -13,10 +13,12 @@ serves a later one; ``bernstein_constants`` and ``pseudoresolvent_norm`` get
 the invariant state, computed on another object.  One child makes one pass:
 a warm-up call of every layer at the smallest d, then one timed call of each
 layer at each d, and for the certified chain, ``hoeffding_constants``,
-``bernstein_constants`` and ``multiplicative_gap_report`` one more untimed
-call that counts the SVD norms (``np.linalg.norm(a, 2)`` calls), the general
-eigensolves (``np.linalg.eigvals``) and the SVDs with singular vectors of a
-d^2 x d^2 matrix (``np.linalg.svd``).  Then the samplers: ``mc_tail`` with
+``bernstein_constants``, ``multiplicative_gap_report``, ``pseudoresolvent_norm``
+and ``is_irreducible`` one more untimed call that counts the SVD norms
+(``np.linalg.norm(a, 2)`` calls), the general eigensolves
+(``np.linalg.eigvals``), the SVDs with singular vectors of a d^2 x d^2
+matrix, every ``np.linalg.svd`` call, and the ``np.linalg.eigh`` and
+``np.linalg.eigvalsh`` calls (a stack of matrices is one call).  Then the samplers: ``mc_tail`` with
 ``MC_TRAJECTORIES`` trajectories of ``MC_STEPS`` steps from the invariant
 state at each d (layer ``mc_tail``), and ``counting_counts`` on
 ``fixtures.driven_qubit()`` from its steady state, ``COUNTING_TRIALS``
@@ -102,15 +104,18 @@ CLI_COMMANDS = [("analyze", "--model", str(path))
 
 
 COUNTED = ("certified_chain", "hoeffding_constants", "bernstein_constants",
-           "multiplicative_gap_report")
+           "multiplicative_gap_report", "pseudoresolvent_norm", "is_irreducible")
+COUNTS = ("svds", "eigvals", "full_svds", "svd_calls", "eigh_calls", "eigvalsh_calls")
 
 
 def _counts(call, d: int) -> dict:
-    """Chain SVD norms, general eigensolves and full d^2 x d^2 SVDs while ``call`` runs."""
+    """Chain SVD norms, general eigensolves, full d^2 x d^2 SVDs, and calls of
+    ``svd``, ``eigh`` and ``eigvalsh`` while ``call`` runs."""
     import numpy as np
 
-    plain = {name: getattr(np.linalg, name) for name in ("norm", "eigvals", "svd")}
-    counts = {"svds": 0, "eigvals": 0, "full_svds": 0}
+    names = ("norm", "eigvals", "svd", "eigh", "eigvalsh")
+    plain = {name: getattr(np.linalg, name) for name in names}
+    counts = dict.fromkeys(COUNTS, 0)
 
     def norm(x, ord=None, *args, **kwargs):
         counts["svds"] += ord == 2 and np.ndim(x) == 2
@@ -121,14 +126,25 @@ def _counts(call, d: int) -> dict:
         return plain["eigvals"](a)
 
     def svd(a, *args, **kwargs):
+        counts["svd_calls"] += 1
         counts["full_svds"] += a.shape == (d * d, d * d) and kwargs.get("compute_uv", True)
         return plain["svd"](a, *args, **kwargs)
 
-    np.linalg.norm, np.linalg.eigvals, np.linalg.svd = norm, eigvals, svd
+    def eigh(a, *args, **kwargs):
+        counts["eigh_calls"] += 1
+        return plain["eigh"](a, *args, **kwargs)
+
+    def eigvalsh(a, *args, **kwargs):
+        counts["eigvalsh_calls"] += 1
+        return plain["eigvalsh"](a, *args, **kwargs)
+
+    for name, function in zip(names, (norm, eigvals, svd, eigh, eigvalsh)):
+        setattr(np.linalg, name, function)
     try:
         call()
     finally:
-        np.linalg.norm, np.linalg.eigvals, np.linalg.svd = plain.values()
+        for name, function in plain.items():
+            setattr(np.linalg, name, function)
     return counts
 
 
@@ -405,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             merged[f"{name}_median_s"] = times and times[len(times) // 2]
             merged[f"{name}_min_s"] = times and times[0]
             merged[f"{name}_max_s"] = times and times[-1]
-            for count in ("svds", "eigvals", "full_svds"):
+            for count in COUNTS:
                 if count in row:
                     merged[f"{name}_{count}"] = runs[0]["rows"][i][count]
         rows.append(merged)
