@@ -662,8 +662,8 @@ def cmd_simulate(args) -> int:
                         fh.write(json.dumps({"seed": seed, "index": idx,
                                              "outcomes": [channel.labels[p] for p in row]},
                                             sort_keys=True) + "\n")
-                tails = _discrete_tails(channel, rho0, f, n, gammas, trials, seed,
-                                        on_chunk=write if args.dump else None)
+                tails = _discrete_tails(channel, rho0, f, _filter_affords(n, trials), gammas,
+                                        trials, seed, on_chunk=write if args.dump else None)
             rows.extend(_row("simulate", n, gamma, tail=tail)
                         for gamma, tail in zip(gammas, tails))
     else:
@@ -715,6 +715,14 @@ def _sampler_affords(gen, t: float, trials: int) -> float:
     return t
 
 
+def _filter_affords(n: int, trials: int) -> int:
+    """``n``, if the discrete sampler's n trials filter steps are <= 4e6; else infeasible."""
+    if n * trials > 4_000_000:
+        raise InfeasibleError(f"discrete sampler at n={n} with {trials} trials is beyond the "
+                              f"work budget: {n * trials:.3g} steps (n trials) > 4e6")
+    return n
+
+
 def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
     """(horizon, gammas) -> tails; one DP pass serves every horizon the DP can afford.
 
@@ -737,8 +745,8 @@ def _discrete_tail(args, channel, f, rho0, horizons, mean: float):
             return [laws()[n].tail(mean + gamma) for gamma in gammas]
         if not args.mc:
             raise InfeasibleError(f"exact tail at n={n} is infeasible and --mc was not given")
-        return _discrete_tails(channel, rho0, f, n, [mean + gamma for gamma in gammas],
-                               args.trials, args.seed)
+        return _discrete_tails(channel, rho0, f, _filter_affords(n, args.trials),
+                               [mean + gamma for gamma in gammas], args.trials, args.seed)
     return tail
 
 

@@ -27,9 +27,9 @@ Conventions
 * Matrix functions of selfadjoint inputs go through an eigendecomposition.
 
 All operations are pure functions of immutable inputs, with two memos: a
-``KrausChannel`` carries ``_matrix``, its real Heisenberg matrix R (read
-only), and ``_fixed_space``, the fixed spaces of R^T - I, which the spectral
-layer writes on first use.  Every write stores the same value (each route is
+``KrausChannel`` carries ``_matrix``, its real Heisenberg matrix R (read only),
+and ``_fixed_space``, the fixed spaces of R^T - I in real Hermitian coordinates,
+which the spectral layer writes on first use.  Every write stores the same value (each route is
 deterministic) and a second write changes nothing, so channels can still be
 shared across threads; a race costs one more build.
 """

@@ -54,7 +54,6 @@ from .operators import (
     superoperator_matrix,
     uniform_norm,
     unvec,
-    vec,
 )
 
 TAU_EIG = 1e-8   # eigenvalue-cluster resolution for simplicity checks
@@ -108,11 +107,6 @@ def _singular_null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(m), singular values below 1e-10 * max(s_max, 1)."""
     return _singular_null_space(m)[1]
-
-
-def _vec_basis(coordinates: np.ndarray, dim: int) -> np.ndarray:
-    """Columns of Hermitian coordinates as the columns vec(x) of the matrices they give."""
-    return vec(from_hermitian_coordinates(coordinates.T, dim)).T
 
 
 def _heisenberg_matrix(channel: KrausChannel) -> np.ndarray:
@@ -169,8 +163,9 @@ def _proved_fixed_point(m: np.ndarray) -> np.ndarray | None:
 
 
 def _fixed_space(channel: KrausChannel) -> tuple[int | None, np.ndarray, np.ndarray]:
-    """(multiplicity of 1 or None, fixed states, fixed observables) of R^T - I, in vec form.
+    """(multiplicity of 1 or None, fixed states, fixed observables) of R^T - I, as coordinates.
 
+    Each basis is a real d^2 x m array, its columns the Hermitian coordinates of m fixed points.
     R (:func:`_heisenberg_matrix`) is the channel's real Heisenberg matrix and R^T its
     predual's, similar to M_s: the same singular values, and null spaces of Hermitian matrices
     whose complexifications are ker(M_s - I) and ker(M_h - I).  Within ``TAU_IDENTITY`` of trace
@@ -193,7 +188,7 @@ def _fixed_space(channel: KrausChannel) -> tuple[int | None, np.ndarray, np.ndar
         else:
             multiplicity, states = 1, state[:, None]
             observables = hermitian_coordinates(np.eye(d))[:, None] / math.sqrt(d)
-        channel._fixed_space = (multiplicity, _vec_basis(states, d), _vec_basis(observables, d))
+        channel._fixed_space = (multiplicity, states, observables)
     return channel._fixed_space
 
 
@@ -202,9 +197,9 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().swapaxes(-1, -2)) / 2
 
 
-def _trace_normalized(v: np.ndarray, dim: int) -> np.ndarray | None:
-    """The Hermitian part of unvec(v) at unit trace; None when |trace| < 1e-12."""
-    x = _hermitize(unvec(v, dim))
+def _trace_normalized(x: np.ndarray) -> np.ndarray | None:
+    """The Hermitian part of the matrix x at unit trace; None when |trace| < 1e-12."""
+    x = _hermitize(x)
     tr = float(np.trace(x).real)
     return None if abs(tr) < 1e-12 else x / tr
 
@@ -214,8 +209,8 @@ def invariant_state(channel: KrausChannel) -> DensityMatrix:
 
     The fixed space is the null space of R^T - I, R^T the predual's real
     matrix in Hermitian coordinates, as :func:`_fixed_space` keeps it (one
-    bordered solve where proved, else one SVD).  For a
-    trace-preserving channel the spectral radius is 1 and the peripheral
+    bordered solve where proved, else one SVD; sigma from its one column of
+    coordinates).  For a trace-preserving channel the spectral radius is 1 and the peripheral
     eigenvalues are semisimple (M. M. Wolf, *Quantum Channels & Operations:
     Guided Tour*, 2012, Prop. 6.2), so that null space is the whole
     eigenspace at the radius, and :func:`is_irreducible` of the same channel
@@ -230,7 +225,7 @@ def invariant_state(channel: KrausChannel) -> DensityMatrix:
     basis = _fixed_space(channel)[1]
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
-    sigma = _trace_normalized(basis[:, 0], channel.dim)
+    sigma = _trace_normalized(from_hermitian_coordinates(basis[:, 0], channel.dim))
     if sigma is None:
         raise FixedSpaceError(1, "fixed point has vanishing trace; eigenproblem defective")
     residual = float(np.max(np.abs(channel.schrodinger(sigma) - sigma)))
@@ -245,7 +240,7 @@ def gkls_steady_state(gen: GKLSGenerator) -> DensityMatrix:
     singular, basis, _ = _singular_null_space(r.T)
     if basis.shape[1] != 1:
         raise FixedSpaceError(basis.shape[1])
-    sigma = _trace_normalized(_vec_basis(basis, gen.dim)[:, 0], gen.dim)
+    sigma = _trace_normalized(from_hermitian_coordinates(basis[:, 0], gen.dim))
     if sigma is None:
         raise FixedSpaceError(1, "stationary solve returned a traceless matrix")
     residual = float(np.max(np.abs(gen.apply_dual(sigma))))
@@ -303,19 +298,19 @@ class IrreducibilityEvidence:
     reachability_dims: tuple[int, ...]
 
 
-def _witness_vectors(dual_fixed_basis: np.ndarray, dim: int) -> np.ndarray:
-    """Starting vectors for the reachability probe, one per row.
+def _witness_vectors(fixed: np.ndarray) -> np.ndarray:
+    """Starting vectors for the reachability probe, one per row, from a stack of fixed points.
 
     Besides two seeded random vectors and the standard basis, eigenvectors of
     Hermitian elements of the dual fixed space are included: the support of
     any fixed state is invariant under the Kraus operators, so a deficient
     block always leaves a witness here.
     """
-    rng = np.random.default_rng(7)
+    rng, dim = np.random.default_rng(7), fixed.shape[-1]
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2)]
     vectors.extend(np.eye(dim, dtype=complex))
-    b = unvec(dual_fixed_basis.T, dim)  # h(b) and h(i b) per basis column b, h the Hermitian part
-    for h in np.stack([_hermitize(b), _hermitize(1j * b)], axis=1).reshape(-1, dim, dim):
+    # h(b) and h(i b) per fixed point b, h the Hermitian part; h(i b) = 0 for a Hermitian b
+    for h in np.stack([_hermitize(fixed), _hermitize(1j * fixed)], axis=1).reshape(-1, dim, dim):
         if np.max(np.abs(h)) < 1e-14:
             continue
         vectors.extend(np.linalg.eigh(h)[1].T)
@@ -335,14 +330,14 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     peripheral eigenvalues (M. M. Wolf, *Quantum Channels & Operations:
     Guided Tour*, 2012, Prop. 6.2), so the multiplicity of 1 is the number of
     zero singular values of R^T - I.  Unless one lies in ``_SVD_BAND``, the
-    vote reads it and the dual fixed basis from :func:`_fixed_space`, which
-    :func:`invariant_state` shares: 1 where the bordered solve is proved,
+    vote reads it and the dual fixed states' coordinates from :func:`_fixed_space`,
+    which :func:`invariant_state` shares: 1 where the bordered solve is proved,
     else the count at or below ``TAU_EIG``; no general eigensolve.  The band
     makes this agree with the eigenvalue rule, where the null-space cut
     (1e-10) alone would call near-reducible channels irreducible.  In the band, or
     off trace preservation, the vote counts the eigenvalues of the complex
     M_h within ``TAU_EIG`` max(1, r) of its spectral radius r, and the dual
-    basis is ker(M_s - r I).
+    fixed points are unvec of ker(M_s - r I), the module's one vec form.
 
     The reachability probe (:func:`_reachable_dimensions`) runs once per
     distinct witness vector, as equal vectors grow equal spans (where the
@@ -350,20 +345,20 @@ def is_irreducible(channel: KrausChannel) -> IrreducibilityEvidence:
     advances the live probes of equal width by one stacked SVD per round;
     ``reachability_dims`` holds one entry per witness vector, in their order.
     """
-    multiplicity, dual_basis, _ = _fixed_space(channel)
+    multiplicity, states, _ = _fixed_space(channel)
+    fixed = from_hermitian_coordinates(states.T, channel.dim)
     if multiplicity is None:
         m_h = superoperator_matrix(channel).matrix
         eigs = np.linalg.eigvals(m_h)
         radius = float(np.max(np.abs(eigs)))
         multiplicity = int(np.sum(np.abs(eigs - radius) <= TAU_EIG * max(1.0, radius)))
-        dual_basis = _null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
-    point = _trace_normalized(dual_basis[:, 0], channel.dim) if dual_basis.shape[1] == 1 else None
+        fixed = unvec(_null_space(m_h.conj().T - radius * np.eye(m_h.shape[0])).T, channel.dim)
+    point = _trace_normalized(fixed[0]) if len(fixed) == 1 else None
     min_eig = -np.inf if point is None else float(np.min(np.linalg.eigvalsh(point)))
     faithful = min_eig > TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
 
-    distinct, copies = np.unique(_witness_vectors(dual_basis, channel.dim), axis=0,
-                                 return_inverse=True)
+    distinct, copies = np.unique(_witness_vectors(fixed), axis=0, return_inverse=True)
     reached = _reachable_dimensions(channel._stack, distinct)
     dims = tuple(reached[i] for i in copies)
     reach_verdict = all(d == channel.dim for d in dims)
@@ -1014,10 +1009,10 @@ class InvariantDecomposition:
 def faithful_fixed_point(channel: KrausChannel) -> np.ndarray:
     """A full-rank fixed state of the predual, via the Cesaro limit of 1/d.
 
-    The limit is V (W^* V)^(-1) W^* vec(1/d), the projection onto the fixed
-    states V along the range of phi_* - Id, W the fixed observables, both
-    from :func:`_fixed_space`; 1 is a semisimple eigenvalue of a channel
-    (Wolf, 2012, Prop. 6.2), so W^* V is invertible.
+    The limit is S (O^T S)^(-1) O^T e in real Hermitian coordinates (e those
+    of 1/d), the projection onto the fixed states S along the range of phi_* -
+    Id, O the fixed observables, both from :func:`_fixed_space`; 1 is a semisimple
+    eigenvalue of a channel (Wolf, 2012, Prop. 6.2), so O^T S is invertible.
 
     Raises :class:`HypothesisError` ("positive recurrence fails") when no
     faithful invariant state exists.
@@ -1025,25 +1020,18 @@ def faithful_fixed_point(channel: KrausChannel) -> np.ndarray:
     _, states, observables = _fixed_space(channel)
     if states.shape[1] == 0:
         raise HypothesisError("no eigenvalue 1: map is not trace preserving")
-    w = observables.conj().T
-    limit = states @ np.linalg.solve(w @ states, w @ vec(np.eye(channel.dim) / channel.dim))
-    candidate = _trace_normalized(limit, channel.dim)
+    d, o = channel.dim, observables.T
+    limit = states @ np.linalg.solve(o @ states, o @ hermitian_coordinates(np.eye(d) / d))
+    candidate = _trace_normalized(from_hermitian_coordinates(limit, d))
     if candidate is None or float(np.min(np.linalg.eigvalsh(candidate))) <= TAU_PSD:
         raise HypothesisError("positive recurrence fails")
     return candidate
 
 
 def _group_eigenvalues(w: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Indices of w in ascending runs whose neighbours lie within ``tol``."""
     order = np.argsort(w)
-    groups, current = [], [order[0]]
-    for idx in order[1:]:
-        if w[idx] - w[current[-1]] <= tol:
-            current.append(idx)
-        else:
-            groups.append(np.asarray(current))
-            current = [idx]
-    groups.append(np.asarray(current))
-    return groups
+    return np.split(order, np.flatnonzero(np.diff(w[order]) > tol) + 1)
 
 
 _SPLIT_ATTEMPTS = 32  # random fixed points drawn before the split gives up
@@ -1061,7 +1049,7 @@ def _split_once(channel: KrausChannel, seed: int) -> list[np.ndarray]:
     basis = _fixed_space(channel)[2]
     if basis.shape[1] <= 1:
         return [np.eye(channel.dim, dtype=complex)]
-    fixed = unvec(basis.T, channel.dim)  # Hermitian fixed points
+    fixed = from_hermitian_coordinates(basis.T, channel.dim)  # Hermitian fixed points
     for attempt in range(seed, seed + _SPLIT_ATTEMPTS):
         y = np.tensordot(np.random.default_rng(attempt).standard_normal(len(fixed)), fixed, 1)
         w, u = np.linalg.eigh(y)

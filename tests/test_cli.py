@@ -889,6 +889,22 @@ class TestVerify:
         assert time.perf_counter() - start < 1.0
         assert budget in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "ring.json", "--n", "300000000", "--trials", "1"],
+        ["verify", "--flavor", "bernstein", "--mc", "--model", "ring.json", "--n", "300000000",
+         "--trials", "1"],
+    ], ids=["simulate", "verify-mc"])
+    def test_long_discrete_horizons_are_beyond_the_work_budget(self, capsys, monkeypatch, argv):
+        # the discrete sampler holds n + 1 uniforms and n picks per trajectory of a chunk;
+        # should the budget go, the sampler fails the test instead of filling the memory
+        monkeypatch.setattr(cli, "_discrete_tails", lambda *args, **kwargs: pytest.fail("sampled"))
+        argv[argv.index("--model") + 1] = model(argv[argv.index("--model") + 1])
+        start = time.perf_counter()
+        assert cli.main([*argv, "--gamma", "0.1"]) == cli.EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 1.0
+        assert ("discrete sampler at n=300000000 with 1 trials is beyond the work budget: "
+                "3e+08 steps (n trials) > 4e6") in capsys.readouterr().err
+
     def test_tail_is_of_the_centered_mean(self, capsys):
         # pi(f) = 0.4: the bound on P(mean - 0.4 >= 0.3) meets the tail at 0.7
         report = main_report(capsys, "verify", "--flavor", "hoeffding", "--model",

@@ -20,6 +20,9 @@ near reducibility or not trace preserving, builds the complex matrix with
 ``superoperator_matrix``.  That fallback and primitivity's
 ``_peripheral_is_one`` are the only general eigensolves (``eigvals``), so the
 bound path takes none.
+Fixed spaces stay in real Hermitian coordinates: ``spectral.py`` calls
+``vec`` or ``unvec`` only in that fallback, which reads complex null
+vectors, and no module names the deleted ``_vec_basis``.
 The modules are read with ``ast``, so docstrings do not count; nothing is
 imported.
 
@@ -138,6 +141,23 @@ def test_no_general_eigensolve_outside_the_in_band_vote_and_primitivity():
              if called(node) == "eigvals"]
     assert [f"{name}:{node.lineno}" for name, node in calls if id(node) not in allowed] == []
     assert len(calls) == 2
+
+
+def test_spectral_reads_vec_form_only_in_the_in_band_vote():
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    vote = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "is_irreducible")
+    in_band = [node for node in ast.walk(vote) if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "multiplicity is None"]
+    assert len(in_band) == 1
+    allowed = {id(node) for root in in_band[0].body for node in ast.walk(root)}
+    found = [f"spectral.py:{node.lineno} {called(node)}" for node in ast.walk(tree)
+             if called(node) in ("vec", "unvec") and id(node) not in allowed]
+    assert found == []
+    found = [f"{path.name}:{node.lineno if hasattr(node, 'lineno') else '?'}"
+             for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+             if (named(node) or getattr(node, "name", None)) == "_vec_basis"]
+    assert found == []
 
 
 def module_level(node):

@@ -36,6 +36,7 @@ from qmcbounds.operators import (
     kms_conjugated,
     superoperator_matrix,
     uniform_norm,
+    unvec,
     vec,
 )
 from qmcbounds.spectral import (
@@ -851,12 +852,12 @@ def eigvals_vote(channel):
     radius = float(np.max(np.abs(eigs)))
     multiplicity = int(np.sum(np.abs(eigs - radius) <= spectral.TAU_EIG * max(1.0, radius)))
     dual_basis = spectral._null_space(m_h.conj().T - radius * np.eye(m_h.shape[0]))
-    point = (spectral._trace_normalized(dual_basis[:, 0], channel.dim)
-             if dual_basis.shape[1] == 1 else None)
+    fixed = unvec(dual_basis.T, channel.dim)
+    point = spectral._trace_normalized(fixed[0]) if dual_basis.shape[1] == 1 else None
     faithful = point is not None and np.min(np.linalg.eigvalsh(point)) > spectral.TAU_PSD
     eig_verdict = multiplicity == 1 and faithful
     reach_verdict = all(reachable_dimension(channel._stack, v) == channel.dim
-                        for v in spectral._witness_vectors(dual_basis, channel.dim))
+                        for v in spectral._witness_vectors(fixed))
     return ("inconclusive" if eig_verdict != reach_verdict else eig_verdict), multiplicity, faithful
 
 
@@ -1092,8 +1093,9 @@ class TestStackedReachability:
         """Blocks of dimensions 2 and 4: the probes split by width, so there are more
         stacked SVDs than rounds, and fewer than the per-vector loop's SVDs."""
         channel = KrausChannel(direct_sum_kraus(random_channel(2, 2, 5), random_channel(4, 2, 6)))
-        vectors = np.unique(spectral._witness_vectors(spectral._fixed_space(channel)[1],
-                                                      channel.dim), axis=0)
+        states = spectral._fixed_space(channel)[1]
+        vectors = np.unique(spectral._witness_vectors(
+            from_hermitian_coordinates(states.T, channel.dim)), axis=0)
         calls = []
         original = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
