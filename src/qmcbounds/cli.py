@@ -115,6 +115,7 @@ from .trajectory import (
     EmpiricalTail,
     FilterCollapseError,
     LatticeError,
+    _MC_CHUNK,
     counting_counts,
     _counting_chunks,
     _discrete_tails,
@@ -656,14 +657,15 @@ def cmd_simulate(args) -> int:
         channel = model.channel
         f = _need(model.observation, "an observation section") if gammas else None
         if gammas or args.dump:
+            n = _filter_affords(n, trials)
             with _open_for_writing(args.dump, "--dump") as fh:
                 def write(indices, picks):
                     for idx, row in zip(indices, picks):
                         fh.write(json.dumps({"seed": seed, "index": idx,
                                              "outcomes": [channel.labels[p] for p in row]},
                                             sort_keys=True) + "\n")
-                tails = _discrete_tails(channel, rho0, f, _filter_affords(n, trials), gammas,
-                                        trials, seed, on_chunk=write if args.dump else None)
+                tails = _discrete_tails(channel, rho0, f, n, gammas, trials, seed,
+                                        on_chunk=write if args.dump else None)
             rows.extend(_row("simulate", n, gamma, tail=tail)
                         for gamma, tail in zip(gammas, tails))
     else:
@@ -716,10 +718,11 @@ def _sampler_affords(gen, t: float, trials: int) -> float:
 
 
 def _filter_affords(n: int, trials: int) -> int:
-    """``n``, if the discrete sampler's n trials filter steps are <= 4e6; else infeasible."""
-    if n * trials > 4_000_000:
+    """``n``, if n (trials + 128 chunks) filter steps (128: a chunk step's overhead) are <= 4e7."""
+    steps = n * (trials + 128 * -(-trials // _MC_CHUNK))
+    if steps > 40_000_000:
         raise InfeasibleError(f"discrete sampler at n={n} with {trials} trials is beyond the "
-                              f"work budget: {n * trials:.3g} steps (n trials) > 4e6")
+                              f"work budget: {steps:.3g} steps (n (trials + 128 chunks)) > 4e7")
     return n
 
 

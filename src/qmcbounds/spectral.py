@@ -199,9 +199,8 @@ def _hermitize(x: np.ndarray) -> np.ndarray:
 
 def _trace_normalized(x: np.ndarray) -> np.ndarray | None:
     """The Hermitian part of the matrix x at unit trace; None when |trace| < 1e-12."""
-    x = _hermitize(x)
-    tr = float(np.trace(x).real)
-    return None if abs(tr) < 1e-12 else x / tr
+    tr = float(np.trace(x).real)  # the Hermitian part's trace, bit for bit
+    return None if abs(tr) < 1e-12 else _hermitize(x) / tr
 
 
 def invariant_state(channel: KrausChannel) -> DensityMatrix:

@@ -891,19 +891,42 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "ring.json", "--n", "300000000", "--trials", "1"],
+        ["simulate", "--model", "ring.json", "--n", "300000000", "--trials", "1", "--dump"],
         ["verify", "--flavor", "bernstein", "--mc", "--model", "ring.json", "--n", "300000000",
          "--trials", "1"],
-    ], ids=["simulate", "verify-mc"])
-    def test_long_discrete_horizons_are_beyond_the_work_budget(self, capsys, monkeypatch, argv):
+    ], ids=["simulate", "simulate-dump", "verify-mc"])
+    def test_long_discrete_horizons_are_beyond_the_work_budget(self, capsys, monkeypatch,
+                                                              tmp_path, argv):
         # the discrete sampler holds n + 1 uniforms and n picks per trajectory of a chunk;
         # should the budget go, the sampler fails the test instead of filling the memory
         monkeypatch.setattr(cli, "_discrete_tails", lambda *args, **kwargs: pytest.fail("sampled"))
         argv[argv.index("--model") + 1] = model(argv[argv.index("--model") + 1])
+        dump = tmp_path / "existing.jsonl"
+        dump.write_text("kept\n")
+        if "--dump" in argv:
+            argv.append(str(dump))
         start = time.perf_counter()
         assert cli.main([*argv, "--gamma", "0.1"]) == cli.EXIT_INFEASIBLE
         assert time.perf_counter() - start < 1.0
         assert ("discrete sampler at n=300000000 with 1 trials is beyond the work budget: "
-                "3e+08 steps (n trials) > 4e6") in capsys.readouterr().err
+                "3.87e+10 steps (n (trials + 128 chunks)) > 4e7") in capsys.readouterr().err
+        assert dump.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, trials", [
+        (["simulate", "--model", "ring.json", "--n", "30000"], 1000),
+        (["verify", "--flavor", "bernstein", "--mc", "--model", "ring.json", "--n", "15000"], 2000),
+    ], ids=["simulate", "verify-mc"])
+    def test_default_trials_sample_long_discrete_horizons(self, capsys, monkeypatch, argv, trials):
+        # far past the DP's reach on the ring, at the default trials, the sampler still runs
+        calls = []
+
+        def sample(*args, **kwargs):
+            calls.append(args)
+            return [trajectory.EmpiricalTail(0.0, 0.0, 0.0, args[5]) for _ in args[4]]
+        monkeypatch.setattr(cli, "_discrete_tails", sample)
+        argv[argv.index("--model") + 1] = model(argv[argv.index("--model") + 1])
+        assert cli.main([*argv, "--gamma", "0.1"]) == cli.EXIT_OK
+        assert [(call[3], call[5]) for call in calls] == [(int(argv[-1]), trials)]
 
     def test_tail_is_of_the_centered_mean(self, capsys):
         # pi(f) = 0.4: the bound on P(mean - 0.4 >= 0.3) meets the tail at 0.7

@@ -107,7 +107,7 @@ def test_only_spectral_restricts_and_solves():
 
 def test_no_module_names_a_deleted_builder():
     deleted = {"kraus_superoperator_matrix", "generator_superoperator_matrix",
-               "gkls_superoperator_matrix"}
+               "gkls_superoperator_matrix", "_vec_basis"}
     found = [f"{path.name}:{node.lineno if hasattr(node, 'lineno') else '?'}"
              for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
              if (named(node) or getattr(node, "name", None)) in deleted]
@@ -128,13 +128,18 @@ def test_only_the_vote_calls_superoperator_matrix():
     assert found == []
 
 
-def test_no_general_eigensolve_outside_the_in_band_vote_and_primitivity():
-    tree = ast.parse((SRC / "spectral.py").read_text())
-    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+def in_band_vote(functions) -> list:
+    """The body of ``is_irreducible``'s one ``multiplicity is None`` branch."""
     in_band = [node for node in ast.walk(functions["is_irreducible"]) if isinstance(node, ast.If)
                and ast.unparse(node.test) == "multiplicity is None"]
     assert len(in_band) == 1
-    allowed = {id(node) for root in in_band[0].body + [functions["_peripheral_is_one"]]
+    return in_band[0].body
+
+
+def test_no_general_eigensolve_outside_the_in_band_vote_and_primitivity():
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    allowed = {id(node) for root in in_band_vote(functions) + [functions["_peripheral_is_one"]]
                for node in ast.walk(root)}
     calls = [(path.name, node) for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(tree if path.name == "spectral.py" else ast.parse(path.read_text()))
@@ -145,18 +150,10 @@ def test_no_general_eigensolve_outside_the_in_band_vote_and_primitivity():
 
 def test_spectral_reads_vec_form_only_in_the_in_band_vote():
     tree = ast.parse((SRC / "spectral.py").read_text())
-    vote = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "is_irreducible")
-    in_band = [node for node in ast.walk(vote) if isinstance(node, ast.If)
-               and ast.unparse(node.test) == "multiplicity is None"]
-    assert len(in_band) == 1
-    allowed = {id(node) for root in in_band[0].body for node in ast.walk(root)}
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    allowed = {id(node) for root in in_band_vote(functions) for node in ast.walk(root)}
     found = [f"spectral.py:{node.lineno} {called(node)}" for node in ast.walk(tree)
              if called(node) in ("vec", "unvec") and id(node) not in allowed]
-    assert found == []
-    found = [f"{path.name}:{node.lineno if hasattr(node, 'lineno') else '?'}"
-             for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
-             if (named(node) or getattr(node, "name", None)) == "_vec_basis"]
     assert found == []
 
 
