@@ -422,8 +422,13 @@ class TimeDependentConstants:
 
 
 def time_dependent_constants(channel: KrausChannel, steps: Sequence[TimeStep], sigma,
-                             rho=None, flavor: str = "bernstein") -> TimeDependentConstants:
-    """Validate the period ``steps`` and build the constants of ``flavor``."""
+                             rho=None, flavor: str = "bernstein", *,
+                             horizon: float) -> TimeDependentConstants:
+    """Validate the period ``steps`` and build the constants of ``flavor`` up to n = ``horizon``.
+
+    G_n is exact at every n <= ``horizon``.  Past it, it still bounds, each
+    power norm not taken counting as its cap 1 or through the tail T.
+    """
     if flavor not in ("bernstein", "hoeffding"):
         raise ValueError(f"unknown flavor {flavor!r}")
     for k, step in enumerate(steps):
@@ -439,7 +444,7 @@ def time_dependent_constants(channel: KrausChannel, steps: Sequence[TimeStep], s
         return TimeDependentConstants(
             "bernstein", c, var_sums, gap=multiplicative_gap_report(channel, sigma),
             n_rho=n_rho(rho, sigma) if rho is not None else 1.0)
-    powers, tail = phi_power_norms(channel, sigma) if c[-1] else ([], 0.0)
+    powers, tail = phi_power_norms(channel, sigma, horizon) if c[-1] else ([], 0.0)
     return TimeDependentConstants("hoeffding", c, var_sums, powers=tuple(powers), tail=tail)
 
 
@@ -491,7 +496,8 @@ def time_dependent_bernstein(channel: KrausChannel, steps: Sequence[TimeStep],
                              sigma, rho, gamma: float,
                              two_sided: bool = False) -> BoundResult:
     """Bernstein bound with step-dependent unravellings and payoffs."""
-    constants = time_dependent_constants(channel, steps, sigma, rho, "bernstein")
+    constants = time_dependent_constants(channel, steps, sigma, rho, "bernstein",
+                                         horizon=len(steps))
     return time_dependent_bound(constants, gamma, len(steps), two_sided)
 
 
@@ -499,7 +505,8 @@ def time_dependent_hoeffding(channel: KrausChannel, steps: Sequence[TimeStep],
                              sigma, rho, gamma: float,
                              two_sided: bool = False) -> BoundResult:
     """Hoeffding bound with G_n = (1 + sum_{j<=n-2} ||phi^j|F||) c_n."""
-    constants = time_dependent_constants(channel, steps, sigma, rho, "hoeffding")
+    constants = time_dependent_constants(channel, steps, sigma, rho, "hoeffding",
+                                         horizon=len(steps))
     return time_dependent_bound(constants, gamma, len(steps), two_sided)
 
 

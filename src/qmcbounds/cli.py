@@ -525,7 +525,8 @@ def _time_dependent(args, model: Model, flavor: str) -> _Plan:
     ns = _int_grid(args.n, "--n")
     sigma = invariant_state(channel)
     rho0 = _resolve_rho0(args.rho0, model, sigma)
-    constants = time_dependent_constants(channel, model.schedule, sigma.matrix, rho0, flavor)
+    constants = time_dependent_constants(channel, model.schedule, sigma.matrix, rho0, flavor,
+                                         horizon=max(ns))
     return _Plan(ns, [[_rows(time_dependent_bound, constants, args.two_sided)]])
 
 

@@ -853,17 +853,19 @@ def pseudoresolvent_norm(channel: KrausChannel, sigma) -> PseudoresolventNorm:
     return PseudoresolventNorm(lower_estimate=min(best, certified), certified_upper=certified)
 
 
-def phi_power_norms(channel: KrausChannel, sigma) -> tuple[list[float], float]:
+def phi_power_norms(channel: KrausChannel, sigma, horizon: float) -> tuple[list[float], float]:
     """t_j = min(1, sqrt(d) ||phi^j|F||_2) >= ||phi^j|F||_inf for j <= K, and T >= sum_{j>=K} t_j.
 
     R leaves F invariant, so with x = ||phi^K|F||_2, ||phi^(aK+b)|F||_2 <= x^a ||phi^b|F||_2 and
     T = sqrt(d) x / (1 - x) sum_{b<K} ||phi^b|F||_2 (inf for x >= 1, as each t_j <= 1).  K is the
-    first power with T below a quarter ulp of 1 + t_0 + ... + t_K, or the 4e6 / d^4-th.
+    first power with T below a quarter ulp of 1 + t_0 + ... + t_K, or the 4e6 / d^4-th, or
+    ``horizon`` - 2, the last power that G_n reads at n = ``horizon``.
     """
     _, phi_f = _restriction(*_coordinates(channel, sigma))
     root_d = float(np.sqrt(channel.dim))
     norms, head, total, tail, power = [1.0], 1.0, 1.0, math.inf, np.eye(phi_f.shape[0])
-    while tail >= math.ulp(1.0 + total) / 4 and len(norms) <= 4_000_000 // channel.dim**4:
+    last = min(4_000_000 // channel.dim**4, horizon - 2)
+    while tail >= math.ulp(1.0 + total) / 4 and len(norms) <= last:
         power = phi_f @ power
         x = _svd_norm(power)
         norms.append(min(1.0, root_d * x))

@@ -18,12 +18,21 @@ Tails at several deviations come from one pass over the trajectories, and
 the CLI's dump records are the very trajectories behind the tails it
 reports.
 
+A draw floors weights below ``_PROB_FLOOR`` to 0 and takes each row's
+total T as numpy's row ``sum`` forms it (pairwise from 8 weights on).  The
+cumulative weights C_k = p_0 + ... + p_k are added one outcome at a time
+for the whole batch, the same sequential sums as ``np.cumsum`` along a row,
+and the pick is the number of k < K - 1 with C_k < u T.  So every numpy
+operation of a step runs along the batch, not along a row's few outcomes.
+
 Continuous-time counting records are drawn by thinning (Lewis & Shedler
 1979; Ogata 1981): proposals at the rate Lambda = lambda_max(sum_i L_i^*
 L_i), which bounds the jump intensity sum_i |L_i psi|^2 of every unit
 vector, between which psi follows the no-jump evolution e^{tau G} psi in
 the d x d eigenbasis of G; a proposal is a jump with probability
-intensity / Lambda, and its label is drawn by the filter step.
+intensity / Lambda, and its label is drawn by the filter step.  The
+sampler holds its clocks and coefficients for the live trajectories only,
+in batch order, and drops a row when its clock passes the horizon.
 
 Randomness comes from counter-based Philox streams keyed as
 ``(master_seed, trajectory_index)``: every trajectory owns its stream, so
@@ -170,7 +179,10 @@ class _Streams:
     def __init__(self, seed: int):
         self._bits = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state  # counter 0, empty buffer
+        # counter 0, empty buffer, in plain ints, which the setter reads faster than arrays
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": [seed & _MASK64, 0]},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def fill(self, index: int, start: int, out: np.ndarray) -> None:
         """Write uniforms start, start+1, ... of stream (seed, index) into ``out``."""
@@ -215,14 +227,18 @@ class _Tape:
 # ---------------------------------------------------------------------------
 
 def _categorical(probs: np.ndarray, u: np.ndarray, collapse: str) -> np.ndarray:
-    """Per row, the index drawn by uniform u[b] with weights probs[b] floored at _PROB_FLOOR."""
+    """Per row, the index drawn by uniform u[b] with weights probs[b] floored at _PROB_FLOOR.
+
+    The count of cumulative weights below u[b] times the row's total; see the module docstring.
+    """
     probs = np.where(probs < _PROB_FLOOR, 0.0, probs)
     totals = probs.sum(axis=1)
-    if np.any(totals <= 0.0):
+    if (totals <= 0.0).any():
         raise FilterCollapseError(collapse)
-    cum = np.cumsum(probs, axis=1)
-    pick = np.count_nonzero(cum < (u * totals)[:, None], axis=1)
-    return np.minimum(pick, probs.shape[1] - 1)
+    cum = probs.T[:-1].copy()  # outcome by batch row: each step runs along the batch
+    for k in range(1, len(cum)):
+        cum[k] += cum[k - 1]  # np.cumsum's sequential sums, bit for bit
+    return (cum < u * totals).sum(axis=0)  # a row past every cut stops at the last outcome
 
 
 def _step_operators(outcomes: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -703,39 +719,40 @@ def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int,
         return counts, events
     w, right, left = _no_jump_basis(gen)
     tape = _Tape(seed, indices)
-    active = np.arange(batch)
+    active = np.arange(batch)  # the live trajectories; clock and coeff hold their rows
     coeff = _initial_vectors(rho0, tape.take(active)) @ left
     clock = np.zeros(batch)
     while True:
         gap = -np.log1p(-tape.take(active)) / bound
-        clock[active] += gap
-        live = clock[active] < t
-        active, gap = active[live], gap[live]
-        if not active.size:
-            return counts, events
-        c = coeff[active] * np.exp(np.outer(gap, w))
+        clock += gap
+        live = clock < t
+        if not live.all():
+            active, clock, coeff, gap = active[live], clock[live], coeff[live], gap[live]
+            if not active.size:
+                return counts, events
+        c = coeff * np.exp(np.outer(gap, w))
         psi = c @ right
         norm = np.sqrt(np.einsum("bj,bj->b", psi.view(np.float64), psi.view(np.float64)))
-        if np.any(norm <= 0.0):
+        if (norm <= 0.0).any():
             raise FilterCollapseError("counting sampler: no-jump propagation lost all probability")
         psi /= norm[:, None]
-        coeff[active] = c / norm[:, None]
+        coeff = c / norm[:, None]
         images, probs = _images(jumps, psi)
         rate = probs.sum(axis=1)
-        if np.any(rate > bound):
+        if (rate > bound).any():
             raise FilterCollapseError(f"counting sampler: jump intensity {rate.max()!r} above "
                                       f"its bound {bound!r}")
         v = tape.take(active) * bound
         jumped = v < rate
-        hit = active[jumped]
-        if hit.size:
+        if jumped.any():
+            hit = active[jumped]
             pick, psi = _collapse(images[jumped], probs[jumped], v[jumped] / rate[jumped],
                                   "vanishing jump intensities at a jump time")
-            coeff[hit] = psi @ left
+            coeff[jumped] = psi @ left
             counts[hit, pick] += 1
             if collect_events:
-                for row, p in zip(hit, pick):
-                    events[row].append((float(clock[row]), gen.labels[p]))
+                for row, p, time in zip(hit, pick, clock[jumped]):
+                    events[row].append((float(time), gen.labels[p]))
 
 
 def sample_counting(gen: GKLSGenerator, rho0, t: float, seed: int,

@@ -57,6 +57,14 @@ The irreducibility vote's reachability probe runs on the distinct witness
 vectors, one stacked SVD per round for the probes of equal width.  The loop
 it replaced, one probe after another with one SVD per round, is kept here as
 ``reachable_dimension``.
+
+The samplers step along the batch axis: the outcome draw adds up the
+weights one outcome at a time for the whole batch, and the counting sampler
+holds its clocks and coefficients for the live trajectories only.  The draw
+they replaced, ``np.cumsum`` along each row and a count of the cumulative
+weights below u * total, is kept here as ``categorical``, and the counting
+loop that indexed full-batch state by the live rows at every proposal as
+``counting_chunks``.
 """
 
 import math
@@ -66,6 +74,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.linalg as sla
 
+from qmcbounds import trajectory
 from qmcbounds.classical import MarkovChain, flux_matrix
 from qmcbounds.operators import (
     GKLSGenerator,
@@ -159,6 +168,82 @@ def lattice_dp_unreduced(maps: np.ndarray, next_tag: np.ndarray, shift: np.ndarr
         if step in steps:
             out[step] = (keys // n_tags, vecs)
     return out
+
+
+def categorical(probs: np.ndarray, u: np.ndarray, collapse: str) -> np.ndarray:
+    """``trajectory._categorical`` by a cumulative sum along each row."""
+    probs = np.where(probs < trajectory._PROB_FLOOR, 0.0, probs)
+    totals = probs.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise trajectory.FilterCollapseError(collapse)
+    cum = np.cumsum(probs, axis=1)
+    pick = np.count_nonzero(cum < (u * totals)[:, None], axis=1)
+    return np.minimum(pick, probs.shape[1] - 1)
+
+
+def _collapse(images: np.ndarray, probs: np.ndarray, u: np.ndarray,
+              collapse: str) -> tuple[np.ndarray, np.ndarray]:
+    pick = categorical(probs, u, collapse)
+    rows = np.arange(len(pick))
+    return pick, images[rows, pick] / np.sqrt(probs[rows, pick])[:, None]
+
+
+def _counting_batch(gen: GKLSGenerator, rho0, t: float, seed: int, indices,
+                    collect_events: bool):
+    """``trajectory._counting_batch`` with full-batch clocks and coefficients read at live rows."""
+    batch = len(indices)
+    counts = np.zeros((batch, len(gen.jumps)), dtype=np.int64)
+    events: list[list] = [[] for _ in range(batch)] if collect_events else []
+    jumps = trajectory._step_operators([(l,) for l in gen.jumps])
+    bound = trajectory._thinning_rate(gen) * (1.0 + trajectory._RATE_MARGIN)
+    if not bound > 0.0:
+        return counts, events
+    w, right, left = trajectory._no_jump_basis(gen)
+    tape = trajectory._Tape(seed, indices)
+    active = np.arange(batch)
+    rho = state_matrix(rho0)
+    p, e = np.linalg.eigh(rho if np.any(rho.imag) else rho.real)
+    j = categorical(np.broadcast_to(p, (batch, len(p))), tape.take(active), "initial state")
+    coeff = e.T[j] @ left
+    clock = np.zeros(batch)
+    while True:
+        gap = -np.log1p(-tape.take(active)) / bound
+        clock[active] += gap
+        live = clock[active] < t
+        active, gap = active[live], gap[live]
+        if not active.size:
+            return counts, events
+        c = coeff[active] * np.exp(np.outer(gap, w))
+        psi = c @ right
+        norm = np.sqrt(np.einsum("bj,bj->b", psi.view(np.float64), psi.view(np.float64)))
+        if np.any(norm <= 0.0):
+            raise trajectory.FilterCollapseError("no-jump propagation lost all probability")
+        psi /= norm[:, None]
+        coeff[active] = c / norm[:, None]
+        images, probs = trajectory._images(jumps, psi)
+        rate = probs.sum(axis=1)
+        if np.any(rate > bound):
+            raise trajectory.FilterCollapseError("jump intensity above its bound")
+        v = tape.take(active) * bound
+        jumped = v < rate
+        hit = active[jumped]
+        if hit.size:
+            pick, psi = _collapse(images[jumped], probs[jumped], v[jumped] / rate[jumped],
+                                  "vanishing jump intensities at a jump time")
+            coeff[hit] = psi @ left
+            counts[hit, pick] += 1
+            if collect_events:
+                for row, p in zip(hit, pick):
+                    events[row].append((float(clock[row]), gen.labels[p]))
+
+
+def counting_chunks(gen: GKLSGenerator, rho0, t: float, trials: int, seed: int,
+                    collect_events: bool):
+    """``trajectory._counting_chunks`` through ``_counting_batch`` above."""
+    batches = [_counting_batch(gen, rho0, t, seed, indices, collect_events)
+               for indices in trajectory._chunks(trials, trajectory._COUNTING_CHUNK)]
+    return (np.vstack([counts for counts, _ in batches]),
+            [events for _, chunk in batches for events in chunk])
 
 
 def power_norms(phi_f: np.ndarray, j_max: int) -> list[float]:

@@ -404,7 +404,8 @@ class TestTimeDependent:
         float sum drifts from it (by 41 ulps of b_n at n <= 2000 on random:6).
         cycle:3 is a permutation channel: every t_j is 1 and no tail converges."""
         channel, steps, sigma = schedule_case(case)
-        constants = time_dependent_constants(channel, steps, sigma, None, "hoeffding")
+        constants = time_dependent_constants(channel, steps, sigma, None, "hoeffding",
+                                             horizon=2000)
         _, phi_f = spectral._restriction(*spectral._coordinates(channel, sigma))
         expected = cycled_time_dependent(_step_stats(steps, sigma), phi_f, channel.dim, 2000)
         moved = []
@@ -415,8 +416,8 @@ class TestTimeDependent:
             if (got.c, got.g) != (c_n, g_n) or b_moved:
                 moved.append((n, got.c - c_n, got.b - b_n, got.g - g_n))
         assert moved == []
-        if case == "cycle:3":  # the powers ran to the cap
-            assert set(constants.powers) == {1.0} and len(constants.powers) == 4_000_000 // 81 + 1
+        if case == "cycle:3":  # the powers ran to the horizon: t_0 .. t_1998
+            assert set(constants.powers) == {1.0} and len(constants.powers) == 1999
 
 
 class TestMultitime:

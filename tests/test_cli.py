@@ -327,10 +327,32 @@ class TestBound:
         loaded = load_model(model("ring_tdm.json"))
         sigma = invariant_state(loaded.channel).matrix
         constants = bounds.time_dependent_constants(loaded.channel, loaded.schedule, sigma,
-                                                    sigma, flavor[4:])
+                                                    sigma, flavor[4:], horizon=10**12)
         echoed = bounds.time_dependent_bound(constants, 0.5, 10**12).constants
         finite = [echoed.b, echoed.c] + ([echoed.g] if flavor == "tdm-hoeffding" else [])
         assert all(math.isfinite(v) for v in finite)
+
+    def test_tdm_powers_stop_at_the_largest_horizon(self, tmp_path, capsys, monkeypatch):
+        """The two-cycle |1><0|, |0><1| has t_j = 1 at every j and no tail bound, so the
+        powers run to max(n) - 2, where the 4e6 / d^4 cap would take 250 000."""
+        up, down = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+        pays = {"up": 1.0, "down": -1.0}
+        path = tmp_path / "two_cycle.json"
+        path.write_text(json.dumps({
+            "kind": "kraus", "labels": ["up", "down"], "kraus": [up, down], "observation": pays,
+            "unravellings": {"std": [{"label": "up", "kraus": [up]},
+                                     {"label": "down", "kraus": [down]}]},
+            "schedule": [{"unravelling": "std", "observation": pays},
+                         {"unravelling": "std", "observation": {"up": -1.0, "down": 1.0}}]}))
+        taken = []
+        power_norms = bounds.phi_power_norms
+        monkeypatch.setattr(bounds, "phi_power_norms",
+                            lambda *args: taken.append(power_norms(*args)) or taken[-1])
+        rows = main_report(capsys, "bound", "--flavor", "tdm-hoeffding", "--model", str(path),
+                           "--n", "20,5", "--gamma", "0.5")["rows"]
+        [(norms, tail)] = taken
+        assert norms == [1.0] * 19 and tail == math.inf
+        assert [row["horizon"] for row in rows] == [20, 5]
 
     def test_constant_payoff_hoeffding_exact_zero(self, tmp_path):
         doc = json.loads(open(model("ring.json")).read())

@@ -568,7 +568,7 @@ class TestCertifiedChain:
         phi_f, _, dim = chain_inputs(case)
         root_d = float(np.sqrt(dim))
         channel = case_channel(case)
-        norms, tail = phi_power_norms(channel, invariant_state(channel))
+        norms, tail = phi_power_norms(channel, invariant_state(channel), math.inf)
         raw = power_norms(phi_f, len(norms) - 1)
         assert norms == [min(1.0, root_d * x) for x in raw]
         # K is the first power whose tail bound is below a quarter ulp of
@@ -1529,17 +1529,17 @@ class TestDecomposition:
 class TestPowerNorms:
     def test_leading_entry_is_one(self, ring, ring_sigma):
         channel, _ = ring
-        assert phi_power_norms(channel, ring_sigma)[0][0] == 1.0
+        assert phi_power_norms(channel, ring_sigma, math.inf)[0][0] == 1.0
 
     def test_rank_one_zero_tail(self):
         ch, sigma = rank_one_channel(seed=7)
-        norms, tail = phi_power_norms(ch, sigma)
+        norms, tail = phi_power_norms(ch, sigma, math.inf)
         assert norms[0] == 1.0
         assert all(v < 1e-12 for v in norms[1:]) and tail < 1e-12
 
     def test_ring_decays(self, ring, ring_sigma):
         channel, _ = ring
-        norms, _ = phi_power_norms(channel, ring_sigma)
+        norms, _ = phi_power_norms(channel, ring_sigma, math.inf)
         assert all(b <= a + 1e-12 for a, b in zip(norms[1:], norms[2:]))
         assert norms[6] < 0.1
 
@@ -1547,7 +1547,7 @@ class TestPowerNorms:
     def test_tail_covers_the_terms_it_replaces(self, seed):
         channel = case_channel(f"random:{seed}")
         sigma = invariant_state(channel)
-        norms, tail = phi_power_norms(channel, sigma)
+        norms, tail = phi_power_norms(channel, sigma, math.inf)
         phi_f = chain_inputs(f"random:{seed}")[0]
         later = power_norms(phi_f, len(norms) + 499)[len(norms):]
         assert len(later) == 500

@@ -42,7 +42,13 @@ from qmcbounds.trajectory import (
 )
 
 from conftest import random_state
-from reference import enumeration_batches, exact_tail_enumeration, lattice_dp_unreduced
+from reference import (
+    categorical,
+    counting_chunks,
+    enumeration_batches,
+    exact_tail_enumeration,
+    lattice_dp_unreduced,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +144,7 @@ def fresh_stream(seed: int, index: int, count: int) -> np.ndarray:
 
 
 class TestStreams:
-    INDICES = [0, 1, 7, 2**63 + 3, 2**64 + 5]  # the last enters the key as 5
+    INDICES = [0, 1, 7, 12345, 2**63 + 3, 2**63 + 5, 2**64 + 5]  # the last enters the key as 5
 
     @pytest.mark.parametrize("seed", [0, 31, 2**64 + 9])
     def test_uniform_rows_are_the_per_trajectory_streams(self, seed):
@@ -167,19 +173,19 @@ def reference_filter(outcomes_per_step, rho0, seed: int, indices) -> np.ndarray:
     the outcomes ``outcomes_per_step[k]``, each a Kraus family, and draws
     one operator W of all of them with weight |W psi|^2 by uniform k + 1,
     reports W's outcome and moves psi to W psi / |W psi|.  Every draw is
-    ``_categorical``.
+    the reference ``categorical``.
     """
     n = len(outcomes_per_step)
     picks = np.empty((len(indices), n), dtype=np.int64)
     p, e = np.linalg.eigh(np.asarray(rho0, dtype=complex))
     for b, index in enumerate(indices):
         u = fresh_stream(seed, index, n + 1)
-        psi = e[:, trajectory._categorical(p[None, :], u[:1], "collapse")[0]]
+        psi = e[:, categorical(p[None, :], u[:1], "collapse")[0]]
         for k, outcomes in enumerate(outcomes_per_step):
             owners = [i for i, ops in enumerate(outcomes) for _ in ops]
             images = [w @ psi for ops in outcomes for w in ops]
             probs = np.asarray([[np.vdot(x, x).real for x in images]])
-            fine = trajectory._categorical(probs, u[k + 1:k + 2], "collapse")[0]
+            fine = categorical(probs, u[k + 1:k + 2], "collapse")[0]
             picks[b, k] = owners[fine]
             psi = images[fine] / np.sqrt(probs[0, fine])
     return picks
@@ -221,7 +227,7 @@ class TestFilterReference:
             jumped = [l @ vector for l in gen.jumps]
             weights = np.asarray([[np.vdot(x, x).real for x in jumped]])
             np.testing.assert_allclose(probs[b], weights[0], rtol=1e-14, atol=0)
-            expected = trajectory._categorical(weights, u[b:b + 1], "collapse")[0]
+            expected = categorical(weights, u[b:b + 1], "collapse")[0]
             assert pick[b] == expected
             np.testing.assert_allclose(new[b], jumped[expected] / np.linalg.norm(jumped[expected]),
                                        rtol=0, atol=1e-15)
@@ -243,6 +249,57 @@ class TestFilterReference:
         monkeypatch.setattr(trajectory, "_MC_CHUNK", 100)
         mc_tail_unravelled(steps, sigma, np.eye(3) / 3, 0.25, 300, 11)
         assert sorted(map(len, built)) == [2, 6]
+
+
+class TestCategoricalReference:
+    """The draw walks the outcomes along the batch; the reference sums along each row."""
+
+    @staticmethod
+    def same_picks(probs: np.ndarray, u: np.ndarray) -> None:
+        got = trajectory._categorical(probs, u, "collapse")
+        assert got.dtype == np.int64
+        assert np.array_equal(got, categorical(probs, u, "collapse"))
+
+    @pytest.mark.parametrize("batch", [1, 5, 4096])
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 12])
+    def test_random_weights(self, k, batch):
+        rng = np.random.default_rng(100 * k + batch)
+        probs = rng.random((batch, k)) ** 3 * 10.0 ** rng.integers(-3, 3, (batch, 1))
+        self.same_picks(probs, rng.random(batch))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 12])
+    def test_weights_below_the_floor(self, k):
+        rng = np.random.default_rng(k)
+        probs = rng.random((600, k))
+        tiny = rng.random((600, k)) < 0.5
+        probs[tiny] = rng.choice([0.0, 1e-17, 5e-16, 9.99e-16], size=int(tiny.sum()))
+        probs[tiny.all(axis=1), 0] = 1e-15  # at the floor a weight counts
+        self.same_picks(probs, rng.random(600))
+        probs[0] = 5e-16
+        for draw in (trajectory._categorical, categorical):
+            with pytest.raises(FilterCollapseError, match="collapse"):
+                draw(probs, rng.random(600), "collapse")
+
+    @pytest.mark.parametrize("k", [3, 7, 8, 12])
+    def test_uniforms_on_a_cumulative_weight(self, k):
+        """Weights in 64ths add exactly to 1, so u * total is the cumulative weight u."""
+        rng = np.random.default_rng(k)
+        probs = rng.multinomial(64, np.full(k, 1.0 / k), size=400) / 64.0
+        assert (probs.sum(axis=1) == 1.0).all()
+        u = np.cumsum(probs, axis=1)[np.arange(400), rng.integers(0, k, 400)]
+        self.same_picks(probs, u)
+        self.same_picks(probs, np.nextafter(u, 0.0))
+
+    @pytest.mark.parametrize("generator", ["qubit_gen", "poisson_gen"])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+    def test_counting_chunks(self, generator, seed, request):
+        gen = request.getfixturevalue(generator)
+        rho0 = random_state(2, np.random.default_rng(seed % 97))
+        counts, events = trajectory._counting_chunks(gen, rho0, 30.0, 300, seed,
+                                                     collect_events=True)
+        ref_counts, ref_events = counting_chunks(gen, rho0, 30.0, 300, seed, True)
+        assert np.array_equal(counts, ref_counts) and counts.sum() > 300
+        assert events == ref_events
 
 
 class TestExactTailDP:

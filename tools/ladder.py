@@ -20,11 +20,12 @@ and ``is_irreducible`` one more untimed call that counts the SVD norms
 matrix, every ``np.linalg.svd`` call, and the ``np.linalg.eigh`` and
 ``np.linalg.eigvalsh`` calls (a stack of matrices is one call).  Then the samplers: ``mc_tail`` with
 ``MC_TRAJECTORIES`` trajectories of ``MC_STEPS`` steps from the invariant
-state at each d (layer ``mc_tail``), and ``counting_counts`` on
+state at each d (layer ``mc_tail``), ``counting_counts`` on
 ``fixtures.driven_qubit()`` from its steady state, ``COUNTING_TRIALS``
-trajectories to t = ``COUNTING_T`` (layer ``counting_counts``, d = 2).  The
-parent's ``mc_tail`` rows above d = ``PARENT_MC_MAX_D`` are not timed, as
-they would take minutes, and read ``null``.  Then the exact DP,
+trajectories to t = ``COUNTING_T`` (layer ``counting_counts``, d = 2), and
+``mc_tail`` with one trajectory of ``ONE_TRAJECTORY_STEPS`` steps on
+``fixtures.ring_channel()`` from its invariant state (layer
+``one_trajectory``, d = 3; rows carry ``us_per_step``).  Then the exact DP,
 ``score_distribution_dp`` from the maximally mixed state to each horizon in
 ``DP_HORIZONS`` (rows carry ``n``), on ``fixtures.ring_channel()`` (d = 3),
 on the random channels with d in ``DP_DIMS``, on
@@ -60,6 +61,12 @@ column per tree and the environment each child saw: versions, BLAS,
 ``cpu_count``, thread settings and ``PYTHONDONTWRITEBYTECODE`` (set, every
 fresh process compiles ``src/`` again); ``scipy`` is ``null`` where it is
 not installed.
+
+With ``--samplers`` only the sampler rows are timed, each in a fresh child
+per tree and call, ``SAMPLER_PAIRS`` pairs per row, the trees alternating
+within the row; a child makes one small untimed call of each sampler layer
+first.  A row adds the median of the per-pair ratios change / parent and
+the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -82,7 +89,10 @@ DIMS = (3, 8, 16, 24, 32)
 REPEATS = 3
 MC_TRAJECTORIES, MC_STEPS = 4096, 50
 COUNTING_T, COUNTING_TRIALS = 400.0, 500
-PARENT_MC_MAX_D = 16
+ONE_TRAJECTORY_STEPS = 20000
+SAMPLERS = ([("mc_tail", d, MC_TRAJECTORIES) for d in DIMS]
+            + [("counting_counts", 2, COUNTING_TRIALS), ("one_trajectory", 3, 1)])
+SAMPLER_PAIRS = 9
 DP_HORIZONS = (128, 256, 512)
 DP_DIMS = (8, 16)
 SPARSE_HORIZONS = (40, 96)
@@ -287,7 +297,7 @@ def _oracle_calls() -> list:
 
 def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
     """Seconds of one sampler call; its channel or generator and state are built untimed."""
-    from qmcbounds.fixtures import driven_qubit
+    from qmcbounds.fixtures import driven_qubit, ring_channel
     from qmcbounds.spectral import gkls_steady_state, invariant_state
     from qmcbounds.trajectory import counting_counts, mc_tail
 
@@ -295,6 +305,11 @@ def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
         gen = driven_qubit()
         rho0 = gkls_steady_state(gen).matrix
         call = lambda: counting_counts(gen, rho0, COUNTING_T, trajectories, 0)  # noqa: E731
+    elif layer == "one_trajectory":
+        channel, payoff = ring_channel()
+        rho0 = invariant_state(channel).matrix
+        steps = ONE_TRAJECTORY_STEPS if trajectories else 64  # 0: the warm-up
+        call = lambda: mc_tail(channel, rho0, payoff, steps, 0.1, 1, 1)  # noqa: E731
     else:
         channel = _channel(d)
         payoff = {label: float(i % 3 - 1) for i, label in enumerate(channel.labels)}
@@ -303,6 +318,13 @@ def _sampler_seconds(layer: str, d: int, trajectories: int) -> float:
     start = time.perf_counter()
     call()
     return time.perf_counter() - start
+
+
+def _warm_samplers() -> None:
+    """One small untimed call of each sampler layer."""
+    _sampler_seconds("mc_tail", DIMS[0], 64)
+    _sampler_seconds("counting_counts", 2, 8)
+    _sampler_seconds("one_trajectory", 3, 0)
 
 
 def _analyze_rows(directory: str) -> list:
@@ -334,12 +356,11 @@ def _cli_seconds(command: tuple) -> float:
     return time.perf_counter() - start
 
 
-def measure(mc_max_d: int | None) -> dict:
-    """One pass of the ladder: one timed call per layer and d; mc_tail up to ``mc_max_d``."""
+def measure() -> dict:
+    """One pass of the ladder: one timed call per layer and d."""
     for call in _layers(DIMS[0]).values():
         call(_channel(DIMS[0]))
-    _sampler_seconds("mc_tail", DIMS[0], 64)
-    _sampler_seconds("counting_counts", 2, 8)
+    _warm_samplers()
     rows = []
     for d in DIMS:
         for layer, call in _layers(d).items():
@@ -352,11 +373,8 @@ def measure(mc_max_d: int | None) -> dict:
                 row.update(_counts(lambda: call(channel), d))
             rows.append(row)
             print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
-    samplers = [("mc_tail", d, MC_TRAJECTORIES) for d in DIMS]
-    for layer, d, trajectories in samplers + [("counting_counts", 2, COUNTING_TRIALS)]:
-        skip = layer == "mc_tail" and mc_max_d is not None and d > mc_max_d
-        row = {"layer": layer, "d": d,
-               "seconds": None if skip else _sampler_seconds(layer, d, trajectories)}
+    for layer, d, trajectories in SAMPLERS:
+        row = {"layer": layer, "d": d, "seconds": _sampler_seconds(layer, d, trajectories)}
         rows.append(row)
         print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
     calls = _oracle_calls()
@@ -382,11 +400,47 @@ def measure(mc_max_d: int | None) -> dict:
     return {"environment": _environment(), "rows": rows}
 
 
-def _run_pass(src: Path, mc_max_d: int | None) -> dict:
+def _spread(name: str, times: list) -> dict:
+    """The median, least and greatest of ``times``, keyed by the tree's ``name``."""
+    ordered = sorted(times)
+    return {f"{name}_median_s": ordered[len(ordered) // 2], f"{name}_min_s": ordered[0],
+            f"{name}_max_s": ordered[-1]}
+
+
+def _sampler_rows(trees: dict) -> tuple[dict, list]:
+    """(environment per tree, sampler rows): one fresh child per tree and call, the trees
+    alternating per pair."""
+    environment, rows = {}, []
+    for layer, d, trajectories in SAMPLERS:
+        times: dict[str, list] = {name: [] for name in trees}
+        for pair in range(SAMPLER_PAIRS):
+            for name in (list(trees) if pair % 2 == 0 else list(reversed(trees))):
+                env = dict(os.environ, PYTHONPATH=str(trees[name] / "src"))
+                env.setdefault("OPENBLAS_NUM_THREADS", "1")
+                done = subprocess.run([sys.executable, __file__, "--child-sampler",
+                                       f"{layer},{d},{trajectories}"], env=env, check=True,
+                                      capture_output=True, text=True)
+                child = json.loads(done.stdout)
+                times[name].append(child["seconds"])
+                environment.setdefault(name, child["environment"])
+        row = {"layer": layer, "d": d, "trajectories": trajectories}
+        for name, runs in times.items():
+            row.update(_spread(name, runs))
+            if layer == "one_trajectory":
+                row[f"{name}_us_per_step"] = row[f"{name}_median_s"] / ONE_TRAJECTORY_STEPS * 1e6
+        if "parent" in times:
+            ratios = sorted(c / p for c, p in zip(times["change"], times["parent"]))
+            row["ratio_median"] = ratios[len(ratios) // 2]
+            row["change_wins"] = sum(r < 1.0 for r in ratios)
+        rows.append(row)
+        print(f"{layer} d={d}: {row}", file=sys.stderr, flush=True)
+    return environment, rows
+
+
+def _run_pass(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    limit = [] if mc_max_d is None else ["--mc-max-d", str(mc_max_d)]
-    done = subprocess.run([sys.executable, __file__, "--child", *limit], env=env, check=True,
+    done = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -396,31 +450,49 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="BENCH file to write")
     parser.add_argument("--parent", help="checkout of the parent commit, for a second column")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--mc-max-d", type=int, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--samplers", action="store_true",
+                        help="time only the sampler rows, in alternating fresh children")
+    parser.add_argument("--child-sampler", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.mc_max_d)))
+        print(json.dumps(measure()))
+        return 0
+    if args.child_sampler:
+        layer, d, trajectories = args.child_sampler.split(",")
+        _warm_samplers()
+        print(json.dumps({"seconds": _sampler_seconds(layer, int(d), int(trajectories)),
+                          "environment": _environment()}))
         return 0
     if not args.out:
         parser.error("--out is required")
     trees = {"change": REPO}
     if args.parent:
         trees["parent"] = Path(args.parent).resolve()
+    if args.samplers:
+        environment, rows = _sampler_rows(trees)
+        doc = {"what": ("median, least and greatest seconds of the sampler rows over "
+                        f"{SAMPLER_PAIRS} pairs of fresh children, one call each: mc_tail "
+                        f"({MC_TRAJECTORIES} trajectories, n = {MC_STEPS}) on "
+                        "fixtures.random_channel(d, 3, 101), counting_counts on driven_qubit "
+                        f"(t = {COUNTING_T:g}, {COUNTING_TRIALS} trajectories) and mc_tail with "
+                        f"one trajectory of {ONE_TRAJECTORY_STEPS} steps on the ring; "
+                        "ratio_median: median of change / parent per pair"),
+               "pairs": SAMPLER_PAIRS,
+               "order": "per row, this tree first on even pairs, the parent on odd",
+               "environment": environment, "rows": rows}
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        return 0
     passes: dict[str, list] = {name: [] for name in trees}
     for repeat in range(REPEATS):
         for name in (list(trees) if repeat % 2 == 0 else list(reversed(trees))):
-            passes[name].append(_run_pass(trees[name] / "src",
-                                          PARENT_MC_MAX_D if name == "parent" else None))
+            passes[name].append(_run_pass(trees[name] / "src"))
     rows = []
     for i, row in enumerate(passes["change"][0]["rows"]):
         merged = {key: row[key] for key in ("layer", "d", "n", "kraus", "payoff", "command")
                   if key in row}
         for name, runs in passes.items():
             times = [run["rows"][i]["seconds"] for run in runs]
-            times = None if None in times else sorted(times)
-            merged[f"{name}_median_s"] = times and times[len(times) // 2]
-            merged[f"{name}_min_s"] = times and times[0]
-            merged[f"{name}_max_s"] = times and times[-1]
+            merged.update(_spread(name, times))
             for count in COUNTS:
                 if count in row:
                     merged[f"{name}_{count}"] = runs[0]["rows"][i][count]
@@ -437,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
                  "on a two-block random channel, of counting_constants on a random "
                  "GKLS generator, and of CLI commands in a fresh process, start-up "
                  "included (analyze on random_channel(d, 3, 101) model files with the counts "
-                 "of an untimed in-process run); null: not timed"),
+                 "of an untimed in-process run)"),
         "repeats": REPEATS,
         "order": "one child process per pass; this tree first on even passes, the parent on odd",
         "environment": {name: runs[0]["environment"] for name, runs in passes.items()},
